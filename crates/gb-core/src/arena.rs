@@ -458,7 +458,7 @@ impl Workspace {
                 self.born_dense_streak = 0;
             }
             let track = self.born_dense_streak == 0
-                || self.born_dense_streak % DENSE_PROBE_PERIOD == 0;
+                || self.born_dense_streak.is_multiple_of(DENSE_PROBE_PERIOD);
             self.born.set_cert_tracking(track);
             self.born.rebuild(sys, self.build_tasks, &mut self.born_scratch);
             self.born_frame_nonce = sys.frame_nonce;
@@ -517,7 +517,7 @@ impl Workspace {
                 self.energy_dense_streak = 0;
             }
             let track = self.energy_dense_streak == 0
-                || self.energy_dense_streak % DENSE_PROBE_PERIOD == 0;
+                || self.energy_dense_streak.is_multiple_of(DENSE_PROBE_PERIOD);
             self.energy.set_cert_tracking(track);
             self.energy.rebuild(sys, self.build_tasks, &mut self.energy_scratch);
             self.energy_frame_nonce = sys.frame_nonce;

@@ -25,10 +25,6 @@
 pub trait MathMode: Copy + Send + Sync + 'static {
     /// Short name for reports and bench JSON.
     const NAME: &'static str;
-    /// True when `inv_cube`/`inv_sq` are the default IEEE bodies — the
-    /// precondition for the packed AVX2 surface-integral kernel, which
-    /// mirrors those exact operation sequences.
-    const IEEE_INTEGRANDS: bool;
     /// True when the Born-radius conversion may use the 4-lane Newton
     /// `x^(−1/3)` ([`crate::simd::recip_cbrt4`], ulp-bounded vs `powf`)
     /// instead of the scalar libm path. Only [`VectorMath`] opts in;
@@ -107,7 +103,6 @@ pub struct ExactMath;
 
 impl MathMode for ExactMath {
     const NAME: &'static str = "exact";
-    const IEEE_INTEGRANDS: bool = true;
     const LANE_RADIUS: bool = false;
     const LANE_ENERGY: bool = false;
     #[inline(always)]
@@ -130,7 +125,6 @@ pub struct VectorMath;
 
 impl MathMode for VectorMath {
     const NAME: &'static str = "vector";
-    const IEEE_INTEGRANDS: bool = true;
     const LANE_RADIUS: bool = true;
     const LANE_ENERGY: bool = true;
     #[inline(always)]
@@ -161,7 +155,6 @@ pub struct ApproxMath;
 
 impl MathMode for ApproxMath {
     const NAME: &'static str = "approx";
-    const IEEE_INTEGRANDS: bool = false;
     const LANE_RADIUS: bool = false;
     const LANE_ENERGY: bool = false;
     #[inline(always)]

@@ -72,9 +72,6 @@ pub fn born_radius_from_integral_r4(s: f64, r_vdw: f64, cap: f64) -> f64 {
 pub trait RadiiApprox: Copy + Send + Sync + 'static {
     /// Human-readable name for reports.
     const NAME: &'static str;
-    /// Which packed integrand the AVX2 surface kernel applies when the
-    /// math mode keeps the default IEEE `inv_cube`/`inv_sq` bodies.
-    const KIND: crate::simd::IntegrandKind;
     /// The integrand factor applied to `x = |r_k − x_i|²`
     /// (`|d|⁻⁶` for r⁶, `|d|⁻⁴` for r⁴).
     fn integrand<M: MathMode>(d_sq: f64) -> f64;
@@ -102,7 +99,6 @@ pub struct R6;
 
 impl RadiiApprox for R6 {
     const NAME: &'static str = "r6";
-    const KIND: crate::simd::IntegrandKind = crate::simd::IntegrandKind::InvCube;
     #[inline(always)]
     fn integrand<M: MathMode>(d_sq: f64) -> f64 {
         M::inv_cube(d_sq)
@@ -135,7 +131,6 @@ pub struct R4;
 
 impl RadiiApprox for R4 {
     const NAME: &'static str = "r4";
-    const KIND: crate::simd::IntegrandKind = crate::simd::IntegrandKind::InvSq;
     #[inline(always)]
     fn integrand<M: MathMode>(d_sq: f64) -> f64 {
         M::inv_sq(d_sq)

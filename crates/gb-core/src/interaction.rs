@@ -222,8 +222,8 @@ fn invalidate_certs(
         *c = run;
     }
     let mut start = None;
-    for ord in 0..nleaves {
-        match (start, cover[ord] > 0) {
+    for (ord, &c) in cover.iter().enumerate().take(nleaves) {
+        match (start, c > 0) {
             (None, true) => start = Some(ord),
             (Some(s), false) => {
                 runs.push((s as u32, ord as u32));
@@ -332,8 +332,8 @@ fn copy_csr_rows(
 ) {
     let base = data2.len();
     let src = off[from];
-    for ord in from..to {
-        off2.push(base + (off[ord] - src));
+    for &o in &off[from..to] {
+        off2.push(base + (o - src));
     }
     data2.extend_from_slice(&data[src..off[to]]);
 }
@@ -571,6 +571,15 @@ impl PartialEq for BornLists {
 /// margins `F`/`N` move by ≤ (3+2·coef)δ. Budgets divide the decision's
 /// standing margin by the padded sensitivity, so a valid cert *proves* the
 /// branch cannot have flipped.
+///
+/// Children are pushed in reverse so the LIFO stack pops them in tree
+/// order: the walk is a preorder over `T_A` and every row's near (and far)
+/// entries come out in **ascending** tree order. Each `A` node meets a
+/// given driving leaf in exactly one resolved pop, so two near leaves of
+/// one row split at a unique ancestor pair whose first child's subtree is
+/// finished before the second child is popped. Leaves whose atom ranges
+/// touch therefore sit next to each other in the row, which is what lets
+/// [`BornLists::execute_range`] stream them as one atom run.
 #[allow(clippy::too_many_arguments)]
 fn born_walk_range(
     ta: &Octree,
@@ -653,7 +662,8 @@ fn born_walk_range(
                 if a.is_leaf() {
                     seg.near_emits.push((s, e, a_id));
                 } else {
-                    for c in a.children() {
+                    // reversed pushes pop in tree order (see above)
+                    for c in a.children().rev() {
                         seg.stack.push((c, q_id));
                     }
                 }
@@ -661,7 +671,7 @@ fn born_walk_range(
             Resolve::DescendDriver => {
                 // not a resolved pop: the leaves' own pops of `a` are
                 // accounted when each child pair resolves
-                for qc in q.children() {
+                for qc in q.children().rev() {
                     seg.stack.push((a_id, qc));
                 }
             }
@@ -919,10 +929,10 @@ impl BornLists {
                 let d2 = delta.norm_sq();
                 acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
             }
-            // Near list: adjacent leaves in the list cover contiguous atom
-            // ranges (leaf order is tree order), so coalesce runs into one
-            // long span each — the batched kernel then streams thousands of
-            // atoms per call instead of a handful per tiny leaf.
+            // Near list: rows are ascending in tree order, so touching
+            // leaves coalesce into one long atom run each — the batched
+            // kernel then streams whole runs (25 atoms on average at 10k,
+            // 40% of atoms in runs of ≥ 1,024) instead of ~3 per tiny leaf.
             let qr = qn.range();
             let qx = &sys.q_soa.x[qr.clone()];
             let qy = &sys.q_soa.y[qr.clone()];
@@ -932,22 +942,8 @@ impl BornLists {
             let nz = &sys.q_normal_soa.z[qr.clone()];
             let w = &sys.q_weight_tree[qr];
             let entries = &self.near[self.near_off[ord]..self.near_off[ord + 1]];
-            let mut i = 0usize;
-            while i < entries.len() {
-                let first = sys.ta.node(entries[i]);
-                let start = first.begin as usize;
-                let mut end = first.end as usize;
-                i += 1;
-                while i < entries.len() {
-                    let n = sys.ta.node(entries[i]);
-                    if n.begin as usize == end {
-                        end = n.end as usize;
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                born_span_batched::<M, K>(sys, start..end, qx, qy, qz, nx, ny, nz, w, acc);
+            for run in atom_runs(&sys.ta, entries) {
+                born_span_batched::<M, K>(sys, run, qx, qy, qz, nx, ny, nz, w, acc);
             }
             work += self.leaf_work[ord];
         }
@@ -960,7 +956,8 @@ impl BornLists {
     /// its per-node aggregated normals, per-point normals, and per-point
     /// weights (all in `tq`'s tree order — for a posed ligand these are
     /// the rotated copies). No SoA mirrors exist for a transient posed
-    /// tree, so both terms run the scalar kernels; the loop order is fixed
+    /// tree, so both terms run the scalar kernels over the same coalesced
+    /// atom runs as [`BornLists::execute_range`]; the loop order is fixed
     /// by the lists, so results are deterministic for identical inputs.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_cross<M: MathMode, K: RadiiApprox>(
@@ -988,8 +985,7 @@ impl BornLists {
                 acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
             }
             let qr = qn.range();
-            for &a_id in &self.near[self.near_off[ord]..self.near_off[ord + 1]] {
-                let ar = ta.node(a_id).range();
+            for ar in atom_runs(ta, &self.near[self.near_off[ord]..self.near_off[ord + 1]]) {
                 for k in qr.clone() {
                     let p = q_pts[k];
                     let m = q_normal_tree[k];
@@ -1186,6 +1182,28 @@ impl BornLists {
     }
 }
 
+/// Coalesces one ascending near row into maximal contiguous atom ranges:
+/// an entry whose range starts where the previous one ended extends the
+/// current run. Each atom lies in at most one entry of a row and its
+/// q-point terms keep their order, so per-atom sums are bit-identical to
+/// executing the entries one by one.
+fn atom_runs<'a>(ta: &'a Octree, entries: &'a [NodeId]) -> impl Iterator<Item = Range<usize>> + 'a {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        let first = ta.node(*entries.get(i)?);
+        let (start, mut end) = (first.begin, first.end);
+        i += 1;
+        while let Some(n) = entries.get(i).map(|&id| ta.node(id)) {
+            if n.begin != end {
+                break;
+            }
+            end = n.end;
+            i += 1;
+        }
+        Some(start as usize..end as usize)
+    })
+}
+
 /// Exact Born-integral sum of one coalesced atom span against one `T_Q`
 /// leaf's pre-sliced struct-of-arrays streams. Quadrature leaves hold only
 /// a handful of points, so the *atom* dimension is the long one: per
@@ -1211,24 +1229,6 @@ fn born_span_batched<M: MathMode, K: RadiiApprox>(
     let ay = &sys.a_soa.y[atoms.clone()];
     let az = &sys.a_soa.z[atoms.clone()];
     let out = &mut acc.atom_s[atoms];
-    // AVX2 path: available whenever the mode's integrand is the default
-    // IEEE body (Exact/Vector); it mirrors the scalar operation sequence
-    // below instruction for instruction, so results are bit-identical.
-    #[cfg(target_arch = "x86_64")]
-    if M::IEEE_INTEGRANDS && SimdLevel::active() == SimdLevel::Avx2 {
-        for k in 0..qx.len() {
-            // SAFETY: level Avx2 implies avx2+fma were detected.
-            unsafe {
-                crate::simd::avx2::born_point(
-                    ax, ay, az,
-                    [qx[k], qy[k], qz[k]],
-                    [nx[k], ny[k], nz[k]],
-                    w[k], K::KIND, out,
-                );
-            }
-        }
-        return;
-    }
     for k in 0..qx.len() {
         let (px, py, pz) = (qx[k], qy[k], qz[k]);
         let (mx, my, mz) = (nx[k], ny[k], nz[k]);
@@ -3057,5 +3057,222 @@ mod tests {
         for (x, y) in acc_r.atom_s.iter().zip(&acc_f.atom_s) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    // -- row order and run coalescing ---------------------------------------
+
+    /// Every row of both CSRs is strictly ascending in `ta`'s tree order and
+    /// its entries' atom ranges are disjoint.
+    fn assert_rows_ascend(lists: &BornLists, ta: &Octree, tag: &str) {
+        for (off, ids) in [lists.far_csr(), lists.near_csr()] {
+            for ord in 0..lists.num_qleaves() {
+                let row = &ids[off[ord]..off[ord + 1]];
+                for pair in row.windows(2) {
+                    let (x, y) = (ta.node(pair[0]), ta.node(pair[1]));
+                    assert!(x.end <= y.begin, "{tag}: row {ord} not ascending: {pair:?}");
+                }
+            }
+        }
+    }
+
+    /// A ligand system posed by a rigid rotation + shift, as the docking
+    /// path sees it: the transformed trees and rotated normals.
+    struct Posed {
+        sys: GbSystem,
+        ta: Octree,
+        tq: Octree,
+        q_normals: Vec<Vec3>,
+        q_normal_tree: Vec<Vec3>,
+    }
+
+    fn posed_ligand(n: usize, seed: u64, shift: Vec3) -> Posed {
+        let mol = synthesize_protein(&SyntheticParams::with_atoms(n, seed));
+        let sys = GbSystem::prepare(mol, GbParams::default());
+        let pose = gb_geom::RigidTransform {
+            rotation: gb_geom::Mat3::rotation(Vec3::new(0.3, 0.9, 0.1), 0.7),
+            translation: shift,
+        };
+        let rotate = |v: &[Vec3]| v.iter().map(|&n| pose.apply_vector(n)).collect();
+        Posed {
+            ta: sys.ta.transformed(&pose),
+            tq: sys.tq.transformed(&pose),
+            q_normals: rotate(&sys.q_normals),
+            q_normal_tree: rotate(&sys.q_normal_tree),
+            sys,
+        }
+    }
+
+    #[test]
+    fn born_rows_ascend_from_every_walk() {
+        let mut sys = system(900);
+        let mut scratch = ListScratch::new();
+        for tasks in [1usize, 3] {
+            let mut born = BornLists::empty();
+            born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+            assert_rows_ascend(&born, &sys.ta, &format!("rebuild tasks={tasks}"));
+        }
+
+        // docking cross lists, both directions
+        let lig = posed_ligand(120, 5, Vec3::new(12.0, -4.0, 3.0));
+        let threshold = sys.params.radii_mac_threshold();
+        let mut cross = BornLists::empty();
+        cross.rebuild_cross(&sys.ta, &lig.tq, threshold, &mut scratch);
+        assert!(!cross.near.is_empty());
+        assert_rows_ascend(&cross, &sys.ta, "cross receptor x ligand");
+        cross.rebuild_cross(&lig.ta, &sys.tq, threshold, &mut scratch);
+        assert!(!cross.near.is_empty());
+        assert_rows_ascend(&cross, &lig.ta, "cross ligand x receptor");
+
+        // exact-mode repaired frames (the re-walked rows are spliced in)
+        let mut born = BornLists::empty();
+        born.set_cert_tracking(true);
+        born.rebuild(&sys, 1, &mut scratch);
+        for (frame, stride) in [(0u64, 1usize), (1, 7)] {
+            jitter_tree(&mut sys.ta, 0.05, 300 + frame, stride);
+            jitter_tree(&mut sys.tq, 0.05, 400 + frame, stride);
+            let stats = born.repair(&sys, 0.0, &mut scratch);
+            assert!(stats.rows_rewalked > 0, "frame {frame}: nothing re-walked");
+            assert_rows_ascend(&born, &sys.ta, &format!("repair frame={frame}"));
+        }
+    }
+
+    #[test]
+    fn near_rows_coalesce_into_long_runs() {
+        // with ascending rows most neighbouring near leaves touch; were
+        // the rows out of order, every entry would be a run of its own
+        let sys = system(3000);
+        let born = BornLists::build(&sys);
+        let (off, ids) = born.near_csr();
+        let runs: usize = (0..born.num_qleaves())
+            .map(|ord| atom_runs(&sys.ta, &ids[off[ord]..off[ord + 1]]).count())
+            .sum();
+        let entries = ids.len();
+        assert!(
+            4 * runs <= entries,
+            "{runs} runs from {entries} near entries"
+        );
+    }
+
+    /// Per-entry reference for the near terms: one kernel call per list
+    /// entry, no coalescing. Far terms are added exactly as the executors do.
+    fn execute_per_entry(lists: &BornLists, sys: &GbSystem, acc: &mut IntegralAcc) {
+        for ord in 0..lists.num_qleaves() {
+            let qn = sys.tq.node(sys.tq.leaves()[ord]);
+            let q_agg = sys.q_normals[sys.tq.leaves()[ord] as usize];
+            for &a_id in &lists.far[lists.far_off[ord]..lists.far_off[ord + 1]] {
+                let delta = qn.centroid - sys.ta.node(a_id).centroid;
+                acc.node_s[a_id as usize] +=
+                    q_agg.dot(delta) * R6::integrand::<ExactMath>(delta.norm_sq());
+            }
+            let qr = qn.range();
+            for &a_id in &lists.near[lists.near_off[ord]..lists.near_off[ord + 1]] {
+                born_span_batched::<ExactMath, R6>(
+                    sys,
+                    sys.ta.node(a_id).range(),
+                    &sys.q_soa.x[qr.clone()],
+                    &sys.q_soa.y[qr.clone()],
+                    &sys.q_soa.z[qr.clone()],
+                    &sys.q_normal_soa.x[qr.clone()],
+                    &sys.q_normal_soa.y[qr.clone()],
+                    &sys.q_normal_soa.z[qr.clone()],
+                    &sys.q_weight_tree[qr.clone()],
+                    acc,
+                );
+            }
+        }
+    }
+
+    /// Per-entry reference of [`BornLists::execute_cross`]: one scalar
+    /// loop nest per near entry, no coalescing.
+    #[allow(clippy::too_many_arguments)]
+    fn execute_cross_per_entry(
+        lists: &BornLists,
+        ta: &Octree,
+        tq: &Octree,
+        q_agg_normals: &[Vec3],
+        q_normal_tree: &[Vec3],
+        q_weight_tree: &[f64],
+        acc: &mut IntegralAcc,
+    ) {
+        for ord in 0..lists.num_qleaves() {
+            let qn = tq.node(tq.leaves()[ord]);
+            let q_agg = q_agg_normals[tq.leaves()[ord] as usize];
+            for &a_id in &lists.far[lists.far_off[ord]..lists.far_off[ord + 1]] {
+                let delta = qn.centroid - ta.node(a_id).centroid;
+                acc.node_s[a_id as usize] +=
+                    q_agg.dot(delta) * R6::integrand::<ExactMath>(delta.norm_sq());
+            }
+            for &a_id in &lists.near[lists.near_off[ord]..lists.near_off[ord + 1]] {
+                for k in qn.range() {
+                    for i in ta.node(a_id).range() {
+                        let d = tq.points()[k] - ta.points()[i];
+                        let d2 = d.norm_sq();
+                        if d2 > 0.0 {
+                            acc.atom_s[i] += q_weight_tree[k]
+                                * d.dot(q_normal_tree[k])
+                                * R6::integrand::<ExactMath>(d2);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_acc_bits(x: &IntegralAcc, y: &IntegralAcc, tag: &str) {
+        for (i, (a, b)) in x.node_s.iter().zip(&y.node_s).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag}: node_s[{i}]");
+        }
+        for (i, (a, b)) in x.atom_s.iter().zip(&y.atom_s).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag}: atom_s[{i}]");
+        }
+    }
+
+    #[test]
+    fn coalesced_execution_matches_per_entry_reference_bitwise() {
+        let sys = system(1200);
+        let born = BornLists::build(&sys);
+        let mut merged = IntegralAcc::zeros(&sys);
+        born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut merged);
+        let mut reference = IntegralAcc::zeros(&sys);
+        execute_per_entry(&born, &sys, &mut reference);
+        assert_acc_bits(&merged, &reference, "own surface");
+
+        // docking: receptor atoms under the posed ligand's surface, and
+        // the posed ligand's atoms under the receptor's surface
+        let lig = posed_ligand(150, 6, Vec3::new(10.0, 2.0, -5.0));
+        let (agg, normals) = (&lig.q_normals, &lig.q_normal_tree);
+        let weights = &lig.sys.q_weight_tree;
+        assert_cross_matches_reference(&sys.ta, &lig.tq, agg, normals, weights, "rec x lig");
+        let (agg, normals, weights) = (&sys.q_normals, &sys.q_normal_tree, &sys.q_weight_tree);
+        assert_cross_matches_reference(&lig.ta, &sys.tq, agg, normals, weights, "lig x rec");
+    }
+
+    /// Builds the cross lists of `(ta, tq)` and checks [`BornLists::execute_cross`]
+    /// against the per-entry reference, bit for bit.
+    fn assert_cross_matches_reference(
+        ta: &Octree,
+        tq: &Octree,
+        agg: &[Vec3],
+        normals: &[Vec3],
+        weights: &[f64],
+        tag: &str,
+    ) {
+        let mut cross = BornLists::empty();
+        let threshold = GbParams::default().radii_mac_threshold();
+        cross.rebuild_cross(ta, tq, threshold, &mut ListScratch::new());
+        let zeros = || IntegralAcc {
+            node_s: vec![0.0; ta.num_nodes()],
+            atom_s: vec![0.0; ta.num_points()],
+        };
+        let mut merged = zeros();
+        let ords = 0..cross.num_qleaves();
+        cross.execute_cross::<ExactMath, R6>(ta, tq, agg, normals, weights, ords, &mut merged);
+        let mut reference = zeros();
+        execute_cross_per_entry(&cross, ta, tq, agg, normals, weights, &mut reference);
+        assert!(
+            merged.atom_s.iter().any(|&v| v != 0.0),
+            "{tag}: no near terms"
+        );
+        assert_acc_bits(&merged, &reference, tag);
     }
 }

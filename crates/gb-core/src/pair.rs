@@ -260,13 +260,12 @@ pub fn evaluate_pair_ws(
         let pa = sa.ta.points();
         let pb = tb_a.points();
         let mut raw_cross = 0.0;
-        for i in 0..na {
-            let xi = pa[i];
+        for (i, &xi) in pa[..na].iter().enumerate() {
             let qi = sa.charge_tree[i];
             let ri = scratch.radii_a[i];
             let mut row = 0.0;
-            for j in 0..nb {
-                let d2 = (xi - pb[j]).norm_sq();
+            for (j, &xj) in pb[..nb].iter().enumerate() {
+                let d2 = (xi - xj).norm_sq();
                 row += sb.charge_tree[j] * inv_f_gb::<M>(d2, ri * scratch.radii_b[j]);
             }
             raw_cross += qi * row;

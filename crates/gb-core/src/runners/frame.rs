@@ -84,6 +84,7 @@ pub fn run_frame_shared(
 /// plan outright.
 ///
 /// [`CommPlan`]: crate::commplan::CommPlan
+#[allow(clippy::too_many_arguments)]
 pub fn try_run_frame_distributed(
     sys: &mut GbSystem,
     new_positions: &[Vec3],

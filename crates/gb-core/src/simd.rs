@@ -23,9 +23,11 @@
 //! compiler cannot vectorize at all: the polynomial exponential behind
 //! `1/f_GB`, whose range-reduction/exponent-scaling dance defeats the
 //! autovectorizer (packed ≈3× faster than either `libm::exp` or the
-//! scalar polynomial). The AVX2/AVX-512 code here therefore concentrates
-//! on the exp-carrying energy kernels; the Born intrinsics path is taken
-//! only at exactly `Avx2` (no wider unit available), never at `Avx512`.
+//! scalar polynomial). The AVX2/AVX-512 code here therefore covers only
+//! the exp-carrying energy kernels. The Born near-field kernel has no
+//! intrinsics at all: on coalesced atom runs its autovectorized loop beat
+//! a 4-lane AVX2 form (82 vs 111 ms Born exec at 10k atoms, AVX-512 host),
+//! so that form was removed.
 //!
 //! **Determinism policy.** Every kernel here is written so that all
 //! levels produce *bit-identical* results: the portable and packed forms
@@ -145,17 +147,6 @@ fn avx512_available() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 fn avx512_available() -> bool {
     false
-}
-
-/// Which power of `1/|r|²` a packed surface-integral kernel applies —
-/// selects between the default (IEEE mul/div) bodies of
-/// `MathMode::inv_cube` and `MathMode::inv_sq`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IntegrandKind {
-    /// `1/x³` of `x = |r|²` — the r⁶ surface integrand (Eq. 4).
-    InvCube,
-    /// `1/x²` of `x = |r|²` — the r⁴ integrand (Eq. 3).
-    InvSq,
 }
 
 // ---------------------------------------------------------------------------
@@ -631,77 +622,6 @@ pub(crate) mod avx2 {
             k += LANES;
         }
         k
-    }
-
-    /// One quadrature point against a span of atoms: the AVX2 form of the
-    /// scalar inner loop of `born_span_batched`, four atoms per iteration
-    /// plus a scalar tail. `kind` selects the default (IEEE) integrand
-    /// body; the coincident-point guard is a compare mask, matching the
-    /// scalar branch-free select bit for bit.
-    ///
-    /// # Safety
-    /// Requires `avx2` and `fma` (checked by [`SimdLevel::active`]).
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) unsafe fn born_point(
-        ax: &[f64],
-        ay: &[f64],
-        az: &[f64],
-        p: [f64; 3],
-        m: [f64; 3],
-        wk: f64,
-        kind: IntegrandKind,
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let vpx = _mm256_set1_pd(p[0]);
-        let vpy = _mm256_set1_pd(p[1]);
-        let vpz = _mm256_set1_pd(p[2]);
-        let vmx = _mm256_set1_pd(m[0]);
-        let vmy = _mm256_set1_pd(m[1]);
-        let vmz = _mm256_set1_pd(m[2]);
-        let vwk = _mm256_set1_pd(wk);
-        let one = _mm256_set1_pd(1.0);
-        let zero = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + LANES <= n {
-            let dx = _mm256_sub_pd(vpx, _mm256_loadu_pd(ax.as_ptr().add(i)));
-            let dy = _mm256_sub_pd(vpy, _mm256_loadu_pd(ay.as_ptr().add(i)));
-            let dz = _mm256_sub_pd(vpz, _mm256_loadu_pd(az.as_ptr().add(i)));
-            // d2 = fma(dz, dz, fma(dy, dy, dx·dx)) — the scalar mul_add chain
-            let d2 = _mm256_fmadd_pd(dz, dz, _mm256_fmadd_pd(dy, dy, _mm256_mul_pd(dx, dx)));
-            let dot = _mm256_fmadd_pd(dz, vmz, _mm256_fmadd_pd(dy, vmy, _mm256_mul_pd(dx, vmx)));
-            let live = _mm256_cmp_pd::<_CMP_GT_OQ>(d2, zero);
-            // safe stand-in (1.0) where d2 == 0, as in the scalar select
-            let d2s = _mm256_blendv_pd(one, d2, live);
-            let integrand = match kind {
-                // 1/((x·x)·x) and 1/(x·x): the default MathMode bodies
-                IntegrandKind::InvCube => {
-                    _mm256_div_pd(one, _mm256_mul_pd(_mm256_mul_pd(d2s, d2s), d2s))
-                }
-                IntegrandKind::InvSq => _mm256_div_pd(one, _mm256_mul_pd(d2s, d2s)),
-            };
-            let t = _mm256_mul_pd(_mm256_mul_pd(vwk, dot), integrand);
-            let contrib = _mm256_and_pd(t, live); // +0.0 on dead lanes
-            let acc = _mm256_add_pd(_mm256_loadu_pd(out.as_ptr().add(i)), contrib);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), acc);
-            i += LANES;
-        }
-        while i < n {
-            let dx = p[0] - ax[i];
-            let dy = p[1] - ay[i];
-            let dz = p[2] - az[i];
-            let d2 = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-            let dot = dz.mul_add(m[2], dy.mul_add(m[1], dx * m[0]));
-            let d2s = if d2 > 0.0 { d2 } else { 1.0 };
-            let integrand = match kind {
-                IntegrandKind::InvCube => 1.0 / ((d2s * d2s) * d2s),
-                IntegrandKind::InvSq => 1.0 / (d2s * d2s),
-            };
-            let t = wk * dot * integrand;
-            out[i] += if d2 > 0.0 { t } else { 0.0 };
-            i += 1;
-        }
     }
 }
 

@@ -50,9 +50,10 @@ impl Node {
         self.first_child == NULL_NODE
     }
 
-    /// Iterator over the ids of this node's children.
+    /// Iterator over the ids of this node's children, in tree order
+    /// (ascending `begin`); `.rev()` walks them back to front.
     #[inline]
-    pub fn children(&self) -> impl Iterator<Item = NodeId> {
+    pub fn children(&self) -> impl DoubleEndedIterator<Item = NodeId> {
         let first = self.first_child;
         let n = self.child_count as u32;
         (0..if first == NULL_NODE { 0 } else { n }).map(move |i| first + i)
@@ -98,5 +99,6 @@ mod tests {
         n.child_count = 3;
         assert!(!n.is_leaf());
         assert_eq!(n.children().collect::<Vec<_>>(), vec![10, 11, 12]);
+        assert_eq!(n.children().rev().collect::<Vec<_>>(), vec![12, 11, 10]);
     }
 }

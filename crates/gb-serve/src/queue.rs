@@ -52,10 +52,11 @@ impl AdmissionQueue {
         self.len == 0
     }
 
-    /// Admits `p`, or returns it back when the queue is at capacity.
-    pub fn push(&mut self, p: Pending) -> Result<(), Pending> {
+    /// Admits `p`, or returns it back (boxed, so the admitted path stays
+    /// small) when the queue is at capacity.
+    pub fn push(&mut self, p: Pending) -> Result<(), Box<Pending>> {
         if self.len >= self.capacity {
-            return Err(p);
+            return Err(Box::new(p));
         }
         self.len += 1;
         match self.lanes.iter_mut().find(|(t, _)| *t == p.tenant) {

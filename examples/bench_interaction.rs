@@ -20,6 +20,9 @@
 //!   comes from re-running this binary as a child process with
 //!   `GB_SIMD=scalar` — an apples-to-apples SIMD-vs-scalar measurement
 //!   (both levels produce bit-identical energies by construction).
+//!   The `simd_levels` block repeats that child run at every `GB_SIMD`
+//!   level, so each level's Born and energy exec time — and its margin
+//!   over `portable` — is a recorded number.
 //!   `simd_energy_rel_err` bounds the `VectorMath`-vs-`ExactMath` energy
 //!   deviation on identical radii and bins.
 //!
@@ -90,25 +93,30 @@ fn vector_exec_times(
     (born_ms, energy_ms)
 }
 
-/// Re-runs this binary with `GB_SIMD=scalar` to time the scalar reference
-/// loops (the dispatch level is decided once per process). The child
-/// prints two floats; a failure degrades to NaN columns rather than
-/// aborting the snapshot.
-fn scalar_exec_times_via_child(n_atoms: usize) -> (f64, f64) {
+/// The `GB_SIMD` levels of the per-level columns, narrowest first.
+const LEVELS: [&str; 4] = ["scalar", "portable", "avx2", "avx512"];
+
+/// Re-runs this binary with `GB_SIMD=<level>` to time `VectorMath` list
+/// execution at that level (the dispatch level is decided once per
+/// process). The child prints the level it actually dispatched (a level
+/// the host lacks degrades to the next one down) and two floats; a
+/// failure degrades to NaN columns rather than aborting the snapshot.
+fn exec_times_at_level(n_atoms: usize, level: &str) -> (String, f64, f64) {
     let out = std::env::current_exe().ok().and_then(|exe| {
         std::process::Command::new(exe)
             .arg(n_atoms.to_string())
-            .env("GB_SIMD", "scalar")
+            .env("GB_SIMD", level)
             .env("GB_BENCH_EXEC_CHILD", "1")
             .output()
             .ok()
     });
     let parsed = out.and_then(|o| {
         let s = String::from_utf8(o.stdout).ok()?;
-        let mut it = s.split_whitespace().map(|t| t.parse::<f64>());
-        Some((it.next()?.ok()?, it.next()?.ok()?))
+        let mut it = s.split_whitespace();
+        let name = it.next()?.to_string();
+        Some((name, it.next()?.parse().ok()?, it.next()?.parse().ok()?))
     });
-    parsed.unwrap_or((f64::NAN, f64::NAN))
+    parsed.unwrap_or_else(|| (level.to_string(), f64::NAN, f64::NAN))
 }
 
 /// Communication-plan columns: integral-phase traffic of the distributed
@@ -224,7 +232,7 @@ fn main() {
 
     if child_mode {
         let (b, e) = vector_exec_times(&sys, &born, &energy, &bins, &radii, reps);
-        println!("{b:.3} {e:.3}");
+        println!("{} {b:.3} {e:.3}", SimdLevel::active().name());
         return;
     }
 
@@ -288,7 +296,11 @@ fn main() {
     // math forced scalar in a child process
     let (simd_exec_ms, esimd_exec_ms) =
         vector_exec_times(&sys, &born, &energy, &bins, &radii, reps);
-    let (scalar_exec_ms, escalar_exec_ms) = scalar_exec_times_via_child(n_atoms);
+    let levels: Vec<_> = LEVELS
+        .iter()
+        .map(|level| exec_times_at_level(n_atoms, level))
+        .collect();
+    let (scalar_exec_ms, escalar_exec_ms) = (levels[0].1, levels[0].2);
 
     // Accuracy guard for the fastmath column: raw energy of the two math
     // modes over identical radii and bins.
@@ -363,6 +375,15 @@ fn main() {
     );
     println!("    \"exact_exec_speedup_vs_traversal\": {:.3},", etrav_ms / eexec_ms);
     println!("    \"exec_speedup_vs_traversal\": {energy_speedup:.3}");
+    println!("  }},");
+    println!("  \"simd_levels\": {{");
+    for (i, (requested, (ran, born_ms, energy_ms))) in LEVELS.iter().zip(&levels).enumerate() {
+        let sep = if i + 1 < levels.len() { "," } else { "" };
+        println!(
+            "    \"{requested}\": {{\"dispatched\": \"{ran}\", \"born_exec_ms\": {born_ms:.3}, \
+             \"energy_exec_ms\": {energy_ms:.3}}}{sep}"
+        );
+    }
     println!("  }},");
     println!("  \"comm\": {{");
     println!("    \"ranks\": 8,");

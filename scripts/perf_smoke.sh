@@ -25,6 +25,14 @@
 # the *best* run wins: ambient load can only deflate the ratio, so the
 # cleanest window is the algorithmic one.
 #
+# The Born-exec gate takes the best born.exec_speedup_vs_traversal (seed
+# scalar traversal over the list engine) of the default-mode runs at
+# n_atoms and asserts the hard floor born_min_exec_speedup. The list
+# engine only wins big when each near row is ascending in tree order, so
+# that touching leaves coalesce into long atom runs; if the walk's row
+# order regresses, every entry becomes its own 3-atom kernel call and
+# this gate fails.
+#
 # GB_BENCH_TRAJECTORY=1 switches to the incremental-frame gate:
 # examples/trajectory steps a 0.05 Å RMS jitter trajectory at
 # traj_n_atoms through the run_frame_* pipeline and the gate checks
@@ -275,6 +283,16 @@ speedup = max(
 floor = baseline["energy_min_exec_speedup"]
 verdict = "ok" if speedup >= floor else "UNDER FLOOR"
 print(f"energy_exec_speedup hard floor: measured {speedup:.4f}  "
+      f"floor {floor:.4f}  {verdict}")
+failed |= speedup < floor
+
+# Hard floor, independent of the recorded baseline: the Born list engine
+# streams coalesced atom runs and must beat the seed traversal by the
+# acceptance factor (best of the default-mode runs).
+speedup = max(r["born"]["exec_speedup_vs_traversal"] for r in runs)
+floor = baseline["born_min_exec_speedup"]
+verdict = "ok" if speedup >= floor else "UNDER FLOOR"
+print(f"born_exec_speedup hard floor: measured {speedup:.4f}  "
       f"floor {floor:.4f}  {verdict}")
 failed |= speedup < floor
 sys.exit(1 if failed else 0)
