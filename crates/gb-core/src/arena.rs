@@ -1,7 +1,7 @@
 //! Reusable phase arenas — the "allocation-free superstep" layer.
 //!
 //! A [`Workspace`] owns every buffer the pipeline phases need between
-//! supersteps: the interaction lists (rebuilt in place), the walk scratch,
+//! supersteps: the interaction lists (rebuilt in place), the sweep scratch,
 //! the integral accumulators, the Born-radii vectors, the charge bins and
 //! the work-division ranges. Running a step through the `_ws` runner
 //! variants (e.g. [`run_serial_ws`](crate::runners::serial::run_serial_ws))
@@ -198,9 +198,9 @@ pub struct Workspace {
     pub born: BornLists,
     /// Energy-phase interaction lists, rebuilt in place each superstep.
     pub energy: EnergyLists,
-    /// Walk scratch of the Born list build.
+    /// Sweep scratch of the Born list build.
     pub born_scratch: ListScratch,
-    /// Walk scratch of the energy list build.
+    /// Sweep scratch of the energy list build.
     pub energy_scratch: ListScratch,
     /// Tile scratch of the serial/distributed energy execution (the shared
     /// runner's chunk slots carry their own, one per worker).
@@ -283,9 +283,13 @@ pub struct Workspace {
 
 /// Abort a frame repair once more than this fraction of its certs has
 /// tripped the drift bound: dense trip regimes (global jitter near the MAC
-/// boundary) flip rows everywhere, so finishing the scan plus the rewalk
-/// costs more than rebuilding from scratch.
-const REPAIR_BAIL_TRIPPED: f64 = 0.25;
+/// boundary) flip rows everywhere, so finishing the scan plus the re-sweep
+/// costs more than rebuilding from scratch. Certs are per (node, row), so
+/// a row holds hundreds of them and a modest trip fraction already
+/// invalidates most rows (at 10k atoms under 0.05 Å jitter, 18% tripped
+/// energy certs re-swept 85% of the rows, slower than an untracked
+/// rebuild).
+const REPAIR_BAIL_TRIPPED: f64 = 0.15;
 
 /// While repairs keep bailing (a *dense streak*), rebuilds run with cert
 /// recording off — recording costs real time and the certs would just bail
@@ -377,7 +381,7 @@ impl Workspace {
         self.frame_tracking
     }
 
-    /// Fresh workspace that builds its lists with `tasks` range-walks.
+    /// Fresh workspace that builds its lists with `tasks` row-range sweeps.
     pub fn with_build_tasks(tasks: usize) -> Workspace {
         let mut ws = Workspace::new();
         ws.build_tasks = tasks.max(1);

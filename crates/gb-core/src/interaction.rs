@@ -1,12 +1,11 @@
-//! Dual-tree interaction lists: the traversal/execution split.
+//! Interaction lists: the traversal/execution split.
 //!
 //! The paper's two hot phases are *per-leaf tree traversals*: every `T_Q`
 //! leaf walks `T_A` from the root (`APPROX-INTEGRALS`, Fig. 2) and every
-//! `T_A` leaf walks `T_A` again (`APPROX-EPOL`, Fig. 3). The traversal
-//! *decisions* (well-separated / exact / recurse) depend only on node
-//! geometry, so they can be made once for whole groups of driving leaves
-//! by a single **dual-tree walk** over node pairs, leaving behind flat
-//! interaction lists:
+//! `T_A` leaf walks `T_A` again (`APPROX-EPOL`, Fig. 3). A list build makes
+//! each driving leaf's traversal decisions (well-separated / exact /
+//! recurse) once and leaves behind flat interaction lists, one CSR row per
+//! driving leaf:
 //!
 //! * far list — `(a_node, q_leaf)` pairs evaluated through pseudo-particles,
 //! * near list — `(a_leaf, q_leaf)` pairs evaluated exactly.
@@ -15,19 +14,18 @@
 //! the struct-of-arrays point mirrors in [`GbSystem`] — no pointer chasing,
 //! no per-pair acceptance test, and inner loops the compiler vectorizes.
 //!
-//! **Semantics are preserved exactly.** The walk only groups leaves when a
-//! conservative certificate (triangle inequality plus a `1e-9` relative
-//! margin, far larger than f64 rounding) proves every leaf in the group
-//! would take the same branch as the original per-leaf traversal; ambiguous
-//! pairs descend the driving tree until the group is a single leaf, where
-//! the *original floating-point test* decides. Hence the pair sets are
-//! identical to the traversal's, far-field terms are evaluated by the same
-//! expressions in the same per-accumulator order (fixed list order ⇒ fixed
-//! reduction order ⇒ determinism), and the per-leaf work units — replicated
-//! via a resolved-pop step count — match the traversal's bit for bit. Only
-//! the exact leaf–leaf kernels regroup floating-point sums (four-way
-//! accumulators + FMA), a reassociation bounded well below the 1e-12
-//! relative band the validation suite checks.
+//! **One row sweep builds every list.** The interacting tree is flattened
+//! into a [`Preorder`] table (centroid, radius, skip pointer, point count);
+//! a row is one forward scan of that table that tests each visited node
+//! with the traversal's *own* floating-point expression and jumps past a
+//! far node's subtree through its skip pointer. The scan visits exactly the
+//! nodes the per-leaf traversal pops, so the pair sets, the per-leaf work
+//! units and the step counts match it bit for bit, and far-field terms are
+//! evaluated by the same expressions in the same per-accumulator order
+//! (fixed list order ⇒ fixed reduction order ⇒ determinism). Only the exact
+//! leaf–leaf kernels regroup floating-point sums (four-way accumulators +
+//! FMA), a reassociation bounded well below the 1e-12 relative band the
+//! validation suite checks.
 
 use crate::bins::ChargeBins;
 use crate::fastmath::MathMode;
@@ -36,74 +34,58 @@ use crate::integrals::{well_separated, IntegralAcc, TRAVERSAL_UNIT};
 use crate::simd::SimdLevel;
 use crate::system::GbSystem;
 use gb_geom::Vec3;
-use gb_octree::{LeafSpans, Node, NodeId, Octree};
+use gb_octree::{Node, NodeId, Octree};
 use std::ops::Range;
+use std::sync::OnceLock;
 
-/// Relative safety margin of the walk's grouping certificates. Orders of
-/// magnitude above f64 rounding error, so a certified decision can never
-/// disagree with the per-leaf floating-point test it stands in for; pairs
-/// inside the margin band simply descend and decide exactly.
-const MARGIN: f64 = 1e-9;
-
-/// Minimum driving leaves per walk task. A split build pays a serial
-/// stitch pass over every emitted entry ([`append_csr`]), which the
-/// parallel walk must win back; below this per-task size it cannot (the
-/// energy build at 20k atoms measured *slower* split than serial), so
-/// [`BornLists::rebuild`]/[`EnergyLists::rebuild`] cap the task count.
-/// The lists are byte-identical for any task count, so this is purely a
-/// scheduling decision.
+/// Minimum driving rows per sweep task. A split build copies every task's
+/// row block into the list after the sweeps; the workspace's `rayon` is a
+/// sequential stand-in (`third_party/rayon`), so here a split only ever
+/// pays that copy (~10% of the build at 20k atoms) and this floor keeps
+/// the benchmark sizes on the single-block path. The lists are
+/// byte-identical for any task count, so this is purely a scheduling
+/// decision.
 const MIN_TASK_LEAVES: usize = 2048;
 
 /// Safety pad on every certificate's drift sensitivity: the analytic κ
 /// bounds below are exact in real arithmetic, and the pad buys five orders
-/// of magnitude more slack than the f64 rounding (and the `MARGIN`-term
-/// drift) they ignore. Over-padding only shrinks budgets — more re-walks,
-/// never a wrong decision.
+/// of magnitude more slack than the f64 rounding they ignore. Over-padding
+/// only shrinks budgets — more re-sweeps, never a wrong decision.
 const CERT_PAD: f64 = 1.00001;
 
-/// A walk-decision certificate: pop `(a, q)` keeps its recorded branch as
-/// long as `ta.drift(a) + tq.drift(q) ≤ budget`, where `budget` folds the
-/// decision's allowed drift margin into the trees' accumulated drift at
-/// record time. When drift exceeds the budget the branch *may* have
-/// flipped; repair re-evaluates the decision predicate at the current
-/// geometry and only a confirmed flip invalidates the driving span. The
-/// recorded branch lives in the top two bits of `a` (node ids stay far
-/// below 2^30) and the span is derived from `q` at check time
-/// (topology-stable across refits), so 16 bytes per decided pop suffice.
+/// A sweep-decision certificate: row `row`'s visit of node `a` keeps its
+/// recorded branch as long as the joint drift of `a` and the row's driving
+/// leaf stays within `budget`, which folds the decision's allowed drift
+/// margin into the trees' accumulated drift at record time. When drift
+/// exceeds the budget the branch *may* have flipped; repair re-evaluates
+/// the leaf test at the current geometry and only a confirmed flip
+/// invalidates the row. The recorded branch (far or not) lives in the top
+/// bit of `a` (node ids stay far below 2^31), so 16 bytes per decided
+/// (node, row) visit suffice.
 #[derive(Clone, Copy, Debug)]
 struct Cert {
     a_tag: u32,
-    q: NodeId,
+    row: u32,
     budget: f64,
 }
 
 impl Cert {
-    const TAG_SHIFT: u32 = 30;
-    const ID_MASK: u32 = (1 << Self::TAG_SHIFT) - 1;
+    const FAR: u32 = 1 << 31;
 
     #[inline]
-    fn new(a: NodeId, q: NodeId, branch: Resolve, budget: f64) -> Cert {
-        let tag = match branch {
-            Resolve::Far => 0u32,
-            Resolve::NearOrDescend => 1,
-            Resolve::DescendDriver => 2,
-        };
-        debug_assert!(a <= Self::ID_MASK);
-        Cert { a_tag: a | (tag << Self::TAG_SHIFT), q, budget }
+    fn new(a: NodeId, row: usize, far: bool, budget: f64) -> Cert {
+        debug_assert!(a < Self::FAR);
+        Cert { a_tag: a | if far { Self::FAR } else { 0 }, row: row as u32, budget }
     }
 
     #[inline]
     fn a(&self) -> NodeId {
-        self.a_tag & Self::ID_MASK
+        self.a_tag & !Self::FAR
     }
 
     #[inline]
-    fn branch(&self) -> Resolve {
-        match self.a_tag >> Self::TAG_SHIFT {
-            0 => Resolve::Far,
-            1 => Resolve::NearOrDescend,
-            _ => Resolve::DescendDriver,
-        }
+    fn far(&self) -> bool {
+        self.a_tag & Self::FAR != 0
     }
 }
 
@@ -116,19 +98,19 @@ pub struct RepairStats {
     /// re-evaluation at the current geometry (most re-confirm and merely
     /// refresh their budget).
     pub certs_rechecked: usize,
-    /// Certificates whose decision *confirmably* flipped (spans re-walked).
+    /// Certificates whose decision *confirmably* flipped (rows re-swept).
     pub certs_violated: usize,
-    /// Driving-leaf rows regenerated by range re-walks.
+    /// Driving-leaf rows regenerated by re-sweeps.
     pub rows_rewalked: usize,
     /// Total driving-leaf rows.
     pub rows_total: usize,
     /// True when any regenerated row differs from the stored one (the
-    /// content key was refolded; structure consumers must invalidate).
+    /// content key is refolded; structure consumers must invalidate).
     pub changed: bool,
 }
 
 impl RepairStats {
-    /// Fraction of driving rows the repair re-walked (0 = pure reuse).
+    /// Fraction of driving rows the repair re-swept (0 = pure reuse).
     pub fn rewalk_fraction(&self) -> f64 {
         if self.rows_total == 0 {
             0.0
@@ -145,69 +127,45 @@ fn fold(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
-/// Folds a CSR list pair into a content key: equal keys ⇔ (offsets, ids)
-/// byte-equal with overwhelming probability — what lets a no-flip frame
-/// prove "structure unchanged" to plan caches in O(1) instead of O(list).
-fn fold_csr_key(far_off: &[usize], far: &[NodeId], near_off: &[usize], near: &[NodeId]) -> u64 {
-    let mut k = fold(0xC0_17_E4_7D, far_off.len() as u64);
-    for &o in far_off.iter().chain(near_off) {
-        k = fold(k, o as u64);
-    }
-    for &id in far.iter().chain(near) {
-        k = fold(k, id as u64);
-    }
-    k.max(1)
-}
-
 /// Checks every certificate against the trees' accumulated drift (slack
 /// `drift_tol`; 0 = exact). A tripped drift bound is conservative, so the
-/// decision predicate is re-evaluated at the *current* geometry via
-/// `recheck(a, q, recorded_branch)`: an unchanged branch keeps the cert
-/// with a refreshed budget (the returned κ-divided margin), while `None`
-/// confirms a flip and invalidates the driving span. Flipped certs — plus
-/// every survivor whose span *starts* inside an invalidated region (the
-/// range re-walk re-records those) — are dropped. Returns
+/// leaf test is re-evaluated at the *current* geometry
+/// ([`Sweep::recheck`]): an unchanged branch keeps the cert with a
+/// refreshed budget, while a confirmed flip marks its row invalid. Certs of
+/// invalid rows are dropped (the re-sweep records them afresh). Returns
 /// `(checked, rechecked, flipped)` and fills `runs` with the maximal
-/// invalid ordinal runs. `cover` is a reusable diff/prefix buffer.
+/// invalid row runs; `bad` is a reusable per-row flag buffer.
 ///
 /// When more than `bail_after` certs trip their drift bound the scan
 /// aborts and returns `None`: drift that dense means the frame moved
-/// nearly everything, a regime where re-checking and re-walking costs more
-/// than rebuilding from scratch (partially refreshed budgets are still
-/// valid certs, so an abort leaves the lists usable).
-#[allow(clippy::too_many_arguments)]
-fn invalidate_certs(
+/// nearly everything, a regime where re-checking and re-sweeping costs
+/// more than rebuilding from scratch (partially refreshed budgets are
+/// still valid certs, so an abort leaves the lists usable).
+fn invalidate_certs<S: Sweep>(
+    s: &S,
     certs: &mut Vec<Cert>,
-    ta: &Octree,
-    tq: &Octree,
-    spans: &LeafSpans,
     drift_tol: f64,
-    nleaves: usize,
-    cover: &mut Vec<i64>,
+    bad: &mut Vec<bool>,
     runs: &mut Vec<(u32, u32)>,
     bail_after: usize,
-    recheck: impl Fn(NodeId, NodeId, Resolve) -> Option<f64>,
 ) -> Option<(usize, usize, usize)> {
     runs.clear();
-    cover.clear();
-    cover.resize(nleaves + 1, 0);
+    bad.clear();
+    bad.resize(s.num_rows(), false);
     let checked = certs.len();
-    let mut rechecked = 0usize;
-    let mut flipped = 0usize;
+    let (mut rechecked, mut flipped) = (0usize, 0usize);
     for c in certs.iter_mut() {
-        let (da, dq) = (ta.drift(c.a()), tq.drift(c.q));
-        if da + dq > c.budget + drift_tol {
+        let (row, (da, db)) = (c.row as usize, s.drift(c.a(), c.row as usize));
+        if da + db > c.budget + drift_tol {
             rechecked += 1;
             if rechecked > bail_after {
                 return None;
             }
-            match recheck(c.a(), c.q, c.branch()) {
-                Some(allowed) => c.budget = allowed.max(0.0) + da + dq,
+            match s.recheck(c.a(), row, c.far()) {
+                Some(allowed) => c.budget = allowed.max(0.0) + da + db,
                 None => {
                     flipped += 1;
-                    let span = spans.span(c.q);
-                    cover[span.start] += 1;
-                    cover[span.end] -= 1;
+                    bad[row] = true;
                 }
             }
         }
@@ -215,27 +173,21 @@ fn invalidate_certs(
     if flipped == 0 {
         return Some((checked, rechecked, 0));
     }
-    // prefix-sum in place: cover[ord] > 0 ⇔ ordinal inside an invalid span
-    let mut run = 0i64;
-    for c in cover.iter_mut().take(nleaves) {
-        run += *c;
-        *c = run;
-    }
     let mut start = None;
-    for (ord, &c) in cover.iter().enumerate().take(nleaves) {
-        match (start, c > 0) {
-            (None, true) => start = Some(ord),
-            (Some(s), false) => {
-                runs.push((s as u32, ord as u32));
+    for (row, &b) in bad.iter().enumerate() {
+        match (start, b) {
+            (None, true) => start = Some(row),
+            (Some(s0), false) => {
+                runs.push((s0 as u32, row as u32));
                 start = None;
             }
             _ => {}
         }
     }
-    if let Some(s) = start {
-        runs.push((s as u32, nleaves as u32));
+    if let Some(s0) = start {
+        runs.push((s0 as u32, bad.len() as u32));
     }
-    certs.retain(|c| cover[spans.span(c.q).start] <= 0);
+    certs.retain(|c| !bad[c.row as usize]);
     Some((checked, rechecked, flipped))
 }
 
@@ -249,20 +201,15 @@ fn bail_fraction_to_count(fraction: f64, certs: usize) -> usize {
     }
 }
 
-/// Branch + κ-divided standing margin of a q-leaf born pop — the exact
-/// float forms of [`born_walk_range`]'s leaf test, shared with the cert
-/// re-check so a repaired frame replays the decision bit for bit.
+/// Branch (far?) + κ-divided standing margin of one Born visit — the
+/// exact float form of the traversal's `well_separated` test, shared by
+/// the sweep and the cert re-check so a repaired frame replays the
+/// decision bit for bit.
 #[inline]
-fn born_leaf_branch(
-    a: &Node,
-    q: &Node,
-    d: f64,
-    threshold: f64,
-    k_leaf: f64,
-    k_gap: f64,
-) -> (Resolve, f64) {
-    let far = well_separated(d, a.radius, q.radius, threshold);
-    let sum = a.radius + q.radius;
+fn born_leaf_branch(ra: f64, rq: f64, d: f64, threshold: f64, k_leaf: f64, k_gap: f64)
+    -> (bool, f64) {
+    let far = well_separated(d, ra, rq, threshold);
+    let sum = ra + rq;
     let gap = d - sum;
     let w = threshold * gap - (d + sum);
     let allowed = if far {
@@ -274,240 +221,489 @@ fn born_leaf_branch(
         let by_w = if w < 0.0 { -w / k_leaf } else { f64::NEG_INFINITY };
         by_gap.max(by_w)
     };
-    (if far { Resolve::Far } else { Resolve::NearOrDescend }, allowed)
+    (far, allowed)
 }
 
-/// Branch + raw standing margin (the caller divides by its κ) of an
-/// internal driving node — shared by the born and energy walks, whose
-/// internal tests are the same float forms with `coef` respectively the
-/// near/far coefficient and the MAC factor.
+/// Branch (far?) + κ-divided standing margin of one energy visit of an
+/// internal node — the exact float form of the traversal's MAC test.
 #[inline]
-fn internal_branch(
-    a: &Node,
-    q: &Node,
-    d: f64,
-    min_lr: f64,
-    max_lr: f64,
-    coef: f64,
-) -> (Resolve, f64) {
-    let need_hi = coef * (a.radius + max_lr);
-    let need_lo = coef * (a.radius + min_lr);
-    let resolve = if d - q.radius > need_hi + MARGIN * (need_hi + d) {
-        Resolve::Far
-    } else if d + q.radius < need_lo - MARGIN * (need_lo + d) {
-        Resolve::NearOrDescend
-    } else {
-        Resolve::DescendDriver
-    };
-    let f_m = (d - q.radius) - (need_hi + MARGIN * (need_hi + d));
-    let n_m = (need_lo - MARGIN * (need_lo + d)) - (d + q.radius);
-    let allowed = match resolve {
-        Resolve::Far => f_m,
-        Resolve::NearOrDescend => n_m,
-        // ambiguity persists while both margins stay failed
-        Resolve::DescendDriver => (-f_m).min(-n_m),
-    };
-    (resolve, allowed)
+fn energy_leaf_branch(ru: f64, rv: f64, d: f64, mac: f64, k_leaf: f64) -> (bool, f64) {
+    let far = d > (ru + rv) * mac;
+    let t_m = d - (ru + rv) * mac;
+    (far, (if far { t_m } else { -t_m }) / k_leaf)
 }
 
-/// Branch + κ-divided standing margin of a v-leaf energy pop — the exact
-/// float forms of [`energy_walk_range`]'s leaf MAC test.
-#[inline]
-fn energy_leaf_branch(u: &Node, v: &Node, d: f64, mac: f64, k_leaf: f64) -> (Resolve, f64) {
-    let far = d > (u.radius + v.radius) * mac;
-    let t_m = d - (u.radius + v.radius) * mac;
-    let allowed = (if far { t_m } else { -t_m }) / k_leaf;
-    (if far { Resolve::Far } else { Resolve::NearOrDescend }, allowed)
-}
-
-/// Copies rows `[from, to)` of a CSR verbatim onto the tail of a double
-/// buffer, rebasing offsets — the bulk-reuse half of a list repair.
-fn copy_csr_rows(
-    off: &[usize],
-    data: &[NodeId],
-    from: usize,
-    to: usize,
-    off2: &mut Vec<usize>,
-    data2: &mut Vec<NodeId>,
-) {
-    let base = data2.len();
-    let src = off[from];
-    for &o in &off[from..to] {
-        off2.push(base + (o - src));
-    }
-    data2.extend_from_slice(&data[src..off[to]]);
-}
-
-/// A list emission recorded during a walk: the interacting node, applied to
-/// a contiguous run `[span_start, span_end)` of driving-leaf ordinals
-/// (task-local coordinates when the walk covers an ordinal range).
-type Emit = (u32, u32, NodeId);
-
-/// Scratch of one walk task: emission buffers, the step diff array over its
-/// local ordinals, the pair stack, and the traversal units of the pops it
-/// *owns* (see [`ListScratch`]). All buffers are reused across rebuilds.
+/// Preorder table of the interacting tree, struct-of-arrays — the row
+/// sweeps' only view of it. Position `i` holds node `id[i]` with children
+/// in tree order (ascending `begin`); `skip[i]` is the position just past
+/// its subtree, so a scan jumps a far node's descendants in one step. A
+/// leaf is exactly the node whose skip is its own successor. Rebuilt per
+/// build from the current geometry (~0.3 ms at 10k atoms).
 #[derive(Clone, Debug, Default)]
-struct WalkSeg {
-    far_emits: Vec<Emit>,
-    near_emits: Vec<Emit>,
-    sdiff: Vec<i64>,
-    stack: Vec<(NodeId, NodeId)>,
-    build_work: f64,
-    /// Decision certificates of the pops this task owns (recorded only
-    /// when the build tracks certs).
-    certs: Vec<Cert>,
+struct Preorder {
+    id: Vec<NodeId>,
+    cx: Vec<f64>,
+    cy: Vec<f64>,
+    cz: Vec<f64>,
+    r: Vec<f64>,
+    skip: Vec<u32>,
+    count: Vec<u32>,
+    /// Build scratch: subtree sizes by node id, and the DFS stack.
+    size: Vec<u32>,
+    stack: Vec<NodeId>,
 }
 
-impl WalkSeg {
-    /// Resets for a walk over `nloc` local ordinals, keeping capacity.
-    fn reset(&mut self, nloc: usize) {
-        self.far_emits.clear();
-        self.near_emits.clear();
-        self.sdiff.clear();
-        self.sdiff.resize(nloc + 1, 0);
+impl Preorder {
+    fn rebuild(&mut self, tree: &Octree) {
+        let n = tree.num_nodes();
+        // children follow their parent in id order, so a reverse id sweep
+        // completes every subtree size before its parent reads it
+        self.size.clear();
+        self.size.resize(n, 1);
+        for id in (0..n).rev() {
+            let below: u32 = tree.node(id as NodeId).children().map(|c| self.size[c as usize]).sum();
+            self.size[id] += below;
+        }
+        for v in [&mut self.cx, &mut self.cy, &mut self.cz, &mut self.r] {
+            v.clear();
+        }
+        self.id.clear();
+        self.skip.clear();
+        self.count.clear();
         self.stack.clear();
-        self.stack.push((Octree::ROOT, Octree::ROOT));
-        self.build_work = 0.0;
-        self.certs.clear();
+        if n > 0 {
+            self.stack.push(Octree::ROOT);
+        }
+        while let Some(id) = self.stack.pop() {
+            let node = tree.node(id);
+            self.skip.push(self.id.len() as u32 + self.size[id as usize]);
+            self.id.push(id);
+            self.cx.push(node.centroid.x);
+            self.cy.push(node.centroid.y);
+            self.cz.push(node.centroid.z);
+            self.r.push(node.radius);
+            self.count.push(node.count() as u32);
+            self.stack.extend(node.children().rev());
+        }
+    }
+
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.id.len()
     }
 
     fn memory_bytes(&self) -> usize {
-        (self.far_emits.capacity() + self.near_emits.capacity()) * std::mem::size_of::<Emit>()
-            + self.sdiff.capacity() * std::mem::size_of::<i64>()
-            + self.stack.capacity() * std::mem::size_of::<(NodeId, NodeId)>()
-            + self.certs.capacity() * std::mem::size_of::<Cert>()
+        (self.cx.capacity() + self.cy.capacity() + self.cz.capacity() + self.r.capacity())
+            * std::mem::size_of::<f64>()
+            + (self.id.capacity() + self.skip.capacity() + self.count.capacity()
+                + self.size.capacity() + self.stack.capacity())
+                * std::mem::size_of::<u32>()
     }
 }
 
-/// Reusable scratch of a (possibly parallel) list build: the driving tree's
-/// leaf spans, one [`WalkSeg`] per task, and the CSR-expansion work arrays.
-/// Keeping one of these per pipeline makes steady-state rebuilds
-/// allocation-free once the buffers have warmed to the problem size.
-#[derive(Debug)]
+/// The CSR rows a sweep emits: both lists plus the per-row work columns
+/// (`work` is the Born `leaf_work` / the energy `trav_steps`; `near_work`
+/// is energy-only and stays empty for Born).
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Rows {
+    far_off: Vec<usize>,
+    far: Vec<NodeId>,
+    near_off: Vec<usize>,
+    near: Vec<NodeId>,
+    work: Vec<f64>,
+    near_work: Vec<f64>,
+}
+
+impl Rows {
+    fn clear(&mut self) {
+        self.far_off.clear();
+        self.far.clear();
+        self.near_off.clear();
+        self.near.clear();
+        self.work.clear();
+        self.near_work.clear();
+    }
+
+    /// Opens the next row (and, after the last one, closes the CSR).
+    #[inline]
+    fn open_row(&mut self) {
+        self.far_off.push(self.far.len());
+        self.near_off.push(self.near.len());
+    }
+
+    #[inline]
+    fn far_row(&self, ord: usize) -> &[NodeId] {
+        &self.far[self.far_off[ord]..self.far_off[ord + 1]]
+    }
+
+    #[inline]
+    fn near_row(&self, ord: usize) -> &[NodeId] {
+        &self.near[self.near_off[ord]..self.near_off[ord + 1]]
+    }
+
+    /// Appends rows `[from, to)` of the closed CSR `src`, rebasing offsets
+    /// — the block concatenation of a split build and the bulk-reuse half
+    /// of a repair.
+    fn append(&mut self, src: &Rows, from: usize, to: usize) {
+        let (fb, fs) = (self.far.len(), src.far_off[from]);
+        let (nb, ns) = (self.near.len(), src.near_off[from]);
+        self.far_off.extend(src.far_off[from..to].iter().map(|&o| fb + (o - fs)));
+        self.near_off.extend(src.near_off[from..to].iter().map(|&o| nb + (o - ns)));
+        self.far.extend_from_slice(&src.far[fs..src.far_off[to]]);
+        self.near.extend_from_slice(&src.near[ns..src.near_off[to]]);
+        self.work.extend_from_slice(&src.work[from..to]);
+        if !src.near_work.is_empty() {
+            self.near_work.extend_from_slice(&src.near_work[from..to]);
+        }
+    }
+
+    /// Folds the CSR arrays into a content key: equal keys ⇔ (offsets,
+    /// ids) byte-equal with overwhelming probability — what lets a no-flip
+    /// frame prove "structure unchanged" to plan caches in O(1).
+    fn fold_key(&self) -> u64 {
+        let mut k = fold(0xC0_17_E4_7D, self.far_off.len() as u64);
+        for &o in self.far_off.iter().chain(&self.near_off) {
+            k = fold(k, o as u64);
+        }
+        for &id in self.far.iter().chain(&self.near) {
+            k = fold(k, id as u64);
+        }
+        k.max(1)
+    }
+
+    /// Drops the push-growth slack — one-shot builds are charged by their
+    /// footprint (cache entries), warm rebuilds keep it.
+    fn shrink_to_fit(&mut self) {
+        self.far_off.shrink_to_fit();
+        self.far.shrink_to_fit();
+        self.near_off.shrink_to_fit();
+        self.near.shrink_to_fit();
+        self.work.shrink_to_fit();
+        self.near_work.shrink_to_fit();
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.far_off.capacity() + self.near_off.capacity()) * std::mem::size_of::<usize>()
+            + (self.far.capacity() + self.near.capacity()) * std::mem::size_of::<NodeId>()
+            + (self.work.capacity() + self.near_work.capacity()) * std::mem::size_of::<f64>()
+    }
+}
+
+/// Lazily folded content key of a list's rows (0 = never built): reset by
+/// every rebuild and by a repair that changed a row, computed on the first
+/// [`BornLists::content_key`] / [`EnergyLists::content_key`] call — only
+/// the plan caches ever ask, so serial frames never pay the fold.
+fn lazy_key(rows: &Rows, key: &OnceLock<u64>) -> u64 {
+    if rows.far_off.is_empty() {
+        0
+    } else {
+        *key.get_or_init(|| rows.fold_key())
+    }
+}
+
+/// Buffers of one sweep task: the Born MAC mask, and — for the tasks of a
+/// split build — the task's row block, certs and build work. A split build
+/// hands its certs over to the list (the buffer is moved, not copied), so
+/// no cert copy stays resident here.
+#[derive(Clone, Debug, Default)]
+struct TaskSeg {
+    mask: Vec<bool>,
+    rows: Rows,
+    certs: Vec<Cert>,
+    work: f64,
+}
+
+/// Reusable scratch of a (possibly parallel) list build: the preorder
+/// table, one [`TaskSeg`] per task, the repair buffers and the energy
+/// ownership pass's ordinal arrays. Keeping one of these per pipeline makes
+/// steady-state rebuilds allocation-free once the buffers have warmed to
+/// the problem size.
+#[derive(Debug, Default)]
 pub struct ListScratch {
-    spans: LeafSpans,
-    segs: Vec<WalkSeg>,
-    diff: Vec<i64>,
-    cursor: Vec<usize>,
-    /// Leaf ordinal of each `T_A` node id (`u32::MAX` for internal nodes) —
-    /// the inverse of `leaves()`, rebuilt per energy build for the
-    /// symmetric-pair annotation.
-    ord_of: Vec<u32>,
-    /// Partner *ordinals* mirroring `EnergyLists::near` — the sorted
-    /// per-ordinal slices the annotation pass binary-searches.
-    near_ords: Vec<u32>,
-    /// Maximal invalid ordinal runs of the current repair pass.
+    table: Preorder,
+    segs: Vec<TaskSeg>,
+    /// Per-row invalid flags and maximal invalid row runs of a repair.
+    bad: Vec<bool>,
     runs: Vec<(u32, u32)>,
-    /// Repair double buffers: the spliced CSR is assembled here row by row
-    /// (copied reuse + re-walked runs), then swapped with the list's own
-    /// arrays — so a warm repair allocates nothing and the swapped-out old
-    /// arrays stay readable for change detection.
-    far_off2: Vec<usize>,
-    far2: Vec<NodeId>,
-    near_off2: Vec<usize>,
-    near2: Vec<NodeId>,
-}
-
-impl Default for ListScratch {
-    fn default() -> ListScratch {
-        ListScratch::new()
-    }
+    /// Repair double buffer: the spliced rows are assembled here (copied
+    /// reuse + re-swept runs), then swapped with the list's own — so a warm
+    /// repair allocates nothing and the swapped-out old rows stay readable
+    /// for change detection.
+    rows2: Rows,
+    /// Leaf ordinal of each `T_A` node id (`u32::MAX` for internal nodes)
+    /// and the partner *ordinals* mirroring `EnergyLists::near` — the
+    /// symmetric-pair annotation's inputs.
+    ord_of: Vec<u32>,
+    near_ords: Vec<u32>,
+    /// Per-row merge cursors of the ownership pass.
+    cursor: Vec<usize>,
 }
 
 impl ListScratch {
     /// Fresh scratch with no warmed buffers.
     pub fn new() -> ListScratch {
-        ListScratch {
-            spans: LeafSpans::empty(),
-            segs: Vec::new(),
-            diff: Vec::new(),
-            cursor: Vec::new(),
-            ord_of: Vec::new(),
-            near_ords: Vec::new(),
-            runs: Vec::new(),
-            far_off2: Vec::new(),
-            far2: Vec::new(),
-            near_off2: Vec::new(),
-            near2: Vec::new(),
-        }
+        ListScratch::default()
     }
 
-    fn ensure_segs(&mut self, n: usize) {
-        if self.segs.len() < n {
-            self.segs.resize_with(n, WalkSeg::default);
-        }
-    }
-
-    /// Heap footprint in bytes (spans, per-task buffers, expansion arrays,
-    /// repair runs and double buffers).
+    /// Heap footprint in bytes (table, per-task buffers, repair buffers
+    /// and ownership arrays).
     pub fn memory_bytes(&self) -> usize {
-        self.spans.memory_bytes()
-            + self.segs.iter().map(WalkSeg::memory_bytes).sum::<usize>()
-            + self.segs.capacity() * std::mem::size_of::<WalkSeg>()
-            + self.diff.capacity() * std::mem::size_of::<i64>()
-            + (self.cursor.capacity() + self.far_off2.capacity() + self.near_off2.capacity())
-                * std::mem::size_of::<usize>()
-            + (self.ord_of.capacity() + self.near_ords.capacity())
-                * std::mem::size_of::<u32>()
+        self.table.memory_bytes()
+            + self
+                .segs
+                .iter()
+                .map(|s| {
+                    s.mask.capacity()
+                        + s.rows.memory_bytes()
+                        + s.certs.capacity() * std::mem::size_of::<Cert>()
+                })
+                .sum::<usize>()
+            + self.segs.capacity() * std::mem::size_of::<TaskSeg>()
+            + self.bad.capacity()
             + self.runs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + (self.far2.capacity() + self.near2.capacity()) * std::mem::size_of::<NodeId>()
+            + self.rows2.memory_bytes()
+            + (self.ord_of.capacity() + self.near_ords.capacity()) * std::mem::size_of::<u32>()
+            + self.cursor.capacity() * std::mem::size_of::<usize>()
     }
 }
 
-/// Appends one task's local CSR block onto the global arrays: computes the
-/// local offsets from a diff pass over `emits`, pushes `nloc` *global*
-/// offsets onto `off` (base = current `data` length), grows `data`, and
-/// scatters the emissions. Because tasks cover contiguous ordinal ranges in
-/// order, concatenating the blocks yields exactly the CSR a whole-range
-/// walk would produce. The caller pushes the final total after the last
-/// block.
-fn append_csr(
-    nloc: usize,
-    emits: &[Emit],
-    off: &mut Vec<usize>,
-    data: &mut Vec<NodeId>,
-    diff: &mut Vec<i64>,
-    cursor: &mut Vec<usize>,
-) {
-    diff.clear();
-    diff.resize(nloc + 1, 0);
-    for &(s, e, _) in emits {
-        diff[s as usize] += 1;
-        diff[e as usize] -= 1;
+/// One phase's row sweep over a [`Preorder`] table of its interacting tree.
+trait Sweep: Sync {
+    /// The interacting tree the table is built from.
+    fn interacting(&self) -> &Octree;
+    /// Number of driving rows.
+    fn num_rows(&self) -> usize;
+    /// Appends rows `rows` to `out` — and a cert per decided visit to
+    /// `certs` when given — returning their build work: one traversal unit
+    /// per visited (node, row).
+    fn sweep(
+        &self,
+        t: &Preorder,
+        rows: Range<usize>,
+        mask: &mut Vec<bool>,
+        out: &mut Rows,
+        certs: Option<&mut Vec<Cert>>,
+    ) -> f64;
+    /// Accumulated drift of node `a` and of row `row`'s driving leaf.
+    fn drift(&self, a: NodeId, row: usize) -> (f64, f64);
+    /// Re-evaluates a recorded decision at the current geometry: the
+    /// refreshed κ-divided margin while the branch holds, `None` on a flip.
+    fn recheck(&self, a: NodeId, row: usize, far: bool) -> Option<f64>;
+}
+
+/// Sweeps every row into `out` (closing the CSR) — on the calling thread,
+/// or split into up to `tasks` contiguous row ranges (never below `floor`
+/// rows each) swept as `rayon::scope` tasks and concatenated in order.
+/// Each row depends only on the geometry, so the lists are byte-identical
+/// for any task count; the returned build work is a sum of exact ¼ units.
+fn sweep_all<S: Sweep>(
+    s: &S,
+    tasks: usize,
+    floor: usize,
+    scratch: &mut ListScratch,
+    out: &mut Rows,
+    mut certs: Option<&mut Vec<Cert>>,
+) -> f64 {
+    let ListScratch { table, segs, .. } = scratch;
+    table.rebuild(s.interacting());
+    let nrows = s.num_rows();
+    let ntasks = tasks.min(nrows / floor.max(1)).max(1);
+    if segs.len() < ntasks {
+        segs.resize_with(ntasks, TaskSeg::default);
     }
-    cursor.clear();
-    let mut run = 0i64;
-    let mut total = data.len();
-    for d in diff.iter().take(nloc) {
-        off.push(total);
-        cursor.push(total);
-        run += d;
-        total += run as usize;
+    if ntasks == 1 {
+        let work = s.sweep(table, 0..nrows, &mut segs[0].mask, out, certs);
+        out.open_row();
+        return work;
     }
-    data.resize(total, 0 as NodeId);
-    for &(s, e, id) in emits {
-        for ord in s as usize..e as usize {
-            data[cursor[ord]] = id;
-            cursor[ord] += 1;
+    let (table, record) = (&*table, certs.is_some());
+    rayon::scope(|sc| {
+        for (i, seg) in segs[..ntasks].iter_mut().enumerate() {
+            let rows = i * nrows / ntasks..(i + 1) * nrows / ntasks;
+            sc.spawn(move |_| {
+                seg.rows.clear();
+                let certs = record.then_some(&mut seg.certs);
+                seg.work = s.sweep(table, rows, &mut seg.mask, &mut seg.rows, certs);
+                seg.rows.open_row();
+            });
         }
+    });
+    let mut work = 0.0;
+    for seg in &mut segs[..ntasks] {
+        out.append(&seg.rows, 0, seg.rows.work.len());
+        if let Some(c) = certs.as_deref_mut() {
+            c.append(&mut std::mem::take(&mut seg.certs));
+        }
+        work += seg.work;
     }
+    out.open_row();
+    work
 }
 
-/// How a popped node pair resolves in a dual-tree walk.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Resolve {
-    /// Every driving leaf in the span is well separated from the node.
-    Far,
-    /// Every driving leaf in the span fails separation: exact if the node
-    /// is a leaf, otherwise descend the node.
-    NearOrDescend,
-    /// Ambiguous — split the driving span by descending the driving node.
-    DescendDriver,
+/// The phase-independent body of a repair: checks the certs, re-sweeps the
+/// invalid row runs into the double buffer between bulk copies of the
+/// untouched rows, and swaps the result in. Returns the stats (`changed`
+/// set when a re-swept row differs) and the re-sweep's build work, or
+/// `None` on a density bail. With `drift_tol == 0` every kept row provably
+/// kept every decision, so the result equals a rebuild byte for byte.
+fn repair_rows<S: Sweep>(
+    s: &S,
+    rows: &mut Rows,
+    certs: &mut Vec<Cert>,
+    scratch: &mut ListScratch,
+    drift_tol: f64,
+    bail_tripped_fraction: f64,
+) -> Option<(RepairStats, f64)> {
+    let nrows = s.num_rows();
+    assert_eq!(rows.work.len(), nrows, "repair requires unchanged tree topology");
+    let ListScratch { table, segs, bad, runs, rows2, .. } = scratch;
+    let bail_after = bail_fraction_to_count(bail_tripped_fraction, certs.len());
+    let (checked, rechecked, flipped) =
+        invalidate_certs(s, certs, drift_tol, bad, runs, bail_after)?;
+    let mut stats = RepairStats {
+        certs_checked: checked,
+        certs_rechecked: rechecked,
+        certs_violated: flipped,
+        rows_total: nrows,
+        ..RepairStats::default()
+    };
+    if runs.is_empty() {
+        return Some((stats, 0.0));
+    }
+    table.rebuild(s.interacting());
+    if segs.is_empty() {
+        segs.push(TaskSeg::default());
+    }
+    rows2.clear();
+    let (mut work, mut prev) = (0.0, 0usize);
+    for &(lo, hi) in runs.iter() {
+        let (lo, hi) = (lo as usize, hi as usize);
+        rows2.append(rows, prev, lo);
+        work += s.sweep(table, lo..hi, &mut segs[0].mask, rows2, Some(&mut *certs));
+        stats.rows_rewalked += hi - lo;
+        prev = hi;
+    }
+    rows2.append(rows, prev, nrows);
+    rows2.open_row();
+    std::mem::swap(rows, rows2);
+    let (new, old) = (&*rows, &*rows2);
+    stats.changed = runs
+        .iter()
+        .flat_map(|&(lo, hi)| lo as usize..hi as usize)
+        .any(|ord| new.far_row(ord) != old.far_row(ord) || new.near_row(ord) != old.near_row(ord));
+    Some((stats, work))
 }
 
 // ---------------------------------------------------------------------------
 // Born phase (Fig. 2): (T_A, T_Q) lists
 // ---------------------------------------------------------------------------
+
+/// The Born sweep: one row per `T_Q` leaf over the `T_A` table.
+///
+/// Cert sensitivities (`δ` = joint drift `ta.drift(a) + tq.drift(q)`, using
+/// `|Δcentroid| ≤ δ`, `|Δradius| ≤ 2δ`, `|Δd| ≤ δ`): the leaf test
+/// (`gap = d−s > 0 ∧ θ·gap ≥ d+s`, `s = r_a+r_q`) moves `gap` by ≤ 3δ and
+/// `W = θ·gap−(d+s)` by ≤ (3θ+3)δ. Budgets divide the decision's standing
+/// margin by the padded sensitivity, so a valid cert *proves* the branch
+/// cannot have flipped.
+struct BornSweep<'a> {
+    ta: &'a Octree,
+    tq: &'a Octree,
+    threshold: f64,
+    k_leaf: f64,
+    k_gap: f64,
+}
+
+impl<'a> BornSweep<'a> {
+    fn new(ta: &'a Octree, tq: &'a Octree, threshold: f64) -> BornSweep<'a> {
+        let (k_leaf, k_gap) = ((3.0 * threshold + 3.0) * CERT_PAD, 3.0 * CERT_PAD);
+        BornSweep { ta, tq, threshold, k_leaf, k_gap }
+    }
+}
+
+impl Sweep for BornSweep<'_> {
+    fn interacting(&self) -> &Octree {
+        self.ta
+    }
+
+    fn num_rows(&self) -> usize {
+        self.tq.num_leaves()
+    }
+
+    /// Rows reach nearly every `T_A` node, so the MAC runs first as one
+    /// branch-free (vectorizable) pass over the whole table; the skip scan
+    /// then reads the mask. The scan is a preorder with children in tree
+    /// order, so every row's far and near entries come out **ascending** —
+    /// leaves whose atom ranges touch sit next to each other in the row,
+    /// which is what lets [`BornLists::execute_range`] stream them as one
+    /// atom run. The row's work — ¼ per visit, 1 per far term, `|A|·|Q|`
+    /// per exact pair, all exact multiples of ¼ — equals
+    /// `accumulate_qleaf`'s tally bit for bit.
+    fn sweep(
+        &self,
+        t: &Preorder,
+        rows: Range<usize>,
+        mask: &mut Vec<bool>,
+        out: &mut Rows,
+        mut certs: Option<&mut Vec<Cert>>,
+    ) -> f64 {
+        let n = t.len();
+        mask.clear();
+        mask.resize(n, false);
+        let (cx, cy, cz, r) = (&t.cx[..n], &t.cy[..n], &t.cz[..n], &t.r[..n]);
+        let (id, skip, count) = (&t.id[..n], &t.skip[..n], &t.count[..n]);
+        let mut visits = 0u64;
+        for ord in rows {
+            let q_id = self.tq.leaves()[ord];
+            let q = self.tq.node(q_id);
+            let (qc, rq, q_count) = (q.centroid, q.radius, q.count() as f64);
+            let geom = cx.iter().zip(cy).zip(cz).zip(r);
+            for (m, (((&x, &y), &z), &ra)) in mask.iter_mut().zip(geom) {
+                *m = well_separated(Vec3::new(x, y, z).dist(qc), ra, rq, self.threshold);
+            }
+            let dq = self.tq.drift(q_id);
+            out.open_row();
+            let far0 = out.far.len();
+            let (mut steps, mut near_pairs, mut i) = (0u64, 0.0, 0usize);
+            while i < n {
+                steps += 1;
+                if let Some(c) = certs.as_deref_mut() {
+                    let d = Vec3::new(cx[i], cy[i], cz[i]).dist(qc);
+                    let (far, allowed) =
+                        born_leaf_branch(r[i], rq, d, self.threshold, self.k_leaf, self.k_gap);
+                    let budget = allowed.max(0.0) + self.ta.drift(id[i]) + dq;
+                    c.push(Cert::new(id[i], ord, far, budget));
+                }
+                if mask[i] {
+                    out.far.push(id[i]);
+                    i = skip[i] as usize;
+                } else {
+                    if skip[i] as usize == i + 1 {
+                        out.near.push(id[i]);
+                        near_pairs += count[i] as f64 * q_count;
+                    }
+                    i += 1;
+                }
+            }
+            let far_terms = (out.far.len() - far0) as f64;
+            out.work.push(TRAVERSAL_UNIT * steps as f64 + far_terms + near_pairs);
+            visits += steps;
+        }
+        TRAVERSAL_UNIT * visits as f64
+    }
+
+    fn drift(&self, a: NodeId, row: usize) -> (f64, f64) {
+        (self.ta.drift(a), self.tq.drift(self.tq.leaves()[row]))
+    }
+
+    fn recheck(&self, a: NodeId, row: usize, far: bool) -> Option<f64> {
+        let (a, q) = (self.ta.node(a), self.tq.node(self.tq.leaves()[row]));
+        let d = a.centroid.dist(q.centroid);
+        let (now, allowed) =
+            born_leaf_branch(a.radius, q.radius, d, self.threshold, self.k_leaf, self.k_gap);
+        (now == far).then_some(allowed)
+    }
+}
 
 /// Interaction lists of the Born phase: for every `T_Q` leaf ordinal, the
 /// `T_A` nodes it interacts with far (pseudo-particle term) and near
@@ -515,22 +711,18 @@ enum Resolve {
 /// traversal would report.
 #[derive(Clone, Debug)]
 pub struct BornLists {
-    far_off: Vec<usize>,
-    far: Vec<NodeId>,
-    near_off: Vec<usize>,
-    near: Vec<NodeId>,
-    leaf_work: Vec<f64>,
-    /// Work spent constructing the lists: one traversal unit per walk pop
-    /// for a full build; for a repaired list, the units of the range
-    /// re-walks only (the incremental cost actually paid).
+    /// Both CSRs; `rows.work` is the per-leaf `leaf_work`.
+    rows: Rows,
+    /// Work spent constructing the lists: one traversal unit per visited
+    /// (node, row) for a full build; for a repaired list, the units of the
+    /// re-swept rows only (the incremental cost actually paid).
     pub build_work: f64,
-    /// Walk-decision certificates (present iff `track_certs`).
+    /// Sweep-decision certificates (present iff `track_certs`).
     certs: Vec<Cert>,
     /// Whether rebuilds record certificates (enables [`BornLists::repair`]).
     track_certs: bool,
-    /// Fold of the CSR arrays — equal keys ⇔ identical structure; consumed
-    /// by plan caches so a no-flip frame re-validates in O(1).
-    content_key: u64,
+    /// Lazily folded CSR key (see [`lazy_key`]).
+    content_key: OnceLock<u64>,
     /// Certificate count of the last *full* build — the overflow baseline.
     full_build_certs: usize,
 }
@@ -540,142 +732,7 @@ pub struct BornLists {
 /// tell them apart.
 impl PartialEq for BornLists {
     fn eq(&self, o: &BornLists) -> bool {
-        self.far_off == o.far_off
-            && self.far == o.far
-            && self.near_off == o.near_off
-            && self.near == o.near
-            && self.leaf_work == o.leaf_work
-            && self.build_work == o.build_work
-    }
-}
-
-/// Walks `(T_A root, T_Q root)` restricted to driving-leaf ordinals
-/// `[lo, hi)`: pairs whose span misses the range are pruned on pop, and
-/// emissions are clipped and shifted to range-local coordinates. The
-/// retained pops are exactly the serial walk's pops whose span intersects
-/// the range, **in the same LIFO order** (pruning removes stack entries
-/// without reordering the rest), and acceptance decisions depend only on
-/// node geometry — so concatenating the per-range CSR blocks reproduces the
-/// whole-range build byte for byte. A pop is *owned* (charged a traversal
-/// unit) by the one task whose range contains its span start, making
-/// `Σ build_work` the same multiset of exact ¼ units as the serial tally.
-///
-/// With `record` set, every *owned* geometry decision — including the
-/// ambiguous descend-driver branch, so the whole decision tree is covered —
-/// leaves behind a [`Cert`] bounding how much accumulated point drift the
-/// branch tolerates. Per-branch sensitivities, with `δ` the joint drift
-/// `ta.drift(a) + tq.drift(q)` and using `|Δcentroid| ≤ δ`,
-/// `|Δradius| ≤ 2δ`, `|Δd| ≤ δ`, `|Δ(min|max)_leaf_radius| ≤ 2δ`:
-/// the q-leaf exact test (`gap = d−s > 0 ∧ θ·gap ≥ d+s`, `s = r_a+r_q`)
-/// moves `gap` by ≤ 3δ and `W = θ·gap−(d+s)` by ≤ (3θ+3)δ; the internal
-/// margins `F`/`N` move by ≤ (3+2·coef)δ. Budgets divide the decision's
-/// standing margin by the padded sensitivity, so a valid cert *proves* the
-/// branch cannot have flipped.
-///
-/// Children are pushed in reverse so the LIFO stack pops them in tree
-/// order: the walk is a preorder over `T_A` and every row's near (and far)
-/// entries come out in **ascending** tree order. Each `A` node meets a
-/// given driving leaf in exactly one resolved pop, so two near leaves of
-/// one row split at a unique ancestor pair whose first child's subtree is
-/// finished before the second child is popped. Leaves whose atom ranges
-/// touch therefore sit next to each other in the row, which is what lets
-/// [`BornLists::execute_range`] stream them as one atom run.
-#[allow(clippy::too_many_arguments)]
-fn born_walk_range(
-    ta: &Octree,
-    tq: &Octree,
-    spans: &LeafSpans,
-    threshold: f64,
-    coef: f64,
-    lo: usize,
-    hi: usize,
-    seg: &mut WalkSeg,
-    record: bool,
-) {
-    let k_leaf = (3.0 * threshold + 3.0) * CERT_PAD;
-    let k_gap = 3.0 * CERT_PAD;
-    let k_int = (3.0 + 2.0 * coef) * CERT_PAD;
-    seg.reset(hi - lo);
-    while let Some((a_id, q_id)) = seg.stack.pop() {
-        let span = spans.span(q_id);
-        if span.start >= hi || span.end <= lo {
-            continue;
-        }
-        let owned = span.start >= lo;
-        if owned {
-            seg.build_work += TRAVERSAL_UNIT;
-        }
-        let a = ta.node(a_id);
-        let q = tq.node(q_id);
-        let d = a.centroid.dist(q.centroid);
-        let (s, e) = ((span.start.max(lo) - lo) as u32, (span.end.min(hi) - lo) as u32);
-
-        let resolve = if q.is_leaf() {
-            // single driving leaf: the original test decides, bit for bit
-            let far = well_separated(d, a.radius, q.radius, threshold);
-            if record && owned {
-                let (branch, allowed) = born_leaf_branch(a, q, d, threshold, k_leaf, k_gap);
-                debug_assert_eq!(branch == Resolve::Far, far);
-                seg.certs.push(Cert::new(
-                    a_id,
-                    q_id,
-                    branch,
-                    allowed.max(0.0) + ta.drift(a_id) + tq.drift(q_id),
-                ));
-            }
-            if far {
-                Resolve::Far
-            } else {
-                Resolve::NearOrDescend
-            }
-        } else {
-            // every leaf centroid under q lies within q.radius of
-            // q.centroid, so per-leaf distances span [d−r_q, d+r_q]
-            let (resolve, margin) = internal_branch(
-                a,
-                q,
-                d,
-                spans.min_leaf_radius[q_id as usize],
-                spans.max_leaf_radius[q_id as usize],
-                coef,
-            );
-            if record && owned {
-                let allowed = margin / k_int;
-                seg.certs.push(Cert::new(
-                    a_id,
-                    q_id,
-                    resolve,
-                    allowed.max(0.0) + ta.drift(a_id) + tq.drift(q_id),
-                ));
-            }
-            resolve
-        };
-        match resolve {
-            Resolve::Far => {
-                seg.sdiff[s as usize] += 1;
-                seg.sdiff[e as usize] -= 1;
-                seg.far_emits.push((s, e, a_id));
-            }
-            Resolve::NearOrDescend => {
-                seg.sdiff[s as usize] += 1;
-                seg.sdiff[e as usize] -= 1;
-                if a.is_leaf() {
-                    seg.near_emits.push((s, e, a_id));
-                } else {
-                    // reversed pushes pop in tree order (see above)
-                    for c in a.children().rev() {
-                        seg.stack.push((c, q_id));
-                    }
-                }
-            }
-            Resolve::DescendDriver => {
-                // not a resolved pop: the leaves' own pops of `a` are
-                // accounted when each child pair resolves
-                for qc in q.children().rev() {
-                    seg.stack.push((a_id, qc));
-                }
-            }
-        }
+        self.rows == o.rows && self.build_work == o.build_work
     }
 }
 
@@ -683,22 +740,18 @@ impl BornLists {
     /// Empty lists — a reusable slot for [`BornLists::rebuild`].
     pub fn empty() -> BornLists {
         BornLists {
-            far_off: Vec::new(),
-            far: Vec::new(),
-            near_off: Vec::new(),
-            near: Vec::new(),
-            leaf_work: Vec::new(),
+            rows: Rows::default(),
             build_work: 0.0,
             certs: Vec::new(),
             track_certs: false,
-            content_key: 0,
+            content_key: OnceLock::new(),
             full_build_certs: 0,
         }
     }
 
     /// Enables (or disables) certificate recording on subsequent rebuilds.
-    /// Tracking costs one 16-byte cert per decided pop and changes no list
-    /// content; it is what makes [`BornLists::repair`] possible.
+    /// Tracking costs one 16-byte cert per visited (node, row) and changes
+    /// no list content; it is what makes [`BornLists::repair`] possible.
     pub fn set_cert_tracking(&mut self, on: bool) {
         self.track_certs = on;
     }
@@ -723,31 +776,31 @@ impl BornLists {
     /// re-hashing the arrays.
     #[inline]
     pub fn content_key(&self) -> u64 {
-        self.content_key
+        lazy_key(&self.rows, &self.content_key)
     }
 
     /// True when repair-appended certificates outnumber a full build's by
     /// more than 2× — repeated incremental repairs have fragmented the
-    /// decision tree enough that a fresh build is the better deal.
+    /// decision record enough that a fresh build is the better deal.
     pub fn cert_overflow(&self) -> bool {
         self.full_build_certs > 0 && self.certs.len() > 2 * self.full_build_certs
     }
 
-    /// Runs the dual-tree walk over `(T_A root, T_Q root)` serially.
+    /// Sweeps every `T_Q` leaf's row serially.
     pub fn build(sys: &GbSystem) -> BornLists {
         Self::build_tasks(sys, 1)
     }
 
-    /// Like [`BornLists::build`], split into `tasks` independent
-    /// driving-leaf-range walks run as `rayon::scope` tasks — sized by the
-    /// installed rayon pool, so callers can pin the build to an explicit
-    /// thread count via `ThreadPoolBuilder::install`. The result is
-    /// **byte-identical** to the serial build for any task count or pool
-    /// size (see [`born_walk_range`]).
+    /// Like [`BornLists::build`], split into `tasks` contiguous row ranges
+    /// swept as `rayon::scope` tasks — sized by the installed rayon pool,
+    /// so callers can pin the build to an explicit thread count via
+    /// `ThreadPoolBuilder::install`. The result is **byte-identical** to
+    /// the serial build for any task count or pool size.
     pub fn build_tasks(sys: &GbSystem, tasks: usize) -> BornLists {
         let mut lists = BornLists::empty();
         let mut scratch = ListScratch::new();
         lists.rebuild(sys, tasks, &mut scratch);
+        lists.rows.shrink_to_fit();
         lists
     }
 
@@ -758,9 +811,9 @@ impl BornLists {
         self.rebuild_with_task_floor(sys, tasks, scratch, MIN_TASK_LEAVES);
     }
 
-    /// [`BornLists::rebuild`] with an explicit per-task leaf floor — the
+    /// [`BornLists::rebuild`] with an explicit per-task row floor — the
     /// split-path tests drive this with `floor == 1` so small systems still
-    /// exercise multi-task stitching.
+    /// exercise multi-task concatenation.
     pub(crate) fn rebuild_with_task_floor(
         &mut self,
         sys: &GbSystem,
@@ -768,13 +821,13 @@ impl BornLists {
         scratch: &mut ListScratch,
         floor: usize,
     ) {
-        self.rebuild_trees(&sys.ta, &sys.tq, sys.params.radii_mac_threshold(), tasks, scratch,
-            floor);
+        let s = BornSweep::new(&sys.ta, &sys.tq, sys.params.radii_mac_threshold());
+        self.rebuild_sweep(&s, tasks, scratch, floor);
     }
 
-    /// Cross-system list build: walks `(A tree of one system, Q tree of
+    /// Cross-system list build: sweeps `(A tree of one system, Q tree of
     /// another)` with the same certificates and acceptance tests as the
-    /// own-surface walk. This is the docking path's per-pose work — the
+    /// own-surface build. This is the docking path's per-pose work — the
     /// receptor keeps its cached own-surface lists and only the
     /// receptor×ligand (and ligand×receptor) lists are built here. The
     /// driving `tq` may be a [`Octree::transformed`] posed copy.
@@ -785,127 +838,47 @@ impl BornLists {
         threshold: f64,
         scratch: &mut ListScratch,
     ) {
-        self.rebuild_trees(ta, tq, threshold, 1, scratch, MIN_TASK_LEAVES);
+        self.rebuild_sweep(&BornSweep::new(ta, tq, threshold), 1, scratch, MIN_TASK_LEAVES);
     }
 
-    fn rebuild_trees(
-        &mut self,
-        ta: &Octree,
-        tq: &Octree,
-        threshold: f64,
-        tasks: usize,
-        scratch: &mut ListScratch,
-        floor: usize,
-    ) {
-        let nleaves = tq.num_leaves();
-        self.far_off.clear();
-        self.far.clear();
-        self.near_off.clear();
-        self.near.clear();
-        self.leaf_work.clear();
-        self.build_work = 0.0;
+    fn rebuild_sweep(&mut self, s: &BornSweep, tasks: usize, scratch: &mut ListScratch,
+        floor: usize) {
+        self.rows.clear();
         self.certs.clear();
-        self.full_build_certs = 0;
-        if ta.is_empty() || tq.is_empty() {
-            self.far_off.resize(nleaves + 1, 0);
-            self.near_off.resize(nleaves + 1, 0);
-            self.leaf_work.resize(nleaves, 0.0);
-            self.content_key =
-                fold_csr_key(&self.far_off, &self.far, &self.near_off, &self.near);
-            return;
-        }
-        // well_separated(d, ra, rq, t)  ⇔  d ≥ (ra + rq)(t+1)/(t−1)
-        let coef = (threshold + 1.0) / (threshold - 1.0);
-        scratch.spans.recompute(tq);
-        // never split below `floor` driving leaves per task — the serial
-        // stitch would eat the parallel walk's gain (byte-identical lists
-        // either way)
-        let ntasks = tasks.max(1).min(nleaves).min((nleaves / floor.max(1)).max(1));
-        scratch.ensure_segs(ntasks);
-        let bounds = |i: usize| (i * nleaves / ntasks, (i + 1) * nleaves / ntasks);
-
-        let record = self.track_certs;
-        let spans = &scratch.spans;
-        let segs = &mut scratch.segs[..ntasks];
-        if ntasks == 1 {
-            born_walk_range(ta, tq, spans, threshold, coef, 0, nleaves, &mut segs[0], record);
-        } else {
-            rayon::scope(|sc| {
-                for (i, seg) in segs.iter_mut().enumerate() {
-                    let (lo, hi) = bounds(i);
-                    sc.spawn(move |_| {
-                        born_walk_range(ta, tq, spans, threshold, coef, lo, hi, seg, record)
-                    });
-                }
-            });
-        }
-
-        // Stitch: per-task CSR blocks concatenate in range order; leaf_work
-        // temporarily stages the per-ordinal step counts until both CSRs
-        // are complete.
-        for i in 0..ntasks {
-            let (lo, hi) = bounds(i);
-            let seg = &scratch.segs[i];
-            append_csr(hi - lo, &seg.far_emits, &mut self.far_off, &mut self.far,
-                &mut scratch.diff, &mut scratch.cursor);
-            append_csr(hi - lo, &seg.near_emits, &mut self.near_off, &mut self.near,
-                &mut scratch.diff, &mut scratch.cursor);
-            let mut run = 0i64;
-            for d in seg.sdiff.iter().take(hi - lo) {
-                run += d;
-                self.leaf_work.push(run as f64);
-            }
-            self.build_work += seg.build_work;
-            self.certs.extend_from_slice(&seg.certs);
-        }
-        self.far_off.push(self.far.len());
-        self.near_off.push(self.near.len());
+        self.content_key = OnceLock::new();
+        let certs = self.track_certs.then_some(&mut self.certs);
+        self.build_work = sweep_all(s, tasks, floor, scratch, &mut self.rows, certs);
         self.full_build_certs = self.certs.len();
-        self.content_key = fold_csr_key(&self.far_off, &self.far, &self.near_off, &self.near);
-        // Reconstruct the traversal's per-leaf work units: ¼ per popped
-        // node, 1 per far term, |A|·|Q| per exact pair. All terms are
-        // multiples of ¼ well below 2^52, so the sum is exact and equals
-        // `accumulate_qleaf`'s incremental tally bit for bit.
-        for ord in 0..nleaves {
-            let q_count = tq.node(tq.leaves()[ord]).count() as f64;
-            let mut near_pairs = 0.0;
-            for &a_id in &self.near[self.near_off[ord]..self.near_off[ord + 1]] {
-                near_pairs += ta.node(a_id).count() as f64 * q_count;
-            }
-            self.leaf_work[ord] = TRAVERSAL_UNIT * self.leaf_work[ord]
-                + (self.far_off[ord + 1] - self.far_off[ord]) as f64
-                + near_pairs;
-        }
     }
 
     /// The far CSR: `(offsets, node ids)` grouped by driving-leaf ordinal.
     #[inline]
     pub fn far_csr(&self) -> (&[usize], &[NodeId]) {
-        (&self.far_off, &self.far)
+        (&self.rows.far_off, &self.rows.far)
     }
 
     /// The near CSR: `(offsets, node ids)` grouped by driving-leaf ordinal.
     #[inline]
     pub fn near_csr(&self) -> (&[usize], &[NodeId]) {
-        (&self.near_off, &self.near)
+        (&self.rows.near_off, &self.rows.near)
     }
 
     /// Number of driving `T_Q` leaves.
     #[inline]
     pub fn num_qleaves(&self) -> usize {
-        self.leaf_work.len()
+        self.rows.work.len()
     }
 
     /// Per-`T_Q`-leaf work units of executing its lists — identical to the
     /// work `accumulate_qleaf` would report for that leaf.
     #[inline]
     pub fn leaf_work(&self) -> &[f64] {
-        &self.leaf_work
+        &self.rows.work
     }
 
     /// Total execution work over all leaves.
     pub fn total_work(&self) -> f64 {
-        self.leaf_work.iter().sum()
+        self.rows.work.iter().sum()
     }
 
     /// Executes the lists of the driving-leaf ordinals in `ords`,
@@ -923,7 +896,7 @@ impl BornLists {
             let qn = sys.tq.node(q_leaf);
             let q_center = qn.centroid;
             let q_agg = sys.q_normals[q_leaf as usize];
-            for &a_id in &self.far[self.far_off[ord]..self.far_off[ord + 1]] {
+            for &a_id in self.rows.far_row(ord) {
                 let a = sys.ta.node(a_id);
                 let delta = q_center - a.centroid;
                 let d2 = delta.norm_sq();
@@ -941,11 +914,10 @@ impl BornLists {
             let ny = &sys.q_normal_soa.y[qr.clone()];
             let nz = &sys.q_normal_soa.z[qr.clone()];
             let w = &sys.q_weight_tree[qr];
-            let entries = &self.near[self.near_off[ord]..self.near_off[ord + 1]];
-            for run in atom_runs(&sys.ta, entries) {
+            for run in atom_runs(&sys.ta, self.rows.near_row(ord)) {
                 born_span_batched::<M, K>(sys, run, qx, qy, qz, nx, ny, nz, w, acc);
             }
-            work += self.leaf_work[ord];
+            work += self.rows.work[ord];
         }
         work
     }
@@ -978,14 +950,14 @@ impl BornLists {
             let qn = tq.node(q_leaf);
             let q_center = qn.centroid;
             let q_agg = q_agg_normals[q_leaf as usize];
-            for &a_id in &self.far[self.far_off[ord]..self.far_off[ord + 1]] {
+            for &a_id in self.rows.far_row(ord) {
                 let a = ta.node(a_id);
                 let delta = q_center - a.centroid;
                 let d2 = delta.norm_sq();
                 acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
             }
             let qr = qn.range();
-            for ar in atom_runs(ta, &self.near[self.near_off[ord]..self.near_off[ord + 1]]) {
+            for ar in atom_runs(ta, self.rows.near_row(ord)) {
                 for k in qr.clone() {
                     let p = q_pts[k];
                     let m = q_normal_tree[k];
@@ -999,7 +971,7 @@ impl BornLists {
                     }
                 }
             }
-            work += self.leaf_work[ord];
+            work += self.rows.work[ord];
         }
         work
     }
@@ -1019,10 +991,10 @@ impl BornLists {
         mut visit: impl FnMut(Range<usize>),
     ) {
         let num_nodes = sys.ta.num_nodes();
-        for &a_id in &self.far[self.far_off[ord]..self.far_off[ord + 1]] {
+        for &a_id in self.rows.far_row(ord) {
             visit(a_id as usize..a_id as usize + 1);
         }
-        for &a_id in &self.near[self.near_off[ord]..self.near_off[ord + 1]] {
+        for &a_id in self.rows.near_row(ord) {
             let n = sys.ta.node(a_id);
             visit(num_nodes + n.begin as usize..num_nodes + n.end as usize);
         }
@@ -1030,21 +1002,18 @@ impl BornLists {
 
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.far_off.capacity() + self.near_off.capacity()) * std::mem::size_of::<usize>()
-            + (self.far.capacity() + self.near.capacity()) * std::mem::size_of::<NodeId>()
-            + self.leaf_work.capacity() * std::mem::size_of::<f64>()
-            + self.certs.capacity() * std::mem::size_of::<Cert>()
+        self.rows.memory_bytes() + self.certs.capacity() * std::mem::size_of::<Cert>()
     }
 
     /// Incrementally repairs the lists after the trees were refitted in
-    /// place: checks every walk certificate against the accumulated drift,
-    /// re-walks only the driving-leaf runs whose decisions could have
-    /// flipped, and splices the regenerated rows into the stored CSRs.
-    /// With `drift_tol == 0` the result (CSRs + `leaf_work`) is
+    /// place: checks every sweep certificate against the accumulated
+    /// drift, re-sweeps only the rows whose decisions could have flipped,
+    /// and splices the regenerated rows into the stored CSRs. With
+    /// `drift_tol == 0` the result (CSRs + `leaf_work`) is
     /// **byte-identical** to a from-scratch rebuild on the refitted trees;
     /// a positive tolerance keeps decisions whose margin deficit is within
     /// `drift_tol` Å of drift, trading bounded list staleness for fewer
-    /// re-walks. Requires cert tracking and an unchanged tree topology.
+    /// re-sweeps. Requires cert tracking and an unchanged tree topology.
     pub fn repair(&mut self, sys: &GbSystem, drift_tol: f64, scratch: &mut ListScratch)
         -> RepairStats {
         self.try_repair(sys, drift_tol, scratch, f64::INFINITY)
@@ -1054,7 +1023,7 @@ impl BornLists {
     /// [`BornLists::repair`] with a density bail-out: returns `None` —
     /// leaving the lists untouched apart from refreshed cert budgets —
     /// when more than `bail_tripped_fraction` of the certs trip their
-    /// drift bound. That dense a drift regime (global motion) re-walks
+    /// drift bound. That dense a drift regime (global motion) re-sweeps
     /// nearly every row anyway, so the caller is better off rebuilding
     /// from scratch, optionally without cert recording.
     pub fn try_repair(
@@ -1064,120 +1033,14 @@ impl BornLists {
         scratch: &mut ListScratch,
         bail_tripped_fraction: f64,
     ) -> Option<RepairStats> {
-        let (ta, tq) = (&sys.ta, &sys.tq);
-        let threshold = sys.params.radii_mac_threshold();
         assert!(self.track_certs, "BornLists::repair requires cert tracking");
-        let nleaves = tq.num_leaves();
-        assert_eq!(self.leaf_work.len(), nleaves, "repair requires unchanged tree topology");
-        scratch.spans.recompute(tq);
-        let mut stats = RepairStats { rows_total: nleaves, ..RepairStats::default() };
-        let coef = (threshold + 1.0) / (threshold - 1.0);
-        let k_leaf = (3.0 * threshold + 3.0) * CERT_PAD;
-        let k_gap = 3.0 * CERT_PAD;
-        let k_int = (3.0 + 2.0 * coef) * CERT_PAD;
-        let spans = &scratch.spans;
-        let bail_after = bail_fraction_to_count(bail_tripped_fraction, self.certs.len());
-        let (checked, rechecked, flipped) = invalidate_certs(&mut self.certs, ta, tq, spans,
-            drift_tol, nleaves, &mut scratch.diff, &mut scratch.runs, bail_after,
-            |a_id, q_id, was| {
-                let a = ta.node(a_id);
-                let q = tq.node(q_id);
-                let d = a.centroid.dist(q.centroid);
-                let (now, allowed) = if q.is_leaf() {
-                    born_leaf_branch(a, q, d, threshold, k_leaf, k_gap)
-                } else {
-                    let (r, m) = internal_branch(
-                        a,
-                        q,
-                        d,
-                        spans.min_leaf_radius[q_id as usize],
-                        spans.max_leaf_radius[q_id as usize],
-                        coef,
-                    );
-                    (r, m / k_int)
-                };
-                (now == was).then_some(allowed)
-            })?;
-        stats.certs_checked = checked;
-        stats.certs_rechecked = rechecked;
-        stats.certs_violated = flipped;
-        if scratch.runs.is_empty() {
-            self.build_work = 0.0;
-            return Some(stats);
-        }
-        scratch.ensure_segs(1);
-        let ListScratch {
-            spans, segs, diff, cursor, runs, far_off2, far2, near_off2, near2, ..
-        } = scratch;
-        far_off2.clear();
-        far2.clear();
-        near_off2.clear();
-        near2.clear();
-        let mut walk_work = 0.0;
-        let mut prev = 0usize;
-        for &(rs, re) in runs.iter() {
-            let (lo, hi) = (rs as usize, re as usize);
-            // bulk-copy the untouched rows since the previous run, then
-            // re-walk this run and append its fresh rows
-            copy_csr_rows(&self.far_off, &self.far, prev, lo, far_off2, far2);
-            copy_csr_rows(&self.near_off, &self.near, prev, lo, near_off2, near2);
-            let seg = &mut segs[0];
-            born_walk_range(ta, tq, spans, threshold, coef, lo, hi, seg, true);
-            append_csr(hi - lo, &seg.far_emits, far_off2, far2, diff, cursor);
-            append_csr(hi - lo, &seg.near_emits, near_off2, near2, diff, cursor);
-            // stage the raw per-ordinal step counts; finalized below once
-            // both CSRs are spliced (the counts are range-independent, so
-            // they match what a full walk would report for these ordinals)
-            let mut run_steps = 0i64;
-            for (k, d) in seg.sdiff.iter().take(hi - lo).enumerate() {
-                run_steps += d;
-                self.leaf_work[lo + k] = run_steps as f64;
-            }
-            walk_work += seg.build_work;
-            self.certs.extend_from_slice(&seg.certs);
-            stats.rows_rewalked += hi - lo;
-            prev = hi;
-        }
-        copy_csr_rows(&self.far_off, &self.far, prev, nleaves, far_off2, far2);
-        copy_csr_rows(&self.near_off, &self.near, prev, nleaves, near_off2, near2);
-        far_off2.push(far2.len());
-        near_off2.push(near2.len());
-        // install the spliced arrays; the swapped-out old ones stay in
-        // scratch for the change detection below (and get reused next time)
-        std::mem::swap(&mut self.far_off, far_off2);
-        std::mem::swap(&mut self.far, far2);
-        std::mem::swap(&mut self.near_off, near_off2);
-        std::mem::swap(&mut self.near, near2);
-        'detect: for &(rs, re) in runs.iter() {
-            for ord in rs as usize..re as usize {
-                if self.far[self.far_off[ord]..self.far_off[ord + 1]]
-                    != far2[far_off2[ord]..far_off2[ord + 1]]
-                    || self.near[self.near_off[ord]..self.near_off[ord + 1]]
-                        != near2[near_off2[ord]..near_off2[ord + 1]]
-                {
-                    stats.changed = true;
-                    break 'detect;
-                }
-            }
-        }
-        // finalize the re-walked rows' work units exactly like a rebuild
-        for &(rs, re) in runs.iter() {
-            for ord in rs as usize..re as usize {
-                let q_count = tq.node(tq.leaves()[ord]).count() as f64;
-                let mut near_pairs = 0.0;
-                for &a_id in &self.near[self.near_off[ord]..self.near_off[ord + 1]] {
-                    near_pairs += ta.node(a_id).count() as f64 * q_count;
-                }
-                self.leaf_work[ord] = TRAVERSAL_UNIT * self.leaf_work[ord]
-                    + (self.far_off[ord + 1] - self.far_off[ord]) as f64
-                    + near_pairs;
-            }
-        }
+        let s = BornSweep::new(&sys.ta, &sys.tq, sys.params.radii_mac_threshold());
+        let (stats, work) = repair_rows(&s, &mut self.rows, &mut self.certs, scratch, drift_tol,
+            bail_tripped_fraction)?;
         if stats.changed {
-            self.content_key =
-                fold_csr_key(&self.far_off, &self.far, &self.near_off, &self.near);
+            self.content_key = OnceLock::new();
         }
-        self.build_work = walk_work;
+        self.build_work = work;
         Some(stats)
     }
 }
@@ -1252,6 +1115,101 @@ fn born_span_batched<M: MathMode, K: RadiiApprox>(
 // Energy phase (Fig. 3): (T_A, T_A) lists
 // ---------------------------------------------------------------------------
 
+/// The energy sweep: one row per `T_A` leaf `V` over the `T_A` table.
+/// Fig. 3 checks leafness *before* distance, so a leaf `U` is always exact
+/// and only internal nodes take the MAC test. Rows visit ~20% of the table,
+/// so the test runs lazily per visit. Near rows come out ascending (leaf
+/// ordinals follow preorder) — the order the gathered near tile streams.
+/// The traversal pushes children forward and so pops them last-first: its
+/// far nodes come out in *mirrored* preorder, which for disjoint subtrees
+/// is this scan's order reversed, so each far row is reversed in place to
+/// keep the traversal's (and the far tile's) order.
+///
+/// Cert sensitivity (`δ` = joint drift of `u` and `v`): the MAC margin
+/// `d − (r_u+r_v)·mac` moves by ≤ (1+2·mac)δ, padded to (2+2·mac). Leaf
+/// `u` visits emit unconditionally and need no certificate.
+struct EnergySweep<'a> {
+    ta: &'a Octree,
+    mac: f64,
+    k_leaf: f64,
+}
+
+impl<'a> EnergySweep<'a> {
+    fn new(ta: &'a Octree, mac: f64) -> EnergySweep<'a> {
+        EnergySweep { ta, mac, k_leaf: (2.0 + 2.0 * mac) * CERT_PAD }
+    }
+}
+
+impl Sweep for EnergySweep<'_> {
+    fn interacting(&self) -> &Octree {
+        self.ta
+    }
+
+    fn num_rows(&self) -> usize {
+        self.ta.num_leaves()
+    }
+
+    fn sweep(
+        &self,
+        t: &Preorder,
+        rows: Range<usize>,
+        _mask: &mut Vec<bool>,
+        out: &mut Rows,
+        mut certs: Option<&mut Vec<Cert>>,
+    ) -> f64 {
+        let n = t.len();
+        let (cx, cy, cz, r) = (&t.cx[..n], &t.cy[..n], &t.cz[..n], &t.r[..n]);
+        let (id, skip, count) = (&t.id[..n], &t.skip[..n], &t.count[..n]);
+        let mut visits = 0u64;
+        for ord in rows {
+            let v_id = self.ta.leaves()[ord];
+            let v = self.ta.node(v_id);
+            let dv = self.ta.drift(v_id);
+            out.open_row();
+            let far0 = out.far.len();
+            let (mut steps, mut pairs, mut i) = (0u64, 0u64, 0usize);
+            while i < n {
+                steps += 1;
+                if skip[i] as usize == i + 1 {
+                    out.near.push(id[i]);
+                    pairs += count[i] as u64;
+                    i += 1;
+                    continue;
+                }
+                let d = Vec3::new(cx[i], cy[i], cz[i]).dist(v.centroid);
+                let far = d > (r[i] + v.radius) * self.mac;
+                if let Some(c) = certs.as_deref_mut() {
+                    let (_, allowed) = energy_leaf_branch(r[i], v.radius, d, self.mac, self.k_leaf);
+                    let budget = allowed.max(0.0) + self.ta.drift(id[i]) + dv;
+                    c.push(Cert::new(id[i], ord, far, budget));
+                }
+                if far {
+                    out.far.push(id[i]);
+                    i = skip[i] as usize;
+                } else {
+                    i += 1;
+                }
+            }
+            out.far[far0..].reverse();
+            out.work.push(steps as f64);
+            out.near_work.push(pairs as f64 * v.count() as f64);
+            visits += steps;
+        }
+        TRAVERSAL_UNIT * visits as f64
+    }
+
+    fn drift(&self, a: NodeId, row: usize) -> (f64, f64) {
+        (self.ta.drift(a), self.ta.drift(self.ta.leaves()[row]))
+    }
+
+    fn recheck(&self, a: NodeId, row: usize, far: bool) -> Option<f64> {
+        let (u, v) = (self.ta.node(a), self.ta.node(self.ta.leaves()[row]));
+        let d = u.centroid.dist(v.centroid);
+        let (now, allowed) = energy_leaf_branch(u.radius, v.radius, d, self.mac, self.k_leaf);
+        (now == far).then_some(allowed)
+    }
+}
+
 /// Interaction lists of the energy phase: for every `T_A` leaf ordinal `V`,
 /// the leaf partners evaluated exactly and the internal-node partners
 /// evaluated by histogram contraction, plus the traversal-step and
@@ -1260,16 +1218,11 @@ fn born_span_batched<M: MathMode, K: RadiiApprox>(
 /// it is computed at execution time / by [`EnergyLists::leaf_costs`].
 #[derive(Clone, Debug)]
 pub struct EnergyLists {
-    near_off: Vec<usize>,
-    /// `T_A` leaf partners (Fig. 3 rule: a leaf `U` is always exact).
-    near: Vec<NodeId>,
-    far_off: Vec<usize>,
-    /// Internal `T_A` nodes that passed the far test for every `V` in span.
-    far: Vec<NodeId>,
-    /// Per-ordinal traversal pop count of the equivalent per-leaf walk.
-    trav_steps: Vec<f64>,
-    /// Per-ordinal exact-pair work `Σ |U|·|V|` over the near list.
-    near_work: Vec<f64>,
+    /// Near rows: `T_A` leaf partners (Fig. 3 rule: a leaf `U` is always
+    /// exact). Far rows: internal `T_A` nodes that passed the MAC test.
+    /// `rows.work` is the per-ordinal traversal step count and
+    /// `rows.near_work` the exact-pair work `Σ |U|·|V|` over the near row.
+    rows: Rows,
     /// Execution weight of each `near` entry: `1` = evaluate once
     /// (self-pair or asymmetric), `2` = this ordinal owns a *symmetric*
     /// leaf pair and evaluates it for both sides (the `f_GB` terms of
@@ -1278,15 +1231,16 @@ pub struct EnergyLists {
     /// checkerboard rule on the ordinal pair so halving stays balanced
     /// across rank/chunk segments.
     near_w: Vec<u8>,
-    /// Work spent constructing the lists: one traversal unit per walk pop
-    /// for a full build; for a repaired list, the range re-walks' units.
+    /// Work spent constructing the lists: one traversal unit per visited
+    /// (node, row) for a full build; for a repaired list, the re-swept
+    /// rows' units.
     pub build_work: f64,
-    /// Walk-decision certificates (present iff `track_certs`).
+    /// Sweep-decision certificates (present iff `track_certs`).
     certs: Vec<Cert>,
     /// Whether rebuilds record certificates (enables [`EnergyLists::repair`]).
     track_certs: bool,
-    /// Fold of the CSR arrays — equal keys ⇔ identical structure.
-    content_key: u64,
+    /// Lazily folded CSR key (see [`lazy_key`]).
+    content_key: OnceLock<u64>,
     /// Certificate count of the last *full* build — the overflow baseline.
     full_build_certs: usize,
 }
@@ -1295,117 +1249,7 @@ pub struct EnergyLists {
 /// like [`BornLists`]' `PartialEq`.
 impl PartialEq for EnergyLists {
     fn eq(&self, o: &EnergyLists) -> bool {
-        self.near_off == o.near_off
-            && self.near == o.near
-            && self.far_off == o.far_off
-            && self.far == o.far
-            && self.trav_steps == o.trav_steps
-            && self.near_work == o.near_work
-            && self.near_w == o.near_w
-            && self.build_work == o.build_work
-    }
-}
-
-/// Walks `(T_A root, T_A root)` restricted to driving-leaf ordinals
-/// `[lo, hi)` — the energy-phase counterpart of [`born_walk_range`], with
-/// the same pruning, clipping and pop-ownership rules.
-///
-/// Cert sensitivities (`δ` = joint drift of `u` and `v`): the v-leaf MAC
-/// margin `d − (r_u+r_v)·mac` moves by ≤ (1+2·mac)δ; the internal `F`/`N`
-/// margins by ≤ (3+2·mac)δ. Leaf `u` pops emit unconditionally and need no
-/// certificate.
-fn energy_walk_range(
-    sys: &GbSystem,
-    spans: &LeafSpans,
-    mac: f64,
-    lo: usize,
-    hi: usize,
-    seg: &mut WalkSeg,
-    record: bool,
-) {
-    let ta = &sys.ta;
-    let k_leaf = (2.0 + 2.0 * mac) * CERT_PAD;
-    let k_int = (3.0 + 2.0 * mac) * CERT_PAD;
-    seg.reset(hi - lo);
-    while let Some((u_id, v_id)) = seg.stack.pop() {
-        let span = spans.span(v_id);
-        if span.start >= hi || span.end <= lo {
-            continue;
-        }
-        let owned = span.start >= lo;
-        if owned {
-            seg.build_work += TRAVERSAL_UNIT;
-        }
-        let u = sys.ta.node(u_id);
-        let v = sys.ta.node(v_id);
-        let (s, e) = ((span.start.max(lo) - lo) as u32, (span.end.min(hi) - lo) as u32);
-
-        if u.is_leaf() {
-            // Fig. 3 checks leafness *before* distance: leaf–leaf pairs
-            // are always exact, independent of V — resolve the whole span
-            seg.sdiff[s as usize] += 1;
-            seg.sdiff[e as usize] -= 1;
-            seg.near_emits.push((s, e, u_id));
-            continue;
-        }
-        let d = u.centroid.dist(v.centroid);
-        let resolve = if v.is_leaf() {
-            let far = d > (u.radius + v.radius) * mac;
-            if record && owned {
-                let (branch, allowed) = energy_leaf_branch(u, v, d, mac, k_leaf);
-                debug_assert_eq!(branch == Resolve::Far, far);
-                seg.certs.push(Cert::new(
-                    u_id,
-                    v_id,
-                    branch,
-                    allowed.max(0.0) + ta.drift(u_id) + ta.drift(v_id),
-                ));
-            }
-            if far {
-                Resolve::Far
-            } else {
-                Resolve::NearOrDescend
-            }
-        } else {
-            let (resolve, margin) = internal_branch(
-                u,
-                v,
-                d,
-                spans.min_leaf_radius[v_id as usize],
-                spans.max_leaf_radius[v_id as usize],
-                mac,
-            );
-            if record && owned {
-                let allowed = margin / k_int;
-                seg.certs.push(Cert::new(
-                    u_id,
-                    v_id,
-                    resolve,
-                    allowed.max(0.0) + ta.drift(u_id) + ta.drift(v_id),
-                ));
-            }
-            resolve
-        };
-        match resolve {
-            Resolve::Far => {
-                seg.sdiff[s as usize] += 1;
-                seg.sdiff[e as usize] -= 1;
-                seg.far_emits.push((s, e, u_id));
-            }
-            Resolve::NearOrDescend => {
-                // u is internal here (leaves resolved above): descend u
-                seg.sdiff[s as usize] += 1;
-                seg.sdiff[e as usize] -= 1;
-                for c in u.children() {
-                    seg.stack.push((c, v_id));
-                }
-            }
-            Resolve::DescendDriver => {
-                for vc in v.children() {
-                    seg.stack.push((u_id, vc));
-                }
-            }
-        }
+        self.rows == o.rows && self.near_w == o.near_w && self.build_work == o.build_work
     }
 }
 
@@ -1413,17 +1257,12 @@ impl EnergyLists {
     /// Empty lists — a reusable slot for [`EnergyLists::rebuild`].
     pub fn empty() -> EnergyLists {
         EnergyLists {
-            near_off: Vec::new(),
-            near: Vec::new(),
-            far_off: Vec::new(),
-            far: Vec::new(),
-            trav_steps: Vec::new(),
-            near_work: Vec::new(),
+            rows: Rows::default(),
             near_w: Vec::new(),
             build_work: 0.0,
             certs: Vec::new(),
             track_certs: false,
-            content_key: 0,
+            content_key: OnceLock::new(),
             full_build_certs: 0,
         }
     }
@@ -1450,7 +1289,7 @@ impl EnergyLists {
     /// Fold of the CSR structure (0 = never built).
     #[inline]
     pub fn content_key(&self) -> u64 {
-        self.content_key
+        lazy_key(&self.rows, &self.content_key)
     }
 
     /// True when repair-appended certificates outnumber a full build's by
@@ -1459,19 +1298,20 @@ impl EnergyLists {
         self.full_build_certs > 0 && self.certs.len() > 2 * self.full_build_certs
     }
 
-    /// Runs the dual-tree walk over `(T_A root, T_A root)` serially; the
-    /// second component drives (it stands for the `V` leaves of Fig. 3).
+    /// Sweeps every `T_A` leaf's row serially; the rows stand for the `V`
+    /// leaves of Fig. 3.
     pub fn build(sys: &GbSystem) -> EnergyLists {
         Self::build_tasks(sys, 1)
     }
 
-    /// Like [`EnergyLists::build`], split into `tasks` independent
-    /// driving-leaf-range walks as `rayon::scope` tasks; byte-identical
-    /// for any task count or pool size.
+    /// Like [`EnergyLists::build`], split into `tasks` contiguous row
+    /// ranges swept as `rayon::scope` tasks; byte-identical for any task
+    /// count or pool size.
     pub fn build_tasks(sys: &GbSystem, tasks: usize) -> EnergyLists {
         let mut lists = EnergyLists::empty();
         let mut scratch = ListScratch::new();
         lists.rebuild(sys, tasks, &mut scratch);
+        lists.rows.shrink_to_fit();
         lists
     }
 
@@ -1481,7 +1321,7 @@ impl EnergyLists {
         self.rebuild_with_task_floor(sys, tasks, scratch, MIN_TASK_LEAVES);
     }
 
-    /// [`EnergyLists::rebuild`] with an explicit per-task leaf floor (see
+    /// [`EnergyLists::rebuild`] with an explicit per-task row floor (see
     /// [`BornLists::rebuild_with_task_floor`]).
     pub(crate) fn rebuild_with_task_floor(
         &mut self,
@@ -1490,110 +1330,14 @@ impl EnergyLists {
         scratch: &mut ListScratch,
         floor: usize,
     ) {
-        let nleaves = sys.ta.num_leaves();
-        self.near_off.clear();
-        self.near.clear();
-        self.far_off.clear();
-        self.far.clear();
-        self.trav_steps.clear();
-        self.near_work.clear();
-        self.near_w.clear();
-        self.build_work = 0.0;
+        self.rows.clear();
         self.certs.clear();
-        self.full_build_certs = 0;
-        if sys.ta.is_empty() {
-            self.near_off.resize(nleaves + 1, 0);
-            self.far_off.resize(nleaves + 1, 0);
-            self.trav_steps.resize(nleaves, 0.0);
-            self.near_work.resize(nleaves, 0.0);
-            self.content_key =
-                fold_csr_key(&self.far_off, &self.far, &self.near_off, &self.near);
-            return;
-        }
-        let mac = sys.params.energy_mac_factor();
-        scratch.spans.recompute(&sys.ta);
-        // same per-task floor as the Born build (see MIN_TASK_LEAVES): the
-        // energy stitch is even heavier relative to its walk
-        let ntasks = tasks.max(1).min(nleaves).min((nleaves / floor.max(1)).max(1));
-        scratch.ensure_segs(ntasks);
-        let bounds = |i: usize| (i * nleaves / ntasks, (i + 1) * nleaves / ntasks);
-
-        let record = self.track_certs;
-        let spans = &scratch.spans;
-        let segs = &mut scratch.segs[..ntasks];
-        if ntasks == 1 {
-            energy_walk_range(sys, spans, mac, 0, nleaves, &mut segs[0], record);
-        } else {
-            rayon::scope(|sc| {
-                for (i, seg) in segs.iter_mut().enumerate() {
-                    let (lo, hi) = bounds(i);
-                    sc.spawn(move |_| energy_walk_range(sys, spans, mac, lo, hi, seg, record));
-                }
-            });
-        }
-
-        for i in 0..ntasks {
-            let (lo, hi) = bounds(i);
-            let seg = &scratch.segs[i];
-            append_csr(hi - lo, &seg.near_emits, &mut self.near_off, &mut self.near,
-                &mut scratch.diff, &mut scratch.cursor);
-            append_csr(hi - lo, &seg.far_emits, &mut self.far_off, &mut self.far,
-                &mut scratch.diff, &mut scratch.cursor);
-            let mut run = 0i64;
-            for d in seg.sdiff.iter().take(hi - lo) {
-                run += d;
-                self.trav_steps.push(run as f64);
-            }
-            self.build_work += seg.build_work;
-            self.certs.extend_from_slice(&seg.certs);
-        }
-        self.near_off.push(self.near.len());
-        self.far_off.push(self.far.len());
+        self.content_key = OnceLock::new();
+        let s = EnergySweep::new(&sys.ta, sys.params.energy_mac_factor());
+        let certs = self.track_certs.then_some(&mut self.certs);
+        self.build_work = sweep_all(&s, tasks, floor, scratch, &mut self.rows, certs);
         self.full_build_certs = self.certs.len();
-        // The tail passes below index by partner *ordinal* so the random
-        // node-table walks happen once per leaf, not once per near entry.
-        // `diff` is free after the CSR stitch and holds the per-ordinal
-        // atom counts; `cursor` is free too and holds the per-row merge
-        // cursors of the ownership pass.
-        let ListScratch { ord_of, near_ords, diff, cursor, .. } = scratch;
-        diff.clear();
-        diff.extend(sys.ta.leaves().iter().map(|&l| sys.ta.node(l).count() as i64));
-        ord_of.clear();
-        ord_of.resize(sys.ta.num_nodes(), u32::MAX);
-        for (i, &l) in sys.ta.leaves().iter().enumerate() {
-            ord_of[l as usize] = i as u32;
-        }
-
-        // Sort each ordinal's near partners by ordinal (leaf ordinals
-        // follow atom order, so this is the ascending-atom-span order the
-        // gathered near tile streams; the LIFO walk emits rows nearly
-        // reversed, which pdqsort's descending-run detection handles in
-        // O(row)). Sorting the u32 ordinal mirror instead of the node ids
-        // keeps the comparator out of the node table; the id column is
-        // regenerated from the sorted ordinals.
-        near_ords.clear();
-        near_ords.extend(self.near.iter().map(|&id| ord_of[id as usize]));
-        let leaves = sys.ta.leaves();
-        for ord in 0..nleaves {
-            let (lo, hi) = (self.near_off[ord], self.near_off[ord + 1]);
-            near_ords[lo..hi].sort_unstable();
-            for k in lo..hi {
-                self.near[k] = leaves[near_ords[k] as usize];
-            }
-        }
-
-        // Per-ordinal near work from the count table. Counts are ≤ the
-        // leaf cap, so the integer sum is exact and the product matches
-        // the old per-pair f64 accumulation bit for bit.
-        for ord in 0..nleaves {
-            let v_count = diff[ord] as f64;
-            let row = &near_ords[self.near_off[ord]..self.near_off[ord + 1]];
-            let pairs: i64 = row.iter().map(|&uo| diff[uo as usize]).sum();
-            self.near_work.push(pairs as f64 * v_count);
-        }
-
-        self.annotate_near_ownership(near_ords, cursor);
-        self.content_key = fold_csr_key(&self.far_off, &self.far, &self.near_off, &self.near);
+        self.annotate_near_ownership(&sys.ta, scratch);
     }
 
     /// Annotates symmetric-pair ownership: a leaf pair listed by both
@@ -1603,19 +1347,28 @@ impl EnergyLists {
     /// partners?" queries arrive with `ord` increasing and a per-row
     /// cursor into the row's upper half answers every query with a
     /// monotone advance — O(near) total, no per-entry binary search.
-    /// A pure function of `(near_off, near_ords)`, so re-running it after
-    /// a repair splice reproduces a rebuild's weights byte for byte.
-    fn annotate_near_ownership(&mut self, near_ords: &[u32], cursor: &mut Vec<usize>) {
-        let nleaves = self.near_off.len() - 1;
+    /// A pure function of the near CSR, so re-running it after a repair
+    /// splice reproduces a rebuild's weights byte for byte.
+    fn annotate_near_ownership(&mut self, ta: &Octree, scratch: &mut ListScratch) {
+        let ListScratch { ord_of, near_ords, cursor, .. } = scratch;
+        ord_of.clear();
+        ord_of.resize(ta.num_nodes(), u32::MAX);
+        for (i, &l) in ta.leaves().iter().enumerate() {
+            ord_of[l as usize] = i as u32;
+        }
+        let Rows { near_off, near, .. } = &self.rows;
+        near_ords.clear();
+        near_ords.extend(near.iter().map(|&id| ord_of[id as usize]));
+        let nleaves = near_off.len() - 1;
         cursor.clear();
         cursor.extend((0..nleaves).map(|ord| {
-            let (lo, hi) = (self.near_off[ord], self.near_off[ord + 1]);
+            let (lo, hi) = (near_off[ord], near_off[ord + 1]);
             lo + near_ords[lo..hi].partition_point(|&uo| (uo as usize) <= ord)
         }));
         self.near_w.clear();
-        self.near_w.resize(self.near.len(), 1);
+        self.near_w.resize(near.len(), 1);
         for ord in 0..nleaves {
-            for k in self.near_off[ord]..self.near_off[ord + 1] {
+            for k in near_off[ord]..near_off[ord + 1] {
                 let uo = near_ords[k] as usize;
                 if uo >= ord {
                     // self pair keeps weight 1; upper-half partners get
@@ -1623,7 +1376,7 @@ impl EnergyLists {
                     break;
                 }
                 let mut c = cursor[uo];
-                let uhi = self.near_off[uo + 1];
+                let uhi = near_off[uo + 1];
                 while c < uhi && (near_ords[c] as usize) < ord {
                     c += 1;
                 }
@@ -1640,7 +1393,7 @@ impl EnergyLists {
                         self.near_w[c] = 2;
                     }
                 }
-                // no match: asymmetric (the walk resolved (V,U) far) —
+                // no match: asymmetric (the sweep resolved (V,U) far) —
                 // both sides keep weight 1
             }
         }
@@ -1648,10 +1401,10 @@ impl EnergyLists {
 
     /// Incrementally repairs the lists after an in-place tree refit — the
     /// energy-phase mirror of [`BornLists::repair`]: certificate check,
-    /// range re-walks of invalidated driving runs, CSR splice, then the
-    /// rebuild tail (row sort, near work, ownership annotation) restricted
-    /// to — or, for the global ownership pass, re-run over — the affected
-    /// rows. Byte-identical to a rebuild at `drift_tol == 0`.
+    /// re-sweeps of invalidated rows, CSR splice, then the ownership
+    /// annotation re-run in full (ownership is a global property — one
+    /// changed row can flip its mirror rows' weights). Byte-identical to a
+    /// rebuild at `drift_tol == 0`.
     pub fn repair(&mut self, sys: &GbSystem, drift_tol: f64, scratch: &mut ListScratch)
         -> RepairStats {
         self.try_repair(sys, drift_tol, scratch, f64::INFINITY)
@@ -1669,162 +1422,42 @@ impl EnergyLists {
         scratch: &mut ListScratch,
         bail_tripped_fraction: f64,
     ) -> Option<RepairStats> {
-        let ta = &sys.ta;
         assert!(self.track_certs, "EnergyLists::repair requires cert tracking");
-        let nleaves = ta.num_leaves();
-        assert_eq!(self.trav_steps.len(), nleaves, "repair requires unchanged tree topology");
-        scratch.spans.recompute(ta);
-        let mut stats = RepairStats { rows_total: nleaves, ..RepairStats::default() };
-        let mac = sys.params.energy_mac_factor();
-        let k_leaf = (2.0 + 2.0 * mac) * CERT_PAD;
-        let k_int = (3.0 + 2.0 * mac) * CERT_PAD;
-        let spans = &scratch.spans;
-        let bail_after = bail_fraction_to_count(bail_tripped_fraction, self.certs.len());
-        let (checked, rechecked, flipped) = invalidate_certs(&mut self.certs, ta, ta, spans,
-            drift_tol, nleaves, &mut scratch.diff, &mut scratch.runs, bail_after,
-            |u_id, v_id, was| {
-                let u = ta.node(u_id);
-                let v = ta.node(v_id);
-                let d = u.centroid.dist(v.centroid);
-                let (now, allowed) = if v.is_leaf() {
-                    energy_leaf_branch(u, v, d, mac, k_leaf)
-                } else {
-                    let (r, m) = internal_branch(
-                        u,
-                        v,
-                        d,
-                        spans.min_leaf_radius[v_id as usize],
-                        spans.max_leaf_radius[v_id as usize],
-                        mac,
-                    );
-                    (r, m / k_int)
-                };
-                (now == was).then_some(allowed)
-            })?;
-        stats.certs_checked = checked;
-        stats.certs_rechecked = rechecked;
-        stats.certs_violated = flipped;
-        if scratch.runs.is_empty() {
-            self.build_work = 0.0;
-            return Some(stats);
+        let s = EnergySweep::new(&sys.ta, sys.params.energy_mac_factor());
+        let (stats, work) = repair_rows(&s, &mut self.rows, &mut self.certs, scratch, drift_tol,
+            bail_tripped_fraction)?;
+        if stats.rows_rewalked > 0 {
+            self.annotate_near_ownership(&sys.ta, scratch);
         }
-        scratch.ensure_segs(1);
-        let ListScratch {
-            spans, segs, diff, cursor, ord_of, near_ords, runs,
-            far_off2, far2, near_off2, near2,
-        } = scratch;
-        near_off2.clear();
-        near2.clear();
-        far_off2.clear();
-        far2.clear();
-        let mut walk_work = 0.0;
-        let mut prev = 0usize;
-        for &(rs, re) in runs.iter() {
-            let (lo, hi) = (rs as usize, re as usize);
-            copy_csr_rows(&self.near_off, &self.near, prev, lo, near_off2, near2);
-            copy_csr_rows(&self.far_off, &self.far, prev, lo, far_off2, far2);
-            let seg = &mut segs[0];
-            energy_walk_range(sys, spans, mac, lo, hi, seg, true);
-            append_csr(hi - lo, &seg.near_emits, near_off2, near2, diff, cursor);
-            append_csr(hi - lo, &seg.far_emits, far_off2, far2, diff, cursor);
-            // stage raw step counts (range-independent, final as-is: the
-            // rebuild stores them unscaled)
-            let mut run_steps = 0i64;
-            for (k, d) in seg.sdiff.iter().take(hi - lo).enumerate() {
-                run_steps += d;
-                self.trav_steps[lo + k] = run_steps as f64;
-            }
-            walk_work += seg.build_work;
-            self.certs.extend_from_slice(&seg.certs);
-            stats.rows_rewalked += hi - lo;
-            prev = hi;
-        }
-        copy_csr_rows(&self.near_off, &self.near, prev, nleaves, near_off2, near2);
-        copy_csr_rows(&self.far_off, &self.far, prev, nleaves, far_off2, far2);
-        near_off2.push(near2.len());
-        far_off2.push(far2.len());
-        std::mem::swap(&mut self.near_off, near_off2);
-        std::mem::swap(&mut self.near, near2);
-        std::mem::swap(&mut self.far_off, far_off2);
-        std::mem::swap(&mut self.far, far2);
-
-        // rebuild tail: regenerate the ordinal mirror over the new `near`,
-        // sort only the re-walked rows (copied rows are already sorted) and
-        // rewrite their id column from the sorted ordinals
-        ord_of.clear();
-        ord_of.resize(ta.num_nodes(), u32::MAX);
-        for (i, &l) in ta.leaves().iter().enumerate() {
-            ord_of[l as usize] = i as u32;
-        }
-        near_ords.clear();
-        near_ords.extend(self.near.iter().map(|&id| ord_of[id as usize]));
-        let leaves = ta.leaves();
-        for &(rs, re) in runs.iter() {
-            for ord in rs as usize..re as usize {
-                let (lo, hi) = (self.near_off[ord], self.near_off[ord + 1]);
-                near_ords[lo..hi].sort_unstable();
-                for k in lo..hi {
-                    self.near[k] = leaves[near_ords[k] as usize];
-                }
-            }
-        }
-        'detect: for &(rs, re) in runs.iter() {
-            for ord in rs as usize..re as usize {
-                if self.near[self.near_off[ord]..self.near_off[ord + 1]]
-                    != near2[near_off2[ord]..near_off2[ord + 1]]
-                    || self.far[self.far_off[ord]..self.far_off[ord + 1]]
-                        != far2[far_off2[ord]..far_off2[ord + 1]]
-                {
-                    stats.changed = true;
-                    break 'detect;
-                }
-            }
-        }
-        // per-ordinal near work of the re-walked rows (same count-table
-        // arithmetic as the rebuild, so values match bit for bit)
-        diff.clear();
-        diff.extend(ta.leaves().iter().map(|&l| ta.node(l).count() as i64));
-        for &(rs, re) in runs.iter() {
-            for ord in rs as usize..re as usize {
-                let v_count = diff[ord] as f64;
-                let row = &near_ords[self.near_off[ord]..self.near_off[ord + 1]];
-                let pairs: i64 = row.iter().map(|&uo| diff[uo as usize]).sum();
-                self.near_work[ord] = pairs as f64 * v_count;
-            }
-        }
-        // ownership is a global property — one changed row can flip mirror
-        // rows' weights, so the annotation pass re-runs in full (O(near))
-        self.annotate_near_ownership(near_ords, cursor);
         if stats.changed {
-            self.content_key =
-                fold_csr_key(&self.far_off, &self.far, &self.near_off, &self.near);
+            self.content_key = OnceLock::new();
         }
-        self.build_work = walk_work;
+        self.build_work = work;
         Some(stats)
     }
 
     /// The near CSR: `(offsets, leaf ids)` grouped by driving-leaf ordinal.
     #[inline]
     pub fn near_csr(&self) -> (&[usize], &[NodeId]) {
-        (&self.near_off, &self.near)
+        (&self.rows.near_off, &self.rows.near)
     }
 
     /// The far CSR: `(offsets, node ids)` grouped by driving-leaf ordinal.
     #[inline]
     pub fn far_csr(&self) -> (&[usize], &[NodeId]) {
-        (&self.far_off, &self.far)
+        (&self.rows.far_off, &self.rows.far)
     }
 
-    /// Per-ordinal traversal-step counts (work bookkeeping arrays).
+    /// Per-ordinal traversal-step counts and exact-pair work.
     #[inline]
     pub fn step_and_near_work(&self) -> (&[f64], &[f64]) {
-        (&self.trav_steps, &self.near_work)
+        (&self.rows.work, &self.rows.near_work)
     }
 
     /// Number of driving `T_A` leaves.
     #[inline]
     pub fn num_vleaves(&self) -> usize {
-        self.trav_steps.len()
+        self.rows.work.len()
     }
 
     /// Executes the lists of driving-leaf ordinal `ord` through the tiled
@@ -1906,18 +1539,18 @@ impl EnergyLists {
     ) -> (f64, f64) {
         let v_leaf = sys.ta.leaves()[ord];
         let v = sys.ta.node(v_leaf);
-        let work = TRAVERSAL_UNIT * self.trav_steps[ord] + self.near_work[ord];
+        let work = TRAVERSAL_UNIT * self.rows.work[ord] + self.rows.near_work[ord];
         scratch.tx.clear();
         scratch.ty.clear();
         scratch.tz.clear();
         scratch.tq.clear();
         scratch.tr.clear();
-        for k in self.near_off[ord]..self.near_off[ord + 1] {
+        for k in self.rows.near_off[ord]..self.rows.near_off[ord + 1] {
             let w = self.near_w[k];
             if w == 0 {
                 continue; // mirror ordinal owns this symmetric pair
             }
-            let n = sys.ta.node(self.near[k]);
+            let n = sys.ta.node(self.rows.near[k]);
             let r = n.begin as usize..n.end as usize;
             scratch.tx.extend_from_slice(&sys.a_soa.x[r.clone()]);
             scratch.ty.extend_from_slice(&sys.a_soa.y[r.clone()]);
@@ -1989,7 +1622,7 @@ impl EnergyLists {
     ) -> (f64, f64) {
         let v_leaf = sys.ta.leaves()[ord];
         let v = sys.ta.node(v_leaf);
-        let fars = &self.far[self.far_off[ord]..self.far_off[ord + 1]];
+        let fars = self.rows.far_row(ord);
         let (v_nzq, _) = bins.node_nonzero(v_leaf);
         let v_nzb = bins.node_nonzero_bins(v_leaf);
         let vn = v_nzq.len();
@@ -2102,7 +1735,7 @@ impl EnergyLists {
     /// per-class observability columns.
     pub fn far_stats(&self, sys: &GbSystem, bins: &ChargeBins) -> FarStats {
         let mut st = FarStats {
-            pair_count: self.far.len() as u64,
+            pair_count: self.rows.far.len() as u64,
             class_pairs: vec![0u64; bins.num_bins + 1],
             ..FarStats::default()
         };
@@ -2116,7 +1749,7 @@ impl EnergyLists {
                 continue;
             }
             let mut tile = 0u64;
-            for &u_id in &self.far[self.far_off[ord]..self.far_off[ord + 1]] {
+            for &u_id in self.rows.far_row(ord) {
                 let un = bins.num_nonzero(u_id);
                 st.class_pairs[un] += 1;
                 st.product_entries += (un * vn) as u64;
@@ -2156,21 +1789,18 @@ impl EnergyLists {
         (0..self.num_vleaves())
             .map(|ord| {
                 let v_nnz = bins.num_nonzero(sys.ta.leaves()[ord]) as f64;
-                let far_nnz: f64 = self.far[self.far_off[ord]..self.far_off[ord + 1]]
+                let far_nnz: f64 = self.rows.far_row(ord)
                     .iter()
                     .map(|&u| bins.num_nonzero(u) as f64)
                     .sum();
-                TRAVERSAL_UNIT * self.trav_steps[ord] + self.near_work[ord] + far_nnz * v_nnz
+                TRAVERSAL_UNIT * self.rows.work[ord] + self.rows.near_work[ord] + far_nnz * v_nnz
             })
             .collect()
     }
 
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        (self.far_off.capacity() + self.near_off.capacity()) * std::mem::size_of::<usize>()
-            + (self.far.capacity() + self.near.capacity()) * std::mem::size_of::<NodeId>()
-            + (self.trav_steps.capacity() + self.near_work.capacity())
-                * std::mem::size_of::<f64>()
+        self.rows.memory_bytes()
             + self.near_w.capacity() * std::mem::size_of::<u8>()
             + self.certs.capacity() * std::mem::size_of::<Cert>()
     }
@@ -2603,7 +2233,7 @@ mod tests {
                 let mut scratch = ListScratch::new();
                 bt.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
                 assert_eq!(b1, bt, "n={n} tasks={tasks}: born lists");
-                for (a, b) in b1.leaf_work.iter().zip(&bt.leaf_work) {
+                for (a, b) in b1.leaf_work().iter().zip(bt.leaf_work()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "n={n} tasks={tasks}");
                 }
                 assert_eq!(b1.build_work.to_bits(), bt.build_work.to_bits());
@@ -2650,39 +2280,46 @@ mod tests {
     fn memory_bytes_sums_every_component() {
         let sys = system(350);
         let b = BornLists::build(&sys);
-        let expect = (b.far_off.capacity() + b.near_off.capacity())
-            * std::mem::size_of::<usize>()
-            + (b.far.capacity() + b.near.capacity()) * std::mem::size_of::<NodeId>()
-            + b.leaf_work.capacity() * std::mem::size_of::<f64>()
-            + b.certs.capacity() * std::mem::size_of::<Cert>();
+        let rows_bytes = |r: &Rows| {
+            (r.far_off.capacity() + r.near_off.capacity()) * std::mem::size_of::<usize>()
+                + (r.far.capacity() + r.near.capacity()) * std::mem::size_of::<NodeId>()
+                + (r.work.capacity() + r.near_work.capacity()) * std::mem::size_of::<f64>()
+        };
+        let expect = rows_bytes(&b.rows) + b.certs.capacity() * std::mem::size_of::<Cert>();
         assert_eq!(b.memory_bytes(), expect);
         assert!(b.memory_bytes() > 0);
         let e = EnergyLists::build(&sys);
-        let expect = (e.far_off.capacity() + e.near_off.capacity())
-            * std::mem::size_of::<usize>()
-            + (e.far.capacity() + e.near.capacity()) * std::mem::size_of::<NodeId>()
-            + (e.trav_steps.capacity() + e.near_work.capacity()) * std::mem::size_of::<f64>()
+        let expect = rows_bytes(&e.rows)
             + e.near_w.capacity() * std::mem::size_of::<u8>()
             + e.certs.capacity() * std::mem::size_of::<Cert>();
         assert_eq!(e.memory_bytes(), expect);
-        // scratch reports spans + per-task buffers + expansion arrays +
-        // repair runs and double buffers
+        // scratch reports the table + per-task buffers + repair buffers +
+        // ownership arrays
         let mut scratch = ListScratch::new();
         let mut lists = BornLists::empty();
         lists.rebuild_with_task_floor(&sys, 3, &mut scratch, 1);
-        let expect = scratch.spans.memory_bytes()
-            + scratch.segs.iter().map(WalkSeg::memory_bytes).sum::<usize>()
-            + scratch.segs.capacity() * std::mem::size_of::<WalkSeg>()
-            + scratch.diff.capacity() * std::mem::size_of::<i64>()
-            + (scratch.cursor.capacity()
-                + scratch.far_off2.capacity()
-                + scratch.near_off2.capacity())
-                * std::mem::size_of::<usize>()
+        let t = &scratch.table;
+        let expect = (t.cx.capacity() + t.cy.capacity() + t.cz.capacity() + t.r.capacity())
+            * std::mem::size_of::<f64>()
+            + (t.id.capacity() + t.skip.capacity() + t.count.capacity() + t.size.capacity()
+                + t.stack.capacity())
+                * std::mem::size_of::<u32>()
+            + scratch
+                .segs
+                .iter()
+                .map(|s| {
+                    s.mask.capacity()
+                        + rows_bytes(&s.rows)
+                        + s.certs.capacity() * std::mem::size_of::<Cert>()
+                })
+                .sum::<usize>()
+            + scratch.segs.capacity() * std::mem::size_of::<TaskSeg>()
+            + scratch.bad.capacity()
+            + scratch.runs.capacity() * std::mem::size_of::<(u32, u32)>()
+            + rows_bytes(&scratch.rows2)
             + (scratch.ord_of.capacity() + scratch.near_ords.capacity())
                 * std::mem::size_of::<u32>()
-            + scratch.runs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + (scratch.far2.capacity() + scratch.near2.capacity())
-                * std::mem::size_of::<NodeId>();
+            + scratch.cursor.capacity() * std::mem::size_of::<usize>();
         assert_eq!(scratch.memory_bytes(), expect);
         // exec scratch likewise sums every buffer
         let (radii_tree, bins) = radii_and_bins(&sys);
@@ -3035,6 +2672,31 @@ mod tests {
     }
 
     #[test]
+    fn content_key_is_folded_on_first_request_only() {
+        // rebuilds and changing repairs leave the key unfolded (the
+        // serial frame path never asks); the first request folds exactly
+        // the CSR arrays
+        let mut sys = system(300);
+        let mut scratch = ListScratch::new();
+        let mut born = BornLists::empty();
+        assert_eq!(born.content_key(), 0, "never built");
+        born.set_cert_tracking(true);
+        born.rebuild(&sys, 1, &mut scratch);
+        let mut energy = EnergyLists::empty();
+        energy.set_cert_tracking(true);
+        energy.rebuild(&sys, 1, &mut scratch);
+        assert!(born.content_key.get().is_none() && energy.content_key.get().is_none());
+        assert_eq!(born.content_key(), born.rows.fold_key());
+        assert_eq!(energy.content_key(), energy.rows.fold_key());
+        assert_ne!(born.content_key(), energy.content_key());
+        jitter_tree(&mut sys.ta, 0.3, 41, 1);
+        jitter_tree(&mut sys.tq, 0.3, 42, 1);
+        assert!(born.repair(&sys, 0.0, &mut scratch).changed);
+        assert!(born.content_key.get().is_none());
+        assert_eq!(born.content_key(), BornLists::build(&sys).content_key());
+    }
+
+    #[test]
     fn repaired_lists_execute_to_identical_integrals() {
         // end-to-end: integrals off a repaired list are bit-identical to
         // integrals off freshly rebuilt lists (same refitted system)
@@ -3117,10 +2779,10 @@ mod tests {
         let threshold = sys.params.radii_mac_threshold();
         let mut cross = BornLists::empty();
         cross.rebuild_cross(&sys.ta, &lig.tq, threshold, &mut scratch);
-        assert!(!cross.near.is_empty());
+        assert!(!cross.rows.near.is_empty());
         assert_rows_ascend(&cross, &sys.ta, "cross receptor x ligand");
         cross.rebuild_cross(&lig.ta, &sys.tq, threshold, &mut scratch);
-        assert!(!cross.near.is_empty());
+        assert!(!cross.rows.near.is_empty());
         assert_rows_ascend(&cross, &lig.ta, "cross ligand x receptor");
 
         // exact-mode repaired frames (the re-walked rows are spliced in)
@@ -3159,13 +2821,13 @@ mod tests {
         for ord in 0..lists.num_qleaves() {
             let qn = sys.tq.node(sys.tq.leaves()[ord]);
             let q_agg = sys.q_normals[sys.tq.leaves()[ord] as usize];
-            for &a_id in &lists.far[lists.far_off[ord]..lists.far_off[ord + 1]] {
+            for &a_id in lists.rows.far_row(ord) {
                 let delta = qn.centroid - sys.ta.node(a_id).centroid;
                 acc.node_s[a_id as usize] +=
                     q_agg.dot(delta) * R6::integrand::<ExactMath>(delta.norm_sq());
             }
             let qr = qn.range();
-            for &a_id in &lists.near[lists.near_off[ord]..lists.near_off[ord + 1]] {
+            for &a_id in lists.rows.near_row(ord) {
                 born_span_batched::<ExactMath, R6>(
                     sys,
                     sys.ta.node(a_id).range(),
@@ -3197,12 +2859,12 @@ mod tests {
         for ord in 0..lists.num_qleaves() {
             let qn = tq.node(tq.leaves()[ord]);
             let q_agg = q_agg_normals[tq.leaves()[ord] as usize];
-            for &a_id in &lists.far[lists.far_off[ord]..lists.far_off[ord + 1]] {
+            for &a_id in lists.rows.far_row(ord) {
                 let delta = qn.centroid - ta.node(a_id).centroid;
                 acc.node_s[a_id as usize] +=
                     q_agg.dot(delta) * R6::integrand::<ExactMath>(delta.norm_sq());
             }
-            for &a_id in &lists.near[lists.near_off[ord]..lists.near_off[ord + 1]] {
+            for &a_id in lists.rows.near_row(ord) {
                 for k in qn.range() {
                     for i in ta.node(a_id).range() {
                         let d = tq.points()[k] - ta.points()[i];
@@ -3274,5 +2936,192 @@ mod tests {
             "{tag}: no near terms"
         );
         assert_acc_bits(&merged, &reference, tag);
+    }
+
+    // -- the row sweep against the per-leaf traversal ----------------------
+
+    /// One driving leaf's per-leaf traversal replayed without kernels: far
+    /// and near partners in the traversal's own pop order, the pop count,
+    /// and the work units it tallies.
+    #[derive(Default)]
+    struct Visit {
+        far: Vec<NodeId>,
+        near: Vec<NodeId>,
+        steps: u64,
+        work: f64,
+    }
+
+    /// `accumulate_qleaf`'s visit sequence for the driving leaf `q_leaf`.
+    fn born_oracle(ta: &Octree, tq: &Octree, threshold: f64, q_leaf: NodeId) -> Visit {
+        let q = tq.node(q_leaf);
+        let mut v = Visit::default();
+        let mut stack = if ta.is_empty() { vec![] } else { vec![Octree::ROOT] };
+        while let Some(a_id) = stack.pop() {
+            v.steps += 1;
+            v.work += TRAVERSAL_UNIT;
+            let a = ta.node(a_id);
+            if well_separated(a.centroid.dist(q.centroid), a.radius, q.radius, threshold) {
+                v.far.push(a_id);
+                v.work += 1.0;
+            } else if a.is_leaf() {
+                v.near.push(a_id);
+                v.work += (a.count() * q.count()) as f64;
+            } else {
+                stack.extend(a.children());
+            }
+        }
+        v
+    }
+
+    /// `energy_for_leaf`'s visit sequence for the driving leaf `v_leaf`
+    /// (`work` holds the exact-pair units only; far units need the bins).
+    fn energy_oracle(ta: &Octree, mac: f64, v_leaf: NodeId) -> Visit {
+        let v = ta.node(v_leaf);
+        let mut out = Visit::default();
+        let mut stack = vec![Octree::ROOT];
+        while let Some(u_id) = stack.pop() {
+            out.steps += 1;
+            let u = ta.node(u_id);
+            if u.is_leaf() {
+                out.near.push(u_id);
+                out.work += (u.count() * v.count()) as f64;
+            } else if u.centroid.dist(v.centroid) > (u.radius + v.radius) * mac {
+                out.far.push(u_id);
+            } else {
+                stack.extend(u.children());
+            }
+        }
+        out
+    }
+
+    fn reversed(ids: &[NodeId]) -> Vec<NodeId> {
+        ids.iter().rev().copied().collect()
+    }
+
+    /// Every Born row equals the traversal's partners in ascending tree
+    /// order (the traversal pops mirrored preorder; the partners are
+    /// disjoint subtrees, so one order is the other reversed), `leaf_work`
+    /// equals its tally bit for bit, and the build bills ¼ per visit.
+    fn assert_born_matches_oracle(lists: &BornLists, ta: &Octree, tq: &Octree, tag: &str) {
+        let threshold = GbParams::default().radii_mac_threshold();
+        assert_eq!(lists.num_qleaves(), tq.num_leaves(), "{tag}");
+        let mut steps = 0u64;
+        for (ord, &q) in tq.leaves().iter().enumerate() {
+            let v = born_oracle(ta, tq, threshold, q);
+            assert_eq!(lists.rows.far_row(ord), reversed(&v.far), "{tag} ord={ord}: far row");
+            assert_eq!(lists.rows.near_row(ord), reversed(&v.near), "{tag} ord={ord}: near row");
+            assert_eq!(lists.leaf_work()[ord].to_bits(), v.work.to_bits(), "{tag} ord={ord}");
+            steps += v.steps;
+        }
+        let billed = TRAVERSAL_UNIT * steps as f64;
+        assert_eq!(lists.build_work.to_bits(), billed.to_bits(), "{tag}: build work");
+    }
+
+    /// Every energy far row equals the traversal's far partners in its own
+    /// (mirrored preorder) order, every near row its leaf partners
+    /// ascending; steps, exact-pair work and the symmetric-pair weights
+    /// follow from those sets, and the build bills ¼ per visit.
+    fn assert_energy_matches_oracle(lists: &EnergyLists, ta: &Octree, tag: &str) {
+        let mac = GbParams::default().energy_mac_factor();
+        let visits: Vec<Visit> = ta.leaves().iter().map(|&v| energy_oracle(ta, mac, v)).collect();
+        let mut ord_of = vec![usize::MAX; ta.num_nodes()];
+        for (ord, &l) in ta.leaves().iter().enumerate() {
+            ord_of[l as usize] = ord;
+        }
+        let (steps, near_work) = lists.step_and_near_work();
+        assert_eq!(steps.len(), ta.num_leaves(), "{tag}");
+        for (ord, v) in visits.iter().enumerate() {
+            assert_eq!(lists.rows.far_row(ord), &v.far[..], "{tag} ord={ord}: far row");
+            assert_eq!(lists.rows.near_row(ord), reversed(&v.near), "{tag} ord={ord}: near row");
+            assert_eq!(steps[ord], v.steps as f64, "{tag} ord={ord}: steps");
+            assert_eq!(near_work[ord].to_bits(), v.work.to_bits(), "{tag} ord={ord}: near work");
+            let row = lists.rows.near_off[ord]..lists.rows.near_off[ord + 1];
+            for (k, &u) in row.clone().zip(lists.rows.near_row(ord)) {
+                let uo = ord_of[u as usize];
+                let mirrored = visits[uo].near.contains(&ta.leaves()[ord]);
+                let expect = if uo == ord || !mirrored {
+                    1
+                } else if ((uo + ord) % 2 == 1) == (ord > uo) {
+                    2
+                } else {
+                    0
+                };
+                assert_eq!(lists.near_w[k], expect, "{tag} ord={ord} partner {uo}: weight");
+            }
+        }
+        let billed = TRAVERSAL_UNIT * steps.iter().sum::<f64>();
+        assert_eq!(lists.build_work.to_bits(), billed.to_bits(), "{tag}: build work");
+    }
+
+    #[test]
+    fn sweeps_match_the_per_leaf_traversal_oracle() {
+        let threshold = GbParams::default().radii_mac_threshold();
+        for n in [1usize, 9, 350, 3000] {
+            let sys = system(n);
+            let lig = posed_ligand(120, 5, Vec3::new(12.0, -4.0, 3.0));
+            // the oracle replays accumulate_qleaf's tally exactly
+            let mut acc = IntegralAcc::zeros(&sys);
+            let mut stack = Vec::new();
+            for &q in sys.tq.leaves() {
+                let w = accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc, &mut stack);
+                let v = born_oracle(&sys.ta, &sys.tq, threshold, q);
+                assert_eq!(w.to_bits(), v.work.to_bits(), "n={n}: oracle vs traversal");
+            }
+            for tasks in [1usize, 2, 3, 7] {
+                let tag = format!("n={n} tasks={tasks}");
+                let mut scratch = ListScratch::new();
+                let mut born = BornLists::empty();
+                born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+                assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &tag);
+                for (ta, tq, dir) in
+                    [(&sys.ta, &lig.tq, "rec x lig"), (&lig.ta, &sys.tq, "lig x rec")]
+                {
+                    born.rebuild_sweep(&BornSweep::new(ta, tq, threshold), tasks, &mut scratch, 1);
+                    assert_born_matches_oracle(&born, ta, tq, &format!("{tag} {dir}"));
+                }
+                let mut energy = EnergyLists::empty();
+                energy.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+                assert_energy_matches_oracle(&energy, &sys.ta, &tag);
+            }
+        }
+    }
+
+    #[test]
+    fn build_work_bills_a_quarter_per_visited_node_row() {
+        let sys = system(350);
+        let threshold = sys.params.radii_mac_threshold();
+        let born_steps: u64 =
+            sys.tq.leaves().iter().map(|&q| born_oracle(&sys.ta, &sys.tq, threshold, q).steps).sum();
+        for (tracked, tasks) in [(false, 1usize), (true, 1), (false, 3), (true, 3)] {
+            let mut scratch = ListScratch::new();
+            let mut born = BornLists::empty();
+            born.set_cert_tracking(tracked);
+            born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+            assert_eq!(born.build_work, TRAVERSAL_UNIT * born_steps as f64);
+            let mut energy = EnergyLists::empty();
+            energy.set_cert_tracking(tracked);
+            energy.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+            let (steps, _) = energy.step_and_near_work();
+            assert_eq!(energy.build_work, TRAVERSAL_UNIT * steps.iter().sum::<f64>());
+        }
+    }
+
+    #[test]
+    fn tracked_builds_keep_no_cert_copy_in_scratch() {
+        // certs are recorded straight into the list (a split build moves
+        // its task buffers over), so the scratch footprint cannot tell a
+        // tracked build from an untracked one
+        let sys = system(350);
+        for tasks in [1usize, 3] {
+            let footprint = |tracked: bool| {
+                let mut scratch = ListScratch::new();
+                let mut born = BornLists::empty();
+                born.set_cert_tracking(tracked);
+                born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+                assert_eq!(born.has_certs(), tracked);
+                scratch.memory_bytes()
+            };
+            assert_eq!(footprint(true), footprint(false), "tasks={tasks}");
+        }
     }
 }

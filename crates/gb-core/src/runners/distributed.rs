@@ -247,8 +247,8 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
     } else {
         match division {
             WorkDivision::NodeNode => {
-                // Replicated preprocessing: every rank performs the same dual-tree
-                // walk (like the bin build), so segments agree without
+                // Replicated preprocessing: every rank performs the same list
+                // sweep (like the bin build), so segments agree without
                 // communication, and ranks are cut by *measured* list work.
                 ws.ready_born_lists(sys);
                 work += ws.born.build_work;

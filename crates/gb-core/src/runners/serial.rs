@@ -2,7 +2,7 @@
 //! baseline of every speedup figure.
 //!
 //! Since the interaction-list refactor the pipeline is *traversal once,
-//! execute lists after*: one dual-tree walk per phase emits flat far/near
+//! execute lists after*: one row sweep per driving leaf emits flat far/near
 //! lists ([`BornLists`], [`EnergyLists`]) which are then streamed through
 //! the batched leaf kernels. Decisions and work units are identical to the
 //! per-leaf traversals of `integrals`/`energy` (those remain as the
@@ -48,8 +48,8 @@ pub fn run_serial(sys: &GbSystem) -> SerialOutput {
 /// The Born radii land in `ws.radii_out` (original atom order).
 pub fn run_serial_ws(sys: &GbSystem, ws: &mut Workspace) -> WsOutput {
     with_kernels!(sys.params, M, K => {
-        // Born phase: one dual-tree walk (rebuilt in place), then stream
-        // the lists.
+        // Born phase: one row sweep per driving leaf (rebuilt in place),
+        // then stream the lists.
         ws.ready_born_lists(sys);
         ws.acc.reset_for(sys);
         let mut born_work = ws.born.build_work;

@@ -2,7 +2,7 @@
 //! for the cilk++ work-stealing scheduler.
 //!
 //! Parallel structure:
-//! * **Born phase**: the interaction lists are built once (serial walk),
+//! * **Born phase**: the interaction lists are built once (serial sweep),
 //!   then the driving-leaf ordinals are cut into `K` contiguous chunks
 //!   (`K ≈ 4 ×` worker count) balanced by the *measured* per-leaf list
 //!   work; chunks execute in parallel, each into its own accumulator, and

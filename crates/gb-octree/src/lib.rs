@@ -32,13 +32,11 @@
 
 mod aggregate;
 mod build;
-mod dualtree;
 mod dynamic;
 mod node;
 mod query;
 mod tree;
 
-pub use dualtree::LeafSpans;
 pub use dynamic::{RefitReport, RefitScratch};
 pub use node::{Node, NodeId, NULL_NODE};
 pub use tree::Octree;

@@ -6,9 +6,13 @@
 # The build gate is the ratio list_build_ms / traversal_ms per phase,
 # measured by examples/bench_interaction on a small system: numerator and
 # denominator come from the same process on the same machine, so the gate
-# tracks algorithmic regressions (a slower walk, lost batching) rather
+# tracks algorithmic regressions (a slower sweep, lost batching) rather
 # than runner hardware. Each run's ratio is already best-of-reps; the
-# gate takes the minimum over several runs to damp scheduler noise.
+# gate takes the minimum over several runs to damp scheduler noise. Besides
+# the recorded baseline (with max_regression_factor headroom), each ratio
+# has a hard ceiling, born_max_build_over_traversal and
+# energy_max_build_over_traversal, set at about half of what the replaced
+# dual-tree span walk measured (0.485 / 0.175).
 #
 # The comm gate runs the bench in GB_BENCH_COMM_ONLY mode at comm_n_atoms
 # (the 20k-atom smoke size) and checks comm_bytes_sparse/comm_bytes_dense
@@ -265,6 +269,17 @@ for key, measured in ratios.items():
     print(f"{key}: measured {measured:.4f}  baseline {baseline[key]:.4f}  "
           f"allowed {allowed:.4f}  {verdict}")
     failed |= measured > allowed
+
+# Hard ceilings, independent of the recorded baseline: the row sweep must
+# keep each list build well under the per-leaf traversal — about half the
+# ratios the dual-tree span walk measured, so bringing it back fails.
+for phase in ("born", "energy"):
+    measured = ratios[phase + "_build_over_traversal"]
+    cap = baseline[phase + "_max_build_over_traversal"]
+    verdict = "ok" if measured <= cap else "OVER CAP"
+    print(f"{phase}_build_over_traversal hard cap: measured {measured:.4f}  "
+          f"cap {cap:.4f}  {verdict}")
+    failed |= measured > cap
 
 # Hard cap, independent of the recorded baseline: the sparse plan must
 # keep the integral phase at ≤ 60% of the dense allreduce's wire bytes.
