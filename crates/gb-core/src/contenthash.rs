@@ -95,7 +95,6 @@ pub fn params_key(p: &GbParams) -> u64 {
     f.u64(match p.math {
         MathKind::Exact => 0,
         MathKind::Approximate => 1,
-        MathKind::Vector => 2,
     });
     f.u64(match p.radii_kind {
         RadiiKind::R4 => 0,
@@ -164,7 +163,7 @@ mod tests {
         assert_ne!(params_key(&p), params_key(&p.with_epsilons(0.9, 0.8)));
         assert_ne!(
             params_key(&p),
-            params_key(&p.with_math(crate::params::MathKind::Vector))
+            params_key(&p.with_math(crate::params::MathKind::Approximate))
         );
         let mut fine = p;
         fine.surface.probe_radius += 0.1;

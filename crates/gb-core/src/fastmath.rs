@@ -15,26 +15,18 @@
 //! Kernels are generic over [`MathMode`], so the compiler monomorphizes the
 //! traversals — no per-term branch on the math kind.
 //!
-//! A third mode, [`VectorMath`], targets the SIMD microkernel layer
-//! ([`crate::simd`]): IEEE `1/√` but a ≲2-ulp polynomial exponential whose
-//! packed AVX2 form is bit-identical to its scalar form, so chunked loops
-//! and their scalar tails agree exactly (see DESIGN.md, "Vectorization &
-//! determinism").
+//! The exact mode, [`ExactMath`], keeps IEEE `1/√` and takes its
+//! exponential from the in-crate ≲2-ulp Cephes polynomial
+//! [`crate::simd::poly_exp`] (`< 1e-15` relative to libm). Its body is
+//! branch-free, so the tile kernels' whole-slice [`MathMode::exp_block`]
+//! loop autovectorizes, and energies do not depend on the host's libm
+//! (see DESIGN.md, "Vectorization & determinism"). The naive ground truth
+//! keeps libm (`crate::naive`).
 
 /// Math kernel interface the GB kernels are generic over.
 pub trait MathMode: Copy + Send + Sync + 'static {
     /// Short name for reports and bench JSON.
     const NAME: &'static str;
-    /// True when the Born-radius conversion may use the 4-lane Newton
-    /// `x^(−1/3)` ([`crate::simd::recip_cbrt4`], ulp-bounded vs `powf`)
-    /// instead of the scalar libm path. Only [`VectorMath`] opts in;
-    /// `ExactMath`/`ApproxMath` radii stay bit-for-bit untouched.
-    const LANE_RADIUS: bool;
-    /// True when the packed energy near-row kernel
-    /// ([`crate::simd::energy_row4`]) is valid for this mode — i.e. `exp`
-    /// is the polynomial [`crate::simd::poly_exp`] and `rsqrt` is IEEE, the
-    /// sequences the packed kernel mirrors. Only [`VectorMath`] opts in.
-    const LANE_ENERGY: bool;
     /// `1/√x` for `x > 0`.
     fn rsqrt(x: f64) -> f64;
     /// `e^x`.
@@ -50,26 +42,10 @@ pub trait MathMode: Copy + Send + Sync + 'static {
     fn inv_sq(x: f64) -> f64 {
         1.0 / (x * x)
     }
-    /// Four independent `1/f_GB` evaluations (Still equation, reciprocal
-    /// form). The default is four scalar evaluations — bit-identical to
-    /// calling `gbmath::inv_f_gb` per lane — so every mode can be driven
-    /// through the chunked energy kernels; `VectorMath` overrides with the
-    /// packed kernel.
-    #[inline(always)]
-    fn inv_f_gb4(r_sq: [f64; 4], ri_rj: [f64; 4]) -> [f64; 4] {
-        let mut out = [0.0; 4];
-        for l in 0..4 {
-            out[l] = Self::rsqrt(r_sq[l] + ri_rj[l] * Self::exp(-r_sq[l] / (4.0 * ri_rj[l])));
-        }
-        out
-    }
-
     /// Whole-slice `e^x`: `out[t] = exp(args[t])` — the middle pass of the
-    /// pass-split tile kernels (`interaction::EnergyLists`). The default is
-    /// the scalar loop, bit-identical to calling [`MathMode::exp`] per
-    /// element; `VectorMath` overrides with the level-dispatched packed
-    /// block ([`crate::simd::vector_exp_block`]), which is itself
-    /// bit-identical to the scalar loop per element.
+    /// pass-split tile kernels (`interaction::EnergyLists`), bit-identical
+    /// to calling [`MathMode::exp`] per element. With a branch-free `exp`
+    /// (both modes here) the loop autovectorizes.
     #[inline(always)]
     fn exp_block(args: &[f64], out: &mut [f64]) {
         assert_eq!(args.len(), out.len());
@@ -77,56 +53,17 @@ pub trait MathMode: Copy + Send + Sync + 'static {
             *o = Self::exp(a);
         }
     }
-
-    /// Eight independent `1/f_GB` evaluations — the far-pair flush width.
-    /// The default is two [`MathMode::inv_f_gb4`] halves (so lane `l`
-    /// always equals the 4-lane and scalar kernels bit for bit);
-    /// `VectorMath` overrides with the packed dispatcher, which runs one
-    /// ZMM register at the `Avx512` level.
-    #[inline(always)]
-    fn inv_f_gb8(r_sq: [f64; 8], ri_rj: [f64; 8]) -> [f64; 8] {
-        let lo = Self::inv_f_gb4(
-            [r_sq[0], r_sq[1], r_sq[2], r_sq[3]],
-            [ri_rj[0], ri_rj[1], ri_rj[2], ri_rj[3]],
-        );
-        let hi = Self::inv_f_gb4(
-            [r_sq[4], r_sq[5], r_sq[6], r_sq[7]],
-            [ri_rj[4], ri_rj[5], ri_rj[6], ri_rj[7]],
-        );
-        [lo[0], lo[1], lo[2], lo[3], hi[0], hi[1], hi[2], hi[3]]
-    }
 }
 
-/// IEEE math (paper: "approximate math off").
+/// Full-accuracy math (paper: "approximate math off"): IEEE `1/√x`
+/// (correctly rounded) and the ≲2-ulp polynomial exponential
+/// [`crate::simd::poly_exp`], within `< 1e-15` relative of libm per
+/// `exp`. Results are bit-identical across thread counts and hosts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactMath;
 
 impl MathMode for ExactMath {
     const NAME: &'static str = "exact";
-    const LANE_RADIUS: bool = false;
-    const LANE_ENERGY: bool = false;
-    #[inline(always)]
-    fn rsqrt(x: f64) -> f64 {
-        1.0 / x.sqrt()
-    }
-    #[inline(always)]
-    fn exp(x: f64) -> f64 {
-        x.exp()
-    }
-}
-
-/// SIMD-friendly math: IEEE `1/√x` (correctly rounded, like `ExactMath`)
-/// plus the ≲2-ulp polynomial exponential from [`crate::simd`], whose
-/// packed AVX2 form replays the identical operation sequence. Energies
-/// agree with `ExactMath` to ≲1e-14 relative; results are bit-identical
-/// across SIMD levels and thread counts.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VectorMath;
-
-impl MathMode for VectorMath {
-    const NAME: &'static str = "vector";
-    const LANE_RADIUS: bool = true;
-    const LANE_ENERGY: bool = true;
     #[inline(always)]
     fn rsqrt(x: f64) -> f64 {
         1.0 / x.sqrt()
@@ -134,18 +71,6 @@ impl MathMode for VectorMath {
     #[inline(always)]
     fn exp(x: f64) -> f64 {
         crate::simd::poly_exp(x)
-    }
-    #[inline(always)]
-    fn inv_f_gb4(r_sq: [f64; 4], ri_rj: [f64; 4]) -> [f64; 4] {
-        crate::simd::inv_f_gb4(r_sq, ri_rj)
-    }
-    #[inline(always)]
-    fn inv_f_gb8(r_sq: [f64; 8], ri_rj: [f64; 8]) -> [f64; 8] {
-        crate::simd::inv_f_gb8(r_sq, ri_rj)
-    }
-    #[inline(always)]
-    fn exp_block(args: &[f64], out: &mut [f64]) {
-        crate::simd::vector_exp_block(args, out)
     }
 }
 
@@ -155,8 +80,6 @@ pub struct ApproxMath;
 
 impl MathMode for ApproxMath {
     const NAME: &'static str = "approx";
-    const LANE_RADIUS: bool = false;
-    const LANE_ENERGY: bool = false;
     #[inline(always)]
     fn rsqrt(x: f64) -> f64 {
         fast_rsqrt(x)
@@ -255,9 +178,23 @@ mod tests {
     }
 
     #[test]
-    fn exact_mode_is_ieee() {
+    fn exact_mode_basic_values() {
         assert_eq!(ExactMath::rsqrt(4.0), 0.5);
         assert_eq!(ExactMath::exp(0.0), 1.0);
+    }
+
+    #[test]
+    fn exact_exp_is_the_in_crate_polynomial() {
+        // bit for bit the Cephes kernel over the whole GB range and past
+        // the underflow cutoff (never libm, whose bits vary by host)
+        for i in 0..=80_000 {
+            let x = -0.01 * i as f64;
+            assert_eq!(
+                ExactMath::exp(x).to_bits(),
+                crate::simd::poly_exp(x).to_bits(),
+                "x={x}"
+            );
+        }
     }
 
     #[test]
@@ -323,61 +260,21 @@ mod tests {
     }
 
     #[test]
-    fn vector_mode_matches_exact_to_ulps() {
-        for i in 0..200 {
-            let x = -50.0 * i as f64 / 200.0;
-            let got = VectorMath::exp(x);
-            let want = x.exp();
-            if want == 0.0 {
-                continue;
-            }
-            assert!(((got - want) / want).abs() < 1e-14, "x={x}");
-        }
-        assert_eq!(VectorMath::rsqrt(4.0), 0.5);
-        // lane kernel default vs override agree to ulps
-        let r_sq = [1.0, 4.0, 9.0, 25.0];
-        let rr = [2.0, 3.0, 1.5, 8.0];
-        let lanes = VectorMath::inv_f_gb4(r_sq, rr);
-        for l in 0..4 {
-            let want = crate::gbmath::inv_f_gb::<ExactMath>(r_sq[l], rr[l]);
-            assert!(((lanes[l] - want) / want).abs() < 1e-14, "lane {l}");
-        }
-    }
-
-    #[test]
-    fn default_inv_f_gb4_is_per_lane_scalar() {
-        let r_sq = [0.5, 2.0, 10.0, 40.0];
-        let rr = [1.0, 2.5, 4.0, 0.7];
-        for l in 0..4 {
-            let exact = ExactMath::inv_f_gb4(r_sq, rr)[l];
-            assert_eq!(
-                exact.to_bits(),
-                crate::gbmath::inv_f_gb::<ExactMath>(r_sq[l], rr[l]).to_bits()
-            );
-            let approx = ApproxMath::inv_f_gb4(r_sq, rr)[l];
-            assert_eq!(
-                approx.to_bits(),
-                crate::gbmath::inv_f_gb::<ApproxMath>(r_sq[l], rr[l]).to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn exp_block_matches_per_element_exp_bitwise() {
-        // odd length so the packed override exercises its tail too
-        let args: Vec<f64> = (0..29).map(|i| -0.9 * i as f64).collect();
+        // odd length so a vectorized loop runs its tail too; NaNs (one
+        // mid-slice, one last) must come back as themselves
+        let mut args: Vec<f64> = (0..29).map(|i| -0.9 * i as f64).collect();
+        args[5] = -f64::NAN;
+        args.push(f64::from_bits(0x7ff8_dead_beef_0001));
         let mut out = vec![0.0; args.len()];
         ExactMath::exp_block(&args, &mut out);
         for (&a, &o) in args.iter().zip(&out) {
             assert_eq!(o.to_bits(), ExactMath::exp(a).to_bits());
+            assert_eq!(o.is_nan(), a.is_nan());
         }
         ApproxMath::exp_block(&args, &mut out);
         for (&a, &o) in args.iter().zip(&out) {
             assert_eq!(o.to_bits(), ApproxMath::exp(a).to_bits());
-        }
-        VectorMath::exp_block(&args, &mut out);
-        for (&a, &o) in args.iter().zip(&out) {
-            assert_eq!(o.to_bits(), VectorMath::exp(a).to_bits());
         }
     }
 

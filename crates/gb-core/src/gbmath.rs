@@ -77,19 +77,6 @@ pub trait RadiiApprox: Copy + Send + Sync + 'static {
     fn integrand<M: MathMode>(d_sq: f64) -> f64;
     /// Converts the accumulated integral into a Born radius.
     fn radius(s: f64, r_vdw: f64, cap: f64) -> f64;
-    /// Four radius conversions at once. The default is four scalar calls
-    /// (bit-identical to [`RadiiApprox::radius`] per lane); `R6` overrides
-    /// with the Newton `x^(−1/3)` lanes, reached only when the math mode
-    /// sets `MathMode::LANE_RADIUS` (i.e. `VectorMath`).
-    #[inline(always)]
-    fn radius4(s: [f64; 4], r_vdw: [f64; 4], cap: f64) -> [f64; 4] {
-        [
-            Self::radius(s[0], r_vdw[0], cap),
-            Self::radius(s[1], r_vdw[1], cap),
-            Self::radius(s[2], r_vdw[2], cap),
-            Self::radius(s[3], r_vdw[3], cap),
-        ]
-    }
 }
 
 /// Eq. 4 — the surface-based r⁶ approximation (the paper's production
@@ -106,22 +93,6 @@ impl RadiiApprox for R6 {
     #[inline(always)]
     fn radius(s: f64, r_vdw: f64, cap: f64) -> f64 {
         born_radius_from_integral(s, r_vdw, cap)
-    }
-    #[inline(always)]
-    fn radius4(s: [f64; 4], r_vdw: [f64; 4], cap: f64) -> [f64; 4] {
-        // (s/4π)^(−1/3) via the Newton reciprocal cube root — no powf in
-        // the lane path; same clamping semantics as the scalar form
-        let scaled = [s[0] / FOUR_PI, s[1] / FOUR_PI, s[2] / FOUR_PI, s[3] / FOUR_PI];
-        let mut out = [0.0; 4];
-        for l in 0..4 {
-            let hi = cap.max(r_vdw[l]);
-            out[l] = if s[l] <= 0.0 {
-                hi
-            } else {
-                crate::simd::recip_cbrt(scaled[l]).clamp(r_vdw[l], hi)
-            };
-        }
-        out
     }
 }
 
@@ -203,34 +174,6 @@ mod tests {
         // huge integral → tiny R → floored to vdW
         let got = born_radius_from_integral(1e9, 1.5, 1e6);
         assert_eq!(got, 1.5);
-    }
-
-    #[test]
-    fn r6_lane_radius_matches_scalar_to_ulps() {
-        // lane conversion uses Newton recip-cbrt instead of powf; must
-        // agree to ≲1e-12 relative and share the clamp semantics exactly
-        let s = [FOUR_PI / 8.0, 1e-3, -0.5, 1e9];
-        let vdw = [1.2, 1.5, 1.5, 1.5];
-        let cap = 500.0;
-        let lanes = R6::radius4(s, vdw, cap);
-        for l in 0..4 {
-            let want = R6::radius(s[l], vdw[l], cap);
-            let rel = ((lanes[l] - want) / want).abs();
-            assert!(rel < 1e-12, "lane {l}: {} vs {want}", lanes[l]);
-        }
-        // clamped lanes are exactly equal (no arithmetic applied)
-        assert_eq!(lanes[2], cap); // s ≤ 0
-        assert_eq!(lanes[3], vdw[3]); // huge integral → vdW floor
-    }
-
-    #[test]
-    fn default_radius4_is_bitwise_scalar() {
-        let s = [FOUR_PI, 2.0, -1.0, 0.3];
-        let vdw = [1.0, 1.1, 1.2, 1.3];
-        let lanes = R4::radius4(s, vdw, 800.0);
-        for l in 0..4 {
-            assert_eq!(lanes[l].to_bits(), R4::radius(s[l], vdw[l], 800.0).to_bits());
-        }
     }
 
     #[test]

@@ -278,13 +278,10 @@ pub fn push_integrals_into<K: RadiiApprox>(
     push_integrals_scratch::<crate::fastmath::ExactMath, K>(sys, acc, range, out, &mut stack)
 }
 
-/// [`push_integrals_into`] with the math mode explicit and the traversal
-/// stack supplied by the caller (allocation-free once warmed). The math
-/// mode only gates the radius conversion: modes with
-/// `MathMode::LANE_RADIUS` (i.e. `VectorMath`) convert four atoms per
-/// [`RadiiApprox::radius4`] call — every atom of a leaf goes through the
-/// same lane kernel, tail lanes padded — while all other modes take the
-/// scalar path, bit-for-bit as before.
+/// [`push_integrals_into`] with the traversal stack supplied by the caller
+/// (allocation-free once warmed). The radius conversion is the same
+/// scalar [`RadiiApprox::radius`] in every math mode; the `M` parameter
+/// only keeps the call shape of the other generic kernels.
 pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
     sys: &GbSystem,
     acc: &IntegralAcc,
@@ -310,32 +307,10 @@ pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
         if n.is_leaf() {
             let lo = (n.begin as usize).max(range.start);
             let hi = (n.end as usize).min(range.end);
-            if M::LANE_RADIUS {
-                let mut pos = lo;
-                while pos < hi {
-                    let take = (hi - pos).min(4);
-                    // pad dead lanes with s = 1 (any positive value: the
-                    // results are discarded, padding only avoids the s ≤ 0
-                    // early-out path doing extra work)
-                    let mut s4 = [1.0f64; 4];
-                    let mut v4 = [1.0f64; 4];
-                    for l in 0..take {
-                        s4[l] = here + acc.atom_s[pos + l];
-                        v4[l] = sys.vdw_tree[pos + l];
-                    }
-                    let r4 = K::radius4(s4, v4, sys.born_cap);
-                    for l in 0..take {
-                        out[pos + l - range.start] = r4[l];
-                        work += 1.0;
-                    }
-                    pos += take;
-                }
-            } else {
-                for pos in lo..hi {
-                    let s = here + acc.atom_s[pos];
-                    out[pos - range.start] = K::radius(s, sys.vdw_tree[pos], sys.born_cap);
-                    work += 1.0;
-                }
+            for pos in lo..hi {
+                let s = here + acc.atom_s[pos];
+                out[pos - range.start] = K::radius(s, sys.vdw_tree[pos], sys.born_cap);
+                work += 1.0;
             }
         } else {
             for c in n.children() {

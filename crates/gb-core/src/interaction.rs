@@ -29,12 +29,11 @@
 
 use crate::bins::ChargeBins;
 use crate::fastmath::MathMode;
-use crate::gbmath::{inv_f_gb, RadiiApprox};
+use crate::gbmath::RadiiApprox;
 use crate::integrals::{well_separated, IntegralAcc, TRAVERSAL_UNIT};
-use crate::simd::SimdLevel;
 use crate::system::GbSystem;
 use gb_geom::Vec3;
-use gb_octree::{Node, NodeId, Octree};
+use gb_octree::{NodeId, Octree};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -1527,9 +1526,8 @@ impl EnergyLists {
     /// pass-split kernel over the whole tile: distances + `−r²/(4RiRj)`,
     /// one [`MathMode::exp_block`], the `rsqrt(r² + RiRj·e)` finish, and
     /// the strided-8 weighted dot. Every arithmetic op mirrors the scalar
-    /// `inv_f_gb` sequence, and every pass is either plain Rust (identical
-    /// machine code at every `GB_SIMD` level) or a bit-identical packed
-    /// kernel — so the result is `to_bits()`-stable across levels.
+    /// `inv_f_gb` sequence, and every pass is plain Rust, so the result
+    /// does not depend on the host's vector unit.
     fn near_tile_raw<M: MathMode>(
         &self,
         sys: &GbSystem,
@@ -1906,8 +1904,7 @@ fn ensure_len_u32(v: &mut Vec<u32>, n: usize) {
 }
 
 /// Strided-8 weighted dot `Σ w[i]·x[i]`: eight independent accumulators
-/// plus a scalar tail, combined pairwise. Plain Rust, so identical machine
-/// code (and bits) at every `GB_SIMD` level; the fixed stride fixes the
+/// plus a scalar tail, combined pairwise; the fixed stride fixes the
 /// reduction order regardless of tile length.
 #[inline]
 fn dot8(w: &[f64], x: &[f64]) -> f64 {
@@ -1929,117 +1926,16 @@ fn dot8(w: &[f64], x: &[f64]) -> f64 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7])) + tail
 }
 
-/// Exact energy sum of one ordered `(U leaf, V leaf)` pair over the
-/// struct-of-arrays atom streams, four-way accumulated. No zero-distance
-/// guard: `f_GB(0, R_u R_v) = √(R_u R_v)` is finite and the self terms are
-/// part of Eq. 2. Superseded in production by the gathered near tile
-/// ([`EnergyLists::execute_leaf`]); kept as the per-pair reference kernel
-/// the property tests mirror the tile against.
-#[cfg_attr(not(test), allow(dead_code))]
-#[inline]
-fn energy_pair_batched<M: MathMode>(
-    sys: &GbSystem,
-    radii_tree: &[f64],
-    u: &Node,
-    v: &Node,
-) -> f64 {
-    let vr = v.range();
-    let vx = &sys.a_soa.x[vr.clone()];
-    let vy = &sys.a_soa.y[vr.clone()];
-    let vz = &sys.a_soa.z[vr.clone()];
-    let vq = &sys.charge_tree[vr.clone()];
-    let vb = &radii_tree[vr];
-    let m = vx.len();
-    let lanes = SimdLevel::active() != SimdLevel::Scalar;
-    if M::LANE_ENERGY && lanes {
-        // whole-pair ZMM kernel (one masked 8-lane sweep per row, register
-        // constants broadcast once per pair); answers only at `Avx512`
-        let ur = u.range();
-        if let Some(r) = crate::simd::energy_pair8(
-            &sys.a_soa.x[ur.clone()],
-            &sys.a_soa.y[ur.clone()],
-            &sys.a_soa.z[ur.clone()],
-            &sys.charge_tree[ur.clone()],
-            &radii_tree[ur],
-            vx,
-            vy,
-            vz,
-            vq,
-            vb,
-        ) {
-            return r;
-        }
-    }
-    let mut raw = 0.0;
-    for ui in u.range() {
-        let (ux, uy, uz) = (sys.a_soa.x[ui], sys.a_soa.y[ui], sys.a_soa.z[ui]);
-        let qu = sys.charge_tree[ui];
-        let ru = radii_tree[ui];
-        let term = |k: usize| -> f64 {
-            let dx = vx[k] - ux;
-            let dy = vy[k] - uy;
-            let dz = vz[k] - uz;
-            let r_sq = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-            vq[k] * inv_f_gb::<M>(r_sq, ru * vb[k])
-        };
-        let mut s = [0.0f64; 4];
-        let mut k = 0usize;
-        if lanes {
-            // Same four accumulators and the same per-lane → accumulator
-            // mapping as the scalar stride-4 loop; only the 1/f_GB
-            // evaluations are grouped into one 4-lane call. Bit-identical
-            // to the scalar path (the default lane kernel *is* four scalar
-            // evaluations; VectorMath's packed override is bit-identical
-            // to its own scalar form by construction).
-            if M::LANE_ENERGY {
-                // whole-row packed kernel (distances + 1/f_GB in one AVX2
-                // call); consumes whole chunks, 0 when Avx2 isn't active
-                k = crate::simd::energy_row4(vx, vy, vz, vq, vb, [ux, uy, uz], ru, &mut s);
-            }
-            while k + 4 <= m {
-                let mut r_sq = [0.0f64; 4];
-                let mut rr = [0.0f64; 4];
-                for l in 0..4 {
-                    let dx = vx[k + l] - ux;
-                    let dy = vy[k + l] - uy;
-                    let dz = vz[k + l] - uz;
-                    r_sq[l] = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-                    rr[l] = ru * vb[k + l];
-                }
-                let inv = M::inv_f_gb4(r_sq, rr);
-                s[0] += vq[k] * inv[0];
-                s[1] += vq[k + 1] * inv[1];
-                s[2] += vq[k + 2] * inv[2];
-                s[3] += vq[k + 3] * inv[3];
-                k += 4;
-            }
-        } else {
-            while k + 4 <= m {
-                s[0] += term(k);
-                s[1] += term(k + 1);
-                s[2] += term(k + 2);
-                s[3] += term(k + 3);
-                k += 4;
-            }
-        }
-        while k < m {
-            s[0] += term(k);
-            k += 1;
-        }
-        raw += qu * ((s[0] + s[1]) + (s[2] + s[3]));
-    }
-    raw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::energy::energy_for_leaf;
     use crate::fastmath::{ApproxMath, ExactMath};
-    use crate::gbmath::{R4, R6};
+    use crate::gbmath::{finalize_energy, inv_f_gb, R4, R6};
     use crate::integrals::{accumulate_qleaf, push_integrals_to_atoms};
     use crate::params::GbParams;
     use gb_molecule::{synthesize_protein, SyntheticParams};
+    use gb_octree::Node;
 
     fn system(n: usize) -> GbSystem {
         let mol = synthesize_protein(&SyntheticParams::with_atoms(n, 17));
@@ -2337,26 +2233,24 @@ mod tests {
     }
 
     /// Evaluates a staged `(d², RiRj, weight)` tile through the pass-split
-    /// microkernel with the packed exp pinned to an explicit `GB_SIMD`
-    /// level — the in-process mirror of what `far_tile_raw::<VectorMath>`
-    /// runs at that level.
-    fn eval_tile_at(level: SimdLevel, fd2: &[f64], frr: &[f64], fw: &[f64]) -> f64 {
+    /// microkernel — the in-process mirror of what
+    /// `far_tile_raw::<ExactMath>` runs.
+    fn eval_tile(fd2: &[f64], frr: &[f64], fw: &[f64]) -> f64 {
         let t = fd2.len();
         let mut arg = vec![0.0; t];
         let mut ex = vec![0.0; t];
         for i in 0..t {
             arg[i] = (-fd2[i]) / (4.0 * frr[i]);
         }
-        crate::simd::vector_exp_block_at(level, &arg, &mut ex);
+        ExactMath::exp_block(&arg, &mut ex);
         for i in 0..t {
-            ex[i] = crate::fastmath::VectorMath::rsqrt(fd2[i] + frr[i] * ex[i]);
+            ex[i] = ExactMath::rsqrt(fd2[i] + frr[i] * ex[i]);
         }
         dot8(fw, &ex)
     }
 
     #[test]
-    fn bin_pair_microkernel_matches_scalar_mirror_across_levels() {
-        use crate::fastmath::VectorMath;
+    fn bin_pair_microkernel_matches_scalar_mirror() {
         // synthetic nonzero histograms per K: dense, empty, single-entry,
         // and a sparse subset (mixed-sign charges)
         for k in [1usize, 2, 7, 32] {
@@ -2386,7 +2280,7 @@ mod tests {
                     for &(bi, qi) in u_nz {
                         for &(bj, qj) in v_nz {
                             let rr = bin_radius[bi as usize] * bin_radius[bj as usize];
-                            let term = qi * qj * inv_f_gb::<VectorMath>(d_sq, rr);
+                            let term = qi * qj * inv_f_gb::<ExactMath>(d_sq, rr);
                             mirror += term;
                             mirror_l1 += term.abs();
                         }
@@ -2420,25 +2314,8 @@ mod tests {
                         }
                     }
 
-                    let mut levels = vec![SimdLevel::Scalar, SimdLevel::Portable];
-                    #[cfg(target_arch = "x86_64")]
-                    {
-                        if is_x86_feature_detected!("avx2") {
-                            levels.push(SimdLevel::Avx2);
-                        }
-                        if is_x86_feature_detected!("avx512f") {
-                            levels.push(SimdLevel::Avx512);
-                        }
-                    }
-                    let full0 = eval_tile_at(levels[0], &fd2, &frr, &fw);
-                    let conv0 = eval_tile_at(levels[0], &cd2, &crr, &cw);
-                    for &lv in &levels {
-                        // every GB_SIMD level produces identical bits
-                        let full = eval_tile_at(lv, &fd2, &frr, &fw);
-                        assert_eq!(full.to_bits(), full0.to_bits(), "K={k} {ci}x{cj} {lv:?}");
-                        let conv = eval_tile_at(lv, &cd2, &crr, &cw);
-                        assert_eq!(conv.to_bits(), conv0.to_bits(), "K={k} {ci}x{cj} {lv:?}");
-                    }
+                    let full0 = eval_tile(&fd2, &frr, &fw);
+                    let conv0 = eval_tile(&cd2, &crr, &cw);
                     // both tile shapes agree with the mirror within the
                     // reassociation / representative-rounding band
                     let tol = 1e-12 * mirror_l1.max(1.0);
@@ -2457,6 +2334,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Exact energy sum of one ordered `(U leaf, V leaf)` pair over the
+    /// struct-of-arrays atom streams in the scalar stride-4 loop: four
+    /// accumulators, tail into the first, one `inv_f_gb` per term. No
+    /// zero-distance guard: `f_GB(0, R_u R_v) = √(R_u R_v)` is finite and
+    /// the self terms are part of Eq. 2. The per-pair reference the
+    /// gathered near tile is checked against.
+    fn energy_pair_batched<M: MathMode>(
+        sys: &GbSystem,
+        radii_tree: &[f64],
+        u: &Node,
+        v: &Node,
+    ) -> f64 {
+        let vr = v.range();
+        let vx = &sys.a_soa.x[vr.clone()];
+        let vy = &sys.a_soa.y[vr.clone()];
+        let vz = &sys.a_soa.z[vr.clone()];
+        let vq = &sys.charge_tree[vr.clone()];
+        let vb = &radii_tree[vr];
+        let m = vx.len();
+        let mut raw = 0.0;
+        for ui in u.range() {
+            let (ux, uy, uz) = (sys.a_soa.x[ui], sys.a_soa.y[ui], sys.a_soa.z[ui]);
+            let ru = radii_tree[ui];
+            let term = |k: usize| -> f64 {
+                let dx = vx[k] - ux;
+                let dy = vy[k] - uy;
+                let dz = vz[k] - uz;
+                let r_sq = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
+                vq[k] * inv_f_gb::<M>(r_sq, ru * vb[k])
+            };
+            let mut s = [0.0f64; 4];
+            let mut k = 0usize;
+            while k + 4 <= m {
+                s[0] += term(k);
+                s[1] += term(k + 1);
+                s[2] += term(k + 2);
+                s[3] += term(k + 3);
+                k += 4;
+            }
+            while k < m {
+                s[0] += term(k);
+                k += 1;
+            }
+            raw += sys.charge_tree[ui] * ((s[0] + s[1]) + (s[2] + s[3]));
+        }
+        raw
+    }
+
+    #[test]
+    fn near_tile_matches_per_pair_reference() {
+        // the gathered, ownership-weighted near tile of every ordinal
+        // against the per-pair kernel over its near row: the same terms,
+        // regrouped sums
+        let sys = system(1200);
+        let (radii_tree, _) = radii_and_bins(&sys);
+        let lists = EnergyLists::build(&sys);
+        let mut scratch = EnergyExecScratch::new();
+        for (ord, &v_leaf) in sys.ta.leaves().iter().enumerate() {
+            let (tile, _) = lists.near_tile_raw::<ExactMath>(&sys, &radii_tree, ord, &mut scratch);
+            let v = sys.ta.node(v_leaf);
+            let mut reference = 0.0;
+            for k in lists.rows.near_off[ord]..lists.rows.near_off[ord + 1] {
+                let u = sys.ta.node(lists.rows.near[k]);
+                let pair = energy_pair_batched::<ExactMath>(&sys, &radii_tree, u, v);
+                reference += f64::from(lists.near_w[k]) * pair;
+            }
+            assert!(close(tile, reference), "ord={ord}: {tile} vs {reference}");
+        }
+    }
+
+    #[test]
+    fn default_energy_tracks_a_libm_exp_run() {
+        // the same lists, radii and bins with the naive ground truth's
+        // libm exponential in place of the in-crate polynomial
+        let sys = system(3000);
+        let mut ws = crate::arena::Workspace::new();
+        let e_pol = crate::runners::serial::run_serial_ws(&sys, &mut ws).energy_kcal;
+        let mut scratch = EnergyExecScratch::new();
+        let ords = 0..ws.energy.num_vleaves();
+        let (raw, _) = ws.energy.execute_leaves::<crate::naive::LibmMath>(
+            &sys,
+            &ws.bins,
+            &ws.radii_tree,
+            ords,
+            &mut scratch,
+        );
+        let e_libm = finalize_energy(raw, sys.params.tau());
+        let rel = ((e_pol - e_libm) / e_libm).abs();
+        assert!(rel < 1e-13, "{e_pol} vs {e_libm}: rel {rel:e}");
     }
 
     #[test]

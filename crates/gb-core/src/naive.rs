@@ -7,8 +7,12 @@
 //!
 //! Both have rayon-parallel forms (`par_*`) that produce the same values up
 //! to floating-point summation order.
+//!
+//! The ground truth runs on its own reference math (`LibmMath`: libm
+//! `exp`, IEEE `1/√`), not on the kernels' [`crate::fastmath::ExactMath`],
+//! so the error measured against it includes the kernels' exponential.
 
-use crate::fastmath::{ExactMath, MathMode};
+use crate::fastmath::MathMode;
 use crate::gbmath::{finalize_energy, pair_term, RadiiApprox, R4, R6};
 use crate::params::RadiiKind;
 use crate::system::{GbResult, GbSystem};
@@ -35,6 +39,23 @@ pub fn par_naive_born_radii(sys: &GbSystem) -> Vec<f64> {
     }
 }
 
+/// The ground truth's math: IEEE `1/√x` and the host libm `e^x` — an
+/// exponential independent of the in-crate polynomial the kernels use.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct LibmMath;
+
+impl MathMode for LibmMath {
+    const NAME: &'static str = "libm";
+    #[inline(always)]
+    fn rsqrt(x: f64) -> f64 {
+        1.0 / x.sqrt()
+    }
+    #[inline(always)]
+    fn exp(x: f64) -> f64 {
+        x.exp()
+    }
+}
+
 fn born_radius_of<K: RadiiApprox>(sys: &GbSystem, atom: usize) -> f64 {
     let x = sys.molecule.positions()[atom];
     let q = &sys.surface;
@@ -43,7 +64,7 @@ fn born_radius_of<K: RadiiApprox>(sys: &GbSystem, atom: usize) -> f64 {
         let delta = q.positions()[k] - x;
         let d2 = delta.norm_sq();
         if d2 > 0.0 {
-            s += q.weights()[k] * q.normals()[k].dot(delta) * K::integrand::<ExactMath>(d2);
+            s += q.weights()[k] * q.normals()[k].dot(delta) * K::integrand::<LibmMath>(d2);
         }
     }
     K::radius(s, sys.molecule.radii()[atom], sys.born_cap)
@@ -54,7 +75,7 @@ fn born_radius_of<K: RadiiApprox>(sys: &GbSystem, atom: usize) -> f64 {
 /// `radii` is by original atom index. Returns kcal/mol.
 pub fn naive_energy(sys: &GbSystem, radii: &[f64]) -> f64 {
     assert_eq!(radii.len(), sys.num_atoms());
-    let raw: f64 = (0..sys.num_atoms()).map(|i| energy_row::<ExactMath>(sys, radii, i)).sum();
+    let raw: f64 = (0..sys.num_atoms()).map(|i| energy_row(sys, radii, i)).sum();
     finalize_energy(raw, sys.params.tau())
 }
 
@@ -63,13 +84,13 @@ pub fn par_naive_energy(sys: &GbSystem, radii: &[f64]) -> f64 {
     assert_eq!(radii.len(), sys.num_atoms());
     let raw: f64 = (0..sys.num_atoms())
         .into_par_iter()
-        .map(|i| energy_row::<ExactMath>(sys, radii, i))
+        .map(|i| energy_row(sys, radii, i))
         .sum();
     finalize_energy(raw, sys.params.tau())
 }
 
 /// One row of the ordered-pair sum: `Σ_j q_i q_j / f_GB(r_ij, R_i, R_j)`.
-fn energy_row<M: MathMode>(sys: &GbSystem, radii: &[f64], i: usize) -> f64 {
+fn energy_row(sys: &GbSystem, radii: &[f64], i: usize) -> f64 {
     let pos = sys.molecule.positions();
     let q = sys.molecule.charges();
     let xi = pos[i];
@@ -78,7 +99,7 @@ fn energy_row<M: MathMode>(sys: &GbSystem, radii: &[f64], i: usize) -> f64 {
     let mut acc = 0.0;
     for j in 0..sys.num_atoms() {
         let r_sq = xi.dist_sq(pos[j]);
-        acc += pair_term::<M>(qi * q[j], r_sq, ri * radii[j]);
+        acc += pair_term::<LibmMath>(qi * q[j], r_sq, ri * radii[j]);
     }
     acc
 }

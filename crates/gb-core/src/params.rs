@@ -8,14 +8,13 @@ use serde::{Deserialize, Serialize};
 /// by 4–5 %).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MathKind {
-    /// IEEE `sqrt`/`exp` (the paper's "approximate math off").
+    /// Full accuracy (the paper's "approximate math off"): IEEE `sqrt`
+    /// and the in-crate ≲2-ulp polynomial `exp`
+    /// ([`crate::simd::poly_exp`], `< 1e-15` relative to libm), so the
+    /// bits do not depend on the host's libm. The default.
     Exact,
     /// Bit-trick reciprocal square root and Schraudolph exponential.
     Approximate,
-    /// SIMD-friendly: IEEE `sqrt` plus a ≲2-ulp polynomial exponential
-    /// whose packed AVX2 form is bit-identical to its scalar form —
-    /// energies match `Exact` to ~1e-14 relative at full vector speed.
-    Vector,
 }
 
 /// Which surface integral approximates the Born radii: the paper's Eq. 3

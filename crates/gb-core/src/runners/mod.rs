@@ -40,10 +40,6 @@ macro_rules! with_math {
                 type $m = ApproxMath;
                 $body
             }
-            MathKind::Vector => {
-                type $m = crate::fastmath::VectorMath;
-                $body
-            }
         }
     };
 }

@@ -7,7 +7,7 @@
 //! other test threads allocate concurrently — hence the single `#[test]`.
 
 use gb_core::arena::{ListPath, Workspace};
-use gb_core::params::{GbParams, MathKind};
+use gb_core::params::GbParams;
 use gb_core::runners::frame::run_frame_serial;
 use gb_core::runners::serial::run_serial_ws;
 use gb_core::system::GbSystem;
@@ -48,37 +48,33 @@ fn counts() -> (u64, u64) {
 
 #[test]
 fn steady_state_superstep_allocates_nothing() {
-    for math in [MathKind::Exact, MathKind::Vector] {
-        let mol = synthesize_protein(&SyntheticParams::with_atoms(700, 21));
-        let mut params = GbParams::default();
-        params.math = math;
-        let sys = GbSystem::prepare(mol, params);
+    let mol = synthesize_protein(&SyntheticParams::with_atoms(700, 21));
+    let sys = GbSystem::prepare(mol, GbParams::default());
 
-        // build_tasks = 1: spawning scope threads allocates inside std, so
-        // the zero-alloc contract covers the on-thread build (which is
-        // byte-identical to any parallel task count anyway)
-        let mut ws = Workspace::new();
+    // build_tasks = 1: spawning scope threads allocates inside std, so
+    // the zero-alloc contract covers the on-thread build (which is
+    // byte-identical to any parallel task count anyway)
+    let mut ws = Workspace::new();
 
-        // two warm-up supersteps grow every arena to its steady-state
-        // capacity (the second catches capacity ratchets like Vec doubling)
-        let warm = run_serial_ws(&sys, &mut ws);
-        let warm2 = run_serial_ws(&sys, &mut ws);
-        assert_eq!(warm.energy_kcal.to_bits(), warm2.energy_kcal.to_bits());
+    // two warm-up supersteps grow every arena to its steady-state
+    // capacity (the second catches capacity ratchets like Vec doubling)
+    let warm = run_serial_ws(&sys, &mut ws);
+    let warm2 = run_serial_ws(&sys, &mut ws);
+    assert_eq!(warm.energy_kcal.to_bits(), warm2.energy_kcal.to_bits());
 
-        let (a0, f0) = counts();
-        let steady = run_serial_ws(&sys, &mut ws);
-        let (a1, f1) = counts();
+    let (a0, f0) = counts();
+    let steady = run_serial_ws(&sys, &mut ws);
+    let (a1, f1) = counts();
 
-        assert_eq!(steady.energy_kcal.to_bits(), warm.energy_kcal.to_bits());
-        assert_eq!(
-            (a1 - a0, f1 - f0),
-            (0, 0),
-            "{math:?}: steady-state superstep touched the heap \
-             ({} allocations, {} frees)",
-            a1 - a0,
-            f1 - f0,
-        );
-    }
+    assert_eq!(steady.energy_kcal.to_bits(), warm.energy_kcal.to_bits());
+    assert_eq!(
+        (a1 - a0, f1 - f0),
+        (0, 0),
+        "steady-state superstep touched the heap \
+         ({} allocations, {} frees)",
+        a1 - a0,
+        f1 - f0,
+    );
 
     // Warm *frame* steps: refit + cert-driven list repair + execution over
     // the same workspace. Two fixed position sets alternate (A ↔ B) so

@@ -6,42 +6,23 @@
 //! ```
 //!
 //! Besides the original traversal-vs-list comparison, the snapshot carries
-//! two optimization columns:
-//!
-//! * `list_build_parallel_ms` — the same CSR lists built by
-//!   `build_tasks(sys, tasks)` range-parallel walks (byte-identical layout;
-//!   `build_tasks` reports the task count, `build_threads` the cores the
-//!   host actually offers — on a single-core box the parallel build is
-//!   just the partitioned walk on one thread);
-//! * `simd_exec_ms` — list execution under `VectorMath` at the
-//!   runtime-dispatched SIMD level (`simd_level`), against
-//!   `scalar_exec_ms`: the *same* math mode forced to the scalar reference
-//!   loops. The level is a process-wide `OnceLock`, so the scalar column
-//!   comes from re-running this binary as a child process with
-//!   `GB_SIMD=scalar` — an apples-to-apples SIMD-vs-scalar measurement
-//!   (both levels produce bit-identical energies by construction).
-//!   The `simd_levels` block repeats that child run at every `GB_SIMD`
-//!   level, so each level's Born and energy exec time — and its margin
-//!   over `portable` — is a recorded number.
-//!   `simd_energy_rel_err` bounds the `VectorMath`-vs-`ExactMath` energy
-//!   deviation on identical radii and bins.
+//! the `list_build_parallel_ms` column: the same CSR lists built by
+//! `build_tasks(sys, tasks)` range-parallel walks (byte-identical layout;
+//! `build_tasks` reports the task count, `build_threads` the cores the
+//! host actually offers — on a single-core box the parallel build is just
+//! the partitioned walk on one thread).
 //!
 //! `exec_speedup_vs_traversal` is the engine-vs-engine headline: the seed
-//! per-leaf traversal (scalar `ExactMath` reference, exactly what the
-//! pre-list engine ran) over the list engine at the dispatched SIMD level
-//! (`VectorMath` batched kernels — the production execution path). The
-//! same-math mirror ratio stays observable as
-//! `exact_exec_speedup_vs_traversal` (`list_exec_ms` is the `ExactMath`
-//! list execution), and `simd_energy_rel_err` bounds what the math-mode
-//! switch costs in accuracy.
+//! per-leaf traversal over the list engine, both on the default
+//! `ExactMath` (the traversal's per-pair `exp`, the list engine's
+//! tile-wide `exp` block — the production execution path).
 
 use gb_polarize::cluster::OpKind;
 use gb_polarize::core::bins::ChargeBins;
 use gb_polarize::core::energy::energy_for_leaves;
-use gb_polarize::core::fastmath::{ExactMath, VectorMath};
+use gb_polarize::core::fastmath::ExactMath;
 use gb_polarize::core::gbmath::R6;
 use gb_polarize::core::integrals::{accumulate_qleaf, push_integrals_to_atoms, IntegralAcc};
-use gb_polarize::core::simd::SimdLevel;
 use gb_polarize::core::{BornLists, EnergyExecScratch, EnergyLists};
 use gb_polarize::prelude::*;
 
@@ -62,61 +43,22 @@ fn timed<F: FnMut() -> f64>(reps: usize, mut f: F) -> (f64, f64) {
     (best, work)
 }
 
-/// `VectorMath` list-execution times (born, energy) in ms at whatever SIMD
-/// level this process dispatched — the quantity compared across levels.
-fn vector_exec_times(
+/// Default (`ExactMath`) energy list-execution time in ms.
+fn energy_exec_ms(
     sys: &GbSystem,
-    born: &BornLists,
     energy: &EnergyLists,
     bins: &ChargeBins,
     radii: &[f64],
     reps: usize,
-) -> (f64, f64) {
-    let (born_ms, _) = timed(reps, || {
-        let mut acc = IntegralAcc::zeros(sys);
-        let work = born.execute_range::<VectorMath, R6>(sys, 0..born.num_qleaves(), &mut acc);
-        std::hint::black_box(&acc);
-        work
-    });
+) -> f64 {
     let mut scratch = EnergyExecScratch::new();
-    let (energy_ms, _) = timed(reps, || {
-        let (raw, work) = energy.execute_leaves::<VectorMath>(
-            sys,
-            bins,
-            radii,
-            0..energy.num_vleaves(),
-            &mut scratch,
-        );
+    timed(reps, || {
+        let (raw, work) =
+            energy.execute_leaves::<ExactMath>(sys, bins, radii, 0..energy.num_vleaves(), &mut scratch);
         std::hint::black_box(raw);
         work
-    });
-    (born_ms, energy_ms)
-}
-
-/// The `GB_SIMD` levels of the per-level columns, narrowest first.
-const LEVELS: [&str; 4] = ["scalar", "portable", "avx2", "avx512"];
-
-/// Re-runs this binary with `GB_SIMD=<level>` to time `VectorMath` list
-/// execution at that level (the dispatch level is decided once per
-/// process). The child prints the level it actually dispatched (a level
-/// the host lacks degrades to the next one down) and two floats; a
-/// failure degrades to NaN columns rather than aborting the snapshot.
-fn exec_times_at_level(n_atoms: usize, level: &str) -> (String, f64, f64) {
-    let out = std::env::current_exe().ok().and_then(|exe| {
-        std::process::Command::new(exe)
-            .arg(n_atoms.to_string())
-            .env("GB_SIMD", level)
-            .env("GB_BENCH_EXEC_CHILD", "1")
-            .output()
-            .ok()
-    });
-    let parsed = out.and_then(|o| {
-        let s = String::from_utf8(o.stdout).ok()?;
-        let mut it = s.split_whitespace();
-        let name = it.next()?.to_string();
-        Some((name, it.next()?.parse().ok()?, it.next()?.parse().ok()?))
-    });
-    parsed.unwrap_or_else(|| (level.to_string(), f64::NAN, f64::NAN))
+    })
+    .0
 }
 
 /// Communication-plan columns: integral-phase traffic of the distributed
@@ -166,7 +108,6 @@ fn main() {
     let build_tasks = threads.max(4);
     let mol = synthesize_protein(&SyntheticParams::with_atoms(n_atoms, 4242));
     let sys = GbSystem::prepare(mol, GbParams::default());
-    let child_mode = std::env::var("GB_BENCH_EXEC_CHILD").is_ok();
 
     // `GB_BENCH_COMM_ONLY=1`: emit just the communication-plan columns
     // (single rep) — the perf-smoke gate runs this at the 20k-atom size
@@ -186,8 +127,7 @@ fn main() {
 
     let born = BornLists::build(&sys);
 
-    // radii + bins once, for the energy phase (ExactMath radii are
-    // bit-identical at every SIMD level, so parent and child agree)
+    // radii + bins once, for the energy phase
     let mut acc = IntegralAcc::zeros(&sys);
     born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut acc);
     let mut radii = vec![0.0; sys.num_atoms()];
@@ -206,33 +146,15 @@ fn main() {
             std::hint::black_box(raw);
             work
         });
-        let mut scratch = EnergyExecScratch::new();
-        let (esimd_ms, _) = timed(reps, || {
-            let (raw, work) = energy.execute_leaves::<VectorMath>(
-                &sys,
-                &bins,
-                &radii,
-                0..energy.num_vleaves(),
-                &mut scratch,
-            );
-            std::hint::black_box(raw);
-            work
-        });
+        let eexec_ms = energy_exec_ms(&sys, &energy, &bins, &radii, reps);
         println!("{{");
         println!("  \"n_atoms\": {},", sys.num_atoms());
-        println!("  \"simd_level\": \"{}\",", SimdLevel::active().name());
         println!("  \"energy\": {{");
         println!("    \"traversal_ms\": {etrav_ms:.3},");
-        println!("    \"simd_exec_ms\": {esimd_ms:.3},");
-        println!("    \"exec_speedup_vs_traversal\": {:.3}", etrav_ms / esimd_ms);
+        println!("    \"list_exec_ms\": {eexec_ms:.3},");
+        println!("    \"exec_speedup_vs_traversal\": {:.3}", etrav_ms / eexec_ms);
         println!("  }}");
         println!("}}");
-        return;
-    }
-
-    if child_mode {
-        let (b, e) = vector_exec_times(&sys, &born, &energy, &bins, &radii, reps);
-        println!("{} {b:.3} {e:.3}", SimdLevel::active().name());
         return;
     }
 
@@ -292,34 +214,7 @@ fn main() {
     });
     let far_stats = energy.far_stats(&sys, &bins);
 
-    // ---- SIMD columns: VectorMath at the dispatched level vs the same
-    // math forced scalar in a child process
-    let (simd_exec_ms, esimd_exec_ms) =
-        vector_exec_times(&sys, &born, &energy, &bins, &radii, reps);
-    let levels: Vec<_> = LEVELS
-        .iter()
-        .map(|level| exec_times_at_level(n_atoms, level))
-        .collect();
-    let (scalar_exec_ms, escalar_exec_ms) = (levels[0].1, levels[0].2);
-
-    // Accuracy guard for the fastmath column: raw energy of the two math
-    // modes over identical radii and bins.
-    let raw_exact = energy
-        .execute_leaves::<ExactMath>(&sys, &bins, &radii, 0..energy.num_vleaves(), &mut exec_scratch)
-        .0;
-    let raw_simd = energy
-        .execute_leaves::<VectorMath>(&sys, &bins, &radii, 0..energy.num_vleaves(), &mut exec_scratch)
-        .0;
-    let rel_err = ((raw_simd - raw_exact) / raw_exact).abs();
-
     let (comm_bytes_dense, comm_bytes_sparse, overlap_exec_ms) = comm_columns(&sys, reps);
-
-    // Engine vs engine: the seed scalar traversal against the list engine
-    // on its production path (VectorMath at the dispatched SIMD level).
-    // The same-math mirror ratio is kept alongside as
-    // exact_exec_speedup_vs_traversal.
-    let born_speedup = trav_ms / simd_exec_ms;
-    let energy_speedup = etrav_ms / esimd_exec_ms;
 
     println!("{{");
     println!("  \"n_atoms\": {},", sys.num_atoms());
@@ -327,8 +222,6 @@ fn main() {
     println!("  \"reps\": {reps},");
     println!("  \"build_tasks\": {build_tasks},");
     println!("  \"build_threads\": {threads},");
-    println!("  \"simd_level\": \"{}\",", SimdLevel::active().name());
-    println!("  \"simd_energy_rel_err\": {rel_err:.3e},");
     println!("  \"born\": {{");
     println!("    \"traversal_ms\": {trav_ms:.3},");
     println!("    \"traversal_work_units\": {trav_work:.1},");
@@ -338,11 +231,7 @@ fn main() {
     println!("    \"list_build_parallel_speedup\": {:.3},", build_ms / pbuild_ms);
     println!("    \"list_exec_ms\": {exec_ms:.3},");
     println!("    \"list_exec_work_units\": {exec_work:.1},");
-    println!("    \"scalar_exec_ms\": {scalar_exec_ms:.3},");
-    println!("    \"simd_exec_ms\": {simd_exec_ms:.3},");
-    println!("    \"simd_exec_speedup\": {:.3},", scalar_exec_ms / simd_exec_ms);
-    println!("    \"exact_exec_speedup_vs_traversal\": {:.3},", trav_ms / exec_ms);
-    println!("    \"exec_speedup_vs_traversal\": {born_speedup:.3}");
+    println!("    \"exec_speedup_vs_traversal\": {:.3}", trav_ms / exec_ms);
     println!("  }},");
     println!("  \"energy\": {{");
     println!("    \"traversal_ms\": {etrav_ms:.3},");
@@ -353,9 +242,6 @@ fn main() {
     println!("    \"list_build_parallel_speedup\": {:.3},", ebuild_ms / epbuild_ms);
     println!("    \"list_exec_ms\": {eexec_ms:.3},");
     println!("    \"list_exec_work_units\": {eexec_work:.1},");
-    println!("    \"scalar_exec_ms\": {escalar_exec_ms:.3},");
-    println!("    \"simd_exec_ms\": {esimd_exec_ms:.3},");
-    println!("    \"simd_exec_speedup\": {:.3},", escalar_exec_ms / esimd_exec_ms);
     println!("    \"far_pair_count\": {},", far_stats.pair_count);
     println!("    \"far_exec_ms\": {far_ms:.3},");
     println!("    \"far_tile_entries\": {},", far_stats.tile_entries);
@@ -373,17 +259,7 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    println!("    \"exact_exec_speedup_vs_traversal\": {:.3},", etrav_ms / eexec_ms);
-    println!("    \"exec_speedup_vs_traversal\": {energy_speedup:.3}");
-    println!("  }},");
-    println!("  \"simd_levels\": {{");
-    for (i, (requested, (ran, born_ms, energy_ms))) in LEVELS.iter().zip(&levels).enumerate() {
-        let sep = if i + 1 < levels.len() { "," } else { "" };
-        println!(
-            "    \"{requested}\": {{\"dispatched\": \"{ran}\", \"born_exec_ms\": {born_ms:.3}, \
-             \"energy_exec_ms\": {energy_ms:.3}}}{sep}"
-        );
-    }
+    println!("    \"exec_speedup_vs_traversal\": {:.3}", etrav_ms / eexec_ms);
     println!("  }},");
     println!("  \"comm\": {{");
     println!("    \"ranks\": 8,");

@@ -5,10 +5,6 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-# Exercise the portable SIMD fallback too: GB_SIMD=portable forces the
-# autovectorizable scalar-lane path even on AVX2 hosts, so both dispatch
-# targets stay green (the gb-core unit tests assert they agree bitwise).
-GB_SIMD=portable cargo test -q -p gb-core
 # Failure + recovery matrices, release mode: the poison/heal protocols are
 # timing-sensitive, so exercise them under the optimizer as well. The
 # gb-core self_healing suite drives every kill site under *both*

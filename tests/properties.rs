@@ -3,7 +3,7 @@
 
 use gb_polarize::core::bins::ChargeBins;
 use gb_polarize::core::energy::energy_for_leaves;
-use gb_polarize::core::fastmath::{ApproxMath, ExactMath, MathMode, VectorMath};
+use gb_polarize::core::fastmath::{ApproxMath, ExactMath, MathMode};
 use gb_polarize::core::gbmath::{RadiiApprox, R4, R6};
 use gb_polarize::core::integrals::{accumulate_qleaf, push_integrals_to_atoms, IntegralAcc};
 use gb_polarize::core::{BornLists, EnergyLists};
@@ -58,8 +58,6 @@ fn engine_divergence_for(n: usize, seed: u64, math: MathKind, radii: RadiiKind) 
         (MathKind::Exact, RadiiKind::R4) => engine_divergence::<ExactMath, R4>(&sys),
         (MathKind::Approximate, RadiiKind::R6) => engine_divergence::<ApproxMath, R6>(&sys),
         (MathKind::Approximate, RadiiKind::R4) => engine_divergence::<ApproxMath, R4>(&sys),
-        (MathKind::Vector, RadiiKind::R6) => engine_divergence::<VectorMath, R6>(&sys),
-        (MathKind::Vector, RadiiKind::R4) => engine_divergence::<VectorMath, R4>(&sys),
     }
 }
 
@@ -68,7 +66,7 @@ fn list_engine_matches_traversal_for_all_kernel_combos() {
     // deterministic sweep: every MathKind × RadiiKind monomorphization, at
     // degenerate (1-atom / single-leaf) and multi-level tree sizes
     for n in [1usize, 2, 25, 400] {
-        for math in [MathKind::Exact, MathKind::Approximate, MathKind::Vector] {
+        for math in [MathKind::Exact, MathKind::Approximate] {
             for radii in [RadiiKind::R6, RadiiKind::R4] {
                 let (dr, de) = engine_divergence_for(n, 7, math, radii);
                 assert!(
