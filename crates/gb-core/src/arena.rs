@@ -19,7 +19,7 @@
 use crate::bins::ChargeBins;
 use crate::commplan::CommPlan;
 use crate::integrals::IntegralAcc;
-use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch, RepairStats};
+use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch};
 use crate::system::GbSystem;
 use gb_octree::NodeId;
 use parking_lot::Mutex;
@@ -253,60 +253,92 @@ pub struct Workspace {
     /// the trees. Not counted by [`Workspace::memory_bytes`] — the `Arc` is
     /// shared and the cache bills it once.
     pub cached: Option<Arc<CachedLists>>,
-    /// Frame tracking on/off (see [`Workspace::enable_frame_tracking`]).
+    /// Frame mode on/off (see [`Workspace::enable_frame_tracking`]).
     frame_tracking: bool,
-    /// Cert slack tolerance of frame repairs (0.0 = exact mode: repaired
-    /// lists are byte-identical to a scratch rebuild).
+    /// Displacement bound up to which frames reuse their lists (0.0 =
+    /// exact mode: only identity frames reuse).
     drift_tol: f64,
-    /// Frame nonce `self.born` is current for (0 = unknown provenance).
-    born_frame_nonce: u64,
-    /// Frame nonce `self.energy` is current for (0 = unknown provenance).
-    energy_frame_nonce: u64,
-    /// List-shape parameter fingerprint `self.born` was built with.
-    born_params_key: u64,
-    /// List-shape parameter fingerprint `self.energy` was built with.
-    energy_params_key: u64,
-    /// Consecutive frames whose Born lists could not be repaired (density
-    /// bail or missing certs) — drives the untracked-rebuild hysteresis.
-    born_dense_streak: u32,
-    /// Energy-phase counterpart of `born_dense_streak`.
-    energy_dense_streak: u32,
+    /// Frame provenance of `self.born`.
+    born_frame: ListFrame,
+    /// Frame provenance of `self.energy`.
+    energy_frame: ListFrame,
     /// How the last [`Workspace::ready_born_lists`] call was satisfied.
     pub last_born_path: ListPath,
     /// How the last [`Workspace::ready_energy_lists`] call was satisfied.
     pub last_energy_path: ListPath,
-    /// Stats of the last Born-list repair (zeroed shape on other paths).
+    /// Telemetry of the last Born-list reuse.
     pub last_born_repair: RepairStats,
-    /// Stats of the last energy-list repair (zeroed shape on other paths).
+    /// Telemetry of the last energy-list reuse.
     pub last_energy_repair: RepairStats,
 }
 
-/// Abort a frame repair once more than this fraction of its certs has
-/// tripped the drift bound: dense trip regimes (global jitter near the MAC
-/// boundary) flip rows everywhere, so finishing the scan plus the re-sweep
-/// costs more than rebuilding from scratch. Certs are per (node, row), so
-/// a row holds hundreds of them and a modest trip fraction already
-/// invalidates most rows (at 10k atoms under 0.05 Å jitter, 18% tripped
-/// energy certs re-swept 85% of the rows, slower than an untracked
-/// rebuild).
-const REPAIR_BAIL_TRIPPED: f64 = 0.15;
+/// Frame provenance of one phase's resident lists.
+#[derive(Clone, Copy, Debug, Default)]
+struct ListFrame {
+    /// Frame nonce the lists are current for (0 = unknown provenance).
+    nonce: u64,
+    /// List-shape parameter fingerprint the lists were built with.
+    params_key: u64,
+    /// Displacement bound summed, from zero, over the frames that reused
+    /// the lists since they were built (Å).
+    disp: f64,
+}
 
-/// While repairs keep bailing (a *dense streak*), rebuilds run with cert
-/// recording off — recording costs real time and the certs would just bail
-/// again next frame. Every `DENSE_PROBE_PERIOD`-th streak frame rebuilds
-/// tracked anyway, probing whether the motion regime has calmed enough for
-/// repairs to win again.
-const DENSE_PROBE_PERIOD: u32 = 8;
+impl ListFrame {
+    /// Resolves a frame-mode list ready for `sys`, whose refit moved any
+    /// node pair this phase's decisions compare by at most `frame_disp`
+    /// jointly: skip on the frame the lists were built for, reuse them
+    /// while the lineage holds and the summed displacement stays within
+    /// `drift_tol`, and rebuild (restarting the sum) otherwise. A NaN or
+    /// infinite displacement fails the bound, so such a frame rebuilds.
+    fn advance(
+        &mut self,
+        sys: &GbSystem,
+        params_key: u64,
+        same_shape: bool,
+        frame_disp: f64,
+        drift_tol: f64,
+    ) -> ListPath {
+        let current = self.nonce != 0 && self.params_key == params_key && same_shape;
+        if current && self.nonce == sys.frame_nonce {
+            return ListPath::Skipped;
+        }
+        let disp = self.disp + frame_disp;
+        let reuse = current && self.nonce == sys.frame_parent_nonce && disp <= drift_tol;
+        let disp = if reuse { disp } else { 0.0 };
+        *self = ListFrame { nonce: sys.frame_nonce, params_key, disp };
+        if reuse {
+            ListPath::Repaired
+        } else {
+            ListPath::Rebuilt
+        }
+    }
+}
+
+/// Telemetry of a frame's list reuse, kept in the shape the trajectory
+/// bench reads. A reuse keeps the lists whole, so it re-walks no row.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RepairStats;
+
+impl RepairStats {
+    /// Fraction of driving rows a reuse re-swept: always 0.
+    pub fn rewalk_fraction(&self) -> f64 {
+        0.0
+    }
+}
 
 /// How a `ready_*_lists` call made the workspace's lists current.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ListPath {
-    /// Full tree walk (cold start, shape/param change, drift rebuild, or
-    /// frame tracking off).
+    /// Full row sweep into the warm arenas (cold start, shape/param
+    /// change, cut lineage, displacement past `drift_tol`, or frame mode
+    /// off).
     Rebuilt,
     /// Cloned from an injected [`CachedLists`] artifact.
     Injected,
-    /// Delta repair of the previous frame's lists.
+    /// The previous frame's lists reused as they stand: the lineage holds
+    /// and the displacement summed since their build is within
+    /// `drift_tol`.
     Repaired,
     /// Lists were already current for this exact frame — nothing ran.
     Skipped,
@@ -341,37 +373,28 @@ impl Workspace {
             cached: None,
             frame_tracking: false,
             drift_tol: 0.0,
-            born_frame_nonce: 0,
-            energy_frame_nonce: 0,
-            born_params_key: 0,
-            energy_params_key: 0,
-            born_dense_streak: 0,
-            energy_dense_streak: 0,
+            born_frame: ListFrame::default(),
+            energy_frame: ListFrame::default(),
             last_born_path: ListPath::Rebuilt,
             last_energy_path: ListPath::Rebuilt,
-            last_born_repair: RepairStats::default(),
-            last_energy_repair: RepairStats::default(),
+            last_born_repair: RepairStats,
+            last_energy_repair: RepairStats,
         }
     }
 
-    /// Turns on incremental frame mode: list builds record repair
-    /// certificates, and subsequent [`Workspace::ready_born_lists`] /
-    /// [`Workspace::ready_energy_lists`] calls *repair* the resident lists
-    /// when the system is one [`GbSystem::refit_frame`] step ahead of them
-    /// (and skip entirely when it is the same frame). `drift_tol == 0.0`
-    /// is exact mode — repaired lists are byte-identical to a scratch
-    /// rebuild; larger tolerances trade re-walked rows for approximation
-    /// (a cert must be violated by more than `drift_tol` before its row is
-    /// re-walked).
+    /// Turns on frame mode. Subsequent [`Workspace::ready_born_lists`] /
+    /// [`Workspace::ready_energy_lists`] calls skip when the system is
+    /// still on the frame their lists were built for, *reuse* the lists
+    /// when it is a [`GbSystem::refit_frame`] descendant and the refits'
+    /// summed [`max_displacement`] bound since the build stays within
+    /// `drift_tol` Å (atoms + quadrature points per frame for Born, twice
+    /// the atoms' for energy), and rebuild into the warm arenas otherwise.
+    /// `drift_tol == 0.0` is exact mode: only identity frames reuse, so
+    /// every frame's lists equal a scratch rebuild byte for byte.
+    /// Idempotent; repeated calls only refresh the tolerance.
     ///
-    /// Idempotent per frame: once frame mode is on, repeated calls only
-    /// refresh the tolerance — cert recording stays under the dense-streak
-    /// hysteresis (untracked rebuilds while repairs keep bailing).
+    /// [`max_displacement`]: gb_octree::RefitReport::max_displacement
     pub fn enable_frame_tracking(&mut self, drift_tol: f64) {
-        if !self.frame_tracking {
-            self.born.set_cert_tracking(true);
-            self.energy.set_cert_tracking(true);
-        }
         self.frame_tracking = true;
         self.drift_tol = drift_tol.max(0.0);
     }
@@ -405,133 +428,72 @@ impl Workspace {
     }
 
     /// Makes `self.born` current for `sys`: clones from the injected cached
-    /// artifact when present, otherwise rebuilds in place. Every runner
-    /// calls this instead of rebuilding directly, so an injected artifact
-    /// flows through serial, distributed and hybrid paths alike. The two
-    /// branches produce byte-identical lists (builds are deterministic and
-    /// `build_work` travels inside the clone), so work accounting and
-    /// energies cannot observe which branch ran.
+    /// artifact when present, otherwise rebuilds in place — or, in frame
+    /// mode, skips or reuses (see [`Workspace::enable_frame_tracking`]).
+    /// Every runner calls this instead of rebuilding directly, so an
+    /// injected artifact flows through serial, distributed and hybrid paths
+    /// alike. Clone and rebuild produce byte-identical lists (builds are
+    /// deterministic and `build_work` travels inside the clone), so work
+    /// accounting and energies cannot observe which branch ran.
     pub fn ready_born_lists(&mut self, sys: &GbSystem) {
         if let Some(c) = &self.cached {
             debug_assert_eq!(c.born.num_qleaves(), sys.tq.num_leaves(),
                 "injected Born lists were built for a different system");
             self.born.clone_from(&c.born);
-            // Injected artifacts carry no certs; provenance is unknown.
-            self.born_frame_nonce = 0;
+            self.born_frame = ListFrame::default();
             self.last_born_path = ListPath::Injected;
             return;
         }
-        if self.frame_tracking {
-            let pkey = sys.params.radii_mac_threshold().to_bits();
-            let current =
-                self.born_frame_nonce != 0 && self.born_params_key == pkey
-                    && self.born.num_qleaves() == sys.tq.num_leaves();
-            if current && self.born_frame_nonce == sys.frame_nonce {
-                self.last_born_path = ListPath::Skipped;
-                return;
-            }
-            let lineage = current
-                && sys.frame_parent_nonce != 0
-                && self.born_frame_nonce == sys.frame_parent_nonce;
-            if lineage
-                && self.born.tracks_certs()
-                && self.born.has_certs()
-                && !self.born.cert_overflow()
-            {
-                if let Some(stats) = self.born.try_repair(
-                    sys,
-                    self.drift_tol,
-                    &mut self.born_scratch,
-                    REPAIR_BAIL_TRIPPED,
-                ) {
-                    self.last_born_repair = stats;
-                    self.born_frame_nonce = sys.frame_nonce;
-                    self.born_dense_streak = 0;
-                    self.last_born_path = ListPath::Repaired;
-                    return;
-                }
-                // Density bail: too many certs tripped to be worth a scan
-                // + rewalk. Fall through to a rebuild and start (or extend)
-                // the dense streak.
-                self.born_dense_streak += 1;
-            } else if lineage {
-                // Valid lineage but no certs (prior untracked rebuild or
-                // overflow): still inside the dense streak.
-                self.born_dense_streak += 1;
-            } else {
-                self.born_dense_streak = 0;
-            }
-            let track = self.born_dense_streak == 0
-                || self.born_dense_streak.is_multiple_of(DENSE_PROBE_PERIOD);
-            self.born.set_cert_tracking(track);
-            self.born.rebuild(sys, self.build_tasks, &mut self.born_scratch);
-            self.born_frame_nonce = sys.frame_nonce;
-            self.born_params_key = pkey;
-            self.last_born_path = ListPath::Rebuilt;
-            return;
+        self.last_born_path = if self.frame_tracking {
+            let r = &sys.last_refit;
+            self.born_frame.advance(
+                sys,
+                sys.params.radii_mac_threshold().to_bits(),
+                self.born.num_qleaves() == sys.tq.num_leaves(),
+                r.atoms.max_displacement + r.quads.max_displacement,
+                self.drift_tol,
+            )
+        } else {
+            self.born_frame = ListFrame::default();
+            ListPath::Rebuilt
+        };
+        match self.last_born_path {
+            ListPath::Rebuilt => self.born.rebuild(sys, self.build_tasks, &mut self.born_scratch),
+            ListPath::Repaired => self.born.build_work = 0.0,
+            _ => {}
         }
-        self.born.rebuild(sys, self.build_tasks, &mut self.born_scratch);
-        self.born_frame_nonce = 0;
-        self.last_born_path = ListPath::Rebuilt;
     }
 
-    /// [`Workspace::ready_born_lists`] for the energy-phase lists.
+    /// [`Workspace::ready_born_lists`] for the energy-phase lists, whose
+    /// node summaries all live in `T_A`.
     pub fn ready_energy_lists(&mut self, sys: &GbSystem) {
         if let Some(c) = &self.cached {
             debug_assert_eq!(c.energy.num_vleaves(), sys.ta.num_leaves(),
                 "injected energy lists were built for a different system");
             self.energy.clone_from(&c.energy);
-            self.energy_frame_nonce = 0;
+            self.energy_frame = ListFrame::default();
             self.last_energy_path = ListPath::Injected;
             return;
         }
-        if self.frame_tracking {
-            let pkey = sys.params.energy_mac_factor().to_bits();
-            let current =
-                self.energy_frame_nonce != 0 && self.energy_params_key == pkey
-                    && self.energy.num_vleaves() == sys.ta.num_leaves();
-            if current && self.energy_frame_nonce == sys.frame_nonce {
-                self.last_energy_path = ListPath::Skipped;
-                return;
+        self.last_energy_path = if self.frame_tracking {
+            self.energy_frame.advance(
+                sys,
+                sys.params.energy_mac_factor().to_bits(),
+                self.energy.num_vleaves() == sys.ta.num_leaves(),
+                2.0 * sys.last_refit.atoms.max_displacement,
+                self.drift_tol,
+            )
+        } else {
+            self.energy_frame = ListFrame::default();
+            ListPath::Rebuilt
+        };
+        match self.last_energy_path {
+            ListPath::Rebuilt => {
+                self.energy.rebuild(sys, self.build_tasks, &mut self.energy_scratch)
             }
-            let lineage = current
-                && sys.frame_parent_nonce != 0
-                && self.energy_frame_nonce == sys.frame_parent_nonce;
-            if lineage
-                && self.energy.tracks_certs()
-                && self.energy.has_certs()
-                && !self.energy.cert_overflow()
-            {
-                if let Some(stats) = self.energy.try_repair(
-                    sys,
-                    self.drift_tol,
-                    &mut self.energy_scratch,
-                    REPAIR_BAIL_TRIPPED,
-                ) {
-                    self.last_energy_repair = stats;
-                    self.energy_frame_nonce = sys.frame_nonce;
-                    self.energy_dense_streak = 0;
-                    self.last_energy_path = ListPath::Repaired;
-                    return;
-                }
-                self.energy_dense_streak += 1;
-            } else if lineage {
-                self.energy_dense_streak += 1;
-            } else {
-                self.energy_dense_streak = 0;
-            }
-            let track = self.energy_dense_streak == 0
-                || self.energy_dense_streak.is_multiple_of(DENSE_PROBE_PERIOD);
-            self.energy.set_cert_tracking(track);
-            self.energy.rebuild(sys, self.build_tasks, &mut self.energy_scratch);
-            self.energy_frame_nonce = sys.frame_nonce;
-            self.energy_params_key = pkey;
-            self.last_energy_path = ListPath::Rebuilt;
-            return;
+            ListPath::Repaired => self.energy.build_work = 0.0,
+            _ => {}
         }
-        self.energy.rebuild(sys, self.build_tasks, &mut self.energy_scratch);
-        self.energy_frame_nonce = 0;
-        self.last_energy_path = ListPath::Rebuilt;
     }
 
     /// Heap footprint in bytes across every component arena.
@@ -633,7 +595,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_steps_repair_and_match_scratch_rebuild_bitwise() {
+    fn exact_frames_rebuild_and_match_scratch_bitwise() {
         use crate::runners::frame::run_frame_serial;
         use crate::system::FrameUpdate;
         use gb_geom::{DetRng, Vec3};
@@ -641,12 +603,12 @@ mod tests {
         let mut s = sys(320);
         let mut ws = Workspace::new();
         ws.enable_frame_tracking(0.0);
-        // Frame 0: cold start → tracked rebuild.
+        // Frame 0: cold start → rebuild.
         run_serial_ws(&s, &mut ws);
         assert_eq!(ws.last_born_path, ListPath::Rebuilt);
         assert_eq!(ws.last_energy_path, ListPath::Rebuilt);
         // Same frame again → both phases skip.
-        let again = run_serial_ws(&s, &mut ws);
+        run_serial_ws(&s, &mut ws);
         assert_eq!(ws.last_born_path, ListPath::Skipped);
         assert_eq!(ws.last_energy_path, ListPath::Skipped);
 
@@ -659,120 +621,14 @@ mod tests {
                 .map(|&p| p + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.005)
                 .collect();
             let out = run_frame_serial(&mut s, &jittered, 0.0, &mut ws);
-            match out.update {
-                FrameUpdate::Refit(_) => {}
-                FrameUpdate::Rebuilt => panic!("0.005 Å jitter must not force a rebuild"),
-            }
-            assert_eq!(ws.last_born_path, ListPath::Repaired, "frame {frame}");
-            assert_eq!(ws.last_energy_path, ListPath::Repaired, "frame {frame}");
-
-            // Exact mode: the incremental frame is bitwise identical to a
-            // cold workspace run over the very same refitted system.
-            let cold = run_serial_ws(&s, &mut Workspace::new());
-            assert_eq!(
-                out.output.energy_kcal.to_bits(),
-                cold.energy_kcal.to_bits(),
-                "frame {frame}"
-            );
-            let _ = again;
-        }
-    }
-
-    #[test]
-    fn dense_frames_rebuild_untracked_until_probe_rearms_repair() {
-        use crate::runners::frame::run_frame_serial;
-        use gb_geom::{DetRng, Vec3};
-
-        let mut s = sys(320);
-        let mut ws = Workspace::new();
-        ws.enable_frame_tracking(0.0);
-        run_serial_ws(&s, &mut ws);
-
-        // Dense regime: global 0.05 Å jitter trips more than the bail
-        // fraction of certs, so every repair attempt aborts to a rebuild.
-        // Streak frames 1..7 rebuild untracked (no cert recording); streak
-        // frame 8 is the probe and records certs again.
-        let mut rng = DetRng::new(7);
-        for frame in 1..=(DENSE_PROBE_PERIOD as usize) {
-            let jittered: Vec<Vec3> = s
-                .molecule
-                .positions()
-                .iter()
-                .map(|&p| p + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.05)
-                .collect();
-            let out = run_frame_serial(&mut s, &jittered, 0.0, &mut ws);
+            assert!(matches!(out.update, FrameUpdate::Refit(_)), "frame {frame}");
+            // Exact mode reuses nothing that moved.
             assert_eq!(ws.last_born_path, ListPath::Rebuilt, "frame {frame}");
-            let expect_tracked = frame == DENSE_PROBE_PERIOD as usize;
-            assert_eq!(ws.born.tracks_certs(), expect_tracked, "frame {frame}");
-            // Dense or calm, tracked or not: bitwise equal to a cold run.
+            assert_eq!(ws.last_energy_path, ListPath::Rebuilt, "frame {frame}");
             let cold = run_serial_ws(&s, &mut Workspace::new());
-            assert_eq!(
-                out.output.energy_kcal.to_bits(),
-                cold.energy_kcal.to_bits(),
-                "frame {frame}"
-            );
+            assert_eq!(out.output.energy_kcal.to_bits(), cold.energy_kcal.to_bits(), "frame {frame}");
+            assert_eq!(out.output.born_work.to_bits(), cold.born_work.to_bits(), "frame {frame}");
         }
-
-        // The regime calms right after the probe: the probe's certs carry a
-        // successful repair, which resets the dense streak.
-        for frame in 0..2 {
-            let nudged: Vec<Vec3> = s
-                .molecule
-                .positions()
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let t = i as f64 * 0.41;
-                    p + Vec3::new(t.sin(), (1.3 * t).cos(), (0.8 * t).sin()) * 0.0005
-                })
-                .collect();
-            let out = run_frame_serial(&mut s, &nudged, 0.0, &mut ws);
-            assert_eq!(ws.last_born_path, ListPath::Repaired, "calm frame {frame}");
-            assert_eq!(ws.last_energy_path, ListPath::Repaired, "calm frame {frame}");
-            let cold = run_serial_ws(&s, &mut Workspace::new());
-            assert_eq!(
-                out.output.energy_kcal.to_bits(),
-                cold.energy_kcal.to_bits(),
-                "calm frame {frame}"
-            );
-        }
-    }
-
-    #[test]
-    fn frame_repair_bills_less_build_work_than_rebuild() {
-        use crate::runners::frame::run_frame_serial;
-        use gb_geom::{DetRng, Vec3};
-
-        let mut s = sys(500);
-        let mut ws = Workspace::new();
-        ws.enable_frame_tracking(0.0);
-        run_serial_ws(&s, &mut ws);
-        let full_build = ws.born.build_work + ws.energy.build_work;
-        // Localized motion: only a spatially contiguous blob moves (a
-        // flexible loop in an otherwise rigid structure) — the dirty
-        // subtrees stay small and so does the rewalked row set.
-        let mut rng = DetRng::new(6);
-        let center = s.molecule.positions()[0];
-        let jittered: Vec<Vec3> = s
-            .molecule
-            .positions()
-            .iter()
-            .map(|&p| {
-                if p.dist_sq(center) < 9.0 {
-                    p + Vec3::new(rng.normal(), rng.normal(), rng.normal()) * 0.001
-                } else {
-                    p
-                }
-            })
-            .collect();
-        run_frame_serial(&mut s, &jittered, 0.0, &mut ws);
-        assert_eq!(ws.last_born_path, ListPath::Repaired);
-        let repair_build = ws.born.build_work + ws.energy.build_work;
-        assert!(
-            repair_build < full_build,
-            "repair walk {repair_build} should undercut full build {full_build}"
-        );
-        assert!(ws.last_born_repair.rows_rewalked < ws.last_born_repair.rows_total);
     }
 
     #[test]
@@ -804,5 +660,38 @@ mod tests {
         // a second run must not grow the footprint
         run_serial_ws(&s, &mut ws);
         assert_eq!(ws.memory_bytes(), warm);
+    }
+
+    #[test]
+    fn frame_mode_holds_no_more_memory_than_a_plain_workspace() {
+        use crate::runners::frame::run_frame_serial;
+        use gb_geom::Vec3;
+
+        // both workspaces see the same frames, so their arenas warm alike;
+        // frame mode may add no state of its own on top
+        let mut s = sys(500);
+        let mut frames = Workspace::new();
+        frames.enable_frame_tracking(0.0);
+        let mut plain = Workspace::new();
+        run_serial_ws(&s, &mut frames);
+        run_serial_ws(&s, &mut plain);
+        for k in 1..=3 {
+            let moved: Vec<Vec3> = s
+                .molecule
+                .positions()
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| p + Vec3::new((i as f64 * 0.37 + k as f64).sin(), 0.0, 0.0) * 0.01)
+                .collect();
+            run_frame_serial(&mut s, &moved, 0.0, &mut frames);
+            assert_eq!(frames.last_born_path, ListPath::Rebuilt);
+            run_serial_ws(&s, &mut plain);
+        }
+        assert!(
+            frames.memory_bytes() <= plain.memory_bytes(),
+            "frame mode {} B vs plain {} B",
+            frames.memory_bytes(),
+            plain.memory_bytes()
+        );
     }
 }

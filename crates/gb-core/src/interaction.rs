@@ -46,190 +46,11 @@ use std::sync::OnceLock;
 /// decision.
 const MIN_TASK_LEAVES: usize = 2048;
 
-/// Safety pad on every certificate's drift sensitivity: the analytic κ
-/// bounds below are exact in real arithmetic, and the pad buys five orders
-/// of magnitude more slack than the f64 rounding they ignore. Over-padding
-/// only shrinks budgets — more re-sweeps, never a wrong decision.
-const CERT_PAD: f64 = 1.00001;
-
-/// A sweep-decision certificate: row `row`'s visit of node `a` keeps its
-/// recorded branch as long as the joint drift of `a` and the row's driving
-/// leaf stays within `budget`, which folds the decision's allowed drift
-/// margin into the trees' accumulated drift at record time. When drift
-/// exceeds the budget the branch *may* have flipped; repair re-evaluates
-/// the leaf test at the current geometry and only a confirmed flip
-/// invalidates the row. The recorded branch (far or not) lives in the top
-/// bit of `a` (node ids stay far below 2^31), so 16 bytes per decided
-/// (node, row) visit suffice.
-#[derive(Clone, Copy, Debug)]
-struct Cert {
-    a_tag: u32,
-    row: u32,
-    budget: f64,
-}
-
-impl Cert {
-    const FAR: u32 = 1 << 31;
-
-    #[inline]
-    fn new(a: NodeId, row: usize, far: bool, budget: f64) -> Cert {
-        debug_assert!(a < Self::FAR);
-        Cert { a_tag: a | if far { Self::FAR } else { 0 }, row: row as u32, budget }
-    }
-
-    #[inline]
-    fn a(&self) -> NodeId {
-        self.a_tag & !Self::FAR
-    }
-
-    #[inline]
-    fn far(&self) -> bool {
-        self.a_tag & Self::FAR != 0
-    }
-}
-
-/// What a [`BornLists::repair`] / [`EnergyLists::repair`] pass did.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RepairStats {
-    /// Certificates checked against the trees' accumulated drift.
-    pub certs_checked: usize,
-    /// Certificates whose drift bound tripped, forcing a predicate
-    /// re-evaluation at the current geometry (most re-confirm and merely
-    /// refresh their budget).
-    pub certs_rechecked: usize,
-    /// Certificates whose decision *confirmably* flipped (rows re-swept).
-    pub certs_violated: usize,
-    /// Driving-leaf rows regenerated by re-sweeps.
-    pub rows_rewalked: usize,
-    /// Total driving-leaf rows.
-    pub rows_total: usize,
-    /// True when any regenerated row differs from the stored one (the
-    /// content key is refolded; structure consumers must invalidate).
-    pub changed: bool,
-}
-
-impl RepairStats {
-    /// Fraction of driving rows the repair re-swept (0 = pure reuse).
-    pub fn rewalk_fraction(&self) -> f64 {
-        if self.rows_total == 0 {
-            0.0
-        } else {
-            self.rows_rewalked as f64 / self.rows_total as f64
-        }
-    }
-}
-
 /// The content-hash fold step shared with the communication planner
 /// (identical constants, so planner keys stay stable across the refactor).
 #[inline]
 fn fold(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-}
-
-/// Checks every certificate against the trees' accumulated drift (slack
-/// `drift_tol`; 0 = exact). A tripped drift bound is conservative, so the
-/// leaf test is re-evaluated at the *current* geometry
-/// ([`Sweep::recheck`]): an unchanged branch keeps the cert with a
-/// refreshed budget, while a confirmed flip marks its row invalid. Certs of
-/// invalid rows are dropped (the re-sweep records them afresh). Returns
-/// `(checked, rechecked, flipped)` and fills `runs` with the maximal
-/// invalid row runs; `bad` is a reusable per-row flag buffer.
-///
-/// When more than `bail_after` certs trip their drift bound the scan
-/// aborts and returns `None`: drift that dense means the frame moved
-/// nearly everything, a regime where re-checking and re-sweeping costs
-/// more than rebuilding from scratch (partially refreshed budgets are
-/// still valid certs, so an abort leaves the lists usable).
-fn invalidate_certs<S: Sweep>(
-    s: &S,
-    certs: &mut Vec<Cert>,
-    drift_tol: f64,
-    bad: &mut Vec<bool>,
-    runs: &mut Vec<(u32, u32)>,
-    bail_after: usize,
-) -> Option<(usize, usize, usize)> {
-    runs.clear();
-    bad.clear();
-    bad.resize(s.num_rows(), false);
-    let checked = certs.len();
-    let (mut rechecked, mut flipped) = (0usize, 0usize);
-    for c in certs.iter_mut() {
-        let (row, (da, db)) = (c.row as usize, s.drift(c.a(), c.row as usize));
-        if da + db > c.budget + drift_tol {
-            rechecked += 1;
-            if rechecked > bail_after {
-                return None;
-            }
-            match s.recheck(c.a(), row, c.far()) {
-                Some(allowed) => c.budget = allowed.max(0.0) + da + db,
-                None => {
-                    flipped += 1;
-                    bad[row] = true;
-                }
-            }
-        }
-    }
-    if flipped == 0 {
-        return Some((checked, rechecked, 0));
-    }
-    let mut start = None;
-    for (row, &b) in bad.iter().enumerate() {
-        match (start, b) {
-            (None, true) => start = Some(row),
-            (Some(s0), false) => {
-                runs.push((s0 as u32, row as u32));
-                start = None;
-            }
-            _ => {}
-        }
-    }
-    if let Some(s0) = start {
-        runs.push((s0 as u32, bad.len() as u32));
-    }
-    certs.retain(|c| !bad[c.row as usize]);
-    Some((checked, rechecked, flipped))
-}
-
-/// Converts a tripped-cert bail fraction into an absolute count
-/// (`usize::MAX` disables bailing).
-fn bail_fraction_to_count(fraction: f64, certs: usize) -> usize {
-    if fraction.is_finite() {
-        (fraction * certs as f64) as usize
-    } else {
-        usize::MAX
-    }
-}
-
-/// Branch (far?) + κ-divided standing margin of one Born visit — the
-/// exact float form of the traversal's `well_separated` test, shared by
-/// the sweep and the cert re-check so a repaired frame replays the
-/// decision bit for bit.
-#[inline]
-fn born_leaf_branch(ra: f64, rq: f64, d: f64, threshold: f64, k_leaf: f64, k_gap: f64)
-    -> (bool, f64) {
-    let far = well_separated(d, ra, rq, threshold);
-    let sum = ra + rq;
-    let gap = d - sum;
-    let w = threshold * gap - (d + sum);
-    let allowed = if far {
-        // both conditions hold; either failing flips the branch
-        (gap / k_gap).min(w / k_leaf)
-    } else {
-        // one failing condition persisting keeps the branch
-        let by_gap = if gap <= 0.0 { -gap / k_gap } else { f64::NEG_INFINITY };
-        let by_w = if w < 0.0 { -w / k_leaf } else { f64::NEG_INFINITY };
-        by_gap.max(by_w)
-    };
-    (far, allowed)
-}
-
-/// Branch (far?) + κ-divided standing margin of one energy visit of an
-/// internal node — the exact float form of the traversal's MAC test.
-#[inline]
-fn energy_leaf_branch(ru: f64, rv: f64, d: f64, mac: f64, k_leaf: f64) -> (bool, f64) {
-    let far = d > (ru + rv) * mac;
-    let t_m = d - (ru + rv) * mac;
-    (far, (if far { t_m } else { -t_m }) / k_leaf)
 }
 
 /// Preorder table of the interacting tree, struct-of-arrays — the row
@@ -341,8 +162,7 @@ impl Rows {
     }
 
     /// Appends rows `[from, to)` of the closed CSR `src`, rebasing offsets
-    /// — the block concatenation of a split build and the bulk-reuse half
-    /// of a repair.
+    /// — the block concatenation of a split build.
     fn append(&mut self, src: &Rows, from: usize, to: usize) {
         let (fb, fs) = (self.far.len(), src.far_off[from]);
         let (nb, ns) = (self.near.len(), src.near_off[from]);
@@ -357,8 +177,9 @@ impl Rows {
     }
 
     /// Folds the CSR arrays into a content key: equal keys ⇔ (offsets,
-    /// ids) byte-equal with overwhelming probability — what lets a no-flip
-    /// frame prove "structure unchanged" to plan caches in O(1).
+    /// ids) byte-equal with overwhelming probability — what lets a rebuild
+    /// that reproduced the same lists prove "structure unchanged" to plan
+    /// caches in O(1).
     fn fold_key(&self) -> u64 {
         let mut k = fold(0xC0_17_E4_7D, self.far_off.len() as u64);
         for &o in self.far_off.iter().chain(&self.near_off) {
@@ -389,9 +210,9 @@ impl Rows {
 }
 
 /// Lazily folded content key of a list's rows (0 = never built): reset by
-/// every rebuild and by a repair that changed a row, computed on the first
-/// [`BornLists::content_key`] / [`EnergyLists::content_key`] call — only
-/// the plan caches ever ask, so serial frames never pay the fold.
+/// every rebuild, computed on the first [`BornLists::content_key`] /
+/// [`EnergyLists::content_key`] call — only the plan caches ever ask, so
+/// serial frames never pay the fold.
 fn lazy_key(rows: &Rows, key: &OnceLock<u64>) -> u64 {
     if rows.far_off.is_empty() {
         0
@@ -401,34 +222,22 @@ fn lazy_key(rows: &Rows, key: &OnceLock<u64>) -> u64 {
 }
 
 /// Buffers of one sweep task: the Born MAC mask, and — for the tasks of a
-/// split build — the task's row block, certs and build work. A split build
-/// hands its certs over to the list (the buffer is moved, not copied), so
-/// no cert copy stays resident here.
+/// split build — the task's row block and build work.
 #[derive(Clone, Debug, Default)]
 struct TaskSeg {
     mask: Vec<bool>,
     rows: Rows,
-    certs: Vec<Cert>,
     work: f64,
 }
 
 /// Reusable scratch of a (possibly parallel) list build: the preorder
-/// table, one [`TaskSeg`] per task, the repair buffers and the energy
-/// ownership pass's ordinal arrays. Keeping one of these per pipeline makes
-/// steady-state rebuilds allocation-free once the buffers have warmed to
-/// the problem size.
+/// table, one [`TaskSeg`] per task and the energy ownership pass's ordinal
+/// arrays. Keeping one of these per pipeline makes steady-state rebuilds
+/// allocation-free once the buffers have warmed to the problem size.
 #[derive(Debug, Default)]
 pub struct ListScratch {
     table: Preorder,
     segs: Vec<TaskSeg>,
-    /// Per-row invalid flags and maximal invalid row runs of a repair.
-    bad: Vec<bool>,
-    runs: Vec<(u32, u32)>,
-    /// Repair double buffer: the spliced rows are assembled here (copied
-    /// reuse + re-swept runs), then swapped with the list's own — so a warm
-    /// repair allocates nothing and the swapped-out old rows stay readable
-    /// for change detection.
-    rows2: Rows,
     /// Leaf ordinal of each `T_A` node id (`u32::MAX` for internal nodes)
     /// and the partner *ordinals* mirroring `EnergyLists::near` — the
     /// symmetric-pair annotation's inputs.
@@ -444,23 +253,12 @@ impl ListScratch {
         ListScratch::default()
     }
 
-    /// Heap footprint in bytes (table, per-task buffers, repair buffers
-    /// and ownership arrays).
+    /// Heap footprint in bytes (table, per-task buffers and ownership
+    /// arrays).
     pub fn memory_bytes(&self) -> usize {
         self.table.memory_bytes()
-            + self
-                .segs
-                .iter()
-                .map(|s| {
-                    s.mask.capacity()
-                        + s.rows.memory_bytes()
-                        + s.certs.capacity() * std::mem::size_of::<Cert>()
-                })
-                .sum::<usize>()
+            + self.segs.iter().map(|s| s.mask.capacity() + s.rows.memory_bytes()).sum::<usize>()
             + self.segs.capacity() * std::mem::size_of::<TaskSeg>()
-            + self.bad.capacity()
-            + self.runs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.rows2.memory_bytes()
             + (self.ord_of.capacity() + self.near_ords.capacity()) * std::mem::size_of::<u32>()
             + self.cursor.capacity() * std::mem::size_of::<usize>()
     }
@@ -472,22 +270,10 @@ trait Sweep: Sync {
     fn interacting(&self) -> &Octree;
     /// Number of driving rows.
     fn num_rows(&self) -> usize;
-    /// Appends rows `rows` to `out` — and a cert per decided visit to
-    /// `certs` when given — returning their build work: one traversal unit
-    /// per visited (node, row).
-    fn sweep(
-        &self,
-        t: &Preorder,
-        rows: Range<usize>,
-        mask: &mut Vec<bool>,
-        out: &mut Rows,
-        certs: Option<&mut Vec<Cert>>,
-    ) -> f64;
-    /// Accumulated drift of node `a` and of row `row`'s driving leaf.
-    fn drift(&self, a: NodeId, row: usize) -> (f64, f64);
-    /// Re-evaluates a recorded decision at the current geometry: the
-    /// refreshed κ-divided margin while the branch holds, `None` on a flip.
-    fn recheck(&self, a: NodeId, row: usize, far: bool) -> Option<f64>;
+    /// Appends rows `rows` to `out`, returning their build work: one
+    /// traversal unit per visited (node, row).
+    fn sweep(&self, t: &Preorder, rows: Range<usize>, mask: &mut Vec<bool>, out: &mut Rows)
+        -> f64;
 }
 
 /// Sweeps every row into `out` (closing the CSR) — on the calling thread,
@@ -501,7 +287,6 @@ fn sweep_all<S: Sweep>(
     floor: usize,
     scratch: &mut ListScratch,
     out: &mut Rows,
-    mut certs: Option<&mut Vec<Cert>>,
 ) -> f64 {
     let ListScratch { table, segs, .. } = scratch;
     table.rebuild(s.interacting());
@@ -511,18 +296,17 @@ fn sweep_all<S: Sweep>(
         segs.resize_with(ntasks, TaskSeg::default);
     }
     if ntasks == 1 {
-        let work = s.sweep(table, 0..nrows, &mut segs[0].mask, out, certs);
+        let work = s.sweep(table, 0..nrows, &mut segs[0].mask, out);
         out.open_row();
         return work;
     }
-    let (table, record) = (&*table, certs.is_some());
+    let table = &*table;
     rayon::scope(|sc| {
         for (i, seg) in segs[..ntasks].iter_mut().enumerate() {
             let rows = i * nrows / ntasks..(i + 1) * nrows / ntasks;
             sc.spawn(move |_| {
                 seg.rows.clear();
-                let certs = record.then_some(&mut seg.certs);
-                seg.work = s.sweep(table, rows, &mut seg.mask, &mut seg.rows, certs);
+                seg.work = s.sweep(table, rows, &mut seg.mask, &mut seg.rows);
                 seg.rows.open_row();
             });
         }
@@ -530,67 +314,10 @@ fn sweep_all<S: Sweep>(
     let mut work = 0.0;
     for seg in &mut segs[..ntasks] {
         out.append(&seg.rows, 0, seg.rows.work.len());
-        if let Some(c) = certs.as_deref_mut() {
-            c.append(&mut std::mem::take(&mut seg.certs));
-        }
         work += seg.work;
     }
     out.open_row();
     work
-}
-
-/// The phase-independent body of a repair: checks the certs, re-sweeps the
-/// invalid row runs into the double buffer between bulk copies of the
-/// untouched rows, and swaps the result in. Returns the stats (`changed`
-/// set when a re-swept row differs) and the re-sweep's build work, or
-/// `None` on a density bail. With `drift_tol == 0` every kept row provably
-/// kept every decision, so the result equals a rebuild byte for byte.
-fn repair_rows<S: Sweep>(
-    s: &S,
-    rows: &mut Rows,
-    certs: &mut Vec<Cert>,
-    scratch: &mut ListScratch,
-    drift_tol: f64,
-    bail_tripped_fraction: f64,
-) -> Option<(RepairStats, f64)> {
-    let nrows = s.num_rows();
-    assert_eq!(rows.work.len(), nrows, "repair requires unchanged tree topology");
-    let ListScratch { table, segs, bad, runs, rows2, .. } = scratch;
-    let bail_after = bail_fraction_to_count(bail_tripped_fraction, certs.len());
-    let (checked, rechecked, flipped) =
-        invalidate_certs(s, certs, drift_tol, bad, runs, bail_after)?;
-    let mut stats = RepairStats {
-        certs_checked: checked,
-        certs_rechecked: rechecked,
-        certs_violated: flipped,
-        rows_total: nrows,
-        ..RepairStats::default()
-    };
-    if runs.is_empty() {
-        return Some((stats, 0.0));
-    }
-    table.rebuild(s.interacting());
-    if segs.is_empty() {
-        segs.push(TaskSeg::default());
-    }
-    rows2.clear();
-    let (mut work, mut prev) = (0.0, 0usize);
-    for &(lo, hi) in runs.iter() {
-        let (lo, hi) = (lo as usize, hi as usize);
-        rows2.append(rows, prev, lo);
-        work += s.sweep(table, lo..hi, &mut segs[0].mask, rows2, Some(&mut *certs));
-        stats.rows_rewalked += hi - lo;
-        prev = hi;
-    }
-    rows2.append(rows, prev, nrows);
-    rows2.open_row();
-    std::mem::swap(rows, rows2);
-    let (new, old) = (&*rows, &*rows2);
-    stats.changed = runs
-        .iter()
-        .flat_map(|&(lo, hi)| lo as usize..hi as usize)
-        .any(|ord| new.far_row(ord) != old.far_row(ord) || new.near_row(ord) != old.near_row(ord));
-    Some((stats, work))
 }
 
 // ---------------------------------------------------------------------------
@@ -598,26 +325,10 @@ fn repair_rows<S: Sweep>(
 // ---------------------------------------------------------------------------
 
 /// The Born sweep: one row per `T_Q` leaf over the `T_A` table.
-///
-/// Cert sensitivities (`δ` = joint drift `ta.drift(a) + tq.drift(q)`, using
-/// `|Δcentroid| ≤ δ`, `|Δradius| ≤ 2δ`, `|Δd| ≤ δ`): the leaf test
-/// (`gap = d−s > 0 ∧ θ·gap ≥ d+s`, `s = r_a+r_q`) moves `gap` by ≤ 3δ and
-/// `W = θ·gap−(d+s)` by ≤ (3θ+3)δ. Budgets divide the decision's standing
-/// margin by the padded sensitivity, so a valid cert *proves* the branch
-/// cannot have flipped.
 struct BornSweep<'a> {
     ta: &'a Octree,
     tq: &'a Octree,
     threshold: f64,
-    k_leaf: f64,
-    k_gap: f64,
-}
-
-impl<'a> BornSweep<'a> {
-    fn new(ta: &'a Octree, tq: &'a Octree, threshold: f64) -> BornSweep<'a> {
-        let (k_leaf, k_gap) = ((3.0 * threshold + 3.0) * CERT_PAD, 3.0 * CERT_PAD);
-        BornSweep { ta, tq, threshold, k_leaf, k_gap }
-    }
 }
 
 impl Sweep for BornSweep<'_> {
@@ -644,7 +355,6 @@ impl Sweep for BornSweep<'_> {
         rows: Range<usize>,
         mask: &mut Vec<bool>,
         out: &mut Rows,
-        mut certs: Option<&mut Vec<Cert>>,
     ) -> f64 {
         let n = t.len();
         mask.clear();
@@ -660,19 +370,11 @@ impl Sweep for BornSweep<'_> {
             for (m, (((&x, &y), &z), &ra)) in mask.iter_mut().zip(geom) {
                 *m = well_separated(Vec3::new(x, y, z).dist(qc), ra, rq, self.threshold);
             }
-            let dq = self.tq.drift(q_id);
             out.open_row();
             let far0 = out.far.len();
             let (mut steps, mut near_pairs, mut i) = (0u64, 0.0, 0usize);
             while i < n {
                 steps += 1;
-                if let Some(c) = certs.as_deref_mut() {
-                    let d = Vec3::new(cx[i], cy[i], cz[i]).dist(qc);
-                    let (far, allowed) =
-                        born_leaf_branch(r[i], rq, d, self.threshold, self.k_leaf, self.k_gap);
-                    let budget = allowed.max(0.0) + self.ta.drift(id[i]) + dq;
-                    c.push(Cert::new(id[i], ord, far, budget));
-                }
                 if mask[i] {
                     out.far.push(id[i]);
                     i = skip[i] as usize;
@@ -690,18 +392,6 @@ impl Sweep for BornSweep<'_> {
         }
         TRAVERSAL_UNIT * visits as f64
     }
-
-    fn drift(&self, a: NodeId, row: usize) -> (f64, f64) {
-        (self.ta.drift(a), self.tq.drift(self.tq.leaves()[row]))
-    }
-
-    fn recheck(&self, a: NodeId, row: usize, far: bool) -> Option<f64> {
-        let (a, q) = (self.ta.node(a), self.tq.node(self.tq.leaves()[row]));
-        let d = a.centroid.dist(q.centroid);
-        let (now, allowed) =
-            born_leaf_branch(a.radius, q.radius, d, self.threshold, self.k_leaf, self.k_gap);
-        (now == far).then_some(allowed)
-    }
 }
 
 /// Interaction lists of the Born phase: for every `T_Q` leaf ordinal, the
@@ -713,22 +403,14 @@ pub struct BornLists {
     /// Both CSRs; `rows.work` is the per-leaf `leaf_work`.
     rows: Rows,
     /// Work spent constructing the lists: one traversal unit per visited
-    /// (node, row) for a full build; for a repaired list, the units of the
-    /// re-swept rows only (the incremental cost actually paid).
+    /// (node, row); 0 for lists a frame reused without sweeping.
     pub build_work: f64,
-    /// Sweep-decision certificates (present iff `track_certs`).
-    certs: Vec<Cert>,
-    /// Whether rebuilds record certificates (enables [`BornLists::repair`]).
-    track_certs: bool,
     /// Lazily folded CSR key (see [`lazy_key`]).
     content_key: OnceLock<u64>,
-    /// Certificate count of the last *full* build — the overflow baseline.
-    full_build_certs: usize,
 }
 
-/// Structural equality ignores the incremental-repair bookkeeping (certs,
-/// tracking flag, content key): two lists are equal when execution cannot
-/// tell them apart.
+/// Structural equality ignores the lazily folded content key: two lists
+/// are equal when execution cannot tell them apart.
 impl PartialEq for BornLists {
     fn eq(&self, o: &BornLists) -> bool {
         self.rows == o.rows && self.build_work == o.build_work
@@ -738,36 +420,7 @@ impl PartialEq for BornLists {
 impl BornLists {
     /// Empty lists — a reusable slot for [`BornLists::rebuild`].
     pub fn empty() -> BornLists {
-        BornLists {
-            rows: Rows::default(),
-            build_work: 0.0,
-            certs: Vec::new(),
-            track_certs: false,
-            content_key: OnceLock::new(),
-            full_build_certs: 0,
-        }
-    }
-
-    /// Enables (or disables) certificate recording on subsequent rebuilds.
-    /// Tracking costs one 16-byte cert per visited (node, row) and changes
-    /// no list content; it is what makes [`BornLists::repair`] possible.
-    pub fn set_cert_tracking(&mut self, on: bool) {
-        self.track_certs = on;
-    }
-
-    /// Whether rebuilds record repair certificates.
-    #[inline]
-    pub fn tracks_certs(&self) -> bool {
-        self.track_certs
-    }
-
-    /// Whether the resident lists carry repair certificates — i.e. their
-    /// build actually recorded decisions. False after an untracked rebuild
-    /// even if tracking has since been re-enabled; repairing without this
-    /// evidence would silently keep stale lists.
-    #[inline]
-    pub fn has_certs(&self) -> bool {
-        !self.certs.is_empty()
+        BornLists { rows: Rows::default(), build_work: 0.0, content_key: OnceLock::new() }
     }
 
     /// Fold of the CSR structure (0 = never built). Equal keys across
@@ -776,13 +429,6 @@ impl BornLists {
     #[inline]
     pub fn content_key(&self) -> u64 {
         lazy_key(&self.rows, &self.content_key)
-    }
-
-    /// True when repair-appended certificates outnumber a full build's by
-    /// more than 2× — repeated incremental repairs have fragmented the
-    /// decision record enough that a fresh build is the better deal.
-    pub fn cert_overflow(&self) -> bool {
-        self.full_build_certs > 0 && self.certs.len() > 2 * self.full_build_certs
     }
 
     /// Sweeps every `T_Q` leaf's row serially.
@@ -820,16 +466,16 @@ impl BornLists {
         scratch: &mut ListScratch,
         floor: usize,
     ) {
-        let s = BornSweep::new(&sys.ta, &sys.tq, sys.params.radii_mac_threshold());
+        let s = BornSweep { ta: &sys.ta, tq: &sys.tq, threshold: sys.params.radii_mac_threshold() };
         self.rebuild_sweep(&s, tasks, scratch, floor);
     }
 
     /// Cross-system list build: sweeps `(A tree of one system, Q tree of
-    /// another)` with the same certificates and acceptance tests as the
-    /// own-surface build. This is the docking path's per-pose work — the
-    /// receptor keeps its cached own-surface lists and only the
-    /// receptor×ligand (and ligand×receptor) lists are built here. The
-    /// driving `tq` may be a [`Octree::transformed`] posed copy.
+    /// another)` with the same acceptance tests as the own-surface build.
+    /// This is the docking path's per-pose work — the receptor keeps its
+    /// cached own-surface lists and only the receptor×ligand (and
+    /// ligand×receptor) lists are built here. The driving `tq` may be a
+    /// [`Octree::transformed`] posed copy.
     pub fn rebuild_cross(
         &mut self,
         ta: &Octree,
@@ -837,17 +483,14 @@ impl BornLists {
         threshold: f64,
         scratch: &mut ListScratch,
     ) {
-        self.rebuild_sweep(&BornSweep::new(ta, tq, threshold), 1, scratch, MIN_TASK_LEAVES);
+        self.rebuild_sweep(&BornSweep { ta, tq, threshold }, 1, scratch, MIN_TASK_LEAVES);
     }
 
     fn rebuild_sweep(&mut self, s: &BornSweep, tasks: usize, scratch: &mut ListScratch,
         floor: usize) {
         self.rows.clear();
-        self.certs.clear();
         self.content_key = OnceLock::new();
-        let certs = self.track_certs.then_some(&mut self.certs);
-        self.build_work = sweep_all(s, tasks, floor, scratch, &mut self.rows, certs);
-        self.full_build_certs = self.certs.len();
+        self.build_work = sweep_all(s, tasks, floor, scratch, &mut self.rows);
     }
 
     /// The far CSR: `(offsets, node ids)` grouped by driving-leaf ordinal.
@@ -1001,46 +644,7 @@ impl BornLists {
 
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.rows.memory_bytes() + self.certs.capacity() * std::mem::size_of::<Cert>()
-    }
-
-    /// Incrementally repairs the lists after the trees were refitted in
-    /// place: checks every sweep certificate against the accumulated
-    /// drift, re-sweeps only the rows whose decisions could have flipped,
-    /// and splices the regenerated rows into the stored CSRs. With
-    /// `drift_tol == 0` the result (CSRs + `leaf_work`) is
-    /// **byte-identical** to a from-scratch rebuild on the refitted trees;
-    /// a positive tolerance keeps decisions whose margin deficit is within
-    /// `drift_tol` Å of drift, trading bounded list staleness for fewer
-    /// re-sweeps. Requires cert tracking and an unchanged tree topology.
-    pub fn repair(&mut self, sys: &GbSystem, drift_tol: f64, scratch: &mut ListScratch)
-        -> RepairStats {
-        self.try_repair(sys, drift_tol, scratch, f64::INFINITY)
-            .expect("unbounded repair cannot bail")
-    }
-
-    /// [`BornLists::repair`] with a density bail-out: returns `None` —
-    /// leaving the lists untouched apart from refreshed cert budgets —
-    /// when more than `bail_tripped_fraction` of the certs trip their
-    /// drift bound. That dense a drift regime (global motion) re-sweeps
-    /// nearly every row anyway, so the caller is better off rebuilding
-    /// from scratch, optionally without cert recording.
-    pub fn try_repair(
-        &mut self,
-        sys: &GbSystem,
-        drift_tol: f64,
-        scratch: &mut ListScratch,
-        bail_tripped_fraction: f64,
-    ) -> Option<RepairStats> {
-        assert!(self.track_certs, "BornLists::repair requires cert tracking");
-        let s = BornSweep::new(&sys.ta, &sys.tq, sys.params.radii_mac_threshold());
-        let (stats, work) = repair_rows(&s, &mut self.rows, &mut self.certs, scratch, drift_tol,
-            bail_tripped_fraction)?;
-        if stats.changed {
-            self.content_key = OnceLock::new();
-        }
-        self.build_work = work;
-        Some(stats)
+        self.rows.memory_bytes()
     }
 }
 
@@ -1123,20 +727,9 @@ fn born_span_batched<M: MathMode, K: RadiiApprox>(
 /// far nodes come out in *mirrored* preorder, which for disjoint subtrees
 /// is this scan's order reversed, so each far row is reversed in place to
 /// keep the traversal's (and the far tile's) order.
-///
-/// Cert sensitivity (`δ` = joint drift of `u` and `v`): the MAC margin
-/// `d − (r_u+r_v)·mac` moves by ≤ (1+2·mac)δ, padded to (2+2·mac). Leaf
-/// `u` visits emit unconditionally and need no certificate.
 struct EnergySweep<'a> {
     ta: &'a Octree,
     mac: f64,
-    k_leaf: f64,
-}
-
-impl<'a> EnergySweep<'a> {
-    fn new(ta: &'a Octree, mac: f64) -> EnergySweep<'a> {
-        EnergySweep { ta, mac, k_leaf: (2.0 + 2.0 * mac) * CERT_PAD }
-    }
 }
 
 impl Sweep for EnergySweep<'_> {
@@ -1154,7 +747,6 @@ impl Sweep for EnergySweep<'_> {
         rows: Range<usize>,
         _mask: &mut Vec<bool>,
         out: &mut Rows,
-        mut certs: Option<&mut Vec<Cert>>,
     ) -> f64 {
         let n = t.len();
         let (cx, cy, cz, r) = (&t.cx[..n], &t.cy[..n], &t.cz[..n], &t.r[..n]);
@@ -1163,7 +755,6 @@ impl Sweep for EnergySweep<'_> {
         for ord in rows {
             let v_id = self.ta.leaves()[ord];
             let v = self.ta.node(v_id);
-            let dv = self.ta.drift(v_id);
             out.open_row();
             let far0 = out.far.len();
             let (mut steps, mut pairs, mut i) = (0u64, 0u64, 0usize);
@@ -1176,13 +767,7 @@ impl Sweep for EnergySweep<'_> {
                     continue;
                 }
                 let d = Vec3::new(cx[i], cy[i], cz[i]).dist(v.centroid);
-                let far = d > (r[i] + v.radius) * self.mac;
-                if let Some(c) = certs.as_deref_mut() {
-                    let (_, allowed) = energy_leaf_branch(r[i], v.radius, d, self.mac, self.k_leaf);
-                    let budget = allowed.max(0.0) + self.ta.drift(id[i]) + dv;
-                    c.push(Cert::new(id[i], ord, far, budget));
-                }
-                if far {
+                if d > (r[i] + v.radius) * self.mac {
                     out.far.push(id[i]);
                     i = skip[i] as usize;
                 } else {
@@ -1195,17 +780,6 @@ impl Sweep for EnergySweep<'_> {
             visits += steps;
         }
         TRAVERSAL_UNIT * visits as f64
-    }
-
-    fn drift(&self, a: NodeId, row: usize) -> (f64, f64) {
-        (self.ta.drift(a), self.ta.drift(self.ta.leaves()[row]))
-    }
-
-    fn recheck(&self, a: NodeId, row: usize, far: bool) -> Option<f64> {
-        let (u, v) = (self.ta.node(a), self.ta.node(self.ta.leaves()[row]));
-        let d = u.centroid.dist(v.centroid);
-        let (now, allowed) = energy_leaf_branch(u.radius, v.radius, d, self.mac, self.k_leaf);
-        (now == far).then_some(allowed)
     }
 }
 
@@ -1231,20 +805,13 @@ pub struct EnergyLists {
     /// across rank/chunk segments.
     near_w: Vec<u8>,
     /// Work spent constructing the lists: one traversal unit per visited
-    /// (node, row) for a full build; for a repaired list, the re-swept
-    /// rows' units.
+    /// (node, row); 0 for lists a frame reused without sweeping.
     pub build_work: f64,
-    /// Sweep-decision certificates (present iff `track_certs`).
-    certs: Vec<Cert>,
-    /// Whether rebuilds record certificates (enables [`EnergyLists::repair`]).
-    track_certs: bool,
     /// Lazily folded CSR key (see [`lazy_key`]).
     content_key: OnceLock<u64>,
-    /// Certificate count of the last *full* build — the overflow baseline.
-    full_build_certs: usize,
 }
 
-/// Structural equality ignores the incremental-repair bookkeeping, exactly
+/// Structural equality ignores the lazily folded content key, exactly
 /// like [`BornLists`]' `PartialEq`.
 impl PartialEq for EnergyLists {
     fn eq(&self, o: &EnergyLists) -> bool {
@@ -1259,42 +826,14 @@ impl EnergyLists {
             rows: Rows::default(),
             near_w: Vec::new(),
             build_work: 0.0,
-            certs: Vec::new(),
-            track_certs: false,
             content_key: OnceLock::new(),
-            full_build_certs: 0,
         }
-    }
-
-    /// Enables (or disables) certificate recording on subsequent rebuilds
-    /// (see [`BornLists::set_cert_tracking`]).
-    pub fn set_cert_tracking(&mut self, on: bool) {
-        self.track_certs = on;
-    }
-
-    /// Whether rebuilds record repair certificates.
-    #[inline]
-    pub fn tracks_certs(&self) -> bool {
-        self.track_certs
-    }
-
-    /// Whether the resident lists carry repair certificates (see
-    /// [`BornLists::has_certs`]).
-    #[inline]
-    pub fn has_certs(&self) -> bool {
-        !self.certs.is_empty()
     }
 
     /// Fold of the CSR structure (0 = never built).
     #[inline]
     pub fn content_key(&self) -> u64 {
         lazy_key(&self.rows, &self.content_key)
-    }
-
-    /// True when repair-appended certificates outnumber a full build's by
-    /// more than 2× (see [`BornLists::cert_overflow`]).
-    pub fn cert_overflow(&self) -> bool {
-        self.full_build_certs > 0 && self.certs.len() > 2 * self.full_build_certs
     }
 
     /// Sweeps every `T_A` leaf's row serially; the rows stand for the `V`
@@ -1330,12 +869,9 @@ impl EnergyLists {
         floor: usize,
     ) {
         self.rows.clear();
-        self.certs.clear();
         self.content_key = OnceLock::new();
-        let s = EnergySweep::new(&sys.ta, sys.params.energy_mac_factor());
-        let certs = self.track_certs.then_some(&mut self.certs);
-        self.build_work = sweep_all(&s, tasks, floor, scratch, &mut self.rows, certs);
-        self.full_build_certs = self.certs.len();
+        let s = EnergySweep { ta: &sys.ta, mac: sys.params.energy_mac_factor() };
+        self.build_work = sweep_all(&s, tasks, floor, scratch, &mut self.rows);
         self.annotate_near_ownership(&sys.ta, scratch);
     }
 
@@ -1346,8 +882,6 @@ impl EnergyLists {
     /// partners?" queries arrive with `ord` increasing and a per-row
     /// cursor into the row's upper half answers every query with a
     /// monotone advance — O(near) total, no per-entry binary search.
-    /// A pure function of the near CSR, so re-running it after a repair
-    /// splice reproduces a rebuild's weights byte for byte.
     fn annotate_near_ownership(&mut self, ta: &Octree, scratch: &mut ListScratch) {
         let ListScratch { ord_of, near_ords, cursor, .. } = scratch;
         ord_of.clear();
@@ -1396,43 +930,6 @@ impl EnergyLists {
                 // both sides keep weight 1
             }
         }
-    }
-
-    /// Incrementally repairs the lists after an in-place tree refit — the
-    /// energy-phase mirror of [`BornLists::repair`]: certificate check,
-    /// re-sweeps of invalidated rows, CSR splice, then the ownership
-    /// annotation re-run in full (ownership is a global property — one
-    /// changed row can flip its mirror rows' weights). Byte-identical to a
-    /// rebuild at `drift_tol == 0`.
-    pub fn repair(&mut self, sys: &GbSystem, drift_tol: f64, scratch: &mut ListScratch)
-        -> RepairStats {
-        self.try_repair(sys, drift_tol, scratch, f64::INFINITY)
-            .expect("unbounded repair cannot bail")
-    }
-
-    /// [`EnergyLists::repair`] with the same density bail-out contract as
-    /// [`BornLists::try_repair`]: `None` means more than
-    /// `bail_tripped_fraction` of the certs tripped their drift bound and
-    /// the caller should rebuild instead.
-    pub fn try_repair(
-        &mut self,
-        sys: &GbSystem,
-        drift_tol: f64,
-        scratch: &mut ListScratch,
-        bail_tripped_fraction: f64,
-    ) -> Option<RepairStats> {
-        assert!(self.track_certs, "EnergyLists::repair requires cert tracking");
-        let s = EnergySweep::new(&sys.ta, sys.params.energy_mac_factor());
-        let (stats, work) = repair_rows(&s, &mut self.rows, &mut self.certs, scratch, drift_tol,
-            bail_tripped_fraction)?;
-        if stats.rows_rewalked > 0 {
-            self.annotate_near_ownership(&sys.ta, scratch);
-        }
-        if stats.changed {
-            self.content_key = OnceLock::new();
-        }
-        self.build_work = work;
-        Some(stats)
     }
 
     /// The near CSR: `(offsets, leaf ids)` grouped by driving-leaf ordinal.
@@ -1798,9 +1295,7 @@ impl EnergyLists {
 
     /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.rows.memory_bytes()
-            + self.near_w.capacity() * std::mem::size_of::<u8>()
-            + self.certs.capacity() * std::mem::size_of::<Cert>()
+        self.rows.memory_bytes() + self.near_w.capacity() * std::mem::size_of::<u8>()
     }
 }
 
@@ -2181,16 +1676,12 @@ mod tests {
                 + (r.far.capacity() + r.near.capacity()) * std::mem::size_of::<NodeId>()
                 + (r.work.capacity() + r.near_work.capacity()) * std::mem::size_of::<f64>()
         };
-        let expect = rows_bytes(&b.rows) + b.certs.capacity() * std::mem::size_of::<Cert>();
-        assert_eq!(b.memory_bytes(), expect);
+        assert_eq!(b.memory_bytes(), rows_bytes(&b.rows));
         assert!(b.memory_bytes() > 0);
         let e = EnergyLists::build(&sys);
-        let expect = rows_bytes(&e.rows)
-            + e.near_w.capacity() * std::mem::size_of::<u8>()
-            + e.certs.capacity() * std::mem::size_of::<Cert>();
+        let expect = rows_bytes(&e.rows) + e.near_w.capacity() * std::mem::size_of::<u8>();
         assert_eq!(e.memory_bytes(), expect);
-        // scratch reports the table + per-task buffers + repair buffers +
-        // ownership arrays
+        // scratch reports the table + per-task buffers + ownership arrays
         let mut scratch = ListScratch::new();
         let mut lists = BornLists::empty();
         lists.rebuild_with_task_floor(&sys, 3, &mut scratch, 1);
@@ -2200,19 +1691,8 @@ mod tests {
             + (t.id.capacity() + t.skip.capacity() + t.count.capacity() + t.size.capacity()
                 + t.stack.capacity())
                 * std::mem::size_of::<u32>()
-            + scratch
-                .segs
-                .iter()
-                .map(|s| {
-                    s.mask.capacity()
-                        + rows_bytes(&s.rows)
-                        + s.certs.capacity() * std::mem::size_of::<Cert>()
-                })
-                .sum::<usize>()
+            + scratch.segs.iter().map(|s| s.mask.capacity() + rows_bytes(&s.rows)).sum::<usize>()
             + scratch.segs.capacity() * std::mem::size_of::<TaskSeg>()
-            + scratch.bad.capacity()
-            + scratch.runs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + rows_bytes(&scratch.rows2)
             + (scratch.ord_of.capacity() + scratch.near_ords.capacity())
                 * std::mem::size_of::<u32>()
             + scratch.cursor.capacity() * std::mem::size_of::<usize>();
@@ -2452,7 +1932,7 @@ mod tests {
         }
     }
 
-    // -- incremental repair ------------------------------------------------
+    // -- refitted trees ------------------------------------------------------
 
     /// The tree's points in builder-input (original-index) order, the
     /// convention [`Octree::refit`] expects.
@@ -2478,180 +1958,16 @@ mod tests {
         tree.refit(&pts);
     }
 
-    fn assert_born_identical(repaired: &BornLists, rebuilt: &BornLists, tag: &str) {
-        assert_eq!(repaired.far_csr(), rebuilt.far_csr(), "{tag}: far CSR");
-        assert_eq!(repaired.near_csr(), rebuilt.near_csr(), "{tag}: near CSR");
-        assert_eq!(repaired.leaf_work(), rebuilt.leaf_work(), "{tag}: leaf_work");
-        assert_eq!(repaired.content_key(), rebuilt.content_key(), "{tag}: content key");
-    }
-
-    fn assert_energy_identical(repaired: &EnergyLists, rebuilt: &EnergyLists, tag: &str) {
-        assert_eq!(repaired.near_csr(), rebuilt.near_csr(), "{tag}: near CSR");
-        assert_eq!(repaired.far_csr(), rebuilt.far_csr(), "{tag}: far CSR");
-        assert_eq!(
-            repaired.step_and_near_work(),
-            rebuilt.step_and_near_work(),
-            "{tag}: work arrays"
-        );
-        assert_eq!(repaired.near_w, rebuilt.near_w, "{tag}: ownership weights");
-        assert_eq!(repaired.content_key(), rebuilt.content_key(), "{tag}: content key");
-    }
-
-    #[test]
-    fn exact_repair_is_byte_identical_to_rebuild() {
-        // amplitudes spanning "almost nothing flips" to "lots flips",
-        // across task counts, chained over consecutive frames, plus a
-        // partial-motion frame (only every 7th point moves)
-        for &(amp, tasks) in
-            &[(0.005f64, 1usize), (0.005, 3), (0.05, 1), (0.05, 3), (0.3, 1), (0.3, 3)]
-        {
-            let mut sys = system(260);
-            let mut scratch = ListScratch::new();
-            let mut born = BornLists::empty();
-            born.set_cert_tracking(true);
-            born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            let mut energy = EnergyLists::empty();
-            energy.set_cert_tracking(true);
-            energy.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-
-            for (frame, stride) in [(0u64, 1usize), (1, 1), (2, 7)] {
-                jitter_tree(&mut sys.ta, amp, 100 + frame, stride);
-                jitter_tree(&mut sys.tq, amp, 200 + frame, stride);
-                let bs = born.repair(&sys, 0.0, &mut scratch);
-                let es = energy.repair(&sys, 0.0, &mut scratch);
-                let tag = format!("amp={amp} tasks={tasks} frame={frame}");
-                let mut scratch2 = ListScratch::new();
-                let mut born2 = BornLists::empty();
-                born2.set_cert_tracking(true);
-                born2.rebuild_with_task_floor(&sys, tasks, &mut scratch2, 1);
-                let mut energy2 = EnergyLists::empty();
-                energy2.set_cert_tracking(true);
-                energy2.rebuild_with_task_floor(&sys, tasks, &mut scratch2, 1);
-                assert_born_identical(&born, &born2, &tag);
-                assert_energy_identical(&energy, &energy2, &tag);
-                assert!(bs.rows_rewalked <= bs.rows_total, "{tag}");
-                assert!(es.rows_rewalked <= es.rows_total, "{tag}");
-                // the incremental walk must undercut the full rebuild
-                if bs.rows_rewalked < bs.rows_total {
-                    assert!(born.build_work < born2.build_work, "{tag}: born walk savings");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn identity_refit_repairs_for_free() {
-        let mut sys = system(260);
-        let mut scratch = ListScratch::new();
-        let mut born = BornLists::empty();
-        born.set_cert_tracking(true);
-        born.rebuild(&sys, 1, &mut scratch);
-        let mut energy = EnergyLists::empty();
-        energy.set_cert_tracking(true);
-        energy.rebuild(&sys, 1, &mut scratch);
-        let (bk, ek) = (born.content_key(), energy.content_key());
-        let before_b = born.clone();
-        let before_e = energy.clone();
-
-        // refit with unchanged positions: no drift, no violated certs
-        let pa = original_positions(&sys.ta);
-        let pq = original_positions(&sys.tq);
-        sys.ta.refit(&pa);
-        sys.tq.refit(&pq);
-        let bs = born.repair(&sys, 0.0, &mut scratch);
-        let es = energy.repair(&sys, 0.0, &mut scratch);
-        for s in [bs, es] {
-            assert!(s.certs_checked > 0);
-            assert_eq!(s.certs_violated, 0);
-            assert_eq!(s.rows_rewalked, 0);
-            assert!(!s.changed);
-            assert_eq!(s.rewalk_fraction(), 0.0);
-        }
-        assert_eq!(born.build_work, 0.0);
-        assert_eq!(energy.build_work, 0.0);
-        assert_eq!(born.content_key(), bk);
-        assert_eq!(energy.content_key(), ek);
-        // lists untouched except build_work (compare structure directly)
-        assert_eq!(born.far_csr(), before_b.far_csr());
-        assert_eq!(born.near_csr(), before_b.near_csr());
-        assert_eq!(energy.near_csr(), before_e.near_csr());
-        assert_eq!(energy.near_w, before_e.near_w);
-    }
-
-    #[test]
-    fn slack_tolerance_trades_rewalks_monotonically() {
-        // larger drift_tol must never re-walk more rows (deterministic
-        // certificate arithmetic ⇒ the violated set shrinks monotonically)
-        let mut sys = system(300);
-        let mut scratch = ListScratch::new();
-        let mut born = BornLists::empty();
-        born.set_cert_tracking(true);
-        born.rebuild(&sys, 1, &mut scratch);
-        let mut energy = EnergyLists::empty();
-        energy.set_cert_tracking(true);
-        energy.rebuild(&sys, 1, &mut scratch);
-        jitter_tree(&mut sys.ta, 0.05, 9, 1);
-        jitter_tree(&mut sys.tq, 0.05, 10, 1);
-
-        let mut last_b = usize::MAX;
-        let mut last_e = usize::MAX;
-        for tol in [0.0, 0.1, 0.5, 2.0] {
-            let mut b = born.clone();
-            let mut e = energy.clone();
-            let bs = b.repair(&sys, tol, &mut scratch);
-            let es = e.repair(&sys, tol, &mut scratch);
-            assert!(bs.rows_rewalked <= last_b, "tol={tol}: born rewalks grew");
-            assert!(es.rows_rewalked <= last_e, "tol={tol}: energy rewalks grew");
-            last_b = bs.rows_rewalked;
-            last_e = es.rows_rewalked;
-        }
-        // a generous tolerance on a small jitter must accept nearly all
-        assert!(last_b == 0 && last_e == 0, "tol=2.0 still re-walked rows");
-    }
-
-    #[test]
-    fn cert_tracking_does_not_change_lists() {
-        // recording certificates must leave every list byte untouched —
-        // the margins are computed beside the original comparisons, never
-        // instead of them
-        let sys = system(300);
-        let mut scratch = ListScratch::new();
-        for tasks in [1usize, 4] {
-            let mut plain_b = BornLists::empty();
-            plain_b.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            let mut tracked_b = BornLists::empty();
-            tracked_b.set_cert_tracking(true);
-            tracked_b.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            assert_eq!(plain_b, tracked_b, "tasks={tasks}");
-            assert_eq!(plain_b.content_key(), tracked_b.content_key());
-            assert!(plain_b.certs.is_empty());
-            assert!(!tracked_b.certs.is_empty());
-            assert!(!tracked_b.cert_overflow());
-
-            let mut plain_e = EnergyLists::empty();
-            plain_e.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            let mut tracked_e = EnergyLists::empty();
-            tracked_e.set_cert_tracking(true);
-            tracked_e.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            assert_eq!(plain_e, tracked_e, "tasks={tasks}");
-            assert_eq!(plain_e.content_key(), tracked_e.content_key());
-            assert!(plain_e.certs.is_empty() && !tracked_e.certs.is_empty());
-        }
-    }
-
     #[test]
     fn content_key_is_folded_on_first_request_only() {
-        // rebuilds and changing repairs leave the key unfolded (the
-        // serial frame path never asks); the first request folds exactly
-        // the CSR arrays
+        // rebuilds leave the key unfolded (the serial frame path never
+        // asks); the first request folds exactly the CSR arrays
         let mut sys = system(300);
         let mut scratch = ListScratch::new();
         let mut born = BornLists::empty();
         assert_eq!(born.content_key(), 0, "never built");
-        born.set_cert_tracking(true);
         born.rebuild(&sys, 1, &mut scratch);
         let mut energy = EnergyLists::empty();
-        energy.set_cert_tracking(true);
         energy.rebuild(&sys, 1, &mut scratch);
         assert!(born.content_key.get().is_none() && energy.content_key.get().is_none());
         assert_eq!(born.content_key(), born.rows.fold_key());
@@ -2659,34 +1975,11 @@ mod tests {
         assert_ne!(born.content_key(), energy.content_key());
         jitter_tree(&mut sys.ta, 0.3, 41, 1);
         jitter_tree(&mut sys.tq, 0.3, 42, 1);
-        assert!(born.repair(&sys, 0.0, &mut scratch).changed);
+        let before = born.content_key();
+        born.rebuild(&sys, 1, &mut scratch);
         assert!(born.content_key.get().is_none());
         assert_eq!(born.content_key(), BornLists::build(&sys).content_key());
-    }
-
-    #[test]
-    fn repaired_lists_execute_to_identical_integrals() {
-        // end-to-end: integrals off a repaired list are bit-identical to
-        // integrals off freshly rebuilt lists (same refitted system)
-        let mut sys = system(300);
-        let mut scratch = ListScratch::new();
-        let mut born = BornLists::empty();
-        born.set_cert_tracking(true);
-        born.rebuild(&sys, 1, &mut scratch);
-        jitter_tree(&mut sys.ta, 0.05, 33, 1);
-        jitter_tree(&mut sys.tq, 0.05, 34, 1);
-        born.repair(&sys, 0.0, &mut scratch);
-        let fresh = BornLists::build(&sys);
-        let mut acc_r = IntegralAcc::zeros(&sys);
-        let mut acc_f = IntegralAcc::zeros(&sys);
-        born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut acc_r);
-        fresh.execute_range::<ExactMath, R6>(&sys, 0..fresh.num_qleaves(), &mut acc_f);
-        for (x, y) in acc_r.node_s.iter().zip(&acc_f.node_s) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in acc_r.atom_s.iter().zip(&acc_f.atom_s) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        assert_ne!(born.content_key(), before, "0.3 Å jitter must change the lists");
     }
 
     // -- row order and run coalescing ---------------------------------------
@@ -2753,16 +2046,13 @@ mod tests {
         assert!(!cross.rows.near.is_empty());
         assert_rows_ascend(&cross, &lig.ta, "cross ligand x receptor");
 
-        // exact-mode repaired frames (the re-walked rows are spliced in)
+        // refitted trees keep their preorder, so frame rebuilds ascend too
         let mut born = BornLists::empty();
-        born.set_cert_tracking(true);
-        born.rebuild(&sys, 1, &mut scratch);
         for (frame, stride) in [(0u64, 1usize), (1, 7)] {
             jitter_tree(&mut sys.ta, 0.05, 300 + frame, stride);
             jitter_tree(&mut sys.tq, 0.05, 400 + frame, stride);
-            let stats = born.repair(&sys, 0.0, &mut scratch);
-            assert!(stats.rows_rewalked > 0, "frame {frame}: nothing re-walked");
-            assert_rows_ascend(&born, &sys.ta, &format!("repair frame={frame}"));
+            born.rebuild(&sys, 1, &mut scratch);
+            assert_rows_ascend(&born, &sys.ta, &format!("refit frame={frame}"));
         }
     }
 
@@ -3044,7 +2334,7 @@ mod tests {
                 for (ta, tq, dir) in
                     [(&sys.ta, &lig.tq, "rec x lig"), (&lig.ta, &sys.tq, "lig x rec")]
                 {
-                    born.rebuild_sweep(&BornSweep::new(ta, tq, threshold), tasks, &mut scratch, 1);
+                    born.rebuild_sweep(&BornSweep { ta, tq, threshold }, tasks, &mut scratch, 1);
                     assert_born_matches_oracle(&born, ta, tq, &format!("{tag} {dir}"));
                 }
                 let mut energy = EnergyLists::empty();
@@ -3060,36 +2350,15 @@ mod tests {
         let threshold = sys.params.radii_mac_threshold();
         let born_steps: u64 =
             sys.tq.leaves().iter().map(|&q| born_oracle(&sys.ta, &sys.tq, threshold, q).steps).sum();
-        for (tracked, tasks) in [(false, 1usize), (true, 1), (false, 3), (true, 3)] {
+        for tasks in [1usize, 3] {
             let mut scratch = ListScratch::new();
             let mut born = BornLists::empty();
-            born.set_cert_tracking(tracked);
             born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
             assert_eq!(born.build_work, TRAVERSAL_UNIT * born_steps as f64);
             let mut energy = EnergyLists::empty();
-            energy.set_cert_tracking(tracked);
             energy.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
             let (steps, _) = energy.step_and_near_work();
             assert_eq!(energy.build_work, TRAVERSAL_UNIT * steps.iter().sum::<f64>());
-        }
-    }
-
-    #[test]
-    fn tracked_builds_keep_no_cert_copy_in_scratch() {
-        // certs are recorded straight into the list (a split build moves
-        // its task buffers over), so the scratch footprint cannot tell a
-        // tracked build from an untracked one
-        let sys = system(350);
-        for tasks in [1usize, 3] {
-            let footprint = |tracked: bool| {
-                let mut scratch = ListScratch::new();
-                let mut born = BornLists::empty();
-                born.set_cert_tracking(tracked);
-                born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-                assert_eq!(born.has_certs(), tracked);
-                scratch.memory_bytes()
-            };
-            assert_eq!(footprint(true), footprint(false), "tasks={tasks}");
         }
     }
 }

@@ -2,12 +2,15 @@
 //!
 //! A frame step is: [`GbSystem::refit_frame`] once (slack-margin tree
 //! refit, surface riding rigidly on its owning atoms), then the regular
-//! workspace pipeline, whose `ready_*_lists` calls now *repair* the
-//! resident interaction lists from the recorded certificates instead of
-//! re-walking both trees. With `drift_tol == 0.0` (exact mode) every
-//! repaired structure is byte-identical to a scratch rebuild, so a frame
-//! step's energy is `to_bits()`-equal to preparing the refitted geometry
-//! from the same tree topology and running cold — only faster.
+//! workspace pipeline, whose `ready_*_lists` calls resolve the frame to one
+//! of three paths: *skip* (the lists are already current for this frame),
+//! *reuse* (the lists are one lineage step behind and the refits' summed
+//! displacement bound since their build is within `drift_tol`), or
+//! *rebuild* into the workspace's warm arenas. With `drift_tol == 0.0`
+//! (exact mode) only identity frames reuse, so a frame step's energy is
+//! `to_bits()`-equal to preparing the refitted geometry from the same tree
+//! topology and running cold — the step saves `prepare` and cold
+//! allocation, not list work.
 //!
 //! When the accumulated drift forces a tree rebuild, the step degrades
 //! gracefully: [`FrameUpdate::Rebuilt`] cuts the frame lineage, the
@@ -77,11 +80,11 @@ pub fn run_frame_shared(
 }
 
 /// [`run_frame_serial`] on the distributed 7-step pipeline: every rank's
-/// workspace repairs its replicated lists locally (the repair is
-/// deterministic, so rank segments agree without communication, exactly
-/// like the replicated full build). The cached [`CommPlan`] revalidates by
-/// list content key, so a frame whose repair changes no rows reuses the
-/// plan outright.
+/// workspace applies the frame rule to its replicated lists locally (the
+/// rule reads only the system, so rank segments agree without
+/// communication, exactly like the replicated full build). The cached
+/// [`CommPlan`] revalidates by list content key, so a frame that reuses
+/// its lists reuses the plan outright.
 ///
 /// [`CommPlan`]: crate::commplan::CommPlan
 #[allow(clippy::too_many_arguments)]

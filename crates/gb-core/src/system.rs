@@ -51,8 +51,10 @@ impl FrameScratch {
 #[derive(Clone, Copy, Debug)]
 pub enum FrameUpdate {
     /// Both trees were refitted in place — topology, permutations and all
-    /// derived per-point attributes survive; interaction lists can be
-    /// repaired instead of rebuilt.
+    /// derived per-point attributes survive. A frame-mode workspace reuses
+    /// its interaction lists while the refits' summed displacement bound
+    /// stays within its `drift_tol`, and rebuilds them into its warm arenas
+    /// otherwise (see [`crate::arena::Workspace::enable_frame_tracking`]).
     Refit(RefitSummary),
     /// Accumulated drift crossed the rebuild threshold: the system was
     /// fully re-prepared (fresh surface, fresh trees, new topology).
@@ -108,8 +110,11 @@ pub struct GbSystem {
     /// geometry" by nonce equality alone.
     pub frame_nonce: u64,
     /// The frame this geometry was refitted *from* (0 = freshly prepared
-    /// or rebuilt — nothing derived from an older frame is repairable).
+    /// or rebuilt — nothing derived from an older frame is reusable).
     pub frame_parent_nonce: u64,
+    /// Refit reports of the step from `frame_parent_nonce` to this frame
+    /// (all zero when the system was freshly prepared or rebuilt).
+    pub last_refit: RefitSummary,
     /// Reusable frame-update scratch.
     frame_scratch: FrameScratch,
 }
@@ -195,6 +200,7 @@ impl GbSystem {
             born_cap,
             frame_nonce: next_frame_nonce(),
             frame_parent_nonce: 0,
+            last_refit: RefitSummary::default(),
             frame_scratch: FrameScratch::default(),
         }
     }
@@ -209,8 +215,9 @@ impl GbSystem {
     /// attributes (charges, radii, weights, normals, `ñ_Q` aggregates)
     /// survive untouched. Only positions — `ta`/`tq` geometry and the SoA
     /// mirrors — change. `frame_parent_nonce` then names the frame the
-    /// geometry came from, which is what lets [`crate::arena::Workspace`]
-    /// *repair* interaction lists instead of rebuilding them.
+    /// geometry came from and `last_refit` how far it moved, which is what
+    /// lets [`crate::arena::Workspace`] reuse interaction lists across
+    /// frames.
     ///
     /// When accumulated drift makes refitted bounds too loose
     /// ([`Octree::needs_rebuild`] at ratio 1.5 on either tree), the system
@@ -253,7 +260,8 @@ impl GbSystem {
 
         self.frame_parent_nonce = self.frame_nonce;
         self.frame_nonce = next_frame_nonce();
-        FrameUpdate::Refit(RefitSummary { atoms, quads })
+        self.last_refit = RefitSummary { atoms, quads };
+        FrameUpdate::Refit(self.last_refit)
     }
 
     /// Rebuilds the whole system from the molecule's current positions —
@@ -479,6 +487,35 @@ mod tests {
             FrameUpdate::Rebuilt => panic!("identity refit must not rebuild"),
         }
         assert_eq!(sys.frame_parent_nonce, nonce0);
+        assert_eq!(sys.last_refit.atoms.dirty_nodes, 0);
+    }
+
+    #[test]
+    fn nan_position_is_motion_not_a_stale_frame() {
+        use crate::runners::serial::run_serial_ws;
+        use crate::Workspace;
+
+        let mut sys = GbSystem::prepare(
+            synthesize_protein(&SyntheticParams::with_atoms(600, 4)),
+            GbParams::default(),
+        );
+        let mut ws = Workspace::new();
+        ws.enable_frame_tracking(0.0);
+        let e0 = run_serial_ws(&sys, &mut ws).energy_kcal;
+        assert!(e0.is_finite());
+        let mut moved = sys.molecule.positions().to_vec();
+        moved[17].x = f64::NAN;
+        match sys.refit_frame(&moved) {
+            FrameUpdate::Refit(s) => assert!(!s.atoms.max_displacement.is_finite()),
+            FrameUpdate::Rebuilt => panic!("a single NaN must not re-prepare"),
+        }
+        let pos = sys.ta.order().iter().position(|&o| o == 17).unwrap();
+        assert!(sys.ta.points()[pos].x.is_nan(), "the tree must hold the NaN");
+        // no panic, no stale energy: the frame rebuilds and comes out NaN
+        let e1 = run_serial_ws(&sys, &mut ws).energy_kcal;
+        assert_eq!(ws.last_energy_path, crate::ListPath::Rebuilt);
+        assert_ne!(e1.to_bits(), e0.to_bits());
+        assert!(!e1.is_finite());
     }
 
     #[test]

@@ -76,10 +76,11 @@ fn steady_state_superstep_allocates_nothing() {
         f1 - f0,
     );
 
-    // Warm *frame* steps: refit + cert-driven list repair + execution over
-    // the same workspace. Two fixed position sets alternate (A ↔ B) so
-    // every splice/scratch buffer sees both transitions during warm-up;
-    // the measured steady-state frame step must not touch the heap either.
+    // Warm *frame* steps: refit + exact-mode list rebuild into the warm
+    // arenas + execution over the same workspace. Two fixed position sets
+    // alternate (A ↔ B) so every buffer sees both transitions during
+    // warm-up; the measured steady-state frame step must not touch the
+    // heap either.
     let mol = synthesize_protein(&SyntheticParams::with_atoms(700, 22));
     let mut sys = GbSystem::prepare(mol, GbParams::default());
     let pos_a: Vec<Vec3> = sys.molecule.positions().to_vec();
@@ -94,11 +95,11 @@ fn steady_state_superstep_allocates_nothing() {
         .collect();
     let mut ws = Workspace::new();
     ws.enable_frame_tracking(0.0);
-    run_serial_ws(&sys, &mut ws); // frame 0: tracked cold build
+    run_serial_ws(&sys, &mut ws); // frame 0: cold build
     for cycle in 0..2 {
         let o1 = run_frame_serial(&mut sys, &pos_b, 0.0, &mut ws);
         let o2 = run_frame_serial(&mut sys, &pos_a, 0.0, &mut ws);
-        assert_eq!(ws.last_born_path, ListPath::Repaired, "cycle {cycle}");
+        assert_eq!(ws.last_born_path, ListPath::Rebuilt, "cycle {cycle}");
         assert!(o1.output.energy_kcal.is_finite() && o2.output.energy_kcal.is_finite());
     }
 
@@ -107,8 +108,8 @@ fn steady_state_superstep_allocates_nothing() {
     let (a1, f1) = counts();
 
     assert!(matches!(out.update, gb_core::system::FrameUpdate::Refit(_)));
-    assert_eq!(ws.last_born_path, ListPath::Repaired);
-    assert_eq!(ws.last_energy_path, ListPath::Repaired);
+    assert_eq!(ws.last_born_path, ListPath::Rebuilt);
+    assert_eq!(ws.last_energy_path, ListPath::Rebuilt);
     assert_eq!(
         (a1 - a0, f1 - f0),
         (0, 0),

@@ -7,11 +7,11 @@
 //! radius, loose bbox) need recomputation. [`Octree::refit_with`] does that
 //! incrementally: a single O(M) displacement pass finds the dirty leaves,
 //! and only dirty subtrees recompute their summaries (an identity update
-//! touches nothing). It also maintains the per-node *accumulated* maximum
-//! displacement ([`Octree::drift`]) that the interaction-list repair path
-//! uses to decide which stale walk certificates can have flipped.
-//! [`Octree::needs_rebuild`] reports when drift has degraded leaf occupancy
-//! enough that a fresh [`Octree::build`] is worth it.
+//! touches nothing). Its [`RefitReport::max_displacement`] bounds how far
+//! any point, and so any node centroid, moved in this update, which is all
+//! the frame path's list-reuse rule reads. [`Octree::needs_rebuild`] reports when drift has
+//! degraded leaf occupancy enough that a fresh [`Octree::build`] is worth
+//! it.
 
 use crate::tree::Octree;
 use gb_geom::{Aabb, Vec3};
@@ -34,7 +34,8 @@ impl RefitScratch {
 /// What a refit found and touched.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RefitReport {
-    /// Largest single-point displacement of this update (Å).
+    /// Largest single-point displacement of this update (Å); non-finite
+    /// when any new coordinate is NaN or infinite.
     pub max_displacement: f64,
     /// Nodes whose summaries were recomputed (subtree contained motion).
     pub dirty_nodes: usize,
@@ -60,8 +61,12 @@ impl Octree {
     /// scratch: only subtrees that actually contain a moved point recompute
     /// their summaries, so an identity update is a single O(M) comparison
     /// pass and a perturbation pays O(moved log M + dirty-subtree sizes)
-    /// instead of the old unconditional O(M log M). Also accumulates each
-    /// node's maximum point displacement into [`Octree::drift`].
+    /// instead of the old unconditional O(M log M).
+    ///
+    /// Any displacement that is not exactly zero counts as motion, NaN
+    /// included: a non-finite coordinate is stored, dirties its root chain
+    /// and makes [`RefitReport::max_displacement`] infinite, so it can
+    /// never pass for an identity update.
     pub fn refit_with(&mut self, new_positions: &[Vec3], scratch: &mut RefitScratch) -> RefitReport {
         assert_eq!(
             new_positions.len(),
@@ -71,7 +76,6 @@ impl Octree {
         let nn = self.nodes.len();
         scratch.disp.clear();
         scratch.disp.resize(nn, 0.0);
-        self.cum_disp.resize(nn, 0.0);
 
         // Leaf pass: move points and record each leaf's max displacement.
         let mut dirty_leaves = 0usize;
@@ -80,7 +84,10 @@ impl Octree {
             let mut max_d2: f64 = 0.0;
             for i in range {
                 let np = new_positions[self.order[i] as usize];
+                // NaN compares false against everything; map it to +∞, which
+                // `max` keeps, so the move is neither dropped nor forgotten
                 let d2 = np.dist_sq(self.points[i]);
+                let d2 = if d2.is_nan() { f64::INFINITY } else { d2 };
                 if d2 > 0.0 {
                     max_d2 = max_d2.max(d2);
                     self.points[i] = np;
@@ -110,7 +117,6 @@ impl Octree {
                 continue;
             }
             dirty_nodes += 1;
-            self.cum_disp[id] += scratch.disp[id];
             let range = self.nodes[id].range();
             let slice = &self.points[range];
             let mut c = Vec3::ZERO;
@@ -136,15 +142,6 @@ impl Octree {
             max_displacement: scratch.disp.first().copied().unwrap_or(0.0),
             dirty_nodes,
             dirty_leaves,
-        }
-    }
-
-    /// Resets the accumulated drift to zero (every node reads as freshly
-    /// built). Interaction-list certificates recorded *before* this call
-    /// must be discarded — their budgets are anchored to the old origin.
-    pub fn reset_drift(&mut self) {
-        for d in &mut self.cum_disp {
-            *d = 0.0;
         }
     }
 
@@ -233,9 +230,6 @@ mod tests {
             assert_eq!(a.centroid, b.centroid);
             assert_eq!(a.radius.to_bits(), b.radius.to_bits());
         }
-        for id in 0..t.num_nodes() {
-            assert_eq!(t.drift(id as NodeId), 0.0);
-        }
     }
 
     #[test]
@@ -250,6 +244,7 @@ mod tests {
             .find(|&&l| t.node(l).range().contains(&tree_pos))
             .unwrap();
         let chain = ancestors_of(&t, leaf);
+        let before: Vec<Vec3> = t.nodes().iter().map(|n| n.centroid).collect();
         let mut moved = pts.clone();
         moved[0] += Vec3::new(0.5, 0.0, 0.0);
         let mut s = RefitScratch::default();
@@ -257,31 +252,29 @@ mod tests {
         assert_eq!(report.dirty_leaves, 1);
         assert_eq!(report.dirty_nodes, chain.len(), "exactly the root chain is dirty");
         assert!((report.max_displacement - 0.5).abs() < 1e-12);
-        // drift is recorded on the chain and only the chain
+        // centroids move on the chain and only the chain
         for id in 0..t.num_nodes() as NodeId {
-            if chain.contains(&id) {
-                assert!((t.drift(id) - 0.5).abs() < 1e-12, "node {id} missing drift");
-            } else {
-                assert_eq!(t.drift(id), 0.0, "node {id} spuriously dirty");
-            }
+            let same = t.node(id).centroid == before[id as usize];
+            assert_eq!(same, !chain.contains(&id), "node {id}");
         }
         t.validate().unwrap();
     }
 
     #[test]
-    fn drift_accumulates_across_refits() {
+    fn nan_coordinate_counts_as_motion() {
         let pts = cloud(300, 11);
         let mut t = Octree::build(&pts, 8);
-        let mut s = RefitScratch::default();
         let mut moved = pts.clone();
-        moved[3] += Vec3::new(0.2, 0.0, 0.0);
-        t.refit_with(&moved, &mut s);
-        moved[3] += Vec3::new(0.0, 0.3, 0.0);
-        t.refit_with(&moved, &mut s);
-        // root drift = 0.2 + 0.3 (sum of per-frame maxima ≥ total motion)
-        assert!((t.drift(Octree::ROOT) - 0.5).abs() < 1e-12);
-        t.reset_drift();
-        assert_eq!(t.drift(Octree::ROOT), 0.0);
+        moved[3].x = f64::NAN;
+        let report = t.refit_with(&moved, &mut RefitScratch::default());
+        assert!(!report.max_displacement.is_finite());
+        assert_eq!(report.dirty_leaves, 1);
+        let pos = t.order().iter().position(|&o| o == 3).unwrap();
+        assert!(t.points()[pos].x.is_nan(), "the NaN coordinate must be stored");
+        assert!(t.node(Octree::ROOT).centroid.x.is_nan());
+        // resubmitting the same NaN is still motion, never an identity update
+        let again = t.refit_with(&moved, &mut RefitScratch::default());
+        assert!(!again.max_displacement.is_finite());
     }
 
     #[test]

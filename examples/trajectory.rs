@@ -8,15 +8,21 @@
 //!    octree refit vs. a cutoff neighbour list rebuilt every step — the
 //!    paper's §II octree-vs-nblist update argument.
 //! 2. **Warm frames**: the full pipeline stepped with
-//!    `run_frame_shared` (slack-margin refit + cert-driven list repair +
-//!    execution over one warm workspace) against the full-rebuild baseline
-//!    (`GbSystem::prepare` from scratch + run, per frame). In exact mode
-//!    (`drift_tol = 0`) every frame's energy must be `to_bits()`-identical
-//!    to a cold scratch run over the same refitted system.
+//!    `run_frame_shared` (slack-margin refit + list rebuild into the warm
+//!    arenas + execution over one warm workspace) against the full-rebuild
+//!    baseline (`GbSystem::prepare` from scratch + run, per frame). In
+//!    exact mode (`drift_tol = 0`) every frame's energy must be
+//!    `to_bits()`-identical to a cold scratch run over the same refitted
+//!    system.
 //! 3. **Slack sweep**: `drift_tol` ∈ {0.1, 0.5, 2.0} replaying the same
-//!    trajectory — re-walked row fraction falls monotonically with the
-//!    tolerance while the energy drifts only within the approximation
-//!    band.
+//!    trajectory — frames reuse their lists while the displacement summed
+//!    since the last build stays within the tolerance, so the fraction of
+//!    frames rebuilt falls monotonically with it while the energy drifts
+//!    only within the approximation band.
+//!
+//! The JSON keeps the `*_rewalk_fraction*` names the perf-smoke gate reads:
+//! a frame either reuses its lists whole (0 rows re-walked) or rebuilds
+//! them (all rows), so each value is the fraction of frames rebuilt.
 //!
 //! ```text
 //! cargo run --release --example trajectory [n_atoms] [frames] > BENCH_trajectory.json
@@ -53,6 +59,7 @@ fn molecule_at(template: &Molecule, positions: &[Vec3]) -> Molecule {
 struct FrameRow {
     incr_ms: f64,
     energy: f64,
+    /// 1 when the frame rebuilt its Born lists, 0 when it reused them.
     born_rewalk: f64,
     rebuilt: bool,
 }
@@ -70,7 +77,7 @@ fn run_trajectory(
     let mut sys = GbSystem::prepare(template.clone(), params);
     let mut ws = Workspace::new();
     ws.enable_frame_tracking(drift_tol);
-    run_shared_ws(&sys, &mut ws); // frame 0: tracked cold build
+    run_shared_ws(&sys, &mut ws); // frame 0: cold build
     let mut positions = template.positions().to_vec();
     let mut rng = DetRng::new(seed);
     let mut rows = Vec::with_capacity(frames);
@@ -179,14 +186,14 @@ fn main() {
         full_ms_total += t0.elapsed().as_secs_f64() * 1e3;
         // Second, more charitable baseline column: the same from-scratch
         // run but over one warm workspace reused across frames (no prepare
-        // in the timer) — isolates how much of the win is the list/cert
-        // machinery vs. just avoiding prepare + cold allocation.
+        // in the timer) — isolates how much of the win is list reuse vs.
+        // just avoiding prepare + cold allocation.
         let t0 = Instant::now();
         run_shared_ws(&frame_sys, &mut baseline_ws);
         full_warm_ms_total += t0.elapsed().as_secs_f64() * 1e3;
 
         // Bitwise gate: scratch list rebuild over the *same* refitted
-        // system must reproduce the repaired pipeline exactly.
+        // system must reproduce the frame pipeline exactly.
         let scratch = run_shared_ws(&sys, &mut Workspace::new());
         exact_bitwise &=
             scratch.energy_kcal.to_bits() == out.output.energy_kcal.to_bits();

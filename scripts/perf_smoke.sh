@@ -41,21 +41,20 @@
 # examples/trajectory steps a 0.05 Å RMS jitter trajectory at
 # traj_n_atoms through the run_frame_* pipeline and the gate checks
 # (a) exact-mode (drift_tol = 0) energies are to_bits()-identical to a
-# scratch rebuild on every frame, (b) the slack sweep's re-walked row
-# fraction falls monotonically with drift_tol (the speedup/drift
-# tradeoff), (c) the octree refit beats a per-step neighbour-list
+# scratch rebuild on every frame, (b) the slack sweep's
+# born_rewalk_fraction (the fraction of frames that rebuilt their lists
+# instead of reusing them) falls monotonically with drift_tol (the
+# speedup/drift tradeoff), (c) the octree refit beats a per-step neighbour-list
 # rebuild by >= traj_min_refit_speedup, (d) the warm-frame speedup over
 # the per-frame full-rebuild path (Molecule + prepare + run_shared)
 # stays above the hard floor traj_min_warm_speedup and the recorded
 # host baseline traj_warm_speedup / max_regression_factor, and (e) the
 # slack-mode (drift_tol = 2) speedup stays above traj_min_slack_speedup
 # and its recorded baseline. The report is also copied to
-# BENCH_trajectory.json at the repo root. NOTE: on 1-core hosts the
-# exact-mode warm-frame ceiling is (prepare + build + exec)/(repair +
-# exec); global jitter flips MAC decisions in every CSR row, so exact
-# repair degenerates to a rebuild and the measured speedup reflects
-# prepare/allocation savings only — see DESIGN.md §12 for the regime
-# analysis behind the recorded floors.
+# BENCH_trajectory.json at the repo root. NOTE: exact-mode frames that
+# moved rebuild their lists into the warm arenas, so the exact-mode
+# warm-frame speedup reflects prepare/allocation savings only — see
+# DESIGN.md §12 for the regime analysis behind the recorded floors.
 #
 # GB_BENCH_SERVE=1 switches to the serving gate: examples/serve_load runs
 # the docking killer path (1 receptor × serve_poses with tier-2/3 caching
@@ -106,13 +105,13 @@ factor = baseline["max_regression_factor"]
 failed = False
 
 # correctness: exact mode (drift_tol = 0) trades nothing — every frame's
-# repaired-pipeline energy must be bit-identical to a scratch rebuild
+# energy must be bit-identical to a scratch rebuild
 verdict = "ok" if pipe["exact_bitwise"] else "MISMATCH"
 print(f"traj exact-mode bitwise energies: {verdict}")
 failed |= not pipe["exact_bitwise"]
 
 # monotone speedup/drift tradeoff: a larger drift tolerance may never
-# re-walk MORE rows (ms noise is not gated; row fractions are exact)
+# rebuild MORE frames (ms noise is not gated; the fractions are exact)
 fracs = [s["born_rewalk_fraction"] for s in slack]
 monotone = all(a >= b - 1e-12 for a, b in zip(fracs, fracs[1:]))
 verdict = "ok" if monotone else "NOT MONOTONE"
