@@ -31,7 +31,7 @@ fn bench_runners(c: &mut Criterion) {
             b.iter(|| run_distributed(sys, &cluster, 4, WorkDivision::NodeNode))
         });
         group.bench_with_input(BenchmarkId::new("hybrid_2x2", n), &sys, |b, sys| {
-            b.iter(|| run_hybrid(sys, &cluster, 2, 2, WorkDivision::NodeNode))
+            b.iter(|| run_hybrid(sys, &cluster, 2, 2))
         });
         group.bench_with_input(BenchmarkId::new("data_distributed_x4", n), &sys, |b, sys| {
             b.iter(|| run_data_distributed(sys, &cluster, 4))

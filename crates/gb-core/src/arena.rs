@@ -216,8 +216,6 @@ pub struct Workspace {
     pub radii_out: Vec<f64>,
     /// Traversal stack of the push phase.
     pub push_stack: Vec<(NodeId, f64)>,
-    /// Plain node stack for clipped traversals (atom-based division).
-    pub node_stack: Vec<NodeId>,
     /// Flat accumulator image for the allreduce step.
     pub flat: Vec<f64>,
     /// Work-balanced driving-leaf segments.
@@ -358,7 +356,6 @@ impl Workspace {
             radii_tree: Vec::new(),
             radii_out: Vec::new(),
             push_stack: Vec::new(),
-            node_stack: Vec::new(),
             flat: Vec::new(),
             seg_ranges: Vec::new(),
             atom_ranges: Vec::new(),
@@ -496,6 +493,15 @@ impl Workspace {
         }
     }
 
+    /// Drops both phases' frame provenance, so the next ready call
+    /// rebuilds. Atom-based division calls this before it sweeps a rank's
+    /// partial lists into `born`/`energy`: no later frame-mode or
+    /// node-division call can then take them for full ones.
+    pub fn forget_list_frames(&mut self) {
+        self.born_frame = ListFrame::default();
+        self.energy_frame = ListFrame::default();
+    }
+
     /// Heap footprint in bytes across every component arena.
     pub fn memory_bytes(&self) -> usize {
         self.born.memory_bytes()
@@ -508,7 +514,6 @@ impl Workspace {
             + (self.radii_tree.capacity() + self.radii_out.capacity() + self.flat.capacity())
                 * std::mem::size_of::<f64>()
             + self.push_stack.capacity() * std::mem::size_of::<(NodeId, f64)>()
-            + self.node_stack.capacity() * std::mem::size_of::<NodeId>()
             + (self.seg_ranges.capacity()
                 + self.atom_ranges.capacity()
                 + self.leaf_ranges.capacity())

@@ -13,6 +13,12 @@
 //! Summing over every leaf `V` covers every ordered atom pair exactly once
 //! (including `u = v`, the Born self terms), giving Eq. 2 after
 //! [`finalize_energy`](crate::gbmath::finalize_energy).
+//!
+//! No runner walks the tree: every runner executes the energy lists of
+//! [`crate::interaction`], whose row sweeps make these decisions and bill
+//! these work units. [`energy_for_leaf`] is kept as the oracle the sweeps
+//! are tested against and as the reference the traversal-speedup
+//! benchmarks divide by.
 
 use crate::bins::ChargeBins;
 use crate::fastmath::MathMode;
@@ -79,8 +85,7 @@ pub fn energy_for_leaf<M: MathMode>(
     (raw, work)
 }
 
-/// Raw energy over a set of `V` leaves (a rank's segment). Returns
-/// `(raw_sum, work)`.
+/// Raw energy over a set of `V` leaves. Returns `(raw_sum, work)`.
 pub fn energy_for_leaves<M: MathMode>(
     sys: &GbSystem,
     bins: &ChargeBins,

@@ -8,12 +8,11 @@
 //! `PUSH-INTEGRALS-TO-ATOMS`: a top-down pass adds each atom's ancestor
 //! node sums to its own, then converts the total integral to a Born radius.
 //!
-//! Two traversal drivers produce *identical* accumulators:
-//! * [`accumulate_qleaf`] — the Q-driven form the distributed ranks use
-//!   (rank `i` calls it for its segment of `T_Q` leaves);
-//! * [`integrals_ta_driven`] — an `A`-driven form whose writes per `T_A`
-//!   node/leaf are disjoint, used by the shared-memory runner for
-//!   deterministic parallelism.
+//! No runner walks the tree: every runner executes the interaction lists
+//! of [`crate::interaction`], whose row sweeps make the same decisions.
+//! [`accumulate_qleaf`] is the per-leaf traversal itself, kept as the
+//! oracle the sweeps are tested against and as the reference the
+//! traversal-speedup benchmarks divide by.
 //!
 //! Work accounting: one *work unit* per exact atom–point pair, one per
 //! far-field node term, and 1/4 per traversal step (pointer chasing is
@@ -183,73 +182,6 @@ pub fn accumulate_qleaf<M: MathMode, K: RadiiApprox>(
     work
 }
 
-/// A-driven form: walks `T_A` once carrying the list of `T_Q` leaves still
-/// "near"; far leaves contribute at the current node, near leaves flow to
-/// the children, and surviving leaves meet `T_A` leaves exactly. Writes to
-/// each `node_s[a]` / `atom_s` range happen exactly once, so `T_A` subtrees
-/// could run in parallel; the provided implementation is sequential and
-/// exists chiefly to cross-validate [`accumulate_qleaf`] (the runners'
-/// parallelism is over `T_Q` chunks).
-pub fn integrals_ta_driven<M: MathMode, K: RadiiApprox>(sys: &GbSystem) -> (IntegralAcc, f64) {
-    let mut acc = IntegralAcc::zeros(sys);
-    if sys.ta.is_empty() || sys.tq.is_empty() {
-        return (acc, 0.0);
-    }
-    let threshold = sys.params.radii_mac_threshold();
-    let all_leaves: Vec<NodeId> = sys.tq.leaves().to_vec();
-    let mut work = 0.0;
-    // Explicit stack of (a_node, candidate q-leaves).
-    let mut stack: Vec<(NodeId, Vec<NodeId>)> = vec![(Octree::ROOT, all_leaves)];
-    while let Some((a_id, candidates)) = stack.pop() {
-        work += TRAVERSAL_UNIT;
-        let a = sys.ta.node(a_id);
-        let mut near = Vec::with_capacity(candidates.len());
-        for q_id in candidates {
-            let qn = sys.tq.node(q_id);
-            let d = a.centroid.dist(qn.centroid);
-            if well_separated(d, a.radius, qn.radius, threshold) {
-                let delta = qn.centroid - a.centroid;
-                let d2 = delta.norm_sq();
-                acc.node_s[a_id as usize] +=
-                    sys.q_normals[q_id as usize].dot(delta) * K::integrand::<M>(d2);
-                work += 1.0;
-            } else {
-                near.push(q_id);
-            }
-        }
-        if near.is_empty() {
-            continue;
-        }
-        if a.is_leaf() {
-            for q_id in near {
-                let qn = sys.tq.node(q_id);
-                let q_range = qn.range();
-                let q_pos = &sys.tq.points()[q_range.clone()];
-                let q_nrm = &sys.q_normal_tree[q_range.clone()];
-                let q_wgt = &sys.q_weight_tree[q_range];
-                for ai in a.range() {
-                    let xa = sys.ta.points()[ai];
-                    let mut s = 0.0;
-                    for ((&pq, &nq), &wq) in q_pos.iter().zip(q_nrm).zip(q_wgt) {
-                        let delta = pq - xa;
-                        let d2 = delta.norm_sq();
-                        if d2 > 0.0 {
-                            s += wq * nq.dot(delta) * K::integrand::<M>(d2);
-                        }
-                    }
-                    acc.atom_s[ai] += s;
-                }
-                work += (a.count() * qn.count()) as f64;
-            }
-        } else {
-            for c in a.children() {
-                stack.push((c, near.clone()));
-            }
-        }
-    }
-    (acc, work)
-}
-
 /// `PUSH-INTEGRALS-TO-ATOMS` for atoms whose `T_A` tree positions fall in
 /// `range`: writes Born radii (tree order) into `radii_tree[range]` and
 /// returns the work spent. Nodes wholly outside the range are skipped, so a
@@ -262,26 +194,16 @@ pub fn push_integrals_to_atoms<K: RadiiApprox>(
 ) -> f64 {
     assert_eq!(radii_tree.len(), sys.num_atoms());
     let out = &mut radii_tree[range.clone()];
-    push_integrals_into::<K>(sys, acc, range, out)
+    push_integrals_scratch::<crate::fastmath::ExactMath, K>(sys, acc, range, out, &mut Vec::new())
 }
 
 /// [`push_integrals_to_atoms`] writing into a buffer sized for the range
-/// alone (`out[i]` = radius of tree position `range.start + i`), so chunked
-/// callers need no full-length scratch vector per chunk.
-pub fn push_integrals_into<K: RadiiApprox>(
-    sys: &GbSystem,
-    acc: &IntegralAcc,
-    range: std::ops::Range<usize>,
-    out: &mut [f64],
-) -> f64 {
-    let mut stack = Vec::new();
-    push_integrals_scratch::<crate::fastmath::ExactMath, K>(sys, acc, range, out, &mut stack)
-}
-
-/// [`push_integrals_into`] with the traversal stack supplied by the caller
-/// (allocation-free once warmed). The radius conversion is the same
-/// scalar [`RadiiApprox::radius`] in every math mode; the `M` parameter
-/// only keeps the call shape of the other generic kernels.
+/// alone (`out[i]` = radius of tree position `range.start + i`, so chunked
+/// callers need no full-length scratch vector), with the traversal stack
+/// supplied by the caller (allocation-free once warmed). The radius
+/// conversion is the same scalar [`RadiiApprox::radius`] in every math
+/// mode; the `M` parameter only keeps the call shape of the other generic
+/// kernels.
 pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
     sys: &GbSystem,
     acc: &IntegralAcc,
@@ -380,23 +302,6 @@ mod tests {
             worst = worst.max(((a - b) / b).abs());
         }
         assert!(worst < 0.15, "worst per-atom radius error {worst}");
-    }
-
-    #[test]
-    fn q_driven_equals_a_driven() {
-        let sys = system(300, 0.9);
-        let mut acc_q = IntegralAcc::zeros(&sys);
-        let mut stack = Vec::new();
-        for &q in sys.tq.leaves() {
-            accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc_q, &mut stack);
-        }
-        let (acc_a, _) = integrals_ta_driven::<ExactMath, R6>(&sys);
-        for (x, y) in acc_q.node_s.iter().zip(&acc_a.node_s) {
-            assert!((x - y).abs() < 1e-9 * x.abs().max(1.0), "node {x} vs {y}");
-        }
-        for (x, y) in acc_q.atom_s.iter().zip(&acc_a.atom_s) {
-            assert!((x - y).abs() < 1e-9 * x.abs().max(1.0), "atom {x} vs {y}");
-        }
     }
 
     #[test]

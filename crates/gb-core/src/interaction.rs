@@ -57,7 +57,8 @@ fn fold(h: u64, v: u64) -> u64 {
 /// sweeps' only view of it. Position `i` holds node `id[i]` with children
 /// in tree order (ascending `begin`); `skip[i]` is the position just past
 /// its subtree, so a scan jumps a far node's descendants in one step. A
-/// leaf is exactly the node whose skip is its own successor. Rebuilt per
+/// leaf is exactly the node whose skip is its own successor; node `i`
+/// covers point positions `begin[i]..begin[i] + count[i]`. Rebuilt per
 /// build from the current geometry (~0.3 ms at 10k atoms).
 #[derive(Clone, Debug, Default)]
 struct Preorder {
@@ -67,6 +68,7 @@ struct Preorder {
     cz: Vec<f64>,
     r: Vec<f64>,
     skip: Vec<u32>,
+    begin: Vec<u32>,
     count: Vec<u32>,
     /// Build scratch: subtree sizes by node id, and the DFS stack.
     size: Vec<u32>,
@@ -89,6 +91,7 @@ impl Preorder {
         }
         self.id.clear();
         self.skip.clear();
+        self.begin.clear();
         self.count.clear();
         self.stack.clear();
         if n > 0 {
@@ -102,6 +105,7 @@ impl Preorder {
             self.cy.push(node.centroid.y);
             self.cz.push(node.centroid.z);
             self.r.push(node.radius);
+            self.begin.push(node.begin);
             self.count.push(node.count() as u32);
             self.stack.extend(node.children().rev());
         }
@@ -115,8 +119,8 @@ impl Preorder {
     fn memory_bytes(&self) -> usize {
         (self.cx.capacity() + self.cy.capacity() + self.cz.capacity() + self.r.capacity())
             * std::mem::size_of::<f64>()
-            + (self.id.capacity() + self.skip.capacity() + self.count.capacity()
-                + self.size.capacity() + self.stack.capacity())
+            + (self.id.capacity() + self.skip.capacity() + self.begin.capacity()
+                + self.count.capacity() + self.size.capacity() + self.stack.capacity())
                 * std::mem::size_of::<u32>()
     }
 }
@@ -149,6 +153,18 @@ impl Rows {
     fn open_row(&mut self) {
         self.far_off.push(self.far.len());
         self.near_off.push(self.near.len());
+    }
+
+    /// Appends `n` rows with no entries and no work — the rows a part
+    /// build leaves outside its range.
+    fn empty_rows(&mut self, n: usize, near_work: bool) {
+        for _ in 0..n {
+            self.open_row();
+            self.work.push(0.0);
+        }
+        if near_work {
+            self.near_work.resize(self.work.len(), 0.0);
+        }
     }
 
     #[inline]
@@ -266,6 +282,8 @@ impl ListScratch {
 
 /// One phase's row sweep over a [`Preorder`] table of its interacting tree.
 trait Sweep: Sync {
+    /// Whether rows carry a `near_work` column.
+    const NEAR_WORK: bool;
     /// The interacting tree the table is built from.
     fn interacting(&self) -> &Octree;
     /// Number of driving rows.
@@ -276,13 +294,16 @@ trait Sweep: Sync {
         -> f64;
 }
 
-/// Sweeps every row into `out` (closing the CSR) — on the calling thread,
-/// or split into up to `tasks` contiguous row ranges (never below `floor`
-/// rows each) swept as `rayon::scope` tasks and concatenated in order.
-/// Each row depends only on the geometry, so the lists are byte-identical
-/// for any task count; the returned build work is a sum of exact ¼ units.
+/// Sweeps the driving rows `rows` into `out` and leaves every other row
+/// empty (closing the CSR) — on the calling thread, or split into up to
+/// `tasks` contiguous row ranges (never below `floor` rows each) swept as
+/// `rayon::scope` tasks and concatenated in order. Each row depends only
+/// on the geometry, so the lists are byte-identical for any task count and
+/// every swept row equals its row in a full build; the returned build work
+/// is a sum of exact ¼ units.
 fn sweep_all<S: Sweep>(
     s: &S,
+    rows: Range<usize>,
     tasks: usize,
     floor: usize,
     scratch: &mut ListScratch,
@@ -291,31 +312,34 @@ fn sweep_all<S: Sweep>(
     let ListScratch { table, segs, .. } = scratch;
     table.rebuild(s.interacting());
     let nrows = s.num_rows();
-    let ntasks = tasks.min(nrows / floor.max(1)).max(1);
+    assert!(rows.end <= nrows, "row range {rows:?} past {nrows} driving leaves");
+    out.empty_rows(rows.start, S::NEAR_WORK);
+    let len = rows.len();
+    let ntasks = tasks.min(len / floor.max(1)).max(1);
     if segs.len() < ntasks {
         segs.resize_with(ntasks, TaskSeg::default);
     }
-    if ntasks == 1 {
-        let work = s.sweep(table, 0..nrows, &mut segs[0].mask, out);
-        out.open_row();
-        return work;
-    }
-    let table = &*table;
-    rayon::scope(|sc| {
-        for (i, seg) in segs[..ntasks].iter_mut().enumerate() {
-            let rows = i * nrows / ntasks..(i + 1) * nrows / ntasks;
-            sc.spawn(move |_| {
-                seg.rows.clear();
-                seg.work = s.sweep(table, rows, &mut seg.mask, &mut seg.rows);
-                seg.rows.open_row();
-            });
-        }
-    });
     let mut work = 0.0;
-    for seg in &mut segs[..ntasks] {
-        out.append(&seg.rows, 0, seg.rows.work.len());
-        work += seg.work;
+    if ntasks == 1 {
+        work = s.sweep(table, rows.clone(), &mut segs[0].mask, out);
+    } else {
+        let table = &*table;
+        rayon::scope(|sc| {
+            for (i, seg) in segs[..ntasks].iter_mut().enumerate() {
+                let part = rows.start + i * len / ntasks..rows.start + (i + 1) * len / ntasks;
+                sc.spawn(move |_| {
+                    seg.rows.clear();
+                    seg.work = s.sweep(table, part, &mut seg.mask, &mut seg.rows);
+                    seg.rows.open_row();
+                });
+            }
+        });
+        for seg in &mut segs[..ntasks] {
+            out.append(&seg.rows, 0, seg.rows.work.len());
+            work += seg.work;
+        }
     }
+    out.empty_rows(nrows - rows.end, S::NEAR_WORK);
     out.open_row();
     work
 }
@@ -324,14 +348,90 @@ fn sweep_all<S: Sweep>(
 // Born phase (Fig. 2): (T_A, T_Q) lists
 // ---------------------------------------------------------------------------
 
-/// The Born sweep: one row per `T_Q` leaf over the `T_A` table.
+/// The Born sweep: one row per `T_Q` leaf over the `T_A` table, with `T_A`
+/// clipped to the atom positions `clip` (atom-based division; `0..M` is no
+/// clip). A node disjoint from the clip is jumped through its skip pointer
+/// unbilled, a node is far only when it lies wholly inside the clip, and a
+/// leaf that meets the clip is near with only its clipped atoms billed —
+/// the clipped per-leaf traversal's decisions and tally.
 struct BornSweep<'a> {
     ta: &'a Octree,
     tq: &'a Octree,
     threshold: f64,
+    clip: Range<usize>,
+}
+
+impl<'a> BornSweep<'a> {
+    /// The own-surface sweep of `sys`, clipped to `clip`.
+    fn own(sys: &'a GbSystem, clip: Range<usize>) -> Self {
+        BornSweep { ta: &sys.ta, tq: &sys.tq, threshold: sys.params.radii_mac_threshold(), clip }
+    }
+
+    /// The sweep body; `CLIP == false` compiles the clip tests out of the
+    /// unclipped (every runner but atom division) build.
+    fn sweep_rows<const CLIP: bool>(
+        &self,
+        t: &Preorder,
+        rows: Range<usize>,
+        mask: &mut Vec<bool>,
+        out: &mut Rows,
+    ) -> f64 {
+        let n = t.len();
+        mask.clear();
+        mask.resize(n, false);
+        let (cx, cy, cz, r) = (&t.cx[..n], &t.cy[..n], &t.cz[..n], &t.r[..n]);
+        let (id, skip, begin, count) = (&t.id[..n], &t.skip[..n], &t.begin[..n], &t.count[..n]);
+        let (lo, hi) = (self.clip.start as u32, self.clip.end as u32);
+        let mut visits = 0u64;
+        for ord in rows {
+            let q_id = self.tq.leaves()[ord];
+            let q = self.tq.node(q_id);
+            let (qc, rq, q_count) = (q.centroid, q.radius, q.count() as f64);
+            let geom = cx.iter().zip(cy).zip(cz).zip(r);
+            for (m, (((&x, &y), &z), &ra)) in mask.iter_mut().zip(geom) {
+                *m = well_separated(Vec3::new(x, y, z).dist(qc), ra, rq, self.threshold);
+            }
+            if CLIP {
+                for (m, (&b, &c)) in mask.iter_mut().zip(begin.iter().zip(count)) {
+                    *m &= b >= lo && b + c <= hi;
+                }
+            }
+            out.open_row();
+            let far0 = out.far.len();
+            let (mut steps, mut near_pairs, mut i) = (0u64, 0.0, 0usize);
+            while i < n {
+                if CLIP && (begin[i] >= hi || begin[i] + count[i] <= lo) {
+                    i = skip[i] as usize;
+                    continue;
+                }
+                steps += 1;
+                if mask[i] {
+                    out.far.push(id[i]);
+                    i = skip[i] as usize;
+                } else {
+                    if skip[i] as usize == i + 1 {
+                        out.near.push(id[i]);
+                        let atoms = if CLIP {
+                            (begin[i] + count[i]).min(hi) - begin[i].max(lo)
+                        } else {
+                            count[i]
+                        };
+                        near_pairs += atoms as f64 * q_count;
+                    }
+                    i += 1;
+                }
+            }
+            let far_terms = (out.far.len() - far0) as f64;
+            out.work.push(TRAVERSAL_UNIT * steps as f64 + far_terms + near_pairs);
+            visits += steps;
+        }
+        TRAVERSAL_UNIT * visits as f64
+    }
 }
 
 impl Sweep for BornSweep<'_> {
+    const NEAR_WORK: bool = false;
+
     fn interacting(&self) -> &Octree {
         self.ta
     }
@@ -356,41 +456,11 @@ impl Sweep for BornSweep<'_> {
         mask: &mut Vec<bool>,
         out: &mut Rows,
     ) -> f64 {
-        let n = t.len();
-        mask.clear();
-        mask.resize(n, false);
-        let (cx, cy, cz, r) = (&t.cx[..n], &t.cy[..n], &t.cz[..n], &t.r[..n]);
-        let (id, skip, count) = (&t.id[..n], &t.skip[..n], &t.count[..n]);
-        let mut visits = 0u64;
-        for ord in rows {
-            let q_id = self.tq.leaves()[ord];
-            let q = self.tq.node(q_id);
-            let (qc, rq, q_count) = (q.centroid, q.radius, q.count() as f64);
-            let geom = cx.iter().zip(cy).zip(cz).zip(r);
-            for (m, (((&x, &y), &z), &ra)) in mask.iter_mut().zip(geom) {
-                *m = well_separated(Vec3::new(x, y, z).dist(qc), ra, rq, self.threshold);
-            }
-            out.open_row();
-            let far0 = out.far.len();
-            let (mut steps, mut near_pairs, mut i) = (0u64, 0.0, 0usize);
-            while i < n {
-                steps += 1;
-                if mask[i] {
-                    out.far.push(id[i]);
-                    i = skip[i] as usize;
-                } else {
-                    if skip[i] as usize == i + 1 {
-                        out.near.push(id[i]);
-                        near_pairs += count[i] as f64 * q_count;
-                    }
-                    i += 1;
-                }
-            }
-            let far_terms = (out.far.len() - far0) as f64;
-            out.work.push(TRAVERSAL_UNIT * steps as f64 + far_terms + near_pairs);
-            visits += steps;
+        if self.clip.start == 0 && self.clip.end >= self.ta.num_points() {
+            self.sweep_rows::<false>(t, rows, mask, out)
+        } else {
+            self.sweep_rows::<true>(t, rows, mask, out)
         }
-        TRAVERSAL_UNIT * visits as f64
     }
 }
 
@@ -402,6 +472,9 @@ impl Sweep for BornSweep<'_> {
 pub struct BornLists {
     /// Both CSRs; `rows.work` is the per-leaf `leaf_work`.
     rows: Rows,
+    /// `T_A` atom positions the lists were clipped to (`0..M` for every
+    /// build but atom division's); execution writes only inside it.
+    clip: Range<usize>,
     /// Work spent constructing the lists: one traversal unit per visited
     /// (node, row); 0 for lists a frame reused without sweeping.
     pub build_work: f64,
@@ -413,14 +486,19 @@ pub struct BornLists {
 /// are equal when execution cannot tell them apart.
 impl PartialEq for BornLists {
     fn eq(&self, o: &BornLists) -> bool {
-        self.rows == o.rows && self.build_work == o.build_work
+        self.rows == o.rows && self.clip == o.clip && self.build_work == o.build_work
     }
 }
 
 impl BornLists {
     /// Empty lists — a reusable slot for [`BornLists::rebuild`].
     pub fn empty() -> BornLists {
-        BornLists { rows: Rows::default(), build_work: 0.0, content_key: OnceLock::new() }
+        BornLists {
+            rows: Rows::default(),
+            clip: 0..0,
+            build_work: 0.0,
+            content_key: OnceLock::new(),
+        }
     }
 
     /// Fold of the CSR structure (0 = never built). Equal keys across
@@ -466,8 +544,24 @@ impl BornLists {
         scratch: &mut ListScratch,
         floor: usize,
     ) {
-        let s = BornSweep { ta: &sys.ta, tq: &sys.tq, threshold: sys.params.radii_mac_threshold() };
-        self.rebuild_sweep(&s, tasks, scratch, floor);
+        let s = BornSweep::own(sys, 0..sys.num_atoms());
+        self.rebuild_sweep(&s, 0..sys.tq.num_leaves(), tasks, scratch, floor);
+    }
+
+    /// A rank's part of the lists: only the driving rows `rows` are swept
+    /// (the others stay empty, with zero work), and `T_A` is clipped to the
+    /// atom positions `clip` — far terms only at nodes wholly inside it,
+    /// near entries at every leaf that meets it, execution writing only
+    /// inside it. `(0..num_qleaves, 0..M)` is the full build, byte for byte.
+    pub fn rebuild_part(
+        &mut self,
+        sys: &GbSystem,
+        rows: Range<usize>,
+        clip: Range<usize>,
+        tasks: usize,
+        scratch: &mut ListScratch,
+    ) {
+        self.rebuild_sweep(&BornSweep::own(sys, clip), rows, tasks, scratch, MIN_TASK_LEAVES);
     }
 
     /// Cross-system list build: sweeps `(A tree of one system, Q tree of
@@ -483,14 +577,22 @@ impl BornLists {
         threshold: f64,
         scratch: &mut ListScratch,
     ) {
-        self.rebuild_sweep(&BornSweep { ta, tq, threshold }, 1, scratch, MIN_TASK_LEAVES);
+        let s = BornSweep { ta, tq, threshold, clip: 0..ta.num_points() };
+        self.rebuild_sweep(&s, 0..tq.num_leaves(), 1, scratch, MIN_TASK_LEAVES);
     }
 
-    fn rebuild_sweep(&mut self, s: &BornSweep, tasks: usize, scratch: &mut ListScratch,
-        floor: usize) {
+    fn rebuild_sweep(
+        &mut self,
+        s: &BornSweep,
+        rows: Range<usize>,
+        tasks: usize,
+        scratch: &mut ListScratch,
+        floor: usize,
+    ) {
         self.rows.clear();
+        self.clip = s.clip.clone();
         self.content_key = OnceLock::new();
-        self.build_work = sweep_all(s, tasks, floor, scratch, &mut self.rows);
+        self.build_work = sweep_all(s, rows, tasks, floor, scratch, &mut self.rows);
     }
 
     /// The far CSR: `(offsets, node ids)` grouped by driving-leaf ordinal.
@@ -525,7 +627,8 @@ impl BornLists {
 
     /// Executes the lists of the driving-leaf ordinals in `ords`,
     /// accumulating into `acc` exactly where the traversal would (far terms
-    /// at `node_s[a]`, exact sums at `atom_s`). Returns the work units.
+    /// at `node_s[a]`, exact sums at `atom_s`, near atom runs cut to the
+    /// clip). Returns the work units.
     pub fn execute_range<M: MathMode, K: RadiiApprox>(
         &self,
         sys: &GbSystem,
@@ -557,7 +660,10 @@ impl BornLists {
             let nz = &sys.q_normal_soa.z[qr.clone()];
             let w = &sys.q_weight_tree[qr];
             for run in atom_runs(&sys.ta, self.rows.near_row(ord)) {
-                born_span_batched::<M, K>(sys, run, qx, qy, qz, nx, ny, nz, w, acc);
+                let run = run.start.max(self.clip.start)..run.end.min(self.clip.end);
+                if !run.is_empty() {
+                    born_span_batched::<M, K>(sys, run, qx, qy, qz, nx, ny, nz, w, acc);
+                }
             }
             work += self.rows.work[ord];
         }
@@ -621,7 +727,7 @@ impl BornLists {
     /// Visits the flat-accumulator slot ranges that executing ordinal
     /// `ord`'s lists writes: far terms land at node slot `a_id`, exact
     /// near sums at `num_nodes + pos` for every atom position of the
-    /// entry's tree range (the flat layout of
+    /// entry's tree range inside the clip (the flat layout of
     /// [`IntegralAcc::to_flat_into`](crate::integrals::IntegralAcc::to_flat_into)).
     /// This is the producer side of a communication plan's slot-set
     /// derivation: the union over a rank's ordinals is exactly the set of
@@ -638,7 +744,11 @@ impl BornLists {
         }
         for &a_id in self.rows.near_row(ord) {
             let n = sys.ta.node(a_id);
-            visit(num_nodes + n.begin as usize..num_nodes + n.end as usize);
+            let lo = (n.begin as usize).max(self.clip.start);
+            let hi = (n.end as usize).min(self.clip.end);
+            if lo < hi {
+                visit(num_nodes + lo..num_nodes + hi);
+            }
         }
     }
 
@@ -733,6 +843,8 @@ struct EnergySweep<'a> {
 }
 
 impl Sweep for EnergySweep<'_> {
+    const NEAR_WORK: bool = true;
+
     fn interacting(&self) -> &Octree {
         self.ta
     }
@@ -856,14 +968,30 @@ impl EnergyLists {
     /// In-place [`EnergyLists::build_tasks`] reusing this value's buffers
     /// and `scratch` — allocation-free once warmed (with `tasks == 1`).
     pub fn rebuild(&mut self, sys: &GbSystem, tasks: usize, scratch: &mut ListScratch) {
-        self.rebuild_with_task_floor(sys, tasks, scratch, MIN_TASK_LEAVES);
+        self.rebuild_part(sys, 0..sys.ta.num_leaves(), tasks, scratch);
     }
 
-    /// [`EnergyLists::rebuild`] with an explicit per-task row floor (see
-    /// [`BornLists::rebuild_with_task_floor`]).
+    /// A rank's part of the lists: only the driving rows `rows` are swept,
+    /// the others stay empty with zero work. A leaf pair whose mirror row
+    /// lies outside `rows` keeps weight 1, so executing the rows of ranges
+    /// that partition the leaves — each from its own part build — covers
+    /// every ordered pair once. `0..num_vleaves` is the full build.
+    pub fn rebuild_part(
+        &mut self,
+        sys: &GbSystem,
+        rows: Range<usize>,
+        tasks: usize,
+        scratch: &mut ListScratch,
+    ) {
+        self.rebuild_with_task_floor(sys, rows, tasks, scratch, MIN_TASK_LEAVES);
+    }
+
+    /// [`EnergyLists::rebuild_part`] with an explicit per-task row floor
+    /// (see [`BornLists::rebuild_with_task_floor`]).
     pub(crate) fn rebuild_with_task_floor(
         &mut self,
         sys: &GbSystem,
+        rows: Range<usize>,
         tasks: usize,
         scratch: &mut ListScratch,
         floor: usize,
@@ -871,7 +999,7 @@ impl EnergyLists {
         self.rows.clear();
         self.content_key = OnceLock::new();
         let s = EnergySweep { ta: &sys.ta, mac: sys.params.energy_mac_factor() };
-        self.build_work = sweep_all(&s, tasks, floor, scratch, &mut self.rows);
+        self.build_work = sweep_all(&s, rows, tasks, floor, scratch, &mut self.rows);
         self.annotate_near_ownership(&sys.ta, scratch);
     }
 
@@ -997,8 +1125,10 @@ impl EnergyLists {
         (raw, work)
     }
 
-    /// Far field only, over a run of ordinals — the bench's isolated
-    /// `far_exec_ms` timing. Work is the far share of the billed units.
+    /// Far field only, over a run of ordinals — the data-distributed
+    /// runner's far field (it reads only the skeleton and the bins) and
+    /// the bench's isolated `far_exec_ms` timing. Work is the far share of
+    /// the billed units.
     pub fn execute_far<M: MathMode>(
         &self,
         sys: &GbSystem,
@@ -1523,7 +1653,10 @@ mod tests {
     fn split_energy_execution_equals_whole_execution() {
         // summing over disjoint ordinal ranges (each with its own scratch)
         // reproduces the whole-range execution bit for bit — the runners'
-        // partition contract, which halving must not break
+        // partition contract, which halving must not break — whether the
+        // ranges run the full lists or part lists swept for them alone (as
+        // atom-division ranks do: a pair whose mirror row lies in another
+        // part keeps weight 1)
         let sys = system(300);
         let (radii_tree, bins) = radii_and_bins(&sys);
         let lists = EnergyLists::build(&sys);
@@ -1532,13 +1665,19 @@ mod tests {
         let (raw_whole, w_whole) =
             lists.execute_leaves::<ExactMath>(&sys, &bins, &radii_tree, 0..n, &mut scratch);
         let costs = lists.leaf_costs(&sys, &bins);
-        for p in [2usize, 3, 5] {
+        let cases = [(2usize, false), (3, false), (5, false), (2, true), (3, true), (7, true)];
+        for (p, part_lists) in cases {
             let mut raw = 0.0;
             let mut w = 0.0;
             for seg in crate::workdiv::work_balanced_segments(&costs, p) {
+                let mut part = EnergyLists::empty();
+                if part_lists {
+                    part.rebuild_part(&sys, seg.clone(), 1, &mut ListScratch::new());
+                }
+                let run = if part_lists { &part } else { &lists };
                 let mut local = EnergyExecScratch::new();
                 let (r, dw) =
-                    lists.execute_leaves::<ExactMath>(&sys, &bins, &radii_tree, seg, &mut local);
+                    run.execute_leaves::<ExactMath>(&sys, &bins, &radii_tree, seg, &mut local);
                 raw += r;
                 w += dw;
             }
@@ -1629,7 +1768,7 @@ mod tests {
                 }
                 assert_eq!(b1.build_work.to_bits(), bt.build_work.to_bits());
                 let mut et = EnergyLists::empty();
-                et.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+                et.rebuild_with_task_floor(&sys, 0..sys.ta.num_leaves(), tasks, &mut scratch, 1);
                 assert_eq!(e1, et, "n={n} tasks={tasks}: energy lists");
                 assert_eq!(e1.build_work.to_bits(), et.build_work.to_bits());
             }
@@ -1646,7 +1785,7 @@ mod tests {
         let mut floored = EnergyLists::empty();
         floored.rebuild(&sys, 64, &mut scratch);
         let mut split = EnergyLists::empty();
-        split.rebuild_with_task_floor(&sys, 64, &mut scratch, 1);
+        split.rebuild_with_task_floor(&sys, 0..sys.ta.num_leaves(), 64, &mut scratch, 1);
         assert_eq!(floored, split);
         assert!(sys.ta.num_leaves() < MIN_TASK_LEAVES);
     }
@@ -1661,7 +1800,7 @@ mod tests {
             let sys = system(n);
             born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
             assert_eq!(born, BornLists::build(&sys), "n={n} tasks={tasks}");
-            energy.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+            energy.rebuild_with_task_floor(&sys, 0..sys.ta.num_leaves(), tasks, &mut scratch, 1);
             assert_eq!(energy, EnergyLists::build(&sys), "n={n} tasks={tasks}");
         }
         assert!(scratch.memory_bytes() > 0);
@@ -1688,8 +1827,8 @@ mod tests {
         let t = &scratch.table;
         let expect = (t.cx.capacity() + t.cy.capacity() + t.cz.capacity() + t.r.capacity())
             * std::mem::size_of::<f64>()
-            + (t.id.capacity() + t.skip.capacity() + t.count.capacity() + t.size.capacity()
-                + t.stack.capacity())
+            + (t.id.capacity() + t.skip.capacity() + t.begin.capacity() + t.count.capacity()
+                + t.size.capacity() + t.stack.capacity())
                 * std::mem::size_of::<u32>()
             + scratch.segs.iter().map(|s| s.mask.capacity() + rows_bytes(&s.rows)).sum::<usize>()
             + scratch.segs.capacity() * std::mem::size_of::<TaskSeg>()
@@ -2209,21 +2348,37 @@ mod tests {
         work: f64,
     }
 
-    /// `accumulate_qleaf`'s visit sequence for the driving leaf `q_leaf`.
-    fn born_oracle(ta: &Octree, tq: &Octree, threshold: f64, q_leaf: NodeId) -> Visit {
+    /// `accumulate_qleaf`'s visit sequence for the driving leaf `q_leaf`,
+    /// with `T_A` clipped to the atom positions `clip` (`0..M` = no clip):
+    /// nodes disjoint from the clip are neither visited nor billed, far
+    /// terms are taken only at nodes wholly inside it, and a near leaf
+    /// bills only its clipped atoms.
+    fn born_oracle(
+        ta: &Octree,
+        tq: &Octree,
+        threshold: f64,
+        q_leaf: NodeId,
+        clip: &Range<usize>,
+    ) -> Visit {
         let q = tq.node(q_leaf);
         let mut v = Visit::default();
         let mut stack = if ta.is_empty() { vec![] } else { vec![Octree::ROOT] };
         while let Some(a_id) = stack.pop() {
+            let a = ta.node(a_id);
+            let (lo, hi) = ((a.begin as usize).max(clip.start), (a.end as usize).min(clip.end));
+            if a.end as usize <= clip.start || a.begin as usize >= clip.end {
+                continue;
+            }
             v.steps += 1;
             v.work += TRAVERSAL_UNIT;
-            let a = ta.node(a_id);
-            if well_separated(a.centroid.dist(q.centroid), a.radius, q.radius, threshold) {
+            let inside = a.begin as usize >= clip.start && a.end as usize <= clip.end;
+            if inside && well_separated(a.centroid.dist(q.centroid), a.radius, q.radius, threshold)
+            {
                 v.far.push(a_id);
                 v.work += 1.0;
             } else if a.is_leaf() {
                 v.near.push(a_id);
-                v.work += (a.count() * q.count()) as f64;
+                v.work += ((hi - lo) * q.count()) as f64;
             } else {
                 stack.extend(a.children());
             }
@@ -2260,12 +2415,18 @@ mod tests {
     /// order (the traversal pops mirrored preorder; the partners are
     /// disjoint subtrees, so one order is the other reversed), `leaf_work`
     /// equals its tally bit for bit, and the build bills ¼ per visit.
-    fn assert_born_matches_oracle(lists: &BornLists, ta: &Octree, tq: &Octree, tag: &str) {
+    fn assert_born_matches_oracle(
+        lists: &BornLists,
+        ta: &Octree,
+        tq: &Octree,
+        clip: &Range<usize>,
+        tag: &str,
+    ) {
         let threshold = GbParams::default().radii_mac_threshold();
         assert_eq!(lists.num_qleaves(), tq.num_leaves(), "{tag}");
         let mut steps = 0u64;
         for (ord, &q) in tq.leaves().iter().enumerate() {
-            let v = born_oracle(ta, tq, threshold, q);
+            let v = born_oracle(ta, tq, threshold, q, clip);
             assert_eq!(lists.rows.far_row(ord), reversed(&v.far), "{tag} ord={ord}: far row");
             assert_eq!(lists.rows.near_row(ord), reversed(&v.near), "{tag} ord={ord}: near row");
             assert_eq!(lists.leaf_work()[ord].to_bits(), v.work.to_bits(), "{tag} ord={ord}");
@@ -2320,9 +2481,10 @@ mod tests {
             // the oracle replays accumulate_qleaf's tally exactly
             let mut acc = IntegralAcc::zeros(&sys);
             let mut stack = Vec::new();
+            let all = 0..sys.num_atoms();
             for &q in sys.tq.leaves() {
                 let w = accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc, &mut stack);
-                let v = born_oracle(&sys.ta, &sys.tq, threshold, q);
+                let v = born_oracle(&sys.ta, &sys.tq, threshold, q, &all);
                 assert_eq!(w.to_bits(), v.work.to_bits(), "n={n}: oracle vs traversal");
             }
             for tasks in [1usize, 2, 3, 7] {
@@ -2330,35 +2492,104 @@ mod tests {
                 let mut scratch = ListScratch::new();
                 let mut born = BornLists::empty();
                 born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-                assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &tag);
+                assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &all, &tag);
                 for (ta, tq, dir) in
                     [(&sys.ta, &lig.tq, "rec x lig"), (&lig.ta, &sys.tq, "lig x rec")]
                 {
-                    born.rebuild_sweep(&BornSweep { ta, tq, threshold }, tasks, &mut scratch, 1);
-                    assert_born_matches_oracle(&born, ta, tq, &format!("{tag} {dir}"));
+                    let clip = 0..ta.num_points();
+                    let s = BornSweep { ta, tq, threshold, clip: clip.clone() };
+                    born.rebuild_sweep(&s, 0..tq.num_leaves(), tasks, &mut scratch, 1);
+                    assert_born_matches_oracle(&born, ta, tq, &clip, &format!("{tag} {dir}"));
                 }
                 let mut energy = EnergyLists::empty();
-                energy.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
+                let rows = 0..sys.ta.num_leaves();
+                energy.rebuild_with_task_floor(&sys, rows, tasks, &mut scratch, 1);
                 assert_energy_matches_oracle(&energy, &sys.ta, &tag);
             }
         }
     }
 
+    // -- part builds: clipped and row-range lists ---------------------------
+
+    /// Clips of every shape over `sys`'s atoms: empty (at the start, the
+    /// end and inside a leaf), full, leaf-aligned and cutting through
+    /// leaves at both ends.
+    fn clips(sys: &GbSystem) -> Vec<Range<usize>> {
+        let m = sys.num_atoms();
+        let leaves: Vec<&Node> = sys.ta.leaves().iter().map(|&l| sys.ta.node(l)).collect();
+        let at = |k: usize| leaves[k * (leaves.len() - 1) / 4].begin as usize;
+        let wide = leaves.iter().find(|n| n.count() >= 2).expect("a leaf with two atoms");
+        let mid = wide.begin as usize + 1;
+        vec![0..0, m..m, mid..mid, 0..m, at(1)..at(3), mid..(mid + m / 3).min(m - 1), 1..m - 1]
+    }
+
     #[test]
-    fn build_work_bills_a_quarter_per_visited_node_row() {
+    fn clipped_sweeps_match_the_clipped_oracle() {
         let sys = system(350);
-        let threshold = sys.params.radii_mac_threshold();
-        let born_steps: u64 =
-            sys.tq.leaves().iter().map(|&q| born_oracle(&sys.ta, &sys.tq, threshold, q).steps).sum();
-        for tasks in [1usize, 3] {
-            let mut scratch = ListScratch::new();
-            let mut born = BornLists::empty();
-            born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            assert_eq!(born.build_work, TRAVERSAL_UNIT * born_steps as f64);
-            let mut energy = EnergyLists::empty();
-            energy.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            let (steps, _) = energy.step_and_near_work();
-            assert_eq!(energy.build_work, TRAVERSAL_UNIT * steps.iter().sum::<f64>());
+        for clip in clips(&sys) {
+            for tasks in [1usize, 3] {
+                let tag = format!("clip {clip:?} tasks={tasks}");
+                let mut born = BornLists::empty();
+                let s = BornSweep::own(&sys, clip.clone());
+                born.rebuild_sweep(&s, 0..sys.tq.num_leaves(), tasks, &mut ListScratch::new(), 1);
+                assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &clip, &tag);
+                // execution writes only inside the clip, and exactly the
+                // slots the plan derivation reports
+                let mut acc = IntegralAcc::zeros(&sys);
+                born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut acc);
+                let n = sys.ta.num_nodes();
+                let mut touched = vec![false; n + sys.num_atoms()];
+                for ord in 0..born.num_qleaves() {
+                    born.touched_flat_slots(&sys, ord, |r| touched[r].fill(true));
+                }
+                for (slot, &v) in acc.node_s.iter().chain(&acc.atom_s).enumerate() {
+                    assert!(v == 0.0 || touched[slot], "{tag}: slot {slot} written untouched");
+                    if slot >= n {
+                        assert!(!touched[slot] || clip.contains(&(slot - n)), "{tag}: {slot}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rows `range` of `part` equal `full`'s; every other row is empty and
+    /// bills nothing.
+    fn assert_part_rows(part: &Rows, full: &Rows, range: &Range<usize>, tag: &str) {
+        assert_eq!(part.work.len(), full.work.len(), "{tag}");
+        let row = |r: &Rows, ord| {
+            let near_work = r.near_work.get(ord).copied();
+            (r.far_row(ord).to_vec(), r.near_row(ord).to_vec(), r.work[ord], near_work)
+        };
+        for ord in 0..full.work.len() {
+            let empty = (vec![], vec![], 0.0, full.near_work.get(ord).map(|_| 0.0));
+            let expect = if range.contains(&ord) { row(full, ord) } else { empty };
+            assert_eq!(row(part, ord), expect, "{tag} ord={ord}");
+        }
+    }
+
+    #[test]
+    fn row_range_lists_equal_full_rows_inside_and_are_empty_outside() {
+        let sys = system(350);
+        let (full_b, full_e) = (BornLists::build(&sys), EnergyLists::build(&sys));
+        let (nq, nv) = (sys.tq.num_leaves(), sys.ta.num_leaves());
+        for (lo, hi) in [(0usize, 4usize), (1, 3), (3, 4), (2, 2), (0, 0), (4, 4)] {
+            for tasks in [1usize, 3] {
+                let (bq, eq) = (nq * lo / 4..nq * hi / 4, nv * lo / 4..nv * hi / 4);
+                let tag = format!("rows {bq:?} / {eq:?} tasks={tasks}");
+                let mut scratch = ListScratch::new();
+                let mut born = BornLists::empty();
+                let s = BornSweep::own(&sys, 0..sys.num_atoms());
+                born.rebuild_sweep(&s, bq.clone(), tasks, &mut scratch, 1);
+                assert_part_rows(&born.rows, &full_b.rows, &bq, &tag);
+                let mut energy = EnergyLists::empty();
+                energy.rebuild_with_task_floor(&sys, eq.clone(), tasks, &mut scratch, 1);
+                assert_part_rows(&energy.rows, &full_e.rows, &eq, &tag);
+                if (lo, hi) == (0, 4) {
+                    // the full range is the full build, byte for byte
+                    assert_eq!((&born, born.content_key()), (&full_b, full_b.content_key()));
+                    assert_eq!((&energy, energy.content_key()), (&full_e, full_e.content_key()));
+                }
+            }
         }
     }
 }

@@ -18,7 +18,7 @@ use crate::balance::{assign, LoadBalance};
 use crate::fastmath::{ApproxMath, ExactMath, MathMode};
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
 use crate::integrals::{push_integrals_to_atoms, IntegralAcc};
-use crate::interaction::{BornLists, EnergyLists};
+use crate::interaction::{BornLists, EnergyLists, ListScratch};
 use crate::params::{MathKind, RadiiKind};
 use crate::runners::{bin_build_work, bins_for, with_kernels};
 use crate::system::{GbResult, GbSystem};
@@ -134,23 +134,15 @@ fn modeled_run_impl<M: MathMode, K: RadiiApprox>(
             }
         }
         WorkDivision::AtomNode => {
-            let mut stack = Vec::new();
-            let segments = atom_segments(sys.num_atoms(), ranks);
-            for (ledger, range) in ledgers.iter_mut().zip(segments) {
-                // atom-based: rank processes all leaves clipped to its atoms
-                let mut leaf_works = Vec::with_capacity(sys.tq.num_leaves());
-                for &q in sys.tq.leaves() {
-                    leaf_works.push(
-                        crate::runners::distributed::accumulate_qleaf_clipped::<M, K>(
-                            sys,
-                            q,
-                            range.clone(),
-                            &mut acc,
-                            &mut stack,
-                        ),
-                    );
-                }
-                ledger.add_work(makespan(&leaf_works, threads_per_rank));
+            // atom-based: each rank sweeps every T_Q row with T_A clipped to
+            // its atoms, and its per-leaf works are the clipped rows' works
+            let mut born = BornLists::empty();
+            let mut scratch = ListScratch::new();
+            let rows = 0..sys.tq.num_leaves();
+            for (ledger, clip) in ledgers.iter_mut().zip(atom_segments(sys.num_atoms(), ranks)) {
+                born.rebuild_part(sys, rows.clone(), clip, 1, &mut scratch);
+                born.execute_range::<M, K>(sys, rows.clone(), &mut acc);
+                ledger.add_work(makespan(born.leaf_work(), threads_per_rank));
                 ledger.record_replicated(replicated);
             }
         }

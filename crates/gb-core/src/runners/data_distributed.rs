@@ -15,19 +15,29 @@
 //!   segments are contiguous in tree order, so each shard is a contiguous
 //!   range of the permuted point arrays).
 //!
-//! Point payloads a rank does not own are fetched on demand through a
-//! **halo exchange**: a pre-pass walks the skeleton to find which remote
-//! leaves the near-field needs, request lists travel point-to-point, and
-//! owners answer with the flattened payloads. Two halos occur per run —
-//! atom positions for the Born phase, `(position, charge, Born radius)`
-//! triples for the energy phase. Born radii themselves stay distributed:
-//! only the O(nodes × bins) charge histograms are allreduced, never the
-//! O(M) radii vector.
+//! Every interaction decision comes from the list engine: a rank sweeps
+//! the Born rows of its `T_Q` leaves and the energy rows of its `T_A`
+//! leaves over the replicated skeleton ([`BornLists::rebuild_part`],
+//! [`EnergyLists::rebuild_part`]). Far terms read only the skeleton — the
+//! Born far CSR's pseudo-particle terms and [`EnergyLists::execute_far`]'s
+//! histogram contractions. Point payloads a rank does not own are fetched
+//! through a **halo exchange**: the near CSR names the remote leaves,
+//! request lists travel point-to-point, and owners answer with the
+//! flattened payloads. Two halos occur per run — atom positions for the
+//! Born phase, `(position, charge, Born radius)` triples for the energy
+//! phase. The near loops run over the shard and ghost buffers, because the
+//! shared near kernels read whole-system arrays a shard does not hold.
+//! Born radii themselves stay distributed: only the O(nodes × bins) charge
+//! histograms are allreduced, never the O(M) radii vector.
 //!
-//! The result is bit-for-bit the energy of the replicated runners (node-
-//! based division, same traversals), with per-rank replicated memory
-//! reduced from O(M + N) payloads to O((M + N)/P + halo) — the tests and
-//! the `data_distribution` study measure exactly that.
+//! The interaction decisions are those of the replicated runners
+//! (node-based division); only summation grouping differs. The near loops
+//! sum per atom where the shared kernels stream batched runs, and the
+//! energy near loop has no symmetric halving. On a 500-atom protein
+//! (P ∈ {1, 2, 4, 7}) the radii agree with the serial runner to 1.3e-15
+//! relative and `E_pol` to 7e-15. Per-rank replicated memory drops from
+//! O(M + N) payloads to O((M + N)/P + halo) — the tests and the
+//! `data_distribution` study measure exactly that.
 //!
 //! Recovery: ranks here are stateless between attempts (shards, ghost
 //! tables and radii are rebuilt from `sys` deterministically, and
@@ -39,8 +49,9 @@ use crate::bins::ChargeBins;
 use crate::commplan::{CommMode, CommPlan};
 use crate::error::GbError;
 use crate::fastmath::{ApproxMath, ExactMath, MathMode};
-use crate::gbmath::{finalize_energy, inv_f_gb, RadiiApprox, R4, R6};
-use crate::integrals::{well_separated, IntegralAcc, TRAVERSAL_UNIT};
+use crate::gbmath::{finalize_energy, pair_term, RadiiApprox, R4, R6};
+use crate::integrals::{push_integrals_scratch, IntegralAcc};
+use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch};
 use crate::params::{MathKind, RadiiKind};
 use crate::runners::sparse::{publish_to_consumers, reduce_pairs_to_owners};
 use crate::runners::with_kernels;
@@ -81,8 +92,8 @@ pub fn try_run_data_distributed(
 
 /// [`try_run_data_distributed`] with an explicit integral-combine mode:
 /// the sparse path ships `(slot, value)` pairs of the accumulator's
-/// non-zero slots to per-slot owners (traversal-produced slots are not
-/// statically derivable here), then a targeted exchange delivers each
+/// non-zero slots to per-slot owners (a rank's produced slots follow from
+/// lists only it sweeps), then a targeted exchange delivers each
 /// rank exactly its push traversal's read set. The sparse stages use the
 /// staged collective blackboard, not the point-to-point channels, so halo
 /// message indices — and any fault plan addressing them — are unchanged.
@@ -100,29 +111,29 @@ pub fn try_run_data_distributed_mode(
     Ok((results.swap_remove(0), report))
 }
 
-/// The atom range covered by a contiguous segment of `T_A` leaves.
-fn segment_atom_range(tree: &Octree, seg: &Range<usize>) -> Range<usize> {
-    if seg.is_empty() {
-        return 0..0;
-    }
-    let leaves = tree.leaves();
-    let begin = tree.node(leaves[seg.start]).begin as usize;
-    let end = tree.node(leaves[seg.end - 1]).end as usize;
-    begin..end
+/// The point positions under a contiguous segment of leaves: from the
+/// first leaf's begin to the next leaf's (or the end of the points). An
+/// empty segment is an empty range where the segment sits, so the ranges of
+/// a partition of the leaves stay sorted and contiguous.
+fn segment_range(tree: &Octree, seg: &Range<usize>) -> Range<usize> {
+    let start_of = |ord: usize| {
+        tree.leaves().get(ord).map_or(tree.num_points(), |&l| tree.node(l).begin as usize)
+    };
+    start_of(seg.start)..start_of(seg.end)
 }
 
 /// One rank's owned data (real copies — the shared `GbSystem` stands in
 /// for parallel input I/O; after construction the kernels only touch the
 /// shard and the ghosts).
 struct Shard {
-    /// Owned `T_Q` leaves (ids) and the tree-position range they cover.
-    q_leaves: Vec<NodeId>,
+    /// Owned `T_Q` leaf ordinals and the tree-position range they cover.
+    q_seg: Range<usize>,
     q_range: Range<usize>,
     q_pos: Vec<Vec3>,
     q_nrm: Vec<Vec3>,
     q_wgt: Vec<f64>,
-    /// Owned `T_A` leaves and their atom range.
-    a_leaves: Vec<NodeId>,
+    /// Owned `T_A` leaf ordinals and their atom range.
+    a_seg: Range<usize>,
     a_range: Range<usize>,
     a_pos: Vec<Vec3>,
     a_charge: Vec<f64>,
@@ -133,15 +144,15 @@ impl Shard {
     fn build(sys: &GbSystem, rank: usize, ranks: usize) -> Shard {
         let q_seg = leaf_segments(&sys.tq, ranks)[rank].clone();
         let a_seg = leaf_segments(&sys.ta, ranks)[rank].clone();
-        let q_range = segment_atom_range(&sys.tq, &q_seg);
-        let a_range = segment_atom_range(&sys.ta, &a_seg);
+        let q_range = segment_range(&sys.tq, &q_seg);
+        let a_range = segment_range(&sys.ta, &a_seg);
         Shard {
-            q_leaves: sys.tq.leaves()[q_seg].to_vec(),
+            q_seg,
             q_pos: sys.tq.points()[q_range.clone()].to_vec(),
             q_nrm: sys.q_normal_tree[q_range.clone()].to_vec(),
             q_wgt: sys.q_weight_tree[q_range.clone()].to_vec(),
             q_range,
-            a_leaves: sys.ta.leaves()[a_seg].to_vec(),
+            a_seg,
             a_pos: sys.ta.points()[a_range.clone()].to_vec(),
             a_charge: sys.charge_tree[a_range.clone()].to_vec(),
             a_vdw: sys.vdw_tree[a_range.clone()].to_vec(),
@@ -160,36 +171,40 @@ impl Shard {
 
 /// Which rank owns a `T_A` leaf / atom position, from the segment table.
 struct Ownership {
-    /// Atom-range starts per rank (ranges are contiguous and sorted).
-    a_starts: Vec<usize>,
+    /// Atom range per rank: sorted and contiguous, empty ranks included.
     a_ranges: Vec<Range<usize>>,
 }
 
 impl Ownership {
     fn build(sys: &GbSystem, ranks: usize) -> Ownership {
-        let a_ranges: Vec<Range<usize>> = leaf_segments(&sys.ta, ranks)
+        let a_ranges = leaf_segments(&sys.ta, ranks)
             .iter()
-            .map(|seg| segment_atom_range(&sys.ta, seg))
+            .map(|seg| segment_range(&sys.ta, seg))
             .collect();
-        Ownership {
-            a_starts: a_ranges.iter().map(|r| r.start).collect(),
-            a_ranges,
-        }
+        Ownership { a_ranges }
     }
 
-    /// Owner rank of the `T_A` leaf starting at tree position `begin`.
-    fn owner_of_atom_pos(&self, begin: usize) -> usize {
-        // ranges are contiguous ascending; empty trailing ranges collapse
-        match self.a_starts.binary_search(&begin) {
-            Ok(mut i) => {
-                // walk past empty ranges that share the same start
-                while i + 1 < self.a_ranges.len() && self.a_ranges[i].is_empty() {
-                    i += 1;
-                }
-                i
+    /// Owner rank of the atom at tree position `pos`: the first range
+    /// ending past it (an empty range never does).
+    fn owner_of_atom_pos(&self, pos: usize) -> usize {
+        self.a_ranges.partition_point(|r| r.end <= pos)
+    }
+
+    /// The remote leaves among `leaves`, grouped by owner, sorted and
+    /// deduplicated — one halo's request lists.
+    fn remote_leaves(&self, sys: &GbSystem, me: usize, leaves: &[NodeId]) -> Vec<Vec<NodeId>> {
+        let mut needed: Vec<Vec<NodeId>> = vec![Vec::new(); self.a_ranges.len()];
+        for &leaf in leaves {
+            let owner = self.owner_of_atom_pos(sys.ta.node(leaf).begin as usize);
+            if owner != me {
+                needed[owner].push(leaf);
             }
-            Err(i) => i.saturating_sub(1),
         }
+        for list in &mut needed {
+            list.sort_unstable();
+            list.dedup();
+        }
+        needed
     }
 }
 
@@ -258,8 +273,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
     let ranks = comm.size();
     let shard = Shard::build(sys, rank, ranks);
     let ownership = Ownership::build(sys, ranks);
-    let threshold = sys.params.radii_mac_threshold();
-    let mac = sys.params.energy_mac_factor();
+    let mut scratch = ListScratch::new();
 
     // Skeleton bytes (nodes + aggregates) are replicated; payloads are not.
     let skeleton_bytes = (sys.ta.num_nodes() + sys.tq.num_nodes())
@@ -268,38 +282,14 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
     let mut ghost_bytes = 0usize;
     comm.record_replicated((skeleton_bytes + svec_bytes + shard.payload_bytes()) as u64);
 
-    // ---- Pre-pass: which remote T_A leaves does the Born near-field need?
-    let mut needed: Vec<Vec<NodeId>> = vec![Vec::new(); ranks];
-    let mut near_leaves_per_q: Vec<Vec<NodeId>> = Vec::with_capacity(shard.q_leaves.len());
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut work = 0.0;
-    for &q in &shard.q_leaves {
-        let qn = sys.tq.node(q);
-        let mut near = Vec::new();
-        stack.push(Octree::ROOT);
-        while let Some(a_id) = stack.pop() {
-            work += TRAVERSAL_UNIT;
-            let a = sys.ta.node(a_id);
-            let d = a.centroid.dist(qn.centroid);
-            if well_separated(d, a.radius, qn.radius, threshold) {
-                continue; // far: handled from the skeleton alone
-            }
-            if a.is_leaf() {
-                near.push(a_id);
-                let owner = ownership.owner_of_atom_pos(a.begin as usize);
-                if owner != rank {
-                    needed[owner].push(a_id);
-                }
-            } else {
-                stack.extend(a.children());
-            }
-        }
-        near_leaves_per_q.push(near);
-    }
-    for list in &mut needed {
-        list.sort_unstable();
-        list.dedup();
-    }
+    // ---- Born rows of the owned T_Q leaves; their near entries name the
+    // remote T_A leaves the near field needs. Rows are billed at their
+    // execution work (visits, far terms, exact pairs), as one traversal.
+    let mut born = BornLists::empty();
+    born.rebuild_part(sys, shard.q_seg.clone(), 0..sys.num_atoms(), 1, &mut scratch);
+    let (far_off, far) = born.far_csr();
+    let (near_off, near) = born.near_csr();
+    let needed = ownership.remote_leaves(sys, rank, near);
 
     // ---- Halo #1: atom positions of needed remote leaves.
     let atom_ghosts = halo_exchange(comm, &needed, |leaf| {
@@ -316,34 +306,21 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
     // ---- Born phase: far field from the skeleton, near field from shard
     // + ghosts.
     let mut acc = IntegralAcc::zeros(sys);
-    for (qi, &q) in shard.q_leaves.iter().enumerate() {
+    for ord in shard.q_seg.clone() {
+        let q = sys.tq.leaves()[ord];
         let qn = sys.tq.node(q);
         let q_agg = sys.q_normals[q as usize];
-        // far-field contributions: walk the skeleton again, collecting at
-        // well-separated nodes (same traversal as the pre-pass)
-        stack.push(Octree::ROOT);
-        while let Some(a_id) = stack.pop() {
-            let a = sys.ta.node(a_id);
-            let d = a.centroid.dist(qn.centroid);
-            if well_separated(d, a.radius, qn.radius, threshold) {
-                let delta = qn.centroid - a.centroid;
-                acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(delta.norm_sq());
-                work += 1.0;
-            } else if !a.is_leaf() {
-                stack.extend(a.children());
-            }
+        for &a_id in &far[far_off[ord]..far_off[ord + 1]] {
+            let delta = qn.centroid - sys.ta.node(a_id).centroid;
+            acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(delta.norm_sq());
         }
         // near field: exact sums against owned or ghosted atom positions
         let q_lo = qn.begin as usize - shard.q_range.start;
         let q_hi = qn.end as usize - shard.q_range.start;
-        for &a_id in &near_leaves_per_q[qi] {
+        for &a_id in &near[near_off[ord]..near_off[ord + 1]] {
             let a = sys.ta.node(a_id);
             let owned = ownership.owner_of_atom_pos(a.begin as usize) == rank;
-            let ghost = if owned {
-                None
-            } else {
-                Some(&atom_ghosts[&a_id])
-            };
+            let ghost = if owned { None } else { Some(&atom_ghosts[&a_id]) };
             for (k, pos) in a.range().enumerate() {
                 let xa = match ghost {
                     None => shard.a_pos[pos - shard.a_range.start],
@@ -359,10 +336,9 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
                 }
                 acc.atom_s[pos] += s;
             }
-            work += (a.count() * qn.count()) as f64;
         }
     }
-    comm.record_work(work);
+    comm.record_work(born.leaf_work()[shard.q_seg.clone()].iter().sum());
 
     // ---- Combine partial integrals. Dense: the O(nodes + M) allreduce of
     // the replicated algorithm. Sparse (default): pair-protocol reduce to
@@ -396,28 +372,13 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
 
     // ---- Push integrals to own atoms only: radii stay distributed.
     let mut my_radii = vec![0.0; shard.a_range.len()];
-    let mut push_work = 0.0;
-    let mut pstack: Vec<(NodeId, f64)> = vec![(Octree::ROOT, 0.0)];
-    while let Some((id, carried)) = pstack.pop() {
-        let n = sys.ta.node(id);
-        if n.end as usize <= shard.a_range.start || n.begin as usize >= shard.a_range.end {
-            continue;
-        }
-        push_work += TRAVERSAL_UNIT;
-        let here = carried + acc.node_s[id as usize];
-        if n.is_leaf() {
-            for pos in n.range() {
-                let local = pos - shard.a_range.start;
-                my_radii[local] =
-                    K::radius(here + acc.atom_s[pos], shard.a_vdw[local], sys.born_cap);
-                push_work += 1.0;
-            }
-        } else {
-            for c in n.children() {
-                pstack.push((c, here));
-            }
-        }
-    }
+    let push_work = push_integrals_scratch::<M, K>(
+        sys,
+        &acc,
+        shard.a_range.clone(),
+        &mut my_radii,
+        &mut Vec::new(),
+    );
     comm.record_work(push_work);
 
     // ---- Distributed bins: local histograms over owned atoms, allreduced.
@@ -451,37 +412,12 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
     }
     comm.record_work(shard.a_range.len() as f64 * 0.5);
 
-    // ---- Pre-pass #2: remote T_A leaves the energy near-field needs.
-    let mut needed: Vec<Vec<NodeId>> = vec![Vec::new(); ranks];
-    let mut near_u_per_v: Vec<Vec<NodeId>> = Vec::with_capacity(shard.a_leaves.len());
-    let mut e_work = 0.0;
-    for &v in &shard.a_leaves {
-        let vn = sys.ta.node(v);
-        let mut near = Vec::new();
-        stack.push(Octree::ROOT);
-        while let Some(u_id) = stack.pop() {
-            e_work += TRAVERSAL_UNIT;
-            let u = sys.ta.node(u_id);
-            if u.is_leaf() {
-                near.push(u_id);
-                let owner = ownership.owner_of_atom_pos(u.begin as usize);
-                if owner != rank {
-                    needed[owner].push(u_id);
-                }
-            } else {
-                let d = u.centroid.dist(vn.centroid);
-                if d > (u.radius + vn.radius) * mac {
-                    continue; // far: histogram contraction, skeleton only
-                }
-                stack.extend(u.children());
-            }
-        }
-        near_u_per_v.push(near);
-    }
-    for list in &mut needed {
-        list.sort_unstable();
-        list.dedup();
-    }
+    // ---- Energy rows of the owned T_A leaves; their near entries name the
+    // remote leaves the exact pairs need.
+    let mut energy = EnergyLists::empty();
+    energy.rebuild_part(sys, shard.a_seg.clone(), 1, &mut scratch);
+    let (near_off, near) = energy.near_csr();
+    let needed = ownership.remote_leaves(sys, rank, near);
 
     // ---- Halo #2: (position, charge, radius) of needed remote leaves.
     let energy_ghosts = halo_exchange(comm, &needed, |leaf| {
@@ -499,44 +435,16 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
         (skeleton_bytes + svec_bytes + shard.payload_bytes() + ghost_bytes) as u64,
     );
 
-    // ---- Energy phase.
-    let mut raw = 0.0;
-    for (vi, &v) in shard.a_leaves.iter().enumerate() {
-        let vn = sys.ta.node(v);
-        let v_hist = bins.node_hist(v);
-        // far field: histogram contraction over well-separated skeleton nodes
-        stack.push(Octree::ROOT);
-        while let Some(u_id) = stack.pop() {
-            let u = sys.ta.node(u_id);
-            if u.is_leaf() {
-                continue; // near leaves handled below
-            }
-            let d = u.centroid.dist(vn.centroid);
-            if d > (u.radius + vn.radius) * mac {
-                let u_hist = bins.node_hist(u_id);
-                let d_sq = d * d;
-                for (i, &qu) in u_hist.iter().enumerate() {
-                    if qu == 0.0 {
-                        continue;
-                    }
-                    for (j, &qv) in v_hist.iter().enumerate() {
-                        if qv == 0.0 {
-                            continue;
-                        }
-                        raw +=
-                            qu * qv * inv_f_gb::<M>(d_sq, bins.bin_radius[i] * bins.bin_radius[j]);
-                        e_work += 1.0;
-                    }
-                }
-            } else {
-                stack.extend(u.children());
-            }
-        }
-        // near field: exact pairs, U atoms owned or ghosted
-        for &u_id in &near_u_per_v[vi] {
+    // ---- Energy phase: far field as histogram contractions over the
+    // skeleton, near field as exact pairs, U atoms owned or ghosted.
+    let (mut raw, _) =
+        energy.execute_far::<M>(sys, &bins, shard.a_seg.clone(), &mut EnergyExecScratch::new());
+    for ord in shard.a_seg.clone() {
+        let vn = sys.ta.node(sys.ta.leaves()[ord]);
+        for &u_id in &near[near_off[ord]..near_off[ord + 1]] {
             let u = sys.ta.node(u_id);
             let owned = ownership.owner_of_atom_pos(u.begin as usize) == rank;
-            for (k, _pos) in u.range().enumerate() {
+            for k in 0..u.count() {
                 let (xu, qu, ru) = if owned {
                     let local = u.begin as usize + k - shard.a_range.start;
                     (shard.a_pos[local], shard.a_charge[local], my_radii[local])
@@ -552,14 +460,13 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
                 for vpos in vn.range() {
                     let local = vpos - shard.a_range.start;
                     let r_sq = xu.dist_sq(shard.a_pos[local]);
-                    row += shard.a_charge[local] * inv_f_gb::<M>(r_sq, ru * my_radii[local]);
+                    row += pair_term::<M>(shard.a_charge[local], r_sq, ru * my_radii[local]);
                 }
                 raw += qu * row;
             }
-            e_work += (u.count() * vn.count()) as f64;
         }
     }
-    comm.record_work(e_work);
+    comm.record_work(energy.leaf_costs(sys, &bins)[shard.a_seg.clone()].iter().sum());
 
     // ---- Combine energies; gather radii only to assemble the caller's
     // result (output collection, not part of the algorithm's working set).
@@ -670,6 +577,25 @@ mod tests {
             (data_bytes as f64) < 0.7 * repl_bytes as f64,
             "data-distributed {data_bytes} vs replicated {repl_bytes}"
         );
+    }
+
+    #[test]
+    fn more_ranks_than_leaves_leave_the_extra_ranks_empty() {
+        // 9 atoms in 5 T_A leaves: ranks past the last leaf own nothing and
+        // must neither receive halo requests nor index their empty shards
+        let mol = synthesize_protein(&SyntheticParams::with_atoms(9, 3));
+        let sys = GbSystem::prepare(mol, GbParams::default());
+        let serial = run_serial(&sys).result;
+        for ranks in [8usize, 12] {
+            assert!(ranks > sys.ta.num_leaves());
+            let (res, _) = try_run_data_distributed(&sys, &SimCluster::single_node(), ranks)
+                .expect("valid input");
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+            assert!(close(res.energy_kcal, serial.energy_kcal), "ranks={ranks}");
+            for (a, b) in res.born_radii.iter().zip(&serial.born_radii) {
+                assert!(close(*a, *b), "ranks={ranks}: {a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! 2. `APPROX-INTEGRALS` for this rank's segment of `T_Q` leaves
 //!    (node-based division, executed from the replicated interaction lists
 //!    with rank boundaries balanced by measured list work) or atoms
-//!    (atom-based, traversal with range clipping);
+//!    (atom-based, from lists swept with `T_A` clipped to the rank's atom
+//!    range);
 //! 3. combine the partial integral vectors — either the paper's dense
 //!    `MPI_Allreduce`, or (the default) the plan-driven sparse
 //!    reduce-scatter + targeted allgatherv of
@@ -19,16 +20,17 @@
 //! 4. `PUSH-INTEGRALS-TO-ATOMS` for this rank's atom segment;
 //! 5. allgather of the Born radii (dense on purpose: the energy phase's
 //!    bin recomputation reads the full radii vector on every rank);
-//! 6. `APPROX-EPOL` for this rank's segment of `T_A` leaves;
+//! 6. `APPROX-EPOL` for this rank's segment of `T_A` leaves (atom-based:
+//!    the leaves starting in its atom range, from lists swept for those
+//!    rows only);
 //! 7. reduce of the partial energies to the master.
 
 use crate::arena::Workspace;
 use crate::commplan::{manifest_range, owner_interval, CommMode};
-use crate::energy::energy_for_leaves;
 use crate::error::GbError;
 use crate::fastmath::{ApproxMath, ExactMath, MathMode};
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
-use crate::integrals::{push_integrals_scratch, IntegralAcc};
+use crate::integrals::push_integrals_scratch;
 use crate::params::{MathKind, RadiiKind};
 use crate::runners::sparse::{
     flat_get, publish_to_consumers, reduce_pairs_to_owners, reduce_to_owners_single, OVERLAP_CHUNKS,
@@ -221,6 +223,9 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
     if comm.attempt() == 0 {
         ws.checkpoint.invalidate();
     }
+    if division == WorkDivision::AtomNode {
+        ws.forget_list_frames(); // partial lists are swept below
+    }
     let restart_step = if comm.attempt() > 0 {
         let mine = ws
             .checkpoint
@@ -364,22 +369,16 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
                 }
             }
             WorkDivision::AtomNode => {
-                // Atom-based division: every rank processes *all* T_Q leaves but
-                // clips the T_A traversal to its atom range (see
-                // `accumulate_qleaf_clipped`): far-field terms are only taken at
-                // nodes wholly inside the range, so range boundaries change the
-                // approximation pattern — the P-dependent-error effect the paper
-                // reports for atom-based division.
-                let range = ws.atom_ranges[rank].clone();
-                for &q in sys.tq.leaves() {
-                    work += accumulate_qleaf_clipped::<M, K>(
-                        sys,
-                        q,
-                        range.clone(),
-                        &mut ws.acc,
-                        &mut ws.node_stack,
-                    );
-                }
+                // Atom-based division: every rank sweeps *all* T_Q rows with
+                // T_A clipped to its atom range (`BornLists::rebuild_part`):
+                // far-field terms are only taken at nodes wholly inside the
+                // range, so range boundaries change the approximation pattern —
+                // the P-dependent-error effect the paper reports for atom-based
+                // division. Only the execution work is billed: each row's work
+                // is the clipped per-leaf traversal's tally, visits included.
+                let (rows, clip) = (0..sys.tq.num_leaves(), ws.atom_ranges[rank].clone());
+                ws.born.rebuild_part(sys, rows, clip, ws.build_tasks, &mut ws.born_scratch);
+                work += ws.born.execute_range::<M, K>(sys, 0..ws.born.num_qleaves(), &mut ws.acc);
                 if p > 1 {
                     match mode {
                         CommMode::Dense => {
@@ -388,9 +387,10 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
                             ws.acc.copy_from_flat(&ws.flat);
                         }
                         CommMode::Sparse => {
-                            // clipped-traversal producer sets are not statically
-                            // derivable from the lists, so stage 1 ships
-                            // (slot, value) pairs found by a non-zero-bits scan
+                            // a rank's producer set follows from its own clipped
+                            // lists only, which its peers never sweep, so stage 1
+                            // ships (slot, value) pairs found by a non-zero-bits
+                            // scan
                             ws.plan.ensure_consumers(sys, &ws.atom_ranges);
                             reduce_pairs_to_owners(
                                 comm,
@@ -454,11 +454,17 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
 
     // Step 6: partial energy for this rank's T_A leaf segment. Bins are
     // recomputed locally from the (replicated) radii instead of being
-    // communicated.
+    // communicated. Atom-based division owns the leaves that start in its
+    // atom range (a leaf straddling a boundary goes to the lower rank) —
+    // a contiguous run of ordinals, swept as a part build.
     ws.bins.recompute(sys, &radii_tree);
     comm.record_work(bin_build_work(sys));
-    if matches!(division, WorkDivision::NodeNode) {
-        ws.ready_energy_lists(sys);
+    let atom_ords = leaves_starting_in(sys, &ws.atom_ranges[rank]);
+    match division {
+        WorkDivision::NodeNode => ws.ready_energy_lists(sys),
+        WorkDivision::AtomNode => {
+            ws.energy.rebuild_part(sys, atom_ords.clone(), ws.build_tasks, &mut ws.energy_scratch)
+        }
     }
     let bins = &ws.bins;
     let (raw, w) = match division {
@@ -474,22 +480,9 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
             );
             (raw, ws.energy.build_work + exec)
         }
+        // execution work only, as for the clipped Born lists
         WorkDivision::AtomNode => {
-            let range = ws.atom_ranges[rank].clone();
-            // leaves whose point range intersects this rank's atom range,
-            // clipped at the leaf level (a leaf straddling the boundary is
-            // processed by the lower rank)
-            let leaves: Vec<_> = sys
-                .ta
-                .leaves()
-                .iter()
-                .copied()
-                .filter(|&l| {
-                    let n = sys.ta.node(l);
-                    (n.begin as usize) >= range.start && (n.begin as usize) < range.end
-                })
-                .collect();
-            energy_for_leaves::<M>(sys, bins, &radii_tree, &leaves)
+            ws.energy.execute_leaves::<M>(sys, bins, &radii_tree, atom_ords, &mut ws.energy_exec)
         }
     };
     comm.record_work(w);
@@ -506,67 +499,12 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
     })
 }
 
-/// Q-leaf traversal clipped to an atom range (atom-based division): only
-/// nodes wholly inside the range may take far-field terms; leaves are
-/// clipped per atom.
-pub(crate) fn accumulate_qleaf_clipped<M: MathMode, K: RadiiApprox>(
-    sys: &GbSystem,
-    q_leaf: gb_octree::NodeId,
-    range: std::ops::Range<usize>,
-    acc: &mut IntegralAcc,
-    stack: &mut Vec<gb_octree::NodeId>,
-) -> f64 {
-    use crate::integrals::{well_separated, TRAVERSAL_UNIT};
-    let tq = &sys.tq;
-    let ta = &sys.ta;
-    let threshold = sys.params.radii_mac_threshold();
-    let qn = tq.node(q_leaf);
-    let q_center = qn.centroid;
-    let q_radius = qn.radius;
-    let q_agg = sys.q_normals[q_leaf as usize];
-    let mut work = 0.0;
-
-    debug_assert!(stack.is_empty());
-    stack.push(gb_octree::Octree::ROOT);
-    while let Some(a_id) = stack.pop() {
-        let a = ta.node(a_id);
-        // skip nodes disjoint from the atom range
-        if a.end as usize <= range.start || a.begin as usize >= range.end {
-            continue;
-        }
-        work += TRAVERSAL_UNIT;
-        let fully_inside = a.begin as usize >= range.start && a.end as usize <= range.end;
-        let d = a.centroid.dist(q_center);
-        if fully_inside && well_separated(d, a.radius, q_radius, threshold) {
-            let delta = q_center - a.centroid;
-            let d2 = delta.norm_sq();
-            acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
-            work += 1.0;
-        } else if a.is_leaf() {
-            let q_range = qn.range();
-            let q_pos = &tq.points()[q_range.clone()];
-            let q_nrm = &sys.q_normal_tree[q_range.clone()];
-            let q_wgt = &sys.q_weight_tree[q_range];
-            let lo = (a.begin as usize).max(range.start);
-            let hi = (a.end as usize).min(range.end);
-            for ai in lo..hi {
-                let xa = ta.points()[ai];
-                let mut s = 0.0;
-                for ((&pq, &nq), &wq) in q_pos.iter().zip(q_nrm).zip(q_wgt) {
-                    let delta = pq - xa;
-                    let d2 = delta.norm_sq();
-                    if d2 > 0.0 {
-                        s += wq * nq.dot(delta) * K::integrand::<M>(d2);
-                    }
-                }
-                acc.atom_s[ai] += s;
-            }
-            work += ((hi - lo) * qn.count()) as f64;
-        } else {
-            stack.extend(a.children());
-        }
-    }
-    work
+/// Ordinals of the `T_A` leaves whose first atom lies in `atoms` — a
+/// contiguous run, since leaves are in tree order.
+fn leaves_starting_in(sys: &GbSystem, atoms: &std::ops::Range<usize>) -> std::ops::Range<usize> {
+    let leaves = sys.ta.leaves();
+    let first = |pos: usize| leaves.partition_point(|&l| (sys.ta.node(l).begin as usize) < pos);
+    first(atoms.start)..first(atoms.end)
 }
 
 #[cfg(test)]
@@ -583,11 +521,38 @@ mod tests {
 
     #[test]
     fn single_rank_equals_serial() {
+        // one rank's clip is every atom, so atom division runs the full lists
         let s = sys(400);
         let serial = run_serial(&s);
-        let (dist, _) = run_distributed(&s, &SimCluster::single_node(), 1, WorkDivision::NodeNode);
-        assert_eq!(serial.result.energy_kcal, dist.energy_kcal);
-        assert_eq!(serial.result.born_radii, dist.born_radii);
+        for division in [WorkDivision::NodeNode, WorkDivision::AtomNode] {
+            let (dist, _) = run_distributed(&s, &SimCluster::single_node(), 1, division);
+            assert_eq!(serial.result.energy_kcal.to_bits(), dist.energy_kcal.to_bits());
+            assert_eq!(serial.result.born_radii, dist.born_radii, "{division:?}");
+        }
+    }
+
+    #[test]
+    fn atom_supersteps_leave_no_lists_for_node_supersteps() {
+        // frame mode skips lists already current for the frame, so the
+        // partial lists of an atom-division superstep must never be taken
+        // for full ones by a later superstep on the same workspaces
+        let s = sys(300);
+        let cluster = SimCluster::single_node();
+        let workspaces: Vec<Mutex<Workspace>> = (0..3)
+            .map(|_| {
+                let mut ws = Workspace::new();
+                ws.enable_frame_tracking(0.0);
+                Mutex::new(ws)
+            })
+            .collect();
+        use WorkDivision::{AtomNode, NodeNode};
+        for division in [NodeNode, AtomNode, NodeNode, AtomNode, NodeNode] {
+            let (fresh, _) = run_distributed(&s, &cluster, 3, division);
+            let (r, _) =
+                try_run_distributed_ws(&s, &cluster, 3, division, &workspaces).expect("fault-free");
+            assert_eq!(fresh.energy_kcal.to_bits(), r.energy_kcal.to_bits(), "{division:?}");
+            assert_eq!(fresh.born_radii, r.born_radii, "{division:?}");
+        }
     }
 
     #[test]

@@ -117,7 +117,6 @@ pub fn try_run_frame_hybrid(
     cluster: &SimCluster,
     ranks: usize,
     threads_per_rank: usize,
-    division: WorkDivision,
     mode: CommMode,
     workspaces: &[Mutex<Workspace>],
 ) -> Result<ClusterFrameOutcome, GbError> {
@@ -130,7 +129,6 @@ pub fn try_run_frame_hybrid(
         cluster,
         ranks,
         threads_per_rank,
-        division,
         mode,
         workspaces,
     )?;

@@ -7,6 +7,8 @@
 //! (task = one leaf, the granularity the paper's cilk++ loops spawn at).
 //! Worker partials merge in worker order, so the rank's contribution — and
 //! therefore the final energy — is identical to the distributed runner's.
+//! Work division is node-based only; the atom-based ablation runs on the
+//! distributed runner.
 
 use crate::arena::Workspace;
 use crate::commplan::CommMode;
@@ -19,7 +21,7 @@ use crate::params::{MathKind, RadiiKind};
 use crate::runners::sparse::{publish_to_consumers, reduce_to_owners_single};
 use crate::runners::{bin_build_work, with_kernels};
 use crate::system::{GbResult, GbSystem};
-use crate::workdiv::{even_ranges_into, work_balanced_segments_into, WorkDivision};
+use crate::workdiv::{even_ranges_into, work_balanced_segments_into};
 use gb_cluster::{Comm, CommError, RunReport, SimCluster, StealPool};
 use gb_octree::NodeId;
 use parking_lot::Mutex;
@@ -35,9 +37,8 @@ pub fn run_hybrid(
     cluster: &SimCluster,
     ranks: usize,
     threads_per_rank: usize,
-    division: WorkDivision,
 ) -> (GbResult, RunReport) {
-    try_run_hybrid(sys, cluster, ranks, threads_per_rank, division)
+    try_run_hybrid(sys, cluster, ranks, threads_per_rank)
         .unwrap_or_else(|e| panic!("hybrid run failed: {e}"))
 }
 
@@ -48,16 +49,8 @@ pub fn try_run_hybrid(
     cluster: &SimCluster,
     ranks: usize,
     threads_per_rank: usize,
-    division: WorkDivision,
 ) -> Result<(GbResult, RunReport), GbError> {
-    try_run_hybrid_mode(
-        sys,
-        cluster,
-        ranks,
-        threads_per_rank,
-        division,
-        CommMode::default(),
-    )
+    try_run_hybrid_mode(sys, cluster, ranks, threads_per_rank, CommMode::default())
 }
 
 /// [`try_run_hybrid`] with an explicit integral-combine mode (see
@@ -70,21 +63,12 @@ pub fn try_run_hybrid_mode(
     cluster: &SimCluster,
     ranks: usize,
     threads_per_rank: usize,
-    division: WorkDivision,
     mode: CommMode,
 ) -> Result<(GbResult, RunReport), GbError> {
     let workspaces: Vec<Mutex<Workspace>> = (0..ranks)
         .map(|_| Mutex::new(Workspace::with_build_tasks(threads_per_rank)))
         .collect();
-    try_run_hybrid_ws_mode(
-        sys,
-        cluster,
-        ranks,
-        threads_per_rank,
-        division,
-        mode,
-        &workspaces,
-    )
+    try_run_hybrid_ws_mode(sys, cluster, ranks, threads_per_rank, mode, &workspaces)
 }
 
 /// [`try_run_hybrid`] over caller-owned per-rank [`Workspace`]s: each rank
@@ -96,18 +80,9 @@ pub fn try_run_hybrid_ws(
     cluster: &SimCluster,
     ranks: usize,
     threads_per_rank: usize,
-    division: WorkDivision,
     workspaces: &[Mutex<Workspace>],
 ) -> Result<(GbResult, RunReport), GbError> {
-    try_run_hybrid_ws_mode(
-        sys,
-        cluster,
-        ranks,
-        threads_per_rank,
-        division,
-        CommMode::default(),
-        workspaces,
-    )
+    try_run_hybrid_ws_mode(sys, cluster, ranks, threads_per_rank, CommMode::default(), workspaces)
 }
 
 /// [`try_run_hybrid_ws`] with an explicit [`CommMode`].
@@ -116,7 +91,6 @@ pub fn try_run_hybrid_ws_mode(
     cluster: &SimCluster,
     ranks: usize,
     threads_per_rank: usize,
-    division: WorkDivision,
     mode: CommMode,
     workspaces: &[Mutex<Workspace>],
 ) -> Result<(GbResult, RunReport), GbError> {
@@ -125,7 +99,7 @@ pub fn try_run_hybrid_ws_mode(
     let (mut results, report) = cluster.try_run(ranks, threads_per_rank, |comm| {
         let mut ws = workspaces[comm.rank()].lock();
         with_kernels!(sys.params, M, K =>
-            hybrid_rank_body::<M, K>(sys, comm, division, mode, &mut ws))
+            hybrid_rank_body::<M, K>(sys, comm, mode, &mut ws))
     })?;
     Ok((results.swap_remove(0), report))
 }
@@ -133,7 +107,6 @@ pub fn try_run_hybrid_ws_mode(
 fn hybrid_rank_body<M: MathMode, K: RadiiApprox>(
     sys: &GbSystem,
     comm: &mut Comm,
-    division: WorkDivision,
     mode: CommMode,
     ws: &mut Workspace,
 ) -> Result<GbResult, CommError> {
@@ -142,10 +115,6 @@ fn hybrid_rank_body<M: MathMode, K: RadiiApprox>(
     let threads = comm.threads_per_rank();
     let pool = StealPool::new(threads);
     let steal_seed = 0xC11F_u64 ^ (rank as u64) << 8;
-    // Atom-based division is only exercised through the distributed runner
-    // in the paper's ablation; the hybrid runner keeps the node-based
-    // scheme for any `division` value.
-    let _ = division;
 
     // Replication is a property of the resident arenas: a reused workspace
     // bills it once per lifetime, not once per superstep — except on a
@@ -382,6 +351,7 @@ mod tests {
     use crate::params::GbParams;
     use crate::runners::distributed::run_distributed;
     use crate::runners::serial::run_serial;
+    use crate::workdiv::WorkDivision;
     use gb_molecule::{synthesize_protein, SyntheticParams};
 
     fn sys(n: usize) -> GbSystem {
@@ -393,7 +363,7 @@ mod tests {
     fn hybrid_1x1_equals_serial() {
         let s = sys(300);
         let serial = run_serial(&s);
-        let (hyb, _) = run_hybrid(&s, &SimCluster::single_node(), 1, 1, WorkDivision::NodeNode);
+        let (hyb, _) = run_hybrid(&s, &SimCluster::single_node(), 1, 1);
         // same kernels, same segment (everything), but worker-merge order
         // may differ from serial accumulation — allow fp-roundoff slack
         assert!(
@@ -407,7 +377,7 @@ mod tests {
         let s = sys(500);
         let cluster = SimCluster::single_node();
         let (dist, _) = run_distributed(&s, &cluster, 2, WorkDivision::NodeNode);
-        let (hyb, _) = run_hybrid(&s, &cluster, 2, 6, WorkDivision::NodeNode);
+        let (hyb, _) = run_hybrid(&s, &cluster, 2, 6);
         assert!(
             (dist.energy_kcal - hyb.energy_kcal).abs() < 1e-9 * dist.energy_kcal.abs(),
             "dist {} vs hybrid {}",
@@ -426,7 +396,7 @@ mod tests {
         let s = sys(400);
         let cluster = SimCluster::single_node();
         let (_, dist) = run_distributed(&s, &cluster, 12, WorkDivision::NodeNode);
-        let (_, hyb) = run_hybrid(&s, &cluster, 2, 6, WorkDivision::NodeNode);
+        let (_, hyb) = run_hybrid(&s, &cluster, 2, 6);
         let dist_bytes: u64 = dist.ledgers.iter().map(|l| l.bytes_moved).sum();
         let hyb_bytes: u64 = hyb.ledgers.iter().map(|l| l.bytes_moved).sum();
         assert!(
@@ -442,10 +412,10 @@ mod tests {
     fn hybrid_energy_independent_of_thread_count() {
         let s = sys(400);
         let cluster = SimCluster::single_node();
-        let e1 = run_hybrid(&s, &cluster, 2, 1, WorkDivision::NodeNode)
+        let e1 = run_hybrid(&s, &cluster, 2, 1)
             .0
             .energy_kcal;
-        let e6 = run_hybrid(&s, &cluster, 2, 6, WorkDivision::NodeNode)
+        let e6 = run_hybrid(&s, &cluster, 2, 6)
             .0
             .energy_kcal;
         assert!((e1 - e6).abs() < 1e-9 * e1.abs());

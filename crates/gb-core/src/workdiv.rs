@@ -21,8 +21,10 @@ pub enum WorkDivision {
     /// Leaf-node based (`node–node` in the paper): segment the `T_Q`
     /// leaves for the Born phase and the `T_A` leaves for the energy phase.
     NodeNode,
-    /// Atom based (`atom–node`): segment the atom ranges; ranks clip tree
-    /// nodes to their range during traversal.
+    /// Atom based (`atom–node`): segment the atom ranges. A rank's Born
+    /// lists are swept with `T_A` clipped to its range (far terms only at
+    /// nodes wholly inside it), and its energy rows are the leaves that
+    /// start in it.
     AtomNode,
 }
 

@@ -75,7 +75,7 @@ fn exact_frames_bitwise_across_runners_comm_modes_and_ranks() {
         .expect("frame 0");
     }
     try_run_hybrid_ws_mode(
-        &sys, &cluster, 2, 1, WorkDivision::NodeNode, CommMode::Sparse, &hybrid_pool,
+        &sys, &cluster, 2, 1, CommMode::Sparse, &hybrid_pool,
     )
     .expect("frame 0 hybrid");
 
@@ -129,7 +129,7 @@ fn exact_frames_bitwise_across_runners_comm_modes_and_ranks() {
 
         // Hybrid steals work, so across runners it agrees to roundoff.
         let (hyb, _) = try_run_hybrid_ws_mode(
-            &sys, &cluster, 2, 1, WorkDivision::NodeNode, CommMode::Sparse, &hybrid_pool,
+            &sys, &cluster, 2, 1, CommMode::Sparse, &hybrid_pool,
         )
         .unwrap_or_else(|e| panic!("frame {frame} hybrid: {e}"));
         assert_eq!(hybrid_pool[0].lock().last_born_path, ListPath::Rebuilt);

@@ -151,7 +151,6 @@ fn hybrid_kill_recovery_completes() {
         &SimCluster::single_node(),
         2,
         4,
-        WorkDivision::NodeNode,
         CommMode::Sparse,
     )
     .expect("fault-free run");
@@ -160,7 +159,7 @@ fn hybrid_kill_recovery_completes() {
             .with_recovery(2)
             .with_fault_plan(FaultPlan::new().kill_rank(1, at_op));
         let (healed, report) =
-            try_run_hybrid_mode(&s, &cluster, 2, 4, WorkDivision::NodeNode, CommMode::Sparse)
+            try_run_hybrid_mode(&s, &cluster, 2, 4, CommMode::Sparse)
                 .unwrap_or_else(|e| panic!("hybrid op {at_op}: must complete: {e}"));
         assert!(report.recoveries >= 1, "hybrid op {at_op}: no heal");
         assert!(

@@ -92,10 +92,10 @@ fn hybrid_sparse_matches_dense_bitwise() {
     let cluster = SimCluster::single_node();
     for p in [2usize, 4] {
         let (dense, _) =
-            try_run_hybrid_mode(&s, &cluster, p, 1, WorkDivision::NodeNode, CommMode::Dense)
+            try_run_hybrid_mode(&s, &cluster, p, 1, CommMode::Dense)
                 .expect("dense");
         let (sparse, _) =
-            try_run_hybrid_mode(&s, &cluster, p, 1, WorkDivision::NodeNode, CommMode::Sparse)
+            try_run_hybrid_mode(&s, &cluster, p, 1, CommMode::Sparse)
                 .expect("sparse");
         assert_bit_identical(&dense, &sparse, &format!("hybrid P={p}"));
     }
@@ -108,10 +108,10 @@ fn hybrid_sparse_matches_dense_with_worker_pools() {
     let s = sys(700, 79);
     let cluster = SimCluster::single_node();
     let (dense, _) =
-        try_run_hybrid_mode(&s, &cluster, 2, 3, WorkDivision::NodeNode, CommMode::Dense)
+        try_run_hybrid_mode(&s, &cluster, 2, 3, CommMode::Dense)
             .expect("dense");
     let (sparse, _) =
-        try_run_hybrid_mode(&s, &cluster, 2, 3, WorkDivision::NodeNode, CommMode::Sparse)
+        try_run_hybrid_mode(&s, &cluster, 2, 3, CommMode::Sparse)
             .expect("sparse");
     let rel = ((dense.energy_kcal - sparse.energy_kcal) / dense.energy_kcal).abs();
     assert!(rel < 1e-9, "pooled hybrid energies drifted: rel {rel}");

@@ -61,7 +61,7 @@ fn main() {
     );
 
     // Hybrid: 2 ranks x 6 threads (OCT_MPI+CILK analog).
-    let (hyb, report) = run_hybrid(&system, &cluster, 2, 6, WorkDivision::NodeNode);
+    let (hyb, report) = run_hybrid(&system, &cluster, 2, 6);
     println!(
         "octree hybrid   : {:>14.3} kcal/mol   (modeled {:.2} ms, {} steals)",
         hyb.energy_kcal,

@@ -5,11 +5,13 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-# Failure + recovery matrices, release mode: the poison/heal protocols are
-# timing-sensitive, so exercise them under the optimizer as well. The
-# gb-core self_healing suite drives every kill site under *both*
-# CommMode::Dense and CommMode::Sparse; the gb-cluster matrices cover
-# every collective kind x P x {panic, kill, timeout, retry}.
-cargo test --release -q -p gb-cluster --test failure_matrix --test recovery_matrix
-cargo test --release -q -p gb-core --test self_healing
+# Every member crate's unit and integration tests, release mode. `cargo
+# test` at the root tests only the root package; this covers the rest
+# (the sweep oracles, runner equivalences, frames, zero-alloc) and runs the
+# failure + recovery matrices under the optimizer, since the poison/heal
+# protocols are timing-sensitive. The gb-core self_healing suite drives
+# every kill site under *both* CommMode::Dense and CommMode::Sparse; the
+# gb-cluster matrices cover every collective kind x P x {panic, kill,
+# timeout, retry}.
+cargo test --release -q --workspace
 cargo clippy --workspace -- -D warnings

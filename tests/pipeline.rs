@@ -16,7 +16,7 @@ fn all_five_runners_agree() {
     let serial = run_serial(&sys).result;
     let shared = run_shared(&sys).result;
     let (dist, _) = run_distributed(&sys, &cluster, 4, WorkDivision::NodeNode);
-    let (hyb, _) = run_hybrid(&sys, &cluster, 2, 3, WorkDivision::NodeNode);
+    let (hyb, _) = run_hybrid(&sys, &cluster, 2, 3);
     let modeled = modeled_run(&sys, &cluster, 6, 2, WorkDivision::NodeNode).result;
 
     let reference = serial.energy_kcal;
