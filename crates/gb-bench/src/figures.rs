@@ -61,7 +61,7 @@ pub fn table2() -> Table {
     for (name, model, par) in [
         ("OCT_CILK", "STILL (surface r6)", "Shared (rayon)"),
         ("OCT_MPI", "STILL (surface r6)", "Distributed (simulated ranks)"),
-        ("OCT_MPI+CILK", "STILL (surface r6)", "Distributed + work stealing"),
+        ("OCT_MPI+CILK", "STILL (surface r6)", "Distributed + threads per rank"),
         ("Naive", "STILL (surface r6)", "Serial"),
     ] {
         t.push(&[name, model, par]);

@@ -19,12 +19,6 @@ pub struct RankLedger {
     pub work_units: f64,
     /// Modeled communication time in seconds.
     pub comm_seconds: f64,
-    /// Modeled time of *overlappable* communication (nonblocking sends and
-    /// receives posted while compute proceeds). Composed as
-    /// `max(compute, overlap) + comm` instead of being added to
-    /// [`comm_seconds`], so pipelined phases are billed for whichever of
-    /// compute or in-flight traffic dominates.
-    pub overlap_seconds: f64,
     /// Total bytes this rank sent (p2p) or contributed (collectives).
     pub bytes_moved: u64,
     /// Bytes moved, broken down by [`OpKind`] (indexed by
@@ -35,7 +29,8 @@ pub struct RankLedger {
     pub comm_ops: u64,
     /// Peak replicated memory attributed to this rank, in bytes.
     pub replicated_bytes: u64,
-    /// Work-stealing events inside this rank (hybrid runner).
+    /// Task migrations into this rank (the modeled cross-rank stealing
+    /// policies).
     pub steals: u64,
     /// Communication operations *started* (≥ `comm_ops`, which counts only
     /// completed ops — the gap plus `last_op` is the failure diagnostic).
@@ -59,20 +54,10 @@ impl RankLedger {
         self.comm_ops += 1;
     }
 
-    /// Adds modeled *blocking* communication attributed to a specific op.
+    /// Adds modeled communication attributed to a specific op.
     #[inline]
     pub fn add_comm_for(&mut self, op: OpKind, seconds: f64, bytes: u64) {
         self.add_comm(seconds, bytes);
-        self.op_bytes[op.index()] += bytes;
-    }
-
-    /// Adds modeled *overlappable* communication (nonblocking traffic that
-    /// hides behind compute) attributed to a specific op.
-    #[inline]
-    pub fn add_overlap_for(&mut self, op: OpKind, seconds: f64, bytes: u64) {
-        self.overlap_seconds += seconds;
-        self.bytes_moved += bytes;
-        self.comm_ops += 1;
         self.op_bytes[op.index()] += bytes;
     }
 
@@ -137,11 +122,9 @@ impl RunReport {
         self.ledgers.iter().map(|l| l.replicated_bytes).sum()
     }
 
-    /// Modeled parallel time: `max_rank(max(compute, overlap) + comm)`,
+    /// Modeled parallel time: the paper's `max_rank(T_comp + T_comm)`,
     /// where each rank's compute time includes its node's memory-pressure
-    /// slowdown. Overlappable (nonblocking) traffic hides behind compute:
-    /// only whichever of the two dominates is billed, while blocking
-    /// collectives still serialize after it.
+    /// slowdown.
     pub fn modeled_time(&self, cost: &CostModel) -> f64 {
         let sets = self.node_working_sets();
         self.ledgers
@@ -149,7 +132,7 @@ impl RunReport {
             .zip(&self.placements)
             .map(|(l, p)| {
                 let ws = sets.get(p.node).copied().unwrap_or(0.0);
-                cost.compute_time(l.work_units, ws).max(l.overlap_seconds) + l.comm_seconds
+                cost.compute_time(l.work_units, ws) + l.comm_seconds
             })
             .fold(0.0, f64::max)
     }
@@ -166,10 +149,7 @@ impl RunReport {
             .ledgers
             .iter()
             .zip(&self.placements)
-            .map(|(l, p)| {
-                cost.compute_time(l.work_units, sets.get(p.node).copied().unwrap_or(0.0))
-                    .max(l.overlap_seconds)
-            })
+            .map(|(l, p)| cost.compute_time(l.work_units, sets.get(p.node).copied().unwrap_or(0.0)))
             .fold(0.0, f64::max);
         let comm = self
             .ledgers
@@ -244,34 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn per_op_bytes_and_overlap_accumulate() {
+    fn per_op_bytes_accumulate() {
         let mut l = RankLedger::default();
         l.add_comm_for(OpKind::AllreduceSum, 0.1, 1000);
-        l.add_overlap_for(OpKind::Isend, 0.02, 64);
-        l.add_overlap_for(OpKind::Isend, 0.03, 36);
+        l.add_comm_for(OpKind::SparseExchange, 0.02, 64);
+        l.add_comm_for(OpKind::SparseExchange, 0.03, 36);
         assert_eq!(l.bytes_for(OpKind::AllreduceSum), 1000);
-        assert_eq!(l.bytes_for(OpKind::Isend), 100);
-        assert_eq!(l.bytes_for(OpKind::SparseExchange), 0);
+        assert_eq!(l.bytes_for(OpKind::SparseExchange), 100);
+        assert_eq!(l.bytes_for(OpKind::Send), 0);
         assert_eq!(l.bytes_moved, 1100);
         assert_eq!(l.comm_ops, 3);
-        assert!((l.comm_seconds - 0.1).abs() < 1e-15);
-        assert!((l.overlap_seconds - 0.05).abs() < 1e-15);
-    }
-
-    #[test]
-    fn overlap_hides_behind_compute_in_modeled_time() {
-        let cost = CostModel::default();
-        let mut r = report(&[100.0], (12, 1));
-        let compute = cost.compute_time(100.0, r.node_working_sets()[0]);
-        // overlap smaller than compute: fully hidden
-        r.ledgers[0].add_overlap_for(OpKind::Isend, compute * 0.5, 8);
-        assert!((r.modeled_time(&cost) - compute).abs() < 1e-15);
-        // overlap dominating compute: billed instead of it
-        r.ledgers[0].add_overlap_for(OpKind::Isend, compute * 1.5, 8);
-        assert!((r.modeled_time(&cost) - compute * 2.0).abs() < 1e-12);
-        // blocking comm still serializes on top
-        r.ledgers[0].add_comm_for(OpKind::AllreduceSum, 0.25, 8);
-        assert!((r.modeled_time(&cost) - (compute * 2.0 + 0.25)).abs() < 1e-12);
+        assert!((l.comm_seconds - 0.15).abs() < 1e-15);
     }
 
     #[test]

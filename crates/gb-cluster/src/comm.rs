@@ -63,7 +63,7 @@ struct Deposit {
 }
 
 /// One point-to-point message on the wire. `not_before` carries a
-/// fault-plan delay to the *receiver*: the post stays nonblocking and the
+/// fault-plan delay to the *receiver*: the send never blocks and the
 /// link stays FIFO, but the payload only becomes visible once the delay
 /// has elapsed — the fault delays delivery, not the sender.
 struct Envelope {
@@ -494,53 +494,6 @@ where
     }
 }
 
-/// Handle for a nonblocking send posted with [`Comm::try_isend`].
-///
-/// The simulated transport buffers without bound, so the payload is already
-/// on the wire when the handle is returned; [`Comm::try_wait_send`]
-/// re-checks for poison and for the per-op watchdog (anchored at the post
-/// time, like a receive). The handle still makes the code shape match a
-/// real MPI pipeline (`MPI_Isend` → compute → `MPI_Wait`).
-#[derive(Debug)]
-#[must_use = "an isend should eventually be waited on"]
-pub struct SendHandle {
-    to: usize,
-    words: usize,
-    posted: Instant,
-}
-
-impl SendHandle {
-    /// Destination rank.
-    pub fn dest(&self) -> usize {
-        self.to
-    }
-
-    /// Payload size in 8-byte words.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-}
-
-/// Handle for a nonblocking receive posted with [`Comm::try_irecv`].
-///
-/// Poll it with [`Comm::try_poll_recv`] between compute chunks, or block on
-/// it with [`Comm::try_wait_recv`]. The watchdog deadline is anchored at the
-/// *post* time, so a message dropped by the fault plan converts into a
-/// [`CommErrorKind::Timeout`] no matter how the caller drives the handle.
-#[derive(Debug)]
-#[must_use = "an irecv must be polled or waited on to produce the message"]
-pub struct RecvHandle {
-    from: usize,
-    posted: Instant,
-}
-
-impl RecvHandle {
-    /// Source rank.
-    pub fn source(&self) -> usize {
-        self.from
-    }
-}
-
 /// Terminal state of one rank thread.
 enum RankEnd<R> {
     Done(R),
@@ -625,12 +578,6 @@ impl Comm {
     #[inline]
     pub fn record_replicated(&mut self, bytes: u64) {
         self.ledger.record_replicated(bytes);
-    }
-
-    /// Records work-stealing events (hybrid runner instrumentation).
-    #[inline]
-    pub fn record_steals(&mut self, n: u64) {
-        self.ledger.steals += n;
     }
 
     /// Which attempt of the rank program this is: 0 on the first
@@ -848,8 +795,8 @@ impl Comm {
         );
         match self.p2p_action_once(to, nth) {
             P2pAction::Drop => {} // message vanishes on the wire
-            P2pAction::Delay(d) => self.deliver(to, payload, Some(d), OpKind::Send)?,
-            P2pAction::Deliver => self.deliver(to, payload, None, OpKind::Send)?,
+            P2pAction::Delay(d) => self.deliver(to, payload, Some(d))?,
+            P2pAction::Deliver => self.deliver(to, payload, None)?,
         }
         self.end_op();
         Ok(())
@@ -857,112 +804,21 @@ impl Comm {
 
     /// Posts a payload on the outgoing link. A fault-plan `delay` rides
     /// along in the envelope and is applied at *delivery* time by the
-    /// receiver (the post itself never blocks — a delayed link must not
-    /// serialize the sender's overlap pipeline).
+    /// receiver (the post itself never blocks — a delayed link delays the
+    /// message, not the sender).
     fn deliver(
         &self,
         to: usize,
         payload: Vec<f64>,
         delay: Option<Duration>,
-        op: OpKind,
     ) -> Result<(), CommError> {
         let envelope = Envelope {
             not_before: delay.map(|d| Instant::now() + d),
             payload,
         };
-        self.senders[self.rank][to].send(envelope).map_err(|_| {
-            match self.ctx.barrier.poison_state() {
-                Some(p) => self.poisoned_error(p, op),
-                None => CommError {
-                    kind: CommErrorKind::Poisoned {
-                        origin: to,
-                        reason: format!("rank {to} closed its channels"),
-                    },
-                    rank: self.rank,
-                    op: Some(op),
-                    rank_states: self.snapshot_states(),
-                },
-            }
-        })
-    }
-
-    /// Nonblocking send: posts the payload and returns immediately with a
-    /// [`SendHandle`]. Modeled cost lands in the ledger's *overlap* bucket
-    /// — time that hides behind compute instead of serializing after it —
-    /// which is the whole point of pipelining list-chunk execution with
-    /// chunk sends. Subject to fault-plan delay/drop like a blocking send.
-    pub fn try_isend(&mut self, to: usize, payload: Vec<f64>) -> Result<SendHandle, CommError> {
-        assert!(to < self.size && to != self.rank, "bad destination {to}");
-        self.begin_op(OpKind::Isend)?;
-        let nth = self.send_counts[to];
-        self.send_counts[to] += 1;
-        let words = payload.len();
-        let level = CommLevel::between(&self.placements[self.rank], &self.placements[to]);
-        self.ledger.add_overlap_for(
-            OpKind::Isend,
-            self.cost.p2p(level, words),
-            (words * 8) as u64,
-        );
-        match self.p2p_action_once(to, nth) {
-            P2pAction::Drop => {} // message vanishes on the wire
-            P2pAction::Delay(d) => self.deliver(to, payload, Some(d), OpKind::Isend)?,
-            P2pAction::Deliver => self.deliver(to, payload, None, OpKind::Isend)?,
-        }
-        self.end_op();
-        Ok(SendHandle {
-            to,
-            words,
-            posted: Instant::now(),
-        })
-    }
-
-    /// Completes a nonblocking send. The simulated transport buffers
-    /// without bound, so the payload already left at post time; waiting
-    /// re-checks for poison — so in-flight sends of a dying run fail fast
-    /// instead of being silently forgotten — and honors the per-op
-    /// watchdog (anchored at the post, like [`Comm::try_wait_recv`]): a
-    /// wait reached only after the deadline on a hung-but-unpoisoned run
-    /// converts into a diagnostic timeout instead of silently succeeding.
-    pub fn try_wait_send(&mut self, handle: SendHandle) -> Result<(), CommError> {
-        let SendHandle { to, posted, .. } = handle;
-        if let Some(p) = self.ctx.barrier.poison_state() {
-            return Err(self.poisoned_error(p, OpKind::Isend));
-        }
-        if self.timeout.is_some_and(|t| posted.elapsed() >= t) {
-            return Err(self.send_timeout_error(to));
-        }
-        Ok(())
-    }
-
-    /// Raises (and poisons for) a send watchdog expiry.
-    fn send_timeout_error(&self, to: usize) -> CommError {
-        let timeout = self.timeout.expect("deadline without timeout");
-        let states = self.snapshot_states();
-        self.ctx.barrier.poison(Poison {
-            rank: self.rank,
-            reason: format!(
-                "rank {} timed out after {timeout:?} in isend to {to}",
-                self.rank
-            ),
-        });
-        CommError {
-            kind: CommErrorKind::Timeout { timeout },
-            rank: self.rank,
-            op: Some(OpKind::Isend),
-            rank_states: states,
-        }
-    }
-
-    /// Posts a nonblocking receive from `from` and returns a poll-able
-    /// [`RecvHandle`]. The watchdog deadline starts now.
-    pub fn try_irecv(&mut self, from: usize) -> Result<RecvHandle, CommError> {
-        assert!(from < self.size && from != self.rank, "bad source {from}");
-        self.begin_op(OpKind::Irecv)?;
-        self.end_op();
-        Ok(RecvHandle {
-            from,
-            posted: Instant::now(),
-        })
+        self.senders[self.rank][to]
+            .send(envelope)
+            .map_err(|_| self.closed_channel_error(to, OpKind::Send))
     }
 
     /// Nonblocking take from the incoming link, honoring delivery-time
@@ -989,72 +845,6 @@ impl Comm {
         }
     }
 
-    /// Polls a posted receive without blocking: `Ok(Some(payload))` once
-    /// the message arrived, `Ok(None)` while still in flight. Observed
-    /// poison and an expired watchdog deadline (anchored at the post)
-    /// convert into errors exactly like the blocking receive.
-    ///
-    /// A poll counts as a communication op in the fault-plan stream — a
-    /// `kill_rank(r, k)` scheduled to fire mid-poll-loop fires here — but
-    /// bills no blocking time: a successful poll's modeled cost lands in
-    /// the overlap bucket, and an empty poll costs nothing.
-    pub fn try_poll_recv(&mut self, handle: &RecvHandle) -> Result<Option<Vec<f64>>, CommError> {
-        self.begin_op(OpKind::Irecv)?;
-        match self.take_due(handle.from) {
-            Ok(Some(payload)) => {
-                let level =
-                    CommLevel::between(&self.placements[self.rank], &self.placements[handle.from]);
-                self.ledger
-                    .add_overlap_for(OpKind::Irecv, self.cost.p2p(level, payload.len()), 0);
-                self.end_op();
-                Ok(Some(payload))
-            }
-            Ok(None) => {
-                if let Some(p) = self.ctx.barrier.poison_state() {
-                    return Err(self.poisoned_error(p, OpKind::Irecv));
-                }
-                if let Some(t) = self.timeout {
-                    if handle.posted.elapsed() >= t {
-                        return Err(self.recv_timeout_error(handle.from, OpKind::Irecv));
-                    }
-                }
-                self.end_op();
-                Ok(None)
-            }
-            Err(_) => Err(self.closed_channel_error(handle.from)),
-        }
-    }
-
-    /// Blocks until a posted receive completes (or fails). Unlike polls —
-    /// whose modeled cost overlaps compute — the time spent here is billed
-    /// as blocking communication: the pipeline has run out of compute to
-    /// hide the message behind.
-    pub fn try_wait_recv(&mut self, handle: RecvHandle) -> Result<Vec<f64>, CommError> {
-        let deadline = self.timeout.map(|t| handle.posted + t);
-        loop {
-            match self.take_due(handle.from) {
-                Ok(Some(payload)) => {
-                    let level = CommLevel::between(
-                        &self.placements[self.rank],
-                        &self.placements[handle.from],
-                    );
-                    self.ledger
-                        .add_comm_for(OpKind::Irecv, self.cost.p2p(level, payload.len()), 0);
-                    return Ok(payload);
-                }
-                Ok(None) => {}
-                Err(_) => return Err(self.closed_channel_error(handle.from)),
-            }
-            if let Some(p) = self.ctx.barrier.poison_state() {
-                return Err(self.poisoned_error(p, OpKind::Irecv));
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(self.recv_timeout_error(handle.from, OpKind::Irecv));
-            }
-            self.block_for_arrival(handle.from);
-        }
-    }
-
     /// One bounded wait for link activity: parks a fresh arrival in the
     /// holdback slot (the due-check happens at the next `take_due`), or
     /// just sleeps a poll tick when a not-yet-due envelope is already
@@ -1069,17 +859,18 @@ impl Comm {
         }
     }
 
-    /// Error for a peer that closed its channels without poisoning first.
-    fn closed_channel_error(&self, from: usize) -> CommError {
+    /// Error for a peer whose channels closed under `op`: the poison that
+    /// closed them, or a plain diagnostic when the peer left unpoisoned.
+    fn closed_channel_error(&self, peer: usize, op: OpKind) -> CommError {
         match self.ctx.barrier.poison_state() {
-            Some(p) => self.poisoned_error(p, OpKind::Irecv),
+            Some(p) => self.poisoned_error(p, op),
             None => CommError {
                 kind: CommErrorKind::Poisoned {
-                    origin: from,
-                    reason: format!("rank {from} closed its channels"),
+                    origin: peer,
+                    reason: format!("rank {peer} closed its channels"),
                 },
                 rank: self.rank,
-                op: Some(OpKind::Irecv),
+                op: Some(op),
                 rank_states: self.snapshot_states(),
             },
         }
@@ -1120,20 +911,7 @@ impl Comm {
             match self.take_due(from) {
                 Ok(Some(p)) => break p,
                 Ok(None) => {}
-                Err(_) => {
-                    return Err(match self.ctx.barrier.poison_state() {
-                        Some(p) => self.poisoned_error(p, OpKind::Recv),
-                        None => CommError {
-                            kind: CommErrorKind::Poisoned {
-                                origin: from,
-                                reason: format!("rank {from} closed its channels"),
-                            },
-                            rank: self.rank,
-                            op: Some(OpKind::Recv),
-                            rank_states: self.snapshot_states(),
-                        },
-                    });
-                }
+                Err(_) => return Err(self.closed_channel_error(from, OpKind::Recv)),
             }
             if let Some(p) = self.ctx.barrier.poison_state() {
                 return Err(self.poisoned_error(p, OpKind::Recv));
@@ -1900,86 +1678,6 @@ mod tests {
     fn sparse_exchange_single_rank_is_identity() {
         let (results, _) = cluster().run(1, 1, |c| c.unwrap_sparse(vec![vec![1.0, 2.0]]));
         assert_eq!(results[0], vec![vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn isend_irecv_deliver_and_bill_overlap() {
-        let p = 3;
-        let (results, report) = cluster().run(p, 1, |c| {
-            let next = (c.rank() + 1) % p;
-            let prev = (c.rank() + p - 1) % p;
-            let h_recv = c.try_irecv(prev).unwrap();
-            let h_send = c.try_isend(next, vec![c.rank() as f64; 100]).unwrap();
-            assert_eq!(h_send.dest(), next);
-            assert_eq!(h_send.words(), 100);
-            let mut polls = 0u64;
-            let payload = loop {
-                if let Some(m) = c.try_poll_recv(&h_recv).unwrap() {
-                    break m;
-                }
-                polls += 1;
-                assert!(polls < 1_000_000, "poll never completed");
-            };
-            c.try_wait_send(h_send).unwrap();
-            payload[0]
-        });
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r, ((i + p - 1) % p) as f64);
-        }
-        for l in &report.ledgers {
-            assert!(
-                l.overlap_seconds > 0.0,
-                "isend/poll must bill the overlap bucket"
-            );
-            assert_eq!(l.bytes_for(OpKind::Isend), 800);
-            assert_eq!(l.comm_seconds, 0.0, "no blocking comm in this program");
-        }
-    }
-
-    #[test]
-    fn wait_recv_blocks_until_message_arrives() {
-        let (results, _) = cluster().run(2, 1, |c| {
-            if c.rank() == 0 {
-                std::thread::sleep(Duration::from_millis(10));
-                let h = c.try_isend(1, vec![7.0]).unwrap();
-                c.try_wait_send(h).unwrap();
-                0.0
-            } else {
-                let h = c.try_irecv(0).unwrap();
-                c.try_wait_recv(h).unwrap()[0]
-            }
-        });
-        assert_eq!(results[1], 7.0);
-    }
-
-    #[test]
-    fn dropped_isend_times_out_via_poll_deadline() {
-        let cluster = SimCluster::lonestar4(1)
-            .with_collective_timeout(Duration::from_millis(50))
-            .with_fault_plan(FaultPlan::new().drop_p2p(0, 1, 0));
-        let err = cluster
-            .try_run(2, 1, |c| {
-                if c.rank() == 0 {
-                    let h = c.try_isend(1, vec![1.0])?;
-                    c.try_wait_send(h)?;
-                    // keep rank 0 alive so only the drop (not a closed
-                    // channel) can fail rank 1
-                    std::thread::sleep(Duration::from_millis(100));
-                    Ok(0.0)
-                } else {
-                    let h = c.try_irecv(0)?;
-                    loop {
-                        if let Some(m) = c.try_poll_recv(&h)? {
-                            return Ok(m[0]);
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-            .unwrap_err();
-        assert!(err.is_timeout(), "{err}");
-        assert_eq!(err.rank, 1);
-        assert_eq!(err.op, Some(OpKind::Irecv));
     }
 
     impl Comm {

@@ -33,12 +33,6 @@ pub enum OpKind {
     ScanSum,
     Send,
     Recv,
-    /// Nonblocking send ([`Comm::try_isend`](crate::comm::Comm::try_isend));
-    /// its modeled cost lands in the overlap bucket, not blocking comm.
-    Isend,
-    /// Nonblocking receive post/poll
-    /// ([`Comm::try_irecv`](crate::comm::Comm::try_irecv)).
-    Irecv,
     /// Staged sparse all-to-all
     /// ([`Comm::try_sparse_exchange`](crate::comm::Comm::try_sparse_exchange)):
     /// each rank ships an arbitrary (possibly empty) payload to every peer.
@@ -61,7 +55,7 @@ impl OpKind {
     ];
 
     /// Total number of kinds; [`OpKind::index`] is always `< COUNT`.
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 12;
 
     /// Dense index for per-op tables (byte ledgers and the like).
     pub fn index(self) -> usize {
@@ -77,9 +71,7 @@ impl OpKind {
             OpKind::ScanSum => 8,
             OpKind::Send => 9,
             OpKind::Recv => 10,
-            OpKind::Isend => 11,
-            OpKind::Irecv => 12,
-            OpKind::SparseExchange => 13,
+            OpKind::SparseExchange => 11,
         }
     }
 }
@@ -98,8 +90,6 @@ impl fmt::Display for OpKind {
             OpKind::ScanSum => "scan_sum",
             OpKind::Send => "send",
             OpKind::Recv => "recv",
-            OpKind::Isend => "isend",
-            OpKind::Irecv => "irecv",
             OpKind::SparseExchange => "sparse_exchange",
         };
         f.write_str(s)
@@ -417,8 +407,6 @@ mod tests {
             OpKind::ScanSum,
             OpKind::Send,
             OpKind::Recv,
-            OpKind::Isend,
-            OpKind::Irecv,
             OpKind::SparseExchange,
         ];
         assert_eq!(all.len(), OpKind::COUNT);

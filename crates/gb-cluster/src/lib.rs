@@ -40,11 +40,11 @@
 //!   OS thread per rank and hands each a [`Comm`] handle with
 //!   `send`/`recv`, `barrier`, `broadcast`, `reduce`, `allreduce`,
 //!   `gather`, `allgather(v)` — every collective the paper's 7-step
-//!   algorithm needs — plus nonblocking `isend`/`irecv` handles and a
-//!   staged `sparse_exchange` for communication-plan runners.
+//!   algorithm needs — plus a staged `sparse_exchange` for
+//!   communication-plan runners.
 //! * [`steal`] — an instrumented randomized work-stealing task pool, the
-//!   cilk++-style dynamic load balancer used *inside* each rank by the
-//!   hybrid runner (steal counts observable for tests and ablations).
+//!   cilk++-style scheduler a hybrid rank runs its per-thread
+//!   sub-segments on (steal counts observable for tests and ablations).
 //! * [`fault`] — failure semantics: typed [`CommError`]s, per-rank last-op
 //!   diagnostics, and the deterministic [`FaultPlan`] injection layer. The
 //!   runtime is failure-aware: a panicking rank poisons the shared
@@ -61,7 +61,7 @@ pub mod steal;
 pub mod topology;
 
 pub use accounting::{RankLedger, RunReport};
-pub use comm::{Comm, RecvHandle, SendHandle, SimCluster};
+pub use comm::{Comm, SimCluster};
 pub use costmodel::{CommLevel, CostModel, MemoryModel};
 pub use fault::{CommError, CommErrorKind, FaultPlan, OpKind, P2pAction, RankOpState};
 pub use steal::StealPool;

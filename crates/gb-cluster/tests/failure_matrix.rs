@@ -84,29 +84,11 @@ fn drive_collective(
                 (0..c.size()).map(|d| if d == c.rank() { Vec::new() } else { vec![me] }).collect();
             c.try_sparse_exchange(&outgoing)?;
         }
-        OpKind::Send | OpKind::Recv | OpKind::Isend | OpKind::Irecv => {
+        OpKind::Send | OpKind::Recv => {
             unreachable!("p2p ops are covered separately")
         }
     }
     Ok(())
-}
-
-/// Drives one nonblocking ring exchange (isend to the next rank, irecv from
-/// the previous) through every rank's `Comm`, polling to completion.
-fn drive_nonblocking(c: &mut gb_cluster::Comm) -> Result<f64, gb_cluster::CommError> {
-    let p = c.size();
-    let next = (c.rank() + 1) % p;
-    let prev = (c.rank() + p - 1) % p;
-    let h_recv = c.try_irecv(prev)?;
-    let h_send = c.try_isend(next, vec![c.rank() as f64])?;
-    let payload = loop {
-        if let Some(m) = c.try_poll_recv(&h_recv)? {
-            break m;
-        }
-        std::thread::yield_now();
-    };
-    c.try_wait_send(h_send)?;
-    Ok(payload[0])
 }
 
 /// Panic injection: the victim panics right before the collective while
@@ -180,91 +162,6 @@ fn fault_kill_in_every_collective_at_every_p() {
                 assert_eq!(err.op, Some(op), "{label}: error must name the op: {err}");
             });
         }
-    }
-}
-
-/// Panic injection during a nonblocking ring exchange: peers are polling
-/// their irecv handles when the victim dies — the poll must observe the
-/// poison and abort instead of spinning forever.
-#[test]
-fn panic_during_nonblocking_exchange_at_every_p() {
-    for p in [2usize, 4, 8] {
-        let label = format!("panic/nonblocking/P={p}");
-        under_watchdog(label.clone(), move || {
-            let cluster = SimCluster::single_node();
-            let victim = p - 1;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cluster.run(p, 1, |c| {
-                    c.barrier();
-                    if c.rank() == victim {
-                        panic!("matrix panic injection");
-                    }
-                    drive_nonblocking(c).map_err(|e| e.to_string())
-                })
-            }));
-            let payload = result.expect_err("panic must propagate");
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(
-                message.contains("matrix panic injection"),
-                "{label}: expected original panic, got: {message}"
-            );
-        });
-    }
-}
-
-/// FaultPlan kill injection at each nonblocking op kind: after the warm-up
-/// barrier the victim's op #1 is its irecv post and op #2 its isend, so
-/// killing at those indices exercises both kinds. The typed error must
-/// name the nonblocking op; nobody may hang.
-#[test]
-fn fault_kill_in_nonblocking_ops_at_every_p() {
-    for p in [2usize, 4, 8] {
-        for (at_op, want_op) in [(1u64, OpKind::Irecv), (2u64, OpKind::Isend)] {
-            let label = format!("kill/{want_op}/P={p}");
-            under_watchdog(label.clone(), move || {
-                let victim = p / 2;
-                let cluster = SimCluster::single_node()
-                    .with_fault_plan(FaultPlan::new().kill_rank(victim, at_op));
-                let err = cluster
-                    .try_run(p, 1, |c| {
-                        c.try_barrier()?;
-                        drive_nonblocking(c)
-                    })
-                    .expect_err("killed run must fail");
-                assert_eq!(err.rank, victim, "{label}: root cause must be the victim: {err}");
-                assert!(
-                    matches!(err.kind, CommErrorKind::Killed { op_index } if op_index == at_op),
-                    "{label}: expected Killed at op {at_op}, got {err}"
-                );
-                assert_eq!(err.op, Some(want_op), "{label}: error must name the op: {err}");
-                assert_eq!(
-                    err.rank_states.len(),
-                    p,
-                    "{label}: diagnostics must cover every rank: {err}"
-                );
-            });
-        }
-    }
-}
-
-/// Delay injection on an isend link: the message is late but delivered, so
-/// the exchange still completes with the same values at every P.
-#[test]
-fn delayed_isend_is_delivered_at_every_p() {
-    for p in [2usize, 4, 8] {
-        let label = format!("delay/isend/P={p}");
-        under_watchdog(label, move || {
-            let plan = FaultPlan::new().delay_p2p(0, 1 % p, 0, Duration::from_millis(20));
-            let cluster = SimCluster::single_node().with_fault_plan(plan);
-            let (results, _) = cluster.run(p, 1, |c| drive_nonblocking(c).unwrap());
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(*r, ((i + p - 1) % p) as f64, "rank {i}");
-            }
-        });
     }
 }
 

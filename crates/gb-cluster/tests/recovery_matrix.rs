@@ -98,7 +98,7 @@ fn collective_value(c: &mut Comm, op: OpKind, scale: f64) -> Result<Vec<f64>, Co
                 .flatten()
                 .collect()
         }
-        OpKind::Send | OpKind::Recv | OpKind::Isend | OpKind::Irecv => {
+        OpKind::Send | OpKind::Recv => {
             unreachable!("p2p ops are covered by the failure matrix")
         }
     })

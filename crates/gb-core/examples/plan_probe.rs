@@ -16,11 +16,11 @@ fn main() {
     work_balanced_segments_into(born.leaf_work(), p, &mut seg);
     let mut atom_ranges = Vec::new();
     even_ranges_into(sys.num_atoms(), p, &mut atom_ranges);
-    ws.plan.ensure_node_node(&sys, &born, &seg, &atom_ranges, 4);
+    ws.plan.ensure_node_node(&sys, &born, &seg, &atom_ranges);
     let num_slots = ws.plan.num_slots;
     let num_nodes = ws.plan.num_nodes;
     println!("num_slots {num_slots} (nodes {num_nodes}, atoms {})", sys.num_atoms());
-    for r in 0..p {
+    for (r, seg_r) in seg.iter().enumerate() {
         let prod = ws.plan.produced(r);
         let node_w = prod.iter().filter(|&&s| (s as usize) < num_nodes).count();
         println!(
@@ -28,7 +28,7 @@ fn main() {
             prod.len(),
             prod.len() - node_w,
             ws.plan.consumed(r).len(),
-            seg[r]
+            seg_r
         );
     }
 }

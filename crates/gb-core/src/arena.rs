@@ -14,7 +14,8 @@
 //!   allocates inside `std::thread`;
 //! * the simulated collectives (`allreduce`, `allgatherv`) return fresh
 //!   vectors, as a real MPI library would manage its own buffers;
-//! * the work-stealing pool's per-worker slots in the hybrid runner.
+//! * a hybrid rank's steal pool (its deques and scoped threads; the
+//!   per-thread partials live in the warm [`ChunkSlot`]s).
 
 use crate::bins::ChargeBins;
 use crate::commplan::CommPlan;
@@ -63,9 +64,9 @@ impl CachedLists {
     }
 }
 
-/// Per-chunk scratch for the shared-memory runner: one slot per work
-/// chunk, locked only by the worker executing that chunk (and by the
-/// deterministic in-order merge afterwards).
+/// Per-chunk scratch: one slot per shared-memory work chunk, or per
+/// sub-segment of a hybrid rank, locked only by the worker executing it
+/// (and by the deterministic in-order merge afterwards).
 pub struct ChunkSlot {
     /// Partial integral accumulator of the chunk's Born range.
     pub acc: IntegralAcc,
@@ -222,18 +223,17 @@ pub struct Workspace {
     pub seg_ranges: Vec<Range<usize>>,
     /// Even atom segments of the push phase.
     pub atom_ranges: Vec<Range<usize>>,
-    /// Even leaf segments of the energy phase.
+    /// Chunk ranges: the shared runner's even energy-leaf chunks, and a
+    /// hybrid rank's per-thread sub-segments.
     pub leaf_ranges: Vec<Range<usize>>,
-    /// Per-chunk slots of the shared-memory runner.
+    /// Per-chunk slots of the shared runner and of hybrid ranks.
     pub slots: Vec<Mutex<ChunkSlot>>,
-    /// Cached communication plan of the sparse distributed/hybrid paths
+    /// Cached communication plan of the sparse cluster paths
     /// (produced/consumed slot sets, keyed on the list structure).
     pub plan: CommPlan,
     /// Owner-side reduction buffer of the sparse path (this rank's owned
     /// slot interval).
     pub owned_vals: Vec<f64>,
-    /// Per-producer staging buffer of the chunked sparse reduce.
-    pub reduce_buf: Vec<f64>,
     /// Superstep checkpoint of the distributed pipeline (recovery restart
     /// state; `step == 0` outside self-healing runs).
     pub checkpoint: SuperstepCheckpoint,
@@ -363,7 +363,6 @@ impl Workspace {
             slots: Vec::new(),
             plan: CommPlan::new(),
             owned_vals: Vec::new(),
-            reduce_buf: Vec::new(),
             checkpoint: SuperstepCheckpoint::new(),
             replicated_billed: false,
             build_tasks: 1,
@@ -525,7 +524,7 @@ impl Workspace {
                 .sum::<usize>()
             + self.slots.capacity() * std::mem::size_of::<Mutex<ChunkSlot>>()
             + self.plan.memory_bytes()
-            + (self.owned_vals.capacity() + self.reduce_buf.capacity()) * std::mem::size_of::<f64>()
+            + self.owned_vals.capacity() * std::mem::size_of::<f64>()
             + self.checkpoint.memory_bytes()
     }
 }

@@ -1,5 +1,5 @@
-//! Communication plans — the sparse, overlap-aware alternative to the
-//! dense integral allreduce.
+//! Communication plans — the sparse alternative to the dense integral
+//! allreduce.
 //!
 //! The dense step 3 of the 7-step algorithm allreduces the full
 //! `O(nodes + M)` flat accumulator even though each rank *produces*
@@ -30,12 +30,6 @@
 //! searches — the wire format is then *values only, in sorted slot
 //! order*, with no index vector on the wire at all.
 //!
-//! For the distributed runner the plan additionally assigns each produced
-//! slot the **last chunk** of the rank's ordinal segment that writes it,
-//! enabling the overlap pipeline: the integral phase executes its segment
-//! in chunks and posts nonblocking sends for a chunk's finalized slots
-//! while the next chunk computes.
-//!
 //! Plans are cached in the [`Workspace`](crate::arena::Workspace) under a
 //! key hashing the full list structure and the division ranges, so a
 //! steady-state superstep reuses the plan without re-deriving it.
@@ -51,8 +45,7 @@ pub enum CommMode {
     /// Dense allreduce of the full flat accumulator (the paper's
     /// baseline `MPI_Allreduce`).
     Dense,
-    /// Plan-driven sparse reduce-scatter + targeted allgatherv, with the
-    /// chunked overlap pipeline where the runner supports it.
+    /// Plan-driven sparse reduce-scatter + targeted allgatherv.
     #[default]
     Sparse,
 }
@@ -74,19 +67,6 @@ pub fn manifest_range(slots: &[u32], interval: &Range<usize>) -> Range<usize> {
     let lo = slots.partition_point(|&s| (s as usize) < interval.start);
     let hi = slots.partition_point(|&s| (s as usize) < interval.end);
     lo..hi
-}
-
-/// The chunk `[0, chunks)` that position `idx` of an `len`-element even
-/// split falls into (inverse of [`even_ranges`](crate::workdiv::even_ranges)).
-fn chunk_of_index(len: usize, chunks: usize, idx: usize) -> usize {
-    let base = len / chunks;
-    let extra = len % chunks;
-    let wide = (base + 1) * extra;
-    if idx < wide {
-        idx / (base + 1)
-    } else {
-        extra + (idx - wide) / base.max(1)
-    }
 }
 
 fn fold(h: u64, v: u64) -> u64 {
@@ -127,13 +107,8 @@ pub struct CommPlan {
     pub num_slots: usize,
     /// Rank count the plan was derived for.
     pub p: usize,
-    /// Overlap chunks per rank segment (1 = no pipelining).
-    pub chunks: usize,
     /// Per-rank sorted flat slots the rank's list segment can write.
     produced: Vec<Vec<u32>>,
-    /// Last chunk of the rank's segment writing each produced slot
-    /// (aligned with `produced[r]`).
-    chunk_of: Vec<Vec<u8>>,
     /// Per-rank sorted flat slots the rank's push traversal reads.
     consumed: Vec<Vec<u32>>,
     /// Per-slot stamp scratch for the producer derivation (monotone
@@ -154,9 +129,7 @@ impl CommPlan {
             num_nodes: 0,
             num_slots: 0,
             p: 0,
-            chunks: 1,
             produced: Vec::new(),
-            chunk_of: Vec::new(),
             consumed: Vec::new(),
             mark: Vec::new(),
             mark_epoch: 0,
@@ -174,12 +147,6 @@ impl CommPlan {
     /// Sorted flat slots rank `r`'s integral segment can write.
     pub fn produced(&self, r: usize) -> &[u32] {
         &self.produced[r]
-    }
-
-    /// Last-writing chunk per produced slot, aligned with
-    /// [`produced`](CommPlan::produced)`(r)`.
-    pub fn chunk_of(&self, r: usize) -> &[u8] {
-        &self.chunk_of[r]
     }
 
     /// Sorted flat slots rank `c`'s push traversal reads.
@@ -214,15 +181,12 @@ impl CommPlan {
         born: &BornLists,
         seg_ranges: &[Range<usize>],
         atom_ranges: &[Range<usize>],
-        chunks: usize,
     ) -> bool {
-        let chunks = chunks.clamp(1, u8::MAX as usize + 1);
         let num_nodes = sys.ta.num_nodes();
         let num_slots = num_nodes + sys.num_atoms();
         let p = seg_ranges.len();
         let mut key = fold(0x600D_5EED, 1); // kind tag
         key = fold(key, p as u64);
-        key = fold(key, chunks as u64);
         key = fold(key, num_nodes as u64);
         key = fold(key, num_slots as u64);
         key = fold_ranges(key, seg_ranges);
@@ -243,46 +207,31 @@ impl CommPlan {
         self.num_nodes = num_nodes;
         self.num_slots = num_slots;
         self.p = p;
-        self.chunks = chunks;
         self.mark.clear();
         self.mark.resize(num_slots, 0);
         self.produced.resize_with(p, Vec::new);
-        self.chunk_of.resize_with(p, Vec::new);
         self.produced.truncate(p);
-        self.chunk_of.truncate(p);
 
         for (r, seg) in seg_ranges.iter().take(p).enumerate() {
-            let seg = seg.clone();
-            // Stamps are strictly increasing across (rank, chunk), so an
-            // overwrite during the ascending-ordinal walk leaves each
-            // slot holding its *last* writing chunk, and a slot counts
-            // as touched by rank `r` iff its stamp exceeds the rank's
-            // base epoch — no clearing between ranks.
-            let base_epoch = self.mark_epoch + (r * chunks) as u64;
+            // Stamps are strictly increasing across ranks, so a slot counts
+            // as touched by rank `r` iff it already carries the rank's
+            // stamp — no clearing between ranks.
+            let stamp = self.mark_epoch + 1 + r as u64;
             let produced = &mut self.produced[r];
             produced.clear();
-            for (i, ord) in seg.clone().enumerate() {
-                let k = chunk_of_index(seg.len(), chunks, i);
-                let stamp = base_epoch + 1 + k as u64;
+            for ord in seg.clone() {
                 born.touched_flat_slots(sys, ord, |slots| {
                     for s in slots {
-                        if self.mark[s] <= base_epoch {
+                        if self.mark[s] < stamp {
+                            self.mark[s] = stamp;
                             produced.push(s as u32);
                         }
-                        self.mark[s] = stamp;
                     }
                 });
             }
             produced.sort_unstable();
-            let chunk_of = &mut self.chunk_of[r];
-            chunk_of.clear();
-            chunk_of.extend(
-                produced
-                    .iter()
-                    .map(|&s| (self.mark[s as usize] - base_epoch - 1) as u8),
-            );
         }
-        self.mark_epoch += (p * chunks) as u64;
+        self.mark_epoch += p as u64;
 
         self.derive_consumers(sys, atom_ranges);
         true
@@ -310,11 +259,7 @@ impl CommPlan {
         self.num_nodes = num_nodes;
         self.num_slots = num_slots;
         self.p = p;
-        self.chunks = 1;
         for v in &mut self.produced {
-            v.clear();
-        }
-        for v in &mut self.chunk_of {
             v.clear();
         }
         self.derive_consumers(sys, atom_ranges);
@@ -361,11 +306,7 @@ impl CommPlan {
             v.iter().map(|x| x.capacity() * 4).sum::<usize>()
                 + v.capacity() * std::mem::size_of::<Vec<u32>>()
         };
-        vecs(&self.produced)
-            + vecs(&self.consumed)
-            + self.chunk_of.iter().map(|x| x.capacity()).sum::<usize>()
-            + self.chunk_of.capacity() * std::mem::size_of::<Vec<u8>>()
-            + self.mark.capacity() * 8
+        vecs(&self.produced) + vecs(&self.consumed) + self.mark.capacity() * 8
     }
 }
 
@@ -422,7 +363,7 @@ mod tests {
         work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
         let atom_ranges = even_ranges(s.num_atoms(), p);
         let mut plan = CommPlan::new();
-        plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges, 4);
+        plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges);
         for r in 0..p {
             let mut next = 0;
             for o in 0..p {
@@ -444,25 +385,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunk_of_index_matches_even_ranges() {
-        for (len, chunks) in [(10usize, 4usize), (3, 4), (16, 4), (1, 1), (7, 3)] {
-            let ranges = even_ranges(len, chunks);
-            for (k, r) in ranges.iter().enumerate() {
-                for i in r.clone() {
-                    assert_eq!(
-                        chunk_of_index(len, chunks, i),
-                        k,
-                        "len={len} chunks={chunks}"
-                    );
-                }
-            }
-        }
-    }
-
     /// The produced sets must cover every slot a rank's execution leaves
-    /// non-zero, and the chunk labels must name the last chunk that
-    /// writes each slot.
+    /// non-zero.
     #[test]
     fn produced_slots_cover_execution_writes() {
         let s = sys(400);
@@ -472,7 +396,7 @@ mod tests {
         work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
         let atom_ranges = even_ranges(s.num_atoms(), p);
         let mut plan = CommPlan::new();
-        assert!(plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges, 4));
+        assert!(plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges));
         for r in 0..p {
             let mut acc = IntegralAcc::zeros(&s);
             ws.born
@@ -487,10 +411,6 @@ mod tests {
                     );
                 }
             }
-            // chunk labels: re-executing only the labeled chunk must
-            // reproduce the final value of each slot it owns
-            assert_eq!(produced.len(), plan.chunk_of(r).len());
-            assert!(plan.chunk_of(r).iter().all(|&k| (k as usize) < plan.chunks));
         }
     }
 
@@ -525,34 +445,26 @@ mod tests {
         let atom4 = even_ranges(s.num_atoms(), 4);
         let mut plan = CommPlan::new();
         assert!(
-            plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom4, 4),
+            plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom4),
             "cold miss"
         );
         assert!(
-            !plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom4, 4),
+            !plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom4),
             "warm hit"
         );
         let snapshot: Vec<Vec<u32>> = (0..4).map(|r| plan.produced(r).to_vec()).collect();
-        assert!(
-            plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom4, 2),
-            "chunks miss"
-        );
-        assert!(
-            plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom4, 4),
-            "back miss"
-        );
-        for r in 0..4 {
-            assert_eq!(
-                snapshot[r],
-                plan.produced(r),
-                "rebuild must be deterministic"
-            );
-        }
         // a different division is a different key
         let mut seg2 = ws.seg_ranges.clone();
         work_balanced_segments_into(ws.born.leaf_work(), 2, &mut seg2);
         let atom2 = even_ranges(s.num_atoms(), 2);
-        assert!(plan.ensure_node_node(&s, &ws.born, &seg2, &atom2, 4));
+        assert!(plan.ensure_node_node(&s, &ws.born, &seg2, &atom2), "division miss");
+        assert!(
+            plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom4),
+            "back miss"
+        );
+        for (r, before) in snapshot.iter().enumerate() {
+            assert_eq!(before, plan.produced(r), "rebuild must be deterministic");
+        }
     }
 
     #[test]
@@ -566,7 +478,7 @@ mod tests {
         work_balanced_segments_into(ws.born.leaf_work(), 4, &mut ws.seg_ranges);
         let atom_ranges = even_ranges(s.num_atoms(), 4);
         let mut plan = CommPlan::new();
-        assert!(plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges, 4));
+        assert!(plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges));
         assert_eq!(plan.rebuilds(), 1);
 
         let same = s.molecule.positions().to_vec();
@@ -574,7 +486,7 @@ mod tests {
         ws.ready_born_lists(&s);
         assert_eq!(ws.last_born_path, crate::arena::ListPath::Repaired);
         assert!(
-            !plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges, 4),
+            !plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges),
             "unchanged frame must reuse the plan"
         );
         assert_eq!(plan.rebuilds(), 1, "no re-derivation on the warm frame");
@@ -591,7 +503,7 @@ mod tests {
         work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
         let atom_ranges = even_ranges(s.num_atoms(), p);
         let mut plan = CommPlan::new();
-        plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges, 4);
+        plan.ensure_node_node(&s, &ws.born, &ws.seg_ranges, &atom_ranges);
         let sparse: usize = (0..p)
             .map(|r| plan.produced(r).len() + plan.consumed(r).len())
             .sum();

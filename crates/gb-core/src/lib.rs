@@ -33,7 +33,7 @@
 //! | `Naïve`        | [`naive`] — exact O(M·N) + O(M²)    |
 //! | `OCT_CILK`     | [`runners::shared`] (rayon)         |
 //! | `OCT_MPI`      | [`runners::distributed`] (gb-cluster ranks) |
-//! | `OCT_MPI+CILK` | [`runners::hybrid`] (ranks × work-stealing pool) |
+//! | `OCT_MPI+CILK` | [`runners::hybrid`] (distributed ranks × threads) |
 //!
 //! plus [`modeled`], which replays the distributed/hybrid work division
 //! rank-by-rank against the cluster cost model to produce the large-P

@@ -12,11 +12,8 @@
 //! 3. combine the partial integral vectors — either the paper's dense
 //!    `MPI_Allreduce`, or (the default) the plan-driven sparse
 //!    reduce-scatter + targeted allgatherv of
-//!    [`commplan`](crate::commplan), which for node-based division also
-//!    pipelines the integral execution in chunks and posts nonblocking
-//!    sends for finished chunks while the next one computes. Both modes
-//!    produce bit-identical integrals (same ascending-rank summation
-//!    order);
+//!    [`commplan`](crate::commplan). Both modes produce bit-identical
+//!    integrals (same ascending-rank summation order);
 //! 4. `PUSH-INTEGRALS-TO-ATOMS` for this rank's atom segment;
 //! 5. allgather of the Born radii (dense on purpose: the energy phase's
 //!    bin recomputation reads the full radii vector on every rank);
@@ -24,22 +21,30 @@
 //!    the leaves starting in its atom range, from lists swept for those
 //!    rows only);
 //! 7. reduce of the partial energies to the master.
+//!
+//! The same rank program is the hybrid runner's (`OCT_MPI+CILK`): with
+//! `threads_per_rank > 1` the node-division steps 2 and 6 cut the rank's
+//! segment into that many contiguous sub-segments, balanced by the same
+//! measured work that cuts ranks, and step 4 splits the rank's atoms
+//! evenly. Each sub-segment runs as one task on a [`StealPool`] and fills
+//! its own [`ChunkSlot`]; slots merge in sub-segment order, so the result
+//! depends on the fixed partition and never on the schedule. One thread
+//! per rank runs inline, so the distributed runner spawns nothing.
 
-use crate::arena::Workspace;
-use crate::commplan::{manifest_range, owner_interval, CommMode};
+use crate::arena::{ChunkSlot, Workspace};
+use crate::commplan::CommMode;
 use crate::error::GbError;
 use crate::fastmath::{ApproxMath, ExactMath, MathMode};
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
 use crate::integrals::push_integrals_scratch;
 use crate::params::{MathKind, RadiiKind};
-use crate::runners::sparse::{
-    flat_get, publish_to_consumers, reduce_pairs_to_owners, reduce_to_owners_single, OVERLAP_CHUNKS,
-};
+use crate::runners::sparse::{publish_to_consumers, reduce_pairs_to_owners, reduce_to_owners_single};
 use crate::runners::{bin_build_work, with_kernels};
 use crate::system::{GbResult, GbSystem};
 use crate::workdiv::{even_ranges_into, work_balanced_segments_into, WorkDivision};
-use gb_cluster::{Comm, CommError, RunReport, SendHandle, SimCluster};
+use gb_cluster::{Comm, CommError, RunReport, SimCluster, StealPool};
 use parking_lot::Mutex;
+use std::ops::Range;
 
 /// Runs the 7-step distributed algorithm on `ranks` single-threaded ranks.
 ///
@@ -87,31 +92,12 @@ pub fn try_run_distributed_mode(
     try_run_distributed_ws_mode(sys, cluster, ranks, division, mode, &workspaces)
 }
 
-/// [`try_run_distributed`] over caller-owned per-rank [`Workspace`]s
-/// (`workspaces[rank]`): ranks reuse their lists, accumulators and scratch
-/// across supersteps. Collective results (`allreduce`, `allgatherv`) still
-/// arrive in fresh buffers — that traffic belongs to the simulated MPI
-/// library, not the phase arenas.
-pub fn try_run_distributed_ws(
-    sys: &GbSystem,
-    cluster: &SimCluster,
-    ranks: usize,
-    division: WorkDivision,
-    workspaces: &[Mutex<Workspace>],
-) -> Result<(GbResult, RunReport), GbError> {
-    try_run_distributed_ws_mode(
-        sys,
-        cluster,
-        ranks,
-        division,
-        CommMode::default(),
-        workspaces,
-    )
-}
-
-/// [`try_run_distributed_ws`] with an explicit [`CommMode`]. On the
-/// sparse path the workspace also caches the [`CommPlan`]
-/// (`ws.plan`), so steady-state supersteps skip the slot-set derivation.
+/// [`try_run_distributed_mode`] over caller-owned per-rank [`Workspace`]s
+/// (`workspaces[rank]`): ranks reuse their lists, accumulators, scratch
+/// and — on the sparse path — the cached [`CommPlan`] across supersteps,
+/// so steady-state supersteps skip the slot-set derivation. Collective
+/// results (`allreduce`, `allgatherv`) still arrive in fresh buffers —
+/// that traffic belongs to the simulated MPI library, not the phase arenas.
 ///
 /// [`CommPlan`]: crate::commplan::CommPlan
 pub fn try_run_distributed_ws_mode(
@@ -122,8 +108,23 @@ pub fn try_run_distributed_ws_mode(
     mode: CommMode,
     workspaces: &[Mutex<Workspace>],
 ) -> Result<(GbResult, RunReport), GbError> {
+    try_run_ranks(sys, cluster, ranks, 1, division, mode, workspaces)
+}
+
+/// Runs the rank program on `ranks` ranks of `threads` threads each over
+/// per-rank workspaces — the one entry under both the distributed
+/// (`threads == 1`) and the hybrid runner.
+pub(crate) fn try_run_ranks(
+    sys: &GbSystem,
+    cluster: &SimCluster,
+    ranks: usize,
+    threads: usize,
+    division: WorkDivision,
+    mode: CommMode,
+    workspaces: &[Mutex<Workspace>],
+) -> Result<(GbResult, RunReport), GbError> {
     assert!(workspaces.len() >= ranks, "need one workspace per rank");
-    let (mut results, report) = cluster.try_run(ranks, 1, |comm| {
+    let (mut results, report) = cluster.try_run(ranks, threads, |comm| {
         let mut ws = workspaces[comm.rank()].lock();
         rank_body_dispatch(sys, comm, division, mode, &mut ws)
     })?;
@@ -132,8 +133,8 @@ pub fn try_run_distributed_ws_mode(
 
 /// One job of a fused superstep batch: a prepared system plus its per-rank
 /// workspaces (`workspaces[rank]`, one per rank like
-/// [`try_run_distributed_ws`]). The serve layer keys workspace pools by
-/// system content hash, so a job's checkpoints and cached plans always
+/// [`try_run_distributed_ws_mode`]). The serve layer keys workspace pools
+/// by system content hash, so a job's checkpoints and cached plans always
 /// describe the same system the job runs.
 pub struct BatchJob<'a> {
     /// The system to evaluate.
@@ -143,10 +144,10 @@ pub struct BatchJob<'a> {
 }
 
 /// Runs several jobs as **one fused superstep** on the cluster: a single
-/// `try_run` whose rank program executes each job's 7-step pipeline in
-/// sequence. Compared to one `try_run` per job this saves the per-run
-/// spawn/join and keeps ranks hot across jobs — the batching lever of the
-/// serving layer.
+/// `try_run` whose rank program executes each job's 7-step pipeline
+/// (node-based division, default [`CommMode`]) in sequence. Compared to one
+/// `try_run` per job this saves the per-run spawn/join and keeps ranks hot
+/// across jobs — the batching lever of the serving layer.
 ///
 /// Ordering is identical on every rank (jobs run in slice order inside
 /// one collective context), so each job's result is bit-identical to what
@@ -163,8 +164,6 @@ pub struct BatchJob<'a> {
 pub fn try_run_batch_distributed(
     cluster: &SimCluster,
     ranks: usize,
-    division: WorkDivision,
-    mode: CommMode,
     jobs: &[BatchJob<'_>],
 ) -> Result<(Vec<GbResult>, RunReport), GbError> {
     for job in jobs {
@@ -174,7 +173,13 @@ pub fn try_run_batch_distributed(
         let mut out = Vec::with_capacity(jobs.len());
         for job in jobs {
             let mut ws = job.workspaces[comm.rank()].lock();
-            out.push(rank_body_dispatch(job.sys, comm, division, mode, &mut ws)?);
+            out.push(rank_body_dispatch(
+                job.sys,
+                comm,
+                WorkDivision::NodeNode,
+                CommMode::default(),
+                &mut ws,
+            )?);
         }
         Ok(out)
     })?;
@@ -191,9 +196,9 @@ fn rank_body_dispatch(
     with_kernels!(sys.params, M, K => rank_body::<M, K>(sys, comm, division, mode, ws))
 }
 
-/// The rank program, generic over the math mode; also reused by the hybrid
-/// runner for its per-thread segments.
-pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
+/// The rank program, generic over the math mode; `comm.threads_per_rank()`
+/// sets the sub-segment split (see the module docs).
+fn rank_body<M: MathMode, K: RadiiApprox>(
     sys: &GbSystem,
     comm: &mut Comm,
     division: WorkDivision,
@@ -202,6 +207,7 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
 ) -> Result<GbResult, CommError> {
     let rank = comm.rank();
     let p = comm.size();
+    let threads = comm.threads_per_rank();
 
     // Step 1: replicated data (shared read-only here; a real MPI process
     // would hold its own copy — the accounting reflects that). Replication
@@ -259,114 +265,7 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
                 work += ws.born.build_work;
                 work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
                 let seg = ws.seg_ranges[rank].clone();
-                if p > 1 && mode == CommMode::Sparse {
-                    // Overlap pipeline: execute the segment in chunks; a slot's
-                    // value is final once its *last*-writing chunk (the plan's
-                    // `chunk_of` label) completes, so each chunk's finalized
-                    // manifest values ship as nonblocking sends while the next
-                    // chunk computes.
-                    ws.plan.ensure_node_node(
-                        sys,
-                        &ws.born,
-                        &ws.seg_ranges,
-                        &ws.atom_ranges,
-                        OVERLAP_CHUNKS,
-                    );
-                    if comm.attempt() > 0 {
-                        // Recovery replay: skip the overlap pipeline and re-ship
-                        // the replicated plan's produced∩owned manifests in one
-                        // staged exchange. Same slots, same ascending-rank
-                        // summation from +0.0 — the owned values (and everything
-                        // downstream) stay bit-identical to the pipeline's.
-                        work += ws.born.execute_range::<M, K>(sys, seg, &mut ws.acc);
-                        reduce_to_owners_single(comm, &ws.plan, &ws.acc, &mut ws.owned_vals)?;
-                        publish_to_consumers(comm, &ws.plan, &ws.owned_vals, &mut ws.acc)?;
-                    } else {
-                        let chunks = ws.plan.chunks;
-                        let mut handles: Vec<SendHandle> = Vec::new();
-                        for k in 0..chunks {
-                            let sub = owner_interval(seg.len(), chunks, k);
-                            work += ws.born.execute_range::<M, K>(
-                                sys,
-                                seg.start + sub.start..seg.start + sub.end,
-                                &mut ws.acc,
-                            );
-                            let produced_me = ws.plan.produced(rank);
-                            let chunk_of = ws.plan.chunk_of(rank);
-                            for o in 0..p {
-                                if o == rank {
-                                    continue;
-                                }
-                                let m = manifest_range(produced_me, &ws.plan.owned(o));
-                                if m.is_empty() {
-                                    continue;
-                                }
-                                let payload: Vec<f64> = m
-                                    .filter(|&i| chunk_of[i] as usize == k)
-                                    .map(|i| {
-                                        flat_get(
-                                            &ws.acc,
-                                            ws.plan.num_nodes,
-                                            produced_me[i] as usize,
-                                        )
-                                    })
-                                    .collect();
-                                handles.push(comm.try_isend(o, payload)?);
-                            }
-                        }
-                        // Owner-side reduce: ascending rank order from +0.0 — the
-                        // dense allreduce's exact summation order, so the owned
-                        // values are bit-identical to the dense path's.
-                        let interval = ws.plan.owned(rank);
-                        ws.owned_vals.clear();
-                        ws.owned_vals.resize(interval.len(), 0.0);
-                        for r in 0..p {
-                            let m = manifest_range(ws.plan.produced(r), &interval);
-                            if m.is_empty() {
-                                continue;
-                            }
-                            if r == rank {
-                                for &s in &ws.plan.produced(r)[m] {
-                                    ws.owned_vals[s as usize - interval.start] +=
-                                        flat_get(&ws.acc, ws.plan.num_nodes, s as usize);
-                                }
-                            } else {
-                                // per-pair channels are FIFO, so the producer's k-th
-                                // message is its chunk-k manifest segment
-                                let slots = &ws.plan.produced(r)[m.clone()];
-                                let chunk_of = &ws.plan.chunk_of(r)[m];
-                                ws.reduce_buf.clear();
-                                ws.reduce_buf.resize(slots.len(), 0.0);
-                                for k in 0..chunks {
-                                    let handle = comm.try_irecv(r)?;
-                                    let msg = comm.try_wait_recv(handle)?;
-                                    let mut cursor = 0usize;
-                                    for (j, &ck) in chunk_of.iter().enumerate() {
-                                        if ck as usize == k {
-                                            ws.reduce_buf[j] = msg[cursor];
-                                            cursor += 1;
-                                        }
-                                    }
-                                    debug_assert_eq!(cursor, msg.len());
-                                }
-                                for (j, &s) in slots.iter().enumerate() {
-                                    ws.owned_vals[s as usize - interval.start] += ws.reduce_buf[j];
-                                }
-                            }
-                        }
-                        for handle in handles {
-                            comm.try_wait_send(handle)?;
-                        }
-                        publish_to_consumers(comm, &ws.plan, &ws.owned_vals, &mut ws.acc)?;
-                    }
-                } else {
-                    work += ws.born.execute_range::<M, K>(sys, seg, &mut ws.acc);
-                    if p > 1 {
-                        ws.acc.to_flat_into(&mut ws.flat);
-                        comm.try_allreduce_sum(&mut ws.flat)?;
-                        ws.acc.copy_from_flat(&ws.flat);
-                    }
-                }
+                work += execute_born::<M, K>(sys, threads, ws, seg);
             }
             WorkDivision::AtomNode => {
                 // Atom-based division: every rank sweeps *all* T_Q rows with
@@ -379,18 +278,30 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
                 let (rows, clip) = (0..sys.tq.num_leaves(), ws.atom_ranges[rank].clone());
                 ws.born.rebuild_part(sys, rows, clip, ws.build_tasks, &mut ws.born_scratch);
                 work += ws.born.execute_range::<M, K>(sys, 0..ws.born.num_qleaves(), &mut ws.acc);
-                if p > 1 {
-                    match mode {
-                        CommMode::Dense => {
-                            ws.acc.to_flat_into(&mut ws.flat);
-                            comm.try_allreduce_sum(&mut ws.flat)?;
-                            ws.acc.copy_from_flat(&ws.flat);
+            }
+        }
+        if p > 1 {
+            match mode {
+                CommMode::Dense => {
+                    ws.acc.to_flat_into(&mut ws.flat);
+                    comm.try_allreduce_sum(&mut ws.flat)?;
+                    ws.acc.copy_from_flat(&ws.flat);
+                }
+                CommMode::Sparse => {
+                    match division {
+                        // node division's producer sets follow from the
+                        // replicated lists, so every rank derives every
+                        // rank's manifests and stage 1 ships values only
+                        WorkDivision::NodeNode => {
+                            let (born, segs) = (&ws.born, &ws.seg_ranges);
+                            ws.plan.ensure_node_node(sys, born, segs, &ws.atom_ranges);
+                            reduce_to_owners_single(comm, &ws.plan, &ws.acc, &mut ws.owned_vals)?;
                         }
-                        CommMode::Sparse => {
-                            // a rank's producer set follows from its own clipped
-                            // lists only, which its peers never sweep, so stage 1
-                            // ships (slot, value) pairs found by a non-zero-bits
-                            // scan
+                        // a rank's producer set follows from its own clipped
+                        // lists only, which its peers never sweep, so stage 1
+                        // ships (slot, value) pairs found by a non-zero-bits
+                        // scan
+                        WorkDivision::AtomNode => {
                             ws.plan.ensure_consumers(sys, &ws.atom_ranges);
                             reduce_pairs_to_owners(
                                 comm,
@@ -399,9 +310,9 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
                                 &ws.acc,
                                 &mut ws.owned_vals,
                             )?;
-                            publish_to_consumers(comm, &ws.plan, &ws.owned_vals, &mut ws.acc)?;
                         }
                     }
+                    publish_to_consumers(comm, &ws.plan, &ws.owned_vals, &mut ws.acc)?;
                 }
             }
         }
@@ -428,15 +339,7 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
         // Step 4: Born radii for this rank's atom segment, written into a
         // buffer sized for the segment alone (no full-length scratch).
         let my_atoms = ws.atom_ranges[rank].clone();
-        ws.radii_tree.clear();
-        ws.radii_tree.resize(my_atoms.len(), 0.0);
-        let w = push_integrals_scratch::<M, K>(
-            sys,
-            &ws.acc,
-            my_atoms,
-            &mut ws.radii_tree,
-            &mut ws.push_stack,
-        );
+        let w = push_segment::<M, K>(sys, threads, ws, my_atoms);
         comm.record_work(w);
 
         // Step 5: allgather radii (variable-length segments, rank order ==
@@ -459,30 +362,21 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
     // a contiguous run of ordinals, swept as a part build.
     ws.bins.recompute(sys, &radii_tree);
     comm.record_work(bin_build_work(sys));
-    let atom_ords = leaves_starting_in(sys, &ws.atom_ranges[rank]);
-    match division {
-        WorkDivision::NodeNode => ws.ready_energy_lists(sys),
-        WorkDivision::AtomNode => {
-            ws.energy.rebuild_part(sys, atom_ords.clone(), ws.build_tasks, &mut ws.energy_scratch)
-        }
-    }
-    let bins = &ws.bins;
     let (raw, w) = match division {
         WorkDivision::NodeNode => {
-            let costs = ws.energy.leaf_costs(sys, bins);
+            ws.ready_energy_lists(sys);
+            let costs = ws.energy.leaf_costs(sys, &ws.bins);
             work_balanced_segments_into(&costs, p, &mut ws.seg_ranges);
-            let (raw, exec) = ws.energy.execute_leaves::<M>(
-                sys,
-                bins,
-                &radii_tree,
-                ws.seg_ranges[rank].clone(),
-                &mut ws.energy_exec,
-            );
+            let seg = ws.seg_ranges[rank].clone();
+            let (raw, exec) = execute_energy::<M>(sys, threads, ws, &radii_tree, seg, &costs);
             (raw, ws.energy.build_work + exec)
         }
         // execution work only, as for the clipped Born lists
         WorkDivision::AtomNode => {
-            ws.energy.execute_leaves::<M>(sys, bins, &radii_tree, atom_ords, &mut ws.energy_exec)
+            let atom_ords = leaves_starting_in(sys, &ws.atom_ranges[rank]);
+            ws.energy.rebuild_part(sys, atom_ords.clone(), ws.build_tasks, &mut ws.energy_scratch);
+            let exec = &mut ws.energy_exec;
+            ws.energy.execute_leaves::<M>(sys, &ws.bins, &radii_tree, atom_ords, exec)
         }
     };
     comm.record_work(w);
@@ -497,6 +391,109 @@ pub(crate) fn rank_body<M: MathMode, K: RadiiApprox>(
         energy_kcal,
         born_radii: sys.radii_to_original(&radii_tree),
     })
+}
+
+/// Runs `task(t, slot t)` for every sub-segment `t in 0..n` on an
+/// `n`-worker steal pool (task `t` writes only slot `t`, the pool's
+/// contract).
+fn on_pool(slots: &[Mutex<ChunkSlot>], n: usize, task: impl Fn(usize, &mut ChunkSlot) + Sync) {
+    StealPool::new(n).run(n, 0, |_, t| task(t, &mut slots[t].lock()));
+}
+
+/// Sub-segment `sub` (relative) of the segment starting at `start`.
+fn shifted(sub: &Range<usize>, start: usize) -> Range<usize> {
+    start + sub.start..start + sub.end
+}
+
+/// Step 2 for the rank's Born ordinals `seg` on `threads` threads, into
+/// the (reset) `ws.acc`; returns the execution work.
+fn execute_born<M: MathMode, K: RadiiApprox>(
+    sys: &GbSystem,
+    threads: usize,
+    ws: &mut Workspace,
+    seg: Range<usize>,
+) -> f64 {
+    if threads == 1 {
+        return ws.born.execute_range::<M, K>(sys, seg, &mut ws.acc);
+    }
+    work_balanced_segments_into(&ws.born.leaf_work()[seg.clone()], threads, &mut ws.leaf_ranges);
+    ws.ensure_slots(threads);
+    let (born, subs) = (&ws.born, &ws.leaf_ranges);
+    on_pool(&ws.slots, threads, |t, slot| {
+        slot.acc.reset_for(sys);
+        let ords = shifted(&subs[t], seg.start);
+        slot.acc_work = born.execute_range::<M, K>(sys, ords, &mut slot.acc);
+    });
+    let mut work = 0.0;
+    for slot in &ws.slots[..threads] {
+        let slot = slot.lock();
+        ws.acc.add(&slot.acc);
+        work += slot.acc_work;
+    }
+    work
+}
+
+/// Step 4 for the rank's atoms on `threads` threads, into `ws.radii_tree`
+/// (sized to the segment); returns the push work.
+fn push_segment<M: MathMode, K: RadiiApprox>(
+    sys: &GbSystem,
+    threads: usize,
+    ws: &mut Workspace,
+    atoms: Range<usize>,
+) -> f64 {
+    ws.radii_tree.clear();
+    ws.radii_tree.resize(atoms.len(), 0.0);
+    if threads == 1 {
+        let (radii, stack) = (&mut ws.radii_tree, &mut ws.push_stack);
+        return push_integrals_scratch::<M, K>(sys, &ws.acc, atoms, radii, stack);
+    }
+    even_ranges_into(atoms.len(), threads, &mut ws.leaf_ranges);
+    ws.ensure_slots(threads);
+    let (acc, subs) = (&ws.acc, &ws.leaf_ranges);
+    on_pool(&ws.slots, threads, |t, slot| {
+        slot.radii.clear();
+        slot.radii.resize(subs[t].len(), 0.0);
+        let range = shifted(&subs[t], atoms.start);
+        let (radii, stack) = (&mut slot.radii, &mut slot.push_stack);
+        slot.push_work = push_integrals_scratch::<M, K>(sys, acc, range, radii, stack);
+    });
+    let mut work = 0.0;
+    for (slot, sub) in ws.slots.iter().zip(&ws.leaf_ranges) {
+        let slot = slot.lock();
+        ws.radii_tree[sub.clone()].copy_from_slice(&slot.radii);
+        work += slot.push_work;
+    }
+    work
+}
+
+/// Step 6 for the rank's energy ordinals `seg` (`costs` = per-leaf work) on
+/// `threads` threads; returns `(raw energy, execution work)`.
+fn execute_energy<M: MathMode>(
+    sys: &GbSystem,
+    threads: usize,
+    ws: &mut Workspace,
+    radii_tree: &[f64],
+    seg: Range<usize>,
+    costs: &[f64],
+) -> (f64, f64) {
+    if threads == 1 {
+        return ws.energy.execute_leaves::<M>(sys, &ws.bins, radii_tree, seg, &mut ws.energy_exec);
+    }
+    work_balanced_segments_into(&costs[seg.clone()], threads, &mut ws.leaf_ranges);
+    ws.ensure_slots(threads);
+    let (energy, bins, subs) = (&ws.energy, &ws.bins, &ws.leaf_ranges);
+    on_pool(&ws.slots, threads, |t, slot| {
+        let ords = shifted(&subs[t], seg.start);
+        (slot.raw, slot.energy_work) =
+            energy.execute_leaves::<M>(sys, bins, radii_tree, ords, &mut slot.energy_exec);
+    });
+    let (mut raw, mut work) = (0.0, 0.0);
+    for slot in &ws.slots[..threads] {
+        let slot = slot.lock();
+        raw += slot.raw;
+        work += slot.energy_work;
+    }
+    (raw, work)
 }
 
 /// Ordinals of the `T_A` leaves whose first atom lies in `atoms` — a
@@ -548,8 +545,9 @@ mod tests {
         use WorkDivision::{AtomNode, NodeNode};
         for division in [NodeNode, AtomNode, NodeNode, AtomNode, NodeNode] {
             let (fresh, _) = run_distributed(&s, &cluster, 3, division);
-            let (r, _) =
-                try_run_distributed_ws(&s, &cluster, 3, division, &workspaces).expect("fault-free");
+            let mode = CommMode::default();
+            let (r, _) = try_run_distributed_ws_mode(&s, &cluster, 3, division, mode, &workspaces)
+                .expect("fault-free");
             assert_eq!(fresh.energy_kcal.to_bits(), r.energy_kcal.to_bits(), "{division:?}");
             assert_eq!(fresh.born_radii, r.born_radii, "{division:?}");
         }
@@ -563,9 +561,15 @@ mod tests {
         let workspaces: Vec<Mutex<Workspace>> =
             (0..3).map(|_| Mutex::new(Workspace::new())).collect();
         for pass in 0..2 {
-            let (r, _) =
-                try_run_distributed_ws(&s, &cluster, 3, WorkDivision::NodeNode, &workspaces)
-                    .expect("fault-free");
+            let (r, _) = try_run_distributed_ws_mode(
+                &s,
+                &cluster,
+                3,
+                WorkDivision::NodeNode,
+                CommMode::default(),
+                &workspaces,
+            )
+            .expect("fault-free");
             assert_eq!(
                 fresh.energy_kcal.to_bits(),
                 r.energy_kcal.to_bits(),

@@ -18,7 +18,7 @@ pub use frame::{
     run_frame_serial, run_frame_shared, try_run_frame_distributed, try_run_frame_hybrid,
     ClusterFrameOutcome, FrameOutcome,
 };
-pub use hybrid::{run_hybrid, try_run_hybrid, try_run_hybrid_mode, try_run_hybrid_ws_mode};
+pub use hybrid::{run_hybrid, try_run_hybrid_mode, try_run_hybrid_ws_mode};
 pub use serial::run_serial;
 pub use shared::run_shared;
 

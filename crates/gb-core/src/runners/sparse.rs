@@ -1,23 +1,20 @@
-//! Plan-driven sparse collectives shared by the distributed, hybrid and
-//! data-distributed runners: the two-stage replacement of the dense
-//! integral allreduce (owner-computes sparse reduce-scatter + targeted
-//! allgatherv). See [`commplan`](crate::commplan) for why the result is
-//! bit-identical to the dense path.
+//! Plan-driven sparse collectives shared by the cluster rank program
+//! (distributed and hybrid) and the data-distributed runner: the two-stage
+//! replacement of the dense integral allreduce (owner-computes sparse
+//! reduce-scatter + targeted allgatherv). Stage 1 has one transport per
+//! kind of producer set — [`reduce_to_owners_single`] when the replicated
+//! plan knows every rank's producers (node division),
+//! [`reduce_pairs_to_owners`] when it does not — and stage 2 is
+//! [`publish_to_consumers`]. See [`commplan`](crate::commplan) for why the
+//! result is bit-identical to the dense path.
 
 use crate::commplan::{manifest_range, owner_interval, CommPlan};
 use crate::integrals::IntegralAcc;
 use gb_cluster::{Comm, CommError};
 
-/// Chunks the distributed runner's integral segment is split into for the
-/// compute/send overlap pipeline. Small on purpose: each extra chunk adds
-/// one in-flight message per producer/owner pair, while the overlap win
-/// saturates once the first chunk's sends hide behind the remaining
-/// compute.
-pub(crate) const OVERLAP_CHUNKS: usize = 4;
-
 /// Value of flat slot `slot` in the split accumulator.
 #[inline]
-pub(crate) fn flat_get(acc: &IntegralAcc, num_nodes: usize, slot: usize) -> f64 {
+fn flat_get(acc: &IntegralAcc, num_nodes: usize, slot: usize) -> f64 {
     if slot < num_nodes {
         acc.node_s[slot]
     } else {
@@ -25,16 +22,15 @@ pub(crate) fn flat_get(acc: &IntegralAcc, num_nodes: usize, slot: usize) -> f64 
     }
 }
 
-/// Stage 1, single-shot (no overlap pipeline): every rank ships the
-/// values of `produced(me) ∩ owned(o)` to each owner `o` in one staged
-/// exchange, and reduces the segments it owns **in ascending rank order
-/// starting from +0.0** — the dense allreduce's exact summation order.
-/// `owned_vals` receives this rank's owned interval.
+/// Stage 1 for node division: every rank ships the values of
+/// `produced(me) ∩ owned(o)` to each owner `o` in one staged exchange, and
+/// reduces the segments it owns **in ascending rank order starting from
+/// +0.0** — the dense allreduce's exact summation order. `owned_vals`
+/// receives this rank's owned interval.
 ///
-/// Because the manifests come from the *replicated* plan, this is also the
-/// recovery transport: a healed replay re-derives exactly the failed
-/// attempt's produced∩owned payloads and re-ships them, bit-identical to
-/// what the overlap pipeline would have delivered.
+/// Because the manifests come from the *replicated* plan, a healed replay
+/// re-derives exactly the failed attempt's produced∩owned payloads and
+/// re-ships them with no renegotiation.
 pub(crate) fn reduce_to_owners_single(
     comm: &mut Comm,
     plan: &CommPlan,

@@ -75,7 +75,7 @@ fn exact_frames_bitwise_across_runners_comm_modes_and_ranks() {
         .expect("frame 0");
     }
     try_run_hybrid_ws_mode(
-        &sys, &cluster, 2, 1, CommMode::Sparse, &hybrid_pool,
+        &sys, &cluster, 2, 3, CommMode::Sparse, &hybrid_pool,
     )
     .expect("frame 0 hybrid");
 
@@ -127,12 +127,21 @@ fn exact_frames_bitwise_across_runners_comm_modes_and_ranks() {
             }
         }
 
-        // Hybrid steals work, so across runners it agrees to roundoff.
+        // Hybrid threads merge fixed sub-segments: bitwise equal to its own
+        // scratch run, and equal to the serial runner up to that grouping.
         let (hyb, _) = try_run_hybrid_ws_mode(
-            &sys, &cluster, 2, 1, CommMode::Sparse, &hybrid_pool,
+            &sys, &cluster, 2, 3, CommMode::Sparse, &hybrid_pool,
         )
         .unwrap_or_else(|e| panic!("frame {frame} hybrid: {e}"));
         assert_eq!(hybrid_pool[0].lock().last_born_path, ListPath::Rebuilt);
+        let (cold, _) = try_run_hybrid_ws_mode(
+            &sys, &cluster, 2, 3, CommMode::Sparse, &frame_pool(2),
+        )
+        .unwrap_or_else(|e| panic!("frame {frame} hybrid scratch: {e}"));
+        assert_eq!(hyb.energy_kcal.to_bits(), cold.energy_kcal.to_bits(), "frame {frame}: hybrid");
+        for (k, (a, b)) in hyb.born_radii.iter().zip(&cold.born_radii).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "frame {frame}: hybrid radius {k}");
+        }
         assert!(
             (reference.energy_kcal - hyb.energy_kcal).abs()
                 < 1e-12 * reference.energy_kcal.abs(),

@@ -105,7 +105,7 @@ fn warm_workspace_supersteps_heal_independently() {
     let s = sys(500, 93);
     let p = 4;
     let clean_cluster = SimCluster::single_node();
-    let (clean, _) = try_run_distributed_mode(
+    let (clean, clean_report) = try_run_distributed_mode(
         &s,
         &clean_cluster,
         p,
@@ -114,9 +114,11 @@ fn warm_workspace_supersteps_heal_independently() {
     )
     .expect("fault-free run");
     let workspaces: Vec<Mutex<Workspace>> = (0..p).map(|_| Mutex::new(Workspace::new())).collect();
+    // mid-stream of the victim's op sequence, so the kill always fires
+    let at_op = clean_report.ledgers[1].ops_started / 2;
     let faulty = SimCluster::single_node()
         .with_recovery(2)
-        .with_fault_plan(FaultPlan::new().kill_rank(1, 4));
+        .with_fault_plan(FaultPlan::new().kill_rank(1, at_op));
     for (step, cluster) in [
         ("superstep-1", &clean_cluster),
         ("superstep-2(kill)", &faulty),
@@ -140,9 +142,8 @@ fn warm_workspace_supersteps_heal_independently() {
     }
 }
 
-/// Hybrid: the steal pool's task interleaving is not bit-deterministic
-/// across attempts, so the healed run is compared with the replicated
-/// runners' usual fp tolerance — the point is that it completes and heals.
+/// Hybrid is the distributed rank program on fixed per-thread
+/// sub-segments, so a healed run reproduces the fault-free bits too.
 #[test]
 fn hybrid_kill_recovery_completes() {
     let s = sys(500, 94);
@@ -162,15 +163,7 @@ fn hybrid_kill_recovery_completes() {
             try_run_hybrid_mode(&s, &cluster, 2, 4, CommMode::Sparse)
                 .unwrap_or_else(|e| panic!("hybrid op {at_op}: must complete: {e}"));
         assert!(report.recoveries >= 1, "hybrid op {at_op}: no heal");
-        assert!(
-            (clean.energy_kcal - healed.energy_kcal).abs() < 1e-9 * clean.energy_kcal.abs(),
-            "hybrid op {at_op}: {} vs {}",
-            clean.energy_kcal,
-            healed.energy_kcal
-        );
-        for (a, b) in clean.born_radii.iter().zip(&healed.born_radii) {
-            assert!((a - b).abs() < 1e-9 * a.abs().max(1.0), "hybrid op {at_op}");
-        }
+        assert_bit_identical(&clean, &healed, &format!("hybrid op {at_op}"));
     }
 }
 

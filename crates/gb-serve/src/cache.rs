@@ -11,8 +11,8 @@
 //!    [`Monomer`] artifact (lists + own-surface integral image + solo
 //!    energy) for the docking path;
 //! 3. **workspace pool** — per-rank [`Workspace`]s keyed additionally by
-//!    `(ranks, division, mode)`, carrying the warm `CommPlan` (the PR 5
-//!    structural-hash cache) and the injected tier-2 lists.
+//!    the rank count, carrying the warm `CommPlan` (its structural-hash
+//!    cache) and the injected tier-2 lists.
 //!
 //! Every entry is billed through the `memory_bytes` audit of the artifact
 //! it holds; when the total exceeds the budget, globally least-recently
@@ -24,7 +24,6 @@
 use gb_core::arena::{CachedLists, Workspace};
 use gb_core::pair::Monomer;
 use gb_core::system::GbSystem;
-use gb_core::{CommMode, WorkDivision};
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -69,23 +68,6 @@ struct Entry<T> {
 struct PoolKey {
     key: u64,
     ranks: usize,
-    division: u8,
-    mode: u8,
-}
-
-fn pool_key(key: u64, ranks: usize, division: WorkDivision, mode: CommMode) -> PoolKey {
-    PoolKey {
-        key,
-        ranks,
-        division: match division {
-            WorkDivision::NodeNode => 0,
-            WorkDivision::AtomNode => 1,
-        },
-        mode: match mode {
-            CommMode::Dense => 0,
-            CommMode::Sparse => 1,
-        },
-    }
 }
 
 /// A shared per-rank workspace pool (tier-3 artifact).
@@ -180,16 +162,9 @@ impl TieredCache {
     }
 
     /// Tier-3 lookup, recording hit/miss.
-    pub fn get_pool(
-        &mut self,
-        key: u64,
-        ranks: usize,
-        division: WorkDivision,
-        mode: CommMode,
-    ) -> Option<WorkspacePool> {
+    pub fn get_pool(&mut self, key: u64, ranks: usize) -> Option<WorkspacePool> {
         let stamp = self.tick();
-        let pk = pool_key(key, ranks, division, mode);
-        let hit = self.pools.get_mut(&pk).map(|e| {
+        let hit = self.pools.get_mut(&PoolKey { key, ranks }).map(|e| {
             e.stamp = stamp;
             Arc::clone(&e.value)
         });
@@ -199,16 +174,9 @@ impl TieredCache {
     }
 
     /// Tier-3 insert.
-    pub fn put_pool(
-        &mut self,
-        key: u64,
-        ranks: usize,
-        division: WorkDivision,
-        mode: CommMode,
-        pool: WorkspacePool,
-    ) {
+    pub fn put_pool(&mut self, key: u64, ranks: usize, pool: WorkspacePool) {
         let stamp = self.tick();
-        self.pools.insert(pool_key(key, ranks, division, mode), Entry { value: pool, stamp });
+        self.pools.insert(PoolKey { key, ranks }, Entry { value: pool, stamp });
         self.enforce_budget();
     }
 

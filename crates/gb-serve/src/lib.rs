@@ -52,7 +52,7 @@ use gb_core::arena::{CachedLists, Workspace};
 use gb_core::pair::{evaluate_pair_ws, Monomer, PairScratch};
 use gb_core::runners::distributed::{try_run_batch_distributed, BatchJob};
 use gb_core::system::GbSystem;
-use gb_core::{system_key, CommMode, GbParams, WorkDivision};
+use gb_core::{system_key, GbParams};
 use gb_cluster::SimCluster;
 use gb_molecule::Molecule;
 use parking_lot::{Condvar, Mutex};
@@ -64,16 +64,13 @@ use std::time::Instant;
 /// Service configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Ranks of each fused cluster superstep.
+    /// Ranks of each fused cluster superstep (node-based division, sparse
+    /// integral combine); 0 is taken as 1.
     pub ranks: usize,
-    /// Work division of the batched pipeline.
-    pub division: WorkDivision,
-    /// Integral-combine mode of the batched pipeline.
-    pub mode: CommMode,
     /// Admission bound: submits beyond this many queued requests are shed
     /// with [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// Maximum requests drained into one scheduler cycle.
+    /// Maximum requests drained into one scheduler cycle; 0 is taken as 1.
     pub max_batch: usize,
     /// Byte budget of the tiered cache's LRU.
     pub cache_budget_bytes: usize,
@@ -90,8 +87,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             ranks: 2,
-            division: WorkDivision::NodeNode,
-            mode: CommMode::default(),
             queue_capacity: 4096,
             max_batch: 32,
             cache_budget_bytes: 512 << 20,
@@ -143,6 +138,8 @@ impl GbService {
     /// injection, custom topology). `cfg.recoveries` is ignored here — the
     /// cluster arrives fully configured.
     pub fn start_with_cluster(cfg: ServeConfig, cluster: SimCluster) -> GbService {
+        // a zero here would drain nothing per cycle, or run no rank
+        let cfg = ServeConfig { ranks: cfg.ranks.max(1), max_batch: cfg.max_batch.max(1), ..cfg };
         let shared = Arc::new(Shared {
             cfg,
             cluster,
@@ -313,7 +310,7 @@ fn run_cycle(
             .map(|j| BatchJob { sys: &j.sys, workspaces: &j.pool })
             .collect();
         let outcome =
-            try_run_batch_distributed(&shared.cluster, cfg.ranks, cfg.division, cfg.mode, &jobs);
+            try_run_batch_distributed(&shared.cluster, cfg.ranks, &jobs);
         drop(jobs);
         match outcome {
             Ok((results, report)) => {
@@ -418,11 +415,11 @@ fn resolve_single(
             (l, false)
         }
     };
-    let (pool, tier3) = match cache.get_pool(key, cfg.ranks, cfg.division, cfg.mode) {
+    let (pool, tier3) = match cache.get_pool(key, cfg.ranks) {
         Some(p) => (p, true),
         None => {
             let p = fresh_pool(cfg.ranks, &lists);
-            cache.put_pool(key, cfg.ranks, cfg.division, cfg.mode, Arc::clone(&p));
+            cache.put_pool(key, cfg.ranks, Arc::clone(&p));
             (p, false)
         }
     };

@@ -2,9 +2,11 @@
 //!
 //! A tenant's `E_pol` must be `to_bits()`-identical whether the request
 //! runs solo on a fresh cluster, rides a fused superstep batched with
-//! strangers, or is served warm from the tiered cache — across both comm
-//! modes, and even when a rank dies mid-batch and PR 7 recovery heals and
-//! replays beneath the whole fused rank program.
+//! strangers, or is served warm from the tiered cache — and even when a
+//! rank dies mid-batch and recovery heals and replays beneath the whole
+//! fused rank program. The service runs node-based division with the
+//! default comm mode; dense ≡ sparse is pinned by gb-core's
+//! `sparse_comm_equivalence` and `self_healing` suites.
 
 use gb_cluster::{FaultPlan, SimCluster};
 use gb_core::runners::distributed::try_run_distributed_mode;
@@ -28,10 +30,10 @@ fn fleet() -> Vec<Arc<Molecule>> {
 
 /// Solo reference: the same molecule through the plain distributed runner
 /// on a private fault-free cluster — no service, no batch, no cache.
-fn solo_bits(molecule: &Molecule, mode: CommMode) -> u64 {
+fn solo_bits(molecule: &Molecule) -> u64 {
     let sys = GbSystem::prepare(molecule.clone(), GbParams::default());
     let cluster = SimCluster::single_node();
-    let (res, _) = try_run_distributed_mode(&sys, &cluster, RANKS, DIVISION, mode)
+    let (res, _) = try_run_distributed_mode(&sys, &cluster, RANKS, DIVISION, CommMode::default())
         .expect("reference run");
     res.energy_kcal.to_bits()
 }
@@ -58,90 +60,72 @@ fn eval_wave(service: &GbService, wave: &[Arc<Molecule>]) -> Vec<EvalOutcome> {
     tickets.into_iter().map(|t| t.wait().expect("wave outcome")).collect()
 }
 
-fn cfg(mode: CommMode) -> ServeConfig {
-    ServeConfig { ranks: RANKS, division: DIVISION, mode, ..ServeConfig::default() }
+fn cfg() -> ServeConfig {
+    ServeConfig { ranks: RANKS, ..ServeConfig::default() }
 }
 
 #[test]
-fn batched_and_warm_energies_match_solo_bits_in_both_modes() {
-    for mode in [CommMode::Dense, CommMode::Sparse] {
-        let wave = fleet();
-        let reference: Vec<u64> = wave.iter().map(|m| solo_bits(m, mode)).collect();
+fn batched_and_warm_energies_match_solo_bits() {
+    let wave = fleet();
+    let reference: Vec<u64> = wave.iter().map(|m| solo_bits(m)).collect();
 
-        let service = GbService::start(cfg(mode));
-        // cold round: batched with strangers, every artifact built fresh
-        let cold = eval_wave(&service, &wave);
-        for (i, (out, want)) in cold.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                out.energy_kcal.to_bits(),
-                *want,
-                "mode {mode:?}: molecule {i} batched-with-strangers != solo"
-            );
-        }
-        // warm round: same requests again, now served from the cache
-        let warm = eval_wave(&service, &wave);
-        for (i, (out, want)) in warm.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                out.energy_kcal.to_bits(),
-                *want,
-                "mode {mode:?}: molecule {i} warm-cache != solo"
-            );
-            assert!(out.report.tier1_hit, "mode {mode:?}: warm round must hit tier 1");
-            assert!(out.report.tier2_hit, "mode {mode:?}: warm round must hit tier 2");
-            assert!(out.report.tier3_hit, "mode {mode:?}: warm round must hit tier 3");
-        }
-        let stats = service.stats();
-        assert!(
-            stats.batch_occupancy() > 1.0,
-            "mode {mode:?}: the wave should have fused into shared supersteps \
-             (occupancy {})",
-            stats.batch_occupancy()
-        );
-        service.shutdown();
+    let service = GbService::start(cfg());
+    // cold round: batched with strangers, every artifact built fresh
+    let cold = eval_wave(&service, &wave);
+    for (i, (out, want)) in cold.iter().zip(&reference).enumerate() {
+        assert_eq!(out.energy_kcal.to_bits(), *want, "molecule {i} batched-with-strangers != solo");
     }
+    // warm round: same requests again, now served from the cache
+    let warm = eval_wave(&service, &wave);
+    for (i, (out, want)) in warm.iter().zip(&reference).enumerate() {
+        assert_eq!(out.energy_kcal.to_bits(), *want, "molecule {i} warm-cache != solo");
+        assert!(out.report.tier1_hit, "warm round must hit tier 1");
+        assert!(out.report.tier2_hit, "warm round must hit tier 2");
+        assert!(out.report.tier3_hit, "warm round must hit tier 3");
+    }
+    let stats = service.stats();
+    assert!(
+        stats.batch_occupancy() > 1.0,
+        "the wave should have fused into shared supersteps (occupancy {})",
+        stats.batch_occupancy()
+    );
+    service.shutdown();
 }
 
 #[test]
 fn mid_batch_rank_kill_is_invisible_to_co_batched_tenants() {
-    for mode in [CommMode::Dense, CommMode::Sparse] {
-        let wave = fleet();
-        let reference: Vec<u64> = wave.iter().map(|m| solo_bits(m, mode)).collect();
+    let wave = fleet();
+    let reference: Vec<u64> = wave.iter().map(|m| solo_bits(m)).collect();
 
-        // place the kill mid-stream: halfway through the ops a single
-        // pipeline run performs, so it lands inside the first job of
-        // whichever fused batch the victim rank is executing
-        let victim = RANKS - 1;
-        let probe = GbSystem::prepare(Molecule::clone(&wave[0]), GbParams::default());
-        let (_, clean) = try_run_distributed_mode(
-            &probe,
-            &SimCluster::single_node(),
-            RANKS,
-            DIVISION,
-            mode,
-        )
-        .expect("clean probe run");
-        let at_op = clean.ledgers[victim].ops_started / 2;
+    // place the kill mid-stream: halfway through the ops a single
+    // pipeline run performs, so it lands inside the first job of
+    // whichever fused batch the victim rank is executing
+    let victim = RANKS - 1;
+    let probe = GbSystem::prepare(Molecule::clone(&wave[0]), GbParams::default());
+    let (_, clean) = try_run_distributed_mode(
+        &probe,
+        &SimCluster::single_node(),
+        RANKS,
+        DIVISION,
+        CommMode::default(),
+    )
+    .expect("clean probe run");
+    let at_op = clean.ledgers[victim].ops_started / 2;
 
-        let cluster = SimCluster::single_node()
-            .with_recovery(2)
-            .with_fault_plan(FaultPlan::new().kill_rank(victim, at_op));
-        let service = GbService::start_with_cluster(cfg(mode), cluster);
-        let outcomes = eval_wave(&service, &wave);
-        for (i, (out, want)) in outcomes.iter().zip(&reference).enumerate() {
-            assert_eq!(
-                out.energy_kcal.to_bits(),
-                *want,
-                "mode {mode:?}: molecule {i} energy changed under mid-batch rank kill"
-            );
-        }
-        let stats = service.stats();
-        assert!(
-            stats.recoveries >= 1,
-            "mode {mode:?}: the fault plan should have fired at least once \
-             (recoveries {})",
-            stats.recoveries
-        );
-        assert_eq!(stats.failed, 0, "mode {mode:?}: recovery must absorb the kill");
-        service.shutdown();
+    let cluster = SimCluster::single_node()
+        .with_recovery(2)
+        .with_fault_plan(FaultPlan::new().kill_rank(victim, at_op));
+    let service = GbService::start_with_cluster(cfg(), cluster);
+    let outcomes = eval_wave(&service, &wave);
+    for (i, (out, want)) in outcomes.iter().zip(&reference).enumerate() {
+        assert_eq!(out.energy_kcal.to_bits(), *want, "molecule {i} changed under a mid-batch kill");
     }
+    let stats = service.stats();
+    assert!(
+        stats.recoveries >= 1,
+        "the fault plan should have fired at least once (recoveries {})",
+        stats.recoveries
+    );
+    assert_eq!(stats.failed, 0, "recovery must absorb the kill");
+    service.shutdown();
 }

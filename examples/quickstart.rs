@@ -63,10 +63,10 @@ fn main() {
     // Hybrid: 2 ranks x 6 threads (OCT_MPI+CILK analog).
     let (hyb, report) = run_hybrid(&system, &cluster, 2, 6);
     println!(
-        "octree hybrid   : {:>14.3} kcal/mol   (modeled {:.2} ms, {} steals)",
+        "octree hybrid   : {:>14.3} kcal/mol   (modeled {:.2} ms, imbalance {:.2})",
         hyb.energy_kcal,
         report.modeled_time(&cluster.cost) * 1e3,
-        report.total_steals()
+        report.imbalance()
     );
 
     // Born radius sanity: deepest vs shallowest atom.

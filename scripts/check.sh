@@ -14,4 +14,4 @@ cargo test -q
 # gb-cluster matrices cover every collective kind x P x {panic, kill,
 # timeout, retry}.
 cargo test --release -q --workspace
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings

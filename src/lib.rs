@@ -33,7 +33,7 @@
 //! | [`run_serial`]      | —              | none |
 //! | [`run_shared`]      | `OCT_CILK`     | rayon work stealing |
 //! | [`run_distributed`] | `OCT_MPI`      | simulated cluster ranks |
-//! | [`run_hybrid`]      | `OCT_MPI+CILK` | ranks × intra-rank stealing |
+//! | [`run_hybrid`]      | `OCT_MPI+CILK` | ranks × threads on fixed sub-segments |
 //! | [`modeled_run`]     | (scaling harness) | analytic replay for large P |
 //!
 //! Plus [`naive_full`] (the exact O(M²) ground truth) and the

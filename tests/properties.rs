@@ -49,9 +49,7 @@ fn engine_divergence<M: MathMode, K: RadiiApprox>(sys: &GbSystem) -> (f64, f64) 
 
 fn engine_divergence_for(n: usize, seed: u64, math: MathKind, radii: RadiiKind) -> (f64, f64) {
     let mol = synthesize_protein(&SyntheticParams::with_atoms(n, seed));
-    let mut params = GbParams::default();
-    params.math = math;
-    params.radii_kind = radii;
+    let params = GbParams { math, radii_kind: radii, ..GbParams::default() };
     let sys = GbSystem::prepare(mol, params);
     match (math, radii) {
         (MathKind::Exact, RadiiKind::R6) => engine_divergence::<ExactMath, R6>(&sys),
@@ -235,8 +233,7 @@ proptest! {
         // reproduce the serial CSR layout *exactly* — offsets, targets and
         // per-leaf work units, for any system shape, leaf cap and task count
         let mol = synthesize_protein(&SyntheticParams::with_atoms(n, seed));
-        let mut params = GbParams::default();
-        params.leaf_cap = cap;
+        let params = GbParams { leaf_cap: cap, ..GbParams::default() };
         let sys = GbSystem::prepare(mol, params);
 
         let born_serial = BornLists::build(&sys);
