@@ -40,7 +40,7 @@ pub fn table1() -> Table {
         ("Interconnect", "InfiniBand fat-tree, 40Gb/s", "LogGP model: ts 2us, tw 1.6ns/word cross-node"),
         ("Cache", "12 MB L3 x 2", "24 MB modeled L3 per node"),
         ("OS", "Linux CentOS 5.5", "simulated message-passing runtime (gb-cluster)"),
-        ("Parallelism", "Intel Cilk 4.5.4 + MVAPICH2/1.6", "rayon / StealPool + gb-cluster collectives"),
+        ("Parallelism", "Intel Cilk 4.5.4 + MVAPICH2/1.6", "scoped threads on fixed sub-segments + gb-cluster collectives"),
         ("Optimization", "-O3", "--release (codegen-units=1, thin LTO)"),
     ];
     for (a, p, o) in rows {
@@ -59,7 +59,7 @@ pub fn table2() -> Table {
         t.push(&[p.name, p.gb_model, p.parallelism]);
     }
     for (name, model, par) in [
-        ("OCT_CILK", "STILL (surface r6)", "Shared (rayon)"),
+        ("OCT_CILK", "STILL (surface r6)", "Shared (threads on fixed sub-segments)"),
         ("OCT_MPI", "STILL (surface r6)", "Distributed (simulated ranks)"),
         ("OCT_MPI+CILK", "STILL (surface r6)", "Distributed + threads per rank"),
         ("Naive", "STILL (surface r6)", "Serial"),

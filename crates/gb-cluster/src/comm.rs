@@ -6,8 +6,9 @@
 //! [`Comm`] handle:
 //!
 //! * point-to-point `send_f64` / `recv_f64` over per-pair channels,
-//! * the collectives the paper's Fig. 4 algorithm uses: `barrier`,
-//!   `broadcast`, `reduce_sum`, `allreduce_sum`, `allgatherv`, `gather`.
+//! * the collectives: `allreduce_sum` and `allgatherv` (the paper's Fig. 4
+//!   algorithm), `allreduce_max` (recovery restart negotiation),
+//!   `barrier`, and the staged `sparse_exchange` of the communication plan.
 //!
 //! Every operation records its modeled cost (per the
 //! [`CostModel`](crate::costmodel::CostModel)) into the rank's
@@ -1028,83 +1029,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Sum-reduce to `root`; returns `Some(sum)` on root, `None` elsewhere.
-    pub fn reduce_sum(&mut self, root: usize, data: &[f64]) -> Option<Vec<f64>> {
-        unwrap_comm(self.try_reduce_sum(root, data), OpKind::ReduceSum)
-    }
-
-    /// Fallible sum-reduce to `root`.
-    pub fn try_reduce_sum(
-        &mut self,
-        root: usize,
-        data: &[f64],
-    ) -> Result<Option<Vec<f64>>, CommError> {
-        const OP: OpKind = OpKind::ReduceSum;
-        self.begin_op(OP)?;
-        if self.size == 1 {
-            self.end_op();
-            return Ok(Some(data.to_vec()));
-        }
-        let tag = self.collective_tag();
-        self.deposit(tag, data.to_vec());
-        self.sync(OP)?;
-        let result = if self.rank == root {
-            let slots = self.ctx.slots.lock();
-            let mut acc = vec![0.0; data.len()];
-            for r in 0..self.size {
-                let contrib = self.checked_payload(&slots, r, tag, OP)?;
-                for (x, c) in acc.iter_mut().zip(contrib) {
-                    *x += *c;
-                }
-            }
-            Some(acc)
-        } else {
-            None
-        };
-        self.finish_collective(OP)?;
-        // A rooted reduce (binomial tree, no redistribution) — not the
-        // allreduce it was previously billed as.
-        self.ledger.add_comm_for(
-            OP,
-            self.cost.reduce(self.level, self.size, data.len()),
-            (data.len() * 8) as u64,
-        );
-        self.end_op();
-        Ok(result)
-    }
-
-    /// Broadcast from `root`: non-root ranks receive root's payload.
-    pub fn broadcast(&mut self, root: usize, data: &mut Vec<f64>) {
-        unwrap_comm(self.try_broadcast(root, data), OpKind::Broadcast)
-    }
-
-    /// Fallible broadcast from `root`.
-    pub fn try_broadcast(&mut self, root: usize, data: &mut Vec<f64>) -> Result<(), CommError> {
-        const OP: OpKind = OpKind::Broadcast;
-        self.begin_op(OP)?;
-        if self.size == 1 {
-            self.end_op();
-            return Ok(());
-        }
-        let tag = self.collective_tag();
-        if self.rank == root {
-            self.deposit(tag, data.clone());
-        }
-        self.sync(OP)?;
-        if self.rank != root {
-            let slots = self.ctx.slots.lock();
-            *data = self.checked_payload(&slots, root, tag, OP)?.clone();
-        }
-        self.finish_collective(OP)?;
-        self.ledger.add_comm_for(
-            OP,
-            self.cost.broadcast(self.level, self.size, data.len()),
-            (data.len() * 8) as u64,
-        );
-        self.end_op();
-        Ok(())
-    }
-
     /// Variable-length allgather: every rank contributes `local`; all ranks
     /// receive the rank-order concatenation.
     pub fn allgatherv(&mut self, local: &[f64]) -> Vec<f64> {
@@ -1151,160 +1075,6 @@ impl Comm {
         Ok(out)
     }
 
-    /// Scatter from `root`: rank `i` receives `chunks[i]`. Non-root ranks
-    /// pass anything (ignored).
-    pub fn scatter(&mut self, root: usize, chunks: &[Vec<f64>]) -> Vec<f64> {
-        unwrap_comm(self.try_scatter(root, chunks), OpKind::Scatter)
-    }
-
-    /// Fallible scatter from `root`.
-    pub fn try_scatter(&mut self, root: usize, chunks: &[Vec<f64>]) -> Result<Vec<f64>, CommError> {
-        const OP: OpKind = OpKind::Scatter;
-        self.begin_op(OP)?;
-        if self.size == 1 {
-            self.end_op();
-            return Ok(chunks.first().cloned().unwrap_or_default());
-        }
-        let tag = self.collective_tag();
-        if self.rank == root {
-            assert_eq!(chunks.len(), self.size, "scatter needs one chunk per rank");
-            // deposit the concatenation with a length header per rank
-            let mut flat = Vec::new();
-            for c in chunks {
-                flat.push(c.len() as f64);
-                flat.extend_from_slice(c);
-            }
-            self.deposit(tag, flat);
-        }
-        self.sync(OP)?;
-        let mine;
-        {
-            let slots = self.ctx.slots.lock();
-            let flat = self.checked_payload(&slots, root, tag, OP)?;
-            let mut cursor = 0usize;
-            let mut found = Vec::new();
-            for r in 0..self.size {
-                let len = flat[cursor] as usize;
-                cursor += 1;
-                if r == self.rank {
-                    found = flat[cursor..cursor + len].to_vec();
-                }
-                cursor += len;
-            }
-            mine = found;
-        }
-        self.finish_collective(OP)?;
-        // A rooted scatter — not the allgather it was previously billed as.
-        self.ledger.add_comm_for(
-            OP,
-            self.cost.scatter(self.level, self.size, mine.len()),
-            (mine.len() * 8) as u64,
-        );
-        self.end_op();
-        Ok(mine)
-    }
-
-    /// Reduce-scatter: element-wise sum across ranks, then rank `i` keeps
-    /// the `i`-th even segment of the result (the fused primitive real MPI
-    /// codes use for exactly the Step-3+Step-4 pattern of the paper's
-    /// algorithm).
-    pub fn reduce_scatter_sum(&mut self, data: &[f64]) -> Vec<f64> {
-        unwrap_comm(self.try_reduce_scatter_sum(data), OpKind::AllreduceSum)
-    }
-
-    /// Fallible reduce-scatter.
-    pub fn try_reduce_scatter_sum(&mut self, data: &[f64]) -> Result<Vec<f64>, CommError> {
-        let mut full = data.to_vec();
-        if self.size > 1 {
-            self.try_allreduce_sum(&mut full)?;
-        }
-        let n = full.len();
-        let base = n / self.size;
-        let extra = n % self.size;
-        let start = self.rank * base + self.rank.min(extra);
-        let len = base + usize::from(self.rank < extra);
-        Ok(full[start..start + len].to_vec())
-    }
-
-    /// Inclusive prefix-sum scan: rank `i` receives `Σ_{r ≤ i} contrib_r`,
-    /// element-wise.
-    pub fn scan_sum(&mut self, data: &[f64]) -> Vec<f64> {
-        unwrap_comm(self.try_scan_sum(data), OpKind::ScanSum)
-    }
-
-    /// Fallible inclusive prefix-sum scan.
-    pub fn try_scan_sum(&mut self, data: &[f64]) -> Result<Vec<f64>, CommError> {
-        const OP: OpKind = OpKind::ScanSum;
-        self.begin_op(OP)?;
-        if self.size == 1 {
-            self.end_op();
-            return Ok(data.to_vec());
-        }
-        let tag = self.collective_tag();
-        self.deposit(tag, data.to_vec());
-        self.sync(OP)?;
-        let mut acc = vec![0.0; data.len()];
-        {
-            let slots = self.ctx.slots.lock();
-            for r in 0..=self.rank {
-                let contrib = self.checked_payload(&slots, r, tag, OP)?;
-                assert_eq!(contrib.len(), data.len(), "scan length mismatch");
-                for (x, c) in acc.iter_mut().zip(contrib) {
-                    *x += *c;
-                }
-            }
-        }
-        self.finish_collective(OP)?;
-        self.ledger.add_comm_for(
-            OP,
-            self.cost.allreduce(self.level, self.size, data.len()),
-            (CostModel::allreduce_wire_words(self.size, data.len()) * 8) as u64,
-        );
-        self.end_op();
-        Ok(acc)
-    }
-
-    /// Gather to `root`: root receives every rank's payload by rank.
-    pub fn gather(&mut self, root: usize, local: &[f64]) -> Option<Vec<Vec<f64>>> {
-        unwrap_comm(self.try_gather(root, local), OpKind::Gather)
-    }
-
-    /// Fallible gather to `root`.
-    pub fn try_gather(
-        &mut self,
-        root: usize,
-        local: &[f64],
-    ) -> Result<Option<Vec<Vec<f64>>>, CommError> {
-        const OP: OpKind = OpKind::Gather;
-        self.begin_op(OP)?;
-        if self.size == 1 {
-            self.end_op();
-            return Ok(Some(vec![local.to_vec()]));
-        }
-        let tag = self.collective_tag();
-        self.deposit(tag, local.to_vec());
-        self.sync(OP)?;
-        let result = if self.rank == root {
-            let slots = self.ctx.slots.lock();
-            let mut rows = Vec::with_capacity(self.size);
-            for r in 0..self.size {
-                rows.push(self.checked_payload(&slots, r, tag, OP)?.clone());
-            }
-            Some(rows)
-        } else {
-            None
-        };
-        self.finish_collective(OP)?;
-        // A rooted gather — not the allgather it was previously billed as.
-        self.ledger.add_comm_for(
-            OP,
-            self.cost.gather(self.level, self.size, local.len()),
-            (local.len() * 8) as u64,
-        );
-        self.end_op();
-        Ok(result)
-    }
-
     /// Staged sparse all-to-all: rank `r` receives `outgoing[r]` from every
     /// rank (possibly empty — empty payloads cost nothing on the wire).
     /// Returns the received payloads indexed by source rank;
@@ -1332,7 +1102,7 @@ impl Comm {
             return Ok(vec![outgoing[0].clone()]);
         }
         // Deposit the destination-major concatenation with a length header
-        // per destination (same framing as scatter).
+        // per destination.
         let total: usize = outgoing.iter().map(|v| v.len()).sum();
         let mut flat = Vec::with_capacity(self.size + total);
         for chunk in outgoing {
@@ -1475,12 +1245,10 @@ mod tests {
             c.allreduce_sum(&mut v);
             c.barrier();
             let g = c.allgatherv(&[5.0]);
-            let r = c.reduce_sum(0, &[7.0]).unwrap();
-            (v, g, r)
+            (v, g)
         });
         assert_eq!(results[0].0, vec![1.0, 2.0]);
         assert_eq!(results[0].1, vec![5.0]);
-        assert_eq!(results[0].2, vec![7.0]);
     }
 
     #[test]
@@ -1530,98 +1298,19 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_root_payload() {
-        let (results, _) = cluster().run(7, 1, |c| {
-            let mut v = if c.rank() == 3 {
-                vec![42.0, -1.0]
-            } else {
-                Vec::new()
-            };
-            c.broadcast(3, &mut v);
-            v
-        });
-        for r in &results {
-            assert_eq!(*r, vec![42.0, -1.0]);
-        }
-    }
-
-    #[test]
-    fn reduce_sum_only_root_receives() {
-        let (results, _) = cluster().run(6, 1, |c| c.reduce_sum(2, &[c.rank() as f64 + 1.0]));
-        for (i, r) in results.iter().enumerate() {
-            if i == 2 {
-                assert_eq!(r.as_ref().unwrap(), &vec![21.0]);
-            } else {
-                assert!(r.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_by_rank() {
-        let (results, _) = cluster().run(4, 1, |c| c.gather(0, &[c.rank() as f64]));
-        let got = results[0].as_ref().unwrap();
-        assert_eq!(got.len(), 4);
-        for (i, v) in got.iter().enumerate() {
-            assert_eq!(v, &vec![i as f64]);
-        }
-    }
-
-    #[test]
-    fn scatter_delivers_per_rank_chunks() {
-        let (results, _) = cluster().run(4, 1, |c| {
-            let chunks: Vec<Vec<f64>> = if c.rank() == 1 {
-                (0..4).map(|r| vec![r as f64; r + 1]).collect()
-            } else {
-                Vec::new()
-            };
-            c.scatter(1, &chunks)
-        });
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r, vec![i as f64; i + 1], "rank {i}");
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_partitions_the_sum() {
-        let p = 3;
-        let n = 7; // deliberately not divisible by p
-        let (results, _) = cluster().run(p, 1, |c| {
-            let local: Vec<f64> = (0..n).map(|k| (k * (c.rank() + 1)) as f64).collect();
-            c.reduce_scatter_sum(&local)
-        });
-        // total sum at index k = k * (1+2+3) = 6k
-        let full: Vec<f64> = (0..n).map(|k| (6 * k) as f64).collect();
-        let got: Vec<f64> = results.iter().flat_map(|r| r.iter().copied()).collect();
-        assert_eq!(got, full);
-        // uneven split: 3,2,2
-        assert_eq!(results[0].len(), 3);
-        assert_eq!(results[1].len(), 2);
-    }
-
-    #[test]
-    fn scan_sum_is_inclusive_prefix() {
-        let (results, _) = cluster().run(5, 1, |c| c.scan_sum(&[(c.rank() + 1) as f64]));
-        let want = [1.0, 3.0, 6.0, 10.0, 15.0];
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(r[0], want[i], "rank {i}");
-        }
-    }
-
-    #[test]
     fn mixed_collective_sequence_is_consistent() {
         // exercise slot reuse across different collective kinds
         let (results, _) = cluster().run(4, 1, |c| {
             let mut v = vec![c.rank() as f64];
             c.allreduce_sum(&mut v); // 6
-            let s = c.scan_sum(&[v[0]]); // 6*(rank+1)
-            let mut b = if c.rank() == 0 { vec![s[0]] } else { vec![] };
-            c.broadcast(0, &mut b); // 6 everywhere
+            let mut m = vec![v[0] * (c.rank() + 1) as f64];
+            c.allreduce_max(&mut m); // 24 everywhere
+            let s = [v[0] * (c.rank() + 1) as f64]; // 6*(rank+1)
             let g = c.allgatherv(&s); // [6,12,18,24]
-            (b[0], g)
+            (m[0], g)
         });
-        for (i, (b, g)) in results.iter().enumerate() {
-            assert_eq!(*b, 6.0, "rank {i}");
+        for (i, (m, g)) in results.iter().enumerate() {
+            assert_eq!(*m, 24.0, "rank {i}");
             assert_eq!(*g, vec![6.0, 12.0, 18.0, 24.0]);
         }
     }

@@ -153,16 +153,7 @@ impl CostModel {
         self.ts(level) * log2_ceil(p) + self.collective_overhead * p as f64
     }
 
-    /// Broadcast of `words` words to `p` ranks (binomial tree).
-    pub fn broadcast(&self, level: CommLevel, p: usize, words: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (self.ts(level) + self.tw(level) * words as f64) * log2_ceil(p)
-            + self.collective_overhead * p as f64
-    }
-
-    /// Reduce / allreduce of `words` words across `p` ranks (recursive
+    /// Allreduce of `words` words across `p` ranks (recursive
     /// doubling): `(t_s + t_w·m) log p`, the formula the paper's §IV-C
     /// analysis uses for its `MPI_Allreduce` steps.
     pub fn allreduce(&self, level: CommLevel, p: usize, words: usize) -> f64 {
@@ -170,44 +161,6 @@ impl CostModel {
             return 0.0;
         }
         (self.ts(level) + self.tw(level) * words as f64) * log2_ceil(p)
-            + self.collective_overhead * p as f64
-    }
-
-    /// Rooted reduce of `words` words across `p` ranks (binomial tree):
-    /// `(t_s + t_w·m) log p`. Same tree depth as [`CostModel::allreduce`]
-    /// in this model (recursive halving vs. recursive doubling), but a
-    /// distinct entry so `MPI_Reduce`-style ops are attributed as such
-    /// rather than mis-billed as allreduce.
-    pub fn reduce(&self, level: CommLevel, p: usize, words: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        (self.ts(level) + self.tw(level) * words as f64) * log2_ceil(p)
-            + self.collective_overhead * p as f64
-    }
-
-    /// Rooted gather where every rank contributes `words_per_rank` words:
-    /// `t_s log p + t_w · m · (p−1)` — the root's inbound link carries all
-    /// `p−1` foreign blocks, so the bandwidth term matches the allgather
-    /// ring even though only the root receives.
-    pub fn gather(&self, level: CommLevel, p: usize, words_per_rank: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        self.ts(level) * log2_ceil(p)
-            + self.tw(level) * words_per_rank as f64 * (p - 1) as f64
-            + self.collective_overhead * p as f64
-    }
-
-    /// Rooted scatter delivering `words_per_rank` words to each rank: the
-    /// mirror image of [`CostModel::gather`] (the root's outbound link
-    /// serializes the `p−1` distinct blocks).
-    pub fn scatter(&self, level: CommLevel, p: usize, words_per_rank: usize) -> f64 {
-        if p <= 1 {
-            return 0.0;
-        }
-        self.ts(level) * log2_ceil(p)
-            + self.tw(level) * words_per_rank as f64 * (p - 1) as f64
             + self.collective_overhead * p as f64
     }
 
@@ -316,27 +269,6 @@ mod tests {
         assert!(m.allgather(l, 16, 100) < m.allgather(l, 128, 100));
         assert_eq!(m.allreduce(l, 1, 100), 0.0);
         assert_eq!(m.barrier(l, 1), 0.0);
-    }
-
-    #[test]
-    fn rooted_collectives_have_their_own_entries() {
-        let m = CostModel::default();
-        let l = CommLevel::CrossNode;
-        // single rank: free, like the others
-        assert_eq!(m.reduce(l, 1, 100), 0.0);
-        assert_eq!(m.gather(l, 1, 100), 0.0);
-        assert_eq!(m.scatter(l, 1, 100), 0.0);
-        // grow with p and message size
-        assert!(m.reduce(l, 4, 1000) < m.reduce(l, 64, 1000));
-        assert!(m.gather(l, 16, 10) < m.gather(l, 16, 100_000));
-        assert!(m.scatter(l, 16, 10) < m.scatter(l, 128, 10));
-        // a rooted reduce never exceeds the full allreduce, and the rooted
-        // gather/scatter never exceed the all-to-all allgather
-        assert!(m.reduce(l, 16, 1000) <= m.allreduce(l, 16, 1000));
-        assert!(m.gather(l, 16, 1000) <= m.allgather(l, 16, 1000));
-        assert!(m.scatter(l, 16, 1000) <= m.allgather(l, 16, 1000));
-        // gather and scatter are mirror images
-        assert_eq!(m.gather(l, 16, 1000), m.scatter(l, 16, 1000));
     }
 
     #[test]

@@ -25,12 +25,7 @@ pub enum OpKind {
     Barrier,
     AllreduceSum,
     AllreduceMax,
-    ReduceSum,
-    Broadcast,
     Allgatherv,
-    Scatter,
-    Gather,
-    ScanSum,
     Send,
     Recv,
     /// Staged sparse all-to-all
@@ -41,21 +36,16 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every collective kind (used by the failure-matrix tests).
-    pub const COLLECTIVES: [OpKind; 10] = [
+    pub const COLLECTIVES: [OpKind; 5] = [
         OpKind::Barrier,
         OpKind::AllreduceSum,
         OpKind::AllreduceMax,
-        OpKind::ReduceSum,
-        OpKind::Broadcast,
         OpKind::Allgatherv,
-        OpKind::Scatter,
-        OpKind::Gather,
-        OpKind::ScanSum,
         OpKind::SparseExchange,
     ];
 
     /// Total number of kinds; [`OpKind::index`] is always `< COUNT`.
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 7;
 
     /// Dense index for per-op tables (byte ledgers and the like).
     pub fn index(self) -> usize {
@@ -63,15 +53,10 @@ impl OpKind {
             OpKind::Barrier => 0,
             OpKind::AllreduceSum => 1,
             OpKind::AllreduceMax => 2,
-            OpKind::ReduceSum => 3,
-            OpKind::Broadcast => 4,
-            OpKind::Allgatherv => 5,
-            OpKind::Scatter => 6,
-            OpKind::Gather => 7,
-            OpKind::ScanSum => 8,
-            OpKind::Send => 9,
-            OpKind::Recv => 10,
-            OpKind::SparseExchange => 11,
+            OpKind::Allgatherv => 3,
+            OpKind::Send => 4,
+            OpKind::Recv => 5,
+            OpKind::SparseExchange => 6,
         }
     }
 }
@@ -82,12 +67,7 @@ impl fmt::Display for OpKind {
             OpKind::Barrier => "barrier",
             OpKind::AllreduceSum => "allreduce_sum",
             OpKind::AllreduceMax => "allreduce_max",
-            OpKind::ReduceSum => "reduce_sum",
-            OpKind::Broadcast => "broadcast",
             OpKind::Allgatherv => "allgatherv",
-            OpKind::Scatter => "scatter",
-            OpKind::Gather => "gather",
-            OpKind::ScanSum => "scan_sum",
             OpKind::Send => "send",
             OpKind::Recv => "recv",
             OpKind::SparseExchange => "sparse_exchange",
@@ -399,12 +379,7 @@ mod tests {
             OpKind::Barrier,
             OpKind::AllreduceSum,
             OpKind::AllreduceMax,
-            OpKind::ReduceSum,
-            OpKind::Broadcast,
             OpKind::Allgatherv,
-            OpKind::Scatter,
-            OpKind::Gather,
-            OpKind::ScanSum,
             OpKind::Send,
             OpKind::Recv,
             OpKind::SparseExchange,

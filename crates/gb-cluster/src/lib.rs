@@ -38,13 +38,11 @@
 //!   [`RunReport`](accounting::RunReport).
 //! * [`comm`] — the MPI-like runtime itself: [`SimCluster::run`] spawns one
 //!   OS thread per rank and hands each a [`Comm`] handle with
-//!   `send`/`recv`, `barrier`, `broadcast`, `reduce`, `allreduce`,
-//!   `gather`, `allgather(v)` — every collective the paper's 7-step
-//!   algorithm needs — plus a staged `sparse_exchange` for
-//!   communication-plan runners.
-//! * [`steal`] — an instrumented randomized work-stealing task pool, the
-//!   cilk++-style scheduler a hybrid rank runs its per-thread
-//!   sub-segments on (steal counts observable for tests and ablations).
+//!   `send`/`recv`, `barrier`, `allreduce` (sum and max) and
+//!   `allgatherv` — every collective the paper's 7-step algorithm needs —
+//!   plus a staged `sparse_exchange` for communication-plan runners. A
+//!   rank's own threads are the runners' business; the handle only
+//!   reports how many it has.
 //! * [`fault`] — failure semantics: typed [`CommError`]s, per-rank last-op
 //!   diagnostics, and the deterministic [`FaultPlan`] injection layer. The
 //!   runtime is failure-aware: a panicking rank poisons the shared
@@ -57,12 +55,10 @@ pub mod barrier;
 pub mod comm;
 pub mod costmodel;
 pub mod fault;
-pub mod steal;
 pub mod topology;
 
 pub use accounting::{RankLedger, RunReport};
 pub use comm::{Comm, SimCluster};
 pub use costmodel::{CommLevel, CostModel, MemoryModel};
 pub use fault::{CommError, CommErrorKind, FaultPlan, OpKind, P2pAction, RankOpState};
-pub use steal::StealPool;
 pub use topology::{ClusterTopology, Placement};

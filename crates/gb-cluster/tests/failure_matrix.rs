@@ -54,29 +54,8 @@ fn drive_collective(
         OpKind::Barrier => c.try_barrier()?,
         OpKind::AllreduceSum => c.try_allreduce_sum(&mut [me, 1.0])?,
         OpKind::AllreduceMax => c.try_allreduce_max(&mut [me])?,
-        OpKind::ReduceSum => {
-            c.try_reduce_sum(0, &[me])?;
-        }
-        OpKind::Broadcast => {
-            let mut v = if c.rank() == 0 { vec![7.0] } else { Vec::new() };
-            c.try_broadcast(0, &mut v)?;
-        }
         OpKind::Allgatherv => {
             c.try_allgatherv(&vec![me; c.rank() + 1])?;
-        }
-        OpKind::Scatter => {
-            let chunks: Vec<Vec<f64>> = if c.rank() == 0 {
-                (0..c.size()).map(|r| vec![r as f64]).collect()
-            } else {
-                Vec::new()
-            };
-            c.try_scatter(0, &chunks)?;
-        }
-        OpKind::Gather => {
-            c.try_gather(0, &[me])?;
-        }
-        OpKind::ScanSum => {
-            c.try_scan_sum(&[me])?;
         }
         OpKind::SparseExchange => {
             // every rank ships one word to every other rank

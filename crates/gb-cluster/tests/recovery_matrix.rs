@@ -65,30 +65,7 @@ fn collective_value(c: &mut Comm, op: OpKind, scale: f64) -> Result<Vec<f64>, Co
             c.try_allreduce_max(&mut v)?;
             v
         }
-        OpKind::ReduceSum => c.try_reduce_sum(0, &[me])?.unwrap_or_default(),
-        OpKind::Broadcast => {
-            let mut v = if c.rank() == 0 {
-                vec![7.0 * scale]
-            } else {
-                Vec::new()
-            };
-            c.try_broadcast(0, &mut v)?;
-            v
-        }
         OpKind::Allgatherv => c.try_allgatherv(&vec![me; c.rank() + 1])?,
-        OpKind::Scatter => {
-            let chunks: Vec<Vec<f64>> = if c.rank() == 0 {
-                (0..c.size()).map(|r| vec![r as f64 * scale]).collect()
-            } else {
-                Vec::new()
-            };
-            c.try_scatter(0, &chunks)?
-        }
-        OpKind::Gather => c
-            .try_gather(0, &[me])?
-            .map(|rows| rows.into_iter().flatten().collect())
-            .unwrap_or_default(),
-        OpKind::ScanSum => c.try_scan_sum(&[me])?,
         OpKind::SparseExchange => {
             let outgoing: Vec<Vec<f64>> = (0..c.size())
                 .map(|d| if d == c.rank() { Vec::new() } else { vec![me] })

@@ -1,8 +1,7 @@
 //! Failure injection and stress tests for the simulated cluster runtime:
 //! what the harness guarantees when rank programs misbehave.
 
-use gb_cluster::{SimCluster, StealPool};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use gb_cluster::SimCluster;
 
 /// A panicking rank must fail the whole run loudly (like an MPI abort),
 /// not deadlock the other ranks — even while every peer is blocked inside
@@ -72,48 +71,6 @@ fn collective_stress_is_deterministic() {
     // closed form: Σ_round round * Σ_rank rank = (Σ 0..200)·15
     let want = (0..200).sum::<usize>() as f64 * 15.0;
     assert!(a.iter().all(|&x| (x - want).abs() < 1e-9));
-}
-
-/// The steal pool must survive tasks that take wildly different times and
-/// still execute each exactly once under repeated runs.
-#[test]
-fn steal_pool_stress_exactly_once() {
-    let n = 1_000;
-    for seed in 0..3u64 {
-        let counter = AtomicUsize::new(0);
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let stats = StealPool::new(6).run(n, seed, |_, i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            counter.fetch_add(1, Ordering::Relaxed);
-            if i % 97 == 0 {
-                std::thread::yield_now();
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), n);
-        assert_eq!(stats.executed, n as u64);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-}
-
-/// Nested cluster runs (a rank program that itself spins up a pool) must
-/// not deadlock — the hybrid runner does exactly this.
-#[test]
-fn nested_pool_inside_ranks() {
-    let cluster = SimCluster::single_node();
-    let (results, _) = cluster.run(3, 2, |c| {
-        let pool = StealPool::new(c.threads_per_rank());
-        let sum = AtomicUsize::new(0);
-        pool.run(50, c.rank() as u64, |_, i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        let mut v = vec![sum.load(Ordering::Relaxed) as f64];
-        c.allreduce_sum(&mut v);
-        v[0]
-    });
-    let per_rank: f64 = (0..50).sum::<usize>() as f64;
-    for r in &results {
-        assert_eq!(*r, per_rank * 3.0);
-    }
 }
 
 /// Large payloads through the collectives (MB-scale vectors, like the

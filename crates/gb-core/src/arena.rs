@@ -10,12 +10,13 @@
 //! serial path (verified by `tests/zero_alloc.rs`).
 //!
 //! Exclusions from the zero-alloc contract, by design:
-//! * spawning scope threads for the parallel list build (`build_tasks > 1`)
-//!   allocates inside `std::thread`;
+//! * spawning scope threads — for the parallel list build
+//!   (`build_tasks > 1`) and for a phase run on more than one thread (the
+//!   shared runner, a hybrid rank) — allocates inside `std::thread`, as
+//!   do that phase's per-leaf energy costs; the per-thread partials
+//!   themselves live in the warm [`ChunkSlot`]s;
 //! * the simulated collectives (`allreduce`, `allgatherv`) return fresh
-//!   vectors, as a real MPI library would manage its own buffers;
-//! * a hybrid rank's steal pool (its deques and scoped threads; the
-//!   per-thread partials live in the warm [`ChunkSlot`]s).
+//!   vectors, as a real MPI library would manage its own buffers.
 
 use crate::bins::ChargeBins;
 use crate::commplan::CommPlan;
@@ -23,7 +24,6 @@ use crate::integrals::IntegralAcc;
 use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch};
 use crate::system::GbSystem;
 use gb_octree::NodeId;
-use parking_lot::Mutex;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -64,9 +64,8 @@ impl CachedLists {
     }
 }
 
-/// Per-chunk scratch: one slot per shared-memory work chunk, or per
-/// sub-segment of a hybrid rank, locked only by the worker executing it
-/// (and by the deterministic in-order merge afterwards).
+/// Per-thread scratch of a multithreaded phase: sub-segment `t` owns slot
+/// `t` while it runs, and the in-order merge reads the slots afterwards.
 pub struct ChunkSlot {
     /// Partial integral accumulator of the chunk's Born range.
     pub acc: IntegralAcc,
@@ -203,8 +202,8 @@ pub struct Workspace {
     pub born_scratch: ListScratch,
     /// Sweep scratch of the energy list build.
     pub energy_scratch: ListScratch,
-    /// Tile scratch of the serial/distributed energy execution (the shared
-    /// runner's chunk slots carry their own, one per worker).
+    /// Tile scratch of the single-threaded energy execution (the chunk
+    /// slots carry their own, one per thread).
     pub energy_exec: EnergyExecScratch,
     /// Integral accumulators (full system size).
     pub acc: IntegralAcc,
@@ -223,11 +222,10 @@ pub struct Workspace {
     pub seg_ranges: Vec<Range<usize>>,
     /// Even atom segments of the push phase.
     pub atom_ranges: Vec<Range<usize>>,
-    /// Chunk ranges: the shared runner's even energy-leaf chunks, and a
-    /// hybrid rank's per-thread sub-segments.
+    /// Per-thread sub-segments of a multithreaded phase.
     pub leaf_ranges: Vec<Range<usize>>,
-    /// Per-chunk slots of the shared runner and of hybrid ranks.
-    pub slots: Vec<Mutex<ChunkSlot>>,
+    /// Per-thread slots of a multithreaded phase.
+    pub slots: Vec<ChunkSlot>,
     /// Cached communication plan of the sparse cluster paths
     /// (produced/consumed slot sets, keyed on the list structure).
     pub plan: CommPlan,
@@ -411,7 +409,7 @@ impl Workspace {
     /// slot capacities stay warm across supersteps).
     pub fn ensure_slots(&mut self, n: usize) {
         while self.slots.len() < n {
-            self.slots.push(Mutex::new(ChunkSlot::new()));
+            self.slots.push(ChunkSlot::new());
         }
     }
 
@@ -517,12 +515,8 @@ impl Workspace {
                 + self.atom_ranges.capacity()
                 + self.leaf_ranges.capacity())
                 * std::mem::size_of::<Range<usize>>()
-            + self
-                .slots
-                .iter()
-                .map(|s| s.lock().memory_bytes())
-                .sum::<usize>()
-            + self.slots.capacity() * std::mem::size_of::<Mutex<ChunkSlot>>()
+            + self.slots.iter().map(ChunkSlot::memory_bytes).sum::<usize>()
+            + self.slots.capacity() * std::mem::size_of::<ChunkSlot>()
             + self.plan.memory_bytes()
             + self.owned_vals.capacity() * std::mem::size_of::<f64>()
             + self.checkpoint.memory_bytes()

@@ -12,8 +12,8 @@
 //! The plan drives a two-stage replacement of the allreduce:
 //!
 //! 1. **Owner-computes sparse reduce-scatter.** Every flat slot has a
-//!    deterministic owner rank (the same contiguous even partition as
-//!    `try_reduce_scatter_sum`). Each producer ships only the values of
+//!    deterministic owner rank ([`owner_interval`]: the contiguous even
+//!    partition of an MPI reduce-scatter). Each producer ships only the values of
 //!    `produced[r] ∩ owned(o)` to owner `o`; the owner reduces incoming
 //!    segments **in ascending rank order starting from +0.0** — exactly
 //!    the dense allreduce's summation order, so the result is
@@ -51,9 +51,9 @@ pub enum CommMode {
 }
 
 /// The contiguous slot interval owned by rank `o` out of `num_slots`
-/// flat slots on `p` ranks — the same even partition as
-/// `Comm::try_reduce_scatter_sum`, replicated here so both producer and
-/// owner sides compute identical manifests with no communication.
+/// flat slots on `p` ranks — the contiguous even partition of an MPI
+/// reduce-scatter, computed alike on the producer and owner sides so both
+/// derive identical manifests with no communication.
 pub fn owner_interval(num_slots: usize, p: usize, o: usize) -> Range<usize> {
     let base = num_slots / p;
     let extra = num_slots % p;

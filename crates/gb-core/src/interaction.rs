@@ -32,18 +32,18 @@ use crate::fastmath::MathMode;
 use crate::gbmath::RadiiApprox;
 use crate::integrals::{well_separated, IntegralAcc, TRAVERSAL_UNIT};
 use crate::system::GbSystem;
+use crate::workdiv::fork_join;
 use gb_geom::Vec3;
 use gb_octree::{NodeId, Octree};
 use std::ops::Range;
 use std::sync::OnceLock;
 
-/// Minimum driving rows per sweep task. A split build copies every task's
-/// row block into the list after the sweeps; the workspace's `rayon` is a
-/// sequential stand-in (`third_party/rayon`), so here a split only ever
-/// pays that copy (~10% of the build at 20k atoms) and this floor keeps
-/// the benchmark sizes on the single-block path. The lists are
-/// byte-identical for any task count, so this is purely a scheduling
-/// decision.
+/// Minimum driving rows per sweep task. A split build sweeps its row
+/// ranges on scoped threads, then copies every task's row block into the
+/// list (~10% of the build at 20k atoms); this floor keeps small builds,
+/// where a thread spawn and that copy outweigh the parallel sweep, on the
+/// single-block path. The lists are byte-identical for any task count, so
+/// this is purely a scheduling decision.
 const MIN_TASK_LEAVES: usize = 2048;
 
 /// The content-hash fold step shared with the communication planner
@@ -296,8 +296,8 @@ trait Sweep: Sync {
 
 /// Sweeps the driving rows `rows` into `out` and leaves every other row
 /// empty (closing the CSR) — on the calling thread, or split into up to
-/// `tasks` contiguous row ranges (never below `floor` rows each) swept as
-/// `rayon::scope` tasks and concatenated in order. Each row depends only
+/// `tasks` contiguous row ranges (never below `floor` rows each) swept
+/// through [`fork_join`] and concatenated in order. Each row depends only
 /// on the geometry, so the lists are byte-identical for any task count and
 /// every swept row equals its row in a full build; the returned build work
 /// is a sum of exact ¼ units.
@@ -324,15 +324,11 @@ fn sweep_all<S: Sweep>(
         work = s.sweep(table, rows.clone(), &mut segs[0].mask, out);
     } else {
         let table = &*table;
-        rayon::scope(|sc| {
-            for (i, seg) in segs[..ntasks].iter_mut().enumerate() {
-                let part = rows.start + i * len / ntasks..rows.start + (i + 1) * len / ntasks;
-                sc.spawn(move |_| {
-                    seg.rows.clear();
-                    seg.work = s.sweep(table, part, &mut seg.mask, &mut seg.rows);
-                    seg.rows.open_row();
-                });
-            }
+        fork_join(&mut segs[..ntasks], |i, seg| {
+            let part = rows.start + i * len / ntasks..rows.start + (i + 1) * len / ntasks;
+            seg.rows.clear();
+            seg.work = s.sweep(table, part, &mut seg.mask, &mut seg.rows);
+            seg.rows.open_row();
         });
         for seg in &mut segs[..ntasks] {
             out.append(&seg.rows, 0, seg.rows.work.len());
@@ -515,10 +511,8 @@ impl BornLists {
     }
 
     /// Like [`BornLists::build`], split into `tasks` contiguous row ranges
-    /// swept as `rayon::scope` tasks — sized by the installed rayon pool,
-    /// so callers can pin the build to an explicit thread count via
-    /// `ThreadPoolBuilder::install`. The result is **byte-identical** to
-    /// the serial build for any task count or pool size.
+    /// swept on that many threads. The result is **byte-identical** to
+    /// the serial build for any task count.
     pub fn build_tasks(sys: &GbSystem, tasks: usize) -> BornLists {
         let mut lists = BornLists::empty();
         let mut scratch = ListScratch::new();
@@ -955,8 +949,8 @@ impl EnergyLists {
     }
 
     /// Like [`EnergyLists::build`], split into `tasks` contiguous row
-    /// ranges swept as `rayon::scope` tasks; byte-identical for any task
-    /// count or pool size.
+    /// ranges swept on that many threads; byte-identical for any task
+    /// count.
     pub fn build_tasks(sys: &GbSystem, tasks: usize) -> EnergyLists {
         let mut lists = EnergyLists::empty();
         let mut scratch = ListScratch::new();

@@ -31,7 +31,7 @@
 //! | paper          | here                               |
 //! |----------------|-------------------------------------|
 //! | `Naïve`        | [`naive`] — exact O(M·N) + O(M²)    |
-//! | `OCT_CILK`     | [`runners::shared`] (rayon)         |
+//! | `OCT_CILK`     | [`runners::shared`] (threads)       |
 //! | `OCT_MPI`      | [`runners::distributed`] (gb-cluster ranks) |
 //! | `OCT_MPI+CILK` | [`runners::hybrid`] (distributed ranks × threads) |
 //!

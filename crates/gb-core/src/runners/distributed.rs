@@ -22,29 +22,27 @@
 //!    rows only);
 //! 7. reduce of the partial energies to the master.
 //!
-//! The same rank program is the hybrid runner's (`OCT_MPI+CILK`): with
-//! `threads_per_rank > 1` the node-division steps 2 and 6 cut the rank's
-//! segment into that many contiguous sub-segments, balanced by the same
-//! measured work that cuts ranks, and step 4 splits the rank's atoms
-//! evenly. Each sub-segment runs as one task on a [`StealPool`] and fills
-//! its own [`ChunkSlot`]; slots merge in sub-segment order, so the result
-//! depends on the fixed partition and never on the schedule. One thread
-//! per rank runs inline, so the distributed runner spawns nothing.
+//! The same rank program is the hybrid runner's (`OCT_MPI+CILK`): steps 2,
+//! 4 and 6 (node division) are the [phase steps](crate::runners) the serial
+//! and shared runners run, called over the rank's segment at
+//! `threads_per_rank` threads. With more than one thread they cut the
+//! segment into fixed sub-segments, balanced by the same measured work
+//! that cuts ranks, and merge them in order, so the result never depends
+//! on the schedule. One thread per rank runs inline, so the distributed
+//! runner spawns nothing.
 
-use crate::arena::{ChunkSlot, Workspace};
+use crate::arena::Workspace;
 use crate::commplan::CommMode;
 use crate::error::GbError;
 use crate::fastmath::{ApproxMath, ExactMath, MathMode};
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
-use crate::integrals::push_integrals_scratch;
 use crate::params::{MathKind, RadiiKind};
 use crate::runners::sparse::{publish_to_consumers, reduce_pairs_to_owners, reduce_to_owners_single};
-use crate::runners::{bin_build_work, with_kernels};
+use crate::runners::{bin_build_work, execute_born, execute_energy, push_segment, with_kernels};
 use crate::system::{GbResult, GbSystem};
 use crate::workdiv::{even_ranges_into, work_balanced_segments_into, WorkDivision};
-use gb_cluster::{Comm, CommError, RunReport, SimCluster, StealPool};
+use gb_cluster::{Comm, CommError, RunReport, SimCluster};
 use parking_lot::Mutex;
-use std::ops::Range;
 
 /// Runs the 7-step distributed algorithm on `ranks` single-threaded ranks.
 ///
@@ -391,109 +389,6 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
         energy_kcal,
         born_radii: sys.radii_to_original(&radii_tree),
     })
-}
-
-/// Runs `task(t, slot t)` for every sub-segment `t in 0..n` on an
-/// `n`-worker steal pool (task `t` writes only slot `t`, the pool's
-/// contract).
-fn on_pool(slots: &[Mutex<ChunkSlot>], n: usize, task: impl Fn(usize, &mut ChunkSlot) + Sync) {
-    StealPool::new(n).run(n, 0, |_, t| task(t, &mut slots[t].lock()));
-}
-
-/// Sub-segment `sub` (relative) of the segment starting at `start`.
-fn shifted(sub: &Range<usize>, start: usize) -> Range<usize> {
-    start + sub.start..start + sub.end
-}
-
-/// Step 2 for the rank's Born ordinals `seg` on `threads` threads, into
-/// the (reset) `ws.acc`; returns the execution work.
-fn execute_born<M: MathMode, K: RadiiApprox>(
-    sys: &GbSystem,
-    threads: usize,
-    ws: &mut Workspace,
-    seg: Range<usize>,
-) -> f64 {
-    if threads == 1 {
-        return ws.born.execute_range::<M, K>(sys, seg, &mut ws.acc);
-    }
-    work_balanced_segments_into(&ws.born.leaf_work()[seg.clone()], threads, &mut ws.leaf_ranges);
-    ws.ensure_slots(threads);
-    let (born, subs) = (&ws.born, &ws.leaf_ranges);
-    on_pool(&ws.slots, threads, |t, slot| {
-        slot.acc.reset_for(sys);
-        let ords = shifted(&subs[t], seg.start);
-        slot.acc_work = born.execute_range::<M, K>(sys, ords, &mut slot.acc);
-    });
-    let mut work = 0.0;
-    for slot in &ws.slots[..threads] {
-        let slot = slot.lock();
-        ws.acc.add(&slot.acc);
-        work += slot.acc_work;
-    }
-    work
-}
-
-/// Step 4 for the rank's atoms on `threads` threads, into `ws.radii_tree`
-/// (sized to the segment); returns the push work.
-fn push_segment<M: MathMode, K: RadiiApprox>(
-    sys: &GbSystem,
-    threads: usize,
-    ws: &mut Workspace,
-    atoms: Range<usize>,
-) -> f64 {
-    ws.radii_tree.clear();
-    ws.radii_tree.resize(atoms.len(), 0.0);
-    if threads == 1 {
-        let (radii, stack) = (&mut ws.radii_tree, &mut ws.push_stack);
-        return push_integrals_scratch::<M, K>(sys, &ws.acc, atoms, radii, stack);
-    }
-    even_ranges_into(atoms.len(), threads, &mut ws.leaf_ranges);
-    ws.ensure_slots(threads);
-    let (acc, subs) = (&ws.acc, &ws.leaf_ranges);
-    on_pool(&ws.slots, threads, |t, slot| {
-        slot.radii.clear();
-        slot.radii.resize(subs[t].len(), 0.0);
-        let range = shifted(&subs[t], atoms.start);
-        let (radii, stack) = (&mut slot.radii, &mut slot.push_stack);
-        slot.push_work = push_integrals_scratch::<M, K>(sys, acc, range, radii, stack);
-    });
-    let mut work = 0.0;
-    for (slot, sub) in ws.slots.iter().zip(&ws.leaf_ranges) {
-        let slot = slot.lock();
-        ws.radii_tree[sub.clone()].copy_from_slice(&slot.radii);
-        work += slot.push_work;
-    }
-    work
-}
-
-/// Step 6 for the rank's energy ordinals `seg` (`costs` = per-leaf work) on
-/// `threads` threads; returns `(raw energy, execution work)`.
-fn execute_energy<M: MathMode>(
-    sys: &GbSystem,
-    threads: usize,
-    ws: &mut Workspace,
-    radii_tree: &[f64],
-    seg: Range<usize>,
-    costs: &[f64],
-) -> (f64, f64) {
-    if threads == 1 {
-        return ws.energy.execute_leaves::<M>(sys, &ws.bins, radii_tree, seg, &mut ws.energy_exec);
-    }
-    work_balanced_segments_into(&costs[seg.clone()], threads, &mut ws.leaf_ranges);
-    ws.ensure_slots(threads);
-    let (energy, bins, subs) = (&ws.energy, &ws.bins, &ws.leaf_ranges);
-    on_pool(&ws.slots, threads, |t, slot| {
-        let ords = shifted(&subs[t], seg.start);
-        (slot.raw, slot.energy_work) =
-            energy.execute_leaves::<M>(sys, bins, radii_tree, ords, &mut slot.energy_exec);
-    });
-    let (mut raw, mut work) = (0.0, 0.0);
-    for slot in &ws.slots[..threads] {
-        let slot = slot.lock();
-        raw += slot.raw;
-        work += slot.energy_work;
-    }
-    (raw, work)
 }
 
 /// Ordinals of the `T_A` leaves whose first atom lies in `atoms` — a

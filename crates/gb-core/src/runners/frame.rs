@@ -66,7 +66,7 @@ pub fn run_frame_serial(
     FrameOutcome { update, output }
 }
 
-/// [`run_frame_serial`] on the shared-memory (rayon) pipeline.
+/// [`run_frame_serial`] on the shared-memory pipeline (every core).
 pub fn run_frame_shared(
     sys: &mut GbSystem,
     new_positions: &[Vec3],

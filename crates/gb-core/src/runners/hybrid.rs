@@ -3,14 +3,15 @@
 //!
 //! This is the [`distributed`](crate::runners::distributed) rank program
 //! run with `threads_per_rank > 1`: the same 7 steps, the same collectives
-//! and checkpoints. Inside a rank, the node-division Born and energy
-//! segments are cut into `threads_per_rank` contiguous sub-segments
-//! balanced by measured list work (the push splits the rank's atoms
-//! evenly); each runs as one task on a [`StealPool`](gb_cluster::StealPool)
-//! and the partials merge in sub-segment order. The partition is fixed, so
-//! a run's energy and radii are `to_bits`-stable from run to run, and one
-//! thread per rank is the distributed runner bit for bit. Work division is
-//! node-based only; the atom-based ablation runs on the distributed runner.
+//! and checkpoints. Inside a rank, the Born, push and energy steps are the
+//! shared runner's [phase steps](crate::runners) over the rank's segment:
+//! `threads_per_rank` fixed sub-segments (measured list work; atoms evenly
+//! for the push) on scoped threads, merged in sub-segment order. The
+//! partition is fixed, so a run's energy and radii are `to_bits`-stable
+//! from run to run, one rank of `T` threads is the shared runner on `T`
+//! threads, and one thread per rank is the distributed runner, bit for
+//! bit. Work division is node-based only; the atom-based ablation runs on
+//! the distributed runner.
 
 use crate::arena::Workspace;
 use crate::commplan::CommMode;
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn hybrid_is_bitwise_stable_from_run_to_run() {
-        // fixed sub-segments merged in order: the steal schedule cannot
+        // fixed sub-segments merged in order: the thread schedule cannot
         // reach the result
         let s = sys(400);
         let cluster = SimCluster::single_node();

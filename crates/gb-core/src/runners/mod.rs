@@ -1,4 +1,15 @@
-//! The four executable variants of the octree GB pipeline (paper Table II).
+//! The four executable variants of the octree GB pipeline (paper Table II),
+//! and the three phase steps every one of them runs.
+//!
+//! [`execute_born`], [`push_segment`] and [`execute_energy`] take a
+//! segment and a thread count `T`. At `T == 1` they run inline on the
+//! calling thread; at `T > 1` they cut the segment into `T` sub-segments
+//! (balanced by measured list work; atoms evenly for the push), run them
+//! through [`fork_join`] with sub-segment `t` filling `ws.slots[t]`, and
+//! merge the slots in `t` order. The partition is fixed, so a result
+//! depends on `T` but never on the schedule. The serial and shared runners
+//! call them over the full ranges (serial at `T == 1`), and a cluster rank
+//! calls them over its segment at its `threads_per_rank`.
 
 pub mod data_distributed;
 pub mod distributed;
@@ -22,8 +33,14 @@ pub use hybrid::{run_hybrid, try_run_hybrid_mode, try_run_hybrid_ws_mode};
 pub use serial::run_serial;
 pub use shared::run_shared;
 
+use crate::arena::Workspace;
 use crate::bins::ChargeBins;
+use crate::fastmath::MathMode;
+use crate::gbmath::RadiiApprox;
+use crate::integrals::push_integrals_scratch;
 use crate::system::GbSystem;
+use crate::workdiv::{even_ranges_into, fork_join, work_balanced_segments_into};
+use std::ops::Range;
 
 /// Dispatches a generic kernel on the configured math kind.
 ///
@@ -73,4 +90,101 @@ pub(crate) fn bins_for(sys: &GbSystem, radii_tree: &[f64]) -> ChargeBins {
 /// Work units charged for one rank's local bin computation.
 pub(crate) fn bin_build_work(sys: &GbSystem) -> f64 {
     sys.num_atoms() as f64 * 0.5
+}
+
+/// Sub-segment `sub` (relative) of the segment starting at `start`.
+fn shifted(sub: &Range<usize>, start: usize) -> Range<usize> {
+    start + sub.start..start + sub.end
+}
+
+/// Born integrals of the ordinals `seg` on `threads` threads, added into
+/// the (reset) `ws.acc`; returns the execution work.
+pub(crate) fn execute_born<M: MathMode, K: RadiiApprox>(
+    sys: &GbSystem,
+    threads: usize,
+    ws: &mut Workspace,
+    seg: Range<usize>,
+) -> f64 {
+    if threads == 1 {
+        return ws.born.execute_range::<M, K>(sys, seg, &mut ws.acc);
+    }
+    work_balanced_segments_into(&ws.born.leaf_work()[seg.clone()], threads, &mut ws.leaf_ranges);
+    ws.ensure_slots(threads);
+    let (born, subs) = (&ws.born, &ws.leaf_ranges);
+    fork_join(&mut ws.slots[..threads], |t, slot| {
+        slot.acc.reset_for(sys);
+        let ords = shifted(&subs[t], seg.start);
+        slot.acc_work = born.execute_range::<M, K>(sys, ords, &mut slot.acc);
+    });
+    let mut work = 0.0;
+    for slot in &ws.slots[..threads] {
+        ws.acc.add(&slot.acc);
+        work += slot.acc_work;
+    }
+    work
+}
+
+/// Born radii of the tree positions `atoms` on `threads` threads, into
+/// `ws.radii_tree` (sized to the segment); returns the push work.
+pub(crate) fn push_segment<M: MathMode, K: RadiiApprox>(
+    sys: &GbSystem,
+    threads: usize,
+    ws: &mut Workspace,
+    atoms: Range<usize>,
+) -> f64 {
+    ws.radii_tree.clear();
+    ws.radii_tree.resize(atoms.len(), 0.0);
+    if threads == 1 {
+        let (radii, stack) = (&mut ws.radii_tree, &mut ws.push_stack);
+        return push_integrals_scratch::<M, K>(sys, &ws.acc, atoms, radii, stack);
+    }
+    even_ranges_into(atoms.len(), threads, &mut ws.leaf_ranges);
+    ws.ensure_slots(threads);
+    let (acc, subs) = (&ws.acc, &ws.leaf_ranges);
+    fork_join(&mut ws.slots[..threads], |t, slot| {
+        slot.radii.clear();
+        slot.radii.resize(subs[t].len(), 0.0);
+        let range = shifted(&subs[t], atoms.start);
+        let (radii, stack) = (&mut slot.radii, &mut slot.push_stack);
+        slot.push_work = push_integrals_scratch::<M, K>(sys, acc, range, radii, stack);
+    });
+    let mut work = 0.0;
+    for (slot, sub) in ws.slots.iter().zip(&ws.leaf_ranges) {
+        ws.radii_tree[sub.clone()].copy_from_slice(&slot.radii);
+        work += slot.push_work;
+    }
+    work
+}
+
+/// Raw energy of the ordinals `seg` on `threads` threads; `costs` (the
+/// per-ordinal work of [`EnergyLists::leaf_costs`], read only at
+/// `threads > 1`) balances the sub-segments. Returns `(raw energy,
+/// execution work)`.
+///
+/// [`EnergyLists::leaf_costs`]: crate::interaction::EnergyLists::leaf_costs
+pub(crate) fn execute_energy<M: MathMode>(
+    sys: &GbSystem,
+    threads: usize,
+    ws: &mut Workspace,
+    radii_tree: &[f64],
+    seg: Range<usize>,
+    costs: &[f64],
+) -> (f64, f64) {
+    if threads == 1 {
+        return ws.energy.execute_leaves::<M>(sys, &ws.bins, radii_tree, seg, &mut ws.energy_exec);
+    }
+    work_balanced_segments_into(&costs[seg.clone()], threads, &mut ws.leaf_ranges);
+    ws.ensure_slots(threads);
+    let (energy, bins, subs) = (&ws.energy, &ws.bins, &ws.leaf_ranges);
+    fork_join(&mut ws.slots[..threads], |t, slot| {
+        let ords = shifted(&subs[t], seg.start);
+        (slot.raw, slot.energy_work) =
+            energy.execute_leaves::<M>(sys, bins, radii_tree, ords, &mut slot.energy_exec);
+    });
+    let (mut raw, mut work) = (0.0, 0.0);
+    for slot in &ws.slots[..threads] {
+        raw += slot.raw;
+        work += slot.energy_work;
+    }
+    (raw, work)
 }

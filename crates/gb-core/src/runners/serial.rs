@@ -12,9 +12,8 @@
 use crate::arena::{Workspace, WsOutput};
 use crate::fastmath::{ApproxMath, ExactMath};
 use crate::gbmath::{finalize_energy, R4, R6};
-use crate::integrals::push_integrals_scratch;
 use crate::params::{MathKind, RadiiKind};
-use crate::runners::with_kernels;
+use crate::runners::{execute_born, execute_energy, push_segment, with_kernels};
 use crate::system::{GbResult, GbSystem};
 
 /// Output of a runner, with its work accounting.
@@ -47,33 +46,32 @@ pub fn run_serial(sys: &GbSystem) -> SerialOutput {
 /// `build_tasks == 1`; see the `arena` module docs for the contract).
 /// The Born radii land in `ws.radii_out` (original atom order).
 pub fn run_serial_ws(sys: &GbSystem, ws: &mut Workspace) -> WsOutput {
+    run_pipeline_ws(sys, 1, ws)
+}
+
+/// The in-process pipeline on `threads` threads: the three [phase
+/// steps](crate::runners) over the full ranges. One thread is the serial
+/// runner; more is the shared runner, `to_bits` one hybrid rank of that
+/// many threads.
+pub(crate) fn run_pipeline_ws(sys: &GbSystem, threads: usize, ws: &mut Workspace) -> WsOutput {
     with_kernels!(sys.params, M, K => {
         // Born phase: one row sweep per driving leaf (rebuilt in place),
         // then stream the lists.
         ws.ready_born_lists(sys);
         ws.acc.reset_for(sys);
         let mut born_work = ws.born.build_work;
-        born_work += ws.born.execute_range::<M, K>(sys, 0..ws.born.num_qleaves(), &mut ws.acc);
-        ws.radii_tree.clear();
-        ws.radii_tree.resize(sys.num_atoms(), 0.0);
-        born_work += push_integrals_scratch::<M, K>(
-            sys,
-            &ws.acc,
-            0..sys.num_atoms(),
-            &mut ws.radii_tree,
-            &mut ws.push_stack,
-        );
+        born_work += execute_born::<M, K>(sys, threads, ws, 0..ws.born.num_qleaves());
+        born_work += push_segment::<M, K>(sys, threads, ws, 0..sys.num_atoms());
 
-        // Energy phase: same split over (T_A, T_A).
+        // Energy phase: same split over (T_A, T_A); the per-leaf costs
+        // only cut sub-segments.
         ws.ready_energy_lists(sys);
         ws.bins.recompute(sys, &ws.radii_tree);
-        let (raw, exec_work) = ws.energy.execute_leaves::<M>(
-            sys,
-            &ws.bins,
-            &ws.radii_tree,
-            0..ws.energy.num_vleaves(),
-            &mut ws.energy_exec,
-        );
+        let costs = if threads > 1 { ws.energy.leaf_costs(sys, &ws.bins) } else { Vec::new() };
+        let radii_tree = std::mem::take(&mut ws.radii_tree);
+        let leaves = 0..ws.energy.num_vleaves();
+        let (raw, exec_work) = execute_energy::<M>(sys, threads, ws, &radii_tree, leaves, &costs);
+        ws.radii_tree = radii_tree;
         let energy_work = ws.energy.build_work + exec_work;
         let energy_kcal = finalize_energy(raw, sys.params.tau());
 

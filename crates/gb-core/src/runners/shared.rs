@@ -1,36 +1,26 @@
-//! The shared-memory runner — the `OCT_CILK` analog, with rayon standing in
-//! for the cilk++ work-stealing scheduler.
+//! The shared-memory runner — the `OCT_CILK` analog: the serial pipeline's
+//! [phase steps](crate::runners) on every core.
 //!
-//! Parallel structure:
-//! * **Born phase**: the interaction lists are built once (serial sweep),
-//!   then the driving-leaf ordinals are cut into `K` contiguous chunks
-//!   (`K ≈ 4 ×` worker count) balanced by the *measured* per-leaf list
-//!   work; chunks execute in parallel, each into its own accumulator, and
-//!   partials are merged *in chunk order* so the result is bitwise
-//!   deterministic regardless of scheduling.
-//! * **Energy phase**: embarrassingly parallel over `T_A` leaf ordinals;
-//!   per-leaf raw sums are collected into a vector and reduced in leaf
-//!   order (deterministic again).
+//! Each phase cuts its full range into one fixed sub-segment per thread —
+//! Born and energy ordinals balanced by measured list work, the push's
+//! atoms evenly — runs them on scoped threads, each into its own
+//! [`ChunkSlot`](crate::arena::ChunkSlot), and merges the slots in
+//! sub-segment order: the calcpol `parallel for … reduction(+: energy)`
+//! shape with a fixed partition in place of a dynamic schedule. The
+//! result therefore never depends on the schedule, and on `T` threads it
+//! is `to_bits` one hybrid rank of `T` threads; it differs from the
+//! serial runner only by the regrouped sums, within round-off.
 
 use crate::arena::{Workspace, WsOutput};
-use crate::fastmath::{ApproxMath, ExactMath};
-use crate::gbmath::{finalize_energy, R4, R6};
-use crate::integrals::push_integrals_scratch;
-use crate::params::{MathKind, RadiiKind};
-use crate::runners::serial::SerialOutput;
-use crate::runners::with_kernels;
+use crate::runners::serial::{run_pipeline_ws, SerialOutput};
 use crate::system::{GbResult, GbSystem};
-use crate::workdiv::{even_ranges_into, work_balanced_segments_into};
-use rayon::prelude::*;
 
-/// Runs the shared-memory (rayon) octree pipeline.
+/// Runs the shared-memory octree pipeline on every available core.
 ///
-/// Produces exactly the same energy and radii as
-/// [`run_serial`](crate::runners::serial::run_serial) — partial sums merge
-/// in a fixed order.
+/// Matches [`run_serial`](crate::runners::serial::run_serial) to
+/// round-off — partial sums merge in a fixed order.
 pub fn run_shared(sys: &GbSystem) -> SerialOutput {
-    let threads = rayon::current_num_threads().max(1);
-    let mut ws = Workspace::with_build_tasks(threads);
+    let mut ws = Workspace::with_build_tasks(available_threads());
     let out = run_shared_ws(sys, &mut ws);
     SerialOutput {
         result: GbResult {
@@ -42,114 +32,26 @@ pub fn run_shared(sys: &GbSystem) -> SerialOutput {
     }
 }
 
-/// [`run_shared`] over a caller-owned [`Workspace`]: per-chunk partials
-/// live in the workspace's locked [`ChunkSlot`](crate::arena::ChunkSlot)s
-/// and merge in chunk order (deterministic regardless of scheduling), so
-/// steady-state supersteps reuse every accumulator and scratch vector.
+/// [`run_shared`] over a caller-owned [`Workspace`]: the per-thread
+/// partials live in the workspace's chunk slots, so steady-state
+/// supersteps reuse every accumulator and scratch vector.
 pub fn run_shared_ws(sys: &GbSystem, ws: &mut Workspace) -> WsOutput {
-    with_kernels!(sys.params, M, K => {
-        let threads = rayon::current_num_threads().max(1);
-        let chunks = (threads * 4).clamp(1, sys.tq.num_leaves().max(1));
-        ws.ensure_slots(chunks);
+    run_pipeline_ws(sys, available_threads(), ws)
+}
 
-        // Born phase: build lists once (in place), execute chunks balanced
-        // by the exact per-leaf work recorded in the lists.
-        ws.ready_born_lists(sys);
-        work_balanced_segments_into(ws.born.leaf_work(), chunks, &mut ws.seg_ranges);
-        {
-            let born = &ws.born;
-            let slots = &ws.slots;
-            let ranges = &ws.seg_ranges;
-            (0..chunks).into_par_iter().for_each(|c| {
-                let mut slot = slots[c].lock();
-                let slot = &mut *slot;
-                slot.acc.reset_for(sys);
-                slot.acc_work = born.execute_range::<M, K>(sys, ranges[c].clone(), &mut slot.acc);
-            });
-        }
-        ws.acc.reset_for(sys);
-        let mut born_work = ws.born.build_work;
-        for c in 0..chunks {
-            let slot = ws.slots[c].lock();
-            ws.acc.add(&slot.acc);
-            born_work += slot.acc_work;
-        }
-
-        // Push phase: parallel over atom ranges, each chunk writing into a
-        // slot buffer sized for its own range (merged in chunk order).
-        even_ranges_into(sys.num_atoms(), chunks, &mut ws.atom_ranges);
-        {
-            let acc = &ws.acc;
-            let slots = &ws.slots;
-            let ranges = &ws.atom_ranges;
-            (0..chunks).into_par_iter().for_each(|c| {
-                let mut slot = slots[c].lock();
-                let slot = &mut *slot;
-                let range = ranges[c].clone();
-                slot.radii.clear();
-                slot.radii.resize(range.len(), 0.0);
-                slot.push_work = push_integrals_scratch::<M, K>(
-                    sys,
-                    acc,
-                    range,
-                    &mut slot.radii,
-                    &mut slot.push_stack,
-                );
-            });
-        }
-        ws.radii_tree.clear();
-        ws.radii_tree.resize(sys.num_atoms(), 0.0);
-        for c in 0..chunks {
-            let slot = ws.slots[c].lock();
-            born_work += slot.push_work;
-            ws.radii_tree[ws.atom_ranges[c].clone()].copy_from_slice(&slot.radii);
-        }
-
-        // Energy phase: parallel over even chunks of T_A leaf ordinals;
-        // each chunk sums its leaves in leaf order, chunks merge in chunk
-        // order (deterministic again).
-        ws.ready_energy_lists(sys);
-        ws.bins.recompute(sys, &ws.radii_tree);
-        even_ranges_into(ws.energy.num_vleaves(), chunks, &mut ws.leaf_ranges);
-        {
-            let energy = &ws.energy;
-            let bins = &ws.bins;
-            let radii_tree = &ws.radii_tree;
-            let slots = &ws.slots;
-            let ranges = &ws.leaf_ranges;
-            (0..chunks).into_par_iter().for_each(|c| {
-                let mut slot = slots[c].lock();
-                let slot = &mut *slot;
-                let (raw, w) = energy.execute_leaves::<M>(
-                    sys,
-                    bins,
-                    radii_tree,
-                    ranges[c].clone(),
-                    &mut slot.energy_exec,
-                );
-                slot.raw = raw;
-                slot.energy_work = w;
-            });
-        }
-        let mut raw = 0.0;
-        let mut energy_work = ws.energy.build_work;
-        for c in 0..chunks {
-            let slot = ws.slots[c].lock();
-            raw += slot.raw;
-            energy_work += slot.energy_work;
-        }
-        let energy_kcal = finalize_energy(raw, sys.params.tau());
-
-        sys.radii_to_original_into(&ws.radii_tree, &mut ws.radii_out);
-        WsOutput { energy_kcal, born_work, energy_work }
-    })
+/// The thread count of the shared runner: every core the process may use.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::GbParams;
+    use crate::commplan::CommMode;
+    use crate::params::{GbParams, MathKind};
+    use crate::runners::hybrid::try_run_hybrid_mode;
     use crate::runners::serial::run_serial;
+    use gb_cluster::SimCluster;
     use gb_molecule::{synthesize_protein, SyntheticParams};
 
     fn sys(n: usize) -> GbSystem {
@@ -170,6 +72,46 @@ mod tests {
         );
         for (a, b) in serial.result.born_radii.iter().zip(&shared.result.born_radii) {
             assert!((a - b).abs() < 1e-12 * a.abs().max(1.0));
+        }
+    }
+
+    fn assert_same_bits(a: &WsOutput, radii: &[f64], b: &GbResult, what: &str) {
+        assert_eq!(a.energy_kcal.to_bits(), b.energy_kcal.to_bits(), "{what}: energy");
+        assert_eq!(radii.len(), b.born_radii.len(), "{what}: radii length");
+        for (i, (x, y)) in radii.iter().zip(&b.born_radii).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: radius {i}");
+        }
+    }
+
+    #[test]
+    fn shared_on_t_threads_is_one_hybrid_rank_bitwise() {
+        // one executor: T threads in-process cut and merge exactly like one
+        // cluster rank of T threads, and one thread is the serial runner
+        let s = sys(500);
+        let cluster = SimCluster::single_node();
+        for t in [1usize, 2, 3] {
+            let mut ws = Workspace::with_build_tasks(t);
+            let out = run_pipeline_ws(&s, t, &mut ws);
+            let (hyb, _) = try_run_hybrid_mode(&s, &cluster, 1, t, CommMode::default())
+                .expect("fault-free");
+            assert_same_bits(&out, &ws.radii_out, &hyb, &format!("T={t}"));
+            if t == 1 {
+                let serial = run_serial(&s);
+                assert_same_bits(&out, &ws.radii_out, &serial.result, "T=1 vs serial");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_on_three_threads_is_bitwise_stable_from_run_to_run() {
+        let s = sys(500);
+        let mut ws = Workspace::new();
+        let first = run_pipeline_ws(&s, 3, &mut ws);
+        let first = GbResult { energy_kcal: first.energy_kcal, born_radii: ws.radii_out.clone() };
+        for run in 1..5 {
+            let mut ws = Workspace::new();
+            let again = run_pipeline_ws(&s, 3, &mut ws);
+            assert_same_bits(&again, &ws.radii_out, &first, &format!("run {run}"));
         }
     }
 

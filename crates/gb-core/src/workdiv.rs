@@ -137,6 +137,26 @@ pub fn work_balanced_segments_into(works: &[f64], parts: usize, out: &mut Vec<Ra
     debug_assert_eq!(start, n);
 }
 
+/// Runs `task(t, &mut items[t])` for every `t` — the in-process fork-join
+/// every multithreaded phase goes through: task 0 on the calling thread,
+/// tasks `1..` on scoped threads, all joined before returning. Each task
+/// owns its item outright, so the caller's in-order merge of the items
+/// afterwards fixes the result whatever the schedule; a single item runs
+/// inline and spawns nothing.
+pub(crate) fn fork_join<T: Send>(items: &mut [T], task: impl Fn(usize, &mut T) + Sync) {
+    let Some((first, rest)) = items.split_first_mut() else { return };
+    if rest.is_empty() {
+        return task(0, first);
+    }
+    let task = &task;
+    std::thread::scope(|s| {
+        for (i, item) in rest.iter_mut().enumerate() {
+            s.spawn(move || task(i + 1, item));
+        }
+        task(0, first);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

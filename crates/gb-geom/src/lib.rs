@@ -17,8 +17,8 @@
 //! * [`morton`] — 63-bit 3-D Morton (Z-order) codes used for cache-friendly
 //!   point ordering during octree construction,
 //! * [`DetRng`] — a tiny deterministic SplitMix64 generator so substrates
-//!   that need reproducible pseudo-randomness (work-stealing victim
-//!   selection, synthetic jitter) do not need to depend on `rand`.
+//!   that need reproducible pseudo-randomness (synthetic workloads,
+//!   modeled jitter) do not need to depend on `rand`.
 //!
 //! All types are `Copy` where possible and deliberately plain data so hot
 //! loops vectorize well.

@@ -1,8 +1,8 @@
 //! Deterministic SplitMix64 pseudo-random generator.
 //!
-//! The cluster runtime (victim selection in the work-stealing scheduler,
-//! modeled run-to-run jitter) and several tests need cheap reproducible
-//! randomness without pulling `rand` into low-level crates. SplitMix64 is
+//! The workload generators, the modeled run-to-run jitter and several
+//! tests need cheap reproducible randomness without pulling `rand` into
+//! low-level crates. SplitMix64 is
 //! the standard seeding generator: one 64-bit state word, passes BigCrush
 //! when used directly, and is fully deterministic across platforms.
 

@@ -8,9 +8,8 @@
 //! Besides the original traversal-vs-list comparison, the snapshot carries
 //! the `list_build_parallel_ms` column: the same CSR lists built by
 //! `build_tasks(sys, tasks)` range-parallel walks (byte-identical layout;
-//! `build_tasks` reports the task count, `build_threads` the cores the
-//! host actually offers — on a single-core box the parallel build is just
-//! the partitioned walk on one thread).
+//! `build_tasks` reports the task count — one scoped thread each — and
+//! `build_threads` the cores the host offers).
 //!
 //! `exec_speedup_vs_traversal` is the engine-vs-engine headline: the seed
 //! per-leaf traversal over the list engine, both on the default
@@ -89,19 +88,14 @@ fn main() {
     let n_atoms: usize =
         std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
     let reps = 3usize;
-    // `GB_BUILD_THREADS` pins the list-build worker count (default: the
-    // machine); the parallel-build timings run inside an explicitly sized
-    // rayon pool so the column measures the requested width, not whatever
-    // global pool happened to exist first.
+    // `GB_BUILD_THREADS` sets the parallel list build's task count
+    // (default: the machine's cores, at least 4); each task sweeps on its
+    // own scoped thread.
     let threads = std::env::var("GB_BUILD_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
         .filter(|&n: &usize| n > 0)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("rayon pool");
     let build_tasks = threads.max(4);
     let mol = synthesize_protein(&SyntheticParams::with_atoms(n_atoms, 4242));
     let sys = GbSystem::prepare(mol, GbParams::default());
@@ -170,7 +164,7 @@ fn main() {
     // ... vs one list build + batched execution
     let (build_ms, build_work) = timed(reps, || BornLists::build(&sys).build_work);
     let (pbuild_ms, _) =
-        pool.install(|| timed(reps, || BornLists::build_tasks(&sys, build_tasks).build_work));
+        timed(reps, || BornLists::build_tasks(&sys, build_tasks).build_work);
     let (exec_ms, exec_work) = timed(reps, || {
         let mut acc = IntegralAcc::zeros(&sys);
         let work = born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut acc);
@@ -186,7 +180,7 @@ fn main() {
     });
     let (ebuild_ms, ebuild_work) = timed(reps, || EnergyLists::build(&sys).build_work);
     let (epbuild_ms, _) =
-        pool.install(|| timed(reps, || EnergyLists::build_tasks(&sys, build_tasks).build_work));
+        timed(reps, || EnergyLists::build_tasks(&sys, build_tasks).build_work);
     let mut exec_scratch = EnergyExecScratch::new();
     let (eexec_ms, eexec_work) = timed(reps, || {
         let (raw, work) = energy.execute_leaves::<ExactMath>(

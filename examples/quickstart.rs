@@ -47,7 +47,7 @@ fn main() {
     println!(
         "octree shared   : {:>14.3} kcal/mol   ({shared_ms:.1} ms on {} threads)",
         shared.result.energy_kcal,
-        rayon::current_num_threads()
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
 
     // Distributed octree on a simulated 12-core node (OCT_MPI analog).

@@ -11,7 +11,8 @@ cargo test -q
 # failure + recovery matrices under the optimizer, since the poison/heal
 # protocols are timing-sensitive. The gb-core self_healing suite drives
 # every kill site under *both* CommMode::Dense and CommMode::Sparse; the
-# gb-cluster matrices cover every collective kind x P x {panic, kill,
-# timeout, retry}.
+# gb-cluster matrices cover each of the five collective kinds the runners
+# call (barrier, allreduce sum/max, allgatherv, sparse exchange) x P x
+# {panic, kill, timeout, retry}, plus blocking p2p drops and delays.
 cargo test --release -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings

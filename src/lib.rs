@@ -20,7 +20,7 @@
 //! let out = run_serial(&system);
 //! assert!(out.result.energy_kcal < 0.0);
 //!
-//! // Shared-memory (rayon) — same result, all cores.
+//! // Shared-memory — same result to round-off, all cores.
 //! let shared = run_shared(&system);
 //! assert!((shared.result.energy_kcal - out.result.energy_kcal).abs()
 //!         < 1e-9 * out.result.energy_kcal.abs());
@@ -31,7 +31,7 @@
 //! | function | paper name | parallelism |
 //! |---|---|---|
 //! | [`run_serial`]      | —              | none |
-//! | [`run_shared`]      | `OCT_CILK`     | rayon work stealing |
+//! | [`run_shared`]      | `OCT_CILK`     | threads on fixed sub-segments |
 //! | [`run_distributed`] | `OCT_MPI`      | simulated cluster ranks |
 //! | [`run_hybrid`]      | `OCT_MPI+CILK` | ranks × threads on fixed sub-segments |
 //! | [`modeled_run`]     | (scaling harness) | analytic replay for large P |

@@ -154,7 +154,5 @@ mod gb_polarize_baselines_use {
     #[allow(unused_imports)]
     use gb_polarize::baselines::{BaselineResult, Package};
     #[allow(unused_imports)]
-    use gb_polarize::cluster::StealPool;
-    #[allow(unused_imports)]
     use gb_polarize::core::error::ErrorStats;
 }
