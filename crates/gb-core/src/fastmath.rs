@@ -17,9 +17,12 @@
 //!
 //! The exact mode, [`ExactMath`], keeps IEEE `1/√` and takes its
 //! exponential from the in-crate ≲2-ulp Cephes polynomial
-//! [`crate::simd::poly_exp`] (`< 1e-15` relative to libm). Its body is
-//! branch-free, so the tile kernels' whole-slice [`MathMode::exp_block`]
-//! loop autovectorizes, and energies do not depend on the host's libm
+//! [`crate::simd::poly_exp`] (`< 1e-15` relative to libm). Its pair
+//! kernel [`MathMode::inv_f_gb`] is the fused
+//! [`crate::simd::poly_inv_f_gb`], which folds the polynomial's rational
+//! into the root (two divides and a square root per pair instead of three
+//! and one). Both bodies are branch-free, so the tile kernels' per-element
+//! loops autovectorize, and energies do not depend on the host's libm
 //! (see DESIGN.md, "Vectorization & determinism"). The naive ground truth
 //! keeps libm (`crate::naive`).
 
@@ -42,23 +45,24 @@ pub trait MathMode: Copy + Send + Sync + 'static {
     fn inv_sq(x: f64) -> f64 {
         1.0 / (x * x)
     }
-    /// Whole-slice `e^x`: `out[t] = exp(args[t])` — the middle pass of the
-    /// pass-split tile kernels (`interaction::EnergyLists`), bit-identical
-    /// to calling [`MathMode::exp`] per element. With a branch-free `exp`
-    /// (both modes here) the loop autovectorizes.
+    /// The GB pair kernel `1/f_GB = 1/√(r² + RᵢRⱼ·e^{−r²/(4RᵢRⱼ)})` for
+    /// `x = r²`, `ri_rj = RᵢRⱼ > 0` — what every production energy path
+    /// (tiles, halo, docking) evaluates per pair. The default is the
+    /// composed reference [`crate::gbmath::inv_f_gb`] (so a mode that only
+    /// supplies `rsqrt`/`exp` keeps those bits); [`ExactMath`] overrides it
+    /// with a fused body.
     #[inline(always)]
-    fn exp_block(args: &[f64], out: &mut [f64]) {
-        assert_eq!(args.len(), out.len());
-        for (o, &a) in out.iter_mut().zip(args) {
-            *o = Self::exp(a);
-        }
+    fn inv_f_gb(r_sq: f64, ri_rj: f64) -> f64 {
+        crate::gbmath::inv_f_gb::<Self>(r_sq, ri_rj)
     }
 }
 
 /// Full-accuracy math (paper: "approximate math off"): IEEE `1/√x`
-/// (correctly rounded) and the ≲2-ulp polynomial exponential
-/// [`crate::simd::poly_exp`], within `< 1e-15` relative of libm per
-/// `exp`. Results are bit-identical across thread counts and hosts.
+/// (correctly rounded), the ≲2-ulp polynomial exponential
+/// [`crate::simd::poly_exp`] (within `< 1e-15` relative of libm per
+/// `exp`), and the fused pair kernel [`crate::simd::poly_inv_f_gb`]
+/// (within `5e-16` relative of the composed libm formula). Results are
+/// bit-identical across thread counts and hosts.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactMath;
 
@@ -71,6 +75,10 @@ impl MathMode for ExactMath {
     #[inline(always)]
     fn exp(x: f64) -> f64 {
         crate::simd::poly_exp(x)
+    }
+    #[inline(always)]
+    fn inv_f_gb(r_sq: f64, ri_rj: f64) -> f64 {
+        crate::simd::poly_inv_f_gb(r_sq, ri_rj)
     }
 }
 
@@ -259,22 +267,69 @@ mod tests {
         }
     }
 
+    /// `1/f_GB` composed from libm `exp` and IEEE `1/√` — the naive
+    /// ground truth's formula, the yardstick of the fused kernel.
+    fn libm_inv_f_gb(r_sq: f64, rr: f64) -> f64 {
+        1.0 / (r_sq + rr * (-r_sq / (4.0 * rr)).exp()).sqrt()
+    }
+
+    fn rel(got: f64, want: f64) -> f64 {
+        ((got - want) / want).abs()
+    }
+
     #[test]
-    fn exp_block_matches_per_element_exp_bitwise() {
-        // odd length so a vectorized loop runs its tail too; NaNs (one
-        // mid-slice, one last) must come back as themselves
-        let mut args: Vec<f64> = (0..29).map(|i| -0.9 * i as f64).collect();
-        args[5] = -f64::NAN;
-        args.push(f64::from_bits(0x7ff8_dead_beef_0001));
-        let mut out = vec![0.0; args.len()];
-        ExactMath::exp_block(&args, &mut out);
-        for (&a, &o) in args.iter().zip(&out) {
-            assert_eq!(o.to_bits(), ExactMath::exp(a).to_bits());
-            assert_eq!(o.is_nan(), a.is_nan());
+    fn exact_inv_f_gb_tracks_the_composed_libm_formula() {
+        // r × RiRj grid over the GB range: distances 0–60 Å, Born radius
+        // products 0.5–900 Å² — the far end of r crosses the underflow
+        // cutoff r²/4RR > 708 for the small products
+        let mut worst: f64 = 0.0;
+        for i in 0..=1200 {
+            let r = 0.05 * i as f64;
+            for j in 0..=300 {
+                let rr = 0.5 * 1.025f64.powi(j);
+                let want = libm_inv_f_gb(r * r, rr);
+                worst = worst.max(rel(ExactMath::inv_f_gb(r * r, rr), want));
+            }
         }
-        ApproxMath::exp_block(&args, &mut out);
-        for (&a, &o) in args.iter().zip(&out) {
-            assert_eq!(o.to_bits(), ApproxMath::exp(a).to_bits());
+        assert!(worst < 5e-16, "worst rel err {worst:e}");
+    }
+
+    #[test]
+    fn exact_inv_f_gb_self_terms_and_underflow() {
+        for rr in [0.25, 1.0, 2.7, 16.0, 900.0, 1e6] {
+            // r² = 0 (the i = j self term): 1/√(RiRj)
+            let got = ExactMath::inv_f_gb(0.0, rr);
+            assert!(rel(got, libm_inv_f_gb(0.0, rr)) < 5e-16, "rr={rr}: {got}");
+            // past the cutoff the exp term is dropped and 1/f_GB → 1/r
+            for x in [708.5, 709.0, 750.0, 1e4, 1e8] {
+                let r_sq = 4.0 * rr * x;
+                let got = ExactMath::inv_f_gb(r_sq, rr);
+                assert!(rel(got, 1.0 / r_sq.sqrt()) < 5e-16, "rr={rr} x={x}: {got}");
+                assert!(rel(got, libm_inv_f_gb(r_sq, rr)) < 5e-16, "rr={rr} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn exact_inv_f_gb_propagates_nan() {
+        for nan in [f64::NAN, -f64::NAN, f64::from_bits(0x7ff8_dead_beef_0001)] {
+            assert!(ExactMath::inv_f_gb(nan, 2.0).is_nan());
+            assert!(ExactMath::inv_f_gb(9.0, nan).is_nan());
+            assert!(ExactMath::inv_f_gb(nan, nan).is_nan());
+        }
+    }
+
+    #[test]
+    fn approx_inv_f_gb_keeps_the_composed_bits() {
+        // the separate argument / exp / rsqrt passes the tiles ran before
+        // the pair kernel existed
+        for i in 0..=400 {
+            let r_sq = 0.37 * i as f64;
+            for rr in [0.5, 1.3, 4.0, 17.0, 250.0] {
+                let arg = (-r_sq) / (4.0 * rr);
+                let old = ApproxMath::rsqrt(r_sq + rr * ApproxMath::exp(arg));
+                assert_eq!(ApproxMath::inv_f_gb(r_sq, rr).to_bits(), old.to_bits());
+            }
         }
     }
 

@@ -11,8 +11,12 @@ pub const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
 
 /// The Still GB effective distance
 /// `f_GB = sqrt(r² + R_i R_j exp(−r² / (4 R_i R_j)))`, returned as its
-/// reciprocal (the quantity the energy actually needs), using the math
-/// kernels of `M`.
+/// reciprocal (the quantity the energy actually needs), composed from the
+/// `rsqrt` and `exp` kernels of `M`. This is the reference composition:
+/// the seed per-leaf traversal (`energy::energy_for_leaf`) evaluates it,
+/// and it is [`MathMode::inv_f_gb`]'s default. The production energy paths
+/// call [`MathMode::inv_f_gb`], which [`crate::fastmath::ExactMath`]
+/// overrides with a fused kernel.
 #[inline(always)]
 pub fn inv_f_gb<M: MathMode>(r_sq: f64, ri_rj: f64) -> f64 {
     debug_assert!(ri_rj > 0.0);
@@ -20,10 +24,11 @@ pub fn inv_f_gb<M: MathMode>(r_sq: f64, ri_rj: f64) -> f64 {
 }
 
 /// One ordered-pair contribution to the *raw* energy sum `Σ q_i q_j / f_GB`
-/// (prefactors applied at the end by [`finalize_energy`]).
+/// (prefactors applied at the end by [`finalize_energy`]), through the
+/// mode's pair kernel [`MathMode::inv_f_gb`].
 #[inline(always)]
 pub fn pair_term<M: MathMode>(qi_qj: f64, r_sq: f64, ri_rj: f64) -> f64 {
-    qi_qj * inv_f_gb::<M>(r_sq, ri_rj)
+    qi_qj * M::inv_f_gb(r_sq, ri_rj)
 }
 
 /// Applies the GB prefactor: `E_pol = −τ/2 · k_C · Σ_{i,j} q_i q_j / f_GB`

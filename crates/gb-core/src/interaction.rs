@@ -46,6 +46,38 @@ use std::sync::OnceLock;
 /// this is purely a scheduling decision.
 const MIN_TASK_LEAVES: usize = 2048;
 
+/// Number of sweep tasks a build of `rows` driving leaves split `tasks`
+/// ways actually runs: at most one per [`MIN_TASK_LEAVES`] rows, at
+/// least one. At 1 the build sweeps on the caller's thread alone.
+pub fn sweep_tasks(rows: usize, tasks: usize) -> usize {
+    split_count(rows, tasks, MIN_TASK_LEAVES)
+}
+
+#[inline]
+fn split_count(rows: usize, tasks: usize, floor: usize) -> usize {
+    tasks.min(rows / floor.max(1)).max(1)
+}
+
+/// Ordinal block of the symmetric-pair ownership rule ([`larger_owns`]).
+const OWN_BLOCK: usize = 16;
+
+/// Whether the larger ordinal `hi` owns (evaluates, doubled) the
+/// symmetric near pair `(lo, hi)`, `lo < hi`. Off the diagonal it is a
+/// checkerboard on [`OWN_BLOCK`]-ordinal blocks (even block sum → the
+/// smaller ordinal owns, odd → the larger), so a row's partners in one
+/// foreign block share an owner and their touching atom ranges gather as
+/// one run; inside a diagonal block it is the checkerboard on the
+/// ordinals themselves, which halves the dense diagonal evenly.
+#[inline]
+fn larger_owns(lo: usize, hi: usize) -> bool {
+    let (bl, bh) = (lo / OWN_BLOCK, hi / OWN_BLOCK);
+    if bl == bh {
+        (lo + hi) % 2 == 1
+    } else {
+        (bl + bh) % 2 == 1
+    }
+}
+
 /// The content-hash fold step shared with the communication planner
 /// (identical constants, so planner keys stay stable across the refactor).
 #[inline]
@@ -315,7 +347,7 @@ fn sweep_all<S: Sweep>(
     assert!(rows.end <= nrows, "row range {rows:?} past {nrows} driving leaves");
     out.empty_rows(rows.start, S::NEAR_WORK);
     let len = rows.len();
-    let ntasks = tasks.min(len / floor.max(1)).max(1);
+    let ntasks = split_count(len, tasks, floor);
     if segs.len() < ntasks {
         segs.resize_with(ntasks, TaskSeg::default);
     }
@@ -906,9 +938,10 @@ pub struct EnergyLists {
     /// (self-pair or asymmetric), `2` = this ordinal owns a *symmetric*
     /// leaf pair and evaluates it for both sides (the `f_GB` terms of
     /// `(U,V)` and `(V,U)` are bitwise equal, so doubling is exact),
-    /// `0` = the mirror ordinal owns it — skip. Ownership alternates by a
-    /// checkerboard rule on the ordinal pair so halving stays balanced
-    /// across rank/chunk segments.
+    /// `0` = the mirror ordinal owns it — skip. Ownership follows
+    /// [`larger_owns`], a checkerboard on ordinal blocks, so halving stays
+    /// balanced across rank/chunk segments while a row's owned partners
+    /// still gather in long runs.
     near_w: Vec<u8>,
     /// Work spent constructing the lists: one traversal unit per visited
     /// (node, row); 0 for lists a frame reused without sweeping.
@@ -1037,10 +1070,9 @@ impl EnergyLists {
                 }
                 cursor[uo] = c;
                 if c < uhi && near_ords[c] as usize == ord {
-                    // checkerboard owner: even ordinal sum → smaller
-                    // ordinal owns, odd → larger; `ord > uo` here, so the
-                    // driving row owns exactly the odd sums
-                    if (uo + ord) % 2 == 1 {
+                    // `ord > uo` here: the driving row is the larger
+                    // ordinal of the pair
+                    if larger_owns(uo, ord) {
                         self.near_w[k] = 2;
                         self.near_w[c] = 0;
                     } else {
@@ -1079,9 +1111,9 @@ impl EnergyLists {
     }
 
     /// Executes the lists of driving-leaf ordinal `ord` through the tiled
-    /// pass-split kernels: the near list as one gathered SoA tile
-    /// ([`EnergyLists::near_tile_raw`]), the far list as one class-batched
-    /// bin-pair tile ([`EnergyLists::far_tile_raw`]). Returns
+    /// kernels: the near list as one gathered SoA tile
+    /// ([`EnergyLists::near_tile_raw`]), the far list as one flat bin-pair
+    /// tile ([`EnergyLists::far_tile_raw`]). Returns
     /// `(raw_energy, work_units)`; the work matches `energy_for_leaf`'s
     /// tally bit for bit — symmetric halving and convolution collapse
     /// change the *flops*, never the billed units, so `workdiv`/`balance`
@@ -1140,14 +1172,46 @@ impl EnergyLists {
         (raw, work)
     }
 
-    /// The near list of ordinal `ord` as one gathered SoA tile: every owned
-    /// partner atom's coordinates, Born radius and *weighted* charge
-    /// (`2q` for owned symmetric pairs — exact, a power-of-two scale) are
-    /// streamed into contiguous scratch, then each `v` atom runs the
-    /// pass-split kernel over the whole tile: distances + `−r²/(4RiRj)`,
-    /// one [`MathMode::exp_block`], the `rsqrt(r² + RiRj·e)` finish, and
-    /// the strided-8 weighted dot. Every arithmetic op mirrors the scalar
-    /// `inv_f_gb` sequence, and every pass is plain Rust, so the result
+    /// The owned near entries of ordinal `ord` as gather runs
+    /// `(atom range, weight)`: consecutive owned partners of equal weight
+    /// whose atom ranges touch (leaf ordinals follow atom order) merge
+    /// into one range, so the tile gathers one copy per array per run.
+    fn near_runs<'a>(
+        &'a self,
+        ta: &'a Octree,
+        ord: usize,
+    ) -> impl Iterator<Item = (Range<usize>, u8)> + 'a {
+        let row = self.rows.near_off[ord]..self.rows.near_off[ord + 1];
+        let ids = &self.rows.near[row.clone()];
+        let ws = &self.near_w[row];
+        let mut k = 0;
+        std::iter::from_fn(move || {
+            while k < ids.len() && ws[k] == 0 {
+                k += 1; // mirror ordinal owns this symmetric pair
+            }
+            let &w = ws.get(k)?;
+            let n = ta.node(ids[k]);
+            let (begin, mut end) = (n.begin as usize, n.end as usize);
+            k += 1;
+            while k < ids.len() && ws[k] == w {
+                let m = ta.node(ids[k]);
+                if m.begin as usize != end {
+                    break;
+                }
+                end = m.end as usize;
+                k += 1;
+            }
+            Some((begin..end, w))
+        })
+    }
+
+    /// The near list of ordinal `ord` as one gathered SoA tile: the owned
+    /// partner atoms' coordinates, Born radii and *weighted* charges (`2q`
+    /// for owned symmetric pairs — exact, a power-of-two scale) are copied
+    /// run by run ([`EnergyLists::near_runs`]) into contiguous scratch,
+    /// then each `v` atom runs one fused pass over the whole tile —
+    /// distance² and the pair kernel [`MathMode::inv_f_gb`] — and the
+    /// strided-8 weighted dot. Every pass is plain Rust, so the result
     /// does not depend on the host's vector unit.
     fn near_tile_raw<M: MathMode>(
         &self,
@@ -1164,13 +1228,7 @@ impl EnergyLists {
         scratch.tz.clear();
         scratch.tq.clear();
         scratch.tr.clear();
-        for k in self.rows.near_off[ord]..self.rows.near_off[ord + 1] {
-            let w = self.near_w[k];
-            if w == 0 {
-                continue; // mirror ordinal owns this symmetric pair
-            }
-            let n = sys.ta.node(self.rows.near[k]);
-            let r = n.begin as usize..n.end as usize;
+        for (r, w) in self.near_runs(&sys.ta, ord) {
             scratch.tx.extend_from_slice(&sys.a_soa.x[r.clone()]);
             scratch.ty.extend_from_slice(&sys.a_soa.y[r.clone()]);
             scratch.tz.extend_from_slice(&sys.a_soa.z[r.clone()]);
@@ -1185,10 +1243,7 @@ impl EnergyLists {
         if t == 0 {
             return (0.0, work);
         }
-        ensure_len(&mut scratch.rsq, t);
-        ensure_len(&mut scratch.rr, t);
-        ensure_len(&mut scratch.arg, t);
-        ensure_len(&mut scratch.ex, t);
+        ensure_len(&mut scratch.inv_f, t);
         // pre-sliced to exactly `t` so the pass loops carry no bounds
         // checks (checked indexing defeats autovectorization)
         let tx = &scratch.tx[..t];
@@ -1196,10 +1251,7 @@ impl EnergyLists {
         let tz = &scratch.tz[..t];
         let tq = &scratch.tq[..t];
         let tr = &scratch.tr[..t];
-        let rsq = &mut scratch.rsq[..t];
-        let rr = &mut scratch.rr[..t];
-        let arg = &mut scratch.arg[..t];
-        let ex = &mut scratch.ex[..t];
+        let inv_f = &mut scratch.inv_f[..t];
         let mut raw = 0.0;
         for vi in v.range() {
             let (px, py, pz) = (sys.a_soa.x[vi], sys.a_soa.y[vi], sys.a_soa.z[vi]);
@@ -1209,29 +1261,23 @@ impl EnergyLists {
                 let dx = tx[i] - px;
                 let dy = ty[i] - py;
                 let dz = tz[i] - pz;
-                rsq[i] = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-                rr[i] = rv * tr[i];
-                arg[i] = (-rsq[i]) / (4.0 * rr[i]);
+                let r_sq = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
+                inv_f[i] = M::inv_f_gb(r_sq, rv * tr[i]);
             }
-            M::exp_block(arg, ex);
-            for i in 0..t {
-                ex[i] = M::rsqrt(rsq[i] + rr[i] * ex[i]);
-            }
-            raw += qv * dot8(tq, ex);
+            raw += qv * dot8(tq, inv_f);
         }
         (raw, work)
     }
 
-    /// The far list of ordinal `ord` as one flat bin-pair tile, pairs
-    /// batched by nonzero-bin-count class: a staging pass records each far
-    /// partner's `d²` and class (its nonzero-bin count), a stable counting
-    /// sort groups same-shaped contractions adjacent, then each pair emits
-    /// its `(d², R_iR_j, q_i q_j)` terms — the full `K²` grid reading the
-    /// hoisted [`ChargeBins::pair_rr_table`], or, when the `s = i+j`
-    /// span is narrower than the grid, the length-`(2K−1)` convolution
-    /// over [`ChargeBins::conv_radius_table`] (the geometric representative
-    /// makes every split of `s` equal to ulps). One pass-split sweep then
-    /// evaluates the whole tile with full ZMM lanes and a single tail.
+    /// The far list of ordinal `ord` as one flat bin-pair tile, emitted in
+    /// list order: each far pair contributes its `(d², R_iR_j, q_i q_j)`
+    /// terms — the full `K²` grid reading the hoisted
+    /// [`ChargeBins::pair_rr_table`], or, when the `s = i+j` span is
+    /// narrower than the grid, the length-`(2K−1)` convolution over
+    /// [`ChargeBins::conv_radius_table`] (the geometric representative
+    /// makes every split of `s` equal to ulps). One pass of the pair
+    /// kernel [`MathMode::inv_f_gb`] over the whole tile and the strided-8
+    /// weighted dot then evaluate it.
     fn far_tile_raw<M: MathMode>(
         &self,
         sys: &GbSystem,
@@ -1249,36 +1295,6 @@ impl EnergyLists {
         if vn == 0 || fars.is_empty() {
             return (0.0, work); // Σ nnz_U · 0 bills nothing
         }
-        // staging: distance + class per far pair, then a stable counting
-        // sort by class so equal-shaped contractions sit adjacent in the
-        // tile (dense full-lane runs, masked tail only at the very end)
-        let nf = fars.len();
-        scratch.pair_d2.clear();
-        scratch.pair_cls.clear();
-        for &u_id in fars {
-            let u = sys.ta.node(u_id);
-            let d = u.centroid.dist(v.centroid);
-            scratch.pair_d2.push(d * d);
-            let un = bins.num_nonzero(u_id);
-            work += (un * vn) as f64;
-            scratch.pair_cls.push(un as u32);
-        }
-        let ncls = bins.num_bins + 2;
-        scratch.cls_cursor.clear();
-        scratch.cls_cursor.resize(ncls, 0u32);
-        for &c in &scratch.pair_cls {
-            scratch.cls_cursor[c as usize + 1] += 1;
-        }
-        for i in 1..ncls {
-            scratch.cls_cursor[i] += scratch.cls_cursor[i - 1];
-        }
-        ensure_len_u32(&mut scratch.pair_order, nf);
-        for k in 0..nf {
-            let c = scratch.pair_cls[k] as usize;
-            scratch.pair_order[scratch.cls_cursor[c] as usize] = k as u32;
-            scratch.cls_cursor[c] += 1;
-        }
-        // emission: one flat (d², RiRj, weight) SoA tile over all pairs
         let kbins = bins.num_bins;
         let pair_rr = bins.pair_rr_table();
         let conv_radius = bins.conv_radius_table();
@@ -1286,14 +1302,14 @@ impl EnergyLists {
         scratch.fd2.clear();
         scratch.frr.clear();
         scratch.fw.clear();
-        for &pk in &scratch.pair_order[..nf] {
-            let k = pk as usize;
-            let un = scratch.pair_cls[k] as usize;
+        for &u_id in fars {
+            let un = bins.num_nonzero(u_id);
+            work += (un * vn) as f64;
             if un == 0 {
                 continue;
             }
-            let u_id = fars[k];
-            let d_sq = scratch.pair_d2[k];
+            let d = sys.ta.node(u_id).centroid.dist(v.centroid);
+            let d_sq = d * d;
             let (u_nzq, _) = bins.node_nonzero(u_id);
             let u_nzb = bins.node_nonzero_bins(u_id);
             let lo_s = (u_nzb[0] + v_nzb[0]) as usize;
@@ -1331,27 +1347,39 @@ impl EnergyLists {
                 }
             }
         }
-        // pass-split evaluation over the whole tile (pre-sliced so the
-        // loops are bounds-check-free and autovectorize)
+        // one kernel pass over the whole tile (pre-sliced so the loop is
+        // bounds-check-free and autovectorizes)
         let t = scratch.fd2.len();
-        ensure_len(&mut scratch.arg, t);
-        ensure_len(&mut scratch.ex, t);
+        ensure_len(&mut scratch.inv_f, t);
         let fd2 = &scratch.fd2[..t];
         let frr = &scratch.frr[..t];
-        let arg = &mut scratch.arg[..t];
-        let ex = &mut scratch.ex[..t];
+        let inv_f = &mut scratch.inv_f[..t];
         for i in 0..t {
-            arg[i] = (-fd2[i]) / (4.0 * frr[i]);
+            inv_f[i] = M::inv_f_gb(fd2[i], frr[i]);
         }
-        M::exp_block(arg, ex);
-        for i in 0..t {
-            ex[i] = M::rsqrt(fd2[i] + frr[i] * ex[i]);
-        }
-        (dot8(&scratch.fw[..t], ex), work)
+        (dot8(&scratch.fw[..t], inv_f), work)
     }
 
-    /// Replays the far staging decisions without evaluating — the bench's
-    /// per-class observability columns.
+    /// Replays the near gather without evaluating — the bench's near-field
+    /// observability columns.
+    pub fn near_stats(&self, sys: &GbSystem) -> NearStats {
+        let mut st = NearStats {
+            owned_entries: self.near_w.iter().filter(|&&w| w != 0).count() as u64,
+            ..NearStats::default()
+        };
+        for ord in 0..self.num_vleaves() {
+            let v_atoms = sys.ta.node(sys.ta.leaves()[ord]).count() as u64;
+            for (r, _) in self.near_runs(&sys.ta, ord) {
+                st.runs += 1;
+                st.tile_atoms += r.len() as u64;
+                st.owned_pairs += r.len() as u64 * v_atoms;
+            }
+        }
+        st
+    }
+
+    /// Replays the far tile emission without evaluating — the bench's
+    /// far-field observability columns.
     pub fn far_stats(&self, sys: &GbSystem, bins: &ChargeBins) -> FarStats {
         let mut st = FarStats {
             pair_count: self.rows.far.len() as u64,
@@ -1424,10 +1452,10 @@ impl EnergyLists {
 }
 
 /// Reusable scratch of the tiled energy kernels: the gathered near SoA
-/// tile, the shared pass buffers, the far bin-pair tile, and the far
-/// staging arrays. Grow-only — buffers warm to the largest tile seen and
-/// steady-state execution allocates nothing. One per executing worker
-/// (kept in [`crate::arena::Workspace`] / its chunk slots).
+/// tile, the far bin-pair tile and the kernel output they share.
+/// Grow-only — buffers warm to the largest tile seen and steady-state
+/// execution allocates nothing. One per executing worker (kept in
+/// [`crate::arena::Workspace`] / its chunk slots).
 #[derive(Clone, Debug, Default)]
 pub struct EnergyExecScratch {
     /// Gathered near-partner atoms: coordinates, weighted charge, radius.
@@ -1436,23 +1464,14 @@ pub struct EnergyExecScratch {
     tz: Vec<f64>,
     tq: Vec<f64>,
     tr: Vec<f64>,
-    /// Pass buffers shared by the near and far kernels: squared distance,
-    /// radius product, exp argument, exp result (overwritten by `1/f_GB`).
-    rsq: Vec<f64>,
-    rr: Vec<f64>,
-    arg: Vec<f64>,
-    ex: Vec<f64>,
+    /// `1/f_GB` per tile entry — the kernel pass's output, shared by the
+    /// near and far tiles.
+    inv_f: Vec<f64>,
     /// Far bin-pair tile: squared centroid distance, radius product
     /// (table-read), charge-product weight.
     fd2: Vec<f64>,
     frr: Vec<f64>,
     fw: Vec<f64>,
-    /// Far staging: per-pair squared distance and class (nonzero-bin
-    /// count), counting-sort cursors, class-sorted pair order.
-    pair_d2: Vec<f64>,
-    pair_cls: Vec<u32>,
-    cls_cursor: Vec<u32>,
-    pair_order: Vec<u32>,
     /// Convolution accumulator over `s = i+j` (`2K−1` slots, kept zeroed
     /// between pairs by resetting only the touched span).
     conv_w: Vec<f64>,
@@ -1470,21 +1489,29 @@ impl EnergyExecScratch {
             + self.tz.capacity()
             + self.tq.capacity()
             + self.tr.capacity()
-            + self.rsq.capacity()
-            + self.rr.capacity()
-            + self.arg.capacity()
-            + self.ex.capacity()
+            + self.inv_f.capacity()
             + self.fd2.capacity()
             + self.frr.capacity()
             + self.fw.capacity()
-            + self.pair_d2.capacity()
             + self.conv_w.capacity())
             * std::mem::size_of::<f64>()
-            + (self.pair_cls.capacity()
-                + self.cls_cursor.capacity()
-                + self.pair_order.capacity())
-                * std::mem::size_of::<u32>()
     }
+}
+
+/// Shape statistics of the near-field tiles (bench observability).
+#[derive(Clone, Debug, Default)]
+pub struct NearStats {
+    /// Near entries a row evaluates (weight 1 or 2; the mirror-owned
+    /// weight-0 entries excluded).
+    pub owned_entries: u64,
+    /// Gather runs those entries coalesce into — one copy per tile array
+    /// each; `owned_entries / runs` is the coalescing factor.
+    pub runs: u64,
+    /// Exact `(u, v)` atom pairs the tiles evaluate, `Σ |U|·|V|` over the
+    /// owned entries (a doubled pair counts once).
+    pub owned_pairs: u64,
+    /// Partner atoms gathered into the tiles, summed over ordinals.
+    pub tile_atoms: u64,
 }
 
 /// Shape statistics of the far-field tiles (bench observability).
@@ -1512,13 +1539,6 @@ pub struct FarStats {
 fn ensure_len(v: &mut Vec<f64>, n: usize) {
     if v.len() < n {
         v.resize(n, 0.0);
-    }
-}
-
-#[inline]
-fn ensure_len_u32(v: &mut Vec<u32>, n: usize) {
-    if v.len() < n {
-        v.resize(n, 0);
     }
 }
 
@@ -1845,21 +1865,13 @@ mod tests {
         assert!(exec.memory_bytes() > 0);
     }
 
-    /// Evaluates a staged `(d², RiRj, weight)` tile through the pass-split
-    /// microkernel — the in-process mirror of what
+    /// Evaluates a staged `(d², RiRj, weight)` tile through the pair
+    /// kernel and the strided dot — the in-process mirror of what
     /// `far_tile_raw::<ExactMath>` runs.
     fn eval_tile(fd2: &[f64], frr: &[f64], fw: &[f64]) -> f64 {
-        let t = fd2.len();
-        let mut arg = vec![0.0; t];
-        let mut ex = vec![0.0; t];
-        for i in 0..t {
-            arg[i] = (-fd2[i]) / (4.0 * frr[i]);
-        }
-        ExactMath::exp_block(&arg, &mut ex);
-        for i in 0..t {
-            ex[i] = ExactMath::rsqrt(fd2[i] + frr[i] * ex[i]);
-        }
-        dot8(fw, &ex)
+        let inv_f: Vec<f64> =
+            fd2.iter().zip(frr).map(|(&d2, &rr)| ExactMath::inv_f_gb(d2, rr)).collect();
+        dot8(fw, &inv_f)
     }
 
     #[test]
@@ -2452,9 +2464,13 @@ mod tests {
             for (k, &u) in row.clone().zip(lists.rows.near_row(ord)) {
                 let uo = ord_of[u as usize];
                 let mirrored = visits[uo].near.contains(&ta.leaves()[ord]);
+                // block checkerboard on 16-ordinal blocks, the ordinal
+                // checkerboard inside a diagonal block
+                let (lo, hi) = (uo.min(ord), uo.max(ord));
+                let parity = if lo / 16 == hi / 16 { lo + hi } else { lo / 16 + hi / 16 };
                 let expect = if uo == ord || !mirrored {
                     1
-                } else if ((uo + ord) % 2 == 1) == (ord > uo) {
+                } else if (parity % 2 == 1) == (ord > uo) {
                     2
                 } else {
                     0
@@ -2585,5 +2601,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `(driving ordinal, partner ordinal) → weight` over the rows of
+    /// `range`.
+    fn near_weights(
+        lists: &EnergyLists,
+        ta: &Octree,
+        range: Range<usize>,
+    ) -> std::collections::HashMap<(usize, usize), u8> {
+        let mut ord_of = vec![usize::MAX; ta.num_nodes()];
+        for (ord, &l) in ta.leaves().iter().enumerate() {
+            ord_of[l as usize] = ord;
+        }
+        let mut out = std::collections::HashMap::new();
+        for ord in range {
+            for k in lists.rows.near_off[ord]..lists.rows.near_off[ord + 1] {
+                out.insert((ord, ord_of[lists.rows.near[k] as usize]), lists.near_w[k]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn symmetric_near_pairs_are_evaluated_once_doubled() {
+        // full builds and builds partitioned into row parts, each part
+        // swept on its own: a symmetric pair inside one part is evaluated
+        // by exactly one side with weight 2 (the other 0), a pair split
+        // across parts once by each side, everything else once
+        let sys = system(3000);
+        let nv = sys.ta.num_leaves();
+        let full = EnergyLists::build(&sys);
+        for parts in [1usize, 2, 3, 5] {
+            let ranges: Vec<Range<usize>> =
+                (0..parts).map(|i| nv * i / parts..nv * (i + 1) / parts).collect();
+            let mut w = std::collections::HashMap::new();
+            let mut scratch = ListScratch::new();
+            for r in &ranges {
+                let mut part = EnergyLists::empty();
+                part.rebuild_part(&sys, r.clone(), 1, &mut scratch);
+                w.extend(near_weights(&part, &sys.ta, r.clone()));
+            }
+            if parts == 1 {
+                assert_eq!(w, near_weights(&full, &sys.ta, 0..nv));
+            }
+            let part_of = |ord: usize| ranges.iter().position(|r| r.contains(&ord));
+            let mut doubled = 0usize;
+            for (&(a, b), &wab) in &w {
+                match w.get(&(b, a)) {
+                    Some(&wba) if a != b && part_of(a) == part_of(b) => {
+                        assert!(
+                            (wab, wba) == (2, 0) || (wab, wba) == (0, 2),
+                            "parts={parts} ({a},{b}): {wab}/{wba}"
+                        );
+                        doubled += usize::from(wab == 2);
+                    }
+                    _ => assert_eq!(wab, 1, "parts={parts} ({a},{b})"),
+                }
+            }
+            assert!(doubled > 0, "parts={parts}: no symmetric pair exercised");
+        }
+    }
+
+    #[test]
+    fn block_ownership_balances_like_the_ordinal_checkerboard() {
+        // owned exact pairs per work-balanced segment (the runners' cut
+        // by `leaf_costs`): the block rule's max/mean stays within 0.01
+        // of the per-ordinal checkerboard's
+        let sys = system(6000);
+        let (_, bins) = radii_and_bins(&sys);
+        let lists = EnergyLists::build(&sys);
+        let ta = &sys.ta;
+        let nv = lists.num_vleaves();
+        let w = near_weights(&lists, ta, 0..nv);
+        let size = |ord: usize| ta.node(ta.leaves()[ord]).count() as f64;
+        let (mut block, mut ordinal) = (vec![0.0; nv], vec![0.0; nv]);
+        for (&(v, u), &wvu) in &w {
+            let pairs = size(u) * size(v);
+            if wvu != 0 {
+                block[v] += pairs;
+            }
+            let ordinal_owns = match w.get(&(u, v)) {
+                Some(_) if u != v => ((u + v) % 2 == 1) == (v > u),
+                _ => true,
+            };
+            if ordinal_owns {
+                ordinal[v] += pairs;
+            }
+        }
+        assert_eq!(block.iter().sum::<f64>(), ordinal.iter().sum::<f64>());
+        let costs = lists.leaf_costs(&sys, &bins);
+        for p in [2usize, 4, 8] {
+            let segs = crate::workdiv::work_balanced_segments(&costs, p);
+            let imbalance = |per_ord: &[f64]| {
+                let sums: Vec<f64> =
+                    segs.iter().map(|r| per_ord[r.clone()].iter().sum()).collect();
+                let mean = sums.iter().sum::<f64>() / p as f64;
+                sums.iter().cloned().fold(0.0, f64::max) / mean
+            };
+            let (b, o) = (imbalance(&block), imbalance(&ordinal));
+            assert!(b <= o + 0.01, "P={p}: block max/mean {b} vs ordinal {o}");
+        }
+    }
+
+    #[test]
+    fn near_stats_replay_the_gathered_tiles() {
+        let sys = system(3000);
+        let lists = EnergyLists::build(&sys);
+        let st = lists.near_stats(&sys);
+        let (mut entries, mut atoms, mut pairs) = (0u64, 0u64, 0u64);
+        for ord in 0..lists.num_vleaves() {
+            let v = sys.ta.node(sys.ta.leaves()[ord]).count() as u64;
+            for k in lists.rows.near_off[ord]..lists.rows.near_off[ord + 1] {
+                if lists.near_w[k] != 0 {
+                    let u = sys.ta.node(lists.rows.near[k]).count() as u64;
+                    entries += 1;
+                    atoms += u;
+                    pairs += u * v;
+                }
+            }
+        }
+        assert_eq!(st.owned_entries, entries);
+        assert_eq!(st.owned_pairs, pairs);
+        // coalescing merges entries, never splits or drops atoms
+        assert_eq!(st.tile_atoms, atoms);
+        assert!(st.runs > 0 && st.runs < st.owned_entries, "{st:?}");
     }
 }

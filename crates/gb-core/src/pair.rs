@@ -34,8 +34,8 @@
 use crate::arena::CachedLists;
 use crate::bins::ChargeBins;
 use crate::contenthash::{params_key, system_key};
-use crate::fastmath::{ApproxMath, ExactMath};
-use crate::gbmath::{finalize_energy, inv_f_gb, R4, R6};
+use crate::fastmath::{ApproxMath, ExactMath, MathMode};
+use crate::gbmath::{finalize_energy, R4, R6};
 use crate::integrals::{push_integrals_scratch, IntegralAcc};
 use crate::interaction::{BornLists, EnergyExecScratch, ListScratch};
 use crate::params::{GbParams, MathKind, RadiiKind};
@@ -266,7 +266,7 @@ pub fn evaluate_pair_ws(
             let mut row = 0.0;
             for (j, &xj) in pb[..nb].iter().enumerate() {
                 let d2 = (xi - xj).norm_sq();
-                row += sb.charge_tree[j] * inv_f_gb::<M>(d2, ri * scratch.radii_b[j]);
+                row += sb.charge_tree[j] * M::inv_f_gb(d2, ri * scratch.radii_b[j]);
             }
             raw_cross += qi * row;
         }

@@ -21,9 +21,10 @@
 //! subtraction, a (2,3) rational in `r²`, exponent-field scaling by `2ⁿ`),
 //! accurate to ≲2 ulp (`< 1e-15` relative to libm). It is the exact
 //! mode's exponential ([`crate::fastmath::ExactMath`]), so energies do not
-//! depend on the host's libm version. Its body is branch-free, so the
-//! tile kernels' per-element loop over it (`MathMode::exp_block`)
-//! autovectorizes.
+//! depend on the host's libm version. [`poly_inv_f_gb`] is the exact
+//! mode's GB pair kernel: the same reduction and rational, folded into
+//! `1/f_GB` over one common denominator. Both bodies are branch-free, so
+//! the tile kernels' per-element loops over them autovectorize.
 
 use std::sync::OnceLock;
 
@@ -139,15 +140,11 @@ const EXP_Q1: f64 = 2.524_483_403_496_841e-3;
 const EXP_Q2: f64 = 2.272_655_482_081_550_3e-1;
 const EXP_Q3: f64 = 2.0;
 
-/// Polynomial `e^x`, accurate to ≲2 ulp over `[-708, 709]`; underflows to
-/// `0` below and saturates at `x = 709` above (the GB exponent is always
-/// ≤ 0, where underflow to zero is the correct limit). A NaN argument is
-/// returned unchanged.
-#[inline]
-pub fn poly_exp(x: f64) -> f64 {
-    // Branch-free: clamp into [EXP_LO, EXP_HI], compute, then select the
-    // underflow / NaN result at the end — the body is straight-line code,
-    // so a loop of inlined calls autovectorizes.
+/// The Cephes reduction shared by [`poly_exp`] and [`poly_inv_f_gb`]:
+/// clamps `x` into `[EXP_LO, EXP_HI]` and returns `(p, q, 2ⁿ)` with
+/// `e^x ≈ 2ⁿ·(q + p)/(q − p)`. Straight-line code (clamps are selects).
+#[inline(always)]
+fn exp_parts(x: f64) -> (f64, f64, f64) {
     let xs = if x > EXP_HI { EXP_HI } else { x };
     let xs = if xs < EXP_LO { EXP_LO } else { xs };
     // n = ⌊x·log₂e + ½⌋
@@ -156,14 +153,27 @@ pub fn poly_exp(x: f64) -> f64 {
     let r = xs - n * EXP_C1;
     let r = r - n * EXP_C2;
     let rr = r * r;
-    // exp(r) = 1 + 2rP(r²) / (Q(r²) − rP(r²))
+    // exp(r) = (Q(r²) + rP(r²)) / (Q(r²) − rP(r²))
     let p = r * ((EXP_P0 * rr + EXP_P1) * rr + EXP_P2);
     let q = ((EXP_Q0 * rr + EXP_Q1) * rr + EXP_Q2) * rr + EXP_Q3;
-    let e = 2.0 * (p / (q - p)) + 1.0;
     // scale by 2ⁿ through the exponent field with the 2⁵² magic-number
     // trick (no int conversion): n + 1023 ∈ [2, 2046] here, so the biased
     // exponent is always valid
     let scale = f64::from_bits((n + 1023.0 + 4_503_599_627_370_496.0).to_bits() << 52);
+    (p, q, scale)
+}
+
+/// Polynomial `e^x`, accurate to ≲2 ulp over `[-708, 709]`; underflows to
+/// `0` below and saturates at `x = 709` above (the GB exponent is always
+/// ≤ 0, where underflow to zero is the correct limit). A NaN argument is
+/// returned unchanged.
+#[inline]
+pub fn poly_exp(x: f64) -> f64 {
+    // Branch-free: clamp, compute, then select the underflow / NaN result
+    // at the end — the body is straight-line code, so a loop of inlined
+    // calls autovectorizes.
+    let (p, q, scale) = exp_parts(x);
+    let e = 2.0 * (p / (q - p)) + 1.0;
     // 0 below the underflow cutoff, the argument itself (bits unchanged)
     // for NaN — a single `x >= EXP_LO` test would be false for NaN and
     // flush it to a silent finite zero — else the computed value
@@ -174,6 +184,31 @@ pub fn poly_exp(x: f64) -> f64 {
     } else {
         e * scale
     }
+}
+
+/// The GB pair kernel `1/f_GB = 1/√(r² + RᵢRⱼ·e^{−r²/(4RᵢRⱼ)})` with
+/// [`poly_exp`]'s rational folded into the root: with
+/// `e^x = 2ⁿ(q + p)/(q − p)`,
+/// `1/f_GB = √((q − p) / (r²(q − p) + RᵢRⱼ·2ⁿ(q + p)))` — the argument
+/// divide, one more divide and one square root, where the composed
+/// `rsqrt(r² + RᵢRⱼ·poly_exp(x))` pays three divides and the root. Within
+/// `5e-16` relative of the composed libm formula over the GB range
+/// (`ri_rj > 0`, `r_sq ≥ 0`); the exponential term is dropped below
+/// [`poly_exp`]'s underflow cutoff (the result tends to `1/r`), and a NaN
+/// in either argument comes out as NaN.
+#[inline]
+pub fn poly_inv_f_gb(r_sq: f64, ri_rj: f64) -> f64 {
+    let x = -r_sq / (4.0 * ri_rj);
+    let (p, q, scale) = exp_parts(x);
+    let den = q - p;
+    // RᵢRⱼ·e^x over the common denominator; `x < EXP_LO` is false for NaN,
+    // so a NaN argument reaches the result
+    let t = if x < EXP_LO {
+        0.0
+    } else {
+        ri_rj * scale * (q + p)
+    };
+    (den / r_sq.mul_add(den, t)).sqrt()
 }
 
 #[cfg(test)]

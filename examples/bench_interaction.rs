@@ -8,13 +8,19 @@
 //! Besides the original traversal-vs-list comparison, the snapshot carries
 //! the `list_build_parallel_ms` column: the same CSR lists built by
 //! `build_tasks(sys, tasks)` range-parallel walks (byte-identical layout;
-//! `build_tasks` reports the task count — one scoped thread each — and
-//! `build_threads` the cores the host offers).
+//! `build_tasks` is the requested task count — one scoped thread each, the
+//! host's cores by default). A phase whose rows are too few to split
+//! (`interaction::sweep_tasks` is 1) reports its
+//! `list_build_parallel_speedup` as `null` with the reason beside it.
 //!
 //! `exec_speedup_vs_traversal` is the engine-vs-engine headline: the seed
 //! per-leaf traversal over the list engine, both on the default
-//! `ExactMath` (the traversal's per-pair `exp`, the list engine's
-//! tile-wide `exp` block — the production execution path).
+//! `ExactMath` (the traversal's composed per-pair `1/f_GB`, the list
+//! engine's tiles through the fused pair kernel — the production
+//! execution path). The energy block splits the list execution into
+//! `far_exec_ms` (far tiles alone) and `near_exec_ms` (the rest) and
+//! reports the near tiles' shape: owned entries, the gather runs they
+//! coalesce into, owned exact pairs and gathered atoms.
 
 use gb_polarize::cluster::OpKind;
 use gb_polarize::core::bins::ChargeBins;
@@ -22,6 +28,7 @@ use gb_polarize::core::energy::energy_for_leaves;
 use gb_polarize::core::fastmath::ExactMath;
 use gb_polarize::core::gbmath::R6;
 use gb_polarize::core::integrals::{accumulate_qleaf, push_integrals_to_atoms, IntegralAcc};
+use gb_polarize::core::interaction::sweep_tasks;
 use gb_polarize::core::{BornLists, EnergyExecScratch, EnergyLists};
 use gb_polarize::prelude::*;
 
@@ -84,19 +91,32 @@ fn comm_columns(sys: &GbSystem, reps: usize) -> (u64, u64, f64) {
     (dense, sparse, sparse_exec_ms)
 }
 
+/// Prints a phase's `list_build_parallel_speedup`, or `null` and the reason
+/// when its `rows` driving leaves are too few for the build to split.
+fn print_parallel_speedup(rows: usize, tasks: usize, speedup: f64) {
+    if sweep_tasks(rows, tasks) > 1 {
+        println!("    \"list_build_parallel_speedup\": {speedup:.3},");
+    } else {
+        println!("    \"list_build_parallel_speedup\": null,");
+        println!(
+            "    \"list_build_parallel_note\": \"{rows} rows at {tasks} tasks sweep as one \
+             task: too few rows to split\","
+        );
+    }
+}
+
 fn main() {
     let n_atoms: usize =
         std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
     let reps = 3usize;
     // `GB_BUILD_THREADS` sets the parallel list build's task count
-    // (default: the machine's cores, at least 4); each task sweeps on its
-    // own scoped thread.
-    let threads = std::env::var("GB_BUILD_THREADS")
+    // (default: the machine's cores); each task sweeps on its own scoped
+    // thread.
+    let build_tasks = std::env::var("GB_BUILD_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
         .filter(|&n: &usize| n > 0)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let build_tasks = threads.max(4);
     let mol = synthesize_protein(&SyntheticParams::with_atoms(n_atoms, 4242));
     let sys = GbSystem::prepare(mol, GbParams::default());
 
@@ -204,6 +224,7 @@ fn main() {
         work
     });
     let far_stats = energy.far_stats(&sys, &bins);
+    let near_stats = energy.near_stats(&sys);
 
     let (comm_bytes_dense, comm_bytes_sparse, sparse_exec_ms) = comm_columns(&sys, reps);
 
@@ -212,14 +233,13 @@ fn main() {
     println!("  \"n_qpoints\": {},", sys.num_qpoints());
     println!("  \"reps\": {reps},");
     println!("  \"build_tasks\": {build_tasks},");
-    println!("  \"build_threads\": {threads},");
     println!("  \"born\": {{");
     println!("    \"traversal_ms\": {trav_ms:.3},");
     println!("    \"traversal_work_units\": {trav_work:.1},");
     println!("    \"list_build_ms\": {build_ms:.3},");
     println!("    \"list_build_work_units\": {build_work:.1},");
     println!("    \"list_build_parallel_ms\": {pbuild_ms:.3},");
-    println!("    \"list_build_parallel_speedup\": {:.3},", build_ms / pbuild_ms);
+    print_parallel_speedup(sys.tq.num_leaves(), build_tasks, build_ms / pbuild_ms);
     println!("    \"list_exec_ms\": {exec_ms:.3},");
     println!("    \"list_exec_work_units\": {exec_work:.1},");
     println!("    \"exec_speedup_vs_traversal\": {:.3}", trav_ms / exec_ms);
@@ -230,9 +250,14 @@ fn main() {
     println!("    \"list_build_ms\": {ebuild_ms:.3},");
     println!("    \"list_build_work_units\": {ebuild_work:.1},");
     println!("    \"list_build_parallel_ms\": {epbuild_ms:.3},");
-    println!("    \"list_build_parallel_speedup\": {:.3},", ebuild_ms / epbuild_ms);
+    print_parallel_speedup(sys.ta.num_leaves(), build_tasks, ebuild_ms / epbuild_ms);
     println!("    \"list_exec_ms\": {eexec_ms:.3},");
     println!("    \"list_exec_work_units\": {eexec_work:.1},");
+    println!("    \"near_exec_ms\": {:.3},", eexec_ms - far_ms);
+    println!("    \"near_owned_entries\": {},", near_stats.owned_entries);
+    println!("    \"near_runs\": {},", near_stats.runs);
+    println!("    \"near_owned_pairs\": {},", near_stats.owned_pairs);
+    println!("    \"near_tile_atoms\": {},", near_stats.tile_atoms);
     println!("    \"far_pair_count\": {},", far_stats.pair_count);
     println!("    \"far_exec_ms\": {far_ms:.3},");
     println!("    \"far_tile_entries\": {},", far_stats.tile_entries);
