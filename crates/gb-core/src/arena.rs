@@ -12,9 +12,11 @@
 //! Exclusions from the zero-alloc contract, by design:
 //! * spawning scope threads — for the parallel list build
 //!   (`build_tasks > 1`) and for a phase run on more than one thread (the
-//!   shared runner, a hybrid rank) — allocates inside `std::thread`, as
-//!   do that phase's per-leaf energy costs; the per-thread partials
-//!   themselves live in the warm [`ChunkSlot`]s;
+//!   shared runner, a hybrid rank) — allocates inside `std::thread`; the
+//!   per-thread partials themselves live in the warm [`ChunkSlot`]s and
+//!   the energy step's segment partials in [`Workspace::energy_partials`];
+//! * a cluster rank's node-based energy split reads the per-leaf energy
+//!   costs ([`EnergyLists::leaf_costs`]), a fresh vector per step;
 //! * the simulated collectives (`allreduce`, `allgatherv`) return fresh
 //!   vectors, as a real MPI library would manage its own buffers.
 
@@ -23,6 +25,7 @@ use crate::commplan::CommPlan;
 use crate::integrals::IntegralAcc;
 use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch};
 use crate::system::GbSystem;
+use crate::workdiv::SegmentPartials;
 use gb_octree::NodeId;
 use std::ops::Range;
 use std::sync::Arc;
@@ -65,7 +68,8 @@ impl CachedLists {
 }
 
 /// Per-thread scratch of a multithreaded phase: sub-segment `t` owns slot
-/// `t` while it runs, and the in-order merge reads the slots afterwards.
+/// `t` while it runs, and the in-order merge reads the slots afterwards
+/// (the energy step's thread `t` only borrows the tile scratch).
 pub struct ChunkSlot {
     /// Partial integral accumulator of the chunk's Born range.
     pub acc: IntegralAcc,
@@ -78,12 +82,14 @@ pub struct ChunkSlot {
     pub push_work: f64,
     /// Traversal stack of the chunk's push phase.
     pub push_stack: Vec<(NodeId, f64)>,
-    /// Partial raw energy of the chunk's leaf range.
-    pub raw: f64,
-    /// Work units of the chunk's energy execution.
-    pub energy_work: f64,
-    /// Tile scratch of the chunk's energy execution.
+    /// Tile scratch of the thread's energy segments.
     pub energy_exec: EnergyExecScratch,
+}
+
+impl AsMut<EnergyExecScratch> for ChunkSlot {
+    fn as_mut(&mut self) -> &mut EnergyExecScratch {
+        &mut self.energy_exec
+    }
 }
 
 impl ChunkSlot {
@@ -94,8 +100,6 @@ impl ChunkSlot {
             radii: Vec::new(),
             push_work: 0.0,
             push_stack: Vec::new(),
-            raw: 0.0,
-            energy_work: 0.0,
             energy_exec: EnergyExecScratch::new(),
         }
     }
@@ -226,6 +230,8 @@ pub struct Workspace {
     pub leaf_ranges: Vec<Range<usize>>,
     /// Per-thread slots of a multithreaded phase.
     pub slots: Vec<ChunkSlot>,
+    /// Segment partials of a multithreaded energy step.
+    pub energy_partials: SegmentPartials,
     /// Cached communication plan of the sparse cluster paths
     /// (produced/consumed slot sets, keyed on the list structure).
     pub plan: CommPlan,
@@ -359,6 +365,7 @@ impl Workspace {
             atom_ranges: Vec::new(),
             leaf_ranges: Vec::new(),
             slots: Vec::new(),
+            energy_partials: SegmentPartials::new(),
             plan: CommPlan::new(),
             owned_vals: Vec::new(),
             checkpoint: SuperstepCheckpoint::new(),
@@ -517,6 +524,7 @@ impl Workspace {
                 * std::mem::size_of::<Range<usize>>()
             + self.slots.iter().map(ChunkSlot::memory_bytes).sum::<usize>()
             + self.slots.capacity() * std::mem::size_of::<ChunkSlot>()
+            + self.energy_partials.memory_bytes()
             + self.plan.memory_bytes()
             + self.owned_vals.capacity() * std::mem::size_of::<f64>()
             + self.checkpoint.memory_bytes()

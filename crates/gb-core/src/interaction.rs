@@ -32,7 +32,7 @@ use crate::fastmath::MathMode;
 use crate::gbmath::RadiiApprox;
 use crate::integrals::{well_separated, IntegralAcc, TRAVERSAL_UNIT};
 use crate::system::GbSystem;
-use crate::workdiv::fork_join;
+use crate::workdiv::{fork_join, segment, segment_count, sum_segments, SegmentPartials};
 use gb_geom::Vec3;
 use gb_octree::{NodeId, Octree};
 use std::ops::Range;
@@ -1131,8 +1131,35 @@ impl EnergyLists {
         (near_raw + far_raw, near_work + far_work)
     }
 
-    /// Executes a contiguous run of driving-leaf ordinals, summing raw
-    /// energies in ordinal order (the runners' shared reduction order).
+    /// Executes a contiguous run of driving-leaf ordinals — the energy
+    /// step's one row sum. The run is cut into the fixed segments of
+    /// [`SEGMENT_ROWS`](crate::workdiv::SEGMENT_ROWS) consecutive rows;
+    /// each segment sums its rows in ordinal order and the partials add in
+    /// segment order ([`sum_segments`]), on `scratch.len()` threads that
+    /// take segments dynamically. Returns `(raw_energy, work_units)`,
+    /// `to_bits` the same for any thread count and schedule.
+    pub fn execute_rows<M: MathMode, S: AsMut<EnergyExecScratch> + Send>(
+        &self,
+        sys: &GbSystem,
+        bins: &ChargeBins,
+        radii_tree: &[f64],
+        ords: Range<usize>,
+        scratch: &mut [S],
+        partials: &mut SegmentPartials,
+    ) -> (f64, f64) {
+        sum_segments(scratch, partials, segment_count(&ords), |k, s| {
+            let s = s.as_mut();
+            let (mut raw, mut work) = (0.0, 0.0);
+            for ord in segment(&ords, k) {
+                let (r, w) = self.execute_leaf::<M>(sys, bins, radii_tree, ord, s);
+                raw += r;
+                work += w;
+            }
+            (raw, work)
+        })
+    }
+
+    /// [`EnergyLists::execute_rows`] on the calling thread alone.
     pub fn execute_leaves<M: MathMode>(
         &self,
         sys: &GbSystem,
@@ -1141,14 +1168,8 @@ impl EnergyLists {
         ords: Range<usize>,
         scratch: &mut EnergyExecScratch,
     ) -> (f64, f64) {
-        let mut raw = 0.0;
-        let mut work = 0.0;
-        for ord in ords {
-            let (r, w) = self.execute_leaf::<M>(sys, bins, radii_tree, ord, scratch);
-            raw += r;
-            work += w;
-        }
-        (raw, work)
+        let one = std::slice::from_mut(scratch);
+        self.execute_rows::<M, _>(sys, bins, radii_tree, ords, one, &mut SegmentPartials::new())
     }
 
     /// Far field only, over a run of ordinals — the data-distributed
@@ -1495,6 +1516,12 @@ impl EnergyExecScratch {
             + self.fw.capacity()
             + self.conv_w.capacity())
             * std::mem::size_of::<f64>()
+    }
+}
+
+impl AsMut<EnergyExecScratch> for EnergyExecScratch {
+    fn as_mut(&mut self) -> &mut EnergyExecScratch {
+        self
     }
 }
 

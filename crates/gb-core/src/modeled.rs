@@ -190,16 +190,13 @@ fn modeled_run_impl<M: MathMode, K: RadiiApprox>(
     // = 5 words/point).
     let bins = bins_for(sys, &radii_tree);
     let bins_bytes = bins.memory_bytes() as u64;
-    let mut raw = 0.0;
+    let raw;
     {
         let energy = EnergyLists::build(sys);
         let mut exec_scratch = crate::interaction::EnergyExecScratch::new();
-        let mut leaf_works = Vec::with_capacity(energy.num_vleaves());
-        for ord in 0..energy.num_vleaves() {
-            let (r, w) = energy.execute_leaf::<M>(sys, &bins, &radii_tree, ord, &mut exec_scratch);
-            raw += r;
-            leaf_works.push(w);
-        }
+        let rows = 0..energy.num_vleaves();
+        (raw, _) = energy.execute_leaves::<M>(sys, &bins, &radii_tree, rows, &mut exec_scratch);
+        let leaf_works = energy.leaf_costs(sys, &bins);
         let leaf_points: Vec<usize> = sys
             .ta
             .leaves()

@@ -41,6 +41,7 @@ use crate::interaction::{BornLists, EnergyExecScratch, ListScratch};
 use crate::params::{GbParams, MathKind, RadiiKind};
 use crate::runners::with_kernels;
 use crate::system::GbSystem;
+use crate::workdiv::{segment, segment_count, sum_segments, SegmentPartials};
 use gb_geom::{RigidTransform, Vec3};
 use gb_molecule::Molecule;
 use gb_octree::NodeId;
@@ -140,7 +141,9 @@ pub struct PairOutcome {
 }
 
 /// Reusable buffers of the per-pose evaluation — one per serve worker, so
-/// steady-state poses allocate only the posed octree copies.
+/// steady-state poses allocate only the posed octree copies. Its thread
+/// count sets how many threads run a pose's energy rows and cross double
+/// sum; the answer is `to_bits` the same at every count.
 #[derive(Debug)]
 pub struct PairScratch {
     cross_ab: BornLists,
@@ -153,14 +156,22 @@ pub struct PairScratch {
     push_stack: Vec<(NodeId, f64)>,
     bins_a: ChargeBins,
     bins_b: ChargeBins,
-    exec: EnergyExecScratch,
+    /// One energy tile scratch per thread.
+    execs: Vec<EnergyExecScratch>,
+    partials: SegmentPartials,
     rot_q_normals: Vec<Vec3>,
     rot_q_normal_tree: Vec<Vec3>,
 }
 
 impl PairScratch {
-    /// Fresh scratch with no warmed buffers.
+    /// Fresh one-thread scratch with no warmed buffers.
     pub fn new() -> PairScratch {
+        PairScratch::with_threads(1)
+    }
+
+    /// Fresh scratch whose poses run their energy on `threads` threads
+    /// (0 is taken as 1).
+    pub fn with_threads(threads: usize) -> PairScratch {
         PairScratch {
             cross_ab: BornLists::empty(),
             cross_ba: BornLists::empty(),
@@ -172,7 +183,8 @@ impl PairScratch {
             push_stack: Vec::new(),
             bins_a: ChargeBins::empty(),
             bins_b: ChargeBins::empty(),
-            exec: EnergyExecScratch::new(),
+            execs: (0..threads.max(1)).map(|_| EnergyExecScratch::new()).collect(),
+            partials: SegmentPartials::new(),
             rot_q_normals: Vec::new(),
             rot_q_normal_tree: Vec::new(),
         }
@@ -247,29 +259,37 @@ pub fn evaluate_pair_ws(
             sb, &scratch.acc_b, 0..nb, &mut scratch.radii_b, &mut scratch.push_stack);
 
         // Energy: monomer-internal terms through the cached lists (complex
-        // radii), cross terms as the exact ordered-pair double sum.
+        // radii), cross terms as the exact ordered-pair double sum — all
+        // three in fixed segments on the scratch's threads.
         scratch.bins_a.recompute(sa, &scratch.radii_a);
-        let (raw_aa, ew_a) = a.lists.energy.execute_leaves::<M>(
+        let (raw_aa, ew_a) = a.lists.energy.execute_rows::<M, _>(
             sa, &scratch.bins_a, &scratch.radii_a,
-            0..a.lists.energy.num_vleaves(), &mut scratch.exec);
+            0..a.lists.energy.num_vleaves(), &mut scratch.execs, &mut scratch.partials);
         scratch.bins_b.recompute(sb, &scratch.radii_b);
-        let (raw_bb, ew_b) = b.lists.energy.execute_leaves::<M>(
+        let (raw_bb, ew_b) = b.lists.energy.execute_rows::<M, _>(
             sb, &scratch.bins_b, &scratch.radii_b,
-            0..b.lists.energy.num_vleaves(), &mut scratch.exec);
+            0..b.lists.energy.num_vleaves(), &mut scratch.execs, &mut scratch.partials);
 
-        let pa = sa.ta.points();
-        let pb = tb_a.points();
-        let mut raw_cross = 0.0;
-        for (i, &xi) in pa[..na].iter().enumerate() {
-            let qi = sa.charge_tree[i];
-            let ri = scratch.radii_a[i];
-            let mut row = 0.0;
-            for (j, &xj) in pb[..nb].iter().enumerate() {
-                let d2 = (xi - xj).norm_sq();
-                row += sb.charge_tree[j] * M::inv_f_gb(d2, ri * scratch.radii_b[j]);
+        // receptor atoms are the rows: each sums its ligand partners in
+        // order, and segments of rows combine like the energy rows
+        let (pa, pb) = (&sa.ta.points()[..na], &tb_a.points()[..nb]);
+        let (ra, rb) = (&scratch.radii_a, &scratch.radii_b);
+        let rows = 0..na;
+        let cross_segment = |k: usize, _: &mut EnergyExecScratch| {
+            let mut raw = 0.0;
+            for i in segment(&rows, k) {
+                let (xi, ri) = (pa[i], ra[i]);
+                let mut row = 0.0;
+                for (j, &xj) in pb.iter().enumerate() {
+                    row += sb.charge_tree[j] * M::inv_f_gb((xi - xj).norm_sq(), ri * rb[j]);
+                }
+                raw += sa.charge_tree[i] * row;
             }
-            raw_cross += qi * row;
-        }
+            (raw, 0.0)
+        };
+        let segments = segment_count(&rows);
+        let (raw_cross, _) =
+            sum_segments(&mut scratch.execs, &mut scratch.partials, segments, cross_segment);
         work += ew_a + ew_b + (na * nb) as f64;
 
         // raw sums count ordered pairs, so the A×B block appears twice
@@ -313,6 +333,28 @@ mod tests {
         let warm = evaluate_pair_ws(&a, &b, &pose, &mut scratch);
         assert_eq!(fresh.energy_kcal.to_bits(), warm.energy_kcal.to_bits());
         assert_eq!(fresh.work.to_bits(), warm.work.to_bits());
+    }
+
+    #[test]
+    fn pair_evaluation_is_bitwise_independent_of_the_thread_count() {
+        let a = monomer(1500, 31);
+        let b = monomer(80, 32);
+        let pose = RigidTransform::rotation_about(
+            Vec3::new(-14.0, 2.0, 0.5),
+            Vec3::new(0.2, 0.4, 0.9),
+            1.1,
+        );
+        let one = evaluate_pair_ws(&a, &b, &pose, &mut PairScratch::new());
+        for threads in [1usize, 2, 3] {
+            let mut scratch = PairScratch::with_threads(threads);
+            for run in 0..2 {
+                let out = evaluate_pair_ws(&a, &b, &pose, &mut scratch);
+                let what = format!("{threads} threads, run {run}");
+                assert_eq!(out.energy_kcal.to_bits(), one.energy_kcal.to_bits(), "{what}");
+                assert_eq!(out.delta_kcal.to_bits(), one.delta_kcal.to_bits(), "{what}");
+                assert_eq!(out.work.to_bits(), one.work.to_bits(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -25,11 +25,12 @@
 //! The same rank program is the hybrid runner's (`OCT_MPI+CILK`): steps 2,
 //! 4 and 6 (node division) are the [phase steps](crate::runners) the serial
 //! and shared runners run, called over the rank's segment at
-//! `threads_per_rank` threads. With more than one thread they cut the
-//! segment into fixed sub-segments, balanced by the same measured work
-//! that cuts ranks, and merge them in order, so the result never depends
-//! on the schedule. One thread per rank runs inline, so the distributed
-//! runner spawns nothing.
+//! `threads_per_rank` threads. With more than one thread the Born and
+//! push steps cut the segment into fixed sub-segments, balanced by the
+//! same measured work that cuts ranks, and merge them in order; the
+//! energy step's threads take fixed row segments and add them in segment
+//! order. So the result never depends on the schedule. One thread per
+//! rank runs inline, so the distributed runner spawns nothing.
 
 use crate::arena::Workspace;
 use crate::commplan::CommMode;
@@ -366,15 +367,14 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
             let costs = ws.energy.leaf_costs(sys, &ws.bins);
             work_balanced_segments_into(&costs, p, &mut ws.seg_ranges);
             let seg = ws.seg_ranges[rank].clone();
-            let (raw, exec) = execute_energy::<M>(sys, threads, ws, &radii_tree, seg, &costs);
+            let (raw, exec) = execute_energy::<M>(sys, threads, ws, &radii_tree, seg);
             (raw, ws.energy.build_work + exec)
         }
         // execution work only, as for the clipped Born lists
         WorkDivision::AtomNode => {
             let atom_ords = leaves_starting_in(sys, &ws.atom_ranges[rank]);
             ws.energy.rebuild_part(sys, atom_ords.clone(), ws.build_tasks, &mut ws.energy_scratch);
-            let exec = &mut ws.energy_exec;
-            ws.energy.execute_leaves::<M>(sys, &ws.bins, &radii_tree, atom_ords, exec)
+            execute_energy::<M>(sys, threads, ws, &radii_tree, atom_ords)
         }
     };
     comm.record_work(w);

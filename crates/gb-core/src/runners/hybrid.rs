@@ -5,9 +5,10 @@
 //! run with `threads_per_rank > 1`: the same 7 steps, the same collectives
 //! and checkpoints. Inside a rank, the Born, push and energy steps are the
 //! shared runner's [phase steps](crate::runners) over the rank's segment:
-//! `threads_per_rank` fixed sub-segments (measured list work; atoms evenly
-//! for the push) on scoped threads, merged in sub-segment order. The
-//! partition is fixed, so a run's energy and radii are `to_bits`-stable
+//! `threads_per_rank` fixed sub-segments for Born and push (measured list
+//! work; atoms evenly for the push) on scoped threads, merged in
+//! sub-segment order, and the energy rows in fixed segments added in
+//! segment order. A run's energy and radii are therefore `to_bits`-stable
 //! from run to run, one rank of `T` threads is the shared runner on `T`
 //! threads, and one thread per rank is the distributed runner, bit for
 //! bit. Work division is node-based only; the atom-based ablation runs on
@@ -49,7 +50,7 @@ pub fn try_run_hybrid_mode(
     mode: CommMode,
 ) -> Result<(GbResult, RunReport), GbError> {
     let workspaces: Vec<Mutex<Workspace>> = (0..ranks)
-        .map(|_| Mutex::new(Workspace::with_build_tasks(threads_per_rank)))
+        .map(|_| Mutex::new(Workspace::new()))
         .collect();
     try_run_hybrid_ws_mode(sys, cluster, ranks, threads_per_rank, mode, &workspaces)
 }
@@ -110,8 +111,8 @@ mod tests {
 
     #[test]
     fn hybrid_is_bitwise_stable_from_run_to_run() {
-        // fixed sub-segments merged in order: the thread schedule cannot
-        // reach the result
+        // fixed sub-segments merged in order, energy segments added in
+        // order: the thread schedule cannot reach the result
         let s = sys(400);
         let cluster = SimCluster::single_node();
         for (p, t) in [(1usize, 2usize), (2, 3), (2, 6)] {

@@ -3,13 +3,17 @@
 //!
 //! [`execute_born`], [`push_segment`] and [`execute_energy`] take a
 //! segment and a thread count `T`. At `T == 1` they run inline on the
-//! calling thread; at `T > 1` they cut the segment into `T` sub-segments
-//! (balanced by measured list work; atoms evenly for the push), run them
-//! through [`fork_join`] with sub-segment `t` filling `ws.slots[t]`, and
-//! merge the slots in `t` order. The partition is fixed, so a result
-//! depends on `T` but never on the schedule. The serial and shared runners
-//! call them over the full ranges (serial at `T == 1`), and a cluster rank
-//! calls them over its segment at its `threads_per_rank`.
+//! calling thread. At `T > 1` the Born and push steps cut the segment into
+//! `T` sub-segments (balanced by measured list work; atoms evenly for the
+//! push), run them through [`fork_join`] with sub-segment `t` filling
+//! `ws.slots[t]`, and merge the slots in `t` order: the partition is
+//! fixed, so their result depends on `T` but never on the schedule. The
+//! energy step cuts its rows into fixed segments of
+//! [`SEGMENT_ROWS`](crate::workdiv::SEGMENT_ROWS), independent of `T`
+//! and `P`, that the threads take dynamically; the partials add in
+//! segment order, so its result depends on neither. The serial and shared
+//! runners call the steps over the full ranges (serial at `T == 1`), and
+//! a cluster rank calls them over its segment at its `threads_per_rank`.
 
 pub mod data_distributed;
 pub mod distributed;
@@ -156,35 +160,58 @@ pub(crate) fn push_segment<M: MathMode, K: RadiiApprox>(
     work
 }
 
-/// Raw energy of the ordinals `seg` on `threads` threads; `costs` (the
-/// per-ordinal work of [`EnergyLists::leaf_costs`], read only at
-/// `threads > 1`) balances the sub-segments. Returns `(raw energy,
-/// execution work)`.
+/// Raw energy of the ordinals `seg` on `threads` threads — the one energy
+/// row sum, [`EnergyLists::execute_rows`]: fixed row segments taken
+/// dynamically and added in segment order, so the result is `to_bits` the
+/// same at every `threads`. Returns `(raw energy, execution work)`.
 ///
-/// [`EnergyLists::leaf_costs`]: crate::interaction::EnergyLists::leaf_costs
+/// [`EnergyLists::execute_rows`]: crate::interaction::EnergyLists::execute_rows
 pub(crate) fn execute_energy<M: MathMode>(
     sys: &GbSystem,
     threads: usize,
     ws: &mut Workspace,
     radii_tree: &[f64],
     seg: Range<usize>,
-    costs: &[f64],
 ) -> (f64, f64) {
     if threads == 1 {
         return ws.energy.execute_leaves::<M>(sys, &ws.bins, radii_tree, seg, &mut ws.energy_exec);
     }
-    work_balanced_segments_into(&costs[seg.clone()], threads, &mut ws.leaf_ranges);
     ws.ensure_slots(threads);
-    let (energy, bins, subs) = (&ws.energy, &ws.bins, &ws.leaf_ranges);
-    fork_join(&mut ws.slots[..threads], |t, slot| {
-        let ords = shifted(&subs[t], seg.start);
-        (slot.raw, slot.energy_work) =
-            energy.execute_leaves::<M>(sys, bins, radii_tree, ords, &mut slot.energy_exec);
-    });
-    let (mut raw, mut work) = (0.0, 0.0);
-    for slot in &ws.slots[..threads] {
-        raw += slot.raw;
-        work += slot.energy_work;
+    let slots = &mut ws.slots[..threads];
+    ws.energy.execute_rows::<M, _>(sys, &ws.bins, radii_tree, seg, slots, &mut ws.energy_partials)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fastmath::ExactMath;
+    use crate::params::GbParams;
+    use crate::runners::serial::run_serial_ws;
+    use gb_molecule::{synthesize_protein, SyntheticParams};
+
+    #[test]
+    fn energy_step_is_bitwise_independent_of_the_thread_count() {
+        // radii and bins held fixed: only the energy step's thread count
+        // (and its dynamic schedule) varies, over the full rows and over a
+        // rank-like sub-range that starts and ends mid-segment
+        let mol = synthesize_protein(&SyntheticParams::with_atoms(3000, 21));
+        let sys = GbSystem::prepare(mol, GbParams::default());
+        let mut ws = Workspace::new();
+        run_serial_ws(&sys, &mut ws);
+        let radii = ws.radii_tree.clone();
+        let n = ws.energy.num_vleaves();
+        assert!(n > 8 * crate::workdiv::SEGMENT_ROWS, "{n} rows: too few segments");
+        for rows in [0..n, 37..n - 5] {
+            let (raw1, work1) = execute_energy::<ExactMath>(&sys, 1, &mut ws, &radii, rows.clone());
+            for t in 2..=4 {
+                for run in 0..3 {
+                    let (raw, work) =
+                        execute_energy::<ExactMath>(&sys, t, &mut ws, &radii, rows.clone());
+                    let what = format!("rows {rows:?}, T={t}, run {run}");
+                    assert_eq!(raw.to_bits(), raw1.to_bits(), "{what}: raw");
+                    assert_eq!(work.to_bits(), work1.to_bits(), "{what}: work");
+                }
+            }
+        }
     }
-    (raw, work)
 }

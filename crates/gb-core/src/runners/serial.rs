@@ -63,14 +63,12 @@ pub(crate) fn run_pipeline_ws(sys: &GbSystem, threads: usize, ws: &mut Workspace
         born_work += execute_born::<M, K>(sys, threads, ws, 0..ws.born.num_qleaves());
         born_work += push_segment::<M, K>(sys, threads, ws, 0..sys.num_atoms());
 
-        // Energy phase: same split over (T_A, T_A); the per-leaf costs
-        // only cut sub-segments.
+        // Energy phase: every (T_A, T_A) row in fixed segments.
         ws.ready_energy_lists(sys);
         ws.bins.recompute(sys, &ws.radii_tree);
-        let costs = if threads > 1 { ws.energy.leaf_costs(sys, &ws.bins) } else { Vec::new() };
         let radii_tree = std::mem::take(&mut ws.radii_tree);
         let leaves = 0..ws.energy.num_vleaves();
-        let (raw, exec_work) = execute_energy::<M>(sys, threads, ws, &radii_tree, leaves, &costs);
+        let (raw, exec_work) = execute_energy::<M>(sys, threads, ws, &radii_tree, leaves);
         ws.radii_tree = radii_tree;
         let energy_work = ws.energy.build_work + exec_work;
         let energy_kcal = finalize_energy(raw, sys.params.tau());

@@ -1,26 +1,31 @@
 //! The shared-memory runner — the `OCT_CILK` analog: the serial pipeline's
 //! [phase steps](crate::runners) on every core.
 //!
-//! Each phase cuts its full range into one fixed sub-segment per thread —
-//! Born and energy ordinals balanced by measured list work, the push's
-//! atoms evenly — runs them on scoped threads, each into its own
-//! [`ChunkSlot`](crate::arena::ChunkSlot), and merges the slots in
-//! sub-segment order: the calcpol `parallel for … reduction(+: energy)`
-//! shape with a fixed partition in place of a dynamic schedule. The
-//! result therefore never depends on the schedule, and on `T` threads it
-//! is `to_bits` one hybrid rank of `T` threads; it differs from the
-//! serial runner only by the regrouped sums, within round-off.
+//! The Born and push phases cut their full range into one fixed
+//! sub-segment per thread — Born ordinals balanced by measured list work,
+//! the push's atoms evenly — run them on scoped threads, each into its own
+//! [`ChunkSlot`](crate::arena::ChunkSlot), and merge the slots in
+//! sub-segment order. The energy phase is the calcpol `parallel for …
+//! reduction(+: energy)` shape with a dynamic schedule: threads take fixed
+//! row segments from a counter and the partials add in segment order, so
+//! given the same radii it returns the same bits at any `T`. The result
+//! therefore never depends on the schedule, and on `T` threads it is
+//! `to_bits` one hybrid rank of `T` threads; it differs from the serial
+//! runner only by the Born step's regrouped sums, within round-off.
 
 use crate::arena::{Workspace, WsOutput};
 use crate::runners::serial::{run_pipeline_ws, SerialOutput};
 use crate::system::{GbResult, GbSystem};
 
-/// Runs the shared-memory octree pipeline on every available core.
+/// Runs the shared-memory octree pipeline on every available core. The
+/// lists build as one block: on a 2-core host a 2-task energy build ran
+/// slower than the single sweep (the per-task block copy and spawn
+/// outweigh the halved sweep).
 ///
 /// Matches [`run_serial`](crate::runners::serial::run_serial) to
 /// round-off — partial sums merge in a fixed order.
 pub fn run_shared(sys: &GbSystem) -> SerialOutput {
-    let mut ws = Workspace::with_build_tasks(available_threads());
+    let mut ws = Workspace::new();
     let out = run_shared_ws(sys, &mut ws);
     SerialOutput {
         result: GbResult {

@@ -14,6 +14,7 @@
 use gb_octree::Octree;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Which division scheme the distributed phases use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,6 +158,91 @@ pub(crate) fn fork_join<T: Send>(items: &mut [T], task: impl Fn(usize, &mut T) +
     });
 }
 
+/// Rows of one fixed segment of an energy row sum: segment `k` is the
+/// driving rows `k·SEGMENT_ROWS .. (k+1)·SEGMENT_ROWS`, clipped to the
+/// range being summed — independent of the thread and rank counts.
+pub const SEGMENT_ROWS: usize = 16;
+
+/// The fixed segments covering `rows`: segment `k` of the result is
+/// `segment(rows, k)`, for `k in 0..segment_count(rows)`.
+pub(crate) fn segment_count(rows: &Range<usize>) -> usize {
+    if rows.is_empty() {
+        return 0;
+    }
+    rows.end.div_ceil(SEGMENT_ROWS) - rows.start / SEGMENT_ROWS
+}
+
+/// Segment `k` (relative to the first segment touching `rows`) of
+/// [`segment_count`].
+pub(crate) fn segment(rows: &Range<usize>, k: usize) -> Range<usize> {
+    let first = (rows.start / SEGMENT_ROWS + k) * SEGMENT_ROWS;
+    first.max(rows.start)..(first + SEGMENT_ROWS).min(rows.end)
+}
+
+/// Per-segment `(raw, work)` partials of a multithreaded
+/// [`sum_segments`], stored as bits by whichever thread ran the segment
+/// and read in segment order after the join. Grow-only.
+#[derive(Debug, Default)]
+pub struct SegmentPartials(Vec<[AtomicU64; 2]>);
+
+impl SegmentPartials {
+    /// Empty partials (no allocation until a multithreaded sum).
+    pub fn new() -> SegmentPartials {
+        SegmentPartials(Vec::new())
+    }
+
+    /// Heap footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<[AtomicU64; 2]>()
+    }
+}
+
+/// The one combine of a segmented sum: `Σ_k task(k)` over
+/// `k in 0..segments`, added in `k` order. On one scratch the segments
+/// run in order on the calling thread; on `T > 1` the threads (at most
+/// one per segment) claim segments from an atomic counter — a dynamic
+/// schedule — and each partial lands at its index before the in-order
+/// sum. The result therefore depends on neither `T` nor the schedule.
+/// Each task sums its own segment's rows in row order.
+pub(crate) fn sum_segments<S: Send>(
+    scratch: &mut [S],
+    partials: &mut SegmentPartials,
+    segments: usize,
+    task: impl Fn(usize, &mut S) -> (f64, f64) + Sync,
+) -> (f64, f64) {
+    let threads = scratch.len().min(segments);
+    let mut total = (0.0, 0.0);
+    if threads <= 1 {
+        if let Some(s) = scratch.first_mut() {
+            for k in 0..segments {
+                let (r, w) = task(k, s);
+                total.0 += r;
+                total.1 += w;
+            }
+        }
+        return total;
+    }
+    if partials.0.len() < segments {
+        partials.0.resize_with(segments, Default::default);
+    }
+    let (next, slots) = (AtomicUsize::new(0), &partials.0[..segments]);
+    fork_join(&mut scratch[..threads], |_, s| loop {
+        // the counter publishes no data: the read-modify-write alone
+        // hands each segment to exactly one thread
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(k) else { break };
+        let (r, w) = task(k, s);
+        slot[0].store(r.to_bits(), Ordering::Relaxed);
+        slot[1].store(w.to_bits(), Ordering::Relaxed);
+    });
+    // the scope join orders every store before these loads
+    for slot in slots {
+        total.0 += f64::from_bits(slot[0].load(Ordering::Relaxed));
+        total.1 += f64::from_bits(slot[1].load(Ordering::Relaxed));
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +358,49 @@ mod tests {
         let segs = work_balanced_segments(&[0.0; 6], 3);
         assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), 6);
         assert!(segs.iter().all(|s| !s.is_empty()));
+    }
+
+    #[test]
+    fn fixed_segments_tile_any_row_range() {
+        let s = SEGMENT_ROWS;
+        for rows in [0..0, 0..1, 0..s, 0..s + 1, 5..5, 3..2 * s + 7, s..3 * s, 2 * s - 1..2 * s] {
+            let mut cursor = rows.start;
+            for k in 0..segment_count(&rows) {
+                let seg = segment(&rows, k);
+                assert_eq!(seg.start, cursor, "{rows:?} segment {k}");
+                assert!(!seg.is_empty() && seg.len() <= s, "{rows:?} segment {k}: {seg:?}");
+                // boundaries sit on multiples of SEGMENT_ROWS, whatever the range
+                assert!(seg.end == rows.end || seg.end.is_multiple_of(s), "{rows:?}: {seg:?}");
+                cursor = seg.end;
+            }
+            assert_eq!(cursor, rows.end, "{rows:?}");
+        }
+    }
+
+    #[test]
+    fn segment_sums_add_in_segment_order_at_any_thread_count() {
+        // partials spanning 40 binades make the sum order-sensitive, so
+        // any combine other than segment order shows up in the bits
+        let mut rng = DetRng::new(17);
+        let vals: Vec<f64> =
+            (0..500).map(|_| (rng.f64() - 0.5) * 2f64.powi((rng.f64() * 40.0) as i32)).collect();
+        let task = |k: usize, _: &mut ()| (vals[k], k as f64 * 0.25);
+        let forward: f64 = vals.iter().sum();
+        assert_ne!(forward, vals.iter().rev().sum::<f64>(), "sum is order-insensitive");
+        let mut partials = SegmentPartials::new();
+        for t in [1usize, 2, 3, 4] {
+            let mut scratch = vec![(); t];
+            for segments in [0usize, 1, 3, vals.len()] {
+                let got = sum_segments(&mut scratch, &mut partials, segments, task);
+                let mut want = (0.0, 0.0);
+                for (k, v) in vals[..segments].iter().enumerate() {
+                    want.0 += v;
+                    want.1 += k as f64 * 0.25;
+                }
+                assert_eq!(got.0.to_bits(), want.0.to_bits(), "T={t}, {segments} segments");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "T={t}, {segments} segments");
+            }
+        }
     }
 
     #[test]

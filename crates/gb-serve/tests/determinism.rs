@@ -4,13 +4,17 @@
 //! runs solo on a fresh cluster, rides a fused superstep batched with
 //! strangers, or is served warm from the tiered cache — and even when a
 //! rank dies mid-batch and recovery heals and replays beneath the whole
-//! fused rank program. The service runs node-based division with the
+//! fused rank program. A docking pose's answer must not depend on the
+//! `ranks` that also set its energy threads. The service runs node-based
+//! division with the
 //! default comm mode; dense ≡ sparse is pinned by gb-core's
 //! `sparse_comm_equivalence` and `self_healing` suites.
 
 use gb_cluster::{FaultPlan, SimCluster};
+use gb_core::pair::{evaluate_pair_ws, Monomer, PairScratch};
 use gb_core::runners::distributed::try_run_distributed_mode;
 use gb_core::{CommMode, GbParams, GbSystem, WorkDivision};
+use gb_geom::{RigidTransform, Vec3};
 use gb_molecule::{synthesize_protein, Molecule, SyntheticParams};
 use gb_serve::{EvalOutcome, EvalRequest, GbService, ServeConfig};
 use std::sync::Arc;
@@ -128,4 +132,45 @@ fn mid_batch_rank_kill_is_invisible_to_co_batched_tenants() {
     );
     assert_eq!(stats.failed, 0, "recovery must absorb the kill");
     service.shutdown();
+}
+
+#[test]
+fn docking_answers_match_a_one_thread_pair_evaluation_at_every_rank_count() {
+    let (receptor, ligand) = (mol(900, 301), mol(60, 302));
+    let params = GbParams::default();
+    let poses = [
+        RigidTransform::translation(Vec3::new(21.0, -2.0, 4.0)),
+        RigidTransform::rotation_about(Vec3::new(-15.0, 1.0, 0.0), Vec3::new(0.3, 0.8, 0.2), 0.9),
+    ];
+    let rm = Monomer::build(Molecule::clone(&receptor), params);
+    let lm = Monomer::build(Molecule::clone(&ligand), params);
+    let mut one = PairScratch::new();
+    let want: Vec<(u64, u64)> = poses
+        .iter()
+        .map(|pose| {
+            let out = evaluate_pair_ws(&rm, &lm, pose, &mut one);
+            (out.energy_kcal.to_bits(), out.delta_kcal.to_bits())
+        })
+        .collect();
+    for ranks in [1usize, 2] {
+        let service = GbService::start(ServeConfig { ranks, ..ServeConfig::default() });
+        let tickets: Vec<_> = poses
+            .iter()
+            .map(|&pose| {
+                let req = EvalRequest::Docking {
+                    receptor: Arc::clone(&receptor),
+                    ligand: Arc::clone(&ligand),
+                    pose,
+                    params,
+                };
+                service.submit("dock", req).expect("admit pose")
+            })
+            .collect();
+        for (i, (t, want)) in tickets.into_iter().zip(&want).enumerate() {
+            let out = t.wait().expect("pose outcome");
+            let got = (out.energy_kcal.to_bits(), out.delta_kcal.to_bits());
+            assert_eq!(got, *want, "ranks {ranks}, pose {i}: service != 1-thread pair evaluation");
+        }
+        service.shutdown();
+    }
 }

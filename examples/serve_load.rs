@@ -14,6 +14,15 @@
 //! 3. **Singles mix**: an open-loop multi-tenant burst of small
 //!    molecules fused into shared cluster supersteps.
 //!
+//! Around the two docking phases (before, between, after), a host probe
+//! times the exact O(M²) energy of the receptor: `naive_energy` at its
+//! intrinsic radii, run once on each of the service's `ranks` threads at
+//! the same time (the threads a docking pose runs on), 3 samples each
+//! time, median of the 9.
+//! The warm scan's per-job time and p99 are also reported over that probe:
+//! ratios taken within one process, which a slower or faster host moves
+//! together, unlike the absolute jobs/sec and p99.
+//!
 //! ```text
 //! cargo run --release --example serve_load > BENCH_serve.json
 //! ```
@@ -22,6 +31,7 @@
 //! `GB_SERVE_LIGAND_ATOMS` (80), `GB_SERVE_COLD_POSES` (24),
 //! `GB_SERVE_SINGLES` (96), `GB_SERVE_TENANTS` (8).
 
+use gb_polarize::core::naive::naive_energy;
 use gb_polarize::molecule::docking::PoseScan;
 use gb_polarize::prelude::*;
 use gb_polarize::serve::ServeStats;
@@ -103,6 +113,24 @@ fn main() {
         seed: 99,
     };
     let poses = scan.poses(centroid);
+
+    // ---- host probe: the receptor's exact energy on every docking
+    // thread at once, sampled around the docking phases (the median is
+    // the probe time)
+    let probe_sys = GbSystem::prepare(Molecule::clone(&receptor), params);
+    let mut probes = Vec::new();
+    let mut probe = || {
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            std::thread::scope(|s| {
+                for _ in 0..ServeConfig::default().ranks {
+                    s.spawn(|| naive_energy(&probe_sys, probe_sys.molecule.radii()));
+                }
+            });
+            probes.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    };
+    probe();
     let dock_req = |pose| EvalRequest::Docking {
         receptor: Arc::clone(&receptor),
         ligand: Arc::clone(&ligand),
@@ -117,6 +145,7 @@ fn main() {
         poses.iter().map(|p| ("dock".to_string(), dock_req(*p))).collect(),
     );
     warm_service.shutdown();
+    probe();
 
     // ---- phase 2: cold baseline (caching off, subset of the same poses)
     let cold_service =
@@ -126,6 +155,9 @@ fn main() {
         poses[..cold_poses].iter().map(|p| ("dock".to_string(), dock_req(*p))).collect(),
     );
     cold_service.shutdown();
+    probe();
+    probes.sort_by(f64::total_cmp);
+    let probe_ms = percentile(&probes, 0.5);
 
     let bitwise_match = warm.outcomes[..cold_poses]
         .iter()
@@ -170,6 +202,12 @@ fn main() {
     );
     println!("    \"p50_ms\": {:.3},", percentile(&wl, 0.50));
     println!("    \"p99_ms\": {:.3},", percentile(&wl, 0.99));
+    println!("    \"probe_ms\": {probe_ms:.3},");
+    println!(
+        "    \"warm_job_over_probe\": {:.4},",
+        1e3 / warm.jobs_per_sec() / probe_ms
+    );
+    println!("    \"p99_over_probe\": {:.3},", percentile(&wl, 0.99) / probe_ms);
     println!(
         "    \"tier1_hit_rate\": {:.4},",
         ServeStats::hit_rate(wstats.cache.tier1_hits, wstats.cache.tier1_misses)

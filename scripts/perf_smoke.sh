@@ -62,9 +62,14 @@
 # the gate checks (a) the hard floors serve_min_docking_speedup (warm
 # jobs/sec over cold — the ≥3x acceptance bar) and
 # serve_min_tier2_hit_rate (docking cache-hit ratio), (b) that warm and
-# cold energies are to_bits()-identical, and (c) the recorded host
-# baselines serve_jobs_per_sec_warm / serve_p99_ms with the same
-# max_regression_factor headroom as the build gates.
+# cold energies are to_bits()-identical, and (c) the recorded baselines
+# serve_warm_job_over_probe / serve_p99_over_probe with the same
+# max_regression_factor headroom as the build gates. Both are ratios taken
+# within one serve_load process, like the build gates: the warm scan's
+# per-job time and its p99 over a host probe (the receptor's exact O(M²)
+# energy, run at once on each of the threads a docking pose uses), so host
+# drift moves numerator and denominator together while a slower warm path
+# still fails.
 #
 #   scripts/perf_smoke.sh            # check against the baseline
 #   scripts/perf_smoke.sh --update   # rewrite the baseline from this host
@@ -155,8 +160,13 @@ if [[ "${GB_BENCH_SERVE:-0}" == "1" ]]; then
     OUT=$(mktemp -d)
     trap 'rm -rf "$OUT"' EXIT
     ./target/release/examples/serve_load > "$OUT/serve.json"
+    if [[ "${1:-}" == "--update" ]]; then
+        # the recorded ratios are medians of three processes
+        ./target/release/examples/serve_load > "$OUT/serve2.json"
+        ./target/release/examples/serve_load > "$OUT/serve3.json"
+    fi
     python3 - "$BASELINE" "$OUT" "${1:-}" <<'EOF'
-import json, sys
+import json, statistics, sys
 
 baseline_path, out_dir, mode = sys.argv[1], sys.argv[2], sys.argv[3]
 baseline = json.load(open(baseline_path))
@@ -164,12 +174,16 @@ serve = json.load(open(out_dir + "/serve.json"))
 dock = serve["docking"]
 
 if mode == "--update":
-    baseline["serve_jobs_per_sec_warm"] = round(dock["jobs_per_sec_warm"], 2)
-    baseline["serve_p99_ms"] = round(dock["p99_ms"], 1)
+    docks = [json.load(open(f"{out_dir}/{name}.json"))["docking"]
+             for name in ("serve", "serve2", "serve3")]
+    job = statistics.median(d["warm_job_over_probe"] for d in docks)
+    p99 = statistics.median(d["p99_over_probe"] for d in docks)
+    baseline["serve_warm_job_over_probe"] = round(job, 4)
+    baseline["serve_p99_over_probe"] = round(p99, 2)
     json.dump(baseline, open(baseline_path, "w"), indent=2)
     open(baseline_path, "a").write("\n")
-    print(f"serve baseline updated: jobs/sec {dock['jobs_per_sec_warm']:.2f}, "
-          f"p99 {dock['p99_ms']:.1f} ms")
+    print(f"serve baseline updated (median of 3): warm job / probe {job:.4f}, "
+          f"p99 / probe {p99:.2f}")
     sys.exit(0)
 
 factor = baseline["max_regression_factor"]
@@ -197,21 +211,24 @@ verdict = "ok" if dock["bitwise_match_cold"] else "MISMATCH"
 print(f"serve warm-vs-cold bitwise energies: {verdict}")
 failed |= not dock["bitwise_match_cold"]
 
-# host-baseline regressions (same headroom as the build gates)
-allowed = baseline["serve_jobs_per_sec_warm"] / factor
-jps = dock["jobs_per_sec_warm"]
-verdict = "ok" if jps >= allowed else "REGRESSED"
-print(f"serve warm jobs/sec: measured {jps:.2f}  "
-      f"baseline {baseline['serve_jobs_per_sec_warm']:.2f}  "
-      f"allowed >= {allowed:.2f}  {verdict}")
-failed |= jps < allowed
+# regressions against the recorded same-process ratios (same headroom as
+# the build gates); the absolute figures are printed for reference only
+print(f"serve host probe: {dock['probe_ms']:.1f} ms  "
+      f"(warm {dock['jobs_per_sec_warm']:.2f} jobs/sec, p99 {dock['p99_ms']:.1f} ms)")
+allowed = baseline["serve_warm_job_over_probe"] * factor
+ratio = dock["warm_job_over_probe"]
+verdict = "ok" if ratio <= allowed else "REGRESSED"
+print(f"serve warm job time / probe: measured {ratio:.4f}  "
+      f"baseline {baseline['serve_warm_job_over_probe']:.4f}  "
+      f"allowed <= {allowed:.4f}  {verdict}")
+failed |= ratio > allowed
 
-allowed = baseline["serve_p99_ms"] * factor
-p99 = dock["p99_ms"]
-verdict = "ok" if p99 <= allowed else "REGRESSED"
-print(f"serve docking p99: measured {p99:.1f} ms  "
-      f"baseline {baseline['serve_p99_ms']:.1f}  allowed <= {allowed:.1f}  {verdict}")
-failed |= p99 > allowed
+allowed = baseline["serve_p99_over_probe"] * factor
+ratio = dock["p99_over_probe"]
+verdict = "ok" if ratio <= allowed else "REGRESSED"
+print(f"serve docking p99 / probe: measured {ratio:.2f}  "
+      f"baseline {baseline['serve_p99_over_probe']:.2f}  allowed <= {allowed:.2f}  {verdict}")
+failed |= ratio > allowed
 
 sys.exit(1 if failed else 0)
 EOF

@@ -31,9 +31,9 @@
 //! | function | paper name | parallelism |
 //! |---|---|---|
 //! | [`run_serial`]      | —              | none |
-//! | [`run_shared`]      | `OCT_CILK`     | threads on fixed sub-segments |
+//! | [`run_shared`]      | `OCT_CILK`     | threads: fixed Born sub-segments, energy row segments taken dynamically |
 //! | [`run_distributed`] | `OCT_MPI`      | simulated cluster ranks |
-//! | [`run_hybrid`]      | `OCT_MPI+CILK` | ranks × threads on fixed sub-segments |
+//! | [`run_hybrid`]      | `OCT_MPI+CILK` | ranks × threads, as `run_shared` inside each rank |
 //! | [`modeled_run`]     | (scaling harness) | analytic replay for large P |
 //!
 //! Plus [`naive_full`] (the exact O(M²) ground truth) and the
