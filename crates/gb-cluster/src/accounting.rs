@@ -5,7 +5,7 @@
 //! interaction counts) and replicated-memory bytes; the runtime records
 //! modeled communication seconds and bytes moved. After a run,
 //! [`RunReport::modeled_time`] composes them through the
-//! [`CostModel`](crate::costmodel::CostModel) into the simulated parallel
+//! [`CostModel`] into the simulated parallel
 //! time `max_rank(T_comp + T_comm)`.
 
 use crate::costmodel::CostModel;

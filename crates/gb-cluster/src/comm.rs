@@ -11,8 +11,8 @@
 //!   `barrier`, and the staged `sparse_exchange` of the communication plan.
 //!
 //! Every operation records its modeled cost (per the
-//! [`CostModel`](crate::costmodel::CostModel)) into the rank's
-//! [`RankLedger`](crate::accounting::RankLedger); compute code records its
+//! [`CostModel`]) into the rank's
+//! [`RankLedger`]; compute code records its
 //! own work units via [`Comm::record_work`]. All collective reductions sum
 //! in rank order, so results are bitwise deterministic and identical on all
 //! ranks regardless of thread scheduling.
@@ -562,11 +562,6 @@ impl Comm {
     /// This rank's placement.
     pub fn placement(&self) -> Placement {
         self.placements[self.rank]
-    }
-
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Records compute work (units ≈ pair interactions).

@@ -35,7 +35,7 @@
 //!   2×6-thread hybrid ranks).
 //! * [`accounting`] — per-rank ledgers of work units, modeled communication
 //!   seconds, bytes moved and replicated memory; aggregated into a
-//!   [`RunReport`](accounting::RunReport).
+//!   [`RunReport`].
 //! * [`comm`] — the MPI-like runtime itself: [`SimCluster::run`] spawns one
 //!   OS thread per rank and hands each a [`Comm`] handle with
 //!   `send`/`recv`, `barrier`, `allreduce` (sum and max) and

@@ -10,9 +10,8 @@
 //! serial path (verified by `tests/zero_alloc.rs`).
 //!
 //! Exclusions from the zero-alloc contract, by design:
-//! * spawning scope threads — for the parallel list build
-//!   (`build_tasks > 1`) and for a phase run on more than one thread (the
-//!   shared runner, a hybrid rank) — allocates inside `std::thread`; the
+//! * spawning scope threads for a phase run on more than one thread (the
+//!   shared runner, a hybrid rank) allocates inside `std::thread`; the
 //!   per-thread partials themselves live in the warm [`ChunkSlot`]s and
 //!   the energy step's segment partials in [`Workspace::energy_partials`];
 //! * a cluster rank's node-based energy split reads the per-leaf energy
@@ -245,10 +244,6 @@ pub struct Workspace {
     /// footprint — replication is a property of the resident arenas, so it
     /// is charged once per workspace lifetime, not once per superstep.
     pub replicated_billed: bool,
-    /// Task count for the parallel list builds (the result is byte-identical
-    /// for any value; `1` keeps the build on the calling thread and inside
-    /// the zero-alloc contract).
-    pub build_tasks: usize,
     /// Injected pre-built interaction lists (the serve layer's tier-2 cache
     /// hit). When set, [`Workspace::ready_born_lists`] /
     /// [`Workspace::ready_energy_lists`] clone from here instead of walking
@@ -347,7 +342,7 @@ pub enum ListPath {
 }
 
 impl Workspace {
-    /// Fresh workspace with no warmed buffers and `build_tasks == 1`.
+    /// Fresh workspace with no warmed buffers.
     pub fn new() -> Workspace {
         Workspace {
             born: BornLists::empty(),
@@ -370,7 +365,6 @@ impl Workspace {
             owned_vals: Vec::new(),
             checkpoint: SuperstepCheckpoint::new(),
             replicated_billed: false,
-            build_tasks: 1,
             cached: None,
             frame_tracking: false,
             drift_tol: 0.0,
@@ -403,13 +397,6 @@ impl Workspace {
     /// Whether frame tracking is on.
     pub fn frame_tracking(&self) -> bool {
         self.frame_tracking
-    }
-
-    /// Fresh workspace that builds its lists with `tasks` row-range sweeps.
-    pub fn with_build_tasks(tasks: usize) -> Workspace {
-        let mut ws = Workspace::new();
-        ws.build_tasks = tasks.max(1);
-        ws
     }
 
     /// Grows the chunk-slot pool to at least `n` entries (never shrinks —
@@ -459,7 +446,7 @@ impl Workspace {
             ListPath::Rebuilt
         };
         match self.last_born_path {
-            ListPath::Rebuilt => self.born.rebuild(sys, self.build_tasks, &mut self.born_scratch),
+            ListPath::Rebuilt => self.born.rebuild(sys, &mut self.born_scratch),
             ListPath::Repaired => self.born.build_work = 0.0,
             _ => {}
         }
@@ -489,9 +476,7 @@ impl Workspace {
             ListPath::Rebuilt
         };
         match self.last_energy_path {
-            ListPath::Rebuilt => {
-                self.energy.rebuild(sys, self.build_tasks, &mut self.energy_scratch)
-            }
+            ListPath::Rebuilt => self.energy.rebuild(sys, &mut self.energy_scratch),
             ListPath::Repaired => self.energy.build_work = 0.0,
             _ => {}
         }
@@ -583,20 +568,6 @@ mod tests {
                 "n={n}"
             );
             assert_eq!(ws.radii_out.len(), n);
-        }
-    }
-
-    #[test]
-    fn parallel_build_tasks_give_the_same_bits() {
-        let s = sys(350);
-        let mut ws1 = Workspace::new();
-        let mut ws4 = Workspace::with_build_tasks(4);
-        let o1 = run_serial_ws(&s, &mut ws1);
-        let o4 = run_serial_ws(&s, &mut ws4);
-        assert_eq!(o1.energy_kcal.to_bits(), o4.energy_kcal.to_bits());
-        assert_eq!(o1.born_work.to_bits(), o4.born_work.to_bits());
-        for (a, b) in ws1.radii_out.iter().zip(&ws4.radii_out) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

@@ -7,17 +7,6 @@
 //! `|U|·|V|` pair terms, with `R_i R_j ≈ R_min²(1+ε)^{i+j}` inside `f_GB`.
 
 use crate::system::GbSystem;
-use serde::{Deserialize, Serialize};
-
-/// Which radius represents a bin in the far-field `f_GB` evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BinPlacement {
-    /// The paper's Fig. 3 literal: the lower bin edge `R_min (1+ε)^k`.
-    LowerEdge,
-    /// The default: the geometric mean `R_min (1+ε)^(k+1/2)` — unbiased for
-    /// products of bin members.
-    GeometricMean,
-}
 
 /// Per-node charge histograms plus the bin geometry.
 #[derive(Clone, Debug)]
@@ -30,14 +19,10 @@ pub struct ChargeBins {
     pub num_bins: usize,
     /// Flattened histograms: `hist[node * num_bins + k]`.
     hist: Vec<f64>,
-    /// Representative radius per bin — the paper's Fig. 3 lower bin edge
-    /// `R_min (1+ε)^k` by default. A geometric-mean variant
-    /// (`R_min (1+ε)^(k+1/2)`) is available through
-    /// [`ChargeBins::compute_with_placement`]; measured across the
-    /// synthetic ladder neither representative dominates (the far-field
-    /// pair products carry mixed signs, so the edge's systematic `R_i R_j`
-    /// underestimate does not translate into a one-sided energy bias), so
-    /// the default follows the paper. See the `bin_placement` tests.
+    /// Representative radius per bin: the paper's Fig. 3 lower bin edge
+    /// `R_min (1+ε)^k`. Its systematic `R_i R_j` underestimate does not
+    /// become a one-sided energy bias, because the far-field pair products
+    /// carry mixed signs (EXPERIMENTS.md, `tests/bin_placement.rs`).
     pub bin_radius: Vec<f64>,
     /// CSR offsets into `nz_charge`/`nz_radius`, one slot per node plus a
     /// terminator: node `U`'s nonzero histogram entries live at
@@ -137,9 +122,15 @@ fn nonzero_lists_into(
     }
 }
 
-/// Scalar bin geometry (`r_min`, `ln` base, bin count) shared by the
-/// replicated and distributed builders.
-fn bin_geometry_scalars(mut r_min: f64, mut r_max: f64, eps: f64) -> (f64, f64, usize) {
+/// Bin geometry shared by the replicated and distributed builders: returns
+/// `(r_min, ln base, bin count)` and writes each bin's lower-edge radius
+/// `R_min (1+ε)^k` into `bin_radius`.
+fn bin_geometry(
+    mut r_min: f64,
+    mut r_max: f64,
+    eps: f64,
+    bin_radius: &mut Vec<f64>,
+) -> (f64, f64, usize) {
     if !r_min.is_finite() || r_min <= 0.0 {
         r_min = 1.0;
         r_max = 1.0;
@@ -155,24 +146,9 @@ fn bin_geometry_scalars(mut r_min: f64, mut r_max: f64, eps: f64) -> (f64, f64, 
         num_bins = MAX_BINS;
         log_base = (r_max / r_min).ln() / (MAX_BINS as f64 - 1.0).max(1.0) + f64::EPSILON;
     }
+    bin_radius.clear();
+    bin_radius.extend((0..num_bins).map(|k| r_min * (k as f64 * log_base).exp()));
     (r_min, log_base, num_bins)
-}
-
-/// Bin geometry shared by the replicated and distributed builders.
-fn bin_geometry(
-    r_min: f64,
-    r_max: f64,
-    eps: f64,
-    placement: BinPlacement,
-) -> (f64, f64, usize, Vec<f64>) {
-    let (r_min, log_base, num_bins) = bin_geometry_scalars(r_min, r_max, eps);
-    let offset = match placement {
-        BinPlacement::LowerEdge => 0.0,
-        BinPlacement::GeometricMean => 0.5,
-    };
-    let bin_radius: Vec<f64> =
-        (0..num_bins).map(|k| r_min * ((k as f64 + offset) * log_base).exp()).collect();
-    (r_min, log_base, num_bins, bin_radius)
 }
 
 impl ChargeBins {
@@ -197,52 +173,25 @@ impl ChargeBins {
     /// Builds histograms for every `T_A` node from Born radii in **tree
     /// order**, with the energy-phase ε of `sys.params`.
     pub fn compute(sys: &GbSystem, radii_tree: &[f64]) -> ChargeBins {
-        Self::compute_with_placement(sys, radii_tree, BinPlacement::LowerEdge)
-    }
-
-    /// [`ChargeBins::compute`] with an explicit bin representative — the
-    /// `LowerEdge` variant is the paper's literal formula, exposed for the
-    /// placement ablation.
-    pub fn compute_with_placement(
-        sys: &GbSystem,
-        radii_tree: &[f64],
-        placement: BinPlacement,
-    ) -> ChargeBins {
         let mut bins = Self::empty();
-        bins.recompute_with_placement(sys, radii_tree, placement);
+        bins.recompute(sys, radii_tree);
         bins
     }
 
     /// Recomputes in place, reusing every buffer (allocation-free once the
     /// capacities have warmed to the problem size).
     pub fn recompute(&mut self, sys: &GbSystem, radii_tree: &[f64]) {
-        self.recompute_with_placement(sys, radii_tree, BinPlacement::LowerEdge);
-    }
-
-    /// In-place [`ChargeBins::compute_with_placement`].
-    pub fn recompute_with_placement(
-        &mut self,
-        sys: &GbSystem,
-        radii_tree: &[f64],
-        placement: BinPlacement,
-    ) {
         assert_eq!(radii_tree.len(), sys.num_atoms());
         let (mut lo, mut hi) = (f64::INFINITY, 0.0_f64);
         for &r in radii_tree {
             lo = lo.min(r);
             hi = hi.max(r);
         }
-        let offset = match placement {
-            BinPlacement::LowerEdge => 0.0,
-            BinPlacement::GeometricMean => 0.5,
-        };
-        let (r_min, log_base, num_bins) = bin_geometry_scalars(lo, hi, sys.params.eps_energy);
+        let (r_min, log_base, num_bins) =
+            bin_geometry(lo, hi, sys.params.eps_energy, &mut self.bin_radius);
         self.r_min = r_min;
         self.log_base = log_base;
         self.num_bins = num_bins;
-        self.bin_radius.clear();
-        self.bin_radius
-            .extend((0..num_bins).map(|k| r_min * ((k as f64 + offset) * log_base).exp()));
 
         let n_nodes = sys.ta.num_nodes();
         self.hist.clear();
@@ -297,12 +246,9 @@ impl ChargeBins {
     ) -> ChargeBins {
         assert_eq!(my_radii.len(), my_range.len());
         assert_eq!(my_charges.len(), my_range.len());
-        let (r_min, log_base, num_bins, bin_radius) = bin_geometry(
-            r_min_global,
-            r_max_global,
-            sys.params.eps_energy,
-            BinPlacement::LowerEdge,
-        );
+        let mut bin_radius = Vec::new();
+        let (r_min, log_base, num_bins) =
+            bin_geometry(r_min_global, r_max_global, sys.params.eps_energy, &mut bin_radius);
 
         let n_nodes = sys.ta.num_nodes();
         let mut hist = vec![0.0; n_nodes * num_bins];

@@ -359,7 +359,7 @@ mod tests {
         let s = sys(400);
         let p = 4;
         let mut ws = Workspace::new();
-        ws.born.rebuild(&s, 1, &mut ws.born_scratch);
+        ws.born.rebuild(&s, &mut ws.born_scratch);
         work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
         let atom_ranges = even_ranges(s.num_atoms(), p);
         let mut plan = CommPlan::new();
@@ -392,7 +392,7 @@ mod tests {
         let s = sys(400);
         let p = 4;
         let mut ws = Workspace::new();
-        ws.born.rebuild(&s, 1, &mut ws.born_scratch);
+        ws.born.rebuild(&s, &mut ws.born_scratch);
         work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
         let atom_ranges = even_ranges(s.num_atoms(), p);
         let mut plan = CommPlan::new();
@@ -440,7 +440,7 @@ mod tests {
     fn plan_cache_hits_on_identical_inputs_and_misses_on_changes() {
         let s = sys(350);
         let mut ws = Workspace::new();
-        ws.born.rebuild(&s, 1, &mut ws.born_scratch);
+        ws.born.rebuild(&s, &mut ws.born_scratch);
         work_balanced_segments_into(ws.born.leaf_work(), 4, &mut ws.seg_ranges);
         let atom4 = even_ranges(s.num_atoms(), 4);
         let mut plan = CommPlan::new();
@@ -499,7 +499,7 @@ mod tests {
         let s = sys(2_000);
         let p = 8;
         let mut ws = Workspace::new();
-        ws.born.rebuild(&s, 1, &mut ws.born_scratch);
+        ws.born.rebuild(&s, &mut ws.born_scratch);
         work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
         let atom_ranges = even_ranges(s.num_atoms(), p);
         let mut plan = CommPlan::new();

@@ -15,7 +15,7 @@
 //! no per-pair acceptance test, and inner loops the compiler vectorizes.
 //!
 //! **One row sweep builds every list.** The interacting tree is flattened
-//! into a [`Preorder`] table (centroid, radius, skip pointer, point count);
+//! into a `Preorder` table (centroid, radius, skip pointer, point count);
 //! a row is one forward scan of that table that tests each visited node
 //! with the traversal's *own* floating-point expression and jumps past a
 //! far node's subtree through its skip pointer. The scan visits exactly the
@@ -32,31 +32,11 @@ use crate::fastmath::MathMode;
 use crate::gbmath::RadiiApprox;
 use crate::integrals::{well_separated, IntegralAcc, TRAVERSAL_UNIT};
 use crate::system::GbSystem;
-use crate::workdiv::{fork_join, segment, segment_count, sum_segments, SegmentPartials};
+use crate::workdiv::{segment, segment_count, sum_segments, SegmentPartials};
 use gb_geom::Vec3;
 use gb_octree::{NodeId, Octree};
 use std::ops::Range;
 use std::sync::OnceLock;
-
-/// Minimum driving rows per sweep task. A split build sweeps its row
-/// ranges on scoped threads, then copies every task's row block into the
-/// list (~10% of the build at 20k atoms); this floor keeps small builds,
-/// where a thread spawn and that copy outweigh the parallel sweep, on the
-/// single-block path. The lists are byte-identical for any task count, so
-/// this is purely a scheduling decision.
-const MIN_TASK_LEAVES: usize = 2048;
-
-/// Number of sweep tasks a build of `rows` driving leaves split `tasks`
-/// ways actually runs: at most one per [`MIN_TASK_LEAVES`] rows, at
-/// least one. At 1 the build sweeps on the caller's thread alone.
-pub fn sweep_tasks(rows: usize, tasks: usize) -> usize {
-    split_count(rows, tasks, MIN_TASK_LEAVES)
-}
-
-#[inline]
-fn split_count(rows: usize, tasks: usize, floor: usize) -> usize {
-    tasks.min(rows / floor.max(1)).max(1)
-}
 
 /// Ordinal block of the symmetric-pair ownership rule ([`larger_owns`]).
 const OWN_BLOCK: usize = 16;
@@ -209,21 +189,6 @@ impl Rows {
         &self.near[self.near_off[ord]..self.near_off[ord + 1]]
     }
 
-    /// Appends rows `[from, to)` of the closed CSR `src`, rebasing offsets
-    /// — the block concatenation of a split build.
-    fn append(&mut self, src: &Rows, from: usize, to: usize) {
-        let (fb, fs) = (self.far.len(), src.far_off[from]);
-        let (nb, ns) = (self.near.len(), src.near_off[from]);
-        self.far_off.extend(src.far_off[from..to].iter().map(|&o| fb + (o - fs)));
-        self.near_off.extend(src.near_off[from..to].iter().map(|&o| nb + (o - ns)));
-        self.far.extend_from_slice(&src.far[fs..src.far_off[to]]);
-        self.near.extend_from_slice(&src.near[ns..src.near_off[to]]);
-        self.work.extend_from_slice(&src.work[from..to]);
-        if !src.near_work.is_empty() {
-            self.near_work.extend_from_slice(&src.near_work[from..to]);
-        }
-    }
-
     /// Folds the CSR arrays into a content key: equal keys ⇔ (offsets,
     /// ids) byte-equal with overwhelming probability — what lets a rebuild
     /// that reproduced the same lists prove "structure unchanged" to plan
@@ -269,23 +234,14 @@ fn lazy_key(rows: &Rows, key: &OnceLock<u64>) -> u64 {
     }
 }
 
-/// Buffers of one sweep task: the Born MAC mask, and — for the tasks of a
-/// split build — the task's row block and build work.
-#[derive(Clone, Debug, Default)]
-struct TaskSeg {
-    mask: Vec<bool>,
-    rows: Rows,
-    work: f64,
-}
-
-/// Reusable scratch of a (possibly parallel) list build: the preorder
-/// table, one [`TaskSeg`] per task and the energy ownership pass's ordinal
-/// arrays. Keeping one of these per pipeline makes steady-state rebuilds
-/// allocation-free once the buffers have warmed to the problem size.
+/// Reusable scratch of a list build: the preorder table, the Born MAC
+/// mask and the energy ownership pass's ordinal arrays. Keeping one of
+/// these per pipeline makes steady-state rebuilds allocation-free once the
+/// buffers have warmed to the problem size.
 #[derive(Debug, Default)]
 pub struct ListScratch {
     table: Preorder,
-    segs: Vec<TaskSeg>,
+    mask: Vec<bool>,
     /// Leaf ordinal of each `T_A` node id (`u32::MAX` for internal nodes)
     /// and the partner *ordinals* mirroring `EnergyLists::near` — the
     /// symmetric-pair annotation's inputs.
@@ -301,19 +257,17 @@ impl ListScratch {
         ListScratch::default()
     }
 
-    /// Heap footprint in bytes (table, per-task buffers and ownership
-    /// arrays).
+    /// Heap footprint in bytes (table, mask and ownership arrays).
     pub fn memory_bytes(&self) -> usize {
         self.table.memory_bytes()
-            + self.segs.iter().map(|s| s.mask.capacity() + s.rows.memory_bytes()).sum::<usize>()
-            + self.segs.capacity() * std::mem::size_of::<TaskSeg>()
+            + self.mask.capacity() * std::mem::size_of::<bool>()
             + (self.ord_of.capacity() + self.near_ords.capacity()) * std::mem::size_of::<u32>()
             + self.cursor.capacity() * std::mem::size_of::<usize>()
     }
 }
 
-/// One phase's row sweep over a [`Preorder`] table of its interacting tree.
-trait Sweep: Sync {
+/// One phase's row sweep over a `Preorder` table of its interacting tree.
+trait Sweep {
     /// Whether rows carry a `near_work` column.
     const NEAR_WORK: bool;
     /// The interacting tree the table is built from.
@@ -326,47 +280,22 @@ trait Sweep: Sync {
         -> f64;
 }
 
-/// Sweeps the driving rows `rows` into `out` and leaves every other row
-/// empty (closing the CSR) — on the calling thread, or split into up to
-/// `tasks` contiguous row ranges (never below `floor` rows each) swept
-/// through [`fork_join`] and concatenated in order. Each row depends only
-/// on the geometry, so the lists are byte-identical for any task count and
-/// every swept row equals its row in a full build; the returned build work
-/// is a sum of exact ¼ units.
+/// Sweeps the driving rows `rows` into `out` on the calling thread and
+/// leaves every other row empty (closing the CSR). Each row depends only on
+/// the geometry, so every swept row equals its row in a full build; the
+/// returned build work is a sum of exact ¼ units.
 fn sweep_all<S: Sweep>(
     s: &S,
     rows: Range<usize>,
-    tasks: usize,
-    floor: usize,
     scratch: &mut ListScratch,
     out: &mut Rows,
 ) -> f64 {
-    let ListScratch { table, segs, .. } = scratch;
+    let ListScratch { table, mask, .. } = scratch;
     table.rebuild(s.interacting());
     let nrows = s.num_rows();
     assert!(rows.end <= nrows, "row range {rows:?} past {nrows} driving leaves");
     out.empty_rows(rows.start, S::NEAR_WORK);
-    let len = rows.len();
-    let ntasks = split_count(len, tasks, floor);
-    if segs.len() < ntasks {
-        segs.resize_with(ntasks, TaskSeg::default);
-    }
-    let mut work = 0.0;
-    if ntasks == 1 {
-        work = s.sweep(table, rows.clone(), &mut segs[0].mask, out);
-    } else {
-        let table = &*table;
-        fork_join(&mut segs[..ntasks], |i, seg| {
-            let part = rows.start + i * len / ntasks..rows.start + (i + 1) * len / ntasks;
-            seg.rows.clear();
-            seg.work = s.sweep(table, part, &mut seg.mask, &mut seg.rows);
-            seg.rows.open_row();
-        });
-        for seg in &mut segs[..ntasks] {
-            out.append(&seg.rows, 0, seg.rows.work.len());
-            work += seg.work;
-        }
-    }
+    let work = s.sweep(table, rows.clone(), mask, out);
     out.empty_rows(nrows - rows.end, S::NEAR_WORK);
     out.open_row();
     work
@@ -537,41 +466,20 @@ impl BornLists {
         lazy_key(&self.rows, &self.content_key)
     }
 
-    /// Sweeps every `T_Q` leaf's row serially.
+    /// Sweeps every `T_Q` leaf's row.
     pub fn build(sys: &GbSystem) -> BornLists {
-        Self::build_tasks(sys, 1)
-    }
-
-    /// Like [`BornLists::build`], split into `tasks` contiguous row ranges
-    /// swept on that many threads. The result is **byte-identical** to
-    /// the serial build for any task count.
-    pub fn build_tasks(sys: &GbSystem, tasks: usize) -> BornLists {
         let mut lists = BornLists::empty();
-        let mut scratch = ListScratch::new();
-        lists.rebuild(sys, tasks, &mut scratch);
+        lists.rebuild(sys, &mut ListScratch::new());
         lists.rows.shrink_to_fit();
         lists
     }
 
-    /// In-place [`BornLists::build_tasks`] reusing this value's buffers and
+    /// In-place [`BornLists::build`] reusing this value's buffers and
     /// `scratch` — allocation-free once both have warmed to the problem
-    /// size (with `tasks == 1`; spawning scope threads allocates).
-    pub fn rebuild(&mut self, sys: &GbSystem, tasks: usize, scratch: &mut ListScratch) {
-        self.rebuild_with_task_floor(sys, tasks, scratch, MIN_TASK_LEAVES);
-    }
-
-    /// [`BornLists::rebuild`] with an explicit per-task row floor — the
-    /// split-path tests drive this with `floor == 1` so small systems still
-    /// exercise multi-task concatenation.
-    pub(crate) fn rebuild_with_task_floor(
-        &mut self,
-        sys: &GbSystem,
-        tasks: usize,
-        scratch: &mut ListScratch,
-        floor: usize,
-    ) {
+    /// size.
+    pub fn rebuild(&mut self, sys: &GbSystem, scratch: &mut ListScratch) {
         let s = BornSweep::own(sys, 0..sys.num_atoms());
-        self.rebuild_sweep(&s, 0..sys.tq.num_leaves(), tasks, scratch, floor);
+        self.rebuild_sweep(&s, 0..sys.tq.num_leaves(), scratch);
     }
 
     /// A rank's part of the lists: only the driving rows `rows` are swept
@@ -584,10 +492,9 @@ impl BornLists {
         sys: &GbSystem,
         rows: Range<usize>,
         clip: Range<usize>,
-        tasks: usize,
         scratch: &mut ListScratch,
     ) {
-        self.rebuild_sweep(&BornSweep::own(sys, clip), rows, tasks, scratch, MIN_TASK_LEAVES);
+        self.rebuild_sweep(&BornSweep::own(sys, clip), rows, scratch);
     }
 
     /// Cross-system list build: sweeps `(A tree of one system, Q tree of
@@ -604,21 +511,14 @@ impl BornLists {
         scratch: &mut ListScratch,
     ) {
         let s = BornSweep { ta, tq, threshold, clip: 0..ta.num_points() };
-        self.rebuild_sweep(&s, 0..tq.num_leaves(), 1, scratch, MIN_TASK_LEAVES);
+        self.rebuild_sweep(&s, 0..tq.num_leaves(), scratch);
     }
 
-    fn rebuild_sweep(
-        &mut self,
-        s: &BornSweep,
-        rows: Range<usize>,
-        tasks: usize,
-        scratch: &mut ListScratch,
-        floor: usize,
-    ) {
+    fn rebuild_sweep(&mut self, s: &BornSweep, rows: Range<usize>, scratch: &mut ListScratch) {
         self.rows.clear();
         self.clip = s.clip.clone();
         self.content_key = OnceLock::new();
-        self.build_work = sweep_all(s, rows, tasks, floor, scratch, &mut self.rows);
+        self.build_work = sweep_all(s, rows, scratch, &mut self.rows);
     }
 
     /// The far CSR: `(offsets, node ids)` grouped by driving-leaf ordinal.
@@ -975,27 +875,19 @@ impl EnergyLists {
         lazy_key(&self.rows, &self.content_key)
     }
 
-    /// Sweeps every `T_A` leaf's row serially; the rows stand for the `V`
-    /// leaves of Fig. 3.
+    /// Sweeps every `T_A` leaf's row; the rows stand for the `V` leaves of
+    /// Fig. 3.
     pub fn build(sys: &GbSystem) -> EnergyLists {
-        Self::build_tasks(sys, 1)
-    }
-
-    /// Like [`EnergyLists::build`], split into `tasks` contiguous row
-    /// ranges swept on that many threads; byte-identical for any task
-    /// count.
-    pub fn build_tasks(sys: &GbSystem, tasks: usize) -> EnergyLists {
         let mut lists = EnergyLists::empty();
-        let mut scratch = ListScratch::new();
-        lists.rebuild(sys, tasks, &mut scratch);
+        lists.rebuild(sys, &mut ListScratch::new());
         lists.rows.shrink_to_fit();
         lists
     }
 
-    /// In-place [`EnergyLists::build_tasks`] reusing this value's buffers
-    /// and `scratch` — allocation-free once warmed (with `tasks == 1`).
-    pub fn rebuild(&mut self, sys: &GbSystem, tasks: usize, scratch: &mut ListScratch) {
-        self.rebuild_part(sys, 0..sys.ta.num_leaves(), tasks, scratch);
+    /// In-place [`EnergyLists::build`] reusing this value's buffers and
+    /// `scratch` — allocation-free once warmed.
+    pub fn rebuild(&mut self, sys: &GbSystem, scratch: &mut ListScratch) {
+        self.rebuild_part(sys, 0..sys.ta.num_leaves(), scratch);
     }
 
     /// A rank's part of the lists: only the driving rows `rows` are swept,
@@ -1003,30 +895,11 @@ impl EnergyLists {
     /// lies outside `rows` keeps weight 1, so executing the rows of ranges
     /// that partition the leaves — each from its own part build — covers
     /// every ordered pair once. `0..num_vleaves` is the full build.
-    pub fn rebuild_part(
-        &mut self,
-        sys: &GbSystem,
-        rows: Range<usize>,
-        tasks: usize,
-        scratch: &mut ListScratch,
-    ) {
-        self.rebuild_with_task_floor(sys, rows, tasks, scratch, MIN_TASK_LEAVES);
-    }
-
-    /// [`EnergyLists::rebuild_part`] with an explicit per-task row floor
-    /// (see [`BornLists::rebuild_with_task_floor`]).
-    pub(crate) fn rebuild_with_task_floor(
-        &mut self,
-        sys: &GbSystem,
-        rows: Range<usize>,
-        tasks: usize,
-        scratch: &mut ListScratch,
-        floor: usize,
-    ) {
+    pub fn rebuild_part(&mut self, sys: &GbSystem, rows: Range<usize>, scratch: &mut ListScratch) {
         self.rows.clear();
         self.content_key = OnceLock::new();
         let s = EnergySweep { ta: &sys.ta, mac: sys.params.energy_mac_factor() };
-        self.build_work = sweep_all(&s, rows, tasks, floor, scratch, &mut self.rows);
+        self.build_work = sweep_all(&s, rows, scratch, &mut self.rows);
         self.annotate_near_ownership(&sys.ta, scratch);
     }
 
@@ -1112,8 +985,8 @@ impl EnergyLists {
 
     /// Executes the lists of driving-leaf ordinal `ord` through the tiled
     /// kernels: the near list as one gathered SoA tile
-    /// ([`EnergyLists::near_tile_raw`]), the far list as one flat bin-pair
-    /// tile ([`EnergyLists::far_tile_raw`]). Returns
+    /// (`EnergyLists::near_tile_raw`), the far list as one flat bin-pair
+    /// tile (`EnergyLists::far_tile_raw`). Returns
     /// `(raw_energy, work_units)`; the work matches `energy_for_leaf`'s
     /// tally bit for bit — symmetric halving and convolution collapse
     /// change the *flops*, never the billed units, so `workdiv`/`balance`
@@ -1135,7 +1008,7 @@ impl EnergyLists {
     /// step's one row sum. The run is cut into the fixed segments of
     /// [`SEGMENT_ROWS`](crate::workdiv::SEGMENT_ROWS) consecutive rows;
     /// each segment sums its rows in ordinal order and the partials add in
-    /// segment order ([`sum_segments`]), on `scratch.len()` threads that
+    /// segment order (`workdiv::sum_segments`), on `scratch.len()` threads that
     /// take segments dynamically. Returns `(raw_energy, work_units)`,
     /// `to_bits` the same for any thread count and schedule.
     pub fn execute_rows<M: MathMode, S: AsMut<EnergyExecScratch> + Send>(
@@ -1713,7 +1586,7 @@ mod tests {
             for seg in crate::workdiv::work_balanced_segments(&costs, p) {
                 let mut part = EnergyLists::empty();
                 if part_lists {
-                    part.rebuild_part(&sys, seg.clone(), 1, &mut ListScratch::new());
+                    part.rebuild_part(&sys, seg.clone(), &mut ListScratch::new());
                 }
                 let run = if part_lists { &part } else { &lists };
                 let mut local = EnergyExecScratch::new();
@@ -1792,57 +1665,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_byte_identical() {
-        // floor == 1 forces real multi-task splits at these sizes (the
-        // production MIN_TASK_LEAVES floor would keep them serial)
-        for n in [1usize, 9, 350] {
-            let sys = system(n);
-            let b1 = BornLists::build(&sys);
-            let e1 = EnergyLists::build(&sys);
-            for tasks in [2usize, 3, 7, 64] {
-                let mut bt = BornLists::empty();
-                let mut scratch = ListScratch::new();
-                bt.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-                assert_eq!(b1, bt, "n={n} tasks={tasks}: born lists");
-                for (a, b) in b1.leaf_work().iter().zip(bt.leaf_work()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} tasks={tasks}");
-                }
-                assert_eq!(b1.build_work.to_bits(), bt.build_work.to_bits());
-                let mut et = EnergyLists::empty();
-                et.rebuild_with_task_floor(&sys, 0..sys.ta.num_leaves(), tasks, &mut scratch, 1);
-                assert_eq!(e1, et, "n={n} tasks={tasks}: energy lists");
-                assert_eq!(e1.build_work.to_bits(), et.build_work.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn task_floor_caps_split_counts() {
-        // the production floor keeps small builds serial (the measured
-        // win/lose boundary), while byte-identity makes it purely a
-        // scheduling decision: floored and unfloored builds agree
-        let sys = system(350);
-        let mut scratch = ListScratch::new();
-        let mut floored = EnergyLists::empty();
-        floored.rebuild(&sys, 64, &mut scratch);
-        let mut split = EnergyLists::empty();
-        split.rebuild_with_task_floor(&sys, 0..sys.ta.num_leaves(), 64, &mut scratch, 1);
-        assert_eq!(floored, split);
-        assert!(sys.ta.num_leaves() < MIN_TASK_LEAVES);
-    }
-
-    #[test]
     fn rebuild_reuses_buffers_and_matches_fresh_build() {
         // grow, shrink, regrow through one scratch + one lists slot
         let mut scratch = ListScratch::new();
         let mut born = BornLists::empty();
         let mut energy = EnergyLists::empty();
-        for (n, tasks) in [(120usize, 2usize), (350, 3), (60, 1), (350, 5)] {
+        for n in [120usize, 350, 60, 350] {
             let sys = system(n);
-            born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            assert_eq!(born, BornLists::build(&sys), "n={n} tasks={tasks}");
-            energy.rebuild_with_task_floor(&sys, 0..sys.ta.num_leaves(), tasks, &mut scratch, 1);
-            assert_eq!(energy, EnergyLists::build(&sys), "n={n} tasks={tasks}");
+            born.rebuild(&sys, &mut scratch);
+            assert_eq!(born, BornLists::build(&sys), "n={n}");
+            energy.rebuild(&sys, &mut scratch);
+            assert_eq!(energy, EnergyLists::build(&sys), "n={n}");
         }
         assert!(scratch.memory_bytes() > 0);
     }
@@ -1861,18 +1694,17 @@ mod tests {
         let e = EnergyLists::build(&sys);
         let expect = rows_bytes(&e.rows) + e.near_w.capacity() * std::mem::size_of::<u8>();
         assert_eq!(e.memory_bytes(), expect);
-        // scratch reports the table + per-task buffers + ownership arrays
+        // scratch reports the table + mask + ownership arrays
         let mut scratch = ListScratch::new();
         let mut lists = BornLists::empty();
-        lists.rebuild_with_task_floor(&sys, 3, &mut scratch, 1);
+        lists.rebuild(&sys, &mut scratch);
         let t = &scratch.table;
         let expect = (t.cx.capacity() + t.cy.capacity() + t.cz.capacity() + t.r.capacity())
             * std::mem::size_of::<f64>()
             + (t.id.capacity() + t.skip.capacity() + t.begin.capacity() + t.count.capacity()
                 + t.size.capacity() + t.stack.capacity())
                 * std::mem::size_of::<u32>()
-            + scratch.segs.iter().map(|s| s.mask.capacity() + rows_bytes(&s.rows)).sum::<usize>()
-            + scratch.segs.capacity() * std::mem::size_of::<TaskSeg>()
+            + scratch.mask.capacity() * std::mem::size_of::<bool>()
             + (scratch.ord_of.capacity() + scratch.near_ords.capacity())
                 * std::mem::size_of::<u32>()
             + scratch.cursor.capacity() * std::mem::size_of::<usize>();
@@ -2138,9 +1970,9 @@ mod tests {
         let mut scratch = ListScratch::new();
         let mut born = BornLists::empty();
         assert_eq!(born.content_key(), 0, "never built");
-        born.rebuild(&sys, 1, &mut scratch);
+        born.rebuild(&sys, &mut scratch);
         let mut energy = EnergyLists::empty();
-        energy.rebuild(&sys, 1, &mut scratch);
+        energy.rebuild(&sys, &mut scratch);
         assert!(born.content_key.get().is_none() && energy.content_key.get().is_none());
         assert_eq!(born.content_key(), born.rows.fold_key());
         assert_eq!(energy.content_key(), energy.rows.fold_key());
@@ -2148,7 +1980,7 @@ mod tests {
         jitter_tree(&mut sys.ta, 0.3, 41, 1);
         jitter_tree(&mut sys.tq, 0.3, 42, 1);
         let before = born.content_key();
-        born.rebuild(&sys, 1, &mut scratch);
+        born.rebuild(&sys, &mut scratch);
         assert!(born.content_key.get().is_none());
         assert_eq!(born.content_key(), BornLists::build(&sys).content_key());
         assert_ne!(born.content_key(), before, "0.3 Å jitter must change the lists");
@@ -2201,11 +2033,9 @@ mod tests {
     fn born_rows_ascend_from_every_walk() {
         let mut sys = system(900);
         let mut scratch = ListScratch::new();
-        for tasks in [1usize, 3] {
-            let mut born = BornLists::empty();
-            born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-            assert_rows_ascend(&born, &sys.ta, &format!("rebuild tasks={tasks}"));
-        }
+        let mut born = BornLists::empty();
+        born.rebuild(&sys, &mut scratch);
+        assert_rows_ascend(&born, &sys.ta, "rebuild");
 
         // docking cross lists, both directions
         let lig = posed_ligand(120, 5, Vec3::new(12.0, -4.0, 3.0));
@@ -2219,11 +2049,10 @@ mod tests {
         assert_rows_ascend(&cross, &lig.ta, "cross ligand x receptor");
 
         // refitted trees keep their preorder, so frame rebuilds ascend too
-        let mut born = BornLists::empty();
         for (frame, stride) in [(0u64, 1usize), (1, 7)] {
             jitter_tree(&mut sys.ta, 0.05, 300 + frame, stride);
             jitter_tree(&mut sys.tq, 0.05, 400 + frame, stride);
-            born.rebuild(&sys, 1, &mut scratch);
+            born.rebuild(&sys, &mut scratch);
             assert_rows_ascend(&born, &sys.ta, &format!("refit frame={frame}"));
         }
     }
@@ -2524,25 +2353,21 @@ mod tests {
                 let v = born_oracle(&sys.ta, &sys.tq, threshold, q, &all);
                 assert_eq!(w.to_bits(), v.work.to_bits(), "n={n}: oracle vs traversal");
             }
-            for tasks in [1usize, 2, 3, 7] {
-                let tag = format!("n={n} tasks={tasks}");
-                let mut scratch = ListScratch::new();
-                let mut born = BornLists::empty();
-                born.rebuild_with_task_floor(&sys, tasks, &mut scratch, 1);
-                assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &all, &tag);
-                for (ta, tq, dir) in
-                    [(&sys.ta, &lig.tq, "rec x lig"), (&lig.ta, &sys.tq, "lig x rec")]
-                {
-                    let clip = 0..ta.num_points();
-                    let s = BornSweep { ta, tq, threshold, clip: clip.clone() };
-                    born.rebuild_sweep(&s, 0..tq.num_leaves(), tasks, &mut scratch, 1);
-                    assert_born_matches_oracle(&born, ta, tq, &clip, &format!("{tag} {dir}"));
-                }
-                let mut energy = EnergyLists::empty();
-                let rows = 0..sys.ta.num_leaves();
-                energy.rebuild_with_task_floor(&sys, rows, tasks, &mut scratch, 1);
-                assert_energy_matches_oracle(&energy, &sys.ta, &tag);
+            let tag = format!("n={n}");
+            let mut scratch = ListScratch::new();
+            let mut born = BornLists::empty();
+            born.rebuild(&sys, &mut scratch);
+            assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &all, &tag);
+            for (ta, tq, dir) in
+                [(&sys.ta, &lig.tq, "rec x lig"), (&lig.ta, &sys.tq, "lig x rec")]
+            {
+                let clip = 0..ta.num_points();
+                born.rebuild_cross(ta, tq, threshold, &mut scratch);
+                assert_born_matches_oracle(&born, ta, tq, &clip, &format!("{tag} {dir}"));
             }
+            let mut energy = EnergyLists::empty();
+            energy.rebuild(&sys, &mut scratch);
+            assert_energy_matches_oracle(&energy, &sys.ta, &tag);
         }
     }
 
@@ -2564,26 +2389,24 @@ mod tests {
     fn clipped_sweeps_match_the_clipped_oracle() {
         let sys = system(350);
         for clip in clips(&sys) {
-            for tasks in [1usize, 3] {
-                let tag = format!("clip {clip:?} tasks={tasks}");
-                let mut born = BornLists::empty();
-                let s = BornSweep::own(&sys, clip.clone());
-                born.rebuild_sweep(&s, 0..sys.tq.num_leaves(), tasks, &mut ListScratch::new(), 1);
-                assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &clip, &tag);
-                // execution writes only inside the clip, and exactly the
-                // slots the plan derivation reports
-                let mut acc = IntegralAcc::zeros(&sys);
-                born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut acc);
-                let n = sys.ta.num_nodes();
-                let mut touched = vec![false; n + sys.num_atoms()];
-                for ord in 0..born.num_qleaves() {
-                    born.touched_flat_slots(&sys, ord, |r| touched[r].fill(true));
-                }
-                for (slot, &v) in acc.node_s.iter().chain(&acc.atom_s).enumerate() {
-                    assert!(v == 0.0 || touched[slot], "{tag}: slot {slot} written untouched");
-                    if slot >= n {
-                        assert!(!touched[slot] || clip.contains(&(slot - n)), "{tag}: {slot}");
-                    }
+            let tag = format!("clip {clip:?}");
+            let mut born = BornLists::empty();
+            let rows = 0..sys.tq.num_leaves();
+            born.rebuild_part(&sys, rows, clip.clone(), &mut ListScratch::new());
+            assert_born_matches_oracle(&born, &sys.ta, &sys.tq, &clip, &tag);
+            // execution writes only inside the clip, and exactly the
+            // slots the plan derivation reports
+            let mut acc = IntegralAcc::zeros(&sys);
+            born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut acc);
+            let n = sys.ta.num_nodes();
+            let mut touched = vec![false; n + sys.num_atoms()];
+            for ord in 0..born.num_qleaves() {
+                born.touched_flat_slots(&sys, ord, |r| touched[r].fill(true));
+            }
+            for (slot, &v) in acc.node_s.iter().chain(&acc.atom_s).enumerate() {
+                assert!(v == 0.0 || touched[slot], "{tag}: slot {slot} written untouched");
+                if slot >= n {
+                    assert!(!touched[slot] || clip.contains(&(slot - n)), "{tag}: {slot}");
                 }
             }
         }
@@ -2610,22 +2433,19 @@ mod tests {
         let (full_b, full_e) = (BornLists::build(&sys), EnergyLists::build(&sys));
         let (nq, nv) = (sys.tq.num_leaves(), sys.ta.num_leaves());
         for (lo, hi) in [(0usize, 4usize), (1, 3), (3, 4), (2, 2), (0, 0), (4, 4)] {
-            for tasks in [1usize, 3] {
-                let (bq, eq) = (nq * lo / 4..nq * hi / 4, nv * lo / 4..nv * hi / 4);
-                let tag = format!("rows {bq:?} / {eq:?} tasks={tasks}");
-                let mut scratch = ListScratch::new();
-                let mut born = BornLists::empty();
-                let s = BornSweep::own(&sys, 0..sys.num_atoms());
-                born.rebuild_sweep(&s, bq.clone(), tasks, &mut scratch, 1);
-                assert_part_rows(&born.rows, &full_b.rows, &bq, &tag);
-                let mut energy = EnergyLists::empty();
-                energy.rebuild_with_task_floor(&sys, eq.clone(), tasks, &mut scratch, 1);
-                assert_part_rows(&energy.rows, &full_e.rows, &eq, &tag);
-                if (lo, hi) == (0, 4) {
-                    // the full range is the full build, byte for byte
-                    assert_eq!((&born, born.content_key()), (&full_b, full_b.content_key()));
-                    assert_eq!((&energy, energy.content_key()), (&full_e, full_e.content_key()));
-                }
+            let (bq, eq) = (nq * lo / 4..nq * hi / 4, nv * lo / 4..nv * hi / 4);
+            let tag = format!("rows {bq:?} / {eq:?}");
+            let mut scratch = ListScratch::new();
+            let mut born = BornLists::empty();
+            born.rebuild_part(&sys, bq.clone(), 0..sys.num_atoms(), &mut scratch);
+            assert_part_rows(&born.rows, &full_b.rows, &bq, &tag);
+            let mut energy = EnergyLists::empty();
+            energy.rebuild_part(&sys, eq.clone(), &mut scratch);
+            assert_part_rows(&energy.rows, &full_e.rows, &eq, &tag);
+            if (lo, hi) == (0, 4) {
+                // the full range is the full build, byte for byte
+                assert_eq!((&born, born.content_key()), (&full_b, full_b.content_key()));
+                assert_eq!((&energy, energy.content_key()), (&full_e, full_e.content_key()));
             }
         }
     }
@@ -2666,7 +2486,7 @@ mod tests {
             let mut scratch = ListScratch::new();
             for r in &ranges {
                 let mut part = EnergyLists::empty();
-                part.rebuild_part(&sys, r.clone(), 1, &mut scratch);
+                part.rebuild_part(&sys, r.clone(), &mut scratch);
                 w.extend(near_weights(&part, &sys.ta, r.clone()));
             }
             if parts == 1 {

@@ -5,7 +5,7 @@
 //! rank, sequentially*: every rank's compute segments execute for real (so
 //! per-rank work counts and the final energy are exact — the union of the
 //! segments is precisely one full evaluation), while communication costs
-//! come from the [`CostModel`](gb_cluster::CostModel) collective formulas
+//! come from the [`CostModel`] collective formulas
 //! and intra-rank thread parallelism is folded in as a work-stealing
 //! makespan bound (`max(total/p, max_task)` — the greedy-scheduler bound
 //! that randomized work stealing achieves in expectation).
@@ -140,7 +140,7 @@ fn modeled_run_impl<M: MathMode, K: RadiiApprox>(
             let mut scratch = ListScratch::new();
             let rows = 0..sys.tq.num_leaves();
             for (ledger, clip) in ledgers.iter_mut().zip(atom_segments(sys.num_atoms(), ranks)) {
-                born.rebuild_part(sys, rows.clone(), clip, 1, &mut scratch);
+                born.rebuild_part(sys, rows.clone(), clip, &mut scratch);
                 born.execute_range::<M, K>(sys, rows.clone(), &mut acc);
                 ledger.add_work(makespan(born.leaf_work(), threads_per_rank));
                 ledger.record_replicated(replicated);

@@ -286,7 +286,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
     // remote T_A leaves the near field needs. Rows are billed at their
     // execution work (visits, far terms, exact pairs), as one traversal.
     let mut born = BornLists::empty();
-    born.rebuild_part(sys, shard.q_seg.clone(), 0..sys.num_atoms(), 1, &mut scratch);
+    born.rebuild_part(sys, shard.q_seg.clone(), 0..sys.num_atoms(), &mut scratch);
     let (far_off, far) = born.far_csr();
     let (near_off, near) = born.near_csr();
     let needed = ownership.remote_leaves(sys, rank, near);
@@ -415,7 +415,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
     // ---- Energy rows of the owned T_A leaves; their near entries name the
     // remote leaves the exact pairs need.
     let mut energy = EnergyLists::empty();
-    energy.rebuild_part(sys, shard.a_seg.clone(), 1, &mut scratch);
+    energy.rebuild_part(sys, shard.a_seg.clone(), &mut scratch);
     let (near_off, near) = energy.near_csr();
     let needed = ownership.remote_leaves(sys, rank, near);
 

@@ -275,7 +275,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
                 // division. Only the execution work is billed: each row's work
                 // is the clipped per-leaf traversal's tally, visits included.
                 let (rows, clip) = (0..sys.tq.num_leaves(), ws.atom_ranges[rank].clone());
-                ws.born.rebuild_part(sys, rows, clip, ws.build_tasks, &mut ws.born_scratch);
+                ws.born.rebuild_part(sys, rows, clip, &mut ws.born_scratch);
                 work += ws.born.execute_range::<M, K>(sys, 0..ws.born.num_qleaves(), &mut ws.acc);
             }
         }
@@ -373,7 +373,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
         // execution work only, as for the clipped Born lists
         WorkDivision::AtomNode => {
             let atom_ords = leaves_starting_in(sys, &ws.atom_ranges[rank]);
-            ws.energy.rebuild_part(sys, atom_ords.clone(), ws.build_tasks, &mut ws.energy_scratch);
+            ws.energy.rebuild_part(sys, atom_ords.clone(), &mut ws.energy_scratch);
             execute_energy::<M>(sys, threads, ws, &radii_tree, atom_ords)
         }
     };

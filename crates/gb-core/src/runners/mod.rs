@@ -1,11 +1,11 @@
 //! The four executable variants of the octree GB pipeline (paper Table II),
 //! and the three phase steps every one of them runs.
 //!
-//! [`execute_born`], [`push_segment`] and [`execute_energy`] take a
+//! `execute_born`, `push_segment` and `execute_energy` take a
 //! segment and a thread count `T`. At `T == 1` they run inline on the
 //! calling thread. At `T > 1` the Born and push steps cut the segment into
 //! `T` sub-segments (balanced by measured list work; atoms evenly for the
-//! push), run them through [`fork_join`] with sub-segment `t` filling
+//! push), run them through `workdiv::fork_join` with sub-segment `t` filling
 //! `ws.slots[t]`, and merge the slots in `t` order: the partition is
 //! fixed, so their result depends on `T` but never on the schedule. The
 //! energy step cuts its rows into fixed segments of

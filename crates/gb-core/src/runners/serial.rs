@@ -3,8 +3,9 @@
 //!
 //! Since the interaction-list refactor the pipeline is *traversal once,
 //! execute lists after*: one row sweep per driving leaf emits flat far/near
-//! lists ([`BornLists`], [`EnergyLists`]) which are then streamed through
-//! the batched leaf kernels. Decisions and work units are identical to the
+//! lists ([`BornLists`](crate::BornLists),
+//! [`EnergyLists`](crate::EnergyLists)) which are then streamed through the
+//! batched leaf kernels. Decisions and work units are identical to the
 //! per-leaf traversals of `integrals`/`energy` (those remain as the
 //! cross-validation oracle); only the exact-kernel summation order changes,
 //! within the 1e-12 band the tests check.
@@ -42,8 +43,8 @@ pub fn run_serial(sys: &GbSystem) -> SerialOutput {
 
 /// [`run_serial`] over a caller-owned [`Workspace`]: bitwise the same
 /// result, but every buffer is reused across calls — a steady-state
-/// superstep allocates nothing once the arenas have warmed (with
-/// `build_tasks == 1`; see the `arena` module docs for the contract).
+/// superstep allocates nothing once the arenas have warmed (see the
+/// `arena` module docs for the contract).
 /// The Born radii land in `ws.radii_out` (original atom order).
 pub fn run_serial_ws(sys: &GbSystem, ws: &mut Workspace) -> WsOutput {
     run_pipeline_ws(sys, 1, ws)

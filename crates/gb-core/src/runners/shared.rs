@@ -18,9 +18,8 @@ use crate::runners::serial::{run_pipeline_ws, SerialOutput};
 use crate::system::{GbResult, GbSystem};
 
 /// Runs the shared-memory octree pipeline on every available core. The
-/// lists build as one block: on a 2-core host a 2-task energy build ran
-/// slower than the single sweep (the per-task block copy and spawn
-/// outweigh the halved sweep).
+/// lists are swept on the calling thread; the threads run their
+/// execution.
 ///
 /// Matches [`run_serial`](crate::runners::serial::run_serial) to
 /// round-off — partial sums merge in a fixed order.
@@ -95,7 +94,7 @@ mod tests {
         let s = sys(500);
         let cluster = SimCluster::single_node();
         for t in [1usize, 2, 3] {
-            let mut ws = Workspace::with_build_tasks(t);
+            let mut ws = Workspace::new();
             let out = run_pipeline_ws(&s, t, &mut ws);
             let (hyb, _) = try_run_hybrid_mode(&s, &cluster, 1, t, CommMode::default())
                 .expect("fault-free");
@@ -148,8 +147,8 @@ mod tests {
     fn shared_ws_reuse_is_deterministic_and_matches_plain() {
         let s = sys(350);
         let plain = run_shared(&s);
-        // a different build-task count must not change a single bit
-        let mut ws = Workspace::with_build_tasks(2);
+        // a reused workspace must not change a single bit
+        let mut ws = Workspace::new();
         let a = run_shared_ws(&s, &mut ws);
         let b = run_shared_ws(&s, &mut ws);
         assert_eq!(a.energy_kcal.to_bits(), b.energy_kcal.to_bits());

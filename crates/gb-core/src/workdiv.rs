@@ -59,37 +59,6 @@ pub fn leaf_segments(tree: &Octree, parts: usize) -> Vec<Range<usize>> {
     even_ranges(tree.num_leaves(), parts)
 }
 
-/// Segments a tree's leaf list into `parts` ranges balanced by the number
-/// of *points* under the leaves (a natural refinement; exposed for the
-/// load-balancing ablation benchmark).
-pub fn balanced_leaf_segments(tree: &Octree, parts: usize) -> Vec<Range<usize>> {
-    assert!(parts >= 1);
-    let leaves = tree.leaves();
-    let total: usize = tree.num_points();
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    let mut consumed = 0usize;
-    for i in 0..parts {
-        // target cumulative share after segment i
-        let target = (total as f64 * (i + 1) as f64 / parts as f64).round() as usize;
-        let mut end = start;
-        while end < leaves.len() && (consumed < target || i + 1 == parts) {
-            consumed += tree.node(leaves[end]).count();
-            end += 1;
-            if i + 1 == parts {
-                continue; // last segment takes everything left
-            }
-        }
-        out.push(start..end);
-        start = end;
-    }
-    // ensure full coverage
-    if let Some(last) = out.last_mut() {
-        last.end = leaves.len();
-    }
-    out
-}
-
 /// Segments the atom array (tree positions `0..M`) evenly — the atom-based
 /// scheme.
 pub fn atom_segments(num_atoms: usize, parts: usize) -> Vec<Range<usize>> {
@@ -180,7 +149,7 @@ pub(crate) fn segment(rows: &Range<usize>, k: usize) -> Range<usize> {
 }
 
 /// Per-segment `(raw, work)` partials of a multithreaded
-/// [`sum_segments`], stored as bits by whichever thread ran the segment
+/// `sum_segments`, stored as bits by whichever thread ran the segment
 /// and read in segment order after the join. Grow-only.
 #[derive(Debug, Default)]
 pub struct SegmentPartials(Vec<[AtomicU64; 2]>);
@@ -282,42 +251,6 @@ mod tests {
         assert_eq!(segs.last().unwrap().end, t.num_leaves());
         let covered: usize = segs.iter().map(|s| s.len()).sum();
         assert_eq!(covered, t.num_leaves());
-    }
-
-    #[test]
-    fn balanced_segments_cover_all_points() {
-        let t = tree(700);
-        for p in [1usize, 2, 5, 12] {
-            let segs = balanced_leaf_segments(&t, p);
-            assert_eq!(segs.len(), p);
-            let mut cursor = 0;
-            let mut points = 0;
-            for s in &segs {
-                assert_eq!(s.start, cursor);
-                cursor = s.end;
-                for li in s.clone() {
-                    points += t.node(t.leaves()[li]).count();
-                }
-            }
-            assert_eq!(cursor, t.num_leaves(), "p={p}");
-            assert_eq!(points, t.num_points(), "p={p}");
-        }
-    }
-
-    #[test]
-    fn balanced_segments_are_more_even_in_points() {
-        let t = tree(2_000);
-        let p = 8;
-        let spread = |segs: &[Range<usize>]| {
-            let loads: Vec<usize> = segs
-                .iter()
-                .map(|s| s.clone().map(|li| t.node(t.leaves()[li]).count()).sum())
-                .collect();
-            (*loads.iter().max().unwrap() as f64) / (*loads.iter().min().unwrap()).max(1) as f64
-        };
-        let even = spread(&leaf_segments(&t, p));
-        let bal = spread(&balanced_leaf_segments(&t, p));
-        assert!(bal <= even + 1e-9, "balanced {bal} vs even {even}");
     }
 
     #[test]

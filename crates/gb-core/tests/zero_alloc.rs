@@ -51,9 +51,9 @@ fn steady_state_superstep_allocates_nothing() {
     let mol = synthesize_protein(&SyntheticParams::with_atoms(700, 21));
     let sys = GbSystem::prepare(mol, GbParams::default());
 
-    // build_tasks = 1: spawning scope threads allocates inside std, so
-    // the zero-alloc contract covers the on-thread build (which is
-    // byte-identical to any parallel task count anyway)
+    // the serial runner: spawning scope threads allocates inside std, so
+    // the zero-alloc contract covers the one-thread path, list builds
+    // included
     let mut ws = Workspace::new();
 
     // two warm-up supersteps grow every arena to its steady-state

@@ -6,33 +6,25 @@
 //!    per-node octant partition below is a stable counting sort over an
 //!    almost-sorted sequence),
 //! 3. recursively split ranges into octants until `leaf_cap` is reached,
-//! 4. one bottom-up pass computes per-node centroids and enclosing radii.
+//! 4. one pass computes per-node centroids and enclosing radii.
 //!
-//! [`Octree::build_par`] parallelizes step 3 across the root's octants and
-//! step 4 across nodes with rayon; it produces a tree *identical* to the
-//! sequential build (construction is deterministic either way).
+//! Construction is deterministic: the same points and cap give the same
+//! tree.
 
 use crate::node::{Node, NodeId, NULL_NODE};
 use crate::tree::Octree;
 use crate::MAX_DEPTH;
 use gb_geom::{morton, Aabb, Vec3};
-use rayon::prelude::*;
 
 impl Octree {
     /// Builds an octree over `points` with at most `leaf_cap` points per
     /// leaf. `leaf_cap` is clamped to at least 1.
     pub fn build(points: &[Vec3], leaf_cap: usize) -> Octree {
-        build_impl(points, leaf_cap, false)
-    }
-
-    /// Parallel build (rayon). Produces exactly the same tree as
-    /// [`Octree::build`].
-    pub fn build_par(points: &[Vec3], leaf_cap: usize) -> Octree {
-        build_impl(points, leaf_cap, true)
+        build_impl(points, leaf_cap)
     }
 }
 
-fn build_impl(input: &[Vec3], leaf_cap: usize, parallel: bool) -> Octree {
+fn build_impl(input: &[Vec3], leaf_cap: usize) -> Octree {
     let leaf_cap = leaf_cap.max(1);
     if input.is_empty() {
         return Octree {
@@ -149,15 +141,8 @@ fn build_impl(input: &[Vec3], leaf_cap: usize, parallel: bool) -> Octree {
     tree.order = order;
 
     // Summary pass: centroids and enclosing radii, plus the leaf list.
-    if parallel {
-        let pts = &tree.points;
-        tree.nodes.par_iter_mut().for_each(|n| summarize(n, pts));
-    } else {
-        let pts = std::mem::take(&mut tree.points);
-        for n in &mut tree.nodes {
-            summarize(n, &pts);
-        }
-        tree.points = pts;
+    for n in &mut tree.nodes {
+        summarize(n, &tree.points);
     }
     tree.leaves = tree
         .nodes
@@ -294,22 +279,6 @@ mod tests {
         let t = Octree::build(&pts, 2);
         t.validate().unwrap();
         assert!(t.max_depth() <= MAX_DEPTH);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let pts = cloud(2_000, 9);
-        let a = Octree::build(&pts, 8);
-        let b = Octree::build_par(&pts, 8);
-        assert_eq!(a.num_nodes(), b.num_nodes());
-        assert_eq!(a.order(), b.order());
-        for (x, y) in a.nodes().iter().zip(b.nodes()) {
-            assert_eq!(x.begin, y.begin);
-            assert_eq!(x.end, y.end);
-            assert_eq!(x.first_child, y.first_child);
-            assert!((x.radius - y.radius).abs() < 1e-15);
-            assert!((x.centroid - y.centroid).norm() < 1e-15);
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! surface quadrature points, and evaluates Greengard–Rokhlin-style near–far
 //! decompositions over them. This crate provides the structure itself:
 //!
-//! * **Construction** ([`Octree::build`], [`Octree::build_par`]): points are
+//! * **Construction** ([`Octree::build`]): points are
 //!   Morton-sorted for cache locality, then recursively partitioned into
 //!   cubic octants until a leaf holds at most `leaf_cap` points. Nodes store
 //!   the *geometric centroid* of the points beneath them and the radius of

@@ -68,13 +68,6 @@ impl Octree {
         &self.points
     }
 
-    /// Positions of the points beneath `id`, as a contiguous slice.
-    #[inline(always)]
-    pub fn points_of(&self, id: NodeId) -> &[Vec3] {
-        let n = self.node(id);
-        &self.points[n.range()]
-    }
-
     /// Original index of the point at tree position `i`.
     #[inline(always)]
     pub fn point_index(&self, i: usize) -> usize {
@@ -108,14 +101,6 @@ impl Octree {
     /// Maximum node depth present in the tree.
     pub fn max_depth(&self) -> u8 {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
-
-    /// Calls `f(leaf_id)` for every leaf.
-    #[inline]
-    pub fn for_each_leaf(&self, mut f: impl FnMut(NodeId)) {
-        for &l in &self.leaves {
-            f(l);
-        }
     }
 
     /// Returns a new tree with every point (and node centroid / cell) moved

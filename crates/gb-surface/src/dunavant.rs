@@ -2,7 +2,7 @@
 //!
 //! D. A. Dunavant, *High degree efficient symmetrical Gaussian quadrature
 //! rules for the triangle*, Int. J. Numer. Methods Eng. 21 (1985) — the
-//! reference the paper cites ([11]) for placing integration points inside
+//! reference the paper cites (\[11\]) for placing integration points inside
 //! each surface triangle.
 //!
 //! Points are given in barycentric coordinates `(a, b, c)`, `a+b+c = 1`;

@@ -5,13 +5,8 @@
 //! cargo run --release --example bench_interaction > BENCH_interaction.json
 //! ```
 //!
-//! Besides the original traversal-vs-list comparison, the snapshot carries
-//! the `list_build_parallel_ms` column: the same CSR lists built by
-//! `build_tasks(sys, tasks)` range-parallel walks (byte-identical layout;
-//! `build_tasks` is the requested task count — one scoped thread each, the
-//! host's cores by default). A phase whose rows are too few to split
-//! (`interaction::sweep_tasks` is 1) reports its
-//! `list_build_parallel_speedup` as `null` with the reason beside it.
+//! Each phase reports the per-leaf traversal, the list build (one row
+//! sweep on the calling thread) and the list execution.
 //!
 //! `exec_speedup_vs_traversal` is the engine-vs-engine headline: the seed
 //! per-leaf traversal over the list engine, both on the default
@@ -28,7 +23,6 @@ use gb_polarize::core::energy::energy_for_leaves;
 use gb_polarize::core::fastmath::ExactMath;
 use gb_polarize::core::gbmath::R6;
 use gb_polarize::core::integrals::{accumulate_qleaf, push_integrals_to_atoms, IntegralAcc};
-use gb_polarize::core::interaction::sweep_tasks;
 use gb_polarize::core::{BornLists, EnergyExecScratch, EnergyLists};
 use gb_polarize::prelude::*;
 
@@ -91,32 +85,10 @@ fn comm_columns(sys: &GbSystem, reps: usize) -> (u64, u64, f64) {
     (dense, sparse, sparse_exec_ms)
 }
 
-/// Prints a phase's `list_build_parallel_speedup`, or `null` and the reason
-/// when its `rows` driving leaves are too few for the build to split.
-fn print_parallel_speedup(rows: usize, tasks: usize, speedup: f64) {
-    if sweep_tasks(rows, tasks) > 1 {
-        println!("    \"list_build_parallel_speedup\": {speedup:.3},");
-    } else {
-        println!("    \"list_build_parallel_speedup\": null,");
-        println!(
-            "    \"list_build_parallel_note\": \"{rows} rows at {tasks} tasks sweep as one \
-             task: too few rows to split\","
-        );
-    }
-}
-
 fn main() {
     let n_atoms: usize =
         std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
     let reps = 3usize;
-    // `GB_BUILD_THREADS` sets the parallel list build's task count
-    // (default: the machine's cores); each task sweeps on its own scoped
-    // thread.
-    let build_tasks = std::env::var("GB_BUILD_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let mol = synthesize_protein(&SyntheticParams::with_atoms(n_atoms, 4242));
     let sys = GbSystem::prepare(mol, GbParams::default());
 
@@ -183,8 +155,6 @@ fn main() {
 
     // ... vs one list build + batched execution
     let (build_ms, build_work) = timed(reps, || BornLists::build(&sys).build_work);
-    let (pbuild_ms, _) =
-        timed(reps, || BornLists::build_tasks(&sys, build_tasks).build_work);
     let (exec_ms, exec_work) = timed(reps, || {
         let mut acc = IntegralAcc::zeros(&sys);
         let work = born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut acc);
@@ -199,8 +169,6 @@ fn main() {
         work
     });
     let (ebuild_ms, ebuild_work) = timed(reps, || EnergyLists::build(&sys).build_work);
-    let (epbuild_ms, _) =
-        timed(reps, || EnergyLists::build_tasks(&sys, build_tasks).build_work);
     let mut exec_scratch = EnergyExecScratch::new();
     let (eexec_ms, eexec_work) = timed(reps, || {
         let (raw, work) = energy.execute_leaves::<ExactMath>(
@@ -232,14 +200,11 @@ fn main() {
     println!("  \"n_atoms\": {},", sys.num_atoms());
     println!("  \"n_qpoints\": {},", sys.num_qpoints());
     println!("  \"reps\": {reps},");
-    println!("  \"build_tasks\": {build_tasks},");
     println!("  \"born\": {{");
     println!("    \"traversal_ms\": {trav_ms:.3},");
     println!("    \"traversal_work_units\": {trav_work:.1},");
     println!("    \"list_build_ms\": {build_ms:.3},");
     println!("    \"list_build_work_units\": {build_work:.1},");
-    println!("    \"list_build_parallel_ms\": {pbuild_ms:.3},");
-    print_parallel_speedup(sys.tq.num_leaves(), build_tasks, build_ms / pbuild_ms);
     println!("    \"list_exec_ms\": {exec_ms:.3},");
     println!("    \"list_exec_work_units\": {exec_work:.1},");
     println!("    \"exec_speedup_vs_traversal\": {:.3}", trav_ms / exec_ms);
@@ -249,8 +214,6 @@ fn main() {
     println!("    \"traversal_work_units\": {etrav_work:.1},");
     println!("    \"list_build_ms\": {ebuild_ms:.3},");
     println!("    \"list_build_work_units\": {ebuild_work:.1},");
-    println!("    \"list_build_parallel_ms\": {epbuild_ms:.3},");
-    print_parallel_speedup(sys.ta.num_leaves(), build_tasks, ebuild_ms / epbuild_ms);
     println!("    \"list_exec_ms\": {eexec_ms:.3},");
     println!("    \"list_exec_work_units\": {eexec_work:.1},");
     println!("    \"near_exec_ms\": {:.3},", eexec_ms - far_ms);

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full pre-merge check: release build, test suite, lints.
+# Full pre-merge check: release build, test suite, lints, rustdoc.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,3 +16,5 @@ cargo test -q
 # {panic, kill, timeout, retry}, plus blocking p2p drops and delays.
 cargo test --release -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc links must resolve: a link to a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -223,34 +223,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_list_build_is_byte_identical_to_serial(
-        n in 1usize..90,
-        seed in 0u64..500,
-        cap in 1usize..16,
-        tasks in 2usize..16,
-    ) {
-        // the tentpole invariant: the task-parallel range walks must
-        // reproduce the serial CSR layout *exactly* — offsets, targets and
-        // per-leaf work units, for any system shape, leaf cap and task count
-        let mol = synthesize_protein(&SyntheticParams::with_atoms(n, seed));
-        let params = GbParams { leaf_cap: cap, ..GbParams::default() };
-        let sys = GbSystem::prepare(mol, params);
-
-        let born_serial = BornLists::build(&sys);
-        let born_par = BornLists::build_tasks(&sys, tasks);
-        prop_assert_eq!(&born_serial, &born_par);
-        prop_assert_eq!(born_serial.build_work.to_bits(), born_par.build_work.to_bits());
-        for (a, b) in born_serial.leaf_work().iter().zip(born_par.leaf_work()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let energy_serial = EnergyLists::build(&sys);
-        let energy_par = EnergyLists::build_tasks(&sys, tasks);
-        prop_assert_eq!(&energy_serial, &energy_par);
-        prop_assert_eq!(energy_serial.build_work.to_bits(), energy_par.build_work.to_bits());
-    }
-
-    #[test]
     fn list_engine_matches_traversal_engine(
         n in 1usize..70,
         seed in 0u64..500,
