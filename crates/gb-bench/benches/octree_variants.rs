@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gb_cluster::SimCluster;
-use gb_core::naive::par_naive_full;
+use gb_core::naive::naive_full;
 use gb_core::runners::{run_data_distributed, run_distributed, run_hybrid, run_serial, run_shared};
 use gb_core::{GbParams, GbSystem, WorkDivision};
 use gb_geom::{DetRng, Vec3};
@@ -38,7 +38,7 @@ fn bench_runners(c: &mut Criterion) {
         });
         if n <= 500 {
             group.bench_with_input(BenchmarkId::new("naive", n), &sys, |b, sys| {
-                b.iter(|| par_naive_full(sys))
+                b.iter(|| naive_full(sys))
             });
         }
     }

@@ -18,7 +18,7 @@ use gb_baselines::{all_profiles, run_package, Package};
 use gb_cluster::{CostModel, SimCluster};
 use gb_core::error::{percent_error, ErrorStats};
 use gb_core::modeled::modeled_run;
-use gb_core::naive::{naive_work_units, par_naive_full};
+use gb_core::naive::{naive_full, naive_work_units};
 use gb_core::runners::run_shared;
 use gb_core::{GbParams, GbSystem, MathKind, WorkDivision};
 
@@ -251,7 +251,7 @@ pub fn fig9(scale: Scale) -> Table {
     for entry in workloads::ladder(scale) {
         let mol = entry.molecule();
         let sys = workloads::prepare(mol.clone());
-        let naive = par_naive_full(&sys).energy_kcal;
+        let naive = naive_full(&sys).energy_kcal;
         let oct = run_shared(&sys).result.energy_kcal;
         let pkg = |p: Package| -> String {
             let r = run_package(&gb_baselines::profile(p), &mol, 12);
@@ -288,7 +288,7 @@ pub fn fig10(scale: Scale) -> (Table, Table) {
     let mut refs = Vec::new();
     for e in &entries {
         let sys = workloads::prepare(e.molecule());
-        refs.push(par_naive_full(&sys).energy_kcal);
+        refs.push(naive_full(&sys).energy_kcal);
     }
 
     let mut t_err = Table::new(
@@ -511,7 +511,6 @@ pub fn loadbalance_study(scale: Scale) -> Table {
 /// Kirkwood Born radius of an off-center charge in a sphere — the paper's
 /// stated reason for adopting the r⁶ form.
 pub fn radii_kind_study() -> Table {
-    use gb_core::naive::par_naive_full;
     use gb_core::RadiiKind;
     use gb_molecule::{Atom, Element, Molecule};
     use gb_surface::SurfaceParams;
@@ -534,7 +533,7 @@ pub fn radii_kind_study() -> Table {
             let params = GbParams::default()
                 .with_radii_kind(kind)
                 .with_surface(SurfaceParams::exact_spheres());
-            par_naive_full(&GbSystem::prepare(mol, params)).born_radii[1]
+            naive_full(&GbSystem::prepare(mol, params)).born_radii[1]
         };
         let r6 = radius_with(RadiiKind::R6);
         let r4 = radius_with(RadiiKind::R4);

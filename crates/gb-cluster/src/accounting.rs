@@ -19,13 +19,13 @@ pub struct RankLedger {
     pub work_units: f64,
     /// Modeled communication time in seconds.
     pub comm_seconds: f64,
-    /// Total bytes this rank sent (p2p) or contributed (collectives).
+    /// Total bytes this rank contributed to collectives.
     pub bytes_moved: u64,
     /// Bytes moved, broken down by [`OpKind`] (indexed by
     /// [`OpKind::index`]) — lets benchmarks compare e.g. dense allreduce
     /// traffic against sparse-exchange traffic from real runs.
     pub op_bytes: [u64; OpKind::COUNT],
-    /// Number of communication operations (p2p + collectives).
+    /// Number of completed communication operations.
     pub comm_ops: u64,
     /// Peak replicated memory attributed to this rank, in bytes.
     pub replicated_bytes: u64,
@@ -231,7 +231,7 @@ mod tests {
         l.add_comm_for(OpKind::SparseExchange, 0.03, 36);
         assert_eq!(l.bytes_for(OpKind::AllreduceSum), 1000);
         assert_eq!(l.bytes_for(OpKind::SparseExchange), 100);
-        assert_eq!(l.bytes_for(OpKind::Send), 0);
+        assert_eq!(l.bytes_for(OpKind::Allgatherv), 0);
         assert_eq!(l.bytes_moved, 1100);
         assert_eq!(l.comm_ops, 3);
         assert!((l.comm_seconds - 0.15).abs() < 1e-15);

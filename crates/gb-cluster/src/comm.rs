@@ -1,14 +1,14 @@
-//! The MPI-like runtime: ranks as threads, explicit messages, collectives.
+//! The MPI-like runtime: ranks as threads, talking only through collectives.
 //!
 //! [`SimCluster::run`] launches one OS thread per rank. Ranks share *no*
 //! mutable algorithm state — exactly like MPI processes, each works on its
 //! own replicated copy of the input — and interact only through the
-//! [`Comm`] handle:
-//!
-//! * point-to-point `send_f64` / `recv_f64` over per-pair channels,
-//! * the collectives: `allreduce_sum` and `allgatherv` (the paper's Fig. 4
-//!   algorithm), `allreduce_max` (recovery restart negotiation),
-//!   `barrier`, and the staged `sparse_exchange` of the communication plan.
+//! [`Comm`] handle's collectives: `allreduce_sum` and `allgatherv` (the
+//! paper's Fig. 4 algorithm), `allreduce_max` (global extrema, recovery
+//! restart negotiation), `barrier`, and the staged `sparse_exchange`, an
+//! all-to-all of per-destination payloads that carries the communication
+//! plan and the data-distributed halo. All of them run over one blackboard
+//! of per-rank deposit slots.
 //!
 //! Every operation records its modeled cost (per the
 //! [`CostModel`]) into the rank's
@@ -25,33 +25,25 @@
 //!   `Result<_, CommError>`; the plain variants are thin wrappers that
 //!   panic on error (convenient for infallible test programs);
 //! * a rank that panics poisons the shared [`Barrier`] on unwind, so
-//!   peers blocked in *any* collective (or a p2p receive) wake up with
-//!   [`CommError`] instead of deadlocking the process;
+//!   peers blocked in *any* collective wake up with [`CommError`] instead
+//!   of deadlocking the process;
 //! * an optional per-operation watchdog
 //!   ([`SimCluster::with_collective_timeout`]) converts a hang into a
 //!   diagnostic [`CommErrorKind::Timeout`] carrying every rank's last-op
 //!   ledger state;
 //! * a [`FaultPlan`] ([`SimCluster::with_fault_plan`]) deterministically
-//!   kills ranks at chosen operation indices and delays or drops
-//!   point-to-point messages;
+//!   kills ranks at chosen operation indices;
 //! * [`SimCluster::try_run`] runs fallible rank programs and returns the
 //!   first root-cause failure instead of panicking.
 
 use crate::accounting::{RankLedger, RunReport};
 use crate::barrier::{Barrier, Poison, WaitError};
 use crate::costmodel::{CommLevel, CostModel};
-use crate::fault::{CommError, CommErrorKind, FaultPlan, OpKind, P2pAction, RankOpState};
+use crate::fault::{CommError, CommErrorKind, FaultPlan, OpKind, RankOpState};
 use crate::topology::{ClusterTopology, Placement};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Poll interval for receives and other waits that cannot block forever:
-/// short enough that poison propagates promptly, long enough to cost
-/// nothing on the fault-free path (a delivered message wakes the receiver
-/// immediately regardless).
-const POISON_POLL: Duration = Duration::from_millis(2);
+use std::time::Duration;
 
 /// One rank's deposited collective payload, tagged with the barrier
 /// generation current at deposit time. The triple-barrier protocol makes
@@ -61,21 +53,6 @@ const POISON_POLL: Duration = Duration::from_millis(2);
 struct Deposit {
     gen: u64,
     payload: Vec<f64>,
-}
-
-/// One point-to-point message on the wire. `not_before` carries a
-/// fault-plan delay to the *receiver*: the send never blocks and the
-/// link stays FIFO, but the payload only becomes visible once the delay
-/// has elapsed — the fault delays delivery, not the sender.
-struct Envelope {
-    not_before: Option<Instant>,
-    payload: Vec<f64>,
-}
-
-impl Envelope {
-    fn due(&self) -> bool {
-        self.not_before.is_none_or(|t| Instant::now() >= t)
-    }
 }
 
 /// Verdict of one attempt of the rank programs, ruled at the recovery
@@ -110,12 +87,11 @@ struct RecoveryState {
 }
 
 /// Faults that already fired, shared across ranks so a healed replay does
-/// not re-fire them: a kill (or p2p drop/delay) is one event in the life
-/// of the simulated cluster, not a property of every attempt.
+/// not re-fire them: a kill is one event in the life of the simulated
+/// cluster, not a property of every attempt.
 #[derive(Default)]
 struct FiredFaults {
     kills: Vec<(usize, u64)>,
-    p2p: Vec<(usize, usize, u64)>,
 }
 
 /// Shared collective-exchange state for one run.
@@ -141,8 +117,8 @@ struct CollectiveCtx {
 pub struct SimCluster {
     pub topology: ClusterTopology,
     pub cost: CostModel,
-    /// Per-operation watchdog: a collective (or receive) that blocks
-    /// longer than this poisons the run and returns
+    /// Per-operation watchdog: a collective that blocks longer than this
+    /// poisons the run and returns
     /// [`CommErrorKind::Timeout`]. `None` (the default) waits forever —
     /// panics still poison, so a dead rank never deadlocks the process.
     pub collective_timeout: Option<Duration>,
@@ -367,38 +343,17 @@ impl SimCluster {
         });
         let fault_plan = Arc::new(self.fault_plan.clone());
 
-        // P×P channel matrix; rank r owns receivers[..][r].
-        let mut senders: Vec<Vec<Sender<Envelope>>> = Vec::with_capacity(ranks);
-        let mut receivers: Vec<Vec<Option<Receiver<Envelope>>>> = (0..ranks)
-            .map(|_| (0..ranks).map(|_| None).collect())
-            .collect();
-        for from in 0..ranks {
-            let mut row = Vec::with_capacity(ranks);
-            for to_row in receivers.iter_mut() {
-                let (s, r) = unbounded();
-                row.push(s);
-                to_row[from] = Some(r);
-            }
-            senders.push(row);
-        }
-        let senders = Arc::new(senders);
-
         let start = std::time::Instant::now();
         let max_recoveries = self.max_recoveries;
         let mut outputs: Vec<Option<(RankEnd<R>, RankLedger)>> = (0..ranks).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (rank, slot) in outputs.iter_mut().enumerate() {
-                let my_receivers: Vec<Receiver<Envelope>> = receivers[rank]
-                    .iter_mut()
-                    .map(|r| r.take().unwrap())
-                    .collect();
                 let ctx = ctx.clone();
-                let senders = senders.clone();
                 let placements = placements.clone();
                 let fault_plan = fault_plan.clone();
                 let cost = self.cost;
                 let timeout = self.collective_timeout;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut comm = Comm {
                         rank,
                         size: ranks,
@@ -408,11 +363,7 @@ impl SimCluster {
                         timeout,
                         placements,
                         ctx,
-                        senders,
-                        receivers: my_receivers,
                         fault_plan,
-                        send_counts: vec![0; ranks],
-                        held: (0..ranks).map(|_| None).collect(),
                         ops_started: 0,
                         attempt: 0,
                         max_recoveries,
@@ -426,8 +377,7 @@ impl SimCluster {
                     *slot = Some((end, comm.ledger));
                 });
             }
-        })
-        .expect("cluster scope failed");
+        });
 
         let wall = start.elapsed().as_secs_f64();
         let poison = ctx.barrier.poison_state();
@@ -441,8 +391,8 @@ impl SimCluster {
 }
 
 /// One attempt of the rank program: invoke `f`, catch panics, and poison
-/// the barrier on any failure so peers blocked in collectives or receives
-/// wake up instead of deadlocking.
+/// the barrier on any failure so peers blocked in collectives wake up
+/// instead of deadlocking.
 fn run_rank_once<R, F>(comm: &mut Comm, f: &F) -> RankEnd<R>
 where
     R: Send,
@@ -523,15 +473,7 @@ pub struct Comm {
     timeout: Option<Duration>,
     placements: Arc<Vec<Placement>>,
     ctx: Arc<CollectiveCtx>,
-    senders: Arc<Vec<Vec<Sender<Envelope>>>>,
-    receivers: Vec<Receiver<Envelope>>,
     fault_plan: Arc<FaultPlan>,
-    /// Messages sent so far on each outgoing link (fault-plan indexing).
-    send_counts: Vec<u64>,
-    /// Per-source holdback buffer: the link's oldest undelivered envelope
-    /// when its fault-plan delivery delay has not yet elapsed (younger
-    /// messages stay queued behind it, preserving FIFO).
-    held: Vec<Option<Envelope>>,
     /// Communication ops started by this rank (fault-plan indexing).
     ops_started: u64,
     /// Which invocation of the rank program this is (0 = first).
@@ -660,18 +602,11 @@ impl Comm {
         }
     }
 
-    /// Per-rank heal before a replay: discard the failed attempt's
-    /// in-flight p2p traffic, reset the deterministic op/send counters and
-    /// the ledger (the replay re-bills from scratch), bump the attempt, and
-    /// rejoin the healed barrier so nobody's *new* sends can race a peer
-    /// still draining. The channels are quiescent during the drain — every
-    /// rank is between the rendezvous and this barrier, sending nothing.
+    /// Per-rank heal before a replay: reset the deterministic op counter
+    /// and the ledger (the replay re-bills from scratch), bump the attempt,
+    /// and rejoin the healed barrier, so every rank starts the replay from
+    /// the same barrier generation.
     fn heal_for_replay(&mut self) {
-        for from in 0..self.size {
-            self.held[from] = None;
-            while self.receivers[from].try_recv().is_ok() {}
-        }
-        self.send_counts.iter_mut().for_each(|c| *c = 0);
         self.ops_started = 0;
         self.ledger = RankLedger::default();
         self.attempt += 1;
@@ -688,23 +623,6 @@ impl Comm {
         } else {
             fired.kills.push((self.rank, idx));
             true
-        }
-    }
-
-    /// Fault-plan action for this link's `nth` message, consumed once so a
-    /// healed replay of the same deterministic send stream sees a clean
-    /// link instead of re-dropping (or re-delaying) the same message.
-    fn p2p_action_once(&self, to: usize, nth: u64) -> P2pAction {
-        let action = self.fault_plan.p2p_action(self.rank, to, nth);
-        if matches!(action, P2pAction::Deliver) {
-            return action;
-        }
-        let mut fired = self.ctx.fired.lock();
-        if fired.p2p.contains(&(self.rank, to, nth)) {
-            P2pAction::Deliver
-        } else {
-            fired.p2p.push((self.rank, to, nth));
-            action
         }
     }
 
@@ -767,162 +685,6 @@ impl Comm {
                 })
             }
         }
-    }
-
-    // ---- point-to-point ---------------------------------------------------
-
-    /// Blocking point-to-point send of an f64 payload.
-    pub fn send_f64(&mut self, to: usize, payload: Vec<f64>) {
-        unwrap_comm(self.try_send_f64(to, payload), OpKind::Send)
-    }
-
-    /// Fallible point-to-point send. Subject to fault-plan delay/drop.
-    pub fn try_send_f64(&mut self, to: usize, payload: Vec<f64>) -> Result<(), CommError> {
-        assert!(to < self.size && to != self.rank, "bad destination {to}");
-        self.begin_op(OpKind::Send)?;
-        let nth = self.send_counts[to];
-        self.send_counts[to] += 1;
-        let words = payload.len();
-        let level = CommLevel::between(&self.placements[self.rank], &self.placements[to]);
-        self.ledger.add_comm_for(
-            OpKind::Send,
-            self.cost.p2p(level, words),
-            (words * 8) as u64,
-        );
-        match self.p2p_action_once(to, nth) {
-            P2pAction::Drop => {} // message vanishes on the wire
-            P2pAction::Delay(d) => self.deliver(to, payload, Some(d))?,
-            P2pAction::Deliver => self.deliver(to, payload, None)?,
-        }
-        self.end_op();
-        Ok(())
-    }
-
-    /// Posts a payload on the outgoing link. A fault-plan `delay` rides
-    /// along in the envelope and is applied at *delivery* time by the
-    /// receiver (the post itself never blocks — a delayed link delays the
-    /// message, not the sender).
-    fn deliver(
-        &self,
-        to: usize,
-        payload: Vec<f64>,
-        delay: Option<Duration>,
-    ) -> Result<(), CommError> {
-        let envelope = Envelope {
-            not_before: delay.map(|d| Instant::now() + d),
-            payload,
-        };
-        self.senders[self.rank][to]
-            .send(envelope)
-            .map_err(|_| self.closed_channel_error(to, OpKind::Send))
-    }
-
-    /// Nonblocking take from the incoming link, honoring delivery-time
-    /// delays: an envelope whose `not_before` has not arrived is parked in
-    /// the per-source holdback slot (it is the link's oldest undelivered
-    /// message, so FIFO is preserved) and the take reports "nothing yet".
-    /// `Err` means the link is disconnected with nothing left to deliver.
-    fn take_due(&mut self, from: usize) -> Result<Option<Vec<f64>>, TryRecvError> {
-        if let Some(envelope) = self.held[from].take() {
-            if envelope.due() {
-                return Ok(Some(envelope.payload));
-            }
-            self.held[from] = Some(envelope);
-            return Ok(None);
-        }
-        match self.receivers[from].try_recv() {
-            Ok(envelope) if envelope.due() => Ok(Some(envelope.payload)),
-            Ok(envelope) => {
-                self.held[from] = Some(envelope);
-                Ok(None)
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(TryRecvError::Disconnected),
-        }
-    }
-
-    /// One bounded wait for link activity: parks a fresh arrival in the
-    /// holdback slot (the due-check happens at the next `take_due`), or
-    /// just sleeps a poll tick when a not-yet-due envelope is already
-    /// held — nothing newer may overtake it.
-    fn block_for_arrival(&mut self, from: usize) {
-        if self.held[from].is_none() {
-            if let Ok(envelope) = self.receivers[from].recv_timeout(POISON_POLL) {
-                self.held[from] = Some(envelope);
-            }
-        } else {
-            std::thread::sleep(POISON_POLL);
-        }
-    }
-
-    /// Error for a peer whose channels closed under `op`: the poison that
-    /// closed them, or a plain diagnostic when the peer left unpoisoned.
-    fn closed_channel_error(&self, peer: usize, op: OpKind) -> CommError {
-        match self.ctx.barrier.poison_state() {
-            Some(p) => self.poisoned_error(p, op),
-            None => CommError {
-                kind: CommErrorKind::Poisoned {
-                    origin: peer,
-                    reason: format!("rank {peer} closed its channels"),
-                },
-                rank: self.rank,
-                op: Some(op),
-                rank_states: self.snapshot_states(),
-            },
-        }
-    }
-
-    /// Raises (and poisons for) a receive watchdog expiry.
-    fn recv_timeout_error(&self, from: usize, op: OpKind) -> CommError {
-        let timeout = self.timeout.expect("deadline without timeout");
-        let states = self.snapshot_states();
-        self.ctx.barrier.poison(Poison {
-            rank: self.rank,
-            reason: format!(
-                "rank {} timed out after {timeout:?} in {op} from {from}",
-                self.rank
-            ),
-        });
-        CommError {
-            kind: CommErrorKind::Timeout { timeout },
-            rank: self.rank,
-            op: Some(op),
-            rank_states: states,
-        }
-    }
-
-    /// Blocking receive from a specific source rank.
-    pub fn recv_f64(&mut self, from: usize) -> Vec<f64> {
-        unwrap_comm(self.try_recv_f64(from), OpKind::Recv)
-    }
-
-    /// Fallible receive: wakes with an error if the runtime is poisoned
-    /// while waiting, or if the watchdog deadline expires (e.g. the
-    /// message was dropped by the fault plan).
-    pub fn try_recv_f64(&mut self, from: usize) -> Result<Vec<f64>, CommError> {
-        assert!(from < self.size && from != self.rank, "bad source {from}");
-        self.begin_op(OpKind::Recv)?;
-        let deadline = self.timeout.map(|t| Instant::now() + t);
-        let payload = loop {
-            match self.take_due(from) {
-                Ok(Some(p)) => break p,
-                Ok(None) => {}
-                Err(_) => return Err(self.closed_channel_error(from, OpKind::Recv)),
-            }
-            if let Some(p) = self.ctx.barrier.poison_state() {
-                return Err(self.poisoned_error(p, OpKind::Recv));
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(self.recv_timeout_error(from, OpKind::Recv));
-            }
-            self.block_for_arrival(from);
-        };
-        // Receiver pays latency too (it idles for the message).
-        let level = CommLevel::between(&self.placements[self.rank], &self.placements[from]);
-        self.ledger
-            .add_comm_for(OpKind::Recv, self.cost.p2p(level, payload.len()), 0);
-        self.end_op();
-        Ok(payload)
     }
 
     // ---- collectives ------------------------------------------------------
@@ -1075,10 +837,11 @@ impl Comm {
     /// Returns the received payloads indexed by source rank;
     /// `result[self.rank]` is this rank's own chunk, delivered for free.
     ///
-    /// This is the transport under the communication plan: stage 1 ships
+    /// This is the transport under the communication plan (stage 1 ships
     /// produced `(slot, value)` segments to slot owners, stage 2 ships
-    /// reduced values to consumers — in both cases each rank pays for the
-    /// slots it actually touches, not for `p ×` the dense vector. Uses the
+    /// reduced values to consumers — each rank pays for the slots it
+    /// actually touches, not for `p ×` the dense vector) and under the
+    /// data-distributed halo (request lists out, leaf payloads back). Uses the
     /// same deposit/sync/finish protocol as the dense collectives, so
     /// poison, fault-plan kills, and the watchdog all apply unchanged.
     pub fn try_sparse_exchange(
@@ -1307,21 +1070,6 @@ mod tests {
         for (i, (m, g)) in results.iter().enumerate() {
             assert_eq!(*m, 24.0, "rank {i}");
             assert_eq!(*g, vec![6.0, 12.0, 18.0, 24.0]);
-        }
-    }
-
-    #[test]
-    fn p2p_ring_passes_messages() {
-        let p = 5;
-        let (results, _) = cluster().run(p, 1, |c| {
-            let next = (c.rank() + 1) % p;
-            let prev = (c.rank() + p - 1) % p;
-            c.send_f64(next, vec![c.rank() as f64]);
-            let got = c.recv_f64(prev);
-            got[0]
-        });
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r, ((i + p - 1) % p) as f64);
         }
     }
 

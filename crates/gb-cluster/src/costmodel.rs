@@ -140,11 +140,6 @@ impl CostModel {
         self.tw[level as usize]
     }
 
-    /// Point-to-point message of `words` 8-byte words.
-    pub fn p2p(&self, level: CommLevel, words: usize) -> f64 {
-        self.ts(level) + self.tw(level) * words as f64
-    }
-
     /// Barrier across `p` ranks whose worst link is `level`.
     pub fn barrier(&self, level: CommLevel, p: usize) -> f64 {
         if p <= 1 {

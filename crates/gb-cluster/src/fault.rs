@@ -11,9 +11,9 @@
 //! * [`CommError`] — the typed error every `try_*` operation returns,
 //!   carrying the per-rank operation states observed when it was raised;
 //! * [`FaultPlan`] — deterministic fault injection (kill rank `r` at its
-//!   `k`-th communication op; delay or drop a point-to-point message),
-//!   threaded through [`SimCluster::run`](crate::SimCluster::run) so the
-//!   failure matrix is testable without OS-level process murder.
+//!   `k`-th communication op), threaded through
+//!   [`SimCluster::run`](crate::SimCluster::run) so the failure matrix is
+//!   testable without OS-level process murder.
 
 use std::fmt;
 use std::time::Duration;
@@ -26,8 +26,6 @@ pub enum OpKind {
     AllreduceSum,
     AllreduceMax,
     Allgatherv,
-    Send,
-    Recv,
     /// Staged sparse all-to-all
     /// ([`Comm::try_sparse_exchange`](crate::comm::Comm::try_sparse_exchange)):
     /// each rank ships an arbitrary (possibly empty) payload to every peer.
@@ -35,7 +33,8 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Every collective kind (used by the failure-matrix tests).
+    /// Every operation kind — all of them collectives (used by the
+    /// failure-matrix tests).
     pub const COLLECTIVES: [OpKind; 5] = [
         OpKind::Barrier,
         OpKind::AllreduceSum,
@@ -45,7 +44,7 @@ impl OpKind {
     ];
 
     /// Total number of kinds; [`OpKind::index`] is always `< COUNT`.
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 5;
 
     /// Dense index for per-op tables (byte ledgers and the like).
     pub fn index(self) -> usize {
@@ -54,9 +53,7 @@ impl OpKind {
             OpKind::AllreduceSum => 1,
             OpKind::AllreduceMax => 2,
             OpKind::Allgatherv => 3,
-            OpKind::Send => 4,
-            OpKind::Recv => 5,
-            OpKind::SparseExchange => 6,
+            OpKind::SparseExchange => 4,
         }
     }
 }
@@ -68,8 +65,6 @@ impl fmt::Display for OpKind {
             OpKind::AllreduceSum => "allreduce_sum",
             OpKind::AllreduceMax => "allreduce_max",
             OpKind::Allgatherv => "allgatherv",
-            OpKind::Send => "send",
-            OpKind::Recv => "recv",
             OpKind::SparseExchange => "sparse_exchange",
         };
         f.write_str(s)
@@ -229,48 +224,21 @@ impl fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// What the fault plan says to do with one point-to-point message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum P2pAction {
-    /// Deliver normally.
-    Deliver,
-    /// Deliver after sleeping (models a congested or rerouted link).
-    Delay(Duration),
-    /// Silently drop the message (the receiver's watchdog turns this into
-    /// a [`CommErrorKind::Timeout`]).
-    Drop,
-}
-
-/// One injected fault.
-#[derive(Clone, Debug)]
-enum Fault {
-    /// Kill `rank` when it starts its `at_op`-th (0-based) communication op.
-    KillRank { rank: usize, at_op: u64 },
-    /// Delay the `nth` (0-based) message on the `from → to` link.
-    DelayP2p {
-        from: usize,
-        to: usize,
-        nth: u64,
-        delay: Duration,
-    },
-    /// Drop the `nth` (0-based) message on the `from → to` link.
-    DropP2p { from: usize, to: usize, nth: u64 },
-}
-
 /// A deterministic fault-injection plan, threaded through
 /// [`SimCluster`](crate::SimCluster) runs.
 ///
 /// ```
 /// use gb_cluster::FaultPlan;
-/// use std::time::Duration;
 /// let plan = FaultPlan::new()
-///     .kill_rank(2, 5)                                  // rank 2 dies at its 6th comm op
-///     .delay_p2p(0, 1, 0, Duration::from_millis(2))     // first 0→1 message is slow
-///     .drop_p2p(3, 0, 1);                               // second 3→0 message vanishes
+///     .kill_rank(2, 5) // rank 2 dies at its 6th comm op
+///     .kill_rank(0, 1); // rank 0 dies at its 2nd
+/// assert!(!plan.is_empty());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    faults: Vec<Fault>,
+    /// `(rank, at_op)`: kill `rank` when it starts its `at_op`-th (0-based)
+    /// communication op.
+    kills: Vec<(usize, u64)>,
 }
 
 impl FaultPlan {
@@ -283,67 +251,18 @@ impl FaultPlan {
     /// operation: the op returns [`CommErrorKind::Killed`] and the runtime
     /// is poisoned so every peer aborts too.
     pub fn kill_rank(mut self, rank: usize, at_op: u64) -> FaultPlan {
-        self.faults.push(Fault::KillRank { rank, at_op });
-        self
-    }
-
-    /// Delay the `nth` (0-based) point-to-point message sent on the
-    /// `from → to` link by `delay`.
-    pub fn delay_p2p(mut self, from: usize, to: usize, nth: u64, delay: Duration) -> FaultPlan {
-        self.faults.push(Fault::DelayP2p {
-            from,
-            to,
-            nth,
-            delay,
-        });
-        self
-    }
-
-    /// Drop the `nth` (0-based) point-to-point message sent on the
-    /// `from → to` link.
-    pub fn drop_p2p(mut self, from: usize, to: usize, nth: u64) -> FaultPlan {
-        self.faults.push(Fault::DropP2p { from, to, nth });
+        self.kills.push((rank, at_op));
         self
     }
 
     /// True if the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
+        self.kills.is_empty()
     }
 
     /// Should `rank` die when starting its `op_index`-th (0-based) op?
     pub(crate) fn should_kill(&self, rank: usize, op_index: u64) -> bool {
-        self.faults.iter().any(|f| {
-            matches!(
-                f,
-                Fault::KillRank { rank: r, at_op } if *r == rank && *at_op == op_index
-            )
-        })
-    }
-
-    /// Action for the `nth` (0-based) message on the `from → to` link.
-    pub(crate) fn p2p_action(&self, from: usize, to: usize, nth: u64) -> P2pAction {
-        for f in &self.faults {
-            match f {
-                Fault::DropP2p {
-                    from: ff,
-                    to: tt,
-                    nth: n,
-                } if *ff == from && *tt == to && *n == nth => {
-                    return P2pAction::Drop;
-                }
-                Fault::DelayP2p {
-                    from: ff,
-                    to: tt,
-                    nth: n,
-                    delay,
-                } if *ff == from && *tt == to && *n == nth => {
-                    return P2pAction::Delay(*delay);
-                }
-                _ => {}
-            }
-        }
-        P2pAction::Deliver
+        self.kills.contains(&(rank, op_index))
     }
 }
 
@@ -360,30 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn p2p_actions_match_nth_message() {
-        let plan = FaultPlan::new()
-            .drop_p2p(0, 1, 2)
-            .delay_p2p(1, 0, 0, Duration::from_millis(1));
-        assert_eq!(plan.p2p_action(0, 1, 2), P2pAction::Drop);
-        assert_eq!(plan.p2p_action(0, 1, 1), P2pAction::Deliver);
-        assert_eq!(
-            plan.p2p_action(1, 0, 0),
-            P2pAction::Delay(Duration::from_millis(1))
-        );
-        assert_eq!(plan.p2p_action(1, 1, 0), P2pAction::Deliver);
-    }
-
-    #[test]
     fn op_indices_are_dense_and_unique() {
-        let all = [
-            OpKind::Barrier,
-            OpKind::AllreduceSum,
-            OpKind::AllreduceMax,
-            OpKind::Allgatherv,
-            OpKind::Send,
-            OpKind::Recv,
-            OpKind::SparseExchange,
-        ];
+        let all = OpKind::COLLECTIVES;
         assert_eq!(all.len(), OpKind::COUNT);
         let mut seen = [false; OpKind::COUNT];
         for op in all {

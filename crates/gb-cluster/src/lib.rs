@@ -9,8 +9,8 @@
 //! InfiniBand cluster with MVAPICH2. Rust MPI bindings are immature, and a
 //! single machine cannot produce honest 144-core wall-clock scaling anyway.
 //! Instead, this crate executes the *identical communication structure* —
-//! P ranks with no shared mutable state, exchanging data only through typed
-//! point-to-point messages and collectives — while a LogGP-style
+//! P ranks with no shared mutable state, exchanging data only through
+//! collectives, as the paper's OCT_MPI algorithm does — while a LogGP-style
 //! hierarchical cost model plus per-rank work/byte accounting produce a
 //! *modeled* parallel time
 //!
@@ -37,10 +37,11 @@
 //!   seconds, bytes moved and replicated memory; aggregated into a
 //!   [`RunReport`].
 //! * [`comm`] — the MPI-like runtime itself: [`SimCluster::run`] spawns one
-//!   OS thread per rank and hands each a [`Comm`] handle with
-//!   `send`/`recv`, `barrier`, `allreduce` (sum and max) and
-//!   `allgatherv` — every collective the paper's 7-step algorithm needs —
-//!   plus a staged `sparse_exchange` for communication-plan runners. A
+//!   OS thread per rank and hands each a [`Comm`] handle with `barrier`,
+//!   `allreduce` (sum and max) and `allgatherv` — every collective the
+//!   paper's 7-step algorithm needs — plus a staged `sparse_exchange`, the
+//!   all-to-all under the communication plan and the data-distributed
+//!   halo. A
 //!   rank's own threads are the runners' business; the handle only
 //!   reports how many it has.
 //! * [`fault`] — failure semantics: typed [`CommError`]s, per-rank last-op
@@ -60,5 +61,5 @@ pub mod topology;
 pub use accounting::{RankLedger, RunReport};
 pub use comm::{Comm, SimCluster};
 pub use costmodel::{CommLevel, CostModel, MemoryModel};
-pub use fault::{CommError, CommErrorKind, FaultPlan, OpKind, P2pAction, RankOpState};
+pub use fault::{CommError, CommErrorKind, FaultPlan, OpKind, RankOpState};
 pub use topology::{ClusterTopology, Placement};

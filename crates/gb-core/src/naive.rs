@@ -5,9 +5,6 @@
 //! * Energy: the full O(M²) double sum of Eq. 2 over all ordered pairs
 //!   (including the `i = j` Born self terms).
 //!
-//! Both have rayon-parallel forms (`par_*`) that produce the same values up
-//! to floating-point summation order.
-//!
 //! The ground truth runs on its own reference math (`LibmMath`: libm
 //! `exp`, IEEE `1/√`), not on the kernels' [`crate::fastmath::ExactMath`],
 //! so the error measured against it includes the kernels' exponential.
@@ -16,26 +13,13 @@ use crate::fastmath::MathMode;
 use crate::gbmath::{finalize_energy, pair_term, RadiiApprox, R4, R6};
 use crate::params::RadiiKind;
 use crate::system::{GbResult, GbSystem};
-use rayon::prelude::*;
 
-/// Exact Born radii by original atom index (serial), using the system's
+/// Exact Born radii by original atom index, using the system's
 /// configured approximation kind (Eq. 3 or Eq. 4).
 pub fn naive_born_radii(sys: &GbSystem) -> Vec<f64> {
     match sys.params.radii_kind {
         RadiiKind::R6 => (0..sys.num_atoms()).map(|i| born_radius_of::<R6>(sys, i)).collect(),
         RadiiKind::R4 => (0..sys.num_atoms()).map(|i| born_radius_of::<R4>(sys, i)).collect(),
-    }
-}
-
-/// Exact Born radii, rayon-parallel.
-pub fn par_naive_born_radii(sys: &GbSystem) -> Vec<f64> {
-    match sys.params.radii_kind {
-        RadiiKind::R6 => {
-            (0..sys.num_atoms()).into_par_iter().map(|i| born_radius_of::<R6>(sys, i)).collect()
-        }
-        RadiiKind::R4 => {
-            (0..sys.num_atoms()).into_par_iter().map(|i| born_radius_of::<R4>(sys, i)).collect()
-        }
     }
 }
 
@@ -70,22 +54,12 @@ fn born_radius_of<K: RadiiApprox>(sys: &GbSystem, atom: usize) -> f64 {
     K::radius(s, sys.molecule.radii()[atom], sys.born_cap)
 }
 
-/// Exact polarization energy from given Born radii (serial).
+/// Exact polarization energy from given Born radii.
 ///
 /// `radii` is by original atom index. Returns kcal/mol.
 pub fn naive_energy(sys: &GbSystem, radii: &[f64]) -> f64 {
     assert_eq!(radii.len(), sys.num_atoms());
     let raw: f64 = (0..sys.num_atoms()).map(|i| energy_row(sys, radii, i)).sum();
-    finalize_energy(raw, sys.params.tau())
-}
-
-/// Exact polarization energy, rayon-parallel over rows.
-pub fn par_naive_energy(sys: &GbSystem, radii: &[f64]) -> f64 {
-    assert_eq!(radii.len(), sys.num_atoms());
-    let raw: f64 = (0..sys.num_atoms())
-        .into_par_iter()
-        .map(|i| energy_row(sys, radii, i))
-        .sum();
     finalize_energy(raw, sys.params.tau())
 }
 
@@ -108,13 +82,6 @@ fn energy_row(sys: &GbSystem, radii: &[f64], i: usize) -> f64 {
 pub fn naive_full(sys: &GbSystem) -> GbResult {
     let radii = naive_born_radii(sys);
     let energy_kcal = naive_energy(sys, &radii);
-    GbResult { energy_kcal, born_radii: radii }
-}
-
-/// The full naive pipeline, rayon-parallel.
-pub fn par_naive_full(sys: &GbSystem) -> GbResult {
-    let radii = par_naive_born_radii(sys);
-    let energy_kcal = par_naive_energy(sys, &radii);
     GbResult { energy_kcal, born_radii: radii }
 }
 
@@ -191,17 +158,6 @@ mod tests {
             res.energy_kcal,
             want
         );
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let sys = system(200);
-        let s = naive_full(&sys);
-        let p = par_naive_full(&sys);
-        assert!((s.energy_kcal - p.energy_kcal).abs() < 1e-6 * s.energy_kcal.abs());
-        for (a, b) in s.born_radii.iter().zip(&p.born_radii) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]

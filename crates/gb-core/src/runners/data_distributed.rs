@@ -21,14 +21,15 @@
 //! [`EnergyLists::rebuild_part`]). Far terms read only the skeleton — the
 //! Born far CSR's pseudo-particle terms and [`EnergyLists::execute_far`]'s
 //! histogram contractions. Point payloads a rank does not own are fetched
-//! through a **halo exchange**: the near CSR names the remote leaves,
-//! request lists travel point-to-point, and owners answer with the
-//! flattened payloads. Two halos occur per run — atom positions for the
-//! Born phase, `(position, charge, Born radius)` triples for the energy
-//! phase. The near loops run over the shard and ghost buffers, because the
-//! shared near kernels read whole-system arrays a shard does not hold.
-//! Born radii themselves stay distributed: only the O(nodes × bins) charge
-//! histograms are allreduced, never the O(M) radii vector.
+//! through a **halo exchange**: the near CSR names the remote leaves, one
+//! sparse exchange carries the request lists to their owners, and a second
+//! carries the flattened payloads back. Two halos occur per run — atom
+//! positions for the Born phase, `(position, charge, Born radius)` triples
+//! for the energy phase. The near loops run over the shard and ghost
+//! buffers, because the shared near kernels read whole-system arrays a
+//! shard does not hold. Born radii themselves stay distributed: only the
+//! O(nodes × bins) charge histograms are allreduced, never the O(M) radii
+//! vector.
 //!
 //! The interaction decisions are those of the replicated runners
 //! (node-based division); only summation grouping differs. The near loops
@@ -80,8 +81,8 @@ pub fn run_data_distributed(
 }
 
 /// Fallible variant of [`run_data_distributed`]: rank failures — including
-/// lost or delayed halo messages — degrade into a [`GbError`] with
-/// per-rank diagnostics instead of panicking.
+/// a rank lost mid-halo — degrade into a [`GbError`] with per-rank
+/// diagnostics instead of panicking.
 pub fn try_run_data_distributed(
     sys: &GbSystem,
     cluster: &SimCluster,
@@ -94,9 +95,8 @@ pub fn try_run_data_distributed(
 /// the sparse path ships `(slot, value)` pairs of the accumulator's
 /// non-zero slots to per-slot owners (a rank's produced slots follow from
 /// lists only it sweeps), then a targeted exchange delivers each
-/// rank exactly its push traversal's read set. The sparse stages use the
-/// staged collective blackboard, not the point-to-point channels, so halo
-/// message indices — and any fault plan addressing them — are unchanged.
+/// rank exactly its push traversal's read set. The mode changes only the
+/// integral combine: both halos ride the sparse exchange either way.
 pub fn try_run_data_distributed_mode(
     sys: &GbSystem,
     cluster: &SimCluster,
@@ -209,49 +209,39 @@ impl Ownership {
 }
 
 /// Halo exchange: every rank asks each owner for the leaves it needs and
-/// answers the requests it receives. `payload(leaf)` flattens one owned
-/// leaf; returns the ghost table `leaf id -> flattened payload`. A lost or
-/// late message surfaces as a [`CommError`] (the receiver's watchdog or the
-/// runtime poison), never a hang.
+/// answers the requests it receives, in two sparse exchanges. The
+/// `needed_by_owner` lists name remote leaves only, so no rank sends to
+/// itself. `payload(leaf)` flattens one owned leaf; returns the ghost table
+/// `leaf id -> flattened payload`. A dead or wedged peer surfaces as a
+/// [`CommError`] (the runtime poison or the watchdog), never a hang.
 fn halo_exchange(
     comm: &mut Comm,
     needed_by_owner: &[Vec<NodeId>],
     mut payload: impl FnMut(NodeId) -> Vec<f64>,
 ) -> Result<HashMap<NodeId, Vec<f64>>, CommError> {
-    let p = comm.size();
-    let me = comm.rank();
-    // 1) send request lists to every peer (empty allowed)
-    for (peer, needed) in needed_by_owner.iter().enumerate() {
-        if peer != me {
-            let req: Vec<f64> = needed.iter().map(|&l| l as f64).collect();
-            comm.try_send_f64(peer, req)?;
-        }
-    }
-    // 2) receive requests, answer each with [leaf, len, data...] streams
-    let mut incoming: Vec<(usize, Vec<f64>)> = Vec::with_capacity(p.saturating_sub(1));
-    for peer in 0..p {
-        if peer != me {
-            incoming.push((peer, comm.try_recv_f64(peer)?));
-        }
-    }
-    for (peer, req) in incoming {
-        let mut response = Vec::new();
-        for &leaf_f in &req {
-            let leaf = leaf_f as NodeId;
-            let data = payload(leaf);
-            response.push(leaf_f);
-            response.push(data.len() as f64);
-            response.extend(data);
-        }
-        comm.try_send_f64(peer, response)?;
-    }
-    // 3) receive responses and build the ghost table
+    // 1) request lists to every owner (empty allowed)
+    let requests: Vec<Vec<f64>> = needed_by_owner
+        .iter()
+        .map(|needed| needed.iter().map(|&l| l as f64).collect())
+        .collect();
+    let incoming = comm.try_sparse_exchange(&requests)?;
+    // 2) answer each request list with [leaf, len, data...] streams
+    let responses: Vec<Vec<f64>> = incoming
+        .iter()
+        .map(|req| {
+            let mut response = Vec::new();
+            for &leaf_f in req {
+                let data = payload(leaf_f as NodeId);
+                response.push(leaf_f);
+                response.push(data.len() as f64);
+                response.extend(data);
+            }
+            response
+        })
+        .collect();
+    // 3) build the ghost table from the answers
     let mut ghosts = HashMap::new();
-    for peer in 0..p {
-        if peer == me {
-            continue;
-        }
-        let resp = comm.try_recv_f64(peer)?;
+    for resp in comm.try_sparse_exchange(&responses)? {
         let mut cursor = 0;
         while cursor < resp.len() {
             let leaf = resp[cursor] as NodeId;
@@ -485,6 +475,7 @@ mod tests {
     use super::*;
     use crate::params::GbParams;
     use crate::runners::serial::run_serial;
+    use gb_cluster::OpKind;
     use gb_molecule::{synthesize_protein, SyntheticParams};
 
     fn system(n: usize) -> GbSystem {
@@ -600,25 +591,28 @@ mod tests {
 
     #[test]
     fn halo_traffic_is_recorded() {
+        // Dense mode combines the integrals with allreduces, so the halos
+        // are the only sparse exchanges of the run
         let sys = system(600);
-        let (_, report) = run_data_distributed(&sys, &SimCluster::single_node(), 4);
-        // p2p halo messages show up in bytes_moved beyond the collectives
-        assert!(report.ledgers.iter().any(|l| l.comm_ops > 4));
+        let (_, report) =
+            try_run_data_distributed_mode(&sys, &SimCluster::single_node(), 4, CommMode::Dense)
+                .expect("fault-free run");
+        for l in &report.ledgers {
+            assert!(l.bytes_for(OpKind::SparseExchange) > 0, "{l:?}");
+        }
     }
 
     #[test]
-    fn dropped_halo_message_degrades_to_typed_error() {
-        // lose rank 0's halo *response* to rank 1 (the second 0→1 message:
-        // request lists travel first): rank 1's receive must time out with
-        // diagnostics instead of wedging the job
+    fn rank_killed_in_its_halo_degrades_to_typed_error() {
+        // rank 1 dies entering halo #1 (its first op): every peer wakes
+        // from the poison with diagnostics instead of wedging the job
         let sys = system(400);
-        let cluster = SimCluster::single_node()
-            .with_collective_timeout(std::time::Duration::from_millis(300))
-            .with_fault_plan(gb_cluster::FaultPlan::new().drop_p2p(0, 1, 1));
+        let cluster =
+            SimCluster::single_node().with_fault_plan(gb_cluster::FaultPlan::new().kill_rank(1, 0));
         let err = try_run_data_distributed(&sys, &cluster, 3)
-            .expect_err("lost halo message must fail the job");
+            .expect_err("a rank lost mid-halo must fail the job");
         let crate::error::GbError::Comm(e) = &err;
-        assert!(e.is_timeout(), "{err}");
+        assert_eq!(e.op, Some(OpKind::SparseExchange), "{err}");
         assert_eq!(e.rank_states.len(), 3, "{err}");
     }
 

@@ -11,15 +11,14 @@
 //!    the boundary of the union of atom spheres, i.e. the molecular
 //!    surface the r⁶ Born integral runs over.
 //!
-//! The burial test is octree-accelerated and the per-atom loop is
-//! rayon-parallel; sampling half a million atoms is minutes, not hours.
+//! The burial test is octree-accelerated; the per-atom loop runs on the
+//! calling thread.
 
 use crate::dunavant::dunavant_rule;
 use crate::icosphere::Icosphere;
 use crate::quadset::QuadraturePoints;
 use gb_molecule::Molecule;
 use gb_octree::Octree;
-use rayon::prelude::*;
 
 /// Parameters of the surface sampler.
 #[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
@@ -110,10 +109,9 @@ pub fn sample_surface(mol: &Molecule, params: &SurfaceParams) -> QuadraturePoint
     let probe = params.probe_radius.max(0.0);
     let max_r = mol.max_radius() + probe;
 
-    // Per-atom sampling in parallel; deterministic because each atom's
-    // points are generated independently and concatenated in atom order.
+    // Each atom's points are generated independently, then concatenated in
+    // atom order.
     let per_atom: Vec<QuadraturePoints> = (0..n)
-        .into_par_iter()
         .map(|i| {
             let center = positions[i];
             let r = radii[i] + probe;

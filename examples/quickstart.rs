@@ -26,7 +26,7 @@ fn main() {
 
     // Exact ground truth (O(M·N) + O(M²)).
     let t0 = std::time::Instant::now();
-    let exact = par_naive_full(&system);
+    let exact = naive_full(&system);
     let naive_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("naive exact     : {:>14.3} kcal/mol   ({naive_ms:.1} ms)", exact.energy_kcal);
 

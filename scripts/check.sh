@@ -13,8 +13,12 @@ cargo test -q
 # every kill site under *both* CommMode::Dense and CommMode::Sparse; the
 # gb-cluster matrices cover each of the five collective kinds the runners
 # call (barrier, allreduce sum/max, allgatherv, sparse exchange) x P x
-# {panic, kill, timeout, retry}, plus blocking p2p drops and delays.
+# {panic, kill, timeout, retry}.
 cargo test --release -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# A dependency no library code imports must go. `--lib` only: dev-deps are
+# per target, so checking every target would flag a bench-only crate in the
+# tests that do not use it.
+cargo clippy --workspace --lib -- -D warnings -D unused-crate-dependencies
 # Doc links must resolve: a link to a deleted or private item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

@@ -53,7 +53,7 @@ pub use gb_surface as surface;
 
 pub use gb_cluster::{ClusterTopology, CostModel, SimCluster};
 pub use gb_core::modeled::{modeled_run, ModeledOutcome};
-pub use gb_core::naive::{naive_full, par_naive_full};
+pub use gb_core::naive::naive_full;
 pub use gb_core::runners::{
     run_data_distributed, run_distributed, run_frame_serial, run_frame_shared, run_hybrid,
     run_serial, run_shared, try_run_data_distributed_mode, try_run_distributed_mode,
@@ -70,7 +70,7 @@ pub use gb_surface::SurfaceParams;
 pub mod prelude {
     pub use gb_cluster::{ClusterTopology, CostModel, SimCluster};
     pub use gb_core::modeled::modeled_run;
-    pub use gb_core::naive::{naive_full, par_naive_full};
+    pub use gb_core::naive::naive_full;
     pub use gb_core::runners::{
         run_data_distributed, run_distributed, run_frame_serial, run_frame_shared, run_hybrid,
         run_serial, run_shared, try_run_data_distributed_mode, try_run_distributed_mode,

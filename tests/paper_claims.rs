@@ -53,7 +53,7 @@ fn communication_dominates_small_molecules() {
 fn energy_agreement_pattern_of_figure_9() {
     let mol = synthesize_protein(&SyntheticParams::with_atoms(800, 13));
     let sys = GbSystem::prepare(mol.clone(), GbParams::default());
-    let naive = par_naive_full(&sys).energy_kcal;
+    let naive = naive_full(&sys).energy_kcal;
     let octree = run_shared(&sys).result.energy_kcal;
     let err = ((octree - naive) / naive).abs();
     assert!(err < 0.05, "octree vs naive: {err}");

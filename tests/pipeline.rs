@@ -55,7 +55,7 @@ fn octree_energy_close_to_naive_at_paper_epsilon() {
     let cases = [(300usize, 2u64), (800, 3), (1_500, 4)];
     for (n, seed) in cases {
         let sys = system(n, seed);
-        let exact = par_naive_full(&sys).energy_kcal;
+        let exact = naive_full(&sys).energy_kcal;
         let octree = run_shared(&sys).result.energy_kcal;
         let err = ((octree - exact) / exact).abs() * 100.0;
         assert!(err < 5.0, "n={n}: error {err}% (octree {octree}, naive {exact})");

@@ -29,7 +29,7 @@ fn radii_with(kind: RadiiKind, rs: f64, d: f64) -> f64 {
         .with_surface(SurfaceParams::exact_spheres());
     let sys = GbSystem::prepare(charge_in_sphere(rs, d), params);
     // the probe is atom index 1
-    par_naive_full(&sys).born_radii[1]
+    naive_full(&sys).born_radii[1]
 }
 
 #[test]
@@ -80,7 +80,7 @@ fn full_pipeline_runs_under_r4() {
     let mol = synthesize_protein(&SyntheticParams::with_atoms(400, 31));
     let params = GbParams::default().with_radii_kind(RadiiKind::R4);
     let sys = GbSystem::prepare(mol, params);
-    let naive = par_naive_full(&sys);
+    let naive = naive_full(&sys);
     let octree = run_shared(&sys).result;
     let err = ((octree.energy_kcal - naive.energy_kcal) / naive.energy_kcal).abs();
     assert!(err < 0.05, "r4 octree vs r4 naive: {err}");
@@ -96,12 +96,12 @@ fn r4_and_r6_differ_on_proteins() {
     let mol = synthesize_protein(&SyntheticParams::with_atoms(300, 32));
     let r6 = {
         let sys = GbSystem::prepare(mol.clone(), GbParams::default());
-        par_naive_full(&sys).born_radii
+        naive_full(&sys).born_radii
     };
     let r4 = {
         let sys =
             GbSystem::prepare(mol, GbParams::default().with_radii_kind(RadiiKind::R4));
-        par_naive_full(&sys).born_radii
+        naive_full(&sys).born_radii
     };
     let mean_abs_diff: f64 = r6
         .iter()
