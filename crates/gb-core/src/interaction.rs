@@ -33,7 +33,7 @@ use crate::gbmath::RadiiApprox;
 use crate::integrals::{well_separated, IntegralAcc, TRAVERSAL_UNIT};
 use crate::system::GbSystem;
 use crate::workdiv::{segment, segment_count, sum_segments, SegmentPartials};
-use gb_geom::Vec3;
+use gb_geom::{Soa3, Vec3};
 use gb_octree::{NodeId, Octree};
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -501,8 +501,8 @@ impl BornLists {
     /// another)` with the same acceptance tests as the own-surface build.
     /// This is the docking path's per-pose work — the receptor keeps its
     /// cached own-surface lists and only the receptor×ligand (and
-    /// ligand×receptor) lists are built here. The driving `tq` may be a
-    /// [`Octree::transformed`] posed copy.
+    /// ligand×receptor) lists are built here. Either tree may be a posed
+    /// copy ([`Octree::transform_into`]).
     pub fn rebuild_cross(
         &mut self,
         ta: &Octree,
@@ -551,24 +551,42 @@ impl BornLists {
         self.rows.work.iter().sum()
     }
 
-    /// Executes the lists of the driving-leaf ordinals in `ords`,
-    /// accumulating into `acc` exactly where the traversal would (far terms
-    /// at `node_s[a]`, exact sums at `atom_s`, near atom runs cut to the
-    /// clip). Returns the work units.
+    /// Executes the own-surface lists of the driving-leaf ordinals in
+    /// `ords` over `sys`'s atom and surface streams, through the one Born
+    /// executor the docking cross lists use too. Returns the work units.
     pub fn execute_range<M: MathMode, K: RadiiApprox>(
         &self,
         sys: &GbSystem,
         ords: Range<usize>,
         acc: &mut IntegralAcc,
     ) -> f64 {
+        self.execute::<M, K>(AtomStreams::of(sys), SurfaceStreams::of(sys), ords, acc)
+    }
+
+    /// The one Born list executor: runs the lists of the driving-leaf
+    /// ordinals in `ords` with `atoms` accumulating and `surface` driving,
+    /// adding into `acc` exactly where the traversal would (far terms at
+    /// `node_s[a]`, exact sums at `atom_s`, near atom runs cut to the
+    /// clip). Own-surface lists pass one system's two sides; the docking
+    /// path's cross lists ([`BornLists::rebuild_cross`]) pair one
+    /// monomer's atoms with the other's posed surface. Returns the work
+    /// units.
+    pub(crate) fn execute<M: MathMode, K: RadiiApprox>(
+        &self,
+        atoms: AtomStreams,
+        surface: SurfaceStreams,
+        ords: Range<usize>,
+        acc: &mut IntegralAcc,
+    ) -> f64 {
+        let (ta, tq) = (atoms.tree, surface.tree);
         let mut work = 0.0;
         for ord in ords {
-            let q_leaf = sys.tq.leaves()[ord];
-            let qn = sys.tq.node(q_leaf);
+            let q_leaf = tq.leaves()[ord];
+            let qn = tq.node(q_leaf);
             let q_center = qn.centroid;
-            let q_agg = sys.q_normals[q_leaf as usize];
+            let q_agg = surface.agg_normals[q_leaf as usize];
             for &a_id in self.rows.far_row(ord) {
-                let a = sys.ta.node(a_id);
+                let a = ta.node(a_id);
                 let delta = q_center - a.centroid;
                 let d2 = delta.norm_sq();
                 acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
@@ -577,72 +595,11 @@ impl BornLists {
             // leaves coalesce into one long atom run each — the batched
             // kernel then streams whole runs (25 atoms on average at 10k,
             // 40% of atoms in runs of ≥ 1,024) instead of ~3 per tiny leaf.
-            let qr = qn.range();
-            let qx = &sys.q_soa.x[qr.clone()];
-            let qy = &sys.q_soa.y[qr.clone()];
-            let qz = &sys.q_soa.z[qr.clone()];
-            let nx = &sys.q_normal_soa.x[qr.clone()];
-            let ny = &sys.q_normal_soa.y[qr.clone()];
-            let nz = &sys.q_normal_soa.z[qr.clone()];
-            let w = &sys.q_weight_tree[qr];
-            for run in atom_runs(&sys.ta, self.rows.near_row(ord)) {
+            let q = surface.leaf(qn.range());
+            for run in atom_runs(ta, self.rows.near_row(ord)) {
                 let run = run.start.max(self.clip.start)..run.end.min(self.clip.end);
                 if !run.is_empty() {
-                    born_span_batched::<M, K>(sys, run, qx, qy, qz, nx, ny, nz, w, acc);
-                }
-            }
-            work += self.rows.work[ord];
-        }
-        work
-    }
-
-    /// Executes cross lists built by [`BornLists::rebuild_cross`]: the `A`
-    /// side is `ta` (accumulated into `acc` at that tree's node/atom
-    /// slots), the driving quadrature side is the *foreign* tree `tq` with
-    /// its per-node aggregated normals, per-point normals, and per-point
-    /// weights (all in `tq`'s tree order — for a posed ligand these are
-    /// the rotated copies). No SoA mirrors exist for a transient posed
-    /// tree, so both terms run the scalar kernels over the same coalesced
-    /// atom runs as [`BornLists::execute_range`]; the loop order is fixed
-    /// by the lists, so results are deterministic for identical inputs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_cross<M: MathMode, K: RadiiApprox>(
-        &self,
-        ta: &Octree,
-        tq: &Octree,
-        q_agg_normals: &[Vec3],
-        q_normal_tree: &[Vec3],
-        q_weight_tree: &[f64],
-        ords: Range<usize>,
-        acc: &mut IntegralAcc,
-    ) -> f64 {
-        let mut work = 0.0;
-        let a_pts = ta.points();
-        let q_pts = tq.points();
-        for ord in ords {
-            let q_leaf = tq.leaves()[ord];
-            let qn = tq.node(q_leaf);
-            let q_center = qn.centroid;
-            let q_agg = q_agg_normals[q_leaf as usize];
-            for &a_id in self.rows.far_row(ord) {
-                let a = ta.node(a_id);
-                let delta = q_center - a.centroid;
-                let d2 = delta.norm_sq();
-                acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
-            }
-            let qr = qn.range();
-            for ar in atom_runs(ta, self.rows.near_row(ord)) {
-                for k in qr.clone() {
-                    let p = q_pts[k];
-                    let m = q_normal_tree[k];
-                    let wk = q_weight_tree[k];
-                    for i in ar.clone() {
-                        let d = p - a_pts[i];
-                        let d2 = d.norm_sq();
-                        if d2 > 0.0 {
-                            acc.atom_s[i] += wk * d.dot(m) * K::integrand::<M>(d2);
-                        }
-                    }
+                    born_span_batched::<M, K>(atoms.xyz, run, &q, acc);
                 }
             }
             work += self.rows.work[ord];
@@ -706,6 +663,70 @@ fn atom_runs<'a>(ta: &'a Octree, entries: &'a [NodeId]) -> impl Iterator<Item = 
     })
 }
 
+/// The accumulating side of a Born list execution: the `T_A` tree (node
+/// centroids and atom ranges) and its atom coordinates in tree order.
+#[derive(Clone, Copy)]
+pub(crate) struct AtomStreams<'a> {
+    pub tree: &'a Octree,
+    pub xyz: &'a Soa3,
+}
+
+impl<'a> AtomStreams<'a> {
+    /// `sys`'s own atoms.
+    pub fn of(sys: &'a GbSystem) -> Self {
+        AtomStreams { tree: &sys.ta, xyz: &sys.a_soa }
+    }
+}
+
+/// The driving side of a Born list execution: the `T_Q` tree, its
+/// per-node aggregated normals, and per q-point coordinates, normals and
+/// weights, all in tree order.
+#[derive(Clone, Copy)]
+pub(crate) struct SurfaceStreams<'a> {
+    pub tree: &'a Octree,
+    pub agg_normals: &'a [Vec3],
+    pub xyz: &'a Soa3,
+    pub normals: &'a Soa3,
+    pub weights: &'a [f64],
+}
+
+impl<'a> SurfaceStreams<'a> {
+    /// `sys`'s own surface.
+    pub fn of(sys: &'a GbSystem) -> Self {
+        SurfaceStreams {
+            tree: &sys.tq,
+            agg_normals: &sys.q_normals,
+            xyz: &sys.q_soa,
+            normals: &sys.q_normal_soa,
+            weights: &sys.q_weight_tree,
+        }
+    }
+
+    /// The q-points `r` (one leaf's range) as pre-sliced streams.
+    fn leaf(&self, r: Range<usize>) -> QLeaf<'a> {
+        QLeaf {
+            x: &self.xyz.x[r.clone()],
+            y: &self.xyz.y[r.clone()],
+            z: &self.xyz.z[r.clone()],
+            nx: &self.normals.x[r.clone()],
+            ny: &self.normals.y[r.clone()],
+            nz: &self.normals.z[r.clone()],
+            w: &self.weights[r],
+        }
+    }
+}
+
+/// One `T_Q` leaf's q-point streams: coordinates, normals, weights.
+struct QLeaf<'a> {
+    x: &'a [f64],
+    y: &'a [f64],
+    z: &'a [f64],
+    nx: &'a [f64],
+    ny: &'a [f64],
+    nz: &'a [f64],
+    w: &'a [f64],
+}
+
 /// Exact Born-integral sum of one coalesced atom span against one `T_Q`
 /// leaf's pre-sliced struct-of-arrays streams. Quadrature leaves hold only
 /// a handful of points, so the *atom* dimension is the long one: per
@@ -713,28 +734,21 @@ fn atom_runs<'a>(ta: &'a Octree, entries: &'a [NodeId]) -> impl Iterator<Item = 
 /// distance/dot products and a branch-free coincident-point select,
 /// autovectorizing over atoms (the per-lane `1/r⁶` divisions pipeline
 /// across SIMD lanes instead of serializing per scalar term).
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn born_span_batched<M: MathMode, K: RadiiApprox>(
-    sys: &GbSystem,
+    a: &Soa3,
     atoms: Range<usize>,
-    qx: &[f64],
-    qy: &[f64],
-    qz: &[f64],
-    nx: &[f64],
-    ny: &[f64],
-    nz: &[f64],
-    w: &[f64],
+    q: &QLeaf,
     acc: &mut IntegralAcc,
 ) {
-    let ax = &sys.a_soa.x[atoms.clone()];
-    let ay = &sys.a_soa.y[atoms.clone()];
-    let az = &sys.a_soa.z[atoms.clone()];
+    let ax = &a.x[atoms.clone()];
+    let ay = &a.y[atoms.clone()];
+    let az = &a.z[atoms.clone()];
     let out = &mut acc.atom_s[atoms];
-    for k in 0..qx.len() {
-        let (px, py, pz) = (qx[k], qy[k], qz[k]);
-        let (mx, my, mz) = (nx[k], ny[k], nz[k]);
-        let wk = w[k];
+    for k in 0..q.x.len() {
+        let (px, py, pz) = (q.x[k], q.y[k], q.z[k]);
+        let (mx, my, mz) = (q.nx[k], q.ny[k], q.nz[k]);
+        let wk = q.w[k];
         for i in 0..out.len() {
             let dx = px - ax[i];
             let dy = py - ay[i];
@@ -1103,10 +1117,7 @@ impl EnergyLists {
     /// partner atoms' coordinates, Born radii and *weighted* charges (`2q`
     /// for owned symmetric pairs — exact, a power-of-two scale) are copied
     /// run by run ([`EnergyLists::near_runs`]) into contiguous scratch,
-    /// then each `v` atom runs one fused pass over the whole tile —
-    /// distance² and the pair kernel [`MathMode::inv_f_gb`] — and the
-    /// strided-8 weighted dot. Every pass is plain Rust, so the result
-    /// does not depend on the host's vector unit.
+    /// then each `v` atom runs one tile row (`Tile::row`) over it.
     fn near_tile_raw<M: MathMode>(
         &self,
         sys: &GbSystem,
@@ -1138,27 +1149,18 @@ impl EnergyLists {
             return (0.0, work);
         }
         ensure_len(&mut scratch.inv_f, t);
-        // pre-sliced to exactly `t` so the pass loops carry no bounds
-        // checks (checked indexing defeats autovectorization)
-        let tx = &scratch.tx[..t];
-        let ty = &scratch.ty[..t];
-        let tz = &scratch.tz[..t];
-        let tq = &scratch.tq[..t];
-        let tr = &scratch.tr[..t];
+        let tile = Tile {
+            x: &scratch.tx,
+            y: &scratch.ty,
+            z: &scratch.tz,
+            q: &scratch.tq,
+            r: &scratch.tr,
+        };
         let inv_f = &mut scratch.inv_f[..t];
         let mut raw = 0.0;
         for vi in v.range() {
-            let (px, py, pz) = (sys.a_soa.x[vi], sys.a_soa.y[vi], sys.a_soa.z[vi]);
-            let qv = sys.charge_tree[vi];
-            let rv = radii_tree[vi];
-            for i in 0..t {
-                let dx = tx[i] - px;
-                let dy = ty[i] - py;
-                let dz = tz[i] - pz;
-                let r_sq = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
-                inv_f[i] = M::inv_f_gb(r_sq, rv * tr[i]);
-            }
-            raw += qv * dot8(tq, inv_f);
+            let p = [sys.a_soa.x[vi], sys.a_soa.y[vi], sys.a_soa.z[vi]];
+            raw += sys.charge_tree[vi] * tile.row::<M>(p, radii_tree[vi], inv_f);
         }
         (raw, work)
     }
@@ -1442,6 +1444,59 @@ fn ensure_len(v: &mut Vec<f64>, n: usize) {
     }
 }
 
+/// Partner atoms of an exact energy tile as struct-of-arrays streams:
+/// coordinates, (weighted) charge, Born radius.
+struct Tile<'a> {
+    x: &'a [f64],
+    y: &'a [f64],
+    z: &'a [f64],
+    q: &'a [f64],
+    r: &'a [f64],
+}
+
+impl Tile<'_> {
+    /// One row of the tile: the atom at `p` with radius `rv` against the
+    /// first `inv_f.len()` partners — one fused pass of distance² and the
+    /// pair kernel [`MathMode::inv_f_gb`] into `inv_f`, then the strided-8
+    /// dot with the partner charges. Every pass is plain Rust, so the
+    /// result does not depend on the host's vector unit.
+    #[inline(always)]
+    fn row<M: MathMode>(&self, p: [f64; 3], rv: f64, inv_f: &mut [f64]) -> f64 {
+        // pre-sliced to exactly `t` so the pass loops carry no bounds
+        // checks (checked indexing defeats autovectorization)
+        let t = inv_f.len();
+        let (tx, ty, tz) = (&self.x[..t], &self.y[..t], &self.z[..t]);
+        let (tq, tr) = (&self.q[..t], &self.r[..t]);
+        for i in 0..t {
+            let dx = tx[i] - p[0];
+            let dy = ty[i] - p[1];
+            let dz = tz[i] - p[2];
+            let r_sq = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
+            inv_f[i] = M::inv_f_gb(r_sq, rv * tr[i]);
+        }
+        dot8(tq, inv_f)
+    }
+}
+
+/// `Σ_j q_j / f_GB(|x_j − p|², r·r_j)` of the atom at `p` with Born
+/// radius `r` over every partner `j` of `(xyz, charges, radii)` — the
+/// docking cross sum's row: one energy-tile row over partners already
+/// contiguous, so nothing is gathered. The kernel pass writes into
+/// `scratch`'s tile buffer.
+pub(crate) fn exact_row_raw<M: MathMode>(
+    p: [f64; 3],
+    r: f64,
+    xyz: &Soa3,
+    charges: &[f64],
+    radii: &[f64],
+    scratch: &mut EnergyExecScratch,
+) -> f64 {
+    let t = xyz.len();
+    ensure_len(&mut scratch.inv_f, t);
+    let tile = Tile { x: &xyz.x, y: &xyz.y, z: &xyz.z, q: charges, r: radii };
+    tile.row::<M>(p, r, &mut scratch.inv_f[..t])
+}
+
 /// Strided-8 weighted dot `Σ w[i]·x[i]`: eight independent accumulators
 /// plus a scalar tail, combined pairwise; the fixed stride fixes the
 /// reduction order regardless of tile length.
@@ -1472,6 +1527,7 @@ mod tests {
     use crate::fastmath::{ApproxMath, ExactMath};
     use crate::gbmath::{finalize_energy, inv_f_gb, R4, R6};
     use crate::integrals::{accumulate_qleaf, push_integrals_to_atoms};
+    use crate::pair::PosedLigand;
     use crate::params::GbParams;
     use gb_molecule::{synthesize_protein, SyntheticParams};
     use gb_octree::Node;
@@ -2002,31 +2058,18 @@ mod tests {
         }
     }
 
-    /// A ligand system posed by a rigid rotation + shift, as the docking
-    /// path sees it: the transformed trees and rotated normals.
-    struct Posed {
-        sys: GbSystem,
-        ta: Octree,
-        tq: Octree,
-        q_normals: Vec<Vec3>,
-        q_normal_tree: Vec<Vec3>,
-    }
-
-    fn posed_ligand(n: usize, seed: u64, shift: Vec3) -> Posed {
+    /// A ligand system and its pose under a rigid rotation + shift, as
+    /// the docking path sees it.
+    fn posed_ligand(n: usize, seed: u64, shift: Vec3) -> (GbSystem, PosedLigand) {
         let mol = synthesize_protein(&SyntheticParams::with_atoms(n, seed));
         let sys = GbSystem::prepare(mol, GbParams::default());
         let pose = gb_geom::RigidTransform {
             rotation: gb_geom::Mat3::rotation(Vec3::new(0.3, 0.9, 0.1), 0.7),
             translation: shift,
         };
-        let rotate = |v: &[Vec3]| v.iter().map(|&n| pose.apply_vector(n)).collect();
-        Posed {
-            ta: sys.ta.transformed(&pose),
-            tq: sys.tq.transformed(&pose),
-            q_normals: rotate(&sys.q_normals),
-            q_normal_tree: rotate(&sys.q_normal_tree),
-            sys,
-        }
+        let mut posed = PosedLigand::new();
+        posed.pose(&sys, &pose);
+        (sys, posed)
     }
 
     #[test]
@@ -2038,7 +2081,7 @@ mod tests {
         assert_rows_ascend(&born, &sys.ta, "rebuild");
 
         // docking cross lists, both directions
-        let lig = posed_ligand(120, 5, Vec3::new(12.0, -4.0, 3.0));
+        let (_, lig) = posed_ligand(120, 5, Vec3::new(12.0, -4.0, 3.0));
         let threshold = sys.params.radii_mac_threshold();
         let mut cross = BornLists::empty();
         cross.rebuild_cross(&sys.ta, &lig.tq, threshold, &mut scratch);
@@ -2075,66 +2118,26 @@ mod tests {
     }
 
     /// Per-entry reference for the near terms: one kernel call per list
-    /// entry, no coalescing. Far terms are added exactly as the executors do.
-    fn execute_per_entry(lists: &BornLists, sys: &GbSystem, acc: &mut IntegralAcc) {
-        for ord in 0..lists.num_qleaves() {
-            let qn = sys.tq.node(sys.tq.leaves()[ord]);
-            let q_agg = sys.q_normals[sys.tq.leaves()[ord] as usize];
-            for &a_id in lists.rows.far_row(ord) {
-                let delta = qn.centroid - sys.ta.node(a_id).centroid;
-                acc.node_s[a_id as usize] +=
-                    q_agg.dot(delta) * R6::integrand::<ExactMath>(delta.norm_sq());
-            }
-            let qr = qn.range();
-            for &a_id in lists.rows.near_row(ord) {
-                born_span_batched::<ExactMath, R6>(
-                    sys,
-                    sys.ta.node(a_id).range(),
-                    &sys.q_soa.x[qr.clone()],
-                    &sys.q_soa.y[qr.clone()],
-                    &sys.q_soa.z[qr.clone()],
-                    &sys.q_normal_soa.x[qr.clone()],
-                    &sys.q_normal_soa.y[qr.clone()],
-                    &sys.q_normal_soa.z[qr.clone()],
-                    &sys.q_weight_tree[qr.clone()],
-                    acc,
-                );
-            }
-        }
-    }
-
-    /// Per-entry reference of [`BornLists::execute_cross`]: one scalar
-    /// loop nest per near entry, no coalescing.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_cross_per_entry(
+    /// entry, no coalescing. Far terms are added exactly as the executor
+    /// does. Takes any atom/surface pairing, own or cross.
+    fn execute_per_entry(
         lists: &BornLists,
-        ta: &Octree,
-        tq: &Octree,
-        q_agg_normals: &[Vec3],
-        q_normal_tree: &[Vec3],
-        q_weight_tree: &[f64],
+        atoms: AtomStreams,
+        surface: SurfaceStreams,
         acc: &mut IntegralAcc,
     ) {
+        let (ta, tq) = (atoms.tree, surface.tree);
         for ord in 0..lists.num_qleaves() {
             let qn = tq.node(tq.leaves()[ord]);
-            let q_agg = q_agg_normals[tq.leaves()[ord] as usize];
+            let q_agg = surface.agg_normals[tq.leaves()[ord] as usize];
             for &a_id in lists.rows.far_row(ord) {
                 let delta = qn.centroid - ta.node(a_id).centroid;
                 acc.node_s[a_id as usize] +=
                     q_agg.dot(delta) * R6::integrand::<ExactMath>(delta.norm_sq());
             }
+            let q = surface.leaf(qn.range());
             for &a_id in lists.rows.near_row(ord) {
-                for k in qn.range() {
-                    for i in ta.node(a_id).range() {
-                        let d = tq.points()[k] - ta.points()[i];
-                        let d2 = d.norm_sq();
-                        if d2 > 0.0 {
-                            acc.atom_s[i] += q_weight_tree[k]
-                                * d.dot(q_normal_tree[k])
-                                * R6::integrand::<ExactMath>(d2);
-                        }
-                    }
-                }
+                born_span_batched::<ExactMath, R6>(atoms.xyz, ta.node(a_id).range(), &q, acc);
             }
         }
     }
@@ -2155,41 +2158,30 @@ mod tests {
         let mut merged = IntegralAcc::zeros(&sys);
         born.execute_range::<ExactMath, R6>(&sys, 0..born.num_qleaves(), &mut merged);
         let mut reference = IntegralAcc::zeros(&sys);
-        execute_per_entry(&born, &sys, &mut reference);
+        execute_per_entry(&born, AtomStreams::of(&sys), SurfaceStreams::of(&sys), &mut reference);
         assert_acc_bits(&merged, &reference, "own surface");
 
         // docking: receptor atoms under the posed ligand's surface, and
         // the posed ligand's atoms under the receptor's surface
-        let lig = posed_ligand(150, 6, Vec3::new(10.0, 2.0, -5.0));
-        let (agg, normals) = (&lig.q_normals, &lig.q_normal_tree);
-        let weights = &lig.sys.q_weight_tree;
-        assert_cross_matches_reference(&sys.ta, &lig.tq, agg, normals, weights, "rec x lig");
-        let (agg, normals, weights) = (&sys.q_normals, &sys.q_normal_tree, &sys.q_weight_tree);
-        assert_cross_matches_reference(&lig.ta, &sys.tq, agg, normals, weights, "lig x rec");
+        let (lig_sys, lig) = posed_ligand(150, 6, Vec3::new(10.0, 2.0, -5.0));
+        assert_cross_matches_reference(AtomStreams::of(&sys), lig.surface(&lig_sys), "rec x lig");
+        assert_cross_matches_reference(lig.atoms(), SurfaceStreams::of(&sys), "lig x rec");
     }
 
-    /// Builds the cross lists of `(ta, tq)` and checks [`BornLists::execute_cross`]
-    /// against the per-entry reference, bit for bit.
-    fn assert_cross_matches_reference(
-        ta: &Octree,
-        tq: &Octree,
-        agg: &[Vec3],
-        normals: &[Vec3],
-        weights: &[f64],
-        tag: &str,
-    ) {
+    /// Builds the cross lists of `(atoms, surface)` and checks the
+    /// executor against the per-entry reference, bit for bit.
+    fn assert_cross_matches_reference(atoms: AtomStreams, surface: SurfaceStreams, tag: &str) {
         let mut cross = BornLists::empty();
         let threshold = GbParams::default().radii_mac_threshold();
-        cross.rebuild_cross(ta, tq, threshold, &mut ListScratch::new());
+        cross.rebuild_cross(atoms.tree, surface.tree, threshold, &mut ListScratch::new());
         let zeros = || IntegralAcc {
-            node_s: vec![0.0; ta.num_nodes()],
-            atom_s: vec![0.0; ta.num_points()],
+            node_s: vec![0.0; atoms.tree.num_nodes()],
+            atom_s: vec![0.0; atoms.tree.num_points()],
         };
         let mut merged = zeros();
-        let ords = 0..cross.num_qleaves();
-        cross.execute_cross::<ExactMath, R6>(ta, tq, agg, normals, weights, ords, &mut merged);
+        cross.execute::<ExactMath, R6>(atoms, surface, 0..cross.num_qleaves(), &mut merged);
         let mut reference = zeros();
-        execute_cross_per_entry(&cross, ta, tq, agg, normals, weights, &mut reference);
+        execute_per_entry(&cross, atoms, surface, &mut reference);
         assert!(
             merged.atom_s.iter().any(|&v| v != 0.0),
             "{tag}: no near terms"
@@ -2343,7 +2335,7 @@ mod tests {
         let threshold = GbParams::default().radii_mac_threshold();
         for n in [1usize, 9, 350, 3000] {
             let sys = system(n);
-            let lig = posed_ligand(120, 5, Vec3::new(12.0, -4.0, 3.0));
+            let (_, lig) = posed_ligand(120, 5, Vec3::new(12.0, -4.0, 3.0));
             // the oracle replays accumulate_qleaf's tally exactly
             let mut acc = IntegralAcc::zeros(&sys);
             let mut stack = Vec::new();

@@ -13,12 +13,16 @@
 //!   cached as a flat accumulator image ([`Monomer::self_flat`]);
 //! * **cross integrals** — receptor atoms against the *posed* ligand
 //!   surface and vice versa, built per pose by
-//!   [`BornLists::rebuild_cross`] / executed by
-//!   [`BornLists::execute_cross`];
+//!   [`BornLists::rebuild_cross`] and run by the same batched executor as
+//!   the own-surface lists, over the posed ligand's struct-of-arrays
+//!   streams. The two sides are independent (each ends in its monomer's
+//!   push and charge bins) and run concurrently on a multi-thread
+//!   [`PairScratch`];
 //! * **energy** — each monomer's internal terms through its cached energy
 //!   lists (with the complex's Born radii), plus the exact cross
 //!   atom–atom double sum (`× 2` for both orderings of the raw
-//!   all-ordered-pairs sum).
+//!   all-ordered-pairs sum), each receptor row one energy-tile pass over
+//!   the posed ligand's atoms.
 //!
 //! The decomposition is a *definition* of the pair pipeline, not an
 //! approximation layered on the merged-complex pipeline: monomer-internal
@@ -35,16 +39,18 @@ use crate::arena::CachedLists;
 use crate::bins::ChargeBins;
 use crate::contenthash::{params_key, system_key};
 use crate::fastmath::{ApproxMath, ExactMath, MathMode};
-use crate::gbmath::{finalize_energy, R4, R6};
+use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
 use crate::integrals::{push_integrals_scratch, IntegralAcc};
-use crate::interaction::{BornLists, EnergyExecScratch, ListScratch};
+use crate::interaction::{
+    exact_row_raw, AtomStreams, BornLists, EnergyExecScratch, ListScratch, SurfaceStreams,
+};
 use crate::params::{GbParams, MathKind, RadiiKind};
 use crate::runners::with_kernels;
 use crate::system::GbSystem;
-use crate::workdiv::{segment, segment_count, sum_segments, SegmentPartials};
-use gb_geom::{RigidTransform, Vec3};
+use crate::workdiv::{fork_join, segment, segment_count, sum_segments, SegmentPartials};
+use gb_geom::{RigidTransform, Soa3, Vec3};
 use gb_molecule::Molecule;
-use gb_octree::NodeId;
+use gb_octree::{NodeId, Octree};
 use std::sync::Arc;
 
 /// A prepared monomer with every pose-invariant artifact: the system, both
@@ -141,26 +147,20 @@ pub struct PairOutcome {
 }
 
 /// Reusable buffers of the per-pose evaluation — one per serve worker, so
-/// steady-state poses allocate only the posed octree copies. Its thread
-/// count sets how many threads run a pose's energy rows and cross double
-/// sum; the answer is `to_bits` the same at every count.
+/// a warm pose allocates nothing on one thread. Its thread count sets how
+/// many threads run a pose: the two Born cross sides run concurrently
+/// from 2 threads on, and the energy rows and cross double sum take fixed
+/// row segments on every thread. The answer is `to_bits` the same at
+/// every count.
 #[derive(Debug)]
 pub struct PairScratch {
-    cross_ab: BornLists,
-    cross_ba: BornLists,
-    ls: ListScratch,
-    acc_a: IntegralAcc,
-    acc_b: IntegralAcc,
-    radii_a: Vec<f64>,
-    radii_b: Vec<f64>,
-    push_stack: Vec<(NodeId, f64)>,
-    bins_a: ChargeBins,
-    bins_b: ChargeBins,
+    posed: PosedLigand,
+    /// Receptor atoms × posed ligand surface, then posed ligand atoms ×
+    /// receptor surface.
+    sides: [CrossSide; 2],
     /// One energy tile scratch per thread.
     execs: Vec<EnergyExecScratch>,
     partials: SegmentPartials,
-    rot_q_normals: Vec<Vec3>,
-    rot_q_normal_tree: Vec<Vec3>,
 }
 
 impl PairScratch {
@@ -169,24 +169,15 @@ impl PairScratch {
         PairScratch::with_threads(1)
     }
 
-    /// Fresh scratch whose poses run their energy on `threads` threads
-    /// (0 is taken as 1).
+    /// Fresh scratch whose poses run on `threads` threads (0 is taken as
+    /// 1): both Born cross sides at once from 2 threads on, and the
+    /// energy rows and cross double sum on all of them.
     pub fn with_threads(threads: usize) -> PairScratch {
         PairScratch {
-            cross_ab: BornLists::empty(),
-            cross_ba: BornLists::empty(),
-            ls: ListScratch::new(),
-            acc_a: IntegralAcc::empty(),
-            acc_b: IntegralAcc::empty(),
-            radii_a: Vec::new(),
-            radii_b: Vec::new(),
-            push_stack: Vec::new(),
-            bins_a: ChargeBins::empty(),
-            bins_b: ChargeBins::empty(),
+            posed: PosedLigand::new(),
+            sides: [CrossSide::new(), CrossSide::new()],
             execs: (0..threads.max(1)).map(|_| EnergyExecScratch::new()).collect(),
             partials: SegmentPartials::new(),
-            rot_q_normals: Vec::new(),
-            rot_q_normal_tree: Vec::new(),
         }
     }
 }
@@ -194,6 +185,116 @@ impl PairScratch {
 impl Default for PairScratch {
     fn default() -> PairScratch {
         PairScratch::new()
+    }
+}
+
+/// The ligand under the current pose, rewritten in place per pose: both
+/// octrees moved rigidly, its atom, q-point and per-point normal streams,
+/// and its per-node aggregated normals rotated.
+#[derive(Debug)]
+pub(crate) struct PosedLigand {
+    pub ta: Octree,
+    pub tq: Octree,
+    atoms: Soa3,
+    q: Soa3,
+    normals: Soa3,
+    agg_normals: Vec<Vec3>,
+}
+
+impl PosedLigand {
+    pub fn new() -> PosedLigand {
+        PosedLigand {
+            ta: Octree::build(&[], 1),
+            tq: Octree::build(&[], 1),
+            atoms: Soa3::default(),
+            q: Soa3::default(),
+            normals: Soa3::default(),
+            agg_normals: Vec::new(),
+        }
+    }
+
+    /// Poses `sys` by `pose`, reusing every buffer.
+    pub fn pose(&mut self, sys: &GbSystem, pose: &RigidTransform) {
+        sys.ta.transform_into(pose, &mut self.ta);
+        sys.tq.transform_into(pose, &mut self.tq);
+        self.atoms.refill(self.ta.points());
+        self.q.refill(self.tq.points());
+        self.normals.refill_with(sys.q_normal_tree.iter().map(|&v| pose.apply_vector(v)));
+        self.agg_normals.clear();
+        self.agg_normals.extend(sys.q_normals.iter().map(|&v| pose.apply_vector(v)));
+    }
+
+    pub fn atoms(&self) -> AtomStreams<'_> {
+        AtomStreams { tree: &self.ta, xyz: &self.atoms }
+    }
+
+    /// The posed surface; `sys` is the ligand (its weights do not move).
+    pub fn surface<'a>(&'a self, sys: &'a GbSystem) -> SurfaceStreams<'a> {
+        SurfaceStreams {
+            tree: &self.tq,
+            agg_normals: &self.agg_normals,
+            xyz: &self.q,
+            normals: &self.normals,
+            weights: &sys.q_weight_tree,
+        }
+    }
+}
+
+/// One monomer's Born half of a pose: its cross lists against the other
+/// monomer's surface, its integrals (cached own-surface image plus the
+/// cross terms), the push to Born radii and the charge bins. Each side
+/// owns every buffer it writes, so the two run on any threads with the
+/// same bits.
+#[derive(Debug)]
+struct CrossSide {
+    lists: BornLists,
+    ls: ListScratch,
+    acc: IntegralAcc,
+    /// Tree-order Born radii of the monomer in the complex.
+    radii: Vec<f64>,
+    push_stack: Vec<(NodeId, f64)>,
+    bins: ChargeBins,
+    /// Billed work of the last pose: list build, execution, push.
+    work: [f64; 3],
+}
+
+impl CrossSide {
+    fn new() -> CrossSide {
+        CrossSide {
+            lists: BornLists::empty(),
+            ls: ListScratch::new(),
+            acc: IntegralAcc::empty(),
+            radii: Vec::new(),
+            push_stack: Vec::new(),
+            bins: ChargeBins::empty(),
+            work: [0.0; 3],
+        }
+    }
+
+    /// Runs monomer `m`'s half: `atoms` are `m`'s (canonical or posed)
+    /// atoms, `surface` the other monomer's.
+    fn run<M: MathMode, K: RadiiApprox>(
+        &mut self,
+        m: &Monomer,
+        atoms: AtomStreams,
+        surface: SurfaceStreams,
+    ) {
+        let s: &GbSystem = &m.sys;
+        let threshold = s.params.radii_mac_threshold();
+        self.lists.rebuild_cross(atoms.tree, surface.tree, threshold, &mut self.ls);
+        self.acc.reset_for(s);
+        self.acc.copy_from_flat(&m.self_flat);
+        let ords = 0..self.lists.num_qleaves();
+        let exec = self.lists.execute::<M, K>(atoms, surface, ords, &mut self.acc);
+        // the push is topology-only, so it runs in the canonical tree
+        // (a posed copy shares it)
+        let n = s.num_atoms();
+        self.radii.clear();
+        self.radii.resize(n, 0.0);
+        let push =
+            push_integrals_scratch::<M, K>(s, &self.acc, 0..n, &mut self.radii, &mut self.push_stack);
+        self.bins.recompute(s, &self.radii);
+        self.work = [self.lists.build_work, exec, push];
     }
 }
 
@@ -214,82 +315,54 @@ pub fn evaluate_pair_ws(
     assert_eq!(a.params_key, b.params_key, "pair evaluation requires shared GB parameters");
     let sa: &GbSystem = &a.sys;
     let sb: &GbSystem = &b.sys;
-    let threshold = sa.params.radii_mac_threshold();
     let (na, nb) = (sa.num_atoms(), sb.num_atoms());
-
-    // Posed ligand geometry: topology-preserving transformed octrees plus
-    // rotated surface normals (per-node aggregates and per-point).
-    let tb_a = sb.ta.transformed(pose);
-    let tb_q = sb.tq.transformed(pose);
-    scratch.rot_q_normals.clear();
-    scratch.rot_q_normals.extend(sb.q_normals.iter().map(|&v| pose.apply_vector(v)));
-    scratch.rot_q_normal_tree.clear();
-    scratch
-        .rot_q_normal_tree
-        .extend(sb.q_normal_tree.iter().map(|&v| pose.apply_vector(v)));
+    scratch.posed.pose(sb, pose);
+    let PairScratch { posed, sides, execs, partials } = scratch;
+    let posed = &*posed;
 
     with_kernels!(sa.params, M, K => {
-        // Born integrals: start each monomer from its cached own-surface
-        // image, add the posed cross terms.
-        scratch.acc_a.reset_for(sa);
-        scratch.acc_a.copy_from_flat(&a.self_flat);
-        scratch.cross_ab.rebuild_cross(&sa.ta, &tb_q, threshold, &mut scratch.ls);
-        let mut work = a.self_work + b.self_work + scratch.cross_ab.build_work;
-        work += scratch.cross_ab.execute_cross::<M, K>(
-            &sa.ta, &tb_q, &scratch.rot_q_normals, &scratch.rot_q_normal_tree,
-            &sb.q_weight_tree, 0..scratch.cross_ab.num_qleaves(), &mut scratch.acc_a);
-
-        scratch.acc_b.reset_for(sb);
-        scratch.acc_b.copy_from_flat(&b.self_flat);
-        scratch.cross_ba.rebuild_cross(&tb_a, &sa.tq, threshold, &mut scratch.ls);
-        work += scratch.cross_ba.build_work;
-        work += scratch.cross_ba.execute_cross::<M, K>(
-            &tb_a, &sa.tq, &sa.q_normals, &sa.q_normal_tree,
-            &sa.q_weight_tree, 0..scratch.cross_ba.num_qleaves(), &mut scratch.acc_b);
-
-        // Push to atoms: topology-only, so each monomer pushes in its
-        // canonical tree (the posed copy shares it).
-        scratch.radii_a.clear();
-        scratch.radii_a.resize(na, 0.0);
-        work += push_integrals_scratch::<M, K>(
-            sa, &scratch.acc_a, 0..na, &mut scratch.radii_a, &mut scratch.push_stack);
-        scratch.radii_b.clear();
-        scratch.radii_b.resize(nb, 0.0);
-        work += push_integrals_scratch::<M, K>(
-            sb, &scratch.acc_b, 0..nb, &mut scratch.radii_b, &mut scratch.push_stack);
+        // Born integrals: each monomer starts from its cached own-surface
+        // image and adds its posed cross terms, then pushes and bins
+        let side = |i: usize, side: &mut CrossSide| match i {
+            0 => side.run::<M, K>(a, AtomStreams::of(sa), posed.surface(sb)),
+            _ => side.run::<M, K>(b, posed.atoms(), SurfaceStreams::of(sa)),
+        };
+        if execs.len() > 1 {
+            fork_join(sides, side);
+        } else {
+            sides.iter_mut().enumerate().for_each(|(i, s)| side(i, s));
+        }
+        let [sd_a, sd_b] = &*sides;
+        let mut work = a.self_work + b.self_work + sd_a.work[0];
+        work += sd_a.work[1];
+        work += sd_b.work[0];
+        work += sd_b.work[1];
+        work += sd_a.work[2];
+        work += sd_b.work[2];
 
         // Energy: monomer-internal terms through the cached lists (complex
         // radii), cross terms as the exact ordered-pair double sum — all
         // three in fixed segments on the scratch's threads.
-        scratch.bins_a.recompute(sa, &scratch.radii_a);
+        let (ra, rb) = (&sd_a.radii, &sd_b.radii);
         let (raw_aa, ew_a) = a.lists.energy.execute_rows::<M, _>(
-            sa, &scratch.bins_a, &scratch.radii_a,
-            0..a.lists.energy.num_vleaves(), &mut scratch.execs, &mut scratch.partials);
-        scratch.bins_b.recompute(sb, &scratch.radii_b);
+            sa, &sd_a.bins, ra, 0..a.lists.energy.num_vleaves(), execs, partials);
         let (raw_bb, ew_b) = b.lists.energy.execute_rows::<M, _>(
-            sb, &scratch.bins_b, &scratch.radii_b,
-            0..b.lists.energy.num_vleaves(), &mut scratch.execs, &mut scratch.partials);
+            sb, &sd_b.bins, rb, 0..b.lists.energy.num_vleaves(), execs, partials);
 
-        // receptor atoms are the rows: each sums its ligand partners in
-        // order, and segments of rows combine like the energy rows
-        let (pa, pb) = (&sa.ta.points()[..na], &tb_a.points()[..nb]);
-        let (ra, rb) = (&scratch.radii_a, &scratch.radii_b);
+        // receptor atoms are the rows: each is one tile pass over the
+        // posed ligand's atoms, and segments of rows combine like the
+        // energy rows
         let rows = 0..na;
-        let cross_segment = |k: usize, _: &mut EnergyExecScratch| {
+        let cross_segment = |k: usize, s: &mut EnergyExecScratch| {
             let mut raw = 0.0;
             for i in segment(&rows, k) {
-                let (xi, ri) = (pa[i], ra[i]);
-                let mut row = 0.0;
-                for (j, &xj) in pb.iter().enumerate() {
-                    row += sb.charge_tree[j] * M::inv_f_gb((xi - xj).norm_sq(), ri * rb[j]);
-                }
-                raw += sa.charge_tree[i] * row;
+                let p = [sa.a_soa.x[i], sa.a_soa.y[i], sa.a_soa.z[i]];
+                raw += sa.charge_tree[i]
+                    * exact_row_raw::<M>(p, ra[i], &posed.atoms, &sb.charge_tree, rb, s);
             }
             (raw, 0.0)
         };
-        let segments = segment_count(&rows);
-        let (raw_cross, _) =
-            sum_segments(&mut scratch.execs, &mut scratch.partials, segments, cross_segment);
+        let (raw_cross, _) = sum_segments(execs, partials, segment_count(&rows), cross_segment);
         work += ew_a + ew_b + (na * nb) as f64;
 
         // raw sums count ordered pairs, so the A×B block appears twice
@@ -314,6 +387,138 @@ mod tests {
             synthesize_protein(&SyntheticParams::with_atoms(n, seed)),
             GbParams::default(),
         )
+    }
+
+    /// What a pose produces: both monomers' tree-order Born radii in the
+    /// complex, its energy and the interaction energy.
+    struct PoseResult {
+        radii: [Vec<f64>; 2],
+        energy_kcal: f64,
+        delta_kcal: f64,
+    }
+
+    /// Reference Born cross execution: one scalar `(q-point, atom)` loop
+    /// nest per near entry over the AoS posed trees, with no streams and
+    /// no batching. `agg`, `normals` and `weights` are `tq`'s per-node
+    /// aggregated normals, per-point normals and per-point weights.
+    fn scalar_cross(
+        lists: &BornLists,
+        ta: &Octree,
+        tq: &Octree,
+        (agg, normals, weights): (&[Vec3], &[Vec3], &[f64]),
+        acc: &mut IntegralAcc,
+    ) {
+        let ((far_off, far), (near_off, near)) = (lists.far_csr(), lists.near_csr());
+        for ord in 0..lists.num_qleaves() {
+            let q_leaf = tq.leaves()[ord];
+            let qn = tq.node(q_leaf);
+            for &a_id in &far[far_off[ord]..far_off[ord + 1]] {
+                let delta = qn.centroid - ta.node(a_id).centroid;
+                acc.node_s[a_id as usize] += agg[q_leaf as usize].dot(delta)
+                    * R6::integrand::<ExactMath>(delta.norm_sq());
+            }
+            for &a_id in &near[near_off[ord]..near_off[ord + 1]] {
+                for k in qn.range() {
+                    for i in ta.node(a_id).range() {
+                        let d = tq.points()[k] - ta.points()[i];
+                        let d2 = d.norm_sq();
+                        if d2 > 0.0 {
+                            acc.atom_s[i] +=
+                                weights[k] * d.dot(normals[k]) * R6::integrand::<ExactMath>(d2);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Independent pose oracle: the scalar Born cross loops above over
+    /// freshly posed trees, and the cross energy as a plain
+    /// row-by-row double sum over AoS points. Only the list build, the
+    /// push and the monomer-internal energy rows are shared with the pair
+    /// path.
+    fn pose_oracle(a: &Monomer, b: &Monomer, pose: &RigidTransform) -> PoseResult {
+        let (sa, sb): (&GbSystem, &GbSystem) = (&a.sys, &b.sys);
+        let moved = |tree: &Octree| {
+            let mut out = Octree::build(&[], 1);
+            tree.transform_into(pose, &mut out);
+            out
+        };
+        let (tb_a, tb_q) = (moved(&sb.ta), moved(&sb.tq));
+        let rotate = |v: &[Vec3]| v.iter().map(|&n| pose.apply_vector(n)).collect::<Vec<_>>();
+        let (agg_b, normals_b) = (rotate(&sb.q_normals), rotate(&sb.q_normal_tree));
+        let radii = |m: &Monomer, ta: &Octree, tq: &Octree, surface| {
+            let s: &GbSystem = &m.sys;
+            let mut lists = BornLists::empty();
+            let threshold = s.params.radii_mac_threshold();
+            lists.rebuild_cross(ta, tq, threshold, &mut ListScratch::new());
+            let mut acc = IntegralAcc::zeros(s);
+            acc.copy_from_flat(&m.self_flat);
+            scalar_cross(&lists, ta, tq, surface, &mut acc);
+            let mut radii = vec![0.0; s.num_atoms()];
+            let all = 0..s.num_atoms();
+            push_integrals_scratch::<ExactMath, R6>(s, &acc, all, &mut radii, &mut Vec::new());
+            radii
+        };
+        let ra = radii(a, &sa.ta, &tb_q, (&agg_b, &normals_b, &sb.q_weight_tree));
+        let rb = radii(b, &tb_a, &sa.tq, (&sa.q_normals, &sa.q_normal_tree, &sa.q_weight_tree));
+        let internal = |m: &Monomer, radii: &[f64]| {
+            let bins = ChargeBins::compute(&m.sys, radii);
+            let rows = 0..m.lists.energy.num_vleaves();
+            let mut exec = EnergyExecScratch::new();
+            m.lists.energy.execute_leaves::<ExactMath>(&m.sys, &bins, radii, rows, &mut exec).0
+        };
+        let mut cross = 0.0;
+        for (i, &xi) in sa.ta.points().iter().enumerate() {
+            let mut row = 0.0;
+            for (j, &xj) in tb_a.points().iter().enumerate() {
+                row += sb.charge_tree[j] * ExactMath::inv_f_gb((xi - xj).norm_sq(), ra[i] * rb[j]);
+            }
+            cross += sa.charge_tree[i] * row;
+        }
+        let raw = internal(a, &ra) + internal(b, &rb) + 2.0 * cross;
+        let energy_kcal = finalize_energy(raw, sa.params.tau());
+        PoseResult {
+            radii: [ra, rb],
+            energy_kcal,
+            delta_kcal: energy_kcal - a.solo_energy_kcal - b.solo_energy_kcal,
+        }
+    }
+
+    fn rel_err(got: f64, want: f64) -> f64 {
+        (got - want).abs() / want.abs()
+    }
+
+    #[test]
+    fn poses_match_the_scalar_oracle() {
+        // the batched kernels regroup sums (FMA, strided-8 dot), so the
+        // pair path matches the scalar loops to this relative band
+        const TOL: f64 = 1e-12;
+        let a = monomer(700, 41);
+        let b = monomer(70, 42);
+        let mut scratch = PairScratch::with_threads(2);
+        let mut worst = [0.0f64; 3];
+        let mut max_delta = 0.0f64;
+        for k in 0..8 {
+            let t = k as f64;
+            let axis = Vec3::new(0.3 + 0.1 * t, 1.0 - 0.2 * t, 0.5);
+            let pose = RigidTransform::rotation_about(Vec3::ZERO, axis, 0.4 + 0.7 * t)
+                * RigidTransform::translation(Vec3::new(8.0 + 2.0 * t, -3.0 + t, 2.0 - 0.5 * t));
+            let want = pose_oracle(&a, &b, &pose);
+            let got = evaluate_pair_ws(&a, &b, &pose, &mut scratch);
+            for (side, w) in scratch.sides.iter().zip(&want.radii) {
+                for (&g, &w) in side.radii.iter().zip(w) {
+                    worst[0] = worst[0].max(rel_err(g, w));
+                }
+            }
+            worst[1] = worst[1].max(rel_err(got.energy_kcal, want.energy_kcal));
+            worst[2] = worst[2].max(rel_err(got.delta_kcal, want.delta_kcal));
+            max_delta = max_delta.max(want.delta_kcal.abs());
+        }
+        eprintln!("worst relative radii / E_pol / dE: {worst:?}, max |dE| {max_delta}");
+        assert!(worst.iter().all(|&e| e <= TOL), "relative errors {worst:?} past {TOL}");
+        // the poses are close enough that the cross terms carry weight
+        assert!(max_delta > 1.0, "max |dE| {max_delta} kcal/mol");
     }
 
     #[test]

@@ -53,6 +53,11 @@ impl Soa3 {
     /// the existing capacities — the allocation-free mirror update a
     /// frame-over-frame refit needs.
     pub fn refill(&mut self, points: &[Vec3]) {
+        self.refill_with(points.iter().copied());
+    }
+
+    /// [`Soa3::refill`] from any point sequence (e.g. rotated normals).
+    pub fn refill_with(&mut self, points: impl IntoIterator<Item = Vec3>) {
         self.x.clear();
         self.y.clear();
         self.z.clear();

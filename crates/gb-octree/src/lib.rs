@@ -20,7 +20,7 @@
 //! * **Queries** ([`Octree::for_each_in_sphere`], [`Octree::leaves`]):
 //!   range queries for the surface sampler and baselines, and leaf iteration
 //!   for the node-based work division.
-//! * **Rigid motion** ([`Octree::transformed`]) and **refitting**
+//! * **Rigid motion** ([`Octree::transform_into`]) and **refitting**
 //!   ([`Octree::refit`]): move a ligand's tree to a new docking pose, or
 //!   absorb small coordinate perturbations, without rebuilding — the
 //!   space-efficient alternative to `nblist` reconstruction the paper

@@ -103,25 +103,27 @@ impl Octree {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
     }
 
-    /// Returns a new tree with every point (and node centroid / cell) moved
-    /// by the rigid transform `t`.
+    /// Writes into `out` this tree with every point (and node centroid /
+    /// cell) moved by the rigid transform `t`, reusing `out`'s buffers —
+    /// allocation-free once `out` has held a tree of this size.
     ///
     /// Tree topology, point permutation and node radii are reused unchanged —
     /// rigid motions preserve all inter-point distances — which is what makes
     /// re-posing a ligand during a docking scan O(M) instead of an
     /// O(M log M) rebuild. Node `bbox`es become *loose* axis-aligned boxes
     /// (the AABB of the rotated cell) and remain valid bounds.
-    pub fn transformed(&self, t: &RigidTransform) -> Octree {
-        let mut out = self.clone();
-        for p in &mut out.points {
-            *p = t.apply(*p);
-        }
+    pub fn transform_into(&self, t: &RigidTransform, out: &mut Octree) {
+        out.nodes.clone_from(&self.nodes);
+        out.points.clear();
+        out.points.extend(self.points.iter().map(|&p| t.apply(p)));
+        out.order.clone_from(&self.order);
+        out.leaves.clone_from(&self.leaves);
+        out.bbox = transform_aabb(&self.bbox, t);
+        out.leaf_cap = self.leaf_cap;
         for n in &mut out.nodes {
             n.centroid = t.apply(n.centroid);
             n.bbox = transform_aabb(&n.bbox, t);
         }
-        out.bbox = transform_aabb(&self.bbox, t);
-        out
     }
 
     /// Estimated heap footprint in bytes (used by the replicated-memory
@@ -231,7 +233,8 @@ mod tests {
             Vec3::new(0.2, 0.5, -1.0),
             1.1,
         ) * RigidTransform::translation(Vec3::new(10.0, -3.0, 0.5));
-        let moved = tree.transformed(&t);
+        let mut moved = Octree::build(&[], 1);
+        tree.transform_into(&t, &mut moved);
         moved.validate().expect("transformed tree must stay valid");
         for (a, b) in tree.nodes().iter().zip(moved.nodes()) {
             assert!((a.radius - b.radius).abs() < 1e-12);
@@ -240,6 +243,22 @@ mod tests {
         // points moved correctly
         for (i, &p) in tree.points().iter().enumerate() {
             assert!((t.apply(p) - moved.points()[i]).norm() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn transform_into_a_reused_tree_equals_a_fresh_one() {
+        let t = RigidTransform::rotation_about(Vec3::ZERO, Vec3::new(0.4, -0.1, 0.9), 0.8)
+            * RigidTransform::translation(Vec3::new(-2.0, 7.0, 1.5));
+        // the reused tree first holds a larger, unrelated one
+        let mut reused = Octree::build(&cloud(900, 3), 8);
+        for tree in [Octree::build(&cloud(500, 21), 8), Octree::build(&cloud(40, 22), 4)] {
+            let mut fresh = Octree::build(&[], 1);
+            tree.transform_into(&t, &mut fresh);
+            tree.transform_into(&t, &mut reused);
+            // `{:?}` prints every f64 round-trip exact, so equal text is
+            // equal bits field by field
+            assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
         }
     }
 

@@ -19,10 +19,11 @@
 //!   pair-decomposed path ([`gb_core::pair`]): the receptor's system,
 //!   lists, own-surface integral image and solo energy are cached once by
 //!   content key and reused across every pose; per pose only the cross
-//!   receptor×ligand terms are built. A pose's energy rows and cross
-//!   double sum run on `ranks` threads, in fixed segments whose partials
-//!   add in segment order, so the answer equals a 1-thread
-//!   [`gb_core::pair::evaluate_pair_ws`] bit for bit.
+//!   receptor×ligand terms are built. A pose runs on `ranks` threads:
+//!   its two Born cross sides at once, then its energy rows and cross
+//!   double sum in fixed segments whose partials add in segment order, so
+//!   the answer equals a 1-thread [`gb_core::pair::evaluate_pair_ws`] bit
+//!   for bit.
 //!
 //! ## Caching contract
 //!
@@ -68,9 +69,9 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Ranks of each fused cluster superstep (node-based division, sparse
-    /// integral combine), and the threads each docking pose runs its
-    /// energy rows and cross sum on; 0 is taken as 1. Docking answers
-    /// are `to_bits` the same at every value.
+    /// integral combine), and the threads each docking pose runs on; 0
+    /// is taken as 1. Docking answers are `to_bits` the same at every
+    /// value.
     pub ranks: usize,
     /// Admission bound: submits beyond this many queued requests are shed
     /// with [`ServeError::QueueFull`].
