@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gb_core::runners::run_serial;
-use gb_core::{GbParams, GbSystem, MathKind};
+use gb_core::{GbParams, GbSystem};
 use gb_molecule::{synthesize_protein, SyntheticParams};
 
 fn bench_epsilon(c: &mut Criterion) {
@@ -21,19 +21,5 @@ fn bench_epsilon(c: &mut Criterion) {
     group.finish();
 }
 
-/// §V-E: the approximate-math switch (paper: 1.42× average speedup).
-fn bench_fastmath(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fastmath");
-    group.sample_size(10);
-    let mol = synthesize_protein(&SyntheticParams::with_atoms(2_000, 10));
-    for (label, math) in [("exact", MathKind::Exact), ("approx", MathKind::Approximate)] {
-        let sys = GbSystem::prepare(mol.clone(), GbParams::default().with_math(math));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &sys, |b, sys| {
-            b.iter(|| run_serial(sys))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(epsilon_sweep, bench_epsilon, bench_fastmath);
+criterion_group!(epsilon_sweep, bench_epsilon);
 criterion_main!(epsilon_sweep);

@@ -46,7 +46,7 @@ fn bench_interaction_lists(c: &mut Criterion) {
             let mut stack = Vec::new();
             let mut work = 0.0;
             for &q in sys.tq.leaves() {
-                work += accumulate_qleaf::<ExactMath, R6>(sys, q, &mut acc, &mut stack);
+                work += accumulate_qleaf::<R6>(sys, q, &mut acc, &mut stack);
             }
             (acc, work)
         })

@@ -48,7 +48,7 @@ fn bench_born_integrals(c: &mut Criterion) {
                 let mut acc = IntegralAcc::zeros(sys);
                 let mut stack = Vec::new();
                 for &q in sys.tq.leaves() {
-                    accumulate_qleaf::<ExactMath, R6>(sys, q, &mut acc, &mut stack);
+                    accumulate_qleaf::<R6>(sys, q, &mut acc, &mut stack);
                 }
                 acc
             })

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Targets: `table1 table2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 memory
-//! fastmath workdiv loadbalance radii datadist all`. Output is printed and written
+//! workdiv loadbalance radii datadist all`. Output is printed and written
 //! as CSV under `results/`.
 
 use gb_bench::{figures, Scale, Table};
@@ -63,9 +63,6 @@ fn main() {
     }
     if all || target == "memory" {
         emit("memory", figures::memory_study(scale));
-    }
-    if all || target == "fastmath" {
-        emit("fastmath", figures::fastmath_study(scale));
     }
     if all || target == "workdiv" {
         emit("workdiv", figures::workdiv_study(scale));

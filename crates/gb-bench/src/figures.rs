@@ -20,7 +20,7 @@ use gb_core::error::{percent_error, ErrorStats};
 use gb_core::modeled::modeled_run;
 use gb_core::naive::{naive_full, naive_work_units};
 use gb_core::runners::run_shared;
-use gb_core::{GbParams, GbSystem, MathKind, WorkDivision};
+use gb_core::{GbParams, GbSystem, WorkDivision};
 
 fn cost() -> CostModel {
     CostModel::default()
@@ -429,36 +429,6 @@ pub fn memory_study(scale: Scale) -> Table {
     );
     t.push(&["OCT_MPI (12x1)".to_string(), format!("{m:.0}"), format!("{:.3}", m / 1e9), format!("{:.2}", m / h)]);
     t.push(&["OCT_MPI+CILK (2x6)".to_string(), format!("{h:.0}"), format!("{:.3}", h / 1e9), "1.00".to_string()]);
-    t
-}
-
-/// §V-E approximate-math study: wall-clock speedup and energy shift, per
-/// molecule (real measurements — this one does not use the cost model).
-pub fn fastmath_study(scale: Scale) -> Table {
-    let mut t = Table::new(
-        "§V-E — approximate math: real wall speedup and energy shift (paper: 1.42x, 4-5%)",
-        &["molecule", "atoms", "exact (ms)", "approx (ms)", "speedup", "energy shift %"],
-    );
-    for entry in workloads::ladder(scale) {
-        let mol = entry.molecule();
-        let sys_exact = GbSystem::prepare(mol.clone(), GbParams::default());
-        let sys_fast =
-            GbSystem::prepare(mol, GbParams::default().with_math(MathKind::Approximate));
-        let t0 = std::time::Instant::now();
-        let e_exact = run_shared(&sys_exact).result.energy_kcal;
-        let dt_exact = t0.elapsed().as_secs_f64();
-        let t0 = std::time::Instant::now();
-        let e_fast = run_shared(&sys_fast).result.energy_kcal;
-        let dt_fast = t0.elapsed().as_secs_f64();
-        t.push(&[
-            entry.name.to_string(),
-            entry.n_atoms.to_string(),
-            format!("{:.2}", dt_exact * 1e3),
-            format!("{:.2}", dt_fast * 1e3),
-            format!("{:.2}", dt_exact / dt_fast),
-            format!("{:+.3}", percent_error(e_fast, e_exact)),
-        ]);
-    }
     t
 }
 

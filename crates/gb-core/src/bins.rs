@@ -368,7 +368,6 @@ impl ChargeBins {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastmath::ExactMath;
     use crate::integrals::{accumulate_qleaf, push_integrals_to_atoms, IntegralAcc};
     use crate::params::GbParams;
     use gb_molecule::{synthesize_protein, SyntheticParams};
@@ -379,7 +378,7 @@ mod tests {
         let mut acc = IntegralAcc::zeros(&sys);
         let mut stack = Vec::new();
         for &q in sys.tq.leaves() {
-            accumulate_qleaf::<ExactMath, crate::gbmath::R6>(&sys, q, &mut acc, &mut stack);
+            accumulate_qleaf::<crate::gbmath::R6>(&sys, q, &mut acc, &mut stack);
         }
         let mut radii_tree = vec![0.0; sys.num_atoms()];
         push_integrals_to_atoms::<crate::gbmath::R6>(&sys, &acc, 0..sys.num_atoms(), &mut radii_tree);

@@ -25,7 +25,7 @@
 //! [`CommPlan`](crate::commplan) structural key: cheap, order-sensitive,
 //! and applied to the full content rather than a truncated checksum.
 
-use crate::params::{GbParams, MathKind, RadiiKind};
+use crate::params::{GbParams, RadiiKind};
 use gb_molecule::Molecule;
 
 /// Order-sensitive 64-bit content fold (FxHash-style multiply-rotate-xor).
@@ -92,10 +92,6 @@ pub fn params_key(p: &GbParams) -> u64 {
     f.f64(p.eps_radii);
     f.f64(p.eps_energy);
     f.usize(p.leaf_cap);
-    f.u64(match p.math {
-        MathKind::Exact => 0,
-        MathKind::Approximate => 1,
-    });
     f.u64(match p.radii_kind {
         RadiiKind::R4 => 0,
         RadiiKind::R6 => 1,
@@ -161,10 +157,8 @@ mod tests {
     fn params_fields_reach_the_key() {
         let p = GbParams::default();
         assert_ne!(params_key(&p), params_key(&p.with_epsilons(0.9, 0.8)));
-        assert_ne!(
-            params_key(&p),
-            params_key(&p.with_math(crate::params::MathKind::Approximate))
-        );
+        let r4 = p.with_radii_kind(RadiiKind::R4);
+        assert_ne!(params_key(&p), params_key(&r4));
         let mut fine = p;
         fine.surface.probe_radius += 0.1;
         assert_ne!(params_key(&p), params_key(&fine));

@@ -75,11 +75,9 @@ pub fn born_radius_from_integral_r4(s: f64, r_vdw: f64, cap: f64) -> f64 {
 /// accuracy for spherical solutes" — a claim the `radii_r4_vs_r6` ablation
 /// bench and tests verify.
 pub trait RadiiApprox: Copy + Send + Sync + 'static {
-    /// Human-readable name for reports.
-    const NAME: &'static str;
     /// The integrand factor applied to `x = |r_k − x_i|²`
     /// (`|d|⁻⁶` for r⁶, `|d|⁻⁴` for r⁴).
-    fn integrand<M: MathMode>(d_sq: f64) -> f64;
+    fn integrand(d_sq: f64) -> f64;
     /// Converts the accumulated integral into a Born radius.
     fn radius(s: f64, r_vdw: f64, cap: f64) -> f64;
 }
@@ -90,10 +88,9 @@ pub trait RadiiApprox: Copy + Send + Sync + 'static {
 pub struct R6;
 
 impl RadiiApprox for R6 {
-    const NAME: &'static str = "r6";
     #[inline(always)]
-    fn integrand<M: MathMode>(d_sq: f64) -> f64 {
-        M::inv_cube(d_sq)
+    fn integrand(d_sq: f64) -> f64 {
+        1.0 / (d_sq * d_sq * d_sq)
     }
     #[inline(always)]
     fn radius(s: f64, r_vdw: f64, cap: f64) -> f64 {
@@ -106,10 +103,9 @@ impl RadiiApprox for R6 {
 pub struct R4;
 
 impl RadiiApprox for R4 {
-    const NAME: &'static str = "r4";
     #[inline(always)]
-    fn integrand<M: MathMode>(d_sq: f64) -> f64 {
-        M::inv_sq(d_sq)
+    fn integrand(d_sq: f64) -> f64 {
+        1.0 / (d_sq * d_sq)
     }
     #[inline(always)]
     fn radius(s: f64, r_vdw: f64, cap: f64) -> f64 {
@@ -120,7 +116,7 @@ impl RadiiApprox for R4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastmath::{ApproxMath, ExactMath};
+    use crate::fastmath::ExactMath;
 
     #[test]
     fn f_gb_limits() {
@@ -146,13 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn approx_math_close_to_exact() {
-        for i in 1..50 {
-            let r_sq = i as f64;
-            let exact = inv_f_gb::<ExactMath>(r_sq, 3.0);
-            let approx = inv_f_gb::<ApproxMath>(r_sq, 3.0);
-            let rel = ((approx - exact) / exact).abs();
-            assert!(rel < 0.05, "r²={r_sq}: rel {rel}");
+    fn integrands_are_inverse_sixth_and_fourth_powers_of_distance() {
+        for d in [0.5f64, 1.0, 1.9, 10.0, 300.0] {
+            let (r6, r4) = (R6::integrand(d * d), R4::integrand(d * d));
+            assert!((r6 * d.powi(6) - 1.0).abs() < 1e-14, "d={d}: {r6}");
+            assert!((r4 * d.powi(4) - 1.0).abs() < 1e-14, "d={d}: {r4}");
         }
     }
 

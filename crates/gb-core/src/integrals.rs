@@ -129,7 +129,7 @@ pub fn well_separated(dist: f64, ra: f64, rq: f64, threshold: f64) -> bool {
 /// Q-driven `APPROX-INTEGRALS`: contributions of the single `T_Q` leaf
 /// `q_leaf` to the whole of `T_A`, accumulated into `acc`. Returns the work
 /// units spent.
-pub fn accumulate_qleaf<M: MathMode, K: RadiiApprox>(
+pub fn accumulate_qleaf<K: RadiiApprox>(
     sys: &GbSystem,
     q_leaf: NodeId,
     acc: &mut IntegralAcc,
@@ -154,7 +154,7 @@ pub fn accumulate_qleaf<M: MathMode, K: RadiiApprox>(
             // Far field: one pseudo-particle term collected at the node.
             let delta = q_center - a.centroid;
             let d2 = delta.norm_sq();
-            acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
+            acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand(d2);
             work += 1.0;
         } else if a.is_leaf() {
             // Exact leaf–leaf double sum.
@@ -169,7 +169,7 @@ pub fn accumulate_qleaf<M: MathMode, K: RadiiApprox>(
                     let delta = pq - xa;
                     let d2 = delta.norm_sq();
                     if d2 > 0.0 {
-                        s += wq * nq.dot(delta) * K::integrand::<M>(d2);
+                        s += wq * nq.dot(delta) * K::integrand(d2);
                     }
                 }
                 acc.atom_s[ai] += s;
@@ -200,10 +200,10 @@ pub fn push_integrals_to_atoms<K: RadiiApprox>(
 /// [`push_integrals_to_atoms`] writing into a buffer sized for the range
 /// alone (`out[i]` = radius of tree position `range.start + i`, so chunked
 /// callers need no full-length scratch vector), with the traversal stack
-/// supplied by the caller (allocation-free once warmed). The radius
-/// conversion is the same scalar [`RadiiApprox::radius`] in every math
-/// mode; the `M` parameter only keeps the call shape of the other generic
-/// kernels.
+/// supplied by the caller (allocation-free once warmed). The `M`
+/// parameter is unused: the radius conversion is the scalar
+/// [`RadiiApprox::radius`]. It stays only because the benchmark package
+/// names it with a turbofish.
 pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
     sys: &GbSystem,
     acc: &IntegralAcc,
@@ -246,7 +246,6 @@ pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastmath::ExactMath;
     use crate::gbmath::R6;
     use crate::naive::naive_born_radii;
     use crate::params::GbParams;
@@ -262,7 +261,7 @@ mod tests {
         let mut acc = IntegralAcc::zeros(sys);
         let mut stack = Vec::new();
         for &q in sys.tq.leaves() {
-            accumulate_qleaf::<ExactMath, R6>(sys, q, &mut acc, &mut stack);
+            accumulate_qleaf::<R6>(sys, q, &mut acc, &mut stack);
         }
         let mut radii_tree = vec![0.0; sys.num_atoms()];
         push_integrals_to_atoms::<R6>(sys, &acc, 0..sys.num_atoms(), &mut radii_tree);
@@ -310,7 +309,7 @@ mod tests {
         let mut acc = IntegralAcc::zeros(&sys);
         let mut stack = Vec::new();
         for &q in sys.tq.leaves() {
-            accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc, &mut stack);
+            accumulate_qleaf::<R6>(&sys, q, &mut acc, &mut stack);
         }
         let mut full = vec![0.0; sys.num_atoms()];
         push_integrals_to_atoms::<R6>(&sys, &acc, 0..sys.num_atoms(), &mut full);
@@ -327,7 +326,7 @@ mod tests {
         let mut acc = IntegralAcc::zeros(&sys);
         let mut stack = Vec::new();
         for &q in sys.tq.leaves() {
-            accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc, &mut stack);
+            accumulate_qleaf::<R6>(&sys, q, &mut acc, &mut stack);
         }
         let flat = acc.to_flat();
         let back = IntegralAcc::from_flat(&flat, sys.ta.num_nodes());
@@ -344,7 +343,7 @@ mod tests {
             let mut stack = Vec::new();
             let mut w = 0.0;
             for &q in sys.tq.leaves() {
-                w += accumulate_qleaf::<ExactMath, R6>(sys, q, &mut acc, &mut stack);
+                w += accumulate_qleaf::<R6>(sys, q, &mut acc, &mut stack);
             }
             w
         };

@@ -554,13 +554,16 @@ impl BornLists {
     /// Executes the own-surface lists of the driving-leaf ordinals in
     /// `ords` over `sys`'s atom and surface streams, through the one Born
     /// executor the docking cross lists use too. Returns the work units.
+    /// The `M` parameter is unused (the Born integrand is plain
+    /// arithmetic); it stays only because the benchmark package names it
+    /// with a turbofish.
     pub fn execute_range<M: MathMode, K: RadiiApprox>(
         &self,
         sys: &GbSystem,
         ords: Range<usize>,
         acc: &mut IntegralAcc,
     ) -> f64 {
-        self.execute::<M, K>(AtomStreams::of(sys), SurfaceStreams::of(sys), ords, acc)
+        self.execute::<K>(AtomStreams::of(sys), SurfaceStreams::of(sys), ords, acc)
     }
 
     /// The one Born list executor: runs the lists of the driving-leaf
@@ -571,7 +574,7 @@ impl BornLists {
     /// path's cross lists ([`BornLists::rebuild_cross`]) pair one
     /// monomer's atoms with the other's posed surface. Returns the work
     /// units.
-    pub(crate) fn execute<M: MathMode, K: RadiiApprox>(
+    pub(crate) fn execute<K: RadiiApprox>(
         &self,
         atoms: AtomStreams,
         surface: SurfaceStreams,
@@ -589,7 +592,7 @@ impl BornLists {
                 let a = ta.node(a_id);
                 let delta = q_center - a.centroid;
                 let d2 = delta.norm_sq();
-                acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(d2);
+                acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand(d2);
             }
             // Near list: rows are ascending in tree order, so touching
             // leaves coalesce into one long atom run each — the batched
@@ -599,7 +602,7 @@ impl BornLists {
             for run in atom_runs(ta, self.rows.near_row(ord)) {
                 let run = run.start.max(self.clip.start)..run.end.min(self.clip.end);
                 if !run.is_empty() {
-                    born_span_batched::<M, K>(atoms.xyz, run, &q, acc);
+                    born_span_batched::<K>(atoms.xyz, run, &q, acc);
                 }
             }
             work += self.rows.work[ord];
@@ -735,7 +738,7 @@ struct QLeaf<'a> {
 /// autovectorizing over atoms (the per-lane `1/r⁶` divisions pipeline
 /// across SIMD lanes instead of serializing per scalar term).
 #[inline]
-fn born_span_batched<M: MathMode, K: RadiiApprox>(
+fn born_span_batched<K: RadiiApprox>(
     a: &Soa3,
     atoms: Range<usize>,
     q: &QLeaf,
@@ -758,7 +761,7 @@ fn born_span_batched<M: MathMode, K: RadiiApprox>(
             // evaluate the integrand at a safe stand-in when d2 == 0 so the
             // masked-out lane never manufactures 0·∞ = NaN
             let d2s = if d2 > 0.0 { d2 } else { 1.0 };
-            let t = wk * dot * K::integrand::<M>(d2s);
+            let t = wk * dot * K::integrand(d2s);
             out[i] += if d2 > 0.0 { t } else { 0.0 };
         }
     }
@@ -1524,7 +1527,7 @@ fn dot8(w: &[f64], x: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::energy::energy_for_leaf;
-    use crate::fastmath::{ApproxMath, ExactMath};
+    use crate::fastmath::ExactMath;
     use crate::gbmath::{finalize_energy, inv_f_gb, R4, R6};
     use crate::integrals::{accumulate_qleaf, push_integrals_to_atoms};
     use crate::pair::PosedLigand;
@@ -1552,7 +1555,7 @@ mod tests {
             let mut stack = Vec::new();
             let mut works = Vec::with_capacity(sys.tq.num_leaves());
             for &q in sys.tq.leaves() {
-                works.push(accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc_t, &mut stack));
+                works.push(accumulate_qleaf::<R6>(&sys, q, &mut acc_t, &mut stack));
             }
 
             let mut acc_l = IntegralAcc::zeros(&sys);
@@ -1580,7 +1583,7 @@ mod tests {
         let mut acc = IntegralAcc::zeros(sys);
         let mut stack = Vec::new();
         for &q in sys.tq.leaves() {
-            accumulate_qleaf::<ExactMath, R6>(sys, q, &mut acc, &mut stack);
+            accumulate_qleaf::<R6>(sys, q, &mut acc, &mut stack);
         }
         let mut radii_tree = vec![0.0; sys.num_atoms()];
         push_integrals_to_atoms::<R6>(sys, &acc, 0..sys.num_atoms(), &mut radii_tree);
@@ -1702,16 +1705,16 @@ mod tests {
     }
 
     #[test]
-    fn approximate_math_paths_agree_too() {
+    fn r4_born_list_execution_matches_traversal() {
         let sys = system(200);
         let lists = BornLists::build(&sys);
         let mut acc_t = IntegralAcc::zeros(&sys);
         let mut stack = Vec::new();
         for &q in sys.tq.leaves() {
-            accumulate_qleaf::<ApproxMath, R4>(&sys, q, &mut acc_t, &mut stack);
+            accumulate_qleaf::<R4>(&sys, q, &mut acc_t, &mut stack);
         }
         let mut acc_l = IntegralAcc::zeros(&sys);
-        lists.execute_range::<ApproxMath, R4>(&sys, 0..lists.num_qleaves(), &mut acc_l);
+        lists.execute_range::<ExactMath, R4>(&sys, 0..lists.num_qleaves(), &mut acc_l);
         for (x, y) in acc_t.atom_s.iter().zip(&acc_l.atom_s) {
             assert!(close(*x, *y), "{x} vs {y}");
         }
@@ -2133,11 +2136,11 @@ mod tests {
             for &a_id in lists.rows.far_row(ord) {
                 let delta = qn.centroid - ta.node(a_id).centroid;
                 acc.node_s[a_id as usize] +=
-                    q_agg.dot(delta) * R6::integrand::<ExactMath>(delta.norm_sq());
+                    q_agg.dot(delta) * R6::integrand(delta.norm_sq());
             }
             let q = surface.leaf(qn.range());
             for &a_id in lists.rows.near_row(ord) {
-                born_span_batched::<ExactMath, R6>(atoms.xyz, ta.node(a_id).range(), &q, acc);
+                born_span_batched::<R6>(atoms.xyz, ta.node(a_id).range(), &q, acc);
             }
         }
     }
@@ -2179,7 +2182,7 @@ mod tests {
             atom_s: vec![0.0; atoms.tree.num_points()],
         };
         let mut merged = zeros();
-        cross.execute::<ExactMath, R6>(atoms, surface, 0..cross.num_qleaves(), &mut merged);
+        cross.execute::<R6>(atoms, surface, 0..cross.num_qleaves(), &mut merged);
         let mut reference = zeros();
         execute_per_entry(&cross, atoms, surface, &mut reference);
         assert!(
@@ -2341,7 +2344,7 @@ mod tests {
             let mut stack = Vec::new();
             let all = 0..sys.num_atoms();
             for &q in sys.tq.leaves() {
-                let w = accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc, &mut stack);
+                let w = accumulate_qleaf::<R6>(&sys, q, &mut acc, &mut stack);
                 let v = born_oracle(&sys.ta, &sys.tq, threshold, q, &all);
                 assert_eq!(w.to_bits(), v.work.to_bits(), "n={n}: oracle vs traversal");
             }

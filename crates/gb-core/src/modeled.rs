@@ -15,11 +15,11 @@
 //! curves for 432 simulated cores are produced in the time of one run.
 
 use crate::balance::{assign, LoadBalance};
-use crate::fastmath::{ApproxMath, ExactMath, MathMode};
+use crate::fastmath::ExactMath;
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
 use crate::integrals::{push_integrals_to_atoms, IntegralAcc};
 use crate::interaction::{BornLists, EnergyLists, ListScratch};
-use crate::params::{MathKind, RadiiKind};
+use crate::params::RadiiKind;
 use crate::runners::{bin_build_work, bins_for, with_kernels};
 use crate::system::{GbResult, GbSystem};
 use crate::workdiv::{atom_segments, WorkDivision};
@@ -80,10 +80,10 @@ pub fn modeled_run_balanced(
     division: WorkDivision,
     policy: LoadBalance,
 ) -> ModeledOutcome {
-    with_kernels!(sys.params, M, K => modeled_run_impl::<M, K>(sys, cluster, ranks, threads_per_rank, division, policy))
+    with_kernels!(sys.params, K => modeled_run_impl::<K>(sys, cluster, ranks, threads_per_rank, division, policy))
 }
 
-fn modeled_run_impl<M: MathMode, K: RadiiApprox>(
+fn modeled_run_impl<K: RadiiApprox>(
     sys: &GbSystem,
     cluster: &SimCluster,
     ranks: usize,
@@ -109,7 +109,7 @@ fn modeled_run_impl<M: MathMode, K: RadiiApprox>(
             // policy to assign; executing the full ordinal range into one
             // accumulator reproduces the serial runner bit for bit
             let born = BornLists::build(sys);
-            born.execute_range::<M, K>(sys, 0..born.num_qleaves(), &mut acc);
+            born.execute_range::<ExactMath, K>(sys, 0..born.num_qleaves(), &mut acc);
             let leaf_works = born.leaf_work().to_vec();
             let leaf_points: Vec<usize> = sys
                 .tq
@@ -141,7 +141,7 @@ fn modeled_run_impl<M: MathMode, K: RadiiApprox>(
             let rows = 0..sys.tq.num_leaves();
             for (ledger, clip) in ledgers.iter_mut().zip(atom_segments(sys.num_atoms(), ranks)) {
                 born.rebuild_part(sys, rows.clone(), clip, &mut scratch);
-                born.execute_range::<M, K>(sys, rows.clone(), &mut acc);
+                born.execute_range::<ExactMath, K>(sys, rows.clone(), &mut acc);
                 ledger.add_work(makespan(born.leaf_work(), threads_per_rank));
                 ledger.record_replicated(replicated);
             }
@@ -193,9 +193,9 @@ fn modeled_run_impl<M: MathMode, K: RadiiApprox>(
     let raw;
     {
         let energy = EnergyLists::build(sys);
-        let mut exec_scratch = crate::interaction::EnergyExecScratch::new();
+        let exec_scratch = &mut crate::interaction::EnergyExecScratch::new();
         let rows = 0..energy.num_vleaves();
-        (raw, _) = energy.execute_leaves::<M>(sys, &bins, &radii_tree, rows, &mut exec_scratch);
+        (raw, _) = energy.execute_leaves::<ExactMath>(sys, &bins, &radii_tree, rows, exec_scratch);
         let leaf_works = energy.leaf_costs(sys, &bins);
         let leaf_points: Vec<usize> = sys
             .ta

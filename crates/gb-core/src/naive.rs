@@ -29,7 +29,6 @@ pub fn naive_born_radii(sys: &GbSystem) -> Vec<f64> {
 pub(crate) struct LibmMath;
 
 impl MathMode for LibmMath {
-    const NAME: &'static str = "libm";
     #[inline(always)]
     fn rsqrt(x: f64) -> f64 {
         1.0 / x.sqrt()
@@ -48,7 +47,7 @@ fn born_radius_of<K: RadiiApprox>(sys: &GbSystem, atom: usize) -> f64 {
         let delta = q.positions()[k] - x;
         let d2 = delta.norm_sq();
         if d2 > 0.0 {
-            s += q.weights()[k] * q.normals()[k].dot(delta) * K::integrand::<LibmMath>(d2);
+            s += q.weights()[k] * q.normals()[k].dot(delta) * K::integrand(d2);
         }
     }
     K::radius(s, sys.molecule.radii()[atom], sys.born_cap)

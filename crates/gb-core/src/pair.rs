@@ -38,13 +38,13 @@
 use crate::arena::CachedLists;
 use crate::bins::ChargeBins;
 use crate::contenthash::{params_key, system_key};
-use crate::fastmath::{ApproxMath, ExactMath, MathMode};
+use crate::fastmath::ExactMath;
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
 use crate::integrals::{push_integrals_scratch, IntegralAcc};
 use crate::interaction::{
     exact_row_raw, AtomStreams, BornLists, EnergyExecScratch, ListScratch, SurfaceStreams,
 };
-use crate::params::{GbParams, MathKind, RadiiKind};
+use crate::params::{GbParams, RadiiKind};
 use crate::runners::with_kernels;
 use crate::system::GbSystem;
 use crate::workdiv::{fork_join, segment, segment_count, sum_segments, SegmentPartials};
@@ -97,31 +97,31 @@ impl Monomer {
         assert_eq!(lists.key, key, "lists were built for a different content key");
         let s: &GbSystem = &sys;
         let n = s.num_atoms();
-        with_kernels!(s.params, M, K => {
-            let mut acc = IntegralAcc::zeros(s);
-            let mut work = lists.born.build_work;
-            work += lists.born.execute_range::<M, K>(s, 0..lists.born.num_qleaves(), &mut acc);
-            let self_flat = acc.to_flat();
-            let mut radii_tree = vec![0.0; n];
-            let mut stack = Vec::new();
-            work += push_integrals_scratch::<M, K>(s, &acc, 0..n, &mut radii_tree, &mut stack);
-            let mut bins = ChargeBins::empty();
-            bins.recompute(s, &radii_tree);
-            let mut exec = EnergyExecScratch::new();
-            let (raw, _) = lists.energy.execute_leaves::<M>(
-                s, &bins, &radii_tree, 0..lists.energy.num_vleaves(), &mut exec);
-            let solo_energy_kcal = finalize_energy(raw, s.params.tau());
-            let pk = params_key(&s.params);
-            Monomer {
-                key,
-                params_key: pk,
-                sys,
-                lists,
-                self_flat,
-                self_work: work,
-                solo_energy_kcal,
-            }
-        })
+        let mut acc = IntegralAcc::zeros(s);
+        let mut work = lists.born.build_work;
+        let (mut radii, mut stack) = (vec![0.0; n], Vec::new());
+        let born_rows = 0..lists.born.num_qleaves();
+        with_kernels!(s.params, K => {
+            work += lists.born.execute_range::<ExactMath, K>(s, born_rows, &mut acc);
+            work += push_integrals_scratch::<ExactMath, K>(s, &acc, 0..n, &mut radii, &mut stack);
+        });
+        let self_flat = acc.to_flat();
+        let mut bins = ChargeBins::empty();
+        bins.recompute(s, &radii);
+        let mut exec = EnergyExecScratch::new();
+        let (raw, _) = lists.energy.execute_leaves::<ExactMath>(
+            s, &bins, &radii, 0..lists.energy.num_vleaves(), &mut exec);
+        let solo_energy_kcal = finalize_energy(raw, s.params.tau());
+        let pk = params_key(&s.params);
+        Monomer {
+            key,
+            params_key: pk,
+            sys,
+            lists,
+            self_flat,
+            self_work: work,
+            solo_energy_kcal,
+        }
     }
 
     /// Heap footprint in bytes of the artifacts this monomer owns
@@ -273,26 +273,21 @@ impl CrossSide {
 
     /// Runs monomer `m`'s half: `atoms` are `m`'s (canonical or posed)
     /// atoms, `surface` the other monomer's.
-    fn run<M: MathMode, K: RadiiApprox>(
-        &mut self,
-        m: &Monomer,
-        atoms: AtomStreams,
-        surface: SurfaceStreams,
-    ) {
+    fn run<K: RadiiApprox>(&mut self, m: &Monomer, atoms: AtomStreams, surface: SurfaceStreams) {
         let s: &GbSystem = &m.sys;
         let threshold = s.params.radii_mac_threshold();
         self.lists.rebuild_cross(atoms.tree, surface.tree, threshold, &mut self.ls);
         self.acc.reset_for(s);
         self.acc.copy_from_flat(&m.self_flat);
         let ords = 0..self.lists.num_qleaves();
-        let exec = self.lists.execute::<M, K>(atoms, surface, ords, &mut self.acc);
+        let exec = self.lists.execute::<K>(atoms, surface, ords, &mut self.acc);
         // the push is topology-only, so it runs in the canonical tree
         // (a posed copy shares it)
         let n = s.num_atoms();
         self.radii.clear();
         self.radii.resize(n, 0.0);
-        let push =
-            push_integrals_scratch::<M, K>(s, &self.acc, 0..n, &mut self.radii, &mut self.push_stack);
+        let (radii, stack) = (&mut self.radii, &mut self.push_stack);
+        let push = push_integrals_scratch::<ExactMath, K>(s, &self.acc, 0..n, radii, stack);
         self.bins.recompute(s, &self.radii);
         self.work = [self.lists.build_work, exec, push];
     }
@@ -320,65 +315,66 @@ pub fn evaluate_pair_ws(
     let PairScratch { posed, sides, execs, partials } = scratch;
     let posed = &*posed;
 
-    with_kernels!(sa.params, M, K => {
-        // Born integrals: each monomer starts from its cached own-surface
-        // image and adds its posed cross terms, then pushes and bins
-        let side = |i: usize, side: &mut CrossSide| match i {
-            0 => side.run::<M, K>(a, AtomStreams::of(sa), posed.surface(sb)),
-            _ => side.run::<M, K>(b, posed.atoms(), SurfaceStreams::of(sa)),
-        };
-        if execs.len() > 1 {
-            fork_join(sides, side);
-        } else {
-            sides.iter_mut().enumerate().for_each(|(i, s)| side(i, s));
+    // Born integrals: each monomer starts from its cached own-surface
+    // image and adds its posed cross terms, then pushes and bins
+    let side = |i: usize, side: &mut CrossSide| {
+        with_kernels!(sa.params, K => match i {
+            0 => side.run::<K>(a, AtomStreams::of(sa), posed.surface(sb)),
+            _ => side.run::<K>(b, posed.atoms(), SurfaceStreams::of(sa)),
+        })
+    };
+    if execs.len() > 1 {
+        fork_join(sides, side);
+    } else {
+        sides.iter_mut().enumerate().for_each(|(i, s)| side(i, s));
+    }
+    let [sd_a, sd_b] = &*sides;
+    let mut work = a.self_work + b.self_work + sd_a.work[0];
+    work += sd_a.work[1];
+    work += sd_b.work[0];
+    work += sd_b.work[1];
+    work += sd_a.work[2];
+    work += sd_b.work[2];
+
+    // Energy: monomer-internal terms through the cached lists (complex
+    // radii), cross terms as the exact ordered-pair double sum — all
+    // three in fixed segments on the scratch's threads.
+    let (ra, rb) = (&sd_a.radii, &sd_b.radii);
+    let (raw_aa, ew_a) = a.lists.energy.execute_rows::<ExactMath, _>(
+        sa, &sd_a.bins, ra, 0..a.lists.energy.num_vleaves(), execs, partials);
+    let (raw_bb, ew_b) = b.lists.energy.execute_rows::<ExactMath, _>(
+        sb, &sd_b.bins, rb, 0..b.lists.energy.num_vleaves(), execs, partials);
+
+    // receptor atoms are the rows: each is one tile pass over the
+    // posed ligand's atoms, and segments of rows combine like the
+    // energy rows
+    let rows = 0..na;
+    let cross_segment = |k: usize, s: &mut EnergyExecScratch| {
+        let mut raw = 0.0;
+        for i in segment(&rows, k) {
+            let p = [sa.a_soa.x[i], sa.a_soa.y[i], sa.a_soa.z[i]];
+            raw += sa.charge_tree[i]
+                * exact_row_raw::<ExactMath>(p, ra[i], &posed.atoms, &sb.charge_tree, rb, s);
         }
-        let [sd_a, sd_b] = &*sides;
-        let mut work = a.self_work + b.self_work + sd_a.work[0];
-        work += sd_a.work[1];
-        work += sd_b.work[0];
-        work += sd_b.work[1];
-        work += sd_a.work[2];
-        work += sd_b.work[2];
+        (raw, 0.0)
+    };
+    let (raw_cross, _) = sum_segments(execs, partials, segment_count(&rows), cross_segment);
+    work += ew_a + ew_b + (na * nb) as f64;
 
-        // Energy: monomer-internal terms through the cached lists (complex
-        // radii), cross terms as the exact ordered-pair double sum — all
-        // three in fixed segments on the scratch's threads.
-        let (ra, rb) = (&sd_a.radii, &sd_b.radii);
-        let (raw_aa, ew_a) = a.lists.energy.execute_rows::<M, _>(
-            sa, &sd_a.bins, ra, 0..a.lists.energy.num_vleaves(), execs, partials);
-        let (raw_bb, ew_b) = b.lists.energy.execute_rows::<M, _>(
-            sb, &sd_b.bins, rb, 0..b.lists.energy.num_vleaves(), execs, partials);
-
-        // receptor atoms are the rows: each is one tile pass over the
-        // posed ligand's atoms, and segments of rows combine like the
-        // energy rows
-        let rows = 0..na;
-        let cross_segment = |k: usize, s: &mut EnergyExecScratch| {
-            let mut raw = 0.0;
-            for i in segment(&rows, k) {
-                let p = [sa.a_soa.x[i], sa.a_soa.y[i], sa.a_soa.z[i]];
-                raw += sa.charge_tree[i]
-                    * exact_row_raw::<M>(p, ra[i], &posed.atoms, &sb.charge_tree, rb, s);
-            }
-            (raw, 0.0)
-        };
-        let (raw_cross, _) = sum_segments(execs, partials, segment_count(&rows), cross_segment);
-        work += ew_a + ew_b + (na * nb) as f64;
-
-        // raw sums count ordered pairs, so the A×B block appears twice
-        let raw = raw_aa + raw_bb + 2.0 * raw_cross;
-        let energy_kcal = finalize_energy(raw, sa.params.tau());
-        PairOutcome {
-            energy_kcal,
-            delta_kcal: energy_kcal - a.solo_energy_kcal - b.solo_energy_kcal,
-            work,
-        }
-    })
+    // raw sums count ordered pairs, so the A×B block appears twice
+    let raw = raw_aa + raw_bb + 2.0 * raw_cross;
+    let energy_kcal = finalize_energy(raw, sa.params.tau());
+    PairOutcome {
+        energy_kcal,
+        delta_kcal: energy_kcal - a.solo_energy_kcal - b.solo_energy_kcal,
+        work,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fastmath::MathMode;
     use gb_geom::Vec3;
     use gb_molecule::{synthesize_protein, SyntheticParams};
 
@@ -415,7 +411,7 @@ mod tests {
             for &a_id in &far[far_off[ord]..far_off[ord + 1]] {
                 let delta = qn.centroid - ta.node(a_id).centroid;
                 acc.node_s[a_id as usize] += agg[q_leaf as usize].dot(delta)
-                    * R6::integrand::<ExactMath>(delta.norm_sq());
+                    * R6::integrand(delta.norm_sq());
             }
             for &a_id in &near[near_off[ord]..near_off[ord + 1]] {
                 for k in qn.range() {
@@ -424,7 +420,7 @@ mod tests {
                         let d2 = d.norm_sq();
                         if d2 > 0.0 {
                             acc.atom_s[i] +=
-                                weights[k] * d.dot(normals[k]) * R6::integrand::<ExactMath>(d2);
+                                weights[k] * d.dot(normals[k]) * R6::integrand(d2);
                         }
                     }
                 }

@@ -3,18 +3,17 @@
 use gb_surface::SurfaceParams;
 use serde::{Deserialize, Serialize};
 
-/// Which math kernels the hot loops use (paper §V: "approximate math" for
-/// square root and power functions gave a 1.42× speedup and shifted errors
-/// by 4–5 %).
+/// The math kernels of the hot loops. One mode is left: the paper's
+/// "approximate math" switch (§V-E) measured no faster than the exact
+/// kernels here and was removed. The enum and [`GbParams::math`] stay only
+/// because the benchmark package asserts `math == MathKind::Exact`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MathKind {
     /// Full accuracy (the paper's "approximate math off"): IEEE `sqrt`
     /// and the in-crate ≲2-ulp polynomial `exp`
     /// ([`crate::simd::poly_exp`], `< 1e-15` relative to libm), so the
-    /// bits do not depend on the host's libm. The default.
+    /// bits do not depend on the host's libm.
     Exact,
-    /// Bit-trick reciprocal square root and Schraudolph exponential.
-    Approximate,
 }
 
 /// Which surface integral approximates the Born radii: the paper's Eq. 3
@@ -40,7 +39,7 @@ pub struct GbParams {
     pub eps_energy: f64,
     /// Octree leaf capacity for both trees.
     pub leaf_cap: usize,
-    /// Math kernels for the hot loops.
+    /// Math kernels for the hot loops (always [`MathKind::Exact`]).
     pub math: MathKind,
     /// Born-radius surface approximation (Eq. 3 vs Eq. 4).
     pub radii_kind: RadiiKind,
@@ -95,12 +94,6 @@ impl GbParams {
         assert!(eps_radii > 0.0 && eps_energy > 0.0, "ε must be positive");
         self.eps_radii = eps_radii;
         self.eps_energy = eps_energy;
-        self
-    }
-
-    /// Builder-style: set the math kind.
-    pub fn with_math(mut self, math: MathKind) -> GbParams {
-        self.math = math;
         self
     }
 

@@ -49,11 +49,11 @@
 use crate::bins::ChargeBins;
 use crate::commplan::{CommMode, CommPlan};
 use crate::error::GbError;
-use crate::fastmath::{ApproxMath, ExactMath, MathMode};
+use crate::fastmath::ExactMath;
 use crate::gbmath::{finalize_energy, pair_term, RadiiApprox, R4, R6};
 use crate::integrals::{push_integrals_scratch, IntegralAcc};
 use crate::interaction::{BornLists, EnergyExecScratch, EnergyLists, ListScratch};
-use crate::params::{MathKind, RadiiKind};
+use crate::params::RadiiKind;
 use crate::runners::sparse::{publish_to_consumers, reduce_pairs_to_owners};
 use crate::runners::with_kernels;
 use crate::system::{GbResult, GbSystem};
@@ -106,7 +106,7 @@ pub fn try_run_data_distributed_mode(
     let (mut results, report) = cluster.try_run(
         ranks,
         1,
-        |comm| with_kernels!(sys.params, M, K => rank_body::<M, K>(sys, comm, mode)),
+        |comm| with_kernels!(sys.params, K => rank_body::<K>(sys, comm, mode)),
     )?;
     Ok((results.swap_remove(0), report))
 }
@@ -254,7 +254,7 @@ fn halo_exchange(
     Ok(ghosts)
 }
 
-fn rank_body<M: MathMode, K: RadiiApprox>(
+fn rank_body<K: RadiiApprox>(
     sys: &GbSystem,
     comm: &mut Comm,
     mode: CommMode,
@@ -302,7 +302,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
         let q_agg = sys.q_normals[q as usize];
         for &a_id in &far[far_off[ord]..far_off[ord + 1]] {
             let delta = qn.centroid - sys.ta.node(a_id).centroid;
-            acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand::<M>(delta.norm_sq());
+            acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand(delta.norm_sq());
         }
         // near field: exact sums against owned or ghosted atom positions
         let q_lo = qn.begin as usize - shard.q_range.start;
@@ -321,7 +321,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
                     let delta = shard.q_pos[qk] - xa;
                     let d2 = delta.norm_sq();
                     if d2 > 0.0 {
-                        s += shard.q_wgt[qk] * shard.q_nrm[qk].dot(delta) * K::integrand::<M>(d2);
+                        s += shard.q_wgt[qk] * shard.q_nrm[qk].dot(delta) * K::integrand(d2);
                     }
                 }
                 acc.atom_s[pos] += s;
@@ -362,7 +362,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
 
     // ---- Push integrals to own atoms only: radii stay distributed.
     let mut my_radii = vec![0.0; shard.a_range.len()];
-    let push_work = push_integrals_scratch::<M, K>(
+    let push_work = push_integrals_scratch::<ExactMath, K>(
         sys,
         &acc,
         shard.a_range.clone(),
@@ -427,8 +427,8 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
 
     // ---- Energy phase: far field as histogram contractions over the
     // skeleton, near field as exact pairs, U atoms owned or ghosted.
-    let (mut raw, _) =
-        energy.execute_far::<M>(sys, &bins, shard.a_seg.clone(), &mut EnergyExecScratch::new());
+    let (far_rows, far_scratch) = (shard.a_seg.clone(), &mut EnergyExecScratch::new());
+    let (mut raw, _) = energy.execute_far::<ExactMath>(sys, &bins, far_rows, far_scratch);
     for ord in shard.a_seg.clone() {
         let vn = sys.ta.node(sys.ta.leaves()[ord]);
         for &u_id in &near[near_off[ord]..near_off[ord + 1]] {
@@ -450,7 +450,8 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
                 for vpos in vn.range() {
                     let local = vpos - shard.a_range.start;
                     let r_sq = xu.dist_sq(shard.a_pos[local]);
-                    row += pair_term::<M>(shard.a_charge[local], r_sq, ru * my_radii[local]);
+                    let rr = ru * my_radii[local];
+                    row += pair_term::<ExactMath>(shard.a_charge[local], r_sq, rr);
                 }
                 raw += qu * row;
             }
@@ -617,11 +618,9 @@ mod tests {
     }
 
     #[test]
-    fn works_with_r4_and_fast_math() {
+    fn works_with_r4() {
         let mol = synthesize_protein(&SyntheticParams::with_atoms(300, 89));
-        let params = GbParams::default()
-            .with_radii_kind(crate::params::RadiiKind::R4)
-            .with_math(MathKind::Approximate);
+        let params = GbParams::default().with_radii_kind(RadiiKind::R4);
         let sys = GbSystem::prepare(mol, params);
         let serial = run_serial(&sys);
         let (res, _) = run_data_distributed(&sys, &SimCluster::single_node(), 3);

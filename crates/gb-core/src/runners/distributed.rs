@@ -35,9 +35,9 @@
 use crate::arena::Workspace;
 use crate::commplan::CommMode;
 use crate::error::GbError;
-use crate::fastmath::{ApproxMath, ExactMath, MathMode};
+use crate::fastmath::ExactMath;
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
-use crate::params::{MathKind, RadiiKind};
+use crate::params::RadiiKind;
 use crate::runners::sparse::{publish_to_consumers, reduce_pairs_to_owners, reduce_to_owners_single};
 use crate::runners::{bin_build_work, execute_born, execute_energy, push_segment, with_kernels};
 use crate::system::{GbResult, GbSystem};
@@ -192,12 +192,13 @@ fn rank_body_dispatch(
     mode: CommMode,
     ws: &mut Workspace,
 ) -> Result<GbResult, CommError> {
-    with_kernels!(sys.params, M, K => rank_body::<M, K>(sys, comm, division, mode, ws))
+    with_kernels!(sys.params, K => rank_body::<K>(sys, comm, division, mode, ws))
 }
 
-/// The rank program, generic over the math mode; `comm.threads_per_rank()`
-/// sets the sub-segment split (see the module docs).
-fn rank_body<M: MathMode, K: RadiiApprox>(
+/// The rank program, generic over the Born-radius approximation;
+/// `comm.threads_per_rank()` sets the sub-segment split (see the module
+/// docs).
+fn rank_body<K: RadiiApprox>(
     sys: &GbSystem,
     comm: &mut Comm,
     division: WorkDivision,
@@ -264,7 +265,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
                 work += ws.born.build_work;
                 work_balanced_segments_into(ws.born.leaf_work(), p, &mut ws.seg_ranges);
                 let seg = ws.seg_ranges[rank].clone();
-                work += execute_born::<M, K>(sys, threads, ws, seg);
+                work += execute_born::<K>(sys, threads, ws, seg);
             }
             WorkDivision::AtomNode => {
                 // Atom-based division: every rank sweeps *all* T_Q rows with
@@ -276,7 +277,8 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
                 // is the clipped per-leaf traversal's tally, visits included.
                 let (rows, clip) = (0..sys.tq.num_leaves(), ws.atom_ranges[rank].clone());
                 ws.born.rebuild_part(sys, rows, clip, &mut ws.born_scratch);
-                work += ws.born.execute_range::<M, K>(sys, 0..ws.born.num_qleaves(), &mut ws.acc);
+                let all = 0..ws.born.num_qleaves();
+                work += ws.born.execute_range::<ExactMath, K>(sys, all, &mut ws.acc);
             }
         }
         if p > 1 {
@@ -338,7 +340,7 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
         // Step 4: Born radii for this rank's atom segment, written into a
         // buffer sized for the segment alone (no full-length scratch).
         let my_atoms = ws.atom_ranges[rank].clone();
-        let w = push_segment::<M, K>(sys, threads, ws, my_atoms);
+        let w = push_segment::<K>(sys, threads, ws, my_atoms);
         comm.record_work(w);
 
         // Step 5: allgather radii (variable-length segments, rank order ==
@@ -367,14 +369,14 @@ fn rank_body<M: MathMode, K: RadiiApprox>(
             let costs = ws.energy.leaf_costs(sys, &ws.bins);
             work_balanced_segments_into(&costs, p, &mut ws.seg_ranges);
             let seg = ws.seg_ranges[rank].clone();
-            let (raw, exec) = execute_energy::<M>(sys, threads, ws, &radii_tree, seg);
+            let (raw, exec) = execute_energy(sys, threads, ws, &radii_tree, seg);
             (raw, ws.energy.build_work + exec)
         }
         // execution work only, as for the clipped Born lists
         WorkDivision::AtomNode => {
             let atom_ords = leaves_starting_in(sys, &ws.atom_ranges[rank]);
             ws.energy.rebuild_part(sys, atom_ords.clone(), &mut ws.energy_scratch);
-            execute_energy::<M>(sys, threads, ws, &radii_tree, atom_ords)
+            execute_energy(sys, threads, ws, &radii_tree, atom_ords)
         }
     };
     comm.record_work(w);

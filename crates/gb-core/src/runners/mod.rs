@@ -39,38 +39,18 @@ pub use shared::run_shared;
 
 use crate::arena::Workspace;
 use crate::bins::ChargeBins;
-use crate::fastmath::MathMode;
+use crate::fastmath::ExactMath;
 use crate::gbmath::RadiiApprox;
 use crate::integrals::push_integrals_scratch;
 use crate::system::GbSystem;
 use crate::workdiv::{even_ranges_into, fork_join, work_balanced_segments_into};
 use std::ops::Range;
 
-/// Dispatches a generic kernel on the configured math kind.
-///
-/// Used by all runners so the hot loops monomorphize on the math mode
-/// instead of branching per term.
-macro_rules! with_math {
-    ($kind:expr, $m:ident => $body:expr) => {
-        match $kind {
-            MathKind::Exact => {
-                type $m = ExactMath;
-                $body
-            }
-            MathKind::Approximate => {
-                type $m = ApproxMath;
-                $body
-            }
-        }
-    };
-}
-pub(crate) use with_math;
-
-/// Dispatches on (math kind × Born-radius approximation): the four
-/// monomorphizations of the hot kernels.
+/// Dispatches a generic kernel on the configured Born-radius
+/// approximation: the two monomorphizations of the hot kernels.
 macro_rules! with_kernels {
-    ($params:expr, $m:ident, $k:ident => $body:expr) => {
-        crate::runners::with_math!($params.math, $m => match $params.radii_kind {
+    ($params:expr, $k:ident => $body:expr) => {
+        match $params.radii_kind {
             RadiiKind::R6 => {
                 type $k = R6;
                 $body
@@ -79,7 +59,7 @@ macro_rules! with_kernels {
                 type $k = R4;
                 $body
             }
-        })
+        }
     };
 }
 pub(crate) use with_kernels;
@@ -103,14 +83,14 @@ fn shifted(sub: &Range<usize>, start: usize) -> Range<usize> {
 
 /// Born integrals of the ordinals `seg` on `threads` threads, added into
 /// the (reset) `ws.acc`; returns the execution work.
-pub(crate) fn execute_born<M: MathMode, K: RadiiApprox>(
+pub(crate) fn execute_born<K: RadiiApprox>(
     sys: &GbSystem,
     threads: usize,
     ws: &mut Workspace,
     seg: Range<usize>,
 ) -> f64 {
     if threads == 1 {
-        return ws.born.execute_range::<M, K>(sys, seg, &mut ws.acc);
+        return ws.born.execute_range::<ExactMath, K>(sys, seg, &mut ws.acc);
     }
     work_balanced_segments_into(&ws.born.leaf_work()[seg.clone()], threads, &mut ws.leaf_ranges);
     ws.ensure_slots(threads);
@@ -118,7 +98,7 @@ pub(crate) fn execute_born<M: MathMode, K: RadiiApprox>(
     fork_join(&mut ws.slots[..threads], |t, slot| {
         slot.acc.reset_for(sys);
         let ords = shifted(&subs[t], seg.start);
-        slot.acc_work = born.execute_range::<M, K>(sys, ords, &mut slot.acc);
+        slot.acc_work = born.execute_range::<ExactMath, K>(sys, ords, &mut slot.acc);
     });
     let mut work = 0.0;
     for slot in &ws.slots[..threads] {
@@ -130,7 +110,7 @@ pub(crate) fn execute_born<M: MathMode, K: RadiiApprox>(
 
 /// Born radii of the tree positions `atoms` on `threads` threads, into
 /// `ws.radii_tree` (sized to the segment); returns the push work.
-pub(crate) fn push_segment<M: MathMode, K: RadiiApprox>(
+pub(crate) fn push_segment<K: RadiiApprox>(
     sys: &GbSystem,
     threads: usize,
     ws: &mut Workspace,
@@ -140,7 +120,7 @@ pub(crate) fn push_segment<M: MathMode, K: RadiiApprox>(
     ws.radii_tree.resize(atoms.len(), 0.0);
     if threads == 1 {
         let (radii, stack) = (&mut ws.radii_tree, &mut ws.push_stack);
-        return push_integrals_scratch::<M, K>(sys, &ws.acc, atoms, radii, stack);
+        return push_integrals_scratch::<ExactMath, K>(sys, &ws.acc, atoms, radii, stack);
     }
     even_ranges_into(atoms.len(), threads, &mut ws.leaf_ranges);
     ws.ensure_slots(threads);
@@ -150,7 +130,7 @@ pub(crate) fn push_segment<M: MathMode, K: RadiiApprox>(
         slot.radii.resize(subs[t].len(), 0.0);
         let range = shifted(&subs[t], atoms.start);
         let (radii, stack) = (&mut slot.radii, &mut slot.push_stack);
-        slot.push_work = push_integrals_scratch::<M, K>(sys, acc, range, radii, stack);
+        slot.push_work = push_integrals_scratch::<ExactMath, K>(sys, acc, range, radii, stack);
     });
     let mut work = 0.0;
     for (slot, sub) in ws.slots.iter().zip(&ws.leaf_ranges) {
@@ -166,7 +146,7 @@ pub(crate) fn push_segment<M: MathMode, K: RadiiApprox>(
 /// same at every `threads`. Returns `(raw energy, execution work)`.
 ///
 /// [`EnergyLists::execute_rows`]: crate::interaction::EnergyLists::execute_rows
-pub(crate) fn execute_energy<M: MathMode>(
+pub(crate) fn execute_energy(
     sys: &GbSystem,
     threads: usize,
     ws: &mut Workspace,
@@ -174,17 +154,18 @@ pub(crate) fn execute_energy<M: MathMode>(
     seg: Range<usize>,
 ) -> (f64, f64) {
     if threads == 1 {
-        return ws.energy.execute_leaves::<M>(sys, &ws.bins, radii_tree, seg, &mut ws.energy_exec);
+        let scratch = &mut ws.energy_exec;
+        return ws.energy.execute_leaves::<ExactMath>(sys, &ws.bins, radii_tree, seg, scratch);
     }
     ws.ensure_slots(threads);
     let slots = &mut ws.slots[..threads];
-    ws.energy.execute_rows::<M, _>(sys, &ws.bins, radii_tree, seg, slots, &mut ws.energy_partials)
+    let partials = &mut ws.energy_partials;
+    ws.energy.execute_rows::<ExactMath, _>(sys, &ws.bins, radii_tree, seg, slots, partials)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fastmath::ExactMath;
     use crate::params::GbParams;
     use crate::runners::serial::run_serial_ws;
     use gb_molecule::{synthesize_protein, SyntheticParams};
@@ -202,11 +183,10 @@ mod tests {
         let n = ws.energy.num_vleaves();
         assert!(n > 8 * crate::workdiv::SEGMENT_ROWS, "{n} rows: too few segments");
         for rows in [0..n, 37..n - 5] {
-            let (raw1, work1) = execute_energy::<ExactMath>(&sys, 1, &mut ws, &radii, rows.clone());
+            let (raw1, work1) = execute_energy(&sys, 1, &mut ws, &radii, rows.clone());
             for t in 2..=4 {
                 for run in 0..3 {
-                    let (raw, work) =
-                        execute_energy::<ExactMath>(&sys, t, &mut ws, &radii, rows.clone());
+                    let (raw, work) = execute_energy(&sys, t, &mut ws, &radii, rows.clone());
                     let what = format!("rows {rows:?}, T={t}, run {run}");
                     assert_eq!(raw.to_bits(), raw1.to_bits(), "{what}: raw");
                     assert_eq!(work.to_bits(), work1.to_bits(), "{what}: work");

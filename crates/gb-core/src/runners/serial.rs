@@ -11,9 +11,8 @@
 //! within the 1e-12 band the tests check.
 
 use crate::arena::{Workspace, WsOutput};
-use crate::fastmath::{ApproxMath, ExactMath};
 use crate::gbmath::{finalize_energy, R4, R6};
-use crate::params::{MathKind, RadiiKind};
+use crate::params::RadiiKind;
 use crate::runners::{execute_born, execute_energy, push_segment, with_kernels};
 use crate::system::{GbResult, GbSystem};
 
@@ -55,28 +54,28 @@ pub fn run_serial_ws(sys: &GbSystem, ws: &mut Workspace) -> WsOutput {
 /// runner; more is the shared runner, `to_bits` one hybrid rank of that
 /// many threads.
 pub(crate) fn run_pipeline_ws(sys: &GbSystem, threads: usize, ws: &mut Workspace) -> WsOutput {
-    with_kernels!(sys.params, M, K => {
-        // Born phase: one row sweep per driving leaf (rebuilt in place),
-        // then stream the lists.
-        ws.ready_born_lists(sys);
-        ws.acc.reset_for(sys);
-        let mut born_work = ws.born.build_work;
-        born_work += execute_born::<M, K>(sys, threads, ws, 0..ws.born.num_qleaves());
-        born_work += push_segment::<M, K>(sys, threads, ws, 0..sys.num_atoms());
+    // Born phase: one row sweep per driving leaf (rebuilt in place), then
+    // stream the lists.
+    ws.ready_born_lists(sys);
+    ws.acc.reset_for(sys);
+    let mut born_work = ws.born.build_work;
+    with_kernels!(sys.params, K => {
+        born_work += execute_born::<K>(sys, threads, ws, 0..ws.born.num_qleaves());
+        born_work += push_segment::<K>(sys, threads, ws, 0..sys.num_atoms());
+    });
 
-        // Energy phase: every (T_A, T_A) row in fixed segments.
-        ws.ready_energy_lists(sys);
-        ws.bins.recompute(sys, &ws.radii_tree);
-        let radii_tree = std::mem::take(&mut ws.radii_tree);
-        let leaves = 0..ws.energy.num_vleaves();
-        let (raw, exec_work) = execute_energy::<M>(sys, threads, ws, &radii_tree, leaves);
-        ws.radii_tree = radii_tree;
-        let energy_work = ws.energy.build_work + exec_work;
-        let energy_kcal = finalize_energy(raw, sys.params.tau());
+    // Energy phase: every (T_A, T_A) row in fixed segments.
+    ws.ready_energy_lists(sys);
+    ws.bins.recompute(sys, &ws.radii_tree);
+    let radii_tree = std::mem::take(&mut ws.radii_tree);
+    let leaves = 0..ws.energy.num_vleaves();
+    let (raw, exec_work) = execute_energy(sys, threads, ws, &radii_tree, leaves);
+    ws.radii_tree = radii_tree;
+    let energy_work = ws.energy.build_work + exec_work;
+    let energy_kcal = finalize_energy(raw, sys.params.tau());
 
-        sys.radii_to_original_into(&ws.radii_tree, &mut ws.radii_out);
-        WsOutput { energy_kcal, born_work, energy_work }
-    })
+    sys.radii_to_original_into(&ws.radii_tree, &mut ws.radii_out);
+    WsOutput { energy_kcal, born_work, energy_work }
 }
 
 #[cfg(test)]
@@ -124,18 +123,6 @@ mod tests {
             oct_growth < 0.9 * naive_growth,
             "octree growth {oct_growth} vs naive growth {naive_growth}"
         );
-    }
-
-    #[test]
-    fn approximate_math_shifts_energy_slightly() {
-        let s_exact = sys(400, 0.9);
-        let mut s_approx = s_exact.clone();
-        s_approx.params.math = MathKind::Approximate;
-        let e_exact = run_serial(&s_exact).result.energy_kcal;
-        let e_approx = run_serial(&s_approx).result.energy_kcal;
-        let shift = ((e_approx - e_exact) / e_exact).abs();
-        assert!(shift > 0.0, "approx math should change the result");
-        assert!(shift < 0.10, "approx math shift too large: {shift}");
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn available_threads() -> usize {
 mod tests {
     use super::*;
     use crate::commplan::CommMode;
-    use crate::params::{GbParams, MathKind};
+    use crate::params::GbParams;
     use crate::runners::hybrid::try_run_hybrid_mode;
     use crate::runners::serial::run_serial;
     use gb_cluster::SimCluster;
@@ -129,18 +129,6 @@ mod tests {
         let rel = (serial.born_work - shared.born_work).abs() / serial.born_work;
         assert!(rel < 0.05, "born work diverged by {rel}");
         assert!((serial.energy_work - shared.energy_work).abs() < 1e-6);
-    }
-
-    #[test]
-    fn shared_with_approx_math_equals_serial_approx() {
-        let mut s = sys(300);
-        s.params.math = MathKind::Approximate;
-        let serial = run_serial(&s);
-        let shared = run_shared(&s);
-        assert!(
-            (serial.result.energy_kcal - shared.result.energy_kcal).abs()
-                < 1e-12 * serial.result.energy_kcal.abs()
-        );
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! The host's SIMD level and the in-crate exponential of the exact math
 //! mode.
 //!
-//! [`SimdLevel`] names the widest vector unit the CPU offers (`scalar`,
-//! `portable`, `avx2`, `avx512`), overridable with the `GB_SIMD`
-//! environment variable. It is a report only — benchmark stamps record
-//! it — and selects no code path: nothing in the crate is hand-packed.
-//! With `-C target-cpu=native` the compiler autovectorizes the hot loops
-//! at the host's full register width, and that has beaten every
-//! intrinsic kernel measured here: the 4-lane AVX2 Born near-field kernel
-//! (111 vs 82 ms Born exec at 10k atoms, AVX-512 host) and the AVX2 /
-//! AVX-512 packed exponential, whose default energy exec at 20k atoms
-//! (582 ms scalar loop, 564 portable, 601 avx2, 578 avx512) sat inside
-//! the run-to-run noise of the plain loop. Both were removed. Results
-//! therefore cannot depend on the level; only the math mode
-//! (`MathKind`) changes bits. DESIGN.md ("Vectorization & determinism")
-//! documents the policy.
+//! [`SimdLevel`] names the widest vector unit the CPU offers (`portable`,
+//! `avx2`, `avx512`). It is a report only — benchmark stamps record it —
+//! and selects no code path: nothing in the crate is hand-packed. With
+//! `-C target-cpu=native` the compiler autovectorizes the hot loops at
+//! the host's full register width, and that has beaten every intrinsic
+//! kernel measured here: the 4-lane AVX2 Born near-field kernel (111 vs
+//! 82 ms Born exec at 10k atoms, AVX-512 host) and the AVX2 / AVX-512
+//! packed exponential, whose default energy exec at 20k atoms (582 ms
+//! scalar loop, 564 portable, 601 avx2, 578 avx512) sat inside the
+//! run-to-run noise of the plain loop. Both were removed. Results
+//! therefore cannot depend on the level. DESIGN.md ("Vectorization &
+//! determinism") documents the policy.
 //!
 //! The polynomial exponential [`poly_exp`] follows the classic Cephes
 //! `exp` kernel (range reduction by `n = ⌊x·log₂e + ½⌋`, two-part `ln 2`
@@ -31,8 +29,6 @@ use std::sync::OnceLock;
 /// The widest vector unit of the host, as reported in benchmark stamps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// No vector unit assumed (only reachable through `GB_SIMD`).
-    Scalar,
     /// A vector unit narrower than AVX2+FMA, or none detected.
     Portable,
     /// AVX2 with FMA.
@@ -42,58 +38,25 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Detects the level: the `GB_SIMD` override if set (an unrecognized
-    /// value falls back to auto-detection, and `avx512`/`avx2` without
-    /// hardware support degrade to the next level down), else the widest
-    /// unit the CPU offers (`avx512f` → `avx2`+`fma` → portable).
-    pub fn detect() -> SimdLevel {
-        match std::env::var("GB_SIMD") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "scalar" => SimdLevel::Scalar,
-                "portable" => SimdLevel::Portable,
-                "avx2" => {
-                    if avx2_available() {
-                        SimdLevel::Avx2
-                    } else {
-                        SimdLevel::Portable
-                    }
-                }
-                "avx512" => {
-                    if avx512_available() {
-                        SimdLevel::Avx512
-                    } else if avx2_available() {
-                        SimdLevel::Avx2
-                    } else {
-                        SimdLevel::Portable
-                    }
-                }
-                _ => Self::auto(),
-            },
-            Err(_) => Self::auto(),
-        }
-    }
-
-    fn auto() -> SimdLevel {
-        if avx512_available() {
-            SimdLevel::Avx512
-        } else if avx2_available() {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Portable
-        }
-    }
-
-    /// The process-wide level, detected once and cached.
+    /// The widest unit the CPU offers (`avx512f` → `avx2`+`fma` →
+    /// portable), detected once per process and cached.
     #[inline]
     pub fn active() -> SimdLevel {
         static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-        *LEVEL.get_or_init(SimdLevel::detect)
+        *LEVEL.get_or_init(|| {
+            if avx512_available() {
+                SimdLevel::Avx512
+            } else if avx2_available() {
+                SimdLevel::Avx2
+            } else {
+                SimdLevel::Portable
+            }
+        })
     }
 
     /// Lowercase name for reports and bench JSON.
     pub fn name(self) -> &'static str {
         match self {
-            SimdLevel::Scalar => "scalar",
             SimdLevel::Portable => "portable",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
@@ -247,14 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn detect_honours_env_override_shape() {
-        // can't mutate the env of the already-cached process level safely;
-        // just pin the parsing contract on a fresh detect() call
-        let lvl = SimdLevel::detect();
-        assert!(matches!(
-            lvl,
-            SimdLevel::Scalar | SimdLevel::Portable | SimdLevel::Avx2 | SimdLevel::Avx512
-        ));
-        assert!(!lvl.name().is_empty());
+    fn active_level_is_cached_and_named() {
+        let lvl = SimdLevel::active();
+        assert_eq!(lvl, SimdLevel::active());
+        assert!(["portable", "avx2", "avx512"].contains(&lvl.name()));
     }
 }

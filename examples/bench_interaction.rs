@@ -147,7 +147,7 @@ fn main() {
         let mut stack = Vec::new();
         let mut work = 0.0;
         for &q in sys.tq.leaves() {
-            work += accumulate_qleaf::<ExactMath, R6>(&sys, q, &mut acc, &mut stack);
+            work += accumulate_qleaf::<R6>(&sys, q, &mut acc, &mut stack);
         }
         std::hint::black_box(&acc);
         work

@@ -43,19 +43,4 @@ fn main() {
             base / work
         );
     }
-
-    println!("\napproximate-math switch (paper §V-E):");
-    let sys = GbSystem::prepare(molecule.clone(), GbParams::default());
-    let exact_math = run_shared(&sys);
-    let sys_fast = GbSystem::prepare(
-        molecule,
-        GbParams::default().with_math(MathKind::Approximate),
-    );
-    let fast = run_shared(&sys_fast);
-    println!(
-        "  exact math : {:.3} kcal/mol\n  approx math: {:.3} kcal/mol ({:+.2}% shift)",
-        exact_math.result.energy_kcal,
-        fast.result.energy_kcal,
-        percent_error(fast.result.energy_kcal, exact_math.result.energy_kcal)
-    );
 }

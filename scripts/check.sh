@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full pre-merge check: release build, test suite, lints, rustdoc.
+# Full pre-merge check: release build, test suite, lints, rustdoc, and a
+# build of the benchmark package.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,3 +23,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --lib -- -D warnings -D unused-crate-dependencies
 # Doc links must resolve: a link to a deleted or private item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+# perfbench/ is a package of its own (outside the root workspace), so the
+# steps above never compile it; a library change that breaks the frozen
+# benchmark fails here, as in CI's separate step.
+cargo build --release --manifest-path perfbench/Cargo.toml

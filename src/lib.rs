@@ -59,9 +59,7 @@ pub use gb_core::runners::{
     run_serial, run_shared, try_run_data_distributed_mode, try_run_distributed_mode,
     try_run_frame_distributed, try_run_frame_hybrid, try_run_hybrid_mode, FrameOutcome,
 };
-pub use gb_core::{
-    CommMode, FrameUpdate, GbParams, GbResult, GbSystem, MathKind, RadiiKind, WorkDivision,
-};
+pub use gb_core::{CommMode, FrameUpdate, GbParams, GbResult, GbSystem, RadiiKind, WorkDivision};
 pub use gb_molecule::{synthesize_protein, virus_shell, Molecule, SyntheticParams};
 pub use gb_serve::{EvalOutcome, EvalRequest, GbService, ServeConfig, ServeStats};
 pub use gb_surface::SurfaceParams;
@@ -77,7 +75,7 @@ pub mod prelude {
         try_run_frame_distributed, try_run_frame_hybrid, try_run_hybrid_mode, FrameOutcome,
     };
     pub use gb_core::{
-        CommMode, FrameUpdate, GbParams, GbResult, GbSystem, MathKind, RadiiKind, WorkDivision,
+        CommMode, FrameUpdate, GbParams, GbResult, GbSystem, RadiiKind, WorkDivision,
     };
     pub use gb_molecule::{
         synthesize_protein, virus_shell, zdock_suite, Atom, Element, Molecule, SyntheticParams,

@@ -3,7 +3,7 @@
 
 use gb_polarize::core::bins::ChargeBins;
 use gb_polarize::core::energy::energy_for_leaves;
-use gb_polarize::core::fastmath::{ApproxMath, ExactMath, MathMode};
+use gb_polarize::core::fastmath::ExactMath;
 use gb_polarize::core::gbmath::{RadiiApprox, R4, R6};
 use gb_polarize::core::integrals::{accumulate_qleaf, push_integrals_to_atoms, IntegralAcc};
 use gb_polarize::core::{BornLists, EnergyLists};
@@ -15,29 +15,29 @@ use proptest::prelude::*;
 /// Runs one full pipeline twice — per-leaf traversal oracle vs the
 /// interaction-list engine — and returns (max relative radii divergence,
 /// relative raw-energy divergence).
-fn engine_divergence<M: MathMode, K: RadiiApprox>(sys: &GbSystem) -> (f64, f64) {
+fn engine_divergence<K: RadiiApprox>(sys: &GbSystem) -> (f64, f64) {
     // traversal-driven oracle
     let mut acc_t = IntegralAcc::zeros(sys);
     let mut stack = Vec::new();
     for &q in sys.tq.leaves() {
-        accumulate_qleaf::<M, K>(sys, q, &mut acc_t, &mut stack);
+        accumulate_qleaf::<K>(sys, q, &mut acc_t, &mut stack);
     }
     let mut radii_t = vec![0.0; sys.num_atoms()];
     push_integrals_to_atoms::<K>(sys, &acc_t, 0..sys.num_atoms(), &mut radii_t);
     let bins_t = ChargeBins::compute(sys, &radii_t);
-    let (raw_t, _) = energy_for_leaves::<M>(sys, &bins_t, &radii_t, sys.ta.leaves());
+    let (raw_t, _) = energy_for_leaves::<ExactMath>(sys, &bins_t, &radii_t, sys.ta.leaves());
 
     // list-driven engine
     let born = BornLists::build(sys);
     let mut acc_l = IntegralAcc::zeros(sys);
-    born.execute_range::<M, K>(sys, 0..born.num_qleaves(), &mut acc_l);
+    born.execute_range::<ExactMath, K>(sys, 0..born.num_qleaves(), &mut acc_l);
     let mut radii_l = vec![0.0; sys.num_atoms()];
     push_integrals_to_atoms::<K>(sys, &acc_l, 0..sys.num_atoms(), &mut radii_l);
     let bins_l = ChargeBins::compute(sys, &radii_l);
     let energy = EnergyLists::build(sys);
     let mut scratch = gb_polarize::core::EnergyExecScratch::new();
-    let (raw_l, _) =
-        energy.execute_leaves::<M>(sys, &bins_l, &radii_l, 0..energy.num_vleaves(), &mut scratch);
+    let rows = 0..energy.num_vleaves();
+    let (raw_l, _) = energy.execute_leaves::<ExactMath>(sys, &bins_l, &radii_l, rows, &mut scratch);
 
     let mut dr = 0.0f64;
     for (a, b) in radii_t.iter().zip(&radii_l) {
@@ -47,31 +47,23 @@ fn engine_divergence<M: MathMode, K: RadiiApprox>(sys: &GbSystem) -> (f64, f64) 
     (dr, de)
 }
 
-fn engine_divergence_for(n: usize, seed: u64, math: MathKind, radii: RadiiKind) -> (f64, f64) {
+fn engine_divergence_for(n: usize, seed: u64, radii: RadiiKind) -> (f64, f64) {
     let mol = synthesize_protein(&SyntheticParams::with_atoms(n, seed));
-    let params = GbParams { math, radii_kind: radii, ..GbParams::default() };
-    let sys = GbSystem::prepare(mol, params);
-    match (math, radii) {
-        (MathKind::Exact, RadiiKind::R6) => engine_divergence::<ExactMath, R6>(&sys),
-        (MathKind::Exact, RadiiKind::R4) => engine_divergence::<ExactMath, R4>(&sys),
-        (MathKind::Approximate, RadiiKind::R6) => engine_divergence::<ApproxMath, R6>(&sys),
-        (MathKind::Approximate, RadiiKind::R4) => engine_divergence::<ApproxMath, R4>(&sys),
+    let sys = GbSystem::prepare(mol, GbParams::default().with_radii_kind(radii));
+    match radii {
+        RadiiKind::R6 => engine_divergence::<R6>(&sys),
+        RadiiKind::R4 => engine_divergence::<R4>(&sys),
     }
 }
 
 #[test]
 fn list_engine_matches_traversal_for_all_kernel_combos() {
-    // deterministic sweep: every MathKind × RadiiKind monomorphization, at
+    // deterministic sweep: every RadiiKind monomorphization, at
     // degenerate (1-atom / single-leaf) and multi-level tree sizes
     for n in [1usize, 2, 25, 400] {
-        for math in [MathKind::Exact, MathKind::Approximate] {
-            for radii in [RadiiKind::R6, RadiiKind::R4] {
-                let (dr, de) = engine_divergence_for(n, 7, math, radii);
-                assert!(
-                    dr < 1e-12 && de < 1e-12,
-                    "n={n} {math:?} {radii:?}: radii {dr:e}, energy {de:e}"
-                );
-            }
+        for radii in [RadiiKind::R6, RadiiKind::R4] {
+            let (dr, de) = engine_divergence_for(n, 7, radii);
+            assert!(dr < 1e-12 && de < 1e-12, "n={n} {radii:?}: radii {dr:e}, energy {de:e}");
         }
     }
 }
@@ -182,22 +174,6 @@ proptest! {
         let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
         prop_assert!(lens.iter().max().unwrap() - lens.iter().min().unwrap() <= 1);
     }
-
-    #[test]
-    fn fast_exp_stays_within_five_percent(x in -60.0f64..0.0) {
-        let got = gb_polarize::core::fastmath::fast_exp(x);
-        let want = x.exp();
-        if want > 1e-12 {
-            prop_assert!(((got - want) / want).abs() < 0.05, "x={x}");
-        }
-    }
-
-    #[test]
-    fn fast_rsqrt_stays_within_half_percent(x in 1e-6f64..1e9) {
-        let got = gb_polarize::core::fastmath::fast_rsqrt(x);
-        let want = 1.0 / x.sqrt();
-        prop_assert!(((got - want) / want).abs() < 5e-3, "x={x}");
-    }
 }
 
 proptest! {
@@ -226,14 +202,12 @@ proptest! {
     fn list_engine_matches_traversal_engine(
         n in 1usize..70,
         seed in 0u64..500,
-        math_idx in 0usize..2,
         radii_idx in 0usize..2,
     ) {
-        let math = if math_idx == 0 { MathKind::Exact } else { MathKind::Approximate };
         let radii = if radii_idx == 0 { RadiiKind::R6 } else { RadiiKind::R4 };
-        let (dr, de) = engine_divergence_for(n, seed, math, radii);
-        prop_assert!(dr < 1e-12, "radii diverged by {dr:e} (n={n}, {math:?}, {radii:?})");
-        prop_assert!(de < 1e-12, "energy diverged by {de:e} (n={n}, {math:?}, {radii:?})");
+        let (dr, de) = engine_divergence_for(n, seed, radii);
+        prop_assert!(dr < 1e-12, "radii diverged by {dr:e} (n={n}, {radii:?})");
+        prop_assert!(de < 1e-12, "energy diverged by {de:e} (n={n}, {radii:?})");
     }
 
     #[test]
