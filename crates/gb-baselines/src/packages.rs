@@ -14,10 +14,9 @@ use crate::models::{hct_radii, obc_radii, still_radii, volume_r6_radii};
 use gb_core::fastmath::ExactMath;
 use gb_core::gbmath::{finalize_energy, pair_term};
 use gb_molecule::Molecule;
-use serde::{Deserialize, Serialize};
 
 /// The packages of paper Table II.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Package {
     Amber,
     Gromacs,
@@ -57,7 +56,7 @@ pub struct PackageProfile {
 }
 
 /// Why (or whether) a baseline run completed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BaselineStatus {
     /// Ran at its configured cutoff / enumeration.
     Ok,

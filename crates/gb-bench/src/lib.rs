@@ -34,14 +34,14 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--tiny` / `--quick` / `--full` flags; defaults to quick.
-    pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else if args.iter().any(|a| a == "--tiny") {
-            Scale::Tiny
-        } else {
-            Scale::Quick
+    /// The scale a `--tiny` / `--quick` / `--full` flag names; `None` for
+    /// any other argument.
+    pub fn from_flag(flag: &str) -> Option<Scale> {
+        match flag {
+            "--tiny" => Some(Scale::Tiny),
+            "--quick" => Some(Scale::Quick),
+            "--full" => Some(Scale::Full),
+            _ => None,
         }
     }
 }

@@ -10,7 +10,6 @@
 //! precisely the communication-hierarchy argument of the paper's §IV-B.
 
 use crate::topology::Placement;
-use serde::{Deserialize, Serialize};
 
 /// Relative location of two communicating ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -43,7 +42,7 @@ impl CommLevel {
 /// observation) that the purely distributed version — whose per-node memory
 /// is `ranks_per_node ×` the hybrid version's — eventually loses to the
 /// hybrid version as molecules grow.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MemoryModel {
     /// Shared L3 capacity per node in bytes (Lonestar4: 2 × 12 MB).
     pub l3_bytes: f64,
@@ -90,7 +89,7 @@ fn saturate(x: f64) -> f64 {
 }
 
 /// Full machine cost model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Seconds of latency (`t_s`) per message, by level
     /// `[SameSocket, SameNode, CrossNode]`.

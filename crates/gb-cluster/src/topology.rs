@@ -1,9 +1,7 @@
 //! Cluster shape and rank placement.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical shape of the simulated cluster.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterTopology {
     /// Number of compute nodes.
     pub nodes: usize,
@@ -31,11 +29,6 @@ impl ClusterTopology {
     /// Cores per node.
     pub fn cores_per_node(&self) -> usize {
         self.sockets_per_node * self.cores_per_socket
-    }
-
-    /// Total cores in the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node()
     }
 
     /// Block placement of `ranks` MPI ranks, each running `threads_per_rank`
@@ -78,7 +71,6 @@ mod tests {
     fn lonestar4_shape() {
         let t = ClusterTopology::lonestar4(12);
         assert_eq!(t.cores_per_node(), 12);
-        assert_eq!(t.total_cores(), 144);
     }
 
     #[test]

@@ -22,10 +22,9 @@
 
 use crate::workdiv::even_ranges;
 use gb_cluster::{CommLevel, CostModel};
-use serde::{Deserialize, Serialize};
 
 /// Cross-rank assignment policy for leaf tasks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadBalance {
     /// Paper's static scheme: equal leaf counts per rank.
     EvenLeaves,

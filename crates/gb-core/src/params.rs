@@ -1,13 +1,12 @@
 //! Algorithm parameters.
 
 use gb_surface::SurfaceParams;
-use serde::{Deserialize, Serialize};
 
 /// The math kernels of the hot loops. One mode is left: the paper's
 /// "approximate math" switch (§V-E) measured no faster than the exact
 /// kernels here and was removed. The enum and [`GbParams::math`] stay only
 /// because the benchmark package asserts `math == MathKind::Exact`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MathKind {
     /// Full accuracy (the paper's "approximate math off"): IEEE `sqrt`
     /// and the in-crate ≲2-ulp polynomial `exp`
@@ -19,7 +18,7 @@ pub enum MathKind {
 /// Which surface integral approximates the Born radii: the paper's Eq. 3
 /// (`1/R ≈ Σ w (r−x)·n / |r−x|⁴`) or Eq. 4
 /// (`1/R³ ≈ Σ w (r−x)·n / |r−x|⁶`, the production choice).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RadiiKind {
     /// Eq. 3 — Coulomb-field approximation.
     R4,
@@ -28,7 +27,7 @@ pub enum RadiiKind {
 }
 
 /// Parameters of the octree GB pipeline.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GbParams {
     /// Solvent dielectric constant (water at 298 K ≈ 80).
     pub eps_solvent: f64,

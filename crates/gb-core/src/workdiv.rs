@@ -12,12 +12,11 @@
 //! differently for different P.
 
 use gb_octree::Octree;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Which division scheme the distributed phases use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkDivision {
     /// Leaf-node based (`node–node` in the paper): segment the `T_Q`
     /// leaves for the Born phase and the `T_A` leaves for the energy phase.

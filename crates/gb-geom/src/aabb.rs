@@ -3,12 +3,12 @@
 //! The octree in `gb-octree` subdivides a *cubic* root box; [`Aabb::cube`]
 //! turns an arbitrary tight bounding box into the smallest enclosing cube so
 //! that all eight octants of every node remain cubes (which keeps node radii
-//! isotropic — an assumption of the near–far acceptance criterion).
+//! isotropic — an assumption of the near–far acceptance test).
 
 use crate::vec3::Vec3;
 
 /// An axis-aligned box given by its minimum and maximum corners.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Aabb {
     pub min: Vec3,
     pub max: Vec3,

@@ -3,12 +3,12 @@
 //! Octree nodes carry the radius of a ball that encloses every point (atom
 //! center or quadrature point) stored under them, measured from the node's
 //! *geometric centroid* — exactly the `r_A` / `r_Q` of the paper's
-//! APPROX-INTEGRALS acceptance criterion. [`enclosing_radius_about`] computes
+//! APPROX-INTEGRALS acceptance test. [`enclosing_radius_about`] computes
 //! that radius; [`bounding_sphere_ritter`] provides a near-optimal free-center
 //! bounding sphere used by the surface sampler and tests.
 
 use crate::aabb::Aabb;
-use crate::vec3::{centroid, Vec3};
+use crate::vec3::Vec3;
 
 /// A sphere given by center and radius.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -109,14 +109,6 @@ pub fn bounding_sphere_ritter(points: &[Vec3]) -> Sphere {
     Sphere::new(center, radius * (1.0 + 1e-12) + 1e-12)
 }
 
-/// Centroid-centered enclosing sphere, the node geometry the paper uses:
-/// pseudo-atoms/pseudo-q-points sit at the geometric center of the points
-/// under a node, and `r_A` is the distance to the farthest point.
-pub fn centroid_sphere(points: &[Vec3]) -> Sphere {
-    let c = centroid(points);
-    Sphere::new(c, enclosing_radius_about(c, points))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,15 +165,6 @@ mod tests {
             .collect();
         let s = bounding_sphere_ritter(&pts);
         assert!(s.radius < 1.3, "Ritter radius too loose: {}", s.radius);
-    }
-
-    #[test]
-    fn centroid_sphere_contains_all() {
-        let pts = random_cloud(200, 9);
-        let s = centroid_sphere(&pts);
-        for &p in &pts {
-            assert!(s.center.dist(p) <= s.radius + 1e-12);
-        }
     }
 
     #[test]

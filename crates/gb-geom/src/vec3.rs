@@ -11,7 +11,7 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A 3-D vector (or point) with `f64` components.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,
@@ -138,25 +138,6 @@ impl Vec3 {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
 
-    /// Returns the components as an array.
-    #[inline(always)]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    /// Builds a vector from an array.
-    #[inline(always)]
-    pub fn from_array(a: [f64; 3]) -> Vec3 {
-        Vec3::new(a[0], a[1], a[2])
-    }
-
-    /// Returns a vector orthogonal to `self` (arbitrary but deterministic).
-    ///
-    /// Useful for constructing local frames on surface normals.
-    pub fn any_orthogonal(self) -> Vec3 {
-        let candidate = if self.x.abs() < 0.9 { Vec3::X } else { Vec3::Y };
-        self.cross(candidate).normalized()
-    }
 }
 
 impl Add for Vec3 {
@@ -272,16 +253,6 @@ impl fmt::Display for Vec3 {
     }
 }
 
-/// Computes the centroid (arithmetic mean) of a point set.
-///
-/// Returns `Vec3::ZERO` for an empty slice.
-pub fn centroid(points: &[Vec3]) -> Vec3 {
-    if points.is_empty() {
-        return Vec3::ZERO;
-    }
-    points.iter().copied().sum::<Vec3>() / points.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,27 +324,6 @@ mod tests {
     fn index_out_of_range_panics() {
         let a = Vec3::ZERO;
         let _ = a[3];
-    }
-
-    #[test]
-    fn centroid_of_points() {
-        let pts = [
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(2.0, 0.0, 0.0),
-            Vec3::new(0.0, 2.0, 0.0),
-            Vec3::new(0.0, 0.0, 2.0),
-        ];
-        assert_eq!(centroid(&pts), Vec3::new(0.5, 0.5, 0.5));
-        assert_eq!(centroid(&[]), Vec3::ZERO);
-    }
-
-    #[test]
-    fn any_orthogonal_is_orthogonal_unit() {
-        for v in [Vec3::X, Vec3::Y, Vec3::Z, Vec3::new(1.0, 2.0, 3.0), Vec3::new(-0.1, 0.9, 0.0)] {
-            let o = v.any_orthogonal();
-            assert!(o.dot(v).abs() < 1e-12, "not orthogonal for {v}");
-            assert!((o.norm() - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! are element-typical magnitudes used by the synthetic generator.
 
 use gb_geom::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Chemical elements that occur in proteins (plus a generic fallback).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Element {
     Hydrogen,
     Carbon,
@@ -51,7 +50,7 @@ impl Element {
         }
     }
 
-    /// One-letter element symbol for XYZ/PQR output.
+    /// One-letter element symbol for PQR output.
     pub fn symbol(self) -> &'static str {
         match self {
             Element::Hydrogen => "H",
@@ -94,7 +93,7 @@ impl Element {
 }
 
 /// A single atom: position (Å), vdW radius (Å), partial charge (e).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Atom {
     pub position: Vec3,
     pub radius: f64,

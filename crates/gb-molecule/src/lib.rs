@@ -11,7 +11,7 @@
 //! * [`Atom`] / [`Molecule`] — struct-of-arrays storage of positions, van
 //!   der Waals radii and partial charges (the only atom attributes any GB
 //!   algorithm in the workspace consumes),
-//! * [`io`] — minimal PQR and XYZ readers/writers, so *real* molecules can
+//! * [`io`] — minimal PQR reader/writer and XYZ reader, so *real* molecules can
 //!   be used when available,
 //! * [`synthetic`] — a deterministic protein-like generator (backbone
 //!   random walk with side-chain blobs at protein packing density) and a

@@ -2,14 +2,13 @@
 
 use crate::atom::{Atom, Element};
 use gb_geom::{Aabb, RigidTransform, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A molecule stored as parallel arrays of positions, radii and charges.
 ///
 /// The SoA layout is what the O(M·N) inner loops of the Born-radius
 /// integrals and the O(M²) naive energy want: each loop touches exactly the
 /// attribute streams it needs, nothing else.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Molecule {
     /// Human-readable identifier (e.g. the ZDock entry name).
     pub name: String,

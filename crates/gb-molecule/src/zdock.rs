@@ -63,12 +63,6 @@ pub fn zdock_suite() -> Vec<ZdockEntry> {
         .collect()
 }
 
-/// The ladder truncated to entries with at most `max_atoms` atoms — used by
-/// tests and quick benchmark modes.
-pub fn zdock_subset(max_atoms: usize) -> Vec<ZdockEntry> {
-    zdock_suite().into_iter().filter(|e| e.n_atoms <= max_atoms).collect()
-}
-
 /// Looks an entry up by name.
 pub fn zdock_entry(name: &str) -> Option<ZdockEntry> {
     zdock_suite().into_iter().find(|e| e.name == name)
@@ -130,14 +124,6 @@ mod tests {
         let b = s[1].molecule();
         // atom 0 is the first Cα (always at the origin); atom 1 is seeded
         assert_ne!(a.positions()[1], b.positions()[1]);
-    }
-
-    #[test]
-    fn subset_filters_by_size() {
-        let sub = zdock_subset(2_000);
-        assert!(!sub.is_empty());
-        assert!(sub.iter().all(|e| e.n_atoms <= 2_000));
-        assert!(sub.len() < 42);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   the *geometric centroid* of the points beneath them and the radius of
 //!   the smallest centroid-centered ball enclosing those points — exactly
 //!   the pseudo-particle geometry (`r_A`, `r_Q`) of the paper's acceptance
-//!   criterion.
+//!   test.
 //! * **Aggregation** ([`Octree::aggregate`]): generic bottom-up fold that
 //!   computes per-node pseudo-particle payloads (summed weighted normals for
 //!   `T_Q`, Born-radius-binned charge histograms for `T_A`).

@@ -25,12 +25,11 @@ use gb_core::arena::{CachedLists, Workspace};
 use gb_core::pair::Monomer;
 use gb_core::system::GbSystem;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-tier hit/miss counters plus eviction totals.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
     /// Tier-1 (system) hits.
     pub tier1_hits: u64,

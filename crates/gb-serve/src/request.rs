@@ -3,7 +3,6 @@
 use gb_core::GbParams;
 use gb_geom::RigidTransform;
 use gb_molecule::Molecule;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// What a tenant asks the service to evaluate. Molecules travel as `Arc`s
@@ -34,7 +33,7 @@ pub enum EvalRequest {
 }
 
 /// Per-request trace returned alongside the energy.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServeReport {
     /// Time from admission to being drained into a batch.
     pub queue_wait_ms: f64,

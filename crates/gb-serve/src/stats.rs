@@ -1,11 +1,10 @@
 //! Service-level aggregate counters.
 
 use crate::cache::CacheStats;
-use serde::Serialize;
 
 /// Aggregate counters since service start — the numbers the load bench
 /// turns into jobs/sec, hit rates and batch occupancy.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ServeStats {
     /// Requests admitted by the queue.
     pub submitted: u64,

@@ -21,7 +21,7 @@ use gb_molecule::Molecule;
 use gb_octree::Octree;
 
 /// Parameters of the surface sampler.
-#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SurfaceParams {
     /// Icosphere subdivision level (0 → 20 triangles per atom).
     pub subdivisions: u8,

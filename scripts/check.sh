@@ -25,5 +25,6 @@ cargo clippy --workspace --lib -- -D warnings -D unused-crate-dependencies
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # perfbench/ is a package of its own (outside the root workspace), so the
 # steps above never compile it; a library change that breaks the frozen
-# benchmark fails here, as in CI's separate step.
+# benchmark fails here. CI runs this script, so this is its only perfbench
+# build.
 cargo build --release --manifest-path perfbench/Cargo.toml
