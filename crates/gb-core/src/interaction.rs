@@ -1500,6 +1500,48 @@ pub(crate) fn exact_row_raw<M: MathMode>(
     tile.row::<M>(p, r, &mut scratch.inv_f[..t])
 }
 
+/// One row of the half-matrix pass of `∂raw/∂R` for the exact pair sum
+/// `raw = Σ_{i,j} q_i q_j / f_GB`: the atom at `p` with charge `q` and
+/// Born radius `r` against the partners `j` of `(x, y, z, charges,
+/// radii)` (the atoms after it). One fused pass writes
+/// `w_j = q_j·e^{−u}(1+u)/f_GB³`, `u = r_ij²/(4 r r_j)`, into `scratch`'s
+/// tile buffer; the strided-8 dot returns `Σ_j w_j r_j` (the row's own
+/// gradient is `−q` times it), and a contiguous axpy adds the partners'
+/// share `−q r w_j` into `grad[j]`. Every loop is branch-free over
+/// contiguous slices, so each autovectorizes like the energy tile.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn exact_row_grad<M: MathMode>(
+    p: [f64; 3],
+    q: f64,
+    r: f64,
+    (x, y, z): (&[f64], &[f64], &[f64]),
+    charges: &[f64],
+    radii: &[f64],
+    grad: &mut [f64],
+    scratch: &mut EnergyExecScratch,
+) -> f64 {
+    let t = x.len();
+    ensure_len(&mut scratch.inv_f, t);
+    let w = &mut scratch.inv_f[..t];
+    let (y, z, tq, tr, grad) = (&y[..t], &z[..t], &charges[..t], &radii[..t], &mut grad[..t]);
+    for j in 0..t {
+        let dx = x[j] - p[0];
+        let dy = y[j] - p[1];
+        let dz = z[j] - p[2];
+        let r_sq = dz.mul_add(dz, dy.mul_add(dy, dx * dx));
+        let rr = r * tr[j];
+        let u = r_sq / (4.0 * rr);
+        let e = M::exp(-u);
+        let inv_f = M::rsqrt(rr.mul_add(e, r_sq));
+        w[j] = tq[j] * e * (1.0 + u) * (inv_f * inv_f * inv_f);
+    }
+    let share = -q * r;
+    for j in 0..t {
+        grad[j] = share.mul_add(w[j], grad[j]);
+    }
+    dot8(tr, w)
+}
+
 /// Strided-8 weighted dot `Σ w[i]·x[i]`: eight independent accumulators
 /// plus a scalar tail, combined pairwise; the fixed stride fixes the
 /// reduction order regardless of tile length.

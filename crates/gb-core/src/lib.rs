@@ -69,7 +69,7 @@ pub use contenthash::{molecule_key, params_key, system_key};
 pub use error::{percent_error, ErrorStats, GbError};
 pub use interaction::{BornLists, EnergyExecScratch, EnergyLists, FarStats, NearStats};
 pub use gbmath::COULOMB_KCAL;
-pub use pair::{evaluate_pair, evaluate_pair_ws, Monomer, PairOutcome, PairScratch};
+pub use pair::{evaluate_pair, evaluate_pair_ws, EnergyPath, Monomer, PairOutcome, PairScratch};
 pub use params::{GbParams, MathKind, RadiiKind};
 pub use system::{FrameUpdate, GbResult, GbSystem, RefitSummary};
 pub use balance::LoadBalance;

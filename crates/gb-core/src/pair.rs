@@ -18,11 +18,25 @@
 //!   streams. The two sides are independent (each ends in its monomer's
 //!   push and charge bins) and run concurrently on a multi-thread
 //!   [`PairScratch`];
-//! * **energy** — each monomer's internal terms through its cached energy
-//!   lists (with the complex's Born radii), plus the exact cross
+//! * **energy** — each monomer's internal term, plus the exact cross
 //!   atom–atom double sum (`× 2` for both orderings of the raw
 //!   all-ordered-pairs sum), each receptor row one energy-tile pass over
-//!   the posed ligand's atoms.
+//!   the posed ligand's atoms. A pose barely moves a monomer's Born radii,
+//!   so the internal term is first order: the cached solo raw sum plus
+//!   `g·ΔR`, where `g = ∂raw/∂R` is the exact pair sum's radius gradient
+//!   at the solo radii ([`Monomer::solo_grad`]) and `ΔR` the radius moves,
+//!   dotted in atom order. When any radius moves by more than
+//!   [`FIRST_ORDER_GUARD`] relative (a ligand pressed into the receptor),
+//!   the monomer's energy lists run at the complex's radii instead;
+//!   [`PairOutcome::paths`] says which ran.
+//!
+//! `g` is built once per monomer in [`Monomer::from_parts`]: one symmetric
+//! half-matrix pass, each row a vectorized map into a tile buffer, a
+//! strided-8 dot and a contiguous axpy, cut into a fixed number of row
+//! blocks of equal pair count that the scratch's threads take; each block
+//! fills its own partial vector and the partials add in block order, so
+//! `g` has the same bits at every thread count. The solo energy rows run
+//! on the same threads.
 //!
 //! The decomposition is a *definition* of the pair pipeline, not an
 //! approximation layered on the merged-complex pipeline: monomer-internal
@@ -42,7 +56,8 @@ use crate::fastmath::ExactMath;
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
 use crate::integrals::{push_integrals_scratch, IntegralAcc};
 use crate::interaction::{
-    exact_row_raw, AtomStreams, BornLists, EnergyExecScratch, ListScratch, SurfaceStreams,
+    exact_row_grad, exact_row_raw, AtomStreams, BornLists, EnergyExecScratch, ListScratch,
+    SurfaceStreams,
 };
 use crate::params::{GbParams, RadiiKind};
 use crate::runners::with_kernels;
@@ -51,7 +66,25 @@ use crate::workdiv::{fork_join, segment, segment_count, sum_segments, SegmentPar
 use gb_geom::{RigidTransform, Soa3, Vec3};
 use gb_molecule::Molecule;
 use gb_octree::{NodeId, Octree};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Largest relative move `|ΔR_i / R_i|` of any of a monomer's Born radii
+/// at which a pose takes the monomer's internal energy as the first-order
+/// term `solo_raw + g·ΔR` instead of running its energy rows. Measured on
+/// 3k-atom receptors and an 80-atom ligand (DESIGN.md §11): scan poses at
+/// standoff circumradius + 8 Å moved the receptor's radii by ≤ 3.4e-3 and
+/// the term was within 2.6e-4 kcal/mol of the exact pair sum's change;
+/// every pose under this guard was within 7.4e-3. Poses that press into
+/// the receptor moved radii by 1e-2 to 2e3, where the term is off by
+/// 1e-2 to 2e5 kcal/mol, so they take the full rows.
+pub const FIRST_ORDER_GUARD: f64 = 1e-2;
+
+/// Fixed blocks of equal pair count that the solo gradient pass cuts its
+/// half matrix into, independent of the thread count: each block fills its
+/// own partial vector, and the partials add in block order.
+const GRAD_BLOCKS: usize = 16;
 
 /// A prepared monomer with every pose-invariant artifact: the system, both
 /// interaction lists, the own-surface integral image and the solo (gas- to
@@ -77,23 +110,51 @@ pub struct Monomer {
     pub self_work: f64,
     /// Solo polarization energy of the isolated monomer in kcal/mol.
     pub solo_energy_kcal: f64,
+    /// Raw ordered-pair sum of the solo energy rows (`solo_energy_kcal`
+    /// before the GB prefactor).
+    pub solo_raw: f64,
+    /// Tree-order Born radii of the isolated monomer.
+    pub solo_radii: Vec<f64>,
+    /// Tree-order `g = ∂raw/∂R` of the exact pair sum at `solo_radii`:
+    /// `g_i = −q_i²/R_i² − Σ_{j≠i} q_i q_j R_j e^{−u}(1+u)/f_GB³`,
+    /// `u = r_ij²/(4R_iR_j)`. A pose whose radii stay within
+    /// [`FIRST_ORDER_GUARD`] of `solo_radii` takes the monomer's internal
+    /// raw sum as `solo_raw + g·ΔR`.
+    pub solo_grad: Vec<f64>,
+}
+
+/// Which way a pose took one monomer's internal energy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EnergyPath {
+    /// The cached solo raw sum plus the first-order term `g·ΔR`.
+    FirstOrder,
+    /// The monomer's energy rows at the complex's radii: its radii moved
+    /// past [`FIRST_ORDER_GUARD`].
+    FullRows,
 }
 
 impl Monomer {
     /// Prepares a monomer from scratch: system, lists, own-surface
-    /// integrals, solo energy.
+    /// integrals, solo energy and its radius gradient, on one thread.
     pub fn build(molecule: Molecule, params: GbParams) -> Monomer {
         let key = system_key(&molecule, &params);
         let sys = Arc::new(GbSystem::prepare(molecule, params));
         let lists = Arc::new(CachedLists::build(&sys, key));
-        Monomer::from_parts(key, sys, lists)
+        Monomer::from_parts(key, sys, lists, &mut PairScratch::new())
     }
 
     /// Assembles a monomer from already-cached tiers (tier-1 system and/or
-    /// tier-2 lists hits), computing only the own-surface integrals and
-    /// solo energy. All paths are deterministic, so the result is
-    /// bit-identical to [`Monomer::build`] on the same content.
-    pub fn from_parts(key: u64, sys: Arc<GbSystem>, lists: Arc<CachedLists>) -> Monomer {
+    /// tier-2 lists hits), computing only the own-surface integrals, the
+    /// solo energy and its radius gradient. The solo energy rows and the
+    /// gradient pass run on `scratch`'s threads; both are `to_bits` the
+    /// same at any thread count, so the result is bit-identical to
+    /// [`Monomer::build`] on the same content.
+    pub fn from_parts(
+        key: u64,
+        sys: Arc<GbSystem>,
+        lists: Arc<CachedLists>,
+        scratch: &mut PairScratch,
+    ) -> Monomer {
         assert_eq!(lists.key, key, "lists were built for a different content key");
         let s: &GbSystem = &sys;
         let n = s.num_atoms();
@@ -108,9 +169,10 @@ impl Monomer {
         let self_flat = acc.to_flat();
         let mut bins = ChargeBins::empty();
         bins.recompute(s, &radii);
-        let mut exec = EnergyExecScratch::new();
-        let (raw, _) = lists.energy.execute_leaves::<ExactMath>(
-            s, &bins, &radii, 0..lists.energy.num_vleaves(), &mut exec);
+        let PairScratch { execs, partials, .. } = scratch;
+        let (raw, _) = lists.energy.execute_rows::<ExactMath, _>(
+            s, &bins, &radii, 0..lists.energy.num_vleaves(), execs, partials);
+        let solo_grad = solo_gradient(s, &radii, execs);
         let solo_energy_kcal = finalize_energy(raw, s.params.tau());
         let pk = params_key(&s.params);
         Monomer {
@@ -121,7 +183,26 @@ impl Monomer {
             self_flat,
             self_work: work,
             solo_energy_kcal,
+            solo_raw: raw,
+            solo_radii: radii,
+            solo_grad,
         }
+    }
+
+    /// The monomer's internal raw sum at tree-order radii `radii` as the
+    /// first-order term `solo_raw + g·ΔR` (summed in atom order), or `None`
+    /// when a radius moved past [`FIRST_ORDER_GUARD`] (or is not finite).
+    fn first_order_raw(&self, radii: &[f64]) -> Option<f64> {
+        let solo = &self.solo_radii[..radii.len()];
+        let within = radii.iter().zip(solo).all(|(&r, &s)| (r - s).abs() <= FIRST_ORDER_GUARD * s);
+        if !within {
+            return None;
+        }
+        let mut d = 0.0;
+        for ((&g, &r), &s) in self.solo_grad.iter().zip(radii).zip(solo) {
+            d += g * (r - s);
+        }
+        Some(self.solo_raw + d)
     }
 
     /// Heap footprint in bytes of the artifacts this monomer owns
@@ -131,8 +212,73 @@ impl Monomer {
     pub fn memory_bytes(&self) -> usize {
         self.sys.memory_bytes()
             + self.lists.memory_bytes()
-            + self.self_flat.capacity() * std::mem::size_of::<f64>()
+            + (self.self_flat.capacity() + self.solo_radii.capacity() + self.solo_grad.capacity())
+                * std::mem::size_of::<f64>()
     }
+}
+
+/// Row blocks of [`GRAD_BLOCKS`] equal pair counts over the half matrix of
+/// `n` atoms (row `i` holds the `n − 1 − i` pairs `(i, j > i)`).
+fn grad_blocks(n: usize) -> [Range<usize>; GRAD_BLOCKS] {
+    let total = n * n.saturating_sub(1) / 2;
+    let mut starts = [n; GRAD_BLOCKS + 1];
+    let (mut row, mut pairs) = (0, 0);
+    for (b, start) in starts[..GRAD_BLOCKS].iter_mut().enumerate() {
+        while pairs < total * b / GRAD_BLOCKS {
+            pairs += n - 1 - row;
+            row += 1;
+        }
+        *start = row;
+    }
+    std::array::from_fn(|b| starts[b]..starts[b + 1])
+}
+
+/// `g = ∂raw/∂R` of the exact pair sum at tree-order `radii` (see
+/// [`Monomer::solo_grad`]): one symmetric half-matrix pass in
+/// [`GRAD_BLOCKS`] fixed blocks, taken dynamically by `execs.len()`
+/// threads. Each block accumulates its rows into its own partial vector,
+/// and the self terms plus the partials in block order make `g`, so the
+/// bits depend on neither the thread count nor the schedule.
+fn solo_gradient(s: &GbSystem, radii: &[f64], execs: &mut [EnergyExecScratch]) -> Vec<f64> {
+    let (xyz, q) = (&s.a_soa, &s.charge_tree);
+    let n = radii.len();
+    let blocks = grad_blocks(n);
+    let block = |k: usize, exec: &mut EnergyExecScratch| {
+        let rows = blocks[k].clone();
+        let mut part = vec![0.0; n - rows.start];
+        for i in rows.clone() {
+            let t = i + 1;
+            let p = [xyz.x[i], xyz.y[i], xyz.z[i]];
+            let tail = (&xyz.x[t..], &xyz.y[t..], &xyz.z[t..]);
+            let out = &mut part[t - rows.start..];
+            let own =
+                exact_row_grad::<ExactMath>(p, q[i], radii[i], tail, &q[t..], &radii[t..], out, exec);
+            part[i - rows.start] -= q[i] * own;
+        }
+        part
+    };
+    let threads = execs.len().clamp(1, GRAD_BLOCKS);
+    // per thread: its tile scratch and the (block, partial) pairs it ran
+    let mut done: Vec<_> = execs.iter_mut().take(threads).map(|e| (e, Vec::new())).collect();
+    let next = AtomicUsize::new(0);
+    fork_join(&mut done, |_, (exec, parts)| loop {
+        // the counter publishes no data: the read-modify-write alone
+        // hands each block to exactly one thread
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        if k >= GRAD_BLOCKS {
+            break;
+        }
+        parts.push((k, block(k, exec)));
+    });
+    let mut parts: Vec<(usize, Vec<f64>)> = done.into_iter().flat_map(|(_, p)| p).collect();
+    parts.sort_unstable_by_key(|&(k, _)| k);
+    let mut g: Vec<f64> = (0..n).map(|i| -q[i] * q[i] / (radii[i] * radii[i])).collect();
+    for (k, part) in &parts {
+        for (gi, &pi) in g[blocks[*k].start..].iter_mut().zip(part) {
+            *gi += pi;
+        }
+    }
+    g
 }
 
 /// Result of one pair evaluation.
@@ -142,8 +288,12 @@ pub struct PairOutcome {
     pub energy_kcal: f64,
     /// Interaction energy: complex minus both solo energies.
     pub delta_kcal: f64,
-    /// Billed work units (own-surface re-bill + cross build/exec + energy).
+    /// Billed work units (own-surface re-bill + cross build/exec + energy;
+    /// a first-order term bills one unit per atom).
     pub work: f64,
+    /// How the receptor's (`[0]`) and the ligand's (`[1]`) internal energy
+    /// was taken.
+    pub paths: [EnergyPath; 2],
 }
 
 /// Reusable buffers of the per-pose evaluation — one per serve worker, so
@@ -336,14 +486,22 @@ pub fn evaluate_pair_ws(
     work += sd_a.work[2];
     work += sd_b.work[2];
 
-    // Energy: monomer-internal terms through the cached lists (complex
-    // radii), cross terms as the exact ordered-pair double sum — all
-    // three in fixed segments on the scratch's threads.
+    // Energy: each monomer's internal term as its first-order update
+    // from the solo energy, or, past the guard, through its cached lists
+    // at the complex radii; cross terms as the exact ordered-pair double
+    // sum. The rows run in fixed segments on the scratch's threads.
+    let mut internal = |m: &Monomer, sd: &CrossSide| match m.first_order_raw(&sd.radii) {
+        Some(raw) => (raw, sd.radii.len() as f64, EnergyPath::FirstOrder),
+        None => {
+            let rows = 0..m.lists.energy.num_vleaves();
+            let (raw, w) = m.lists.energy.execute_rows::<ExactMath, _>(
+                &m.sys, &sd.bins, &sd.radii, rows, execs, partials);
+            (raw, w, EnergyPath::FullRows)
+        }
+    };
+    let (raw_aa, ew_a, path_a) = internal(a, sd_a);
+    let (raw_bb, ew_b, path_b) = internal(b, sd_b);
     let (ra, rb) = (&sd_a.radii, &sd_b.radii);
-    let (raw_aa, ew_a) = a.lists.energy.execute_rows::<ExactMath, _>(
-        sa, &sd_a.bins, ra, 0..a.lists.energy.num_vleaves(), execs, partials);
-    let (raw_bb, ew_b) = b.lists.energy.execute_rows::<ExactMath, _>(
-        sb, &sd_b.bins, rb, 0..b.lists.energy.num_vleaves(), execs, partials);
 
     // receptor atoms are the rows: each is one tile pass over the
     // posed ligand's atoms, and segments of rows combine like the
@@ -368,6 +526,7 @@ pub fn evaluate_pair_ws(
         energy_kcal,
         delta_kcal: energy_kcal - a.solo_energy_kcal - b.solo_energy_kcal,
         work,
+        paths: [path_a, path_b],
     }
 }
 
@@ -428,12 +587,51 @@ mod tests {
         }
     }
 
+    /// `∂raw/∂R` of the exact pair sum at tree-order `radii`: the full
+    /// ordered-pair matrix, one scalar term at a time — independent of
+    /// the half-matrix pass and its blocks.
+    fn scalar_gradient(s: &GbSystem, radii: &[f64]) -> Vec<f64> {
+        let (x, q) = (s.ta.points(), &s.charge_tree);
+        (0..radii.len())
+            .map(|i| {
+                let mut g = -q[i] * q[i] / (radii[i] * radii[i]);
+                for j in (0..radii.len()).filter(|&j| j != i) {
+                    let (r_sq, rr) = ((x[i] - x[j]).norm_sq(), radii[i] * radii[j]);
+                    let u = r_sq / (4.0 * rr);
+                    let e = ExactMath::exp(-u);
+                    let f = (r_sq + rr * e).sqrt();
+                    g -= q[i] * q[j] * radii[j] * e * (1.0 + u) / (f * f * f);
+                }
+                g
+            })
+            .collect()
+    }
+
+    /// Tree-order solo Born radii of `m`, pushed from its own-surface
+    /// image.
+    fn solo_radii(m: &Monomer) -> Vec<f64> {
+        let s: &GbSystem = &m.sys;
+        let mut acc = IntegralAcc::zeros(s);
+        acc.copy_from_flat(&m.self_flat);
+        let mut radii = vec![0.0; s.num_atoms()];
+        let all = 0..s.num_atoms();
+        push_integrals_scratch::<ExactMath, R6>(s, &acc, all, &mut radii, &mut Vec::new());
+        radii
+    }
+
     /// Independent pose oracle: the scalar Born cross loops above over
     /// freshly posed trees, and the cross energy as a plain
-    /// row-by-row double sum over AoS points. Only the list build, the
-    /// push and the monomer-internal energy rows are shared with the pair
-    /// path.
-    fn pose_oracle(a: &Monomer, b: &Monomer, pose: &RigidTransform) -> PoseResult {
+    /// row-by-row double sum over AoS points. Each monomer's internal
+    /// term is taken the way `paths` says the pair path took it: its
+    /// energy rows, or the solo raw sum plus [`scalar_gradient`] dotted
+    /// with the radius moves. Only the list build, the push and the
+    /// energy rows are shared with the pair path.
+    fn pose_oracle(
+        a: &Monomer,
+        b: &Monomer,
+        pose: &RigidTransform,
+        paths: [EnergyPath; 2],
+    ) -> PoseResult {
         let (sa, sb): (&GbSystem, &GbSystem) = (&a.sys, &b.sys);
         let moved = |tree: &Octree| {
             let mut out = Octree::build(&[], 1);
@@ -458,11 +656,19 @@ mod tests {
         };
         let ra = radii(a, &sa.ta, &tb_q, (&agg_b, &normals_b, &sb.q_weight_tree));
         let rb = radii(b, &tb_a, &sa.tq, (&sa.q_normals, &sa.q_normal_tree, &sa.q_weight_tree));
-        let internal = |m: &Monomer, radii: &[f64]| {
-            let bins = ChargeBins::compute(&m.sys, radii);
-            let rows = 0..m.lists.energy.num_vleaves();
-            let mut exec = EnergyExecScratch::new();
-            m.lists.energy.execute_leaves::<ExactMath>(&m.sys, &bins, radii, rows, &mut exec).0
+        let internal = |m: &Monomer, radii: &[f64], path: EnergyPath| match path {
+            EnergyPath::FullRows => {
+                let bins = ChargeBins::compute(&m.sys, radii);
+                let rows = 0..m.lists.energy.num_vleaves();
+                let mut exec = EnergyExecScratch::new();
+                m.lists.energy.execute_leaves::<ExactMath>(&m.sys, &bins, radii, rows, &mut exec).0
+            }
+            EnergyPath::FirstOrder => {
+                let solo = solo_radii(m);
+                let g = scalar_gradient(&m.sys, &solo);
+                let moves = radii.iter().zip(&solo).map(|(r, s)| r - s);
+                m.solo_raw + g.iter().zip(moves).map(|(g, d)| g * d).sum::<f64>()
+            }
         };
         let mut cross = 0.0;
         for (i, &xi) in sa.ta.points().iter().enumerate() {
@@ -472,7 +678,7 @@ mod tests {
             }
             cross += sa.charge_tree[i] * row;
         }
-        let raw = internal(a, &ra) + internal(b, &rb) + 2.0 * cross;
+        let raw = internal(a, &ra, paths[0]) + internal(b, &rb, paths[1]) + 2.0 * cross;
         let energy_kcal = finalize_energy(raw, sa.params.tau());
         PoseResult {
             radii: [ra, rb],
@@ -495,13 +701,15 @@ mod tests {
         let mut scratch = PairScratch::with_threads(2);
         let mut worst = [0.0f64; 3];
         let mut max_delta = 0.0f64;
-        for k in 0..8 {
+        let mut seen = Vec::new();
+        for k in 0..10 {
             let t = k as f64;
             let axis = Vec3::new(0.3 + 0.1 * t, 1.0 - 0.2 * t, 0.5);
             let pose = RigidTransform::rotation_about(Vec3::ZERO, axis, 0.4 + 0.7 * t)
                 * RigidTransform::translation(Vec3::new(8.0 + 2.0 * t, -3.0 + t, 2.0 - 0.5 * t));
-            let want = pose_oracle(&a, &b, &pose);
             let got = evaluate_pair_ws(&a, &b, &pose, &mut scratch);
+            seen.extend(got.paths);
+            let want = pose_oracle(&a, &b, &pose, got.paths);
             for (side, w) in scratch.sides.iter().zip(&want.radii) {
                 for (&g, &w) in side.radii.iter().zip(w) {
                     worst[0] = worst[0].max(rel_err(g, w));
@@ -515,6 +723,94 @@ mod tests {
         assert!(worst.iter().all(|&e| e <= TOL), "relative errors {worst:?} past {TOL}");
         // the poses are close enough that the cross terms carry weight
         assert!(max_delta > 1.0, "max |dE| {max_delta} kcal/mol");
+        for path in [EnergyPath::FirstOrder, EnergyPath::FullRows] {
+            assert!(seen.contains(&path), "no monomer took {path:?}: {seen:?}");
+        }
+    }
+
+    /// Central difference of the exact pair sum in radius `k`: only row
+    /// and column `k` depend on it.
+    fn central_difference(s: &GbSystem, radii: &[f64], k: usize, h: f64) -> f64 {
+        let (x, q) = (s.ta.points(), &s.charge_tree);
+        let (up, down) = (radii[k] + h, radii[k] - h);
+        let mut d = q[k] * q[k] * (1.0 / up - 1.0 / down);
+        for j in (0..radii.len()).filter(|&j| j != k) {
+            let r_sq = (x[k] - x[j]).norm_sq();
+            let f = |rk: f64| ExactMath::inv_f_gb(r_sq, rk * radii[j]);
+            d += 2.0 * q[k] * q[j] * (f(up) - f(down));
+        }
+        d / (2.0 * h)
+    }
+
+    #[test]
+    fn solo_gradient_matches_central_differences() {
+        let m = monomer(300, 51);
+        let s: &GbSystem = &m.sys;
+        let max_g = m.solo_grad.iter().fold(0.0f64, |w, g| w.max(g.abs()));
+        let mut worst = 0.0f64;
+        for (k, &g) in m.solo_grad.iter().enumerate() {
+            let fd = central_difference(s, &m.solo_radii, k, 1e-5 * m.solo_radii[k]);
+            worst = worst.max((g - fd).abs());
+        }
+        eprintln!("worst |g - central difference| {worst:e}, max |g| {max_g:e}");
+        assert!(max_g > 0.0);
+        assert!(worst <= 1e-5 * max_g, "worst {worst:e} against max |g| {max_g:e}");
+    }
+
+    #[test]
+    fn solo_gradient_and_energy_are_bitwise_independent_of_threads_and_cache() {
+        let mol = synthesize_protein(&SyntheticParams::with_atoms(500, 52));
+        let p = GbParams::default();
+        let cold = Monomer::build(mol.clone(), p);
+        assert_eq!(cold.solo_grad.len(), cold.sys.num_atoms());
+        let bits = |m: &Monomer| {
+            let mut b: Vec<u64> = m.solo_grad.iter().map(|g| g.to_bits()).collect();
+            b.extend(m.solo_radii.iter().map(|r| r.to_bits()));
+            b.extend([m.solo_raw.to_bits(), m.solo_energy_kcal.to_bits()]);
+            b
+        };
+        let want = bits(&cold);
+        for threads in [1usize, 2, 3] {
+            let mut scratch = PairScratch::with_threads(threads);
+            // cached tiers, and a system and lists rebuilt from scratch
+            let (sys, lists) = (Arc::clone(&cold.sys), Arc::clone(&cold.lists));
+            let cached = Monomer::from_parts(cold.key, sys, lists, &mut scratch);
+            assert!(bits(&cached) == want, "cached monomer at {threads} threads");
+            let sys = Arc::new(GbSystem::prepare(mol.clone(), p));
+            let lists = Arc::new(CachedLists::build(&sys, cold.key));
+            let rebuilt = Monomer::from_parts(cold.key, sys, lists, &mut scratch);
+            assert!(bits(&rebuilt) == want, "rebuilt monomer at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_clash_pose_falls_back_to_full_rows() {
+        let a = monomer(700, 41);
+        let b = monomer(70, 42);
+        // the ligand's centroid on the receptor's: its atoms sit inside
+        // the receptor and move the receptor's radii far past the guard
+        let centroid = |m: &Monomer| {
+            let pts = m.sys.ta.points();
+            pts.iter().fold(Vec3::ZERO, |c, &p| c + p) / pts.len() as f64
+        };
+        let pose = RigidTransform::translation(centroid(&a) - centroid(&b));
+        let out = evaluate_pair(&a, &b, &pose);
+        assert_eq!(out.paths[0], EnergyPath::FullRows);
+        assert!(out.energy_kcal.is_finite());
+    }
+
+    #[test]
+    fn memory_bytes_bill_the_first_order_cache() {
+        let m = monomer(400, 53);
+        let n = m.sys.num_atoms();
+        let without = m.sys.memory_bytes()
+            + m.lists.memory_bytes()
+            + m.self_flat.capacity() * std::mem::size_of::<f64>();
+        assert!(
+            m.memory_bytes() >= without + 2 * n * 8,
+            "{} bytes billed, {without} without the cache, {n} atoms",
+            m.memory_bytes()
+        );
     }
 
     #[test]
@@ -567,6 +863,7 @@ mod tests {
             cold.key,
             Arc::clone(&cold.sys),
             Arc::clone(&cold.lists),
+            &mut PairScratch::new(),
         );
         assert_eq!(
             cold.solo_energy_kcal.to_bits(),

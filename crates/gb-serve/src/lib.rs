@@ -19,11 +19,16 @@
 //!   pair-decomposed path ([`gb_core::pair`]): the receptor's system,
 //!   lists, own-surface integral image and solo energy are cached once by
 //!   content key and reused across every pose; per pose only the cross
-//!   receptor×ligand terms are built. A pose runs on `ranks` threads:
-//!   its two Born cross sides at once, then its energy rows and cross
-//!   double sum in fixed segments whose partials add in segment order, so
-//!   the answer equals a 1-thread [`gb_core::pair::evaluate_pair_ws`] bit
-//!   for bit.
+//!   receptor×ligand terms are built, and the receptor's internal energy
+//!   is its cached solo sum plus a first-order term in the Born-radius
+//!   moves (its full energy rows only when a radius moves past
+//!   [`gb_core::pair::FIRST_ORDER_GUARD`]; [`ServeStats::docking_full_rows`]
+//!   counts those poses). A pose runs on `ranks` threads: its two Born
+//!   cross sides at once, then its energy rows and cross double sum in
+//!   fixed segments whose partials add in segment order, so the answer
+//!   equals a 1-thread [`gb_core::pair::evaluate_pair_ws`] bit for bit. A
+//!   monomer assembled on a cache miss runs its solo energy rows and its
+//!   radius gradient on the same threads.
 //!
 //! ## Caching contract
 //!
@@ -53,7 +58,7 @@ pub use request::{EvalOutcome, EvalRequest, ServeError, ServeReport};
 pub use stats::ServeStats;
 
 use gb_core::arena::{CachedLists, Workspace};
-use gb_core::pair::{evaluate_pair_ws, Monomer, PairScratch};
+use gb_core::pair::{evaluate_pair_ws, EnergyPath, Monomer, PairScratch};
 use gb_core::runners::distributed::{try_run_batch_distributed, BatchJob};
 use gb_core::system::GbSystem;
 use gb_core::{system_key, GbParams};
@@ -301,8 +306,8 @@ fn run_cycle(
             let EvalRequest::Docking { receptor, ligand, params, .. } = &p.request else {
                 unreachable!("partitioned above");
             };
-            let (rm, r_t1, r_t2) = resolve_monomer(cache, cfg, receptor, *params);
-            let (lm, l_t1, l_t2) = resolve_monomer(cache, cfg, ligand, *params);
+            let (rm, r_t1, r_t2) = resolve_monomer(cache, cfg, receptor, *params, pair_scratch);
+            let (lm, l_t1, l_t2) = resolve_monomer(cache, cfg, ligand, *params, pair_scratch);
             (p, rm, lm, r_t1 && l_t1, r_t2 && l_t2)
         })
         .collect();
@@ -375,6 +380,7 @@ fn run_cycle(
         };
         let mut st = shared.stats.lock();
         st.docking_jobs += 1;
+        st.docking_full_rows += u64::from(out.paths[0] == EnergyPath::FullRows);
         st.completed += 1;
         drop(st);
         let _ = p.reply.send(Ok(EvalOutcome {
@@ -450,21 +456,21 @@ fn fresh_pool(ranks: usize, lists: &Arc<CachedLists>) -> WorkspacePool {
 }
 
 /// Resolves a docking monomer: tier-2 monomer entry first, else tier-1
-/// system + fresh lists, caching the assembled monomer. Returns
-/// `(monomer, tier1_hit, tier2_hit)`.
+/// system + fresh lists, caching the assembled monomer. A monomer that is
+/// assembled runs its solo energy rows and radius gradient on `scratch`'s
+/// threads (the pose threads). Returns `(monomer, tier1_hit, tier2_hit)`.
 fn resolve_monomer(
     cache: &mut TieredCache,
     cfg: ServeConfig,
     molecule: &Arc<Molecule>,
     params: GbParams,
+    scratch: &mut PairScratch,
 ) -> (Arc<Monomer>, bool, bool) {
     let key = system_key(molecule, &params);
     if !cfg.caching {
-        return (
-            Arc::new(Monomer::build(Molecule::clone(molecule), params)),
-            false,
-            false,
-        );
+        let sys = Arc::new(GbSystem::prepare(Molecule::clone(molecule), params));
+        let lists = Arc::new(CachedLists::build(&sys, key));
+        return (Arc::new(Monomer::from_parts(key, sys, lists, scratch)), false, false);
     }
     if let Some(m) = cache.get_monomer(key) {
         return (m, true, true);
@@ -478,7 +484,7 @@ fn resolve_monomer(
         }
     };
     let lists = Arc::new(CachedLists::build(&sys, key));
-    let m = Arc::new(Monomer::from_parts(key, sys, lists));
+    let m = Arc::new(Monomer::from_parts(key, sys, lists, scratch));
     cache.put_monomer(key, Arc::clone(&m));
     (m, tier1, false)
 }

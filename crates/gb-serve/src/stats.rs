@@ -22,6 +22,11 @@ pub struct ServeStats {
     pub batched_jobs: u64,
     /// Docking jobs served through the pair-decomposed path.
     pub docking_jobs: u64,
+    /// Docking jobs whose receptor ran its full energy rows because a
+    /// Born radius moved past [`gb_core::pair::FIRST_ORDER_GUARD`]
+    /// (the rest took the first-order term; a ligand's radii usually trip
+    /// the guard, so only the receptor's path is counted).
+    pub docking_full_rows: u64,
     /// Heal-and-replay cycles performed beneath batches.
     pub recoveries: u64,
     /// Cache tier counters.

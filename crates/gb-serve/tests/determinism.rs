@@ -11,10 +11,11 @@
 //! `sparse_comm_equivalence` and `self_healing` suites.
 
 use gb_cluster::{FaultPlan, SimCluster};
-use gb_core::pair::{evaluate_pair_ws, Monomer, PairScratch};
+use gb_core::pair::{evaluate_pair_ws, EnergyPath, Monomer, PairScratch};
 use gb_core::runners::distributed::try_run_distributed_mode;
 use gb_core::{CommMode, GbParams, GbSystem, WorkDivision};
 use gb_geom::{RigidTransform, Vec3};
+use gb_molecule::docking::PoseScan;
 use gb_molecule::{synthesize_protein, Molecule, SyntheticParams};
 use gb_serve::{EvalOutcome, EvalRequest, GbService, ServeConfig};
 use std::sync::Arc;
@@ -173,4 +174,49 @@ fn docking_answers_match_a_one_thread_pair_evaluation_at_every_rank_count() {
         }
         service.shutdown();
     }
+}
+
+#[test]
+fn scan_poses_take_the_first_order_receptor_term_and_match_the_pair_path() {
+    let (receptor, ligand) = (mol(1500, 303), mol(80, 304));
+    let params = GbParams::default();
+    let centroid = {
+        let pts = ligand.positions();
+        pts.iter().fold(Vec3::ZERO, |c, &p| c + p) / pts.len() as f64
+    };
+    let poses = PoseScan {
+        center: receptor.bounding_box().center(),
+        standoff: receptor.bounding_box().circumradius() + 8.0,
+        n_poses: 8,
+        seed: 305,
+    }
+    .poses(centroid);
+    let rm = Monomer::build(Molecule::clone(&receptor), params);
+    let lm = Monomer::build(Molecule::clone(&ligand), params);
+    let mut one = PairScratch::new();
+    let service = GbService::start(ServeConfig { ranks: 2, ..ServeConfig::default() });
+    let tickets: Vec<_> = poses
+        .iter()
+        .map(|&pose| {
+            let req = EvalRequest::Docking {
+                receptor: Arc::clone(&receptor),
+                ligand: Arc::clone(&ligand),
+                pose,
+                params,
+            };
+            service.submit("scan", req).expect("admit pose")
+        })
+        .collect();
+    for (i, (t, pose)) in tickets.into_iter().zip(&poses).enumerate() {
+        let out = t.wait().expect("pose outcome");
+        let want = evaluate_pair_ws(&rm, &lm, pose, &mut one);
+        assert_eq!(want.paths[0], EnergyPath::FirstOrder, "pose {i}");
+        let got = (out.energy_kcal.to_bits(), out.delta_kcal.to_bits());
+        let want = (want.energy_kcal.to_bits(), want.delta_kcal.to_bits());
+        assert_eq!(got, want, "pose {i}: service != 1-thread pair evaluation");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.docking_jobs, poses.len() as u64);
+    assert_eq!(stats.docking_full_rows, 0, "a scan pose fell back to full rows");
+    service.shutdown();
 }

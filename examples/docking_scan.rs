@@ -2,9 +2,12 @@
 //! introduction, routed through the `gb-serve` service: one receptor ×
 //! many rigid ligand poses, submitted as concurrent [`EvalRequest::Docking`]
 //! jobs. The service caches the receptor's system, interaction lists,
-//! own-surface integral image and solo energy once by content hash; each
-//! pose then builds only the cross receptor×ligand terms on a
-//! *transformed* (never rebuilt) ligand octree (paper §IV-C).
+//! own-surface integral image, solo energy and its Born-radius gradient
+//! once by content hash; each pose then builds only the cross
+//! receptor×ligand terms on a *transformed* (never rebuilt) ligand octree
+//! (paper §IV-C) and takes the receptor's internal energy as a first-order
+//! update of its solo energy (full rows when the pose moves a radius past
+//! the guard; the last line counts those poses).
 //!
 //! ```text
 //! cargo run --release --example docking_scan [n_poses]
@@ -87,6 +90,10 @@ fn main() {
         elapsed * 1e3,
         n_poses as f64 / elapsed,
         ServeStats::hit_rate(stats.cache.tier2_hits, stats.cache.tier2_misses),
+    );
+    println!(
+        "{} of {} poses ran the receptor's full energy rows (the rest took the first-order term)",
+        stats.docking_full_rows, stats.docking_jobs,
     );
     service.shutdown();
 }

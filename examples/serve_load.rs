@@ -14,14 +14,18 @@
 //! 3. **Singles mix**: an open-loop multi-tenant burst of small
 //!    molecules fused into shared cluster supersteps.
 //!
-//! Around the two docking phases (before, between, after), a host probe
-//! times the exact O(M²) energy of the receptor: `naive_energy` at its
-//! intrinsic radii, run once on each of the service's `ranks` threads at
-//! the same time (the threads a docking pose runs on), 3 samples each
-//! time, median of the 9.
-//! The warm scan's per-job time and p99 are also reported over that probe:
-//! ratios taken within one process, which a slower or faster host moves
-//! together, unlike the absolute jobs/sec and p99.
+//! A host probe times the exact O(M²) energy of the receptor:
+//! `naive_energy` at its intrinsic radii, run once on each of the
+//! service's `ranks` threads at the same time (the threads a docking pose
+//! runs on), median of 3 samples. The warm scan runs in `SLICES` slices of
+//! its poses with the probe before, between and after them, and each
+//! slice's per-job time and p99 are taken over the mean of the probes on
+//! either side of it. The reported `warm_job_over_probe` and
+//! `p99_over_probe` are the medians of those per-slice ratios: ratios
+//! taken within one process and a fraction of a second apart, which a
+//! slower or faster host moves together, unlike the absolute jobs/sec and
+//! p99. (A probe taken once around the whole scan swung ~30 % between
+//! processes.)
 //!
 //! ```text
 //! cargo run --release --example serve_load > BENCH_serve.json
@@ -37,6 +41,9 @@ use gb_polarize::prelude::*;
 use gb_polarize::serve::ServeStats;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Slices of the warm scan, each timed between two probes.
+const SLICES: usize = 5;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
@@ -115,22 +122,23 @@ fn main() {
     let poses = scan.poses(centroid);
 
     // ---- host probe: the receptor's exact energy on every docking
-    // thread at once, sampled around the docking phases (the median is
-    // the probe time)
+    // thread at once, median of 3 samples
     let probe_sys = GbSystem::prepare(Molecule::clone(&receptor), params);
-    let mut probes = Vec::new();
-    let mut probe = || {
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                for _ in 0..ServeConfig::default().ranks {
-                    s.spawn(|| naive_energy(&probe_sys, probe_sys.molecule.radii()));
-                }
-            });
-            probes.push(t0.elapsed().as_secs_f64() * 1e3);
-        }
+    let probe = || {
+        let mut samples: Vec<f64> = (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::thread::scope(|s| {
+                    for _ in 0..ServeConfig::default().ranks {
+                        s.spawn(|| naive_energy(&probe_sys, probe_sys.molecule.radii()));
+                    }
+                });
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[1]
     };
-    probe();
     let dock_req = |pose| EvalRequest::Docking {
         receptor: Arc::clone(&receptor),
         ligand: Arc::clone(&ligand),
@@ -138,14 +146,32 @@ fn main() {
         params,
     };
 
-    // ---- phase 1: warm docking scan (tiered cache on)
+    // ---- phase 1: warm docking scan (tiered cache on), in slices timed
+    // between probes
     let warm_service = GbService::start(ServeConfig::default());
-    let warm = run_open_loop(
-        &warm_service,
-        poses.iter().map(|p| ("dock".to_string(), dock_req(*p))).collect(),
-    );
+    let slice_len = n_poses.div_ceil(SLICES).max(1);
+    let mut probes = vec![probe()];
+    let (mut job_ratios, mut p99_ratios) = (Vec::new(), Vec::new());
+    let mut warm = Phase { outcomes: Vec::new(), elapsed_s: 0.0, stats: ServeStats::default() };
+    for slice in poses.chunks(slice_len) {
+        let part = run_open_loop(
+            &warm_service,
+            slice.iter().map(|p| ("dock".to_string(), dock_req(*p))).collect(),
+        );
+        probes.push(probe());
+        let around = 0.5 * (probes[probes.len() - 2] + probes[probes.len() - 1]);
+        job_ratios.push(part.elapsed_s * 1e3 / part.outcomes.len() as f64 / around);
+        p99_ratios.push(percentile(&part.latencies(), 0.99) / around);
+        warm.outcomes.extend(part.outcomes);
+        warm.elapsed_s += part.elapsed_s;
+        warm.stats = part.stats;
+    }
     warm_service.shutdown();
-    probe();
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        percentile(v, 0.5)
+    };
+    let probe_ms = median(&mut probes);
 
     // ---- phase 2: cold baseline (caching off, subset of the same poses)
     let cold_service =
@@ -155,9 +181,6 @@ fn main() {
         poses[..cold_poses].iter().map(|p| ("dock".to_string(), dock_req(*p))).collect(),
     );
     cold_service.shutdown();
-    probe();
-    probes.sort_by(f64::total_cmp);
-    let probe_ms = percentile(&probes, 0.5);
 
     let bitwise_match = warm.outcomes[..cold_poses]
         .iter()
@@ -203,11 +226,10 @@ fn main() {
     println!("    \"p50_ms\": {:.3},", percentile(&wl, 0.50));
     println!("    \"p99_ms\": {:.3},", percentile(&wl, 0.99));
     println!("    \"probe_ms\": {probe_ms:.3},");
-    println!(
-        "    \"warm_job_over_probe\": {:.4},",
-        1e3 / warm.jobs_per_sec() / probe_ms
-    );
-    println!("    \"p99_over_probe\": {:.3},", percentile(&wl, 0.99) / probe_ms);
+    println!("    \"slices\": {},", job_ratios.len());
+    println!("    \"warm_job_over_probe\": {:.4},", median(&mut job_ratios));
+    println!("    \"p99_over_probe\": {:.3},", median(&mut p99_ratios));
+    println!("    \"full_row_poses\": {},", wstats.docking_full_rows);
     println!(
         "    \"tier1_hit_rate\": {:.4},",
         ServeStats::hit_rate(wstats.cache.tier1_hits, wstats.cache.tier1_misses)
