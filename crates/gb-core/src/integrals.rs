@@ -211,7 +211,25 @@ pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
     out: &mut [f64],
     stack: &mut Vec<(NodeId, f64)>,
 ) -> f64 {
+    let atom_s = &acc.atom_s[range.clone()];
+    push_span::<K>(sys, &acc.node_s, atom_s, range, out, stack)
+}
+
+/// [`push_integrals_scratch`] over bare accumulator slices: `node_s`
+/// holds every node slot and `atom_s[i]` the exact sum of tree position
+/// `range.start + i`, so a caller that owns only its range's sums (a
+/// docking pose's receptor segment) pushes without a full-length
+/// accumulator.
+pub(crate) fn push_span<K: RadiiApprox>(
+    sys: &GbSystem,
+    node_s: &[f64],
+    atom_s: &[f64],
+    range: std::ops::Range<usize>,
+    out: &mut [f64],
+    stack: &mut Vec<(NodeId, f64)>,
+) -> f64 {
     assert_eq!(out.len(), range.len());
+    assert_eq!(atom_s.len(), range.len());
     if sys.ta.is_empty() {
         return 0.0;
     }
@@ -225,12 +243,12 @@ pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
             continue;
         }
         work += TRAVERSAL_UNIT;
-        let here = carried + acc.node_s[id as usize];
+        let here = carried + node_s[id as usize];
         if n.is_leaf() {
             let lo = (n.begin as usize).max(range.start);
             let hi = (n.end as usize).min(range.end);
             for pos in lo..hi {
-                let s = here + acc.atom_s[pos];
+                let s = here + atom_s[pos - range.start];
                 out[pos - range.start] = K::radius(s, sys.vdw_tree[pos], sys.born_cap);
                 work += 1.0;
             }
@@ -241,6 +259,19 @@ pub fn push_integrals_scratch<M: MathMode, K: RadiiApprox>(
         }
     }
     work
+}
+
+/// The work one push over all of `sys`'s atoms bills: every node of a
+/// built octree holds atoms, so that push visits each node once and
+/// converts each atom once. Every addend is a multiple of
+/// [`TRAVERSAL_UNIT`], so the sum is exact in any order. Pushes cut into
+/// atom segments bill the nodes the segments share once per segment;
+/// this is the one-pass figure they stand in for.
+pub(crate) fn full_push_work(sys: &GbSystem) -> f64 {
+    if sys.ta.is_empty() {
+        return 0.0;
+    }
+    TRAVERSAL_UNIT * sys.ta.num_nodes() as f64 + sys.num_atoms() as f64
 }
 
 #[cfg(test)]
@@ -318,6 +349,19 @@ mod tests {
             push_integrals_to_atoms::<R6>(&sys, &acc, r, &mut seg);
         }
         assert_eq!(full, seg);
+    }
+
+    #[test]
+    fn full_push_work_is_the_one_pass_push_work() {
+        for n in [1usize, 2, 37, 250] {
+            let sys = system(n, 0.9);
+            let acc = IntegralAcc::zeros(&sys);
+            let mut out = vec![0.0; sys.num_atoms()];
+            let all = 0..sys.num_atoms();
+            let work = push_integrals_scratch::<crate::fastmath::ExactMath, R6>(
+                &sys, &acc, all, &mut out, &mut Vec::new());
+            assert_eq!(full_push_work(&sys).to_bits(), work.to_bits(), "{n} atoms");
+        }
     }
 
     #[test]

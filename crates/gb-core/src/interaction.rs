@@ -563,46 +563,69 @@ impl BornLists {
         ords: Range<usize>,
         acc: &mut IntegralAcc,
     ) -> f64 {
-        self.execute::<K>(AtomStreams::of(sys), SurfaceStreams::of(sys), ords, acc)
+        let (atoms, surface) = (AtomStreams::of(sys), SurfaceStreams::of(sys));
+        self.execute::<K>(atoms, surface, ords, Some(&mut acc.node_s), 0, &mut acc.atom_s)
     }
 
     /// The one Born list executor: runs the lists of the driving-leaf
     /// ordinals in `ords` with `atoms` accumulating and `surface` driving,
-    /// adding into `acc` exactly where the traversal would (far terms at
-    /// `node_s[a]`, exact sums at `atom_s`, near atom runs cut to the
-    /// clip). Own-surface lists pass one system's two sides; the docking
+    /// adding exactly where the traversal would: far terms at
+    /// `node_s[a]` (skipped when `node_s` is `None`), exact sums at the
+    /// atom positions `first..first + atom_s.len()` (`atom_s[i]` is
+    /// position `first + i`), near atom runs cut to that span and to the
+    /// clip. Own-surface lists pass one system's two sides; the docking
     /// path's cross lists ([`BornLists::rebuild_cross`]) pair one
-    /// monomer's atoms with the other's posed surface. Returns the work
-    /// units.
+    /// monomer's atoms with the other's posed surface, and may run their
+    /// far terms and their atom spans in separate calls: every slot still
+    /// takes its terms in row order. Returns the work units of `ords`.
     pub(crate) fn execute<K: RadiiApprox>(
         &self,
         atoms: AtomStreams,
         surface: SurfaceStreams,
         ords: Range<usize>,
-        acc: &mut IntegralAcc,
+        mut node_s: Option<&mut [f64]>,
+        first: usize,
+        atom_s: &mut [f64],
     ) -> f64 {
         let (ta, tq) = (atoms.tree, surface.tree);
+        let span = first.max(self.clip.start)..(first + atom_s.len()).min(self.clip.end);
         let mut work = 0.0;
         for ord in ords {
             let q_leaf = tq.leaves()[ord];
             let qn = tq.node(q_leaf);
-            let q_center = qn.centroid;
-            let q_agg = surface.agg_normals[q_leaf as usize];
-            for &a_id in self.rows.far_row(ord) {
-                let a = ta.node(a_id);
-                let delta = q_center - a.centroid;
-                let d2 = delta.norm_sq();
-                acc.node_s[a_id as usize] += q_agg.dot(delta) * K::integrand(d2);
+            if let Some(node_s) = node_s.as_deref_mut() {
+                let q_center = qn.centroid;
+                let q_agg = surface.agg_normals[q_leaf as usize];
+                for &a_id in self.rows.far_row(ord) {
+                    let a = ta.node(a_id);
+                    let delta = q_center - a.centroid;
+                    let d2 = delta.norm_sq();
+                    node_s[a_id as usize] += q_agg.dot(delta) * K::integrand(d2);
+                }
             }
             // Near list: rows are ascending in tree order, so touching
             // leaves coalesce into one long atom run each — the batched
             // kernel then streams whole runs (25 atoms on average at 10k,
             // 40% of atoms in runs of ≥ 1,024) instead of ~3 per tiny leaf.
-            let q = surface.leaf(qn.range());
-            for run in atom_runs(ta, self.rows.near_row(ord)) {
-                let run = run.start.max(self.clip.start)..run.end.min(self.clip.end);
-                if !run.is_empty() {
-                    born_span_batched::<K>(atoms.xyz, run, &q, acc);
+            if !span.is_empty() {
+                let q = surface.leaf(qn.range());
+                // a row's entries are disjoint and ascend, so the runs
+                // before the span are skipped by bisection and the walk
+                // stops past it
+                let row = self.rows.near_row(ord);
+                let skip = match span.start {
+                    0 => 0,
+                    lo => row.partition_point(|&id| ta.node(id).end as usize <= lo),
+                };
+                for run in atom_runs(ta, &row[skip..]) {
+                    if run.start >= span.end {
+                        break;
+                    }
+                    let run = run.start.max(span.start)..run.end.min(span.end);
+                    if !run.is_empty() {
+                        let out = &mut atom_s[run.start - first..run.end - first];
+                        born_span_batched::<K>(atoms.xyz, run.start, &q, out);
+                    }
                 }
             }
             work += self.rows.work[ord];
@@ -736,23 +759,20 @@ struct QLeaf<'a> {
 /// q-point, the loop streams the span's SoA coordinates with FMA-fused
 /// distance/dot products and a branch-free coincident-point select,
 /// autovectorizing over atoms (the per-lane `1/r⁶` divisions pipeline
-/// across SIMD lanes instead of serializing per scalar term).
+/// across SIMD lanes instead of serializing per scalar term). `out` holds
+/// the exact sums of the span's atoms, which start at tree position
+/// `first`.
 #[inline]
-fn born_span_batched<K: RadiiApprox>(
-    a: &Soa3,
-    atoms: Range<usize>,
-    q: &QLeaf,
-    acc: &mut IntegralAcc,
-) {
-    let ax = &a.x[atoms.clone()];
-    let ay = &a.y[atoms.clone()];
-    let az = &a.z[atoms.clone()];
-    let out = &mut acc.atom_s[atoms];
+fn born_span_batched<K: RadiiApprox>(a: &Soa3, first: usize, q: &QLeaf, out: &mut [f64]) {
+    let n = out.len();
+    let ax = &a.x[first..][..n];
+    let ay = &a.y[first..][..n];
+    let az = &a.z[first..][..n];
     for k in 0..q.x.len() {
         let (px, py, pz) = (q.x[k], q.y[k], q.z[k]);
         let (mx, my, mz) = (q.nx[k], q.ny[k], q.nz[k]);
         let wk = q.w[k];
-        for i in 0..out.len() {
+        for i in 0..n {
             let dx = px - ax[i];
             let dy = py - ay[i];
             let dz = pz - az[i];
@@ -2182,7 +2202,8 @@ mod tests {
             }
             let q = surface.leaf(qn.range());
             for &a_id in lists.rows.near_row(ord) {
-                born_span_batched::<R6>(atoms.xyz, ta.node(a_id).range(), &q, acc);
+                let r = ta.node(a_id).range();
+                born_span_batched::<R6>(atoms.xyz, r.start, &q, &mut acc.atom_s[r]);
             }
         }
     }
@@ -2224,7 +2245,8 @@ mod tests {
             atom_s: vec![0.0; atoms.tree.num_points()],
         };
         let mut merged = zeros();
-        cross.execute::<R6>(atoms, surface, 0..cross.num_qleaves(), &mut merged);
+        let ords = 0..cross.num_qleaves();
+        cross.execute::<R6>(atoms, surface, ords, Some(&mut merged.node_s), 0, &mut merged.atom_s);
         let mut reference = zeros();
         execute_per_entry(&cross, atoms, surface, &mut reference);
         assert!(

@@ -15,9 +15,15 @@
 //!   surface and vice versa, built per pose by
 //!   [`BornLists::rebuild_cross`] and run by the same batched executor as
 //!   the own-surface lists, over the posed ligand's struct-of-arrays
-//!   streams. The two sides are independent (each ends in its monomer's
-//!   push and charge bins) and run concurrently on a multi-thread
-//!   [`PairScratch`];
+//!   streams. On a multi-thread [`PairScratch`] no pose thread idles:
+//!   the receptor's cross-list build runs beside the ligand's whole side
+//!   (the smaller one), then every thread claims contiguous
+//!   receptor-atom segments, each running the near cross terms of its
+//!   atoms over every q-leaf row in row order and then their push, while
+//!   the list builder first adds the receptor's far terms, which every
+//!   push waits for. Each integral slot takes the same terms in the same
+//!   order however the atoms are cut, so the radii have the same bits at
+//!   every thread count;
 //! * **energy** — each monomer's internal term, plus the exact cross
 //!   atom–atom double sum (`× 2` for both orderings of the raw
 //!   all-ordered-pairs sum), each receptor row one energy-tile pass over
@@ -54,7 +60,7 @@ use crate::bins::ChargeBins;
 use crate::contenthash::{params_key, system_key};
 use crate::fastmath::ExactMath;
 use crate::gbmath::{finalize_energy, RadiiApprox, R4, R6};
-use crate::integrals::{push_integrals_scratch, IntegralAcc};
+use crate::integrals::{full_push_work, push_integrals_scratch, push_span, IntegralAcc};
 use crate::interaction::{
     exact_row_grad, exact_row_raw, AtomStreams, BornLists, EnergyExecScratch, ListScratch,
     SurfaceStreams,
@@ -62,13 +68,15 @@ use crate::interaction::{
 use crate::params::{GbParams, RadiiKind};
 use crate::runners::with_kernels;
 use crate::system::GbSystem;
-use crate::workdiv::{fork_join, segment, segment_count, sum_segments, SegmentPartials};
+use crate::workdiv::{
+    even_ranges_into, fork_join, scope, segment, segment_count, sum_segments, SegmentPartials,
+};
 use gb_geom::{RigidTransform, Soa3, Vec3};
 use gb_molecule::Molecule;
 use gb_octree::{NodeId, Octree};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Largest relative move `|ΔR_i / R_i|` of any of a monomer's Born radii
 /// at which a pose takes the monomer's internal energy as the first-order
@@ -298,16 +306,20 @@ pub struct PairOutcome {
 
 /// Reusable buffers of the per-pose evaluation — one per serve worker, so
 /// a warm pose allocates nothing on one thread. Its thread count sets how
-/// many threads run a pose: the two Born cross sides run concurrently
-/// from 2 threads on, and the energy rows and cross double sum take fixed
-/// row segments on every thread. The answer is `to_bits` the same at
-/// every count.
+/// many threads run a pose. The Born half runs in two phases: the
+/// receptor's cross-list build beside the whole ligand side, then the
+/// receptor's near terms and push in receptor-atom segments that every
+/// thread claims (one thread scope for both). The energy rows and the
+/// cross double sum take fixed row segments on every thread. The answer
+/// is `to_bits` the same at every count.
 #[derive(Debug)]
 pub struct PairScratch {
     posed: PosedLigand,
     /// Receptor atoms × posed ligand surface, then posed ligand atoms ×
     /// receptor surface.
     sides: [CrossSide; 2],
+    /// The receptor's atom segments.
+    segments: Segments,
     /// One energy tile scratch per thread.
     execs: Vec<EnergyExecScratch>,
     partials: SegmentPartials,
@@ -320,12 +332,14 @@ impl PairScratch {
     }
 
     /// Fresh scratch whose poses run on `threads` threads (0 is taken as
-    /// 1): both Born cross sides at once from 2 threads on, and the
-    /// energy rows and cross double sum on all of them.
+    /// 1): from 2 threads on, the receptor's cross-list build beside the
+    /// ligand's whole Born side, then the receptor's atom segments, the
+    /// energy rows and the cross double sum on all of them.
     pub fn with_threads(threads: usize) -> PairScratch {
         PairScratch {
             posed: PosedLigand::new(),
             sides: [CrossSide::new(), CrossSide::new()],
+            segments: Segments::default(),
             execs: (0..threads.max(1)).map(|_| EnergyExecScratch::new()).collect(),
             partials: SegmentPartials::new(),
         }
@@ -392,9 +406,11 @@ impl PosedLigand {
 
 /// One monomer's Born half of a pose: its cross lists against the other
 /// monomer's surface, its integrals (cached own-surface image plus the
-/// cross terms), the push to Born radii and the charge bins. Each side
-/// owns every buffer it writes, so the two run on any threads with the
-/// same bits.
+/// cross terms) and its Born radii in the complex. The ligand runs its
+/// whole half on one thread ([`CrossSide::run`]); the receptor keeps its
+/// lists and node slots here ([`receptor_far`]) while its atom slots and
+/// push run in segments ([`Segment`]). Charge bins are built only for a
+/// monomer whose energy rows run.
 #[derive(Debug)]
 struct CrossSide {
     lists: BornLists,
@@ -421,8 +437,8 @@ impl CrossSide {
         }
     }
 
-    /// Runs monomer `m`'s half: `atoms` are `m`'s (canonical or posed)
-    /// atoms, `surface` the other monomer's.
+    /// Runs monomer `m`'s whole half: `atoms` are `m`'s (canonical or
+    /// posed) atoms, `surface` the other monomer's.
     fn run<K: RadiiApprox>(&mut self, m: &Monomer, atoms: AtomStreams, surface: SurfaceStreams) {
         let s: &GbSystem = &m.sys;
         let threshold = s.params.radii_mac_threshold();
@@ -430,7 +446,8 @@ impl CrossSide {
         self.acc.reset_for(s);
         self.acc.copy_from_flat(&m.self_flat);
         let ords = 0..self.lists.num_qleaves();
-        let exec = self.lists.execute::<K>(atoms, surface, ords, &mut self.acc);
+        let IntegralAcc { node_s, atom_s } = &mut self.acc;
+        let exec = self.lists.execute::<K>(atoms, surface, ords, Some(node_s), 0, atom_s);
         // the push is topology-only, so it runs in the canonical tree
         // (a posed copy shares it)
         let n = s.num_atoms();
@@ -438,8 +455,184 @@ impl CrossSide {
         self.radii.resize(n, 0.0);
         let (radii, stack) = (&mut self.radii, &mut self.push_stack);
         let push = push_integrals_scratch::<ExactMath, K>(s, &self.acc, 0..n, radii, stack);
-        self.bins.recompute(s, &self.radii);
         self.work = [self.lists.build_work, exec, push];
+    }
+}
+
+/// The receptor's far cross terms: `node_s` starts from `m`'s own-surface
+/// node image and takes every far term of `lists`, in row order. Returns
+/// the execution work of the lists; the near terms run in the segments
+/// ([`Segment::near`]).
+fn receptor_far<K: RadiiApprox>(
+    m: &Monomer,
+    surface: SurfaceStreams,
+    lists: &BornLists,
+    node_s: &mut Vec<f64>,
+) -> f64 {
+    let s: &GbSystem = &m.sys;
+    node_s.clear();
+    node_s.extend_from_slice(&m.self_flat[..s.ta.num_nodes()]);
+    let (atoms, ords) = (AtomStreams::of(s), 0..lists.num_qleaves());
+    lists.execute::<K>(atoms, surface, ords, Some(node_s), 0, &mut [])
+}
+
+/// Receptor-atom segments of a pose per pose thread. The threads claim
+/// segments as they come free, so the one that builds the receptor's
+/// lists and far terms takes fewer.
+const SEGMENTS_PER_THREAD: usize = 4;
+
+/// The receptor's atom segments of a pose: equal atom spans and each
+/// segment's buffers. Grow-only.
+#[derive(Debug, Default)]
+struct Segments {
+    cuts: Vec<Range<usize>>,
+    parts: Vec<Mutex<Segment>>,
+}
+
+/// One receptor-atom segment of a pose: the exact sums of its atoms (the
+/// own-surface image plus their near cross terms) and their Born radii.
+#[derive(Debug, Default)]
+struct Segment {
+    atom_s: Vec<f64>,
+    radii: Vec<f64>,
+    push_stack: Vec<(NodeId, f64)>,
+}
+
+impl Segment {
+    /// Receptor `m`'s near cross terms over the atom positions `span`:
+    /// every q-leaf row of `lists` in row order, each near run cut to the
+    /// span.
+    fn near<K: RadiiApprox>(
+        &mut self,
+        m: &Monomer,
+        surface: SurfaceStreams,
+        lists: &BornLists,
+        span: Range<usize>,
+    ) {
+        let s: &GbSystem = &m.sys;
+        let image = &m.self_flat[s.ta.num_nodes()..];
+        self.atom_s.clear();
+        self.atom_s.extend_from_slice(&image[span.clone()]);
+        let (atoms, ords) = (AtomStreams::of(s), 0..lists.num_qleaves());
+        lists.execute::<K>(atoms, surface, ords, None, span.start, &mut self.atom_s);
+    }
+
+    /// Pushes the span's sums to Born radii with the node slots `node_s`
+    /// that [`receptor_far`] filled.
+    fn push<K: RadiiApprox>(&mut self, m: &Monomer, node_s: &[f64], span: Range<usize>) {
+        self.radii.clear();
+        self.radii.resize(span.len(), 0.0);
+        let (radii, stack) = (&mut self.radii, &mut self.push_stack);
+        push_span::<K>(&m.sys, node_s, &self.atom_s, span, radii, stack);
+    }
+}
+
+/// Publishes `None` if the receptor's first phase unwinds before it
+/// published, so no segment thread waits forever.
+struct Unblock<'a, T>(&'a OnceLock<Option<T>>);
+
+impl<T> Drop for Unblock<'_, T> {
+    fn drop(&mut self) {
+        self.0.get_or_init(|| None);
+    }
+}
+
+/// The Born half of a pose on `threads` threads: both monomers' Born
+/// radii in the complex (`sides[0]` the receptor `a`'s, `sides[1]` the
+/// ligand `b`'s). The calling thread builds the receptor's cross lists
+/// while a spawned thread runs the whole ligand side (or the calling
+/// thread, after the receptor's far terms, if no spawned thread has
+/// started yet); then every thread claims receptor-atom segments until
+/// none is left, the calling thread after it has added the receptor's
+/// far terms. A segment's push waits for those. The segments' radii are
+/// gathered at the end. One thread runs the same steps in order; more
+/// share one thread scope. Every accumulator slot takes the same terms in
+/// the same order however the atoms are cut and whichever thread runs a
+/// segment, so the radii have the same bits at every thread count.
+fn born_half<K: RadiiApprox>(
+    (a, b): (&Monomer, &Monomer),
+    posed: &PosedLigand,
+    sides: &mut [CrossSide; 2],
+    segments: &mut Segments,
+    threads: usize,
+) {
+    let (sa, sb): (&GbSystem, &GbSystem) = (&a.sys, &b.sys);
+    let surface = posed.surface(sb);
+    let count = SEGMENTS_PER_THREAD * threads;
+    let Segments { cuts, parts } = segments;
+    even_ranges_into(sa.num_atoms(), count, cuts);
+    if parts.len() < count {
+        parts.resize_with(count, Default::default);
+    }
+    let parts = &mut parts[..count];
+    let threshold = sa.params.radii_mac_threshold();
+    let [rec, lig] = sides;
+    let CrossSide { lists, ls, acc, work, .. } = rec;
+    if threads == 1 {
+        lists.rebuild_cross(&sa.ta, surface.tree, threshold, ls);
+        let exec = receptor_far::<K>(a, surface, lists, &mut acc.node_s);
+        *work = [lists.build_work, exec, full_push_work(sa)];
+        lig.run::<K>(b, posed.atoms(), SurfaceStreams::of(sa));
+        for (part, span) in parts.iter_mut().zip(cuts.iter()) {
+            let part = part.get_mut().expect("segments are claimed once");
+            part.near::<K>(a, surface, lists, span.clone());
+            part.push::<K>(a, &acc.node_s, span.clone());
+        }
+    } else {
+        // the receptor's lists, then its node slots, once they are done
+        let lists_ready: OnceLock<Option<&BornLists>> = OnceLock::new();
+        let nodes_ready: OnceLock<Option<&[f64]>> = OnceLock::new();
+        let (next, shared, cuts) = (AtomicUsize::new(0), &*parts, &*cuts);
+        let claim = |lists: &BornLists| loop {
+            // the counter publishes no data: the read-modify-write alone
+            // hands each segment to exactly one thread
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(part) = shared.get(k) else { break };
+            let mut part = part.lock().expect("segments are claimed once");
+            part.near::<K>(a, surface, lists, cuts[k].clone());
+            let Some(node_s) = *nodes_ready.wait() else { break };
+            part.push::<K>(a, node_s, cuts[k].clone());
+        };
+        // the ligand's whole side goes to the first thread that asks: a
+        // spawned thread as it starts, else the calling thread once the
+        // receptor's far terms are in
+        let ligand = Mutex::new(Some(lig));
+        let run_ligand = || {
+            let side = ligand.lock().expect("the ligand side is taken once").take();
+            if let Some(side) = side {
+                side.run::<K>(b, posed.atoms(), SurfaceStreams::of(sa));
+            }
+        };
+        let (claim, run_ligand) = (&claim, &run_ligand);
+        let (lists_ready, nodes_ready) = (&lists_ready, &nodes_ready);
+        let node_s = &mut acc.node_s;
+        scope(move |sc| {
+            for _ in 1..threads {
+                sc.spawn(move || {
+                    run_ligand();
+                    if let Some(lists) = *lists_ready.wait() {
+                        claim(lists);
+                    }
+                });
+            }
+            let unblock = (Unblock(lists_ready), Unblock(nodes_ready));
+            lists.rebuild_cross(&sa.ta, surface.tree, threshold, ls);
+            let lists: &BornLists = lists;
+            lists_ready.get_or_init(|| Some(lists));
+            let exec = receptor_far::<K>(a, surface, lists, node_s);
+            *work = [lists.build_work, exec, full_push_work(sa)];
+            let node_s: &[f64] = node_s;
+            nodes_ready.get_or_init(|| Some(node_s));
+            drop(unblock);
+            run_ligand();
+            claim(lists);
+        });
+    }
+    rec.radii.clear();
+    rec.radii.resize(sa.num_atoms(), 0.0);
+    for (part, span) in parts.iter_mut().zip(cuts.iter()) {
+        let part = part.get_mut().expect("segments are claimed once");
+        rec.radii[span.clone()].copy_from_slice(&part.radii);
     }
 }
 
@@ -462,23 +655,14 @@ pub fn evaluate_pair_ws(
     let sb: &GbSystem = &b.sys;
     let (na, nb) = (sa.num_atoms(), sb.num_atoms());
     scratch.posed.pose(sb, pose);
-    let PairScratch { posed, sides, execs, partials } = scratch;
+    let PairScratch { posed, sides, segments, execs, partials } = scratch;
     let posed = &*posed;
 
     // Born integrals: each monomer starts from its cached own-surface
-    // image and adds its posed cross terms, then pushes and bins
-    let side = |i: usize, side: &mut CrossSide| {
-        with_kernels!(sa.params, K => match i {
-            0 => side.run::<K>(a, AtomStreams::of(sa), posed.surface(sb)),
-            _ => side.run::<K>(b, posed.atoms(), SurfaceStreams::of(sa)),
-        })
-    };
-    if execs.len() > 1 {
-        fork_join(sides, side);
-    } else {
-        sides.iter_mut().enumerate().for_each(|(i, s)| side(i, s));
-    }
-    let [sd_a, sd_b] = &*sides;
+    // image and adds its posed cross terms, then pushes
+    let threads = execs.len();
+    with_kernels!(sa.params, K => born_half::<K>((a, b), posed, sides, segments, threads));
+    let [sd_a, sd_b] = sides;
     let mut work = a.self_work + b.self_work + sd_a.work[0];
     work += sd_a.work[1];
     work += sd_b.work[0];
@@ -488,11 +672,13 @@ pub fn evaluate_pair_ws(
 
     // Energy: each monomer's internal term as its first-order update
     // from the solo energy, or, past the guard, through its cached lists
-    // at the complex radii; cross terms as the exact ordered-pair double
-    // sum. The rows run in fixed segments on the scratch's threads.
-    let mut internal = |m: &Monomer, sd: &CrossSide| match m.first_order_raw(&sd.radii) {
+    // at the complex radii and charge bins; cross terms as the exact
+    // ordered-pair double sum. The rows run in fixed segments on the
+    // scratch's threads.
+    let mut internal = |m: &Monomer, sd: &mut CrossSide| match m.first_order_raw(&sd.radii) {
         Some(raw) => (raw, sd.radii.len() as f64, EnergyPath::FirstOrder),
         None => {
+            sd.bins.recompute(&m.sys, &sd.radii);
             let rows = 0..m.lists.energy.num_vleaves();
             let (raw, w) = m.lists.energy.execute_rows::<ExactMath, _>(
                 &m.sys, &sd.bins, &sd.radii, rows, execs, partials);
@@ -832,6 +1018,38 @@ mod tests {
         assert_eq!(fresh.work.to_bits(), warm.work.to_bits());
     }
 
+    /// Bits of everything a pose produces: both monomers' radii, the
+    /// energies, the billed work and the paths.
+    fn pose_bits(out: &PairOutcome, scratch: &PairScratch) -> (Vec<u64>, [EnergyPath; 2]) {
+        let radii = scratch.sides.iter().flat_map(|s| &s.radii);
+        let mut bits: Vec<u64> = radii.map(|r| r.to_bits()).collect();
+        bits.extend([out.energy_kcal, out.delta_kcal, out.work].map(f64::to_bits));
+        (bits, out.paths)
+    }
+
+    /// Every pose gives the same bits on 1 to 4 threads as on a fresh
+    /// one-thread scratch, each scratch evaluating all poses twice.
+    fn assert_thread_count_invariant(a: &Monomer, b: &Monomer, poses: &[RigidTransform]) {
+        let one: Vec<_> = poses
+            .iter()
+            .map(|pose| {
+                let mut scratch = PairScratch::new();
+                let out = evaluate_pair_ws(a, b, pose, &mut scratch);
+                pose_bits(&out, &scratch)
+            })
+            .collect();
+        for threads in [1usize, 2, 3, 4] {
+            let mut scratch = PairScratch::with_threads(threads);
+            for run in 0..2 {
+                for (i, (pose, want)) in poses.iter().zip(&one).enumerate() {
+                    let out = evaluate_pair_ws(a, b, pose, &mut scratch);
+                    let what = format!("pose {i}, {threads} threads, run {run}");
+                    assert!(pose_bits(&out, &scratch) == *want, "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn pair_evaluation_is_bitwise_independent_of_the_thread_count() {
         let a = monomer(1500, 31);
@@ -841,17 +1059,46 @@ mod tests {
             Vec3::new(0.2, 0.4, 0.9),
             1.1,
         );
-        let one = evaluate_pair_ws(&a, &b, &pose, &mut PairScratch::new());
-        for threads in [1usize, 2, 3] {
-            let mut scratch = PairScratch::with_threads(threads);
-            for run in 0..2 {
-                let out = evaluate_pair_ws(&a, &b, &pose, &mut scratch);
-                let what = format!("{threads} threads, run {run}");
-                assert_eq!(out.energy_kcal.to_bits(), one.energy_kcal.to_bits(), "{what}");
-                assert_eq!(out.delta_kcal.to_bits(), one.delta_kcal.to_bits(), "{what}");
-                assert_eq!(out.work.to_bits(), one.work.to_bits(), "{what}");
-            }
-        }
+        // the ligand pressed into the receptor: both take their full rows
+        let clash = RigidTransform::translation(Vec3::new(1.5, -0.5, 0.8));
+        assert_eq!(evaluate_pair(&a, &b, &clash).paths[0], EnergyPath::FullRows);
+        assert_thread_count_invariant(&a, &b, &[pose, clash]);
+
+        let r4 = GbParams { radii_kind: RadiiKind::R4, ..GbParams::default() };
+        let build = |n, seed| {
+            Monomer::build(synthesize_protein(&SyntheticParams::with_atoms(n, seed)), r4)
+        };
+        let (a4, b4) = (build(600, 33), build(60, 34));
+        let near = RigidTransform::translation(Vec3::new(9.0, 2.0, -4.0));
+        assert_thread_count_invariant(&a4, &b4, &[pose, near]);
+    }
+
+    #[test]
+    fn a_receptor_with_fewer_atoms_than_segments_matches_one_thread() {
+        // 3 atoms cut into the 16 segments of 4 threads: most are empty
+        let a = monomer(3, 35);
+        let b = monomer(40, 36);
+        assert_eq!(a.sys.num_atoms(), 3);
+        let poses = [
+            RigidTransform::translation(Vec3::new(6.0, 1.0, -2.0)),
+            RigidTransform::rotation_about(Vec3::ZERO, Vec3::new(0.1, 0.7, 0.3), 2.0),
+        ];
+        assert_thread_count_invariant(&a, &b, &poses);
+    }
+
+    #[test]
+    fn a_warm_pose_opens_at_most_two_thread_scopes() {
+        let a = monomer(700, 37);
+        let b = monomer(70, 38);
+        let pose = RigidTransform::translation(Vec3::new(24.0, 3.0, -1.0));
+        let mut scratch = PairScratch::with_threads(2);
+        evaluate_pair_ws(&a, &b, &pose, &mut scratch);
+        let before = crate::workdiv::SCOPES.with(|n| n.get());
+        let out = evaluate_pair_ws(&a, &b, &pose, &mut scratch);
+        let scopes = crate::workdiv::SCOPES.with(|n| n.get()) - before;
+        assert_eq!(out.paths, [EnergyPath::FirstOrder; 2]);
+        // one for the Born half, one for the cross energy sum
+        assert!((1..=2).contains(&scopes), "a warm 2-thread pose opened {scopes} thread scopes");
     }
 
     #[test]

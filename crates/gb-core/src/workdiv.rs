@@ -118,12 +118,29 @@ pub(crate) fn fork_join<T: Send>(items: &mut [T], task: impl Fn(usize, &mut T) +
         return task(0, first);
     }
     let task = &task;
-    std::thread::scope(|s| {
+    scope(|s| {
         for (i, item) in rest.iter_mut().enumerate() {
             s.spawn(move || task(i + 1, item));
         }
         task(0, first);
     });
+}
+
+/// `std::thread::scope`, the one place the in-process phases open
+/// threads, so tests can count the scopes a call opens on the calling
+/// thread (`SCOPES`, in tests).
+pub(crate) fn scope<'env, T>(
+    f: impl for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
+) -> T {
+    #[cfg(test)]
+    SCOPES.with(|n| n.set(n.get() + 1));
+    std::thread::scope(f)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Thread scopes opened by [`scope`] on this thread.
+    pub(crate) static SCOPES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Rows of one fixed segment of an energy row sum: segment `k` is the

@@ -147,9 +147,10 @@ fn warm_one_thread_pose_allocates_nothing() {
     let pose_b = RigidTransform::translation(Vec3::new(-12.0, 5.0, 3.0));
 
     // One thread: the whole pose runs on the calling thread. At T > 1 the
-    // Born cross sides and the energy segments run on spawned scoped
-    // threads, and spawning a thread allocates inside std, so only the
-    // one-thread path is allocation-free.
+    // ligand's Born side, the receptor's Born atom segments and the energy
+    // row segments run on spawned scoped threads, and spawning a thread
+    // allocates inside std, so only the one-thread path is
+    // allocation-free.
     let mut scratch = PairScratch::with_threads(1);
     // both poses twice, so every buffer sees both transitions (and any
     // Vec-doubling ratchet) during warm-up

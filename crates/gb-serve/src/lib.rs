@@ -23,10 +23,12 @@
 //!   is its cached solo sum plus a first-order term in the Born-radius
 //!   moves (its full energy rows only when a radius moves past
 //!   [`gb_core::pair::FIRST_ORDER_GUARD`]; [`ServeStats::docking_full_rows`]
-//!   counts those poses). A pose runs on `ranks` threads: its two Born
-//!   cross sides at once, then its energy rows and cross double sum in
-//!   fixed segments whose partials add in segment order, so the answer
-//!   equals a 1-thread [`gb_core::pair::evaluate_pair_ws`] bit for bit. A
+//!   counts those poses). A pose runs on `ranks` threads: the receptor's
+//!   cross-list build beside the ligand's whole Born side, then the
+//!   receptor's Born atom segments on every thread, then its energy rows
+//!   and cross double sum in fixed segments whose partials add in segment
+//!   order, so the answer equals a 1-thread
+//!   [`gb_core::pair::evaluate_pair_ws`] bit for bit. A
 //!   monomer assembled on a cache miss runs its solo energy rows and its
 //!   radius gradient on the same threads.
 //!
@@ -74,9 +76,10 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Ranks of each fused cluster superstep (node-based division, sparse
-    /// integral combine), and the threads each docking pose runs on; 0
-    /// is taken as 1. Docking answers are `to_bits` the same at every
-    /// value.
+    /// integral combine), and the threads each docking pose runs on (its
+    /// Born half and its energy segments; see
+    /// [`gb_core::pair::PairScratch`]); 0 is taken as 1. Docking answers
+    /// are `to_bits` the same at every value.
     pub ranks: usize,
     /// Admission bound: submits beyond this many queued requests are shed
     /// with [`ServeError::QueueFull`].

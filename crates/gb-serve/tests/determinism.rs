@@ -153,7 +153,7 @@ fn docking_answers_match_a_one_thread_pair_evaluation_at_every_rank_count() {
             (out.energy_kcal.to_bits(), out.delta_kcal.to_bits())
         })
         .collect();
-    for ranks in [1usize, 2] {
+    for ranks in [1usize, 2, 3] {
         let service = GbService::start(ServeConfig { ranks, ..ServeConfig::default() });
         let tickets: Vec<_> = poses
             .iter()

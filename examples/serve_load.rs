@@ -27,6 +27,13 @@
 //! p99. (A probe taken once around the whole scan swung ~30 % between
 //! processes.)
 //!
+//! After each slice the same poses also run straight through
+//! `evaluate_pair_ws` on warm scratch, each pose once on one thread and
+//! once on the service's `ranks` threads, interleaved. The reported
+//! `pose_threads_over_one` is the median over slices of the threaded
+//! time over the one-thread time: how much of the pose's work the extra
+//! threads take off, on the same host a moment apart.
+//!
 //! ```text
 //! cargo run --release --example serve_load > BENCH_serve.json
 //! ```
@@ -36,6 +43,7 @@
 //! `GB_SERVE_SINGLES` (96), `GB_SERVE_TENANTS` (8).
 
 use gb_polarize::core::naive::naive_energy;
+use gb_polarize::core::pair::{evaluate_pair_ws, Monomer, PairScratch};
 use gb_polarize::molecule::docking::PoseScan;
 use gb_polarize::prelude::*;
 use gb_polarize::serve::ServeStats;
@@ -146,12 +154,32 @@ fn main() {
         params,
     };
 
+    // ---- the same poses straight through the pair path on warm scratch,
+    // one thread against the service's threads, interleaved pose by pose
+    let rm = Monomer::build(Molecule::clone(&receptor), params);
+    let lm = Monomer::build(Molecule::clone(&ligand), params);
+    let mut one = PairScratch::new();
+    let mut many = PairScratch::with_threads(ServeConfig::default().ranks);
+    let mut pose_times = |slice: &[gb_polarize::geom::RigidTransform]| {
+        let (mut t_one, mut t_many) = (0.0, 0.0);
+        for pose in slice {
+            for (scratch, t) in [(&mut one, &mut t_one), (&mut many, &mut t_many)] {
+                let t0 = Instant::now();
+                std::hint::black_box(evaluate_pair_ws(&rm, &lm, pose, scratch));
+                *t += t0.elapsed().as_secs_f64() * 1e3;
+            }
+        }
+        (t_one, t_many)
+    };
+    pose_times(&poses[..poses.len().min(16)]);
+
     // ---- phase 1: warm docking scan (tiered cache on), in slices timed
     // between probes
     let warm_service = GbService::start(ServeConfig::default());
     let slice_len = n_poses.div_ceil(SLICES).max(1);
     let mut probes = vec![probe()];
     let (mut job_ratios, mut p99_ratios) = (Vec::new(), Vec::new());
+    let (mut thread_ratios, mut pose_ms) = (Vec::new(), [0.0; 2]);
     let mut warm = Phase { outcomes: Vec::new(), elapsed_s: 0.0, stats: ServeStats::default() };
     for slice in poses.chunks(slice_len) {
         let part = run_open_loop(
@@ -162,6 +190,10 @@ fn main() {
         let around = 0.5 * (probes[probes.len() - 2] + probes[probes.len() - 1]);
         job_ratios.push(part.elapsed_s * 1e3 / part.outcomes.len() as f64 / around);
         p99_ratios.push(percentile(&part.latencies(), 0.99) / around);
+        let (t_one, t_many) = pose_times(slice);
+        thread_ratios.push(t_many / t_one);
+        pose_ms[0] += t_one / n_poses as f64;
+        pose_ms[1] += t_many / n_poses as f64;
         warm.outcomes.extend(part.outcomes);
         warm.elapsed_s += part.elapsed_s;
         warm.stats = part.stats;
@@ -229,6 +261,9 @@ fn main() {
     println!("    \"slices\": {},", job_ratios.len());
     println!("    \"warm_job_over_probe\": {:.4},", median(&mut job_ratios));
     println!("    \"p99_over_probe\": {:.3},", median(&mut p99_ratios));
+    println!("    \"pose_ms_one_thread\": {:.3},", pose_ms[0]);
+    println!("    \"pose_ms_threads\": {:.3},", pose_ms[1]);
+    println!("    \"pose_threads_over_one\": {:.4},", median(&mut thread_ratios));
     println!("    \"full_row_poses\": {},", wstats.docking_full_rows);
     println!(
         "    \"tier1_hit_rate\": {:.4},",

@@ -69,7 +69,9 @@
 # per-job time and its p99 over a host probe (the receptor's exact O(M²)
 # energy, run at once on each of the threads a docking pose uses), so host
 # drift moves numerator and denominator together while a slower warm path
-# still fails.
+# still fails. (d) The hard ceiling serve_max_pose_threads_over_one on the
+# time of the same warm poses on the service's threads over one thread,
+# timed pose by pose in the same process: a pose whose threads idle fails.
 #
 #   scripts/perf_smoke.sh            # check against the baseline
 #   scripts/perf_smoke.sh --update   # rewrite the baseline from this host
@@ -229,6 +231,15 @@ verdict = "ok" if ratio <= allowed else "REGRESSED"
 print(f"serve docking p99 / probe: measured {ratio:.2f}  "
       f"baseline {baseline['serve_p99_over_probe']:.2f}  allowed <= {allowed:.2f}  {verdict}")
 failed |= ratio > allowed
+
+# hard ceiling: a pose's threads must take their share of its work
+ceiling = baseline["serve_max_pose_threads_over_one"]
+ratio = dock["pose_threads_over_one"]
+verdict = "ok" if ratio <= ceiling else "OVER CEILING"
+print(f"serve pose time, threads / one thread: measured {ratio:.4f}  "
+      f"({dock['pose_ms_threads']:.3f} / {dock['pose_ms_one_thread']:.3f} ms)  "
+      f"ceiling {ceiling:.4f}  {verdict}")
+failed |= ratio > ceiling
 
 sys.exit(1 if failed else 0)
 EOF
